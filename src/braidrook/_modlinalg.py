@@ -8,6 +8,11 @@ original system. Verified candidates are provably a full basis: the mod-p
 nullity bounds the rational nullity from above, and the candidates are
 independent by construction, so matching counts certify completeness.
 Any failure returns None and the caller falls back to pure elimination.
+
+The same residue arithmetic also gives one-sided dimension bounds for the
+duality report's dimension sandwich (see tensor.duality_report): ranks,
+nullities and algebra closures over F_p, each an inequality that holds over
+Q for a prime dividing no denominator.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ def _integer_rows(rows):
         denom = 1
         for _, v in entries:
             denom = lcm(denom, v.denominator)
-        out.append([(j, int(v * denom)) for j, v in entries])
+        out.append([(j, v.numerator * (denom // v.denominator)) for j, v in entries])
     return out
 
 
@@ -59,13 +64,14 @@ def _rref_mod(int_rows, ncols: int, p: int):
         k = r + int(nz[0])
         if k != r:
             a[[r, k]] = a[[k, r]]
+        # the pivot row is zero left of col, so only columns col.. change
         inv = pow(int(a[r, col]), -1, p)
-        a[r] = (a[r] * inv) % p
+        a[r, col:] = (a[r, col:] * inv) % p
         colvals = a[:, col].copy()
         colvals[r] = 0
         hit = np.nonzero(colvals)[0]
         if hit.size:
-            a[hit] = (a[hit] - np.outer(colvals[hit], a[r])) % p
+            a[hit, col:] = (a[hit, col:] - np.outer(colvals[hit], a[r, col:])) % p
         pivots.append(col)
         r += 1
     return pivots, a[:r]
@@ -172,3 +178,95 @@ def _canonicalize(vectors, ncols):
 
     span = span_of_vectors(vectors, ncols, mode="trail")
     return [list(row) for row in span.basis_rows()]
+
+
+# -- one-sided bounds for the dimension sandwich ---------------------------------
+
+# Primes just below 2^26, so (p - 1)^2 < 2^52 and an int64 dot product of up
+# to 2^11 residue products cannot overflow; longer ones are split.
+SANDWICH_PRIMES = [67108859, 67108837, 67108819, 67108777]
+
+_INT64_LIMIT = 2**63
+
+
+def _dot_mod(a, b, p: int):
+    """a @ b mod p for int64 residue arrays. The inner dimension is cut into
+    pieces short enough that every partial sum stays below 2^63."""
+    step = (_INT64_LIMIT - 1) // (p - 1) ** 2
+    inner = b.shape[0]
+    assert step >= 1 and min(step, inner) * (p - 1) ** 2 < _INT64_LIMIT
+    out = a[..., :0] @ b[:0]
+    for k in range(0, inner, step):
+        out = (out + a[..., k : k + step] @ b[k : k + step]) % p
+    return out
+
+
+def is_p_integral(mats, p: int) -> bool:
+    """Whether p divides no denominator of any entry of the matrices."""
+    return all(x.denominator % p for m in mats for x in m.entries())
+
+
+def residues(m, p: int):
+    """A p-integral rational matrix reduced entrywise mod p, as int64."""
+    flat = [x.numerator * pow(x.denominator, -1, p) % p for x in m.entries()]
+    return np.array(flat, dtype=np.int64).reshape(m.rows, m.cols)
+
+
+def rank_mod(rows, ncols: int, p: int) -> int:
+    """Rank over F_p of a sparse rational system, rows scaled to integers
+    first. Never above the rank over Q: a minor that is nonzero mod p is a
+    nonzero integer."""
+    return len(_rref_mod(_integer_rows(rows), ncols, p)[0])
+
+
+class _EchelonMod:
+    """Incremental fully reduced row echelon basis over F_p."""
+
+    def __init__(self, length: int, p: int):
+        self.p = p
+        self.dim = 0
+        self.pivots: list[int] = []
+        self._rows = np.zeros((8, length), dtype=np.int64)
+
+    def add(self, v) -> bool:
+        """Adjoin the residue vector v; False if it already lies in the span."""
+        p, d = self.p, self.dim
+        rows = self._rows[:d]
+        if d:
+            v = (v - _dot_mod(v[self.pivots], rows, p)) % p
+        nz = np.flatnonzero(v)
+        if nz.size == 0:
+            return False
+        c = int(nz[0])
+        v = v * pow(int(v[c]), -1, p) % p
+        if d:
+            rows[:] = (rows - np.outer(rows[:, c], v)) % p
+        if d == len(self._rows):
+            self._rows = np.concatenate([self._rows, np.zeros_like(self._rows)])
+        self._rows[d] = v
+        self.pivots.append(c)
+        self.dim += 1
+        return True
+
+
+def closure_dim_mod(seed, multipliers, p: int) -> int:
+    """Dimension over F_p of the span of 1 and the seed residue matrices,
+    closed under right multiplication by the multipliers.
+
+    Every element found is a product of the inputs, so when those are the
+    reductions of p-integral rational matrices, the result is at most the
+    dimension over Q of the algebra the rational matrices generate: the
+    Z_(p)-span of their products is a lattice of that rank, and its
+    reduction mod p spans everything found here.
+    """
+    size = multipliers[0].shape[0]
+    basis = _EchelonMod(size * size, p)
+    queue = [m for m in [np.eye(size, dtype=np.int64), *seed] if basis.add(m.reshape(-1))]
+    while queue:
+        batch = np.stack(queue)
+        queue = []
+        for g in multipliers:
+            for prod in _dot_mod(batch, g, p):
+                if basis.add(prod.reshape(-1)):
+                    queue.append(prod)
+    return basis.dim

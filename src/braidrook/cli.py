@@ -1,7 +1,8 @@
 """Command-line entry point: verification suites and table/graph emitters.
 
 Exit codes: 0 every requested check passed, 1 a verified identity failed,
-2 usage or parameter error (bad scalars, gate violations, size budget).
+2 usage, parameter or resource error (bad scalars, gate violations, size
+budget, out of memory).
 All scalars enter as exact "p/q" strings; there is no floating point.
 """
 
@@ -13,7 +14,6 @@ import sys
 import time
 from fractions import Fraction
 
-from . import tensor as tensor_module
 from .acceptance import CRITERIA
 from .burau import BurauParams, reduced_generator, unreduced_generator
 from .cellular import bratteli, dims_table, rook_dimension
@@ -169,17 +169,17 @@ def cmd_bratteli(args) -> int:
 
 def cmd_duality(args) -> int:
     p = BurauParams(args.n, parse_scalar(args.q1), parse_scalar(args.q2))
-    old_budget = tensor_module.MATRIX_SIZE_BUDGET
-    tensor_module.MATRIX_SIZE_BUDGET = args.budget
-    try:
-        report = duality_report(args.n, args.r, p)
-    finally:
-        tensor_module.MATRIX_SIZE_BUDGET = old_budget
+    report = duality_report(args.n, args.r, p, budget=args.budget)
     if args.json:
         _emit_json(report)
     else:
         for check in report["checks"]:
             print(f"{check['status'].upper():4} {check['name']}: {check['detail']}")
+        cert = report["certificate"]
+        if cert["path"] == "sandwich":
+            print(f"certificate: dimension sandwich mod {cert['prime']}")
+        else:
+            print(f"certificate: exact dimensions ({cert['fallback_reason']})")
         verdict = "hold" if report["all_pass"] else "FAIL"
         print(
             f"n={report['n']} r={report['r']} z={report['z']}: identities {verdict}, "
@@ -213,15 +213,16 @@ def cmd_verify_all(args) -> int:
     for criterion in CRITERIA:
         if wanted is not None and criterion.name not in wanted:
             continue
-        start = time.time()
+        start = time.perf_counter()
         ok, detail = criterion.run()
-        elapsed = time.time() - start
+        elapsed = time.perf_counter() - start
         checks.append(
             {
                 "name": criterion.name,
                 "paper_ref": criterion.identity,
                 "status": "pass" if ok else "fail",
                 "detail": detail,
+                "elapsed_seconds": elapsed,
             }
         )
         if not args.json:
@@ -320,6 +321,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, ArithmeticError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

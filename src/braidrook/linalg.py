@@ -307,38 +307,44 @@ def span_closure(
     return span.dim, basis
 
 
-def commutant(gens: Sequence[Matrix], size: int | None = None) -> tuple[int, list[Matrix]]:
-    """Basis of {X : gX = Xg for all g in gens}.
-
-    Solved as the joint nullspace of X -> gX - Xg over the row-major
-    vectorization of X. With no generators the full matrix space comes
-    back, which needs an explicit size.
-    """
-    if not gens:
-        if size is None:
-            raise ValueError("empty generator list needs an explicit size")
-        n = size
-    else:
-        n = gens[0].rows
-        if any(not g.is_square() or g.rows != n for g in gens):
-            raise ValueError("generators must be square and same size")
+def commutant_rows(gens: Sequence[Matrix]) -> list[SparseRow]:
+    """Sparse rows of the linear system X -> gX - Xg over the row-major
+    vectorization of X, one row per generator g and entry (i, j), with
+    all-zero rows left out. Its nullspace is the commutant of gens."""
+    n = gens[0].rows if gens else 0
+    if any(not g.is_square() or g.rows != n for g in gens):
+        raise ValueError("generators must be square and same size")
     rows: list[SparseRow] = []
     for g in gens:
+        e = g.entries()
+        row_nz = [[(k, e[i * n + k]) for k in range(n) if e[i * n + k]] for i in range(n)]
+        col_nz = [[(k, e[k * n + j]) for k in range(n) if e[k * n + j]] for j in range(n)]
         for i in range(n):
             for j in range(n):
                 coeff: dict[int, Fraction] = {}
-                for k in range(n):
-                    gik = g[i, k]
-                    if gik:
-                        idx = k * n + j
-                        coeff[idx] = coeff.get(idx, Fraction(0)) + gik
-                    gkj = g[k, j]
-                    if gkj:
-                        idx = i * n + k
-                        coeff[idx] = coeff.get(idx, Fraction(0)) - gkj
+                for k, gik in row_nz[i]:
+                    idx = k * n + j
+                    coeff[idx] = coeff.get(idx, 0) + gik
+                for k, gkj in col_nz[j]:
+                    idx = i * n + k
+                    coeff[idx] = coeff.get(idx, 0) - gkj
                 entries = sorted((c, v) for c, v in coeff.items() if v)
                 if entries:
                     rows.append(entries)
+    return rows
+
+
+def commutant(gens: Sequence[Matrix], size: int | None = None) -> tuple[int, list[Matrix]]:
+    """Basis of {X : gX = Xg for all g in gens}.
+
+    Solved as the joint nullspace of commutant_rows(gens). With no
+    generators the full matrix space comes back, which needs an explicit
+    size.
+    """
+    if not gens and size is None:
+        raise ValueError("empty generator list needs an explicit size")
+    rows = commutant_rows(gens)
+    n = gens[0].rows if gens else size
     vectors = nullspace_of_rows(rows, n * n)
     return len(vectors), [Matrix(n, n, list(v)) for v in vectors]
 

@@ -25,7 +25,7 @@ from .diagrams import (
     rook_elements,
     transposition,
 )
-from .linalg import commutant, matrix_span, span_closure, spans_equal
+from .linalg import commutant, commutant_rows, matrix_span, span_closure
 from .matrix import Matrix, kron, kron_power
 
 MATRIX_SIZE_BUDGET = 256  # largest n^r the exact commutant solvers accept
@@ -145,26 +145,32 @@ def rook_generators(p: BurauParams, r: int) -> list[Matrix]:
     return gens
 
 
-def centralizer_of_braid(n: int, r: int, p: BurauParams) -> tuple[int, list[Matrix]]:
-    _check_budget(n, r)
+def centralizer_of_braid(
+    n: int, r: int, p: BurauParams, budget: int | None = None
+) -> tuple[int, list[Matrix]]:
+    _check_budget(n, r, budget)
     return commutant(braid_generators(p, r), size=n**r)
 
 
-def rook_image(n: int, r: int, p: BurauParams) -> tuple[int, list[Matrix]]:
+def rook_image(
+    n: int, r: int, p: BurauParams, budget: int | None = None
+) -> tuple[int, list[Matrix]]:
     """Span of the operators of all diagram basis elements; this is the full
     image algebra since the basis spans and the action is multiplicative."""
-    _check_budget(n, r)
+    _check_budget(n, r, budget)
     ops = [diagram_op(d, p, r) for d in rook_elements(r)]
     span = matrix_span(ops)
     basis = [Matrix.from_flat(n**r, n**r, row) for row in span.basis_rows()]
     return span.dim, basis
 
 
-def enveloping_braid(n: int, r: int, p: BurauParams) -> tuple[int, list[Matrix]]:
+def enveloping_braid(
+    n: int, r: int, p: BurauParams, budget: int | None = None
+) -> tuple[int, list[Matrix]]:
     """Unital algebra generated by the braid generators and their inverses;
     the inverses lie in the algebra of the forward generators (quadratic
     relation), so closing under forward multipliers suffices."""
-    _check_budget(n, r)
+    _check_budget(n, r, budget)
     gens = braid_generators(p, r)
     seed = gens + [braid_tensor_gen_inverse(i, p, r) for i in range(1, n)]
     return span_closure(seed, multipliers=gens)
@@ -197,14 +203,96 @@ def bimodule_dimension_sum(n: int, r: int) -> int:
 # -- the duality report --------------------------------------------------------------
 
 
+def _dimension_sandwich(p: BurauParams, r: int, braid_gens, rook_gens) -> dict:
+    """The certificate of duality_report: the four one-sided dimension
+    bounds at the first listed prime that divides no denominator of the
+    matrices involved, and whether their ends meet."""
+    from . import _modlinalg
+
+    ops = [diagram_op(d, p, r) for d in rook_elements(r)]
+    braid_invs = [braid_tensor_gen_inverse(i, p, r) for i in range(1, p.n)]
+    size = braid_gens[0].rows
+    unknowns = size * size
+    skipped = []
+    for prime in _modlinalg.SANDWICH_PRIMES:
+        if not _modlinalg.is_p_integral([*braid_gens, *braid_invs, *rook_gens, *ops], prime):
+            skipped.append(prime)
+            continue
+        braid_res = [_modlinalg.residues(g, prime) for g in braid_gens]
+        inv_res = [_modlinalg.residues(g, prime) for g in braid_invs]
+        op_rows = [[(j, v) for j, v in enumerate(m.entries()) if v] for m in ops]
+        bounds = {
+            "image_lower": _modlinalg.rank_mod(op_rows, unknowns, prime),
+            "braid_centralizer_upper": unknowns
+            - _modlinalg.rank_mod(commutant_rows(braid_gens), unknowns, prime),
+            "envelope_lower": _modlinalg.closure_dim_mod(braid_res + inv_res, braid_res, prime),
+            # the s_i and p_1 alone: their commutant contains C(rook gens),
+            # so its nullity is still an upper bound, and it is equal since
+            # every p_j is conjugate to p_1 by place permutations
+            "rook_centralizer_upper": unknowns
+            - _modlinalg.rank_mod(commutant_rows(rook_gens[:r]), unknowns, prime),
+        }
+        met = (bounds["image_lower"], bounds["envelope_lower"]) == (
+            bounds["braid_centralizer_upper"],
+            bounds["rook_centralizer_upper"],
+        )
+        return _certificate(
+            "sandwich" if met else "exact",
+            None if met else f"bounds do not meet mod {prime}",
+            prime,
+            skipped,
+            bounds,
+        )
+    return _certificate("exact", "every listed prime divides a denominator", None, skipped)
+
+
+def _certificate(path, reason, prime=None, skipped=(), bounds=None) -> dict:
+    return {
+        "path": path,
+        "prime": prime,
+        "primes_skipped": list(skipped),
+        "bounds": bounds,
+        "fallback_reason": reason,
+    }
+
+
 def _report_check(name: str, ok: bool, detail: str) -> dict:
     return {"name": name, "status": "pass" if ok else "fail", "detail": detail}
 
 
-def duality_report(n: int, r: int, p: BurauParams) -> dict:
+def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) -> dict:
     """Five exact identities tying the two actions together, plus the
-    faithfulness verdict (faithful exactly when n > r)."""
-    _check_budget(n, r)
+    faithfulness verdict (faithful exactly when n > r).
+
+    The two double-centralizer identities rest on containment plus
+    dimension. The exact check that every braid generator commutes with
+    every s_i and p_j operator gives both containments:
+    - image <= C(braid gens): every diagram operator is a product of s_i
+      and p_j operators (projections, then a place permutation);
+    - envelope <= C(rook gens): the inverse of a matrix commuting with g
+      commutes with g too, and C(rook gens) = C(image), since those
+      operators generate the image algebra.
+    A subspace of the same dimension is the whole space, so each identity
+    is "commute and dim == dim".
+
+    The dimensions come from a sandwich over one prime p that divides no
+    denominator of the matrices involved:
+        rank_p(diagram ops) <= dim image <= dim C(braid gens)
+            <= nullity_p(braid commutant system),
+        dim_p(mod-p closure) <= dim envelope <= dim C(rook gens)
+            <= nullity_p(commutant system of the s_i and p_1).
+    The outer bounds hold because rank_p <= rank_Q for a p-integral
+    matrix, because C(rook gens) lies inside the commutant of the subset
+    {s_i, p_1}, and because the mod-p closure of the reduced braid generators
+    and inverses is spanned by the reduction of the Z_(p)-lattice of their
+    products, a lattice of rank dim envelope. When both pairs of ends meet,
+    every dimension in the chains is certified exactly ("sandwich" path).
+    Otherwise (an unlucky prime, no usable prime, or non-commuting actions)
+    the exact centralizer, image, envelope and commutant dimensions are
+    computed instead ("exact" path). report["certificate"] records the
+    path, the prime, the skipped primes and the four bounds.
+    """
+    _check_budget(n, r, budget)
     if p.n != n:
         raise ValueError("params built for a different n")
     z = p.quantum(n)
@@ -213,16 +301,26 @@ def duality_report(n: int, r: int, p: BurauParams) -> dict:
 
     commute = all(b * g == g * b for b in braid_gens for g in rook_gens)
 
-    cent_dim, cent_basis = centralizer_of_braid(n, r, p)
-    img_dim, img_basis = rook_image(n, r, p)
-    env_dim, env_basis = enveloping_braid(n, r, p)
-    # the image algebra is generated by the s_i and p_j operators (every
-    # diagram factors as projections followed by a permutation), so its
-    # commutant is the joint commutant of those generators
-    cent_of_img_dim, cent_of_img = commutant(rook_gens, size=n**r)
+    if commute:
+        certificate = _dimension_sandwich(p, r, braid_gens, rook_gens)
+    else:
+        certificate = _certificate("exact", "actions do not commute")
 
-    env_eq = env_dim == cent_of_img_dim and spans_equal(env_basis, cent_of_img)
-    img_eq = img_dim == cent_dim and spans_equal(img_basis, cent_basis)
+    if certificate["path"] == "sandwich":
+        bounds = certificate["bounds"]
+        img_dim = cent_dim = bounds["image_lower"]
+        env_dim = cent_of_img_dim = bounds["envelope_lower"]
+        mod = f"sandwich mod {certificate['prime']}"
+        img_how = f"{mod}: rank_p {img_dim} <= image <= C(braid) <= nullity_p {cent_dim}"
+        env_how = f"{mod}: closure_p {env_dim} <= envelope <= C(rook) <= nullity_p {cent_of_img_dim}"
+    else:
+        cent_dim, _ = centralizer_of_braid(n, r, p, budget)
+        img_dim, _ = rook_image(n, r, p, budget)
+        env_dim, _ = enveloping_braid(n, r, p, budget)
+        cent_of_img_dim, _ = commutant(rook_gens, size=n**r)
+        img_how = env_how = f"exact dimensions; {certificate['fallback_reason']}"
+    env_eq = commute and env_dim == cent_of_img_dim
+    img_eq = commute and img_dim == cent_dim
     dim_sum = expected_centralizer_dim(n, r)
     bim_sum = bimodule_dimension_sum(n, r)
 
@@ -230,12 +328,12 @@ def duality_report(n: int, r: int, p: BurauParams) -> dict:
         _report_check(
             "enveloping_equals_centralizer_of_rook_image",
             env_eq,
-            f"enveloping dim {env_dim}, centralizer of rook image dim {cent_of_img_dim}",
+            f"enveloping dim {env_dim}, centralizer of rook image dim {cent_of_img_dim} ({env_how})",
         ),
         _report_check(
             "rook_image_equals_centralizer_of_braid",
             img_eq,
-            f"rook image dim {img_dim}, braid centralizer dim {cent_dim}",
+            f"rook image dim {img_dim}, braid centralizer dim {cent_dim} ({img_how})",
         ),
         _report_check(
             "centralizer_dimension_sum",
@@ -270,6 +368,7 @@ def duality_report(n: int, r: int, p: BurauParams) -> dict:
         "q2": str(p.q2),
         "z": str(z),
         "checks": checks,
+        "certificate": certificate,
         "faithful": faithful_observed,
         "all_pass": all(c["status"] == "pass" for c in checks),
     }

@@ -18,9 +18,9 @@ def test_registry_shape():
 
 @pytest.mark.parametrize("criterion", CRITERIA, ids=[c.name for c in CRITERIA])
 def test_criterion(criterion):
-    start = time.time()
+    start = time.perf_counter()
     ok, detail = criterion.run()
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     print(f"{'PASS' if ok else 'FAIL'} {criterion.name} ({elapsed:.1f}s): {detail}")
     assert ok, f"{criterion.name} failed [{criterion.identity}]: {detail}"
     assert elapsed <= criterion.budget_seconds, (

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import braidrook.cli as cli_module
 import braidrook.tensor as tensor_module
 from braidrook.burau import BurauParams, generator_power
 from braidrook.cli import main
@@ -137,6 +138,7 @@ def test_duality_text_passes(capsys):
     code, out, _ = run(capsys, "duality", "--n", "2", "--r", "2", "--q1", "1", "--q2", "-2")
     assert code == 0
     assert "identities hold" in out and "faithful=False" in out
+    assert "certificate: dimension sandwich mod " in out
 
 
 def test_duality_json_round_trip(capsys):
@@ -146,7 +148,25 @@ def test_duality_json_round_trip(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["all_pass"] is True and data["faithful"] is True and data["z"] == "7"
+    cert = data["certificate"]
+    assert set(cert) == {"path", "prime", "primes_skipped", "bounds", "fallback_reason"}
+    assert cert["path"] == "sandwich" and cert["fallback_reason"] is None
+    assert cert["bounds"] == {
+        "image_lower": 7,
+        "braid_centralizer_upper": 7,
+        "envelope_lower": 15,
+        "rook_centralizer_upper": 15,
+    }
     assert json.dumps(data, indent=2) == out.strip()
+
+
+def test_duality_out_of_memory_exit(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_module, "duality_report", exhausted)
+    code, _, err = run(capsys, "duality", "--n", "2", "--r", "2", "--q1", "1", "--q2", "-2")
+    assert code == 2 and "out of memory" in err
 
 
 def test_duality_budget_exit(capsys):
@@ -213,8 +233,8 @@ def test_verify_all_json_schema_and_round_trip(capsys):
     data = json.loads(out)
     assert data["suite"] == "verify-all"
     (check,) = data["checks"]
-    assert set(check) == {"name", "paper_ref", "status", "detail"}
-    assert check["status"] == "pass"
+    assert set(check) == {"name", "paper_ref", "status", "detail", "elapsed_seconds"}
+    assert check["status"] == "pass" and check["elapsed_seconds"] >= 0
     assert json.dumps(data, indent=2) == out.strip()
 
 

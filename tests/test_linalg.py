@@ -9,6 +9,7 @@ from braidrook.linalg import (
     VectorSpan,
     commutant,
     commutant_of_span,
+    commutant_rows,
     det,
     invert,
     matrix_span,
@@ -330,3 +331,59 @@ def test_modular_engine_rational_entries():
     fast = _modlinalg.certified_nullspace(sparse, 3)
     assert [tuple(v) for v in fast] == [tuple(v) for v in pure]
     assert len(pure) == 2
+
+
+# -- mod-p bounds for the dimension sandwich ------------------------------------
+
+
+def test_dot_mod_splits_long_sums_exactly():
+    # at p just below 2^31 only two residue products fit in an int64 sum,
+    # so a length-9 dot product must be cut into pieces
+    import numpy as np
+
+    p = _modlinalg.PRIMES[0]
+    rng = random.Random(5)
+    a = [[rng.randrange(p) for _ in range(9)] for _ in range(3)]
+    b = [[rng.randrange(p) for _ in range(4)] for _ in range(9)]
+    got = _modlinalg._dot_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
+    want = [[sum(a[i][k] * b[k][j] for k in range(9)) % p for j in range(4)] for i in range(3)]
+    assert got.tolist() == want
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10 ** 6))
+def test_rank_mod_matches_exact_rank(rows, cols, seed):
+    m = rand_matrix(random.Random(seed), rows, cols)
+    p = _modlinalg.SANDWICH_PRIMES[0]
+    assert _modlinalg.rank_mod(_sparse_rows_of(m), cols, p) == rank(m)
+
+
+def test_rank_mod_never_exceeds_rational_rank():
+    m = Matrix.from_rows([[3, 6], [1, 5]])  # det 9: rank 2 over Q, 1 mod 3
+    assert _modlinalg.rank_mod(_sparse_rows_of(m), 2, 3) == 1 < rank(m)
+
+
+def test_closure_dim_mod_matches_span_closure():
+    rng = random.Random(11)
+    while True:
+        g = rand_matrix(rng, 3, 3, den=1)
+        if rank(g) == 3:
+            break
+    h = rand_matrix(rng, 3, 3, den=1)
+    p = _modlinalg.SANDWICH_PRIMES[0]
+    res = [_modlinalg.residues(m, p) for m in (g, h)]
+    assert _modlinalg.closure_dim_mod(res, res, p) == span_closure([g, h])[0]
+    assert _modlinalg.closure_dim_mod([], res[:1], p) == span_closure([g])[0]
+
+
+def test_residues_and_p_integrality():
+    m = Matrix.from_rows([[Fraction(1, 2), Fraction(-1)], [Fraction(3), Fraction(0)]])
+    assert not _modlinalg.is_p_integral([m], 2)
+    assert _modlinalg.is_p_integral([m], 5)
+    assert _modlinalg.residues(m, 5).tolist() == [[3, 4], [3, 0]]
+
+
+def test_commutant_rows_nullity_is_commutant_dim():
+    g = Matrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+    rows = commutant_rows([g])
+    assert len(nullspace_of_rows(rows, 9)) == commutant([g])[0] == 3

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from braidrook import _modlinalg, tensor
 from braidrook.burau import BurauParams, unreduced_generator
 from braidrook.diagrams import rook_elements, transposition
-from braidrook.linalg import matrix_span, span_closure, spans_equal
+from braidrook.linalg import commutant, matrix_span, span_closure, spans_equal
 from braidrook.matrix import Matrix, kron
 from braidrook.tensor import (
     MATRIX_SIZE_BUDGET,
@@ -281,6 +282,106 @@ def test_duality_special_q_matching_classical_dimension():
     assert params.q == q and params.quantum(3) == 3
     report = duality_report(3, 2, params)
     _assert_all_pass(report)
+
+
+def test_duality_report_budget_argument():
+    with pytest.raises(ValueError, match="exceeds budget 3"):
+        duality_report(2, 2, P22, budget=3)
+    assert duality_report(2, 2, P22, budget=4)["all_pass"]
+
+
+# -- the dimension sandwich and its exact fallback ---------------------------------
+
+
+def _exact_dims(n, r, params):
+    return {
+        "image_lower": rook_image(n, r, params)[0],
+        "braid_centralizer_upper": centralizer_of_braid(n, r, params)[0],
+        "envelope_lower": enveloping_braid(n, r, params)[0],
+        "rook_centralizer_upper": commutant(rook_generators(params, r), size=n**r)[0],
+    }
+
+
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(1, 2), Fraction(-2)], ids=str)
+@pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (2, 3)])
+def test_sandwich_dimensions_match_exact(n, r, q):
+    params = BurauParams.preset(n, q)
+    report = duality_report(n, r, params)
+    cert = report["certificate"]
+    assert cert["path"] == "sandwich" and cert["fallback_reason"] is None
+    assert cert["prime"] == _modlinalg.SANDWICH_PRIMES[0] and cert["primes_skipped"] == []
+    assert cert["bounds"] == _exact_dims(n, r, params)
+    details = {c["name"]: c["detail"] for c in report["checks"]}
+    assert f"sandwich mod {cert['prime']}" in details["rook_image_equals_centralizer_of_braid"]
+    assert "nullity_p" in details["enveloping_equals_centralizer_of_rook_image"]
+
+
+def test_wrong_q_projection_fails_commute_and_both_equalities(monkeypatch):
+    # P built at q = 3 against braid generators at q = 2
+    real = tensor.projection_op
+
+    def wrong_q(j, p, r):
+        return real(j, BurauParams.preset(p.n, Fraction(3)), r)
+
+    monkeypatch.setattr(tensor, "projection_op", wrong_q)
+    report = duality_report(3, 2, P32)
+    failing = {c["name"] for c in report["checks"] if c["status"] == "fail"}
+    assert failing == {
+        "actions_commute",
+        "enveloping_equals_centralizer_of_rook_image",
+        "rook_image_equals_centralizer_of_braid",
+    }
+    assert report["certificate"]["path"] == "exact"
+    assert report["certificate"]["fallback_reason"] == "actions do not commute"
+
+
+def _verdicts(report):
+    return [(c["name"], c["status"]) for c in report["checks"]], report["faithful"]
+
+
+@pytest.mark.parametrize(
+    "primes,reason",
+    [
+        ([2], "every listed prime divides a denominator"),
+        ([2, 3], "bounds do not meet mod 3"),  # q = 2 is -1 mod 3
+    ],
+)
+def test_forced_sandwich_miss_takes_exact_path(monkeypatch, primes, reason):
+    sandwich = duality_report(3, 2, P32)
+    monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", primes)
+    exact = duality_report(3, 2, P32)
+    cert = exact["certificate"]
+    assert cert["path"] == "exact" and cert["fallback_reason"] == reason
+    assert cert["primes_skipped"] == [2]
+    assert exact["all_pass"]
+    assert _verdicts(exact) == _verdicts(sandwich)
+    details = {c["name"]: c["detail"] for c in exact["checks"]}
+    assert reason in details["rook_image_equals_centralizer_of_braid"]
+
+
+def test_q1_control_is_a_real_failure_on_the_exact_path():
+    # at q = 1 the braid action factors through S_3, so its centralizer
+    # outgrows the rook image: the bounds cannot meet and the exact
+    # dimensions fail both identities although the actions commute
+    report = duality_report(3, 2, BurauParams.degenerate(3, 1, -1))
+    cert = report["certificate"]
+    assert cert["path"] == "exact"
+    assert cert["fallback_reason"] == f"bounds do not meet mod {cert['prime']}"
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    assert status["actions_commute"] == "pass"
+    assert status["rook_image_equals_centralizer_of_braid"] == "fail"
+    assert status["enveloping_equals_centralizer_of_rook_image"] == "fail"
+
+
+def test_bounds_bracket_exact_dims_at_unlucky_prime(monkeypatch):
+    monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", [3])
+    bounds = duality_report(3, 2, P32)["certificate"]["bounds"]
+    exact = _exact_dims(3, 2, P32)
+    assert bounds != exact
+    assert bounds["image_lower"] <= exact["image_lower"]
+    assert exact["braid_centralizer_upper"] <= bounds["braid_centralizer_upper"]
+    assert bounds["envelope_lower"] <= exact["envelope_lower"]
+    assert exact["rook_centralizer_upper"] <= bounds["rook_centralizer_upper"]
 
 
 # -- Schur algebra ----------------------------------------------------------------------
