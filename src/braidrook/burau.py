@@ -193,26 +193,3 @@ def full_twist_scalar(p: BurauParams) -> Fraction:
         raise ArithmeticError("full twist did not act as a scalar on F")
     return c
 
-
-@dataclass(frozen=True)
-class BurauRep:
-    """All the data of the representation at fixed params."""
-
-    params: BurauParams
-    unreduced: list[Matrix]
-    reduced: list[Matrix]
-    form: Matrix
-    f0: tuple[Fraction, ...]
-    f_basis: list[tuple[Fraction, ...]]
-
-    @classmethod
-    def build(cls, p: BurauParams) -> "BurauRep":
-        f0, fs = decompose_e(p)
-        return cls(
-            params=p,
-            unreduced=[unreduced_generator(i, p) for i in range(1, p.n)],
-            reduced=[reduced_generator(i, p) for i in range(1, p.n)],
-            form=form_matrix(p),
-            f0=f0,
-            f_basis=fs,
-        )

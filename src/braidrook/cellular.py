@@ -16,14 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-from .diagrams import (
-    PartialPermutation,
-    SetPartitionDiagram,
-    compose_perms,
-    identity_perm,
-    invert_perm,
-    rook_elements,
-)
+from .diagrams import PartialPermutation, rook_elements
 from .linalg import det
 from .matrix import Matrix
 from .scalars import scalar
@@ -181,13 +174,6 @@ def diagram_of(t: CellTriple, r: int) -> PartialPermutation:
 def star(d: PartialPermutation) -> PartialPermutation:
     """The anti-involution: flip the diagram top to bottom."""
     return PartialPermutation(d.r, [(y, x) for x, y in d.pairs])
-
-
-def star_diagram(d: SetPartitionDiagram) -> SetPartitionDiagram:
-    r = d.r
-    return SetPartitionDiagram(
-        r, [tuple(x + r if x <= r else x - r for x in b) for b in d.blocks]
-    )
 
 
 def k_subsets(r: int, k: int) -> list[tuple[int, ...]]:

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .acceptance import CRITERIA
 from .burau import BurauParams, reduced_generator, unreduced_generator
@@ -37,6 +36,16 @@ def _matrix_json(m: Matrix) -> list[list[str]]:
 
 def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
+
+
+def _blocks(d) -> list[list[int]]:
+    """d as a set partition of the 2r nodes, top j as node j and bottom j as
+    node r + j: each block sorted, blocks sorted by their minimum."""
+    r = d.r
+    blocks = [[x, r + y] for x, y in d.pairs]
+    blocks += [[x] for x in range(1, r + 1) if x not in d.dom]
+    blocks += [[r + y] for y in range(1, r + 1) if y not in d.im]
+    return sorted(blocks)
 
 
 def _partition_label(parts) -> str:
@@ -81,7 +90,7 @@ def cmd_rook(args) -> int:
                 {
                     "r": r,
                     "count": len(elements),
-                    "diagrams": [d.to_diagram().to_json() for d in elements],
+                    "diagrams": [{"r": r, "blocks": _blocks(d)} for d in elements],
                 }
             )
         return 0

@@ -1,12 +1,17 @@
-"""Partition diagrams, the rook monoid of partial permutations, and the
-associated diagram algebras with the z^N composition rule.
+"""The rook monoid of partial permutations and its algebra with the z^N
+composition rule.
 
-Node encoding: the top row of a diagram on r strands is 1..r and the
-bottom row (primed nodes) is r+1..2r, so j' is stored as r+j. Diagrams
-compose by stacking d1 ABOVE d2, identifying d1's bottom with d2's top,
-and dropping the N connected components that stay entirely in the middle;
-in the algebra the product picks up a factor z^N. Maps read left to
-right: x(d1 d2) = (x d1) d2.
+A diagram on r strands is a partial permutation d of {1..r}: a bijection
+between its domain dom(d) and its image im(d), each strand x in dom(d)
+joining top node x to bottom node d(x). Diagrams compose by stacking d1
+ABOVE d2: x(d1 d2) = (x d1) d2, and each of the N middle nodes outside
+im(d1) u dom(d2) is a component that touches neither boundary; in the
+algebra it is dropped and the product picks up a factor z^N. Maps read
+left to right.
+
+Only the JSON of `braidrook rook enumerate` numbers the 2r nodes: top j is
+node j and bottom j is node r + j, and a diagram is written as the set
+partition of 1..2r into its strands and its unmatched nodes.
 """
 
 from __future__ import annotations
@@ -15,137 +20,9 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
-from .matrix import Matrix
 from .scalars import scalar
 
 ENUMERATION_BOUND = 6  # |P'_6| = 13327; full-basis operations stay tractable
-
-
-class SetPartitionDiagram:
-    """A set partition of {1..r} u {1'..r'} in canonical form: each block a
-    sorted tuple, blocks sorted by minimum element."""
-
-    __slots__ = ("r", "blocks")
-
-    def __init__(self, r: int, blocks: Iterable[Iterable[int]]):
-        if r < 0:
-            raise ValueError("r must be nonnegative")
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-        seen: set[int] = set()
-        for b in canon:
-            if not b:
-                raise ValueError("empty block")
-            if len(set(b)) != len(b):
-                raise ValueError("repeated node inside a block")
-            seen.update(b)
-        if seen and (min(seen) < 1 or max(seen) > 2 * r):
-            raise ValueError("node id outside 1..2r")
-        if len(seen) != 2 * r or sum(len(b) for b in canon) != 2 * r:
-            raise ValueError("blocks must partition the 2r nodes exactly")
-        self.r = r
-        self.blocks = canon
-
-    @staticmethod
-    def identity(r: int) -> "SetPartitionDiagram":
-        return SetPartitionDiagram(r, [(j, r + j) for j in range(1, r + 1)])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SetPartitionDiagram)
-            and self.r == other.r
-            and self.blocks == other.blocks
-        )
-
-    def __hash__(self):
-        return hash((self.r, self.blocks))
-
-    def __repr__(self):
-        def name(x):
-            return str(x) if x <= self.r else f"{x - self.r}'"
-
-        body = " ".join("{" + ",".join(name(x) for x in b) + "}" for b in self.blocks)
-        return f"Diagram(r={self.r}: {body})"
-
-    def to_json(self) -> dict:
-        return {"r": self.r, "blocks": [list(b) for b in self.blocks]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SetPartitionDiagram":
-        return cls(data["r"], data["blocks"])
-
-
-def compose_diagrams(
-    d1: SetPartitionDiagram, d2: SetPartitionDiagram
-) -> tuple[SetPartitionDiagram, int]:
-    """Stack d1 above d2. Returns (induced outer diagram, N) where N counts
-    the connected components contained entirely in the middle row."""
-    if d1.r != d2.r:
-        raise ValueError("size mismatch")
-    r = d1.r
-    # union-find over 3r virtual nodes: tops 0..r-1, middle r..2r-1,
-    # bottoms 2r..3r-1
-    parent = list(range(3 * r))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for block in d1.blocks:
-        nodes = [e - 1 if e <= r else (e - r - 1) + r for e in block]
-        for a, b in zip(nodes, nodes[1:]):
-            union(a, b)
-    for block in d2.blocks:
-        nodes = [(e - 1) + r if e <= r else (e - r - 1) + 2 * r for e in block]
-        for a, b in zip(nodes, nodes[1:]):
-            union(a, b)
-
-    classes: dict[int, list[int]] = {}
-    for x in range(3 * r):
-        classes.setdefault(find(x), []).append(x)
-
-    outer_blocks = []
-    dropped = 0
-    for members in classes.values():
-        outer = []
-        for x in members:
-            if x < r:
-                outer.append(x + 1)
-            elif x >= 2 * r:
-                outer.append(r + (x - 2 * r) + 1)
-        if outer:
-            outer_blocks.append(outer)
-        elif members:
-            dropped += 1
-    return SetPartitionDiagram(r, outer_blocks), dropped
-
-
-def all_set_partitions(r: int) -> list[SetPartitionDiagram]:
-    """Every diagram on r strands (Bell(2r) of them), in a deterministic
-    restricted-growth order."""
-    n = 2 * r
-    out: list[SetPartitionDiagram] = []
-
-    def grow(i: int, blocks: list[list[int]]):
-        if i > n:
-            out.append(SetPartitionDiagram(r, [tuple(b) for b in blocks]))
-            return
-        for b in blocks:
-            b.append(i)
-            grow(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        grow(i + 1, blocks)
-        blocks.pop()
-
-    grow(1, [])
-    return out
 
 
 # -- permutations as tuples --------------------------------------------------
@@ -245,26 +122,6 @@ class PartialPermutation:
         m = self.mapping()
         return tuple(m[i] for i in range(1, self.r + 1))
 
-    def to_diagram(self) -> SetPartitionDiagram:
-        r = self.r
-        blocks: list[tuple[int, ...]] = [(x, r + y) for x, y in self.pairs]
-        blocks += [(x,) for x in range(1, r + 1) if x not in self.dom]
-        blocks += [(r + y,) for y in range(1, r + 1) if y not in self.im]
-        return SetPartitionDiagram(r, blocks)
-
-    @classmethod
-    def from_diagram(cls, d: SetPartitionDiagram) -> "PartialPermutation":
-        pairs = []
-        for b in d.blocks:
-            if len(b) > 2:
-                raise ValueError("block of size > 2 is not a partial permutation")
-            if len(b) == 2:
-                x, y = b
-                if x > d.r or y <= d.r:
-                    raise ValueError("2-blocks must pair a top with a bottom")
-                pairs.append((x, y - d.r))
-        return cls(d.r, pairs)
-
     def compose(self, other: "PartialPermutation") -> tuple["PartialPermutation", int]:
         """(self then other, N); N = r - |im(self) u dom(other)| middle
         components are dropped when the product is taken in the algebra."""
@@ -290,23 +147,6 @@ class PartialPermutation:
         return f"PartialPermutation(r={self.r}: {body})"
 
 
-def compose_props(
-    d1: PartialPermutation, d2: PartialPermutation
-) -> tuple[int, frozenset[int], frozenset[int], int]:
-    """(rank, dom, im, N) of d1 d2 from the set formulas: the through part
-    is Z = im(d1) n dom(d2), so rank = |Z|, dom = Z d1^{-1}, im = Z d2,
-    and N = r - |im(d1) u dom(d2)|."""
-    if d1.r != d2.r:
-        raise ValueError("size mismatch")
-    through = d1.im & d2.dom
-    inv1 = {y: x for x, y in d1.pairs}
-    m2 = d2.mapping()
-    dom = frozenset(inv1[y] for y in through)
-    im = frozenset(m2[y] for y in through)
-    n_dropped = d1.r - len(d1.im | d2.dom)
-    return len(through), dom, im, n_dropped
-
-
 def rook_elements(r: int, bound: int = ENUMERATION_BOUND) -> list[PartialPermutation]:
     """All partial permutations on r points; sum over k of C(r,k)^2 k!."""
     if r < 0:
@@ -326,31 +166,6 @@ def rook_elements(r: int, bound: int = ENUMERATION_BOUND) -> list[PartialPermuta
 # -- generators ---------------------------------------------------------------
 
 
-def generator_diagram(kind: str, index: int, r: int) -> SetPartitionDiagram:
-    """The three generating families: s_i swaps strands i, i+1; p_j cuts
-    strand j; p_half (written p_{i+1/2}) merges columns i, i+1 into a
-    single block {i, i+1, i', (i+1)'}."""
-    if kind == "s":
-        if not 1 <= index <= r - 1:
-            raise ValueError(f"s index {index} outside 1..{r - 1}")
-        blocks = [(j, r + j) for j in range(1, r + 1) if j not in (index, index + 1)]
-        blocks += [(index, r + index + 1), (index + 1, r + index)]
-        return SetPartitionDiagram(r, blocks)
-    if kind == "p":
-        if not 1 <= index <= r:
-            raise ValueError(f"p index {index} outside 1..{r}")
-        blocks = [(j, r + j) for j in range(1, r + 1) if j != index]
-        blocks += [(index,), (r + index,)]
-        return SetPartitionDiagram(r, blocks)
-    if kind == "p_half":
-        if not 1 <= index <= r - 1:
-            raise ValueError(f"p_half index {index} outside 1..{r - 1}")
-        blocks = [(j, r + j) for j in range(1, r + 1) if j not in (index, index + 1)]
-        blocks.append((index, index + 1, r + index, r + index + 1))
-        return SetPartitionDiagram(r, blocks)
-    raise ValueError(f"unknown generator kind {kind!r}")
-
-
 def transposition(i: int, j: int, r: int) -> PartialPermutation:
     if i == j or not (1 <= i <= r and 1 <= j <= r):
         raise ValueError("bad transposition indices")
@@ -364,123 +179,6 @@ def projection(j: int, r: int) -> PartialPermutation:
     if not 1 <= j <= r:
         raise ValueError(f"p index {j} outside 1..{r}")
     return PartialPermutation(r, [(x, x) for x in range(1, r + 1) if x != j])
-
-
-# -- the diagram algebra -------------------------------------------------------
-
-
-class DiagramElement:
-    """Linear combination of diagrams at a fixed parameter z, multiplying by
-    d1 d2 = z^N (d1 o d2). z is carried per element; mixing different z
-    values is an error."""
-
-    __slots__ = ("r", "z", "terms")
-
-    def __init__(self, r: int, z, terms: dict | None = None):
-        self.r = r
-        self.z = scalar(z)
-        clean: dict[SetPartitionDiagram, Fraction] = {}
-        for d, c in (terms or {}).items():
-            if isinstance(d, PartialPermutation):
-                d = d.to_diagram()
-            c = scalar(c)
-            if d.r != r:
-                raise ValueError("diagram size mismatch")
-            if c:
-                clean[d] = clean.get(d, Fraction(0)) + c
-        self.terms = {d: c for d, c in clean.items() if c}
-
-    @classmethod
-    def from_diagram(cls, d, z, coeff=1) -> "DiagramElement":
-        r = d.r
-        return cls(r, z, {d: scalar(coeff)})
-
-    @classmethod
-    def one(cls, r: int, z) -> "DiagramElement":
-        return cls.from_diagram(SetPartitionDiagram.identity(r), z)
-
-    @classmethod
-    def zero(cls, r: int, z) -> "DiagramElement":
-        return cls(r, z, {})
-
-    def _check(self, other: "DiagramElement"):
-        if self.r != other.r:
-            raise ValueError("size mismatch")
-        if self.z != other.z:
-            raise ValueError(f"mixed parameters z={self.z} and z={other.z}")
-
-    def __add__(self, other: "DiagramElement") -> "DiagramElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for d, c in other.terms.items():
-            terms[d] = terms.get(d, Fraction(0)) + c
-        return DiagramElement(self.r, self.z, terms)
-
-    def __neg__(self) -> "DiagramElement":
-        return DiagramElement(self.r, self.z, {d: -c for d, c in self.terms.items()})
-
-    def __sub__(self, other: "DiagramElement") -> "DiagramElement":
-        return self + (-other)
-
-    def scale(self, c) -> "DiagramElement":
-        c = scalar(c)
-        return DiagramElement(self.r, self.z, {d: c * v for d, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if not isinstance(other, DiagramElement):
-            return self.scale(other)
-        self._check(other)
-        out: dict[SetPartitionDiagram, Fraction] = {}
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
-                prod, dropped = compose_diagrams(d1, d2)
-                coeff = c1 * c2 * self.z**dropped
-                out[prod] = out.get(prod, Fraction(0)) + coeff
-        return DiagramElement(self.r, self.z, out)
-
-    def __rmul__(self, c):
-        return self.scale(c)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiagramElement)
-            and self.r == other.r
-            and self.z == other.z
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.r, self.z, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return f"DiagramElement(r={self.r}, z={self.z}: 0)"
-        body = " + ".join(f"{c}*{d!r}" for d, c in self.terms.items())
-        return f"DiagramElement(z={self.z}: {body})"
-
-
-def generator_element(kind: str, index: int, r: int, z) -> DiagramElement:
-    return DiagramElement.from_diagram(generator_diagram(kind, index, r), z)
-
-
-def left_multiplication_matrix(g: DiagramElement, basis: Sequence[SetPartitionDiagram]) -> Matrix:
-    """Matrix of x -> g*x on the span of basis (columns = images); raises if
-    the image leaves the span."""
-    index = {d: i for i, d in enumerate(basis)}
-    n = len(basis)
-    cols = []
-    for d in basis:
-        prod = g * DiagramElement.from_diagram(d, g.z)
-        col = [Fraction(0)] * n
-        for term, c in prod.terms.items():
-            if term not in index:
-                raise ValueError("image leaves the given basis span")
-            col[index[term]] = c
-        cols.append(col)
-    return Matrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
 # -- cycle-link structure ------------------------------------------------------
@@ -534,21 +232,6 @@ def canonical_extension(d: PartialPermutation) -> tuple[int, ...]:
     return perm_from_cycles(d.r, cycles)
 
 
-def all_extensions(d: PartialPermutation) -> list[tuple[int, ...]]:
-    """All permutations of {1..r} restricting to d on dom(d): glue any
-    bijection from the complement of dom(d) to the complement of im(d).
-    There are (r - rank(d))! of them."""
-    rest_dom = sorted(set(range(1, d.r + 1)) - d.dom)
-    rest_im = sorted(set(range(1, d.r + 1)) - d.im)
-    base = d.mapping()
-    out = []
-    for image in permutations(rest_im):
-        m = dict(base)
-        m.update(zip(rest_dom, image))
-        out.append(tuple(m[i] for i in range(1, d.r + 1)))
-    return sorted(out)
-
-
 def projection_factorization(
     d: PartialPermutation,
 ) -> tuple[frozenset[int], tuple[int, ...], frozenset[int]]:
@@ -566,59 +249,84 @@ def _relation(name: str, holds: bool) -> dict:
     return {"name": name, "status": "pass" if holds else "fail"}
 
 
+def _monomial(
+    d: PartialPermutation, c: Fraction
+) -> tuple[PartialPermutation, Fraction] | None:
+    """The algebra element c d; None is the zero element."""
+    return (d, c) if c else None
+
+
+def _product(
+    z: Fraction, *factors: PartialPermutation
+) -> tuple[PartialPermutation, Fraction] | None:
+    """factors[0] factors[1] ... in the algebra at z: the composite diagram
+    times z^N, N the middle components dropped over all the compositions."""
+    d, n = factors[0], 0
+    for f in factors[1:]:
+        d, dropped = d.compose(f)
+        n += dropped
+    return _monomial(d, z**n)
+
+
 def verify_presentation(r: int, z) -> dict:
     """Check the rook-monoid algebra relations on diagrams at parameter z:
     (a) p_j^2 = z p_j and the p's commute; (b) the s_i satisfy the symmetric
     group relations; (c) the mixed relations, plus the derived insertion
-    rule (i,j) p_i p_j = p_i p_j (i,j) = p_i p_j."""
+    rule (i,j) p_i p_j = p_i p_j (i,j) = p_i p_j.
+
+    Both sides of every relation are monomials c d, so each is compared as
+    one pair (diagram, c); at z = 0 a side with a dropped component is the
+    zero element, and p_j^2 = z p_j holds with both sides zero."""
     if r < 2:
         raise ValueError("presentation needs r >= 2")
     z = scalar(z)
-    s = [None] + [
-        DiagramElement.from_diagram(transposition(i, i + 1, r), z) for i in range(1, r)
-    ]
-    p = [None] + [DiagramElement.from_diagram(projection(j, r), z) for j in range(1, r + 1)]
-    one = DiagramElement.one(r, z)
+    s = [None] + [transposition(i, i + 1, r) for i in range(1, r)]
+    p = [None] + [projection(j, r) for j in range(1, r + 1)]
+    one = PartialPermutation.identity(r)
     checks: list[dict] = []
 
+    def holds(left: tuple, right: tuple) -> bool:
+        return _product(z, *left) == _product(z, *right)
+
     for j in range(1, r + 1):
-        checks.append(_relation(f"p_{j}^2 = z p_{j}", p[j] * p[j] == p[j].scale(z)))
+        squared = _product(z, p[j], p[j])
+        checks.append(_relation(f"p_{j}^2 = z p_{j}", squared == _monomial(p[j], z)))
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
-            checks.append(_relation(f"p_{i} p_{j} = p_{j} p_{i}", p[i] * p[j] == p[j] * p[i]))
+            checks.append(_relation(f"p_{i} p_{j} = p_{j} p_{i}", holds((p[i], p[j]), (p[j], p[i]))))
 
     for i in range(1, r):
-        checks.append(_relation(f"s_{i}^2 = 1", s[i] * s[i] == one))
+        checks.append(_relation(f"s_{i}^2 = 1", holds((s[i], s[i]), (one,))))
     for i in range(1, r - 1):
         checks.append(
             _relation(
                 f"s_{i} s_{i+1} s_{i} = s_{i+1} s_{i} s_{i+1}",
-                s[i] * s[i + 1] * s[i] == s[i + 1] * s[i] * s[i + 1],
+                holds((s[i], s[i + 1], s[i]), (s[i + 1], s[i], s[i + 1])),
             )
         )
     for i in range(1, r):
         for j in range(i + 2, r):
-            checks.append(_relation(f"s_{i} s_{j} = s_{j} s_{i}", s[i] * s[j] == s[j] * s[i]))
+            checks.append(_relation(f"s_{i} s_{j} = s_{j} s_{i}", holds((s[i], s[j]), (s[j], s[i]))))
 
     for i in range(1, r):
-        pp = p[i] * p[i + 1]
-        checks.append(_relation(f"s_{i} p_{i} p_{i+1} = p_{i} p_{i+1}", s[i] * pp == pp))
-        checks.append(_relation(f"p_{i} p_{i+1} s_{i} = p_{i} p_{i+1}", pp * s[i] == pp))
+        pp = (p[i], p[i + 1])
+        checks.append(_relation(f"s_{i} p_{i} p_{i+1} = p_{i} p_{i+1}", holds((s[i], *pp), pp)))
+        checks.append(_relation(f"p_{i} p_{i+1} s_{i} = p_{i} p_{i+1}", holds((*pp, s[i]), pp)))
         checks.append(
-            _relation(f"s_{i} p_{i} s_{i} = p_{i+1}", s[i] * p[i] * s[i] == p[i + 1])
+            _relation(f"s_{i} p_{i} s_{i} = p_{i+1}", holds((s[i], p[i], s[i]), (p[i + 1],)))
         )
         for j in range(1, r + 1):
             if j in (i, i + 1):
                 continue
             checks.append(
-                _relation(f"s_{i} p_{j} = p_{j} s_{i}", s[i] * p[j] == p[j] * s[i])
+                _relation(f"s_{i} p_{j} = p_{j} s_{i}", holds((s[i], p[j]), (p[j], s[i])))
             )
 
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
-            t = DiagramElement.from_diagram(transposition(i, j, r), z)
-            pp = p[i] * p[j]
-            ok = (t * pp == pp) and (pp * t == pp)
+            t = transposition(i, j, r)
+            pp = (p[i], p[j])
+            ok = holds((t, *pp), pp) and holds((*pp, t), pp)
             checks.append(_relation(f"({i},{j}) p_{i} p_{j} = p_{i} p_{j} = p_{i} p_{j} ({i},{j})", ok))
 
     return {

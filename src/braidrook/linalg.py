@@ -267,10 +267,6 @@ def spans_equal(a: Sequence[Matrix], b: Sequence[Matrix]) -> bool:
     return sa.basis_rows() == sb.basis_rows()
 
 
-def span_contains(mats: Sequence[Matrix], candidate: Matrix) -> bool:
-    return matrix_span(mats).contains(candidate.entries())
-
-
 def span_closure(
     seed: Sequence[Matrix],
     multipliers: Sequence[Matrix] | None = None,

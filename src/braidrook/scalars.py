@@ -12,9 +12,6 @@ from fractions import Fraction
 
 Scalar = Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def scalar(value) -> Fraction:
     """Coerce an int, string "p/q", or Fraction to a Scalar."""

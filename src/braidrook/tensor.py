@@ -14,13 +14,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import comb, factorial
 
 from .burau import BurauParams, projection_p, unreduced_generator, inverse_generator
 from .cellular import cell_dim, cell_labels, gl_weyl_dim, rook_dimension
 from .diagrams import (
     PartialPermutation,
-    canonical_extension,
     projection_factorization,
     rook_elements,
     transposition,

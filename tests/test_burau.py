@@ -5,7 +5,6 @@ import pytest
 
 from braidrook.burau import (
     BurauParams,
-    BurauRep,
     change_of_basis,
     decompose_e,
     form_matrix,
@@ -253,10 +252,3 @@ def test_classical_specialization():
         assert b[a, a] == 1 - t and b[a, a + 1] == t
         assert b[a + 1, a] == 1 and b[a + 1, a + 1] == 0
 
-
-def test_burau_rep_bundle():
-    rep = BurauRep.build(PRESET)
-    assert len(rep.unreduced) == 2 and len(rep.reduced) == 2
-    assert rep.form == form_matrix(PRESET)
-    assert rep.f0 == (1, 1, 1)
-    assert len(rep.f_basis) == 2

@@ -8,7 +8,6 @@ from math import comb, factorial
 import pytest
 
 from braidrook.cellular import (
-    BratteliDiagram,
     CellLabel,
     CellTriple,
     bratteli,
@@ -28,16 +27,15 @@ from braidrook.cellular import (
     semisimplicity_certificate,
     standard_tableaux_count,
     star,
-    star_diagram,
     theta,
     triple_of,
     uk_action,
 )
 from braidrook.diagrams import (
-    DiagramElement,
     PartialPermutation,
+    _monomial,
+    _product,
     compose_perms,
-    identity_perm,
     invert_perm,
     projection,
     rook_elements,
@@ -140,7 +138,6 @@ def test_star_diagram_antihomomorphism():
         prod, n1 = a.compose(b)
         flipped, n2 = star(b).compose(star(a))
         assert flipped == star(prod) and n1 == n2
-        assert star_diagram(a.to_diagram()) == star(a).to_diagram()
 
 
 # -- inflation maps ---------------------------------------------------------------
@@ -218,11 +215,10 @@ def test_inflation_multiplication_rule_exhaustive_top_cell():
     u = frozenset(range(1, r + 1))
     for a in rook_elements(r):
         for b in perms:
-            prod, dropped = a.compose(b)
-            lhs = DiagramElement.from_diagram(prod, z).scale(z**dropped)
+            lhs = _product(z, a, b)
             pred = phi(a, u, z, r)
             if pred is None:
-                assert prod.rank < r
+                assert lhs[0].rank < r
                 continue
             coeff, u_new = pred
             tb = triple_of(b)
@@ -232,7 +228,7 @@ def test_inflation_multiplication_rule_exhaustive_top_cell():
                 ),
                 r,
             )
-            assert lhs == DiagramElement.from_diagram(expected, z).scale(coeff)
+            assert lhs == _monomial(expected, coeff)
 
 
 def test_inflation_multiplication_rule_sampled_lower_cells():

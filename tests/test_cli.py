@@ -11,7 +11,7 @@ import braidrook.cli as cli_module
 import braidrook.tensor as tensor_module
 from braidrook.burau import BurauParams, generator_power
 from braidrook.cli import main
-from braidrook.diagrams import SetPartitionDiagram
+from braidrook.diagrams import PartialPermutation
 
 
 def run(capsys, *argv):
@@ -60,9 +60,26 @@ def test_rook_enumerate_json(capsys):
     code, out, _ = run(capsys, "rook", "--r", "2", "enumerate")
     assert code == 0
     data = json.loads(out)
-    assert data["count"] == 7 and len(data["diagrams"]) == 7
-    for item in data["diagrams"]:
-        SetPartitionDiagram.from_json(item)
+    assert data["count"] == 7
+    # top j is node j, bottom j is node r + j; blocks sorted by their minimum
+    assert data["diagrams"] == [
+        {"r": 2, "blocks": blocks}
+        for blocks in [
+            [[1], [2], [3], [4]],
+            [[1, 3], [2], [4]],
+            [[1, 4], [2], [3]],
+            [[1], [2, 3], [4]],
+            [[1], [2, 4], [3]],
+            [[1, 3], [2, 4]],
+            [[1, 4], [2, 3]],
+        ]
+    ]
+    code, out, _ = run(capsys, "rook", "--r", "3", "enumerate", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["count"] == 34 and len(data["diagrams"]) == 34
+    assert data["diagrams"][0] == {"r": 3, "blocks": [[1], [2], [3], [4], [5], [6]]}
+    assert data["diagrams"][-1] == {"r": 3, "blocks": [[1, 6], [2, 5], [3, 4]]}
 
 
 def test_rook_enumerate_text(capsys):
@@ -82,6 +99,21 @@ def test_rook_present(capsys):
     data = json.loads(out)
     assert data["all_pass"] is True
     assert data["presentation"]["all_pass"] and data["rescaling"]["all_pass"]
+
+
+def test_rook_present_fails_on_extra_dropped_component(capsys, monkeypatch):
+    # negative control: every product one power of z off breaks p_j^2 = z p_j
+    real = PartialPermutation.compose
+
+    def compose(self, other):
+        prod, dropped = real(self, other)
+        return prod, dropped + 1
+
+    monkeypatch.setattr(PartialPermutation, "compose", compose)
+    code, out, _ = run(capsys, "rook", "--r", "3", "present", "--z", "3")
+    assert code == 1
+    data = json.loads(out)
+    assert data["all_pass"] is False and data["presentation"]["all_pass"] is False
 
 
 def test_rook_present_degenerate_z(capsys):
