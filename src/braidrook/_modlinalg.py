@@ -111,7 +111,9 @@ def certified_nullspace(rows, ncols: int):
     nullity bounds the rational nullity from above. The lifted candidates
     are independent by construction (identity pattern on free columns), so
     once all of them verify exactly the count matches the bound and they
-    form a complete basis.
+    form a complete basis. They are already the exact engine's canonical
+    basis: a 1 at free column f, zeros at the other free columns, and
+    support otherwise only on pivot columns before f, in order of f.
     """
     int_rows = _integer_rows(rows)
     structures: dict[tuple[int, ...], list] = {}
@@ -127,7 +129,7 @@ def certified_nullspace(rows, ncols: int):
         if candidates is None:
             continue
         if _verify(rows, candidates) is not None:
-            return _canonicalize(candidates, ncols)
+            return candidates
     return None
 
 
@@ -170,14 +172,6 @@ def _verify(rows, candidates):
             if total:
                 return None
     return candidates
-
-
-def _canonicalize(vectors, ncols):
-    """Exact trailing-echelon normal form, matching the pure engine."""
-    from .linalg import span_of_vectors
-
-    span = span_of_vectors(vectors, ncols, mode="trail")
-    return [list(row) for row in span.basis_rows()]
 
 
 # -- one-sided bounds for the dimension sandwich ---------------------------------

@@ -48,7 +48,7 @@ from .lieclosure import (
     u_generators,
     v_generators,
 )
-from .linalg import commutant_of_span, matrix_span, spans_equal
+from .linalg import commutant, matrix_span, spans_equal
 from .matrix import Matrix
 from .tensor import (
     braid_generators,
@@ -328,7 +328,7 @@ def check_property_suites() -> tuple[bool, str]:
     if not all(x * y == y * x for x in braid for y in rook):
         return _fail("actions do not commute at (3, 2)")
     cent_dim, cent_basis = centralizer_of_braid(3, 2, p32)
-    double_dim, double_basis = commutant_of_span(cent_basis)
+    double_dim, double_basis = commutant(cent_basis)
     env_dim, env_basis = enveloping_braid(3, 2, p32)
     if double_dim != env_dim or not spans_equal(double_basis, env_basis):
         return _fail(f"double centralizer dim {double_dim} != enveloping {env_dim}")

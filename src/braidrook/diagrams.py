@@ -30,39 +30,9 @@ ENUMERATION_BOUND = 6  # |P'_6| = 13327; full-basis operations stay tractable
 # the right, so composing a then b is t[i] = b[a[i]].
 
 
-def identity_perm(r: int) -> tuple[int, ...]:
-    return tuple(range(1, r + 1))
-
-
 def compose_perms(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """First a, then b."""
     return tuple(b[a[i] - 1] for i in range(len(a)))
-
-
-def invert_perm(a: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(a)
-    for i, v in enumerate(a):
-        out[v - 1] = i + 1
-    return tuple(out)
-
-
-def perm_cycles(a: Sequence[int]) -> list[tuple[int, ...]]:
-    """Disjoint cycles including fixed points, each starting at its minimum,
-    ordered by minimum."""
-    seen: set[int] = set()
-    cycles = []
-    for start in range(1, len(a) + 1):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        x = a[start - 1]
-        while x != start:
-            cyc.append(x)
-            seen.add(x)
-            x = a[x - 1]
-        cycles.append(tuple(cyc))
-    return cycles
 
 
 def perm_from_cycles(r: int, cycles: Iterable[Sequence[int]]) -> tuple[int, ...]:

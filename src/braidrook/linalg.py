@@ -1,12 +1,14 @@
 """Exact linear-algebra kernels: echelon forms, nullspaces, commutants,
 and multiplicative span closure.
 
-Everything is computed over the rationals with no rounding. Bases are
-returned in a canonical echelon order so outputs are deterministic and
-independent of pivot choices (pivot selection is performance-only). Large
-nullspace systems are dispatched to a certified modular accelerator whose
-candidates are verified exactly before use; on any failure the pure
-rational path runs instead, so results never depend on the fast path.
+Everything is computed over the rationals with no rounding. One exact
+elimination engine, the incremental VectorSpan, does all Fraction echelon
+work; rref feeds it rows smallest first. Bases are returned in a canonical
+echelon order, so outputs are deterministic and independent of the order
+rows are added in (that order is performance-only). Large nullspace systems
+are dispatched to a certified modular accelerator whose candidates are
+verified exactly before use; on any failure the pure rational path runs
+instead, so results never depend on the fast path.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ _MODULAR_THRESHOLD = 40_000_000
 
 
 def _digit_size(x: Fraction) -> int:
-    """Pivot-size heuristic: total digit length of numerator and denominator."""
+    """Size heuristic: total digit length of numerator and denominator."""
     n, d = x.numerator, x.denominator
     return len(str(abs(n))) + len(str(d))
 
@@ -33,46 +35,15 @@ def _digit_size(x: Fraction) -> int:
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form. Returns (nonzero rows, pivot columns).
 
-    The pivot row for each column is chosen to minimize the digit-size
-    heuristic; the returned RREF is the canonical one regardless.
+    The rows are added to a VectorSpan in ascending order of their total
+    digit size, which keeps intermediate entries small; the RREF is unique,
+    so the order changes only the running time.
     """
-    work = [list(r) for r in rows]
-    if not work:
+    if not rows:
         return [], []
-    ncols = len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        best = -1
-        best_size = None
-        for i in range(r, len(work)):
-            v = work[i][col]
-            if v:
-                size = _digit_size(v)
-                if best_size is None or size < best_size:
-                    best, best_size = i, size
-        if best < 0:
-            continue
-        work[r], work[best] = work[best], work[r]
-        prow = work[r]
-        inv = 1 / prow[col]
-        if inv != 1:
-            work[r] = prow = [x * inv for x in prow]
-        for i in range(len(work)):
-            if i == r:
-                continue
-            c = work[i][col]
-            if c:
-                row = work[i]
-                for k in range(col, ncols):
-                    pv = prow[k]
-                    if pv:
-                        row[k] -= c * pv
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
+    by_size = sorted(rows, key=lambda row: sum(_digit_size(x) for x in row if x))
+    span = span_of_vectors(by_size, len(rows[0]))
+    return [list(row) for row in span.basis_rows()], span.pivots()
 
 
 def rank(m: Matrix) -> int:
@@ -96,17 +67,6 @@ def _nullspace_from_rref(echelon: list[list[Fraction]], pivots: list[int], ncols
                     v[p] = -c
         basis.append(tuple(v))
     return basis
-
-
-def nullspace_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
-    """Exact basis of {x : m x = 0}, in canonical trailing-echelon order."""
-    sparse = []
-    for i in range(m.rows):
-        row = m.row(i)
-        entries = [(j, v) for j, v in enumerate(row) if v]
-        if entries:
-            sparse.append(entries)
-    return nullspace_of_rows(sparse, m.cols)
 
 
 def nullspace_of_rows(rows: list[SparseRow], ncols: int) -> list[tuple[Fraction, ...]]:
@@ -182,18 +142,11 @@ def det(m: Matrix) -> Fraction:
 
 
 class VectorSpan:
-    """Incremental exact row space with a maintained reduced-echelon basis.
+    """Incremental exact row space with a maintained reduced-echelon basis:
+    each basis row has a leading 1 whose column is zero in every other row."""
 
-    mode "lead": pivots are leading (leftmost) nonzeros, the usual RREF.
-    mode "trail": pivots are trailing nonzeros; this is the canonical form
-    used for nullspace bases.
-    """
-
-    def __init__(self, length: int, mode: str = "lead"):
-        if mode not in ("lead", "trail"):
-            raise ValueError("mode must be 'lead' or 'trail'")
+    def __init__(self, length: int):
         self.length = length
-        self.mode = mode
         self._rows: dict[int, list[Fraction]] = {}
 
     @property
@@ -201,8 +154,7 @@ class VectorSpan:
         return len(self._rows)
 
     def _pivot_of(self, v: list[Fraction]) -> int | None:
-        rng = range(self.length) if self.mode == "lead" else range(self.length - 1, -1, -1)
-        for i in rng:
+        for i in range(self.length):
             if v[i]:
                 return i
         return None
@@ -241,13 +193,17 @@ class VectorSpan:
         self._rows[p] = v
         return v
 
+    def pivots(self) -> list[int]:
+        """Pivot columns in increasing order."""
+        return sorted(self._rows)
+
     def basis_rows(self) -> list[tuple[Fraction, ...]]:
         """Canonical basis, ordered by pivot position."""
-        return [tuple(self._rows[p]) for p in sorted(self._rows)]
+        return [tuple(self._rows[p]) for p in self.pivots()]
 
 
-def span_of_vectors(vectors: Iterable[Sequence[Fraction]], length: int, mode: str = "lead") -> VectorSpan:
-    span = VectorSpan(length, mode)
+def span_of_vectors(vectors: Iterable[Sequence[Fraction]], length: int) -> VectorSpan:
+    span = VectorSpan(length)
     for v in vectors:
         span.add(v)
     return span
@@ -343,45 +299,3 @@ def commutant(gens: Sequence[Matrix], size: int | None = None) -> tuple[int, lis
     n = gens[0].rows if gens else size
     vectors = nullspace_of_rows(rows, n * n)
     return len(vectors), [Matrix(n, n, list(v)) for v in vectors]
-
-
-def commutant_of_span(basis: Sequence[Matrix]) -> tuple[int, list[Matrix]]:
-    """Commutant of the algebra spanned by basis, via a small generating
-    subset: a prefix of basis whose span closure already spans everything.
-    The commutant of a generating set equals the commutant of the algebra.
-
-    The closure grows incrementally: adding a generator multiplies it
-    against the elements already closed, then closes the new arrivals
-    against every generator, so no product is recomputed across prefix
-    extensions."""
-    if not basis:
-        raise ValueError("empty basis")
-    n = basis[0].rows
-    target = matrix_span(basis).dim
-    gens: list[Matrix] = []
-    span = VectorSpan(n * n)
-    reps: list[Matrix] = []
-    first = span.add(Matrix.identity(n).entries())
-    reps.append(Matrix(n, n, first))
-    for m in basis:
-        if span.dim >= target:
-            break
-        row = span.add(m.entries())
-        if row is None:
-            continue
-        gens.append(m)
-        queue = [Matrix(n, n, row)]
-        for w in reps:
-            for prod in (w * m, m * w):
-                extra = span.add(prod.entries())
-                if extra is not None:
-                    queue.append(Matrix(n, n, extra))
-        while queue:
-            w = queue.pop()
-            reps.append(w)
-            for g in gens:
-                for prod in (w * g, g * w):
-                    extra = span.add(prod.entries())
-                    if extra is not None:
-                        queue.append(Matrix(n, n, extra))
-    return commutant(gens, size=n)

@@ -104,32 +104,6 @@ def diagram_op(d: PartialPermutation, p: BurauParams, r: int) -> Matrix:
     return op * place_permutation_op(w, p.n)
 
 
-def diagram_op_direct(d: PartialPermutation, p: BurauParams, r: int) -> Matrix:
-    """Same operator from the basis-vector rule: e_J goes to the product of
-    q^(J_t - 1) over t outside im(d), times the sum of all e_K with
-    K_s = J_{(s)d} on dom(d) and the other slots free."""
-    if d.r != r:
-        raise ValueError("size mismatch")
-    n, q = p.n, p.q
-    size = n**r
-    m = Matrix.zeros(size, size)
-    mapping = d.mapping()
-    free_slots = [s for s in range(1, r + 1) if s not in d.dom]
-    for j_tuple in _tuples(n, r):
-        coeff = Fraction(1)
-        for t in range(1, r + 1):
-            if t not in d.im:
-                coeff *= q ** (j_tuple[t - 1] - 1)
-        base = {s: j_tuple[mapping[s] - 1] for s in d.dom}
-        for fill in product(range(1, n + 1), repeat=len(free_slots)):
-            k_tuple = tuple(
-                base[s] if s in base else fill[free_slots.index(s)]
-                for s in range(1, r + 1)
-            )
-            m._e[_flat(k_tuple, n) * size + _flat(j_tuple, n)] += coeff
-    return m
-
-
 # -- centralizers and enveloping algebras -----------------------------------------
 
 

@@ -16,9 +16,6 @@ from braidrook.diagrams import (
     compose_perms,
     cycle_link_decompose,
     format_cycle_link,
-    identity_perm,
-    invert_perm,
-    perm_cycles,
     perm_from_cycles,
     projection,
     projection_factorization,
@@ -221,8 +218,17 @@ def test_full_rank_elements_form_symmetric_group():
 @given(st.permutations(tuple(range(1, 7))))
 def test_perm_inverse_roundtrip(w):
     w = tuple(w)
-    assert compose_perms(w, invert_perm(w)) == identity_perm(6)
-    assert perm_from_cycles(6, perm_cycles(w)) == w
+    inverse = tuple(w.index(i) + 1 for i in range(1, 7))
+    assert compose_perms(w, inverse) == compose_perms(inverse, w) == tuple(range(1, 7))
+    cycles, seen = [], set()
+    for start in range(1, 7):
+        if start not in seen:
+            cycle = [start]
+            while w[cycle[-1] - 1] != start:
+                cycle.append(w[cycle[-1] - 1])
+            seen.update(cycle)
+            cycles.append(cycle)
+    assert perm_from_cycles(6, cycles) == w
 
 
 def test_compose_perms_is_left_to_right():

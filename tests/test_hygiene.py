@@ -1,4 +1,4 @@
-"""Source hygiene: every name a library module imports is used in it."""
+"""Source hygiene: every name a library or test module imports is used in it."""
 
 import ast
 from pathlib import Path
@@ -8,6 +8,7 @@ import pytest
 import braidrook
 
 MODULES = sorted(Path(braidrook.__file__).parent.glob("*.py"))
+MODULES += sorted(Path(__file__).parent.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidrook import _modlinalg
+from braidrook.burau import BurauParams
 from braidrook.linalg import (
     VectorSpan,
+    _MODULAR_THRESHOLD,
+    _nullspace_from_rref,
     commutant,
-    commutant_of_span,
     commutant_rows,
     det,
     invert,
     matrix_span,
-    nullspace_basis,
     nullspace_of_rows,
     rank,
     rref,
@@ -21,7 +22,8 @@ from braidrook.linalg import (
     spans_equal,
 )
 from braidrook.matrix import Matrix, kron, kron_power
-from braidrook.scalars import format_scalar, parse_scalar, quantum_int, scalar
+from braidrook.scalars import format_scalar, parse_scalar, quantum_int
+from braidrook.tensor import braid_generators
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -31,6 +33,15 @@ def rand_matrix(rng, rows, cols, den=6):
         rows, cols,
         [Fraction(rng.randint(-8, 8), rng.randint(1, den)) for _ in range(rows * cols)],
     )
+
+
+def _sparse_rows_of(m):
+    rows = []
+    for i in range(m.rows):
+        entries = [(j, v) for j, v in enumerate(m.row(i)) if v]
+        if entries:
+            rows.append(entries)
+    return rows
 
 
 # -- scalars ---------------------------------------------------------------
@@ -139,14 +150,37 @@ def test_rref_canonical_and_order_independent():
     assert p1 == p2 == [0, 1]
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10 ** 6), st.randoms(use_true_random=False))
+def test_rref_is_reduced_and_independent_of_row_order(rows, cols, seed, shuffler):
+    rng = random.Random(seed)
+    # some rows repeat or combine others, so ranks below min(rows, cols) occur
+    m = rand_matrix(rng, rows, cols, den=3).to_lists()
+    m += [[a + b for a, b in zip(m[0], m[-1])], m[0]]
+    echelon, pivots = rref(m)
+    shuffled = list(m)
+    shuffler.shuffle(shuffled)
+    assert rref(shuffled) == (echelon, pivots)
+    assert len(echelon) == len(pivots) and pivots == sorted(set(pivots))
+    for i, (row, p) in enumerate(zip(echelon, pivots)):
+        assert row[p] == 1
+        assert all(x == 0 for x in row[:p])
+        assert all(other[p] == 0 for k, other in enumerate(echelon) if k != i)
+    # every input row is the combination of the echelon rows given by its
+    # entries at the pivot columns
+    for row in m:
+        combo = [sum((row[p] * e[j] for e, p in zip(echelon, pivots)), Fraction(0)) for j in range(cols)]
+        assert combo == row
+
+
 def test_nullspace_trivial_cases():
-    assert len(nullspace_basis(Matrix.zeros(3, 3))) == 3
-    assert nullspace_basis(Matrix.identity(3)) == []
+    assert len(nullspace_of_rows(_sparse_rows_of(Matrix.zeros(3, 3)), 3)) == 3
+    assert nullspace_of_rows(_sparse_rows_of(Matrix.identity(3)), 3) == []
 
 
 def test_nullspace_rank_one():
     m = Matrix.from_rows([[1, 2], [2, 4]])
-    basis = nullspace_basis(m)
+    basis = nullspace_of_rows(_sparse_rows_of(m), 2)
     assert basis == [(Fraction(-2), Fraction(1))]
 
 
@@ -155,7 +189,7 @@ def test_nullspace_rank_one():
 def test_rank_nullity(rows, cols, seed):
     rng = random.Random(seed)
     m = rand_matrix(rng, rows, cols)
-    vecs = nullspace_basis(m)
+    vecs = nullspace_of_rows(_sparse_rows_of(m), cols)
     assert rank(m) + len(vecs) == cols
     for v in vecs:
         image = [sum((m[i, j] * v[j] for j in range(cols)), Fraction(0)) for i in range(rows)]
@@ -271,8 +305,6 @@ def test_double_commutant_generating_set_invariance(seed):
     d2, b2 = commutant(closed)
     assert d1 == d2
     assert spans_equal(b1, b2)
-    d3, b3 = commutant_of_span(closed)
-    assert d3 == d1 and spans_equal(b3, b1)
 
 
 def test_span_closure_multiplier_subset_matches_full():
@@ -289,15 +321,6 @@ def test_span_closure_multiplier_subset_matches_full():
 
 
 # -- certified modular engine ------------------------------------------------
-
-
-def _sparse_rows_of(m):
-    rows = []
-    for i in range(m.rows):
-        entries = [(j, v) for j, v in enumerate(m.row(i)) if v]
-        if entries:
-            rows.append(entries)
-    return rows
 
 
 @settings(max_examples=15, deadline=None)
@@ -331,6 +354,23 @@ def test_modular_engine_rational_entries():
     fast = _modlinalg.certified_nullspace(sparse, 3)
     assert [tuple(v) for v in fast] == [tuple(v) for v in pure]
     assert len(pure) == 2
+
+
+def test_modular_nullspace_is_the_exact_canonical_basis():
+    # the (4,2) braid commutant system is above the modular threshold, so
+    # nullspace_of_rows takes the modular path; its lifted candidates must
+    # already be the exact engine's canonical basis, with no re-reduction
+    rows = commutant_rows(braid_generators(BurauParams.preset(4), 2))
+    assert len(rows) == 720
+    assert len(rows) * 256 * 256 >= _MODULAR_THRESHOLD
+    dense = [[Fraction(0)] * 256 for _ in rows]
+    for row, entries in zip(dense, rows):
+        for j, v in entries:
+            row[j] = v
+    exact = _nullspace_from_rref(*rref(dense), 256)
+    fast = _modlinalg.certified_nullspace(rows, 256)
+    assert [tuple(v) for v in fast] == exact
+    assert nullspace_of_rows(rows, 256) == exact
 
 
 # -- mod-p bounds for the dimension sandwich ------------------------------------

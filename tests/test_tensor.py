@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from braidrook import _modlinalg, tensor
 from braidrook.burau import BurauParams, unreduced_generator
-from braidrook.diagrams import rook_elements, transposition
+from braidrook.diagrams import rook_elements
 from braidrook.linalg import commutant, matrix_span, span_closure, spans_equal
 from braidrook.matrix import Matrix, kron
 from braidrook.tensor import (
@@ -18,12 +19,10 @@ from braidrook.tensor import (
     braid_tensor_gen_inverse,
     centralizer_of_braid,
     diagram_op,
-    diagram_op_direct,
     duality_report,
     enveloping_braid,
     expected_centralizer_dim,
     expected_enveloping_dim,
-    place_permutation_op,
     q1_special_solve,
     rook_generators,
     rook_image,
@@ -115,6 +114,35 @@ def test_diagram_action_homomorphism_sampled_r3():
         prod, dropped = a.compose(b)
         lhs = diagram_op(a, p, r) * diagram_op(b, p, r)
         assert lhs == diagram_op(prod, p, r).scale(z**dropped)
+
+
+def diagram_op_direct(d, p, r):
+    """Oracle for diagram_op from the basis-vector rule: e_J goes to the
+    product of q^(J_t - 1) over t outside im(d), times the sum of all e_K
+    with K_s = J_{(s)d} on dom(d) and the other slots free. Tuples are
+    flattened with the first slot most significant."""
+    n, q = p.n, p.q
+    size = n**r
+
+    def flat(j_tuple):
+        return sum((j - 1) * n ** (r - 1 - s) for s, j in enumerate(j_tuple))
+
+    entries = [Fraction(0)] * (size * size)
+    mapping = d.mapping()
+    free_slots = [s for s in range(1, r + 1) if s not in d.dom]
+    for j_tuple in product(range(1, n + 1), repeat=r):
+        coeff = Fraction(1)
+        for t in range(1, r + 1):
+            if t not in d.im:
+                coeff *= q ** (j_tuple[t - 1] - 1)
+        base = {s: j_tuple[mapping[s] - 1] for s in d.dom}
+        for fill in product(range(1, n + 1), repeat=len(free_slots)):
+            k_tuple = tuple(
+                base[s] if s in base else fill[free_slots.index(s)]
+                for s in range(1, r + 1)
+            )
+            entries[flat(k_tuple) * size + flat(j_tuple)] += coeff
+    return Matrix(size, size, entries)
 
 
 def test_factorized_matches_direct_action():
