@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .burau import BurauParams, generator_power, reduced_generator
-from .linalg import VectorSpan, det, matrix_span
+from .linalg import VectorSpan, det
 from .matrix import Matrix
 from .scalars import format_scalar, quantum_int, scalar
 
@@ -129,29 +129,28 @@ class BracketSpace:
     dim: int
     basis: tuple[Matrix, ...]
 
-    def contains(self, m: Matrix) -> bool:
-        return matrix_span(list(self.basis)).contains(m.entries())
-
-    def closed_under_bracket(self) -> bool:
-        span = matrix_span(list(self.basis))
-        return all(
-            span.contains(commutator(x, y).entries())
-            for x in self.basis
-            for y in self.basis
-        )
-
 
 def bracket_closure(gens: Sequence[Matrix]) -> BracketSpace:
     """Smallest subspace containing gens and closed under [x, y] = xy - yx.
 
     Worklist closure over an exact echelon basis: each new independent
     element is bracketed against every element already processed, so
-    every pair of basis representatives is bracketed exactly once."""
+    every pair of basis representatives is bracketed at most once.
+
+    The worklist stops early once the span fills a ceiling space known to
+    contain the closure: gl_m (dimension m^2) in general, and sl_m
+    (dimension m^2 - 1) when every generator is traceless, since a
+    commutator is always traceless and so is any sum of traceless
+    matrices. A subspace of the ceiling space with its full dimension is
+    the whole of it, so nothing more can join, and the basis returned
+    (the unique reduced echelon basis of the span) is the one the full
+    worklist would reach."""
     if not gens:
         raise ValueError("bracket_closure needs a nonempty generator list")
     m = gens[0].rows
     if any(not g.is_square() or g.rows != m for g in gens):
         raise ValueError("generators must be square and of equal size")
+    ceiling = m * m - 1 if all(g.trace() == 0 for g in gens) else m * m
     span = VectorSpan(m * m)
     queue: list[Matrix] = []
     done: list[Matrix] = []
@@ -159,12 +158,14 @@ def bracket_closure(gens: Sequence[Matrix]) -> BracketSpace:
         row = span.add(g.entries())
         if row is not None:
             queue.append(Matrix(m, m, row))
-    while queue:
+    while queue and span.dim < ceiling:
         w = queue.pop()
         for r in done:
             row = span.add(commutator(w, r).entries())
             if row is not None:
                 queue.append(Matrix(m, m, row))
+                if span.dim == ceiling:
+                    break
         done.append(w)
     basis = tuple(Matrix(m, m, list(row)) for row in span.basis_rows())
     return BracketSpace(span.dim, basis)

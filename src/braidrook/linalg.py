@@ -3,12 +3,14 @@ and multiplicative span closure.
 
 Everything is computed over the rationals with no rounding. One exact
 elimination engine, the incremental VectorSpan, does all Fraction echelon
-work; rref feeds it rows smallest first. Bases are returned in a canonical
-echelon order, so outputs are deterministic and independent of the order
-rows are added in (that order is performance-only). Large nullspace systems
-are dispatched to a certified modular accelerator whose candidates are
-verified exactly before use; on any failure the pure rational path runs
-instead, so results never depend on the fast path.
+work; rref feeds it rows smallest first. VectorSpan keeps its basis rows
+sparse, so the cost of an elimination step follows the nonzeros, not the
+vector length. Bases are returned in a canonical echelon order, so outputs
+are deterministic and independent of the order rows are added in (that
+order is performance-only). Large nullspace systems are dispatched to a
+certified modular accelerator whose candidates are verified exactly before
+use; on any failure the pure rational path runs instead, so results never
+depend on the fast path.
 """
 
 from __future__ import annotations
@@ -141,57 +143,81 @@ def det(m: Matrix) -> Fraction:
     return Fraction(sign * work[n - 1][n - 1], 1) / scale
 
 
+_ZERO = Fraction(0)
+
+
+def _axpy(target: dict[int, Fraction], c: Fraction, row: dict[int, Fraction]) -> None:
+    """target += c * row on sparse rows, dropping entries that cancel."""
+    for k, rv in row.items():
+        x = target.get(k)
+        if x is None:
+            target[k] = c * rv
+        else:
+            x += c * rv
+            if x:
+                target[k] = x
+            else:
+                del target[k]
+
+
 class VectorSpan:
     """Incremental exact row space with a maintained reduced-echelon basis:
-    each basis row has a leading 1 whose column is zero in every other row."""
+    each basis row has a leading 1 whose column is zero in every other row.
+
+    Rows are stored sparsely, as {column: nonzero Fraction} dicts keyed by
+    their pivot, so elimination touches only nonzero entries. Vectors go in
+    and come out dense, with every entry a Fraction."""
 
     def __init__(self, length: int):
         self.length = length
-        self._rows: dict[int, list[Fraction]] = {}
+        self._rows: dict[int, dict[int, Fraction]] = {}
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
-    def _pivot_of(self, v: list[Fraction]) -> int | None:
-        for i in range(self.length):
-            if v[i]:
-                return i
-        return None
-
-    def reduce(self, vec: Iterable[Fraction]) -> list[Fraction]:
-        """Residual of vec after elimination against the current basis."""
+    def _residual(self, vec: Iterable[Fraction]) -> dict[int, Fraction]:
+        """Nonzero entries of vec after elimination against the basis."""
         v = list(vec)
         if len(v) != self.length:
             raise ValueError("vector length mismatch")
-        hits = [(row, v[p]) for p, row in self._rows.items() if v[p]]
-        for row, c in hits:
-            for k, rv in enumerate(row):
-                if rv:
-                    v[k] -= c * rv
+        r = {k: x for k, x in enumerate(v) if x}
+        rows = self._rows
+        # pivot columns are zero in every other basis row, so each
+        # coefficient can be read off r before any subtraction
+        for p, c in [(p, c) for p, c in r.items() if p in rows]:
+            _axpy(r, -c, rows[p])
+        return r
+
+    def _dense(self, r: dict[int, Fraction]) -> list[Fraction]:
+        v = [_ZERO] * self.length
+        for k, x in r.items():
+            v[k] = x
         return v
 
+    def reduce(self, vec: Iterable[Fraction]) -> list[Fraction]:
+        """Residual of vec after elimination against the current basis."""
+        return self._dense(self._residual(vec))
+
     def contains(self, vec: Iterable[Fraction]) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        return not self._residual(vec)
 
     def add(self, vec: Iterable[Fraction]) -> list[Fraction] | None:
         """Adjoin vec; returns the new normalized basis row, or None if
         vec already lies in the span."""
-        v = self.reduce(vec)
-        p = self._pivot_of(v)
-        if p is None:
+        r = self._residual(vec)
+        if not r:
             return None
-        inv = 1 / v[p]
+        p = min(r)
+        inv = 1 / r[p]
         if inv != 1:
-            v = [x * inv for x in v]
+            r = {k: x * inv for k, x in r.items()}
         for row in self._rows.values():
-            c = row[p]
-            if c:
-                for k, nv in enumerate(v):
-                    if nv:
-                        row[k] -= c * nv
-        self._rows[p] = v
-        return v
+            c = row.get(p)
+            if c is not None:
+                _axpy(row, -c, r)
+        self._rows[p] = r
+        return self._dense(r)
 
     def pivots(self) -> list[int]:
         """Pivot columns in increasing order."""
@@ -199,7 +225,7 @@ class VectorSpan:
 
     def basis_rows(self) -> list[tuple[Fraction, ...]]:
         """Canonical basis, ordered by pivot position."""
-        return [tuple(self._rows[p]) for p in self.pivots()]
+        return [tuple(self._dense(self._rows[p])) for p in self.pivots()]
 
 
 def span_of_vectors(vectors: Iterable[Sequence[Fraction]], length: int) -> VectorSpan:

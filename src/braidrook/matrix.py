@@ -2,7 +2,9 @@
 
 Row-major entries, matrices act on column vectors: column j of a matrix
 is the image of the j-th standard basis vector. Values are immutable by
-convention; every operation returns a fresh Matrix.
+convention; every operation returns a fresh Matrix. Storage is dense, but
+addition, subtraction and multiplication skip zero entries, so their cost
+follows the nonzeros.
 """
 
 from __future__ import annotations
@@ -130,11 +132,11 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix(self.rows, self.cols, [a + b for a, b in zip(self._e, other._e)])
+        return Matrix(self.rows, self.cols, [a + b if b else a for a, b in zip(self._e, other._e)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix(self.rows, self.cols, [a - b for a, b in zip(self._e, other._e)])
+        return Matrix(self.rows, self.cols, [a - b if b else a for a, b in zip(self._e, other._e)])
 
     def __neg__(self) -> "Matrix":
         return Matrix(self.rows, self.cols, [-a for a in self._e])
@@ -158,18 +160,18 @@ class Matrix:
             )
         n, k, m = self.rows, self.cols, other.cols
         a, b = self._e, other._e
+        # the nonzeros of row t of other, found once per product and only
+        # for the rows that a nonzero entry of self reaches
+        b_nz = [None] * k
         out = [Fraction(0)] * (n * m)
-        for i in range(n):
-            arow = i * k
+        for idx, ait in [(idx, x) for idx, x in enumerate(a) if x]:
+            i, t = divmod(idx, k)
+            bt = b_nz[t]
+            if bt is None:
+                bt = b_nz[t] = [(j, bv) for j, bv in enumerate(b[t * m : (t + 1) * m]) if bv]
             orow = i * m
-            for t in range(k):
-                ait = a[arow + t]
-                if ait:
-                    brow = t * m
-                    for j in range(m):
-                        bv = b[brow + j]
-                        if bv:
-                            out[orow + j] += ait * bv
+            for j, bv in bt:
+                out[orow + j] += ait * bv
         return Matrix(n, m, out)
 
     def __pow__(self, k: int) -> "Matrix":

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidrook import lieclosure
 from braidrook.burau import BurauParams, reduced_generator
 from braidrook.lieclosure import (
     BracketSpace,
@@ -32,9 +33,42 @@ from braidrook.lieclosure import (
     u_generators,
     v_generators,
 )
+from braidrook.linalg import VectorSpan, matrix_span
 from braidrook.matrix import Matrix
 
 CLOSURE_QS = [Fraction(2), Fraction(1, 2), Fraction(-2), Fraction(3)]
+
+
+def _contains(space, m):
+    return matrix_span(list(space.basis)).contains(m.entries())
+
+
+def _closed_under_bracket(space):
+    span = matrix_span(list(space.basis))
+    return all(
+        span.contains(commutator(x, y).entries()) for x in space.basis for y in space.basis
+    )
+
+
+def _full_worklist_closure(gens):
+    """The bracket closure with no saturation stop: every pair of basis
+    representatives is bracketed, so the loop ends only at the fixpoint."""
+    m = gens[0].rows
+    span = VectorSpan(m * m)
+    queue = []
+    done = []
+    for g in gens:
+        row = span.add(g.entries())
+        if row is not None:
+            queue.append(Matrix(m, m, row))
+    while queue:
+        w = queue.pop()
+        for r in done:
+            row = span.add(commutator(w, r).entries())
+            if row is not None:
+                queue.append(Matrix(m, m, row))
+        done.append(w)
+    return tuple(Matrix(m, m, list(row)) for row in span.basis_rows())
 
 
 # -- constants and generator matrices -------------------------------------
@@ -108,8 +142,60 @@ def test_closure_dimensions():
 def test_closure_is_bracket_closed_and_contains_gens():
     space = bracket_closure(u_generators(4, 2))
     assert isinstance(space, BracketSpace)
-    assert space.closed_under_bracket()
-    assert all(space.contains(u) for u in u_generators(4, 2))
+    assert _closed_under_bracket(space)
+    assert all(_contains(space, u) for u in u_generators(4, 2))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_saturation_stop_returns_the_full_worklist_basis(n):
+    for q in (Fraction(2), Fraction(-1, 3)):
+        for maker in (u_generators, v_generators, tangent_generators):
+            gens = maker(n, q)
+            assert bracket_closure(gens).basis == _full_worklist_closure(gens)
+
+
+def _borel_generators(m):
+    """e_11, ..., e_mm and the upper shift: their bracket closure is the
+    upper-triangular (Borel) algebra, dimension m(m+1)/2 < m^2."""
+    shift = Matrix.zeros(m, m)
+    for i in range(m - 1):
+        shift = shift + Matrix.unit(m, i, i + 1)
+    return [Matrix.unit(m, i, i) for i in range(m)] + [shift]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_saturation_stop_leaves_proper_closures_whole(m):
+    borel = bracket_closure(_borel_generators(m))
+    assert borel.dim == m * (m + 1) // 2
+    assert borel.basis == _full_worklist_closure(_borel_generators(m))
+    assert all(b[i, j] == 0 for b in borel.basis for i in range(m) for j in range(i))
+    e12 = bracket_closure([Matrix.unit(m, 0, 1)])
+    assert e12.dim == 1 and e12.basis == (Matrix.unit(m, 0, 1),)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_one_generator_with_trace_lifts_the_ceiling_to_gl(n):
+    """v_i are traceless, u_1 is not: the ceiling is m^2, not m^2 - 1, even
+    with the traced generator last."""
+    m = n - 1
+    gens = v_generators(n, 2) + [u_generators(n, 2)[0]]
+    space = bracket_closure(gens)
+    assert space.dim == m * m
+    assert space.basis == _full_worklist_closure(gens)
+
+
+def test_saturation_stop_saves_brackets(monkeypatch):
+    calls = []
+
+    def counting(x, y):
+        calls.append(None)
+        return commutator(x, y)
+
+    monkeypatch.setattr(lieclosure, "commutator", counting)
+    space = bracket_closure(u_generators(5, 2))
+    d = space.dim
+    assert d == 16
+    assert 0 < len(calls) < d * (d - 1) // 2
 
 
 def test_v_closure_traceless():
@@ -344,4 +430,4 @@ def test_expected_chain_bounds():
 def test_chain_lies_in_u_closure():
     space = bracket_closure(u_generators(5, 2))
     for elem in first_row_chain(5, 2):
-        assert space.contains(elem)
+        assert _contains(space, elem)

@@ -106,6 +106,45 @@ def test_matmul_associativity(n, k, m, l, seed):
     assert (a * b) * c == a * (b * c)
 
 
+# entries for matrices with many zeros and with sums and products that cancel
+sparse_entries = st.sampled_from(
+    [Fraction(0)] * 6 + [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(3)]
+)
+
+
+def sparse_matrices(rows, cols):
+    return st.lists(sparse_entries, min_size=rows * cols, max_size=rows * cols).map(
+        lambda e: Matrix(rows, cols, e)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+def test_matrix_kernels_match_the_dense_definition(data, n, k, m):
+    a = data.draw(sparse_matrices(n, k))
+    b = data.draw(st.one_of(sparse_matrices(n, k), st.just(-a), st.just(a)))
+    c = data.draw(sparse_matrices(k, m))
+    ae, be, ce = a.entries(), b.entries(), c.entries()
+    want = {
+        "+": (n, k, [x + y for x, y in zip(ae, be)]),
+        "-": (n, k, [x - y for x, y in zip(ae, be)]),
+        "*": (n, m, [
+            sum((ae[i * k + t] * ce[t * m + j] for t in range(k)), Fraction(0))
+            for i in range(n)
+            for j in range(m)
+        ]),
+    }
+    got = {"+": a + b, "-": a - b, "*": a * c}
+    for op, (rows, cols, entries) in want.items():
+        result = got[op]
+        assert (result.rows, result.cols) == (rows, cols)
+        assert list(result.entries()) == entries
+        assert all(type(x) is Fraction for x in result.entries())
+        fresh = Matrix(rows, cols, list(entries))
+        assert result == fresh and hash(result) == hash(fresh)
+    assert (a - a).is_zero() and a + (-a) == Matrix.zeros(n, k)
+
+
 def test_kron_identity_and_scalar_cases():
     i2 = Matrix.identity(2)
     assert kron(i2, i2) == Matrix.identity(4)
@@ -210,6 +249,89 @@ def test_vector_span_is_order_independent():
         spans.append(s.basis_rows())
     assert spans[0] == spans[1] == spans[2]
     assert len(spans[0]) == 2
+
+
+class _DenseSpan:
+    """The dense reduce/add that VectorSpan used before its rows became
+    sparse, kept as the reference the sparse rows are checked against."""
+
+    def __init__(self, length):
+        self.length = length
+        self._rows = {}
+
+    def reduce(self, vec):
+        v = list(vec)
+        if len(v) != self.length:
+            raise ValueError("vector length mismatch")
+        hits = [(row, v[p]) for p, row in self._rows.items() if v[p]]
+        for row, c in hits:
+            for k, rv in enumerate(row):
+                if rv:
+                    v[k] -= c * rv
+        return v
+
+    def add(self, vec):
+        v = self.reduce(vec)
+        p = next((i for i in range(self.length) if v[i]), None)
+        if p is None:
+            return None
+        inv = 1 / v[p]
+        if inv != 1:
+            v = [x * inv for x in v]
+        for row in self._rows.values():
+            c = row[p]
+            if c:
+                for k, nv in enumerate(v):
+                    if nv:
+                        row[k] -= c * nv
+        self._rows[p] = v
+        return list(v)
+
+    def basis_rows(self):
+        return [tuple(self._rows[p]) for p in sorted(self._rows)]
+
+
+@st.composite
+def vector_streams(draw):
+    """Sparse rational vectors, some drawn fresh and some exact combinations
+    of earlier ones, so that reductions cancel to zero."""
+    length = draw(st.integers(1, 7))
+    fresh = st.lists(sparse_entries, min_size=length, max_size=length)
+    vectors = []
+    for _ in range(draw(st.integers(1, 10))):
+        if vectors and draw(st.booleans()):
+            x, y = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
+            a, b = draw(rationals), draw(rationals)
+            vectors.append([a * xi + b * yi for xi, yi in zip(x, y)])
+        else:
+            vectors.append(draw(fresh))
+    return length, vectors
+
+
+def _all_fractions(vec):
+    return all(type(x) is Fraction for x in vec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(vector_streams())
+def test_sparse_vector_span_matches_the_dense_reference(stream):
+    length, vectors = stream
+    span, ref = VectorSpan(length), _DenseSpan(length)
+    for i, v in enumerate(vectors):
+        for probe in vectors:
+            reduced = span.reduce(probe)
+            assert reduced == ref.reduce(probe) and _all_fractions(reduced)
+            assert span.contains(probe) == all(x == 0 for x in ref.reduce(probe))
+        row = span.add(v)
+        assert row == ref.add(v)
+        assert row is None or (_all_fractions(row) and len(row) == length)
+        rows = span.basis_rows()
+        assert rows == ref.basis_rows() and all(_all_fractions(r) for r in rows)
+        assert span.pivots() == sorted(ref._rows) and span.dim == len(rows)
+    for bad in ([Fraction(1)] * (length + 1), [Fraction(0)] * (length - 1)):
+        for method in (span.reduce, span.contains, span.add):
+            with pytest.raises(ValueError):
+                method(bad)
 
 
 def test_invert_round_trip_and_singular():
