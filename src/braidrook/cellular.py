@@ -340,48 +340,62 @@ def bratteli(r: int) -> BratteliDiagram:
 # -- semisimplicity -----------------------------------------------------------------
 
 
-def semisimplicity_certificate(r: int, z) -> dict:
-    """Two independent certificates that the algebra at parameter z is
-    semisimple: (1) the Gram determinant of the regular trace form on the
-    diagram basis is nonzero; (2) every cell form psi_k has the nonzero scale
-    z^(r-k). Both are reported and must agree."""
+def regular_trace_gram(r: int, z) -> Matrix:
+    """Gram matrix G_ij = Tr(L_{a_i a_j}) of the regular trace form on the
+    diagram basis a_0..a_{m-1} = rook_elements(r) at parameter z.
+
+    L_x is left multiplication by x on the algebra. A basis product is
+    a_i a_j = z^N_ij a_{ij}, so G_ij = z^N_ij t_{ij}, where
+    t_k = Tr(L_{a_k}) = sum of z^N_kj over the j with a_k a_j = a_j. One
+    multiplication table of the m^2 products (index of the product, N)
+    gives every t_k and every G_ij; no other composition is made.
+    """
     z = scalar(z)
-    if z == 0:
-        raise ValueError("parameter z must be nonzero")
     basis = rook_elements(r)
-    m = len(basis)
-
-    def regular_trace(c: PartialPermutation, power: int) -> Fraction:
-        total = Fraction(0)
-        for e in basis:
-            prod, dropped = c.compose(e)
-            if prod == e:
-                total += z ** (power + dropped)
-        return total
-
-    gram_rows = []
+    index = {d: i for i, d in enumerate(basis)}
+    powers = [z**k for k in range(r + 1)]  # N <= r for one product
+    table = []
     for a in basis:
         row = []
         for b in basis:
             prod, dropped = a.compose(b)
-            row.append(regular_trace(prod, dropped))
-        gram_rows.append(row)
-    gram_det = det(Matrix.from_rows(gram_rows))
-
-    cells = [
-        {"k": k, "psi_scale": str(z ** (r - k)), "nonzero": z ** (r - k) != 0}
-        for k in range(r + 1)
+            row.append((index[prod], dropped))
+        table.append(row)
+    trace = [
+        sum((powers[n] for j, (k, n) in enumerate(row) if k == j), Fraction(0))
+        for row in table
     ]
-    gram_ok = gram_det != 0
-    cells_ok = all(c["nonzero"] for c in cells)
+    return Matrix.from_rows([[powers[n] * trace[k] for k, n in row] for row in table])
+
+
+def semisimplicity_certificate(r: int, z) -> dict:
+    """Certify that the algebra at parameter z is semisimple by a nonzero
+    Gram determinant of its regular trace form (regular_trace_gram).
+
+    Why det G != 0 suffices: over Q, an element x of the Jacobson radical J
+    makes every x y lie in J, so L_{xy} is nilpotent and Tr(L_{xy}) = 0;
+    hence J lies in the radical of the trace form. A nondegenerate form
+    forces J = 0, and a finite-dimensional algebra with J = 0 is semisimple.
+    In characteristic 0 the converse holds too (the regular trace form of a
+    semisimple algebra is nondegenerate), so det G = 0 proves that the
+    algebra is not semisimple.
+
+    Negative control, z = 0: if x a_j = a_j, then x fixes dom(a_j)
+    pointwise, so im(x) contains dom(a_j) and the product drops r - rank x
+    components. Hence Tr(L_x) = z^(r - rank x) #{j : x a_j = a_j}, which is
+    0 at z = 0 when rank x < r. A product with a diagram of rank < r has
+    rank < r, so at z = 0 the row of G at every such diagram (p_j, the empty
+    diagram) is zero, and det G = 0 for every r >= 1.
+    """
+    z = scalar(z)
+    gram = regular_trace_gram(r, z)
+    gram_det = det(gram)
+    nondegenerate = gram_det != 0
     return {
         "r": r,
         "z": str(z),
-        "gram_size": m,
+        "gram_size": gram.rows,
         "gram_det": str(gram_det),
-        "gram_nondegenerate": gram_ok,
-        "cells": cells,
-        "cells_nondegenerate": cells_ok,
-        "agree": gram_ok == cells_ok,
-        "semisimple": gram_ok and cells_ok,
+        "gram_nondegenerate": nondegenerate,
+        "semisimple": nondegenerate,
     }

@@ -146,6 +146,13 @@ def det(m: Matrix) -> Fraction:
 _ZERO = Fraction(0)
 
 
+def _exact(x) -> Fraction:
+    """An int vector entry as a Fraction; any other non-Fraction is refused."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError(f"vector entries must be Fraction or int, not {x!r}")
+
+
 def _axpy(target: dict[int, Fraction], c: Fraction, row: dict[int, Fraction]) -> None:
     """target += c * row on sparse rows, dropping entries that cancel."""
     for k, rv in row.items():
@@ -166,7 +173,8 @@ class VectorSpan:
 
     Rows are stored sparsely, as {column: nonzero Fraction} dicts keyed by
     their pivot, so elimination touches only nonzero entries. Vectors go in
-    and come out dense, with every entry a Fraction."""
+    and come out dense. Entries enter as Fraction or int, and int entries
+    become Fractions there, so every entry that comes out is a Fraction."""
 
     def __init__(self, length: int):
         self.length = length
@@ -181,7 +189,7 @@ class VectorSpan:
         v = list(vec)
         if len(v) != self.length:
             raise ValueError("vector length mismatch")
-        r = {k: x for k, x in enumerate(v) if x}
+        r = {k: x if isinstance(x, Fraction) else _exact(x) for k, x in enumerate(v) if x}
         rows = self._rows
         # pivot columns are zero in every other basis row, so each
         # coefficient can be read off r before any subtraction

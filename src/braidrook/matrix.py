@@ -4,7 +4,9 @@ Row-major entries, matrices act on column vectors: column j of a matrix
 is the image of the j-th standard basis vector. Values are immutable by
 convention; every operation returns a fresh Matrix. Storage is dense, but
 addition, subtraction and multiplication skip zero entries, so their cost
-follows the nonzeros.
+follows the nonzeros. Public construction checks that every entry is an
+exact rational; the results of this module's own arithmetic, built from
+Fractions, skip that check.
 """
 
 from __future__ import annotations
@@ -27,6 +29,16 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self._e = e
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, e: list[Fraction]) -> "Matrix":
+        """Wrap a fresh list of rows * cols Fractions without checking it;
+        only for the results of this module's own arithmetic."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m._e = e
+        return m
 
     # -- constructors -------------------------------------------------
 
@@ -132,14 +144,16 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix(self.rows, self.cols, [a + b if b else a for a, b in zip(self._e, other._e)])
+        e = [a + b if b else a for a, b in zip(self._e, other._e)]
+        return Matrix._trusted(self.rows, self.cols, e)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        return Matrix(self.rows, self.cols, [a - b if b else a for a, b in zip(self._e, other._e)])
+        e = [a - b if b else a for a, b in zip(self._e, other._e)]
+        return Matrix._trusted(self.rows, self.cols, e)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-a for a in self._e])
+        return Matrix._trusted(self.rows, self.cols, [-a for a in self._e])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -151,7 +165,7 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = scalar(c)
-        return Matrix(self.rows, self.cols, [c * a for a in self._e])
+        return Matrix._trusted(self.rows, self.cols, [c * a for a in self._e])
 
     def _matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -172,7 +186,7 @@ class Matrix:
             orow = i * m
             for j, bv in bt:
                 out[orow + j] += ait * bv
-        return Matrix(n, m, out)
+        return Matrix._trusted(n, m, out)
 
     def __pow__(self, k: int) -> "Matrix":
         if not self.is_square():
@@ -242,7 +256,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                     v = b._e[brow + l]
                     if v:
                         out[dst + l] = aij * v
-    return Matrix(rows, cols, out)
+    return Matrix._trusted(rows, cols, out)
 
 
 def kron_power(a: Matrix, r: int) -> Matrix:

@@ -23,6 +23,7 @@ from braidrook.cellular import (
     partitions_of,
     phi,
     psi,
+    regular_trace_gram,
     rook_dimension,
     semisimplicity_certificate,
     standard_tableaux_count,
@@ -351,17 +352,89 @@ def test_semisimplicity_r2():
     report = semisimplicity_certificate(2, Fraction(7))
     assert report["gram_size"] == 7
     assert report["semisimple"]
-    assert report["agree"]
 
 
 def test_semisimplicity_r3_z1():
     report = semisimplicity_certificate(3, 1)
     assert report["gram_size"] == 34
     assert report["gram_nondegenerate"]
-    assert report["cells_nondegenerate"]
     assert report["semisimple"]
 
 
-def test_semisimplicity_rejects_zero():
-    with pytest.raises(ValueError):
-        semisimplicity_certificate(2, 0)
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_semisimplicity_negative_control_at_z0(r):
+    # at z = 0 every row of G at a diagram of rank < r is zero
+    report = semisimplicity_certificate(r, 0)
+    assert report["gram_det"] == "0"
+    assert not report["gram_nondegenerate"] and not report["semisimple"]
+    gram = regular_trace_gram(r, 0)
+    for i, d in enumerate(rook_elements(r)):
+        if d.rank < r:
+            assert all(x == 0 for x in gram.row(i))
+
+
+def test_semisimplicity_r0_is_the_ground_field():
+    for z in (0, 7):
+        report = semisimplicity_certificate(0, z)
+        assert report["gram_size"] == 1 and report["gram_det"] == "1"
+        assert report["semisimple"]
+
+
+def _gram_entry_by_pair(a, b, basis, z):
+    """The per-pair formula the multiplication table replaced: Tr(L_{ab})
+    by composing ab with every basis diagram."""
+
+    def regular_trace(c, power):
+        total = Fraction(0)
+        for e in basis:
+            prod, dropped = c.compose(e)
+            if prod == e:
+                total += z ** (power + dropped)
+        return total
+
+    prod, dropped = a.compose(b)
+    return regular_trace(prod, dropped)
+
+
+@pytest.mark.parametrize(
+    "z", [Fraction(0), Fraction(1), Fraction(7), Fraction(-1, 3), Fraction(7, 3)], ids=str
+)
+def test_regular_trace_gram_matches_the_per_pair_formula(z):
+    for r in range(4):
+        basis = rook_elements(r)
+        gram = regular_trace_gram(r, z)
+        assert (gram.rows, gram.cols) == (len(basis), len(basis))
+        for i, a in enumerate(basis):
+            for j, b in enumerate(basis):
+                assert gram[i, j] == _gram_entry_by_pair(a, b, basis, z)
+
+
+def test_regular_trace_gram_matches_the_per_pair_formula_sampled_r4():
+    z = Fraction(7, 3)
+    basis = rook_elements(4)
+    gram = regular_trace_gram(4, z)
+    rng = random.Random(8)
+    for _ in range(300):
+        i, j = rng.randrange(len(basis)), rng.randrange(len(basis))
+        assert gram[i, j] == _gram_entry_by_pair(basis[i], basis[j], basis, z)
+
+
+def test_gram_certificate_composes_each_pair_once(monkeypatch):
+    calls = 0
+    compose = PartialPermutation.compose
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return compose(self, other)
+
+    monkeypatch.setattr(PartialPermutation, "compose", counted)
+    report = semisimplicity_certificate(3, Fraction(7))
+    assert report["gram_size"] == 34 and calls == 34**2
+
+
+def test_semisimplicity_r4_z7_pinned():
+    # the value the per-pair formula gave before the multiplication table
+    report = semisimplicity_certificate(4, 7)
+    assert report["gram_size"] == 209 and report["semisimple"]
+    assert Fraction(report["gram_det"]) == -(2**536) * 3**192 * 7**584

@@ -178,6 +178,24 @@ def test_kron_power():
     assert kron_power(a, 2) == kron(a, a)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(1, 3), rationals)
+def test_kron_scale_and_negation_match_the_definition(data, n, k, c):
+    a = data.draw(sparse_matrices(n, k))
+    b = data.draw(sparse_matrices(k, n))
+    ab = kron(a, b)
+    assert all(
+        ab[i * k + s, j * n + t] == a[i, j] * b[s, t]
+        for i in range(n) for j in range(k) for s in range(k) for t in range(n)
+    )
+    assert a.scale(c).entries() == tuple(c * x for x in a.entries())
+    assert (-a).entries() == tuple(-x for x in a.entries())
+    for result in (ab, a.scale(c), a.scale(3), c * a, -a):
+        assert all(type(x) is Fraction for x in result.entries())
+        fresh = Matrix(result.rows, result.cols, list(result.entries()))
+        assert result == fresh and hash(result) == hash(fresh)
+
+
 # -- echelon forms and nullspaces -----------------------------------------
 
 
@@ -249,6 +267,25 @@ def test_vector_span_is_order_independent():
         spans.append(s.basis_rows())
     assert spans[0] == spans[1] == spans[2]
     assert len(spans[0]) == 2
+
+
+def test_int_rows_give_exact_fraction_outputs():
+    span = VectorSpan(2)
+    row = span.add([2, 1])
+    assert row == [1, Fraction(1, 2)] and _all_fractions(row)
+    reduced = span.reduce([3, 5])
+    assert reduced == [0, Fraction(7, 2)] and _all_fractions(reduced)
+    assert span.add([4, 2]) is None and span.contains([4, 2])
+    assert _all_fractions(span.add([0, 3])) and span.basis_rows() == [(1, 0), (0, 1)]
+    assert all(_all_fractions(r) for r in span.basis_rows())
+    echelon, pivots = rref([[2, 1], [4, 3]])
+    assert echelon == [[1, 0], [0, 1]] and pivots == [0, 1]
+    assert all(_all_fractions(r) for r in echelon)
+    echelon, _ = rref([[3, 6, 0], [1, 2, 0]])
+    assert echelon == [[1, 2, 0]] and _all_fractions(echelon[0])
+    for bad in ([1.0, 2], [True, 0], ["1/2", 0]):
+        with pytest.raises(TypeError):
+            VectorSpan(2).add(bad)
 
 
 class _DenseSpan:
