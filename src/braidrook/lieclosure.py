@@ -111,12 +111,6 @@ def tangent_generators(n: int, q) -> list[Matrix]:
     ]
 
 
-def alternating_conjugator(m: int) -> Matrix:
-    """D = diag(1, -1, 1, ...); conjugation by D flips the sign of every
-    entry at odd offset from the diagonal."""
-    return Matrix.diagonal([Fraction((-1) ** i) for i in range(m)])
-
-
 def commutator(x: Matrix, y: Matrix) -> Matrix:
     return x * y - y * x
 
@@ -133,9 +127,24 @@ class BracketSpace:
 def bracket_closure(gens: Sequence[Matrix]) -> BracketSpace:
     """Smallest subspace containing gens and closed under [x, y] = xy - yx.
 
-    Worklist closure over an exact echelon basis: each new independent
-    element is bracketed against every element already processed, so
-    every pair of basis representatives is bracketed at most once.
+    Worklist closure over an exact echelon basis. Each new independent
+    element w is bracketed with the generators only, as [g, w] for g in
+    gens: at most len(gens) * dim commutators, not one per pair of basis
+    elements. The processed elements span the current span, so when the
+    worklist empties the span L is the smallest subspace that contains
+    the generator set S and is mapped into itself by every ad_s, s in S.
+    Such an L is already closed under the bracket. Let
+    N = {x in L : [x, L] is in L}.
+
+    * N contains S, since ad_s maps L into L.
+    * N is closed under the bracket: by Jacobi,
+      [[x, y], l] = [x, [y, l]] - [y, [x, l]], and for x, y in N every
+      term on the right lies in L.
+    * L is spanned by the left-normed brackets [s_1, [s_2, ..., s_k]],
+      each of which lies in N by induction on k, so L is inside N.
+
+    So L = N is a Lie algebra, and as every Lie algebra containing S is
+    closed under each ad_s, it is the one S generates.
 
     The worklist stops early once the span fills a ceiling space known to
     contain the closure: gl_m (dimension m^2) in general, and sl_m
@@ -153,20 +162,18 @@ def bracket_closure(gens: Sequence[Matrix]) -> BracketSpace:
     ceiling = m * m - 1 if all(g.trace() == 0 for g in gens) else m * m
     span = VectorSpan(m * m)
     queue: list[Matrix] = []
-    done: list[Matrix] = []
     for g in gens:
         row = span.add(g.entries())
         if row is not None:
             queue.append(Matrix(m, m, row))
     while queue and span.dim < ceiling:
         w = queue.pop()
-        for r in done:
-            row = span.add(commutator(w, r).entries())
+        for g in gens:
+            row = span.add(commutator(g, w).entries())
             if row is not None:
                 queue.append(Matrix(m, m, row))
                 if span.dim == ceiling:
                     break
-        done.append(w)
     basis = tuple(Matrix(m, m, list(row)) for row in span.basis_rows())
     return BracketSpace(span.dim, basis)
 
@@ -357,18 +364,6 @@ def first_row_chain(n: int, q) -> list[Matrix]:
         current = commutator(current, us[k - 1]).scale(1 / c.a)
         chain.append(current)
     return chain
-
-
-def expected_chain_element(n: int, q, k: int) -> Matrix:
-    """Closed form for A_k: b e_{1,k-1} + e_{1,k} + a e_{1,k+1}, with
-    out-of-range terms dropped (k = n-1 loses the a term)."""
-    c = LieConstants(n, q)
-    if not 2 <= k <= n - 1:
-        raise ValueError(f"chain index {k} outside 2..{n - 1}")
-    m = c.size
-    return (
-        _unit(m, 1, k - 1).scale(c.b) + _unit(m, 1, k) + _unit(m, 1, k + 1).scale(c.a)
-    )
 
 
 # -- reporting -----------------------------------------------------------

@@ -264,11 +264,19 @@ def span_closure(
     """Smallest unital subalgebra of N x N matrices containing seed.
 
     Worklist closure: keep an echelon basis of the current span, multiply
-    unprocessed basis elements by the multiplier set on both sides, adjoin
+    each new basis element on the right by every multiplier, adjoin
     independent products, repeat to fixpoint (dimension <= N^2 bounds it).
     multipliers defaults to seed; passing a subset is sound whenever every
     seed element lies in the unital algebra the subset generates (e.g.
     inverses of multipliers, by Cayley-Hamilton).
+
+    Right multiplication alone suffices. Let A be the unital algebra
+    generated by the multipliers M, which are part of the seed. The span
+    of 1 closed under right multiplication by M holds every word in M,
+    so it is A. Every seed element lies in A, so adjoining the seed and
+    closing again stays inside A. And A is the algebra the seed
+    generates: it contains the seed, and M is part of the seed.
+    `_modlinalg.closure_dim_mod` rests on the same argument.
     """
     if not seed:
         raise ValueError("span_closure needs a nonempty seed")
@@ -285,10 +293,9 @@ def span_closure(
     while queue:
         w = queue.pop()
         for g in mult:
-            for prod in (w * g, g * w):
-                row = span.add(prod.entries())
-                if row is not None:
-                    queue.append(Matrix(n, n, row))
+            row = span.add((w * g).entries())
+            if row is not None:
+                queue.append(Matrix(n, n, row))
     basis = [Matrix(n, n, list(row)) for row in span.basis_rows()]
     return span.dim, basis
 

@@ -4,6 +4,8 @@ gl/sl, the tridiagonal determinant, and the first-row bracket chain."""
 from fractions import Fraction
 from itertools import combinations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,10 +15,8 @@ from braidrook.burau import BurauParams, reduced_generator
 from braidrook.lieclosure import (
     BracketSpace,
     LieConstants,
-    alternating_conjugator,
     bracket_closure,
     commutator,
-    expected_chain_element,
     finite_order_exponent,
     first_row_chain,
     first_row_seed,
@@ -69,6 +69,35 @@ def _full_worklist_closure(gens):
                 queue.append(Matrix(m, m, row))
         done.append(w)
     return tuple(Matrix(m, m, list(row)) for row in span.basis_rows())
+
+
+def _one_round_closure(gens):
+    """Negative control: the generators and the brackets of generator
+    pairs, not iterated. It misses every bracket of depth three or more."""
+    m = gens[0].rows
+    span = matrix_span(list(gens))
+    for x, y in combinations(gens, 2):
+        span.add(commutator(x, y).entries())
+    return tuple(Matrix(m, m, list(row)) for row in span.basis_rows())
+
+
+def alternating_conjugator(m):
+    """D = diag(1, -1, 1, ...); conjugation by D flips the sign of every
+    entry at odd offset from the diagonal."""
+    return Matrix.diagonal([Fraction((-1) ** i) for i in range(m)])
+
+
+def expected_chain_element(n, q, k):
+    """Closed form for A_k: b e_{1,k-1} + e_{1,k} + a e_{1,k+1}, with
+    out-of-range terms dropped (k = n-1 loses the a term)."""
+    c = LieConstants(n, q)
+    if not 2 <= k <= n - 1:
+        raise ValueError(f"chain index {k} outside 2..{n - 1}")
+    m = c.size
+    elem = Matrix.unit(m, 0, k - 2).scale(c.b) + Matrix.unit(m, 0, k - 1)
+    if k < m:
+        elem = elem + Matrix.unit(m, 0, k).scale(c.a)
+    return elem
 
 
 # -- constants and generator matrices -------------------------------------
@@ -184,7 +213,9 @@ def test_one_generator_with_trace_lifts_the_ceiling_to_gl(n):
     assert space.basis == _full_worklist_closure(gens)
 
 
-def test_saturation_stop_saves_brackets(monkeypatch):
+@pytest.fixture
+def commutator_calls(monkeypatch):
+    """One entry per commutator that bracket_closure takes."""
     calls = []
 
     def counting(x, y):
@@ -192,10 +223,58 @@ def test_saturation_stop_saves_brackets(monkeypatch):
         return commutator(x, y)
 
     monkeypatch.setattr(lieclosure, "commutator", counting)
-    space = bracket_closure(u_generators(5, 2))
+    return calls
+
+
+def test_saturation_stop_saves_brackets(commutator_calls):
+    gens = u_generators(6, 2)
+    space = bracket_closure(gens)
     d = space.dim
-    assert d == 16
-    assert 0 < len(calls) < d * (d - 1) // 2
+    assert d == 25
+    assert 0 < len(commutator_calls) <= len(gens) * d
+
+
+def _superdiagonal_units(m):
+    return [Matrix.unit(m, i, i + 1) for i in range(m - 1)]
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_generator_worklist_reaches_deep_brackets(m, commutator_calls):
+    """e_{i,i+1} generate the strictly upper-triangular algebra, whose top
+    unit e_{1,m} is a bracket of depth m - 1 in them. The closure is proper,
+    so no saturation stop fires: every basis element is bracketed with
+    every generator exactly once."""
+    gens = _superdiagonal_units(m)
+    space = bracket_closure(gens)
+    assert space.dim == m * (m - 1) // 2
+    assert len(commutator_calls) == len(gens) * space.dim
+    assert space.basis == _full_worklist_closure(gens)
+    assert all(b[i, j] == 0 for b in space.basis for i in range(m) for j in range(i + 1))
+    assert _contains(space, Matrix.unit(m, 0, m - 1))
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_one_round_of_brackets_falls_short(m):
+    """Negative control: generator-pair brackets alone miss e_{1,m} for
+    m >= 4 (at m = 3 depth two is the top), so the worklist's iteration
+    is what reaches the whole closure."""
+    gens = _superdiagonal_units(m)
+    shallow = _one_round_closure(gens)
+    assert len(shallow) < bracket_closure(gens).dim
+    assert not matrix_span(list(shallow)).contains(Matrix.unit(m, 0, m - 1).entries())
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_generator_worklist_matches_full_worklist_on_random_pairs(m):
+    rng = random.Random(1300 + m)
+    for _ in range(12):
+        gens = [
+            Matrix.from_rows(
+                [[rng.choice([0, 0, 0, 0, 0, 1, -1, 2]) for _ in range(m)] for _ in range(m)]
+            )
+            for _ in range(2)
+        ]
+        assert bracket_closure(gens).basis == _full_worklist_closure(gens)
 
 
 def test_v_closure_traceless():

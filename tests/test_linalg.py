@@ -466,6 +466,45 @@ def test_double_commutant_generating_set_invariance(seed):
     assert spans_equal(b1, b2)
 
 
+def _two_sided_closure(seed):
+    """The closure multiplying on both sides: the oracle for the
+    right-only worklist in span_closure."""
+    n = seed[0].rows
+    span = VectorSpan(n * n)
+    queue = []
+    for m in [Matrix.identity(n), *seed]:
+        row = span.add(m.entries())
+        if row is not None:
+            queue.append(Matrix(n, n, row))
+    while queue:
+        w = queue.pop()
+        for g in seed:
+            for prod in (w * g, g * w):
+                row = span.add(prod.entries())
+                if row is not None:
+                    queue.append(Matrix(n, n, row))
+    return [Matrix(n, n, list(row)) for row in span.basis_rows()]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_right_only_span_closure_matches_two_sided(n):
+    rng = random.Random(1400 + n)
+    dims = set()
+    for _ in range(10):
+        seed = [
+            Matrix.from_rows(
+                [[rng.choice([0, 0, 0, 0, 1, -1, 2]) for _ in range(n)] for _ in range(n)]
+            )
+            for _ in range(2)
+        ]
+        dim, basis = span_closure(seed)
+        assert basis == _two_sided_closure(seed)
+        dims.add(dim)
+    assert len(dims) > 1
+    gens = braid_generators(BurauParams(3, 1, -2), 2)
+    assert span_closure(gens)[1] == _two_sided_closure(gens)
+
+
 def test_span_closure_multiplier_subset_matches_full():
     rng = random.Random(3)
     while True:
