@@ -197,13 +197,16 @@ def _dot_mod(a, b, p: int):
 
 def is_p_integral(mats, p: int) -> bool:
     """Whether p divides no denominator of any entry of the matrices."""
-    return all(x.denominator % p for m in mats for x in m.entries())
+    # a zero entry has denominator 1, so the nonzeros decide it
+    return all(x.denominator % p for m in mats for x in m.nonzeros().values())
 
 
 def residues(m, p: int):
     """A p-integral rational matrix reduced entrywise mod p, as int64."""
-    flat = [x.numerator * pow(x.denominator, -1, p) % p for x in m.entries()]
-    return np.array(flat, dtype=np.int64).reshape(m.rows, m.cols)
+    flat = np.zeros(m.rows * m.cols, dtype=np.int64)
+    for k, x in m.nonzeros().items():
+        flat[k] = x.numerator * pow(x.denominator, -1, p) % p
+    return flat.reshape(m.rows, m.cols)
 
 
 def rank_mod(rows, ncols: int, p: int) -> int:

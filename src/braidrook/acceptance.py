@@ -103,9 +103,9 @@ def check_rank_one_centralizer() -> tuple[bool, str]:
         span = matrix_span(basis)
         if dim != 2:
             return _fail(f"n={n}: centralizer dim {dim} != 2")
-        if not span.contains(projection_p(p).entries()):
+        if not span.contains(projection_p(p).nonzeros()):
             return _fail(f"n={n}: P outside the centralizer span")
-        if not span.contains(Matrix.identity(n).entries()):
+        if not span.contains(Matrix.identity(n).nonzeros()):
             return _fail(f"n={n}: identity outside the centralizer span")
         dims.append(dim)
     return True, "dim 2 with {1, P} inside the span for n = 2..5 at q = 2"

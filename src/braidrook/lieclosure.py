@@ -163,13 +163,13 @@ def bracket_closure(gens: Sequence[Matrix]) -> BracketSpace:
     span = VectorSpan(m * m)
     queue: list[Matrix] = []
     for g in gens:
-        row = span.add(g.entries())
+        row = span.add(g.nonzeros())
         if row is not None:
             queue.append(Matrix(m, m, row))
     while queue and span.dim < ceiling:
         w = queue.pop()
         for g in gens:
-            row = span.add(commutator(g, w).entries())
+            row = span.add(commutator(g, w).nonzeros())
             if row is not None:
                 queue.append(Matrix(m, m, row))
                 if span.dim == ceiling:

@@ -15,6 +15,7 @@ depend on the fast path.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -22,6 +23,8 @@ from typing import Iterable, Sequence
 from .matrix import Matrix
 
 SparseRow = list[tuple[int, Fraction]]
+# a dense vector, or its nonzeros as {column: entry}
+Vector = Sequence[Fraction] | Mapping[int, Fraction]
 
 # Work estimate above which nullspace extraction is attempted modularly
 # first. Purely a speed knob: both routes return identical bases.
@@ -172,9 +175,14 @@ class VectorSpan:
     each basis row has a leading 1 whose column is zero in every other row.
 
     Rows are stored sparsely, as {column: nonzero Fraction} dicts keyed by
-    their pivot, so elimination touches only nonzero entries. Vectors go in
-    and come out dense. Entries enter as Fraction or int, and int entries
-    become Fractions there, so every entry that comes out is a Fraction."""
+    their pivot, so elimination touches only nonzero entries. A vector goes
+    in either dense, as a sequence of `length` entries, or by its nonzeros,
+    as a mapping {column: entry} such as `Matrix.nonzeros()`; missing
+    columns are zero, and both forms give the same results. `add` returns
+    the new basis row in the sparse form, which `Matrix(rows, cols, row)`
+    takes as is; `reduce` and `basis_rows` return dense vectors. Entries
+    enter as Fraction or int, and int entries become Fractions there, so
+    every entry that comes out is a Fraction."""
 
     def __init__(self, length: int):
         self.length = length
@@ -184,12 +192,18 @@ class VectorSpan:
     def dim(self) -> int:
         return len(self._rows)
 
-    def _residual(self, vec: Iterable[Fraction]) -> dict[int, Fraction]:
+    def _residual(self, vec: Vector) -> dict[int, Fraction]:
         """Nonzero entries of vec after elimination against the basis."""
-        v = list(vec)
-        if len(v) != self.length:
-            raise ValueError("vector length mismatch")
-        r = {k: x if isinstance(x, Fraction) else _exact(x) for k, x in enumerate(v) if x}
+        if isinstance(vec, Mapping):
+            items = vec.items()
+            if vec and (min(vec) < 0 or max(vec) >= self.length):
+                raise ValueError("vector index outside the length")
+        else:
+            items = list(vec)
+            if len(items) != self.length:
+                raise ValueError("vector length mismatch")
+            items = enumerate(items)
+        r = {k: x if isinstance(x, Fraction) else _exact(x) for k, x in items if x}
         rows = self._rows
         # pivot columns are zero in every other basis row, so each
         # coefficient can be read off r before any subtraction
@@ -203,16 +217,17 @@ class VectorSpan:
             v[k] = x
         return v
 
-    def reduce(self, vec: Iterable[Fraction]) -> list[Fraction]:
+    def reduce(self, vec: Vector) -> list[Fraction]:
         """Residual of vec after elimination against the current basis."""
         return self._dense(self._residual(vec))
 
-    def contains(self, vec: Iterable[Fraction]) -> bool:
+    def contains(self, vec: Vector) -> bool:
         return not self._residual(vec)
 
-    def add(self, vec: Iterable[Fraction]) -> list[Fraction] | None:
-        """Adjoin vec; returns the new normalized basis row, or None if
-        vec already lies in the span."""
+    def add(self, vec: Vector) -> dict[int, Fraction] | None:
+        """Adjoin vec; returns the new normalized basis row as a fresh
+        {column: nonzero Fraction} dict, or None if vec already lies in
+        the span."""
         r = self._residual(vec)
         if not r:
             return None
@@ -225,7 +240,7 @@ class VectorSpan:
             if c is not None:
                 _axpy(row, -c, r)
         self._rows[p] = r
-        return self._dense(r)
+        return dict(r)
 
     def pivots(self) -> list[int]:
         """Pivot columns in increasing order."""
@@ -236,7 +251,7 @@ class VectorSpan:
         return [tuple(self._dense(self._rows[p])) for p in self.pivots()]
 
 
-def span_of_vectors(vectors: Iterable[Sequence[Fraction]], length: int) -> VectorSpan:
+def span_of_vectors(vectors: Iterable[Vector], length: int) -> VectorSpan:
     span = VectorSpan(length)
     for v in vectors:
         span.add(v)
@@ -248,7 +263,7 @@ def matrix_span(mats: Sequence[Matrix]) -> VectorSpan:
     if not mats:
         raise ValueError("empty matrix list")
     n = mats[0].rows * mats[0].cols
-    return span_of_vectors((m.entries() for m in mats), n)
+    return span_of_vectors((m.nonzeros() for m in mats), n)
 
 
 def spans_equal(a: Sequence[Matrix], b: Sequence[Matrix]) -> bool:
@@ -287,13 +302,13 @@ def span_closure(
     span = VectorSpan(n * n)
     queue: list[Matrix] = []
     for m in [Matrix.identity(n), *seed]:
-        row = span.add(m.entries())
+        row = span.add(m.nonzeros())
         if row is not None:
             queue.append(Matrix(n, n, row))
     while queue:
         w = queue.pop()
         for g in mult:
-            row = span.add((w * g).entries())
+            row = span.add((w * g).nonzeros())
             if row is not None:
                 queue.append(Matrix(n, n, row))
     basis = [Matrix(n, n, list(row)) for row in span.basis_rows()]
@@ -309,9 +324,12 @@ def commutant_rows(gens: Sequence[Matrix]) -> list[SparseRow]:
         raise ValueError("generators must be square and same size")
     rows: list[SparseRow] = []
     for g in gens:
-        e = g.entries()
-        row_nz = [[(k, e[i * n + k]) for k in range(n) if e[i * n + k]] for i in range(n)]
-        col_nz = [[(k, e[k * n + j]) for k in range(n) if e[k * n + j]] for j in range(n)]
+        row_nz: list[SparseRow] = [[] for _ in range(n)]
+        col_nz: list[SparseRow] = [[] for _ in range(n)]
+        for idx, v in sorted(g.nonzeros().items()):
+            i, k = divmod(idx, n)
+            row_nz[i].append((k, v))
+            col_nz[k].append((i, v))
         for i in range(n):
             for j in range(n):
                 coeff: dict[int, Fraction] = {}

@@ -1,38 +1,58 @@
-"""Dense exact matrices over the rationals.
+"""Exact matrices over the rationals, stored by their nonzero entries.
 
 Row-major entries, matrices act on column vectors: column j of a matrix
 is the image of the j-th standard basis vector. Values are immutable by
-convention; every operation returns a fresh Matrix. Storage is dense, but
-addition, subtraction and multiplication skip zero entries, so their cost
-follows the nonzeros. Public construction checks that every entry is an
-exact rational; the results of this module's own arithmetic, built from
-Fractions, skip that check.
+convention; every operation returns a fresh Matrix. Storage is one
+{row-major index: nonzero Fraction} dict; no zero is ever stored, so
+arithmetic, equality and hashing cost follows the nonzeros, and entries
+that cancel are dropped. `entries()`, `row()` and `to_lists()` give the
+dense view, `nonzeros()` the stored one. Public construction checks that
+every entry is an exact rational; the results of this module's own
+arithmetic, built from Fractions, skip that check.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .scalars import scalar
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class Matrix:
     __slots__ = ("rows", "cols", "_e")
 
-    def __init__(self, rows: int, cols: int, entries: Sequence):
+    def __init__(self, rows: int, cols: int, entries: Sequence | Mapping):
+        """entries is either the dense row-major sequence of all rows * cols
+        entries, or a mapping {row-major index: entry} whose missing
+        indices are zero."""
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        e = [x if isinstance(x, Fraction) else scalar(x) for x in entries]
-        if len(e) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(e)}")
+        size = rows * cols
+        if isinstance(entries, Mapping):
+            items = entries.items()
+            if entries and (min(entries) < 0 or max(entries) >= size):
+                raise ValueError(f"entry index outside 0..{size - 1}")
+        else:
+            items = list(entries)
+            if len(items) != size:
+                raise ValueError(f"expected {size} entries, got {len(items)}")
+            items = enumerate(items)
         self.rows = rows
         self.cols = cols
-        self._e = e
+        # int and "p/q" entries become Fractions; the zeros are left out
+        self._e = {
+            k: y for k, x in items if (y := x if isinstance(x, Fraction) else scalar(x))
+        }
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, e: list[Fraction]) -> "Matrix":
-        """Wrap a fresh list of rows * cols Fractions without checking it;
+    def _trusted(cls, rows: int, cols: int, e: dict[int, Fraction]) -> "Matrix":
+        """Wrap a fresh {index: nonzero Fraction} dict without checking it;
         only for the results of this module's own arithmetic."""
         m = cls.__new__(cls)
         m.rows = rows
@@ -46,14 +66,11 @@ class Matrix:
     def zeros(rows: int, cols: int | None = None) -> "Matrix":
         if cols is None:
             cols = rows
-        return Matrix(rows, cols, [Fraction(0)] * (rows * cols))
+        return Matrix(rows, cols, {})
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        e = [Fraction(0)] * (n * n)
-        for i in range(n):
-            e[i * n + i] = Fraction(1)
-        return Matrix(n, n, e)
+        return Matrix(n, n, {i * n + i: _ONE for i in range(n)})
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence]) -> "Matrix":
@@ -74,18 +91,15 @@ class Matrix:
     @staticmethod
     def unit(n: int, i: int, j: int) -> "Matrix":
         """Matrix unit e_{ij} (0-indexed) of size n x n."""
-        m = Matrix.zeros(n, n)
-        m._e[i * n + j] = Fraction(1)
-        return m
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"unit ({i},{j}) outside {n}x{n}")
+        return Matrix._trusted(n, n, {i * n + j: _ONE})
 
     @staticmethod
     def diagonal(values: Sequence) -> "Matrix":
-        vals = [scalar(v) for v in values]
-        n = len(vals)
-        m = Matrix.zeros(n, n)
-        for i, v in enumerate(vals):
-            m._e[i * n + i] = v
-        return m
+        values = list(values)
+        n = len(values)
+        return Matrix(n, n, {i * n + i: v for i, v in enumerate(values)})
 
     # -- access --------------------------------------------------------
 
@@ -93,17 +107,24 @@ class Matrix:
         i, j = key
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
-        return self._e[i * self.cols + j]
+        return self._e.get(i * self.cols + j, _ZERO)
 
     def row(self, i: int) -> list[Fraction]:
-        return self._e[i * self.cols : (i + 1) * self.cols]
+        e = self._e
+        return [e.get(k, _ZERO) for k in range(i * self.cols, (i + 1) * self.cols)]
 
     def to_lists(self) -> list[list[Fraction]]:
         return [self.row(i) for i in range(self.rows)]
 
     def entries(self) -> tuple[Fraction, ...]:
         """Row-major flattening; the vectorization used for span arithmetic."""
-        return tuple(self._e)
+        e = self._e
+        return tuple([e.get(k, _ZERO) for k in range(self.rows * self.cols)])
+
+    def nonzeros(self) -> Mapping[int, Fraction]:
+        """Read-only view {row-major index: entry} of the nonzero entries,
+        the sparse form of entries() that VectorSpan.add also takes."""
+        return MappingProxyType(self._e)
 
     # -- structure tests -----------------------------------------------
 
@@ -111,22 +132,18 @@ class Matrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self._e)
-
-    def is_identity(self) -> bool:
-        return self.is_square() and self == Matrix.identity(self.rows)
+        return not self._e
 
     def scalar_of_identity(self) -> Fraction | None:
         """The scalar c with self = c*I, or None if self is not scalar."""
         if not self.is_square() or self.rows == 0:
             return None
-        c = self._e[0]
-        n = self.rows
-        for i in range(n):
-            for j in range(n):
-                want = c if i == j else 0
-                if self._e[i * n + j] != want:
-                    return None
+        e, n = self._e, self.rows
+        c = e.get(0)
+        if c is None:
+            return None if e else _ZERO
+        if len(e) != n or any(e.get(i * n + i) != c for i in range(n)):
+            return None
         return c
 
     # -- arithmetic ----------------------------------------------------
@@ -140,20 +157,32 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self._e)))
+        return hash((self.rows, self.cols, frozenset(self._e.items())))
+
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other, dropping the entries that cancel."""
+        self._check_same_shape(other)
+        e = dict(self._e)
+        for k, b in other._e.items():
+            a = e.get(k)
+            if a is None:
+                e[k] = b if sign > 0 else -b
+            else:
+                s = a + b if sign > 0 else a - b
+                if s:
+                    e[k] = s
+                else:
+                    del e[k]
+        return Matrix._trusted(self.rows, self.cols, e)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        e = [a + b if b else a for a, b in zip(self._e, other._e)]
-        return Matrix._trusted(self.rows, self.cols, e)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        e = [a - b if b else a for a, b in zip(self._e, other._e)]
-        return Matrix._trusted(self.rows, self.cols, e)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Matrix":
-        return Matrix._trusted(self.rows, self.cols, [-a for a in self._e])
+        return Matrix._trusted(self.rows, self.cols, {k: -a for k, a in self._e.items()})
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -165,28 +194,37 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = scalar(c)
-        return Matrix._trusted(self.rows, self.cols, [c * a for a in self._e])
+        # a product of nonzero rationals is nonzero
+        e = {k: c * a for k, a in self._e.items()} if c else {}
+        return Matrix._trusted(self.rows, self.cols, e)
 
     def _matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        n, k, m = self.rows, self.cols, other.cols
-        a, b = self._e, other._e
-        # the nonzeros of row t of other, found once per product and only
-        # for the rows that a nonzero entry of self reaches
-        b_nz = [None] * k
-        out = [Fraction(0)] * (n * m)
-        for idx, ait in [(idx, x) for idx, x in enumerate(a) if x]:
-            i, t = divmod(idx, k)
-            bt = b_nz[t]
+        k, m = self.cols, other.cols
+        # the nonzeros of other grouped by row, once per product
+        b_rows: dict[int, list[tuple[int, Fraction]]] = {}
+        for idx, bv in other._e.items():
+            t, j = divmod(idx, m)
+            bt = b_rows.get(t)
             if bt is None:
-                bt = b_nz[t] = [(j, bv) for j, bv in enumerate(b[t * m : (t + 1) * m]) if bv]
+                b_rows[t] = [(j, bv)]
+            else:
+                bt.append((j, bv))
+        out: dict[int, Fraction] = {}
+        for idx, av in self._e.items():
+            i, t = divmod(idx, k)
+            bt = b_rows.get(t)
+            if bt is None:
+                continue
             orow = i * m
             for j, bv in bt:
-                out[orow + j] += ait * bv
-        return Matrix._trusted(n, m, out)
+                key = orow + j
+                x = out.get(key)
+                out[key] = av * bv if x is None else x + av * bv
+        return Matrix._trusted(self.rows, m, {key: x for key, x in out.items() if x})
 
     def __pow__(self, k: int) -> "Matrix":
         if not self.is_square():
@@ -202,17 +240,11 @@ class Matrix:
             k >>= 1
         return result
 
-    def transpose(self) -> "Matrix":
-        out = [Fraction(0)] * (self.rows * self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[j * self.rows + i] = self._e[i * self.cols + j]
-        return Matrix(self.cols, self.rows, out)
-
     def trace(self) -> Fraction:
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
-        return sum((self._e[i * self.cols + i] for i in range(self.rows)), Fraction(0))
+        e, step = self._e, self.cols + 1
+        return sum((e.get(i * step, _ZERO) for i in range(self.rows)), _ZERO)
 
     def inverse(self) -> "Matrix":
         from .linalg import invert
@@ -242,20 +274,14 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     (a x) (x) (b y), with basis e_i (x) e_j at flat index i*cols(b) + j.
     """
     rows, cols = a.rows * b.rows, a.cols * b.cols
-    out = [Fraction(0)] * (rows * cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            aij = a[i, j]
-            if not aij:
-                continue
-            base = i * b.rows * cols + j * b.cols
-            for k in range(b.rows):
-                brow = k * b.cols
-                dst = base + k * cols
-                for l in range(b.cols):
-                    v = b._e[brow + l]
-                    if v:
-                        out[dst + l] = aij * v
+    # offset of each nonzero of b inside a block of the result
+    b_off = [((idx // b.cols) * cols + idx % b.cols, v) for idx, v in b._e.items()]
+    out: dict[int, Fraction] = {}
+    for idx, av in a._e.items():
+        i, j = divmod(idx, a.cols)
+        base = i * b.rows * cols + j * b.cols
+        for off, bv in b_off:
+            out[base + off] = av * bv
     return Matrix._trusted(rows, cols, out)
 
 

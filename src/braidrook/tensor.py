@@ -64,11 +64,12 @@ def braid_tensor_gen_inverse(i: int, p: BurauParams, r: int) -> Matrix:
 def place_permutation_op(w: tuple[int, ...], n: int) -> Matrix:
     """Op(w) e_J = e_{J o w} with (J o w)_s = J_{(s)w}."""
     r = len(w)
-    m = Matrix.zeros(n**r, n**r)
+    size = n**r
+    ones = {}
     for j_tuple in _tuples(n, r):
         moved = tuple(j_tuple[w[s] - 1] for s in range(r))
-        m._e[_flat(moved, n) * n**r + _flat(j_tuple, n)] = Fraction(1)
-    return m
+        ones[_flat(moved, n) * size + _flat(j_tuple, n)] = Fraction(1)
+    return Matrix(size, size, ones)
 
 
 def projection_op(j: int, p: BurauParams, r: int) -> Matrix:
@@ -192,7 +193,7 @@ def _dimension_sandwich(p: BurauParams, r: int, braid_gens, rook_gens) -> dict:
             continue
         braid_res = [_modlinalg.residues(g, prime) for g in braid_gens]
         inv_res = [_modlinalg.residues(g, prime) for g in braid_invs]
-        op_rows = [[(j, v) for j, v in enumerate(m.entries()) if v] for m in ops]
+        op_rows = [sorted(m.nonzeros().items()) for m in ops]
         bounds = {
             "image_lower": _modlinalg.rank_mod(op_rows, unknowns, prime),
             "braid_centralizer_upper": unknowns

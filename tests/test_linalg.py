@@ -19,6 +19,7 @@ from braidrook.linalg import (
     rank,
     rref,
     span_closure,
+    span_of_vectors,
     spans_equal,
 )
 from braidrook.matrix import Matrix, kron, kron_power
@@ -33,6 +34,10 @@ def rand_matrix(rng, rows, cols, den=6):
         rows, cols,
         [Fraction(rng.randint(-8, 8), rng.randint(1, den)) for _ in range(rows * cols)],
     )
+
+
+def transpose(m):
+    return Matrix.from_rows(zip(*m.to_lists()))
 
 
 def _sparse_rows_of(m):
@@ -90,9 +95,9 @@ def test_matrix_basic_arithmetic():
     assert a + b - b == a
     assert (a * b).to_lists() == [[2, 1], [4, 3]]
     assert (2 * a)[1, 1] == 8
-    assert a.transpose().transpose() == a
+    assert transpose(a) == Matrix.from_rows([[1, 3], [2, 4]]) and transpose(transpose(a)) == a
     assert a.trace() == 5
-    assert (a ** 0).is_identity()
+    assert a ** 0 == Matrix.identity(2)
     assert a ** 2 == a * a
 
 
@@ -196,6 +201,138 @@ def test_kron_scale_and_negation_match_the_definition(data, n, k, c):
         assert result == fresh and hash(result) == hash(fresh)
 
 
+# -- nonzero-only storage against a dense reference --------------------------
+
+
+def _random_flat(rng, size, rational):
+    """Row-major entries, about 60% zero, integer or rational."""
+    out = []
+    for _ in range(size):
+        num = rng.randint(-4, 4) if rng.random() < 0.4 else 0
+        out.append(Fraction(num, rng.randint(1, 5)) if rational else Fraction(num))
+    return out
+
+
+def _dense_product(a, b, n, k, m):
+    return [sum((a[i * k + t] * b[t * m + j] for t in range(k)), Fraction(0))
+            for i in range(n) for j in range(m)]
+
+
+def _dense_kron(a, b, ar, ac, br, bc):
+    return [a[(i // br) * ac + j // bc] * b[(i % br) * bc + j % bc]
+            for i in range(ar * br) for j in range(ac * bc)]
+
+
+def _stores_nonzeros_only(m):
+    return all(type(x) is Fraction and x for x in m._e.values()) and set(m._e) == {
+        k for k, x in enumerate(m.entries()) if x
+    }
+
+
+def _agrees_with(result, rows, cols, flat):
+    fresh = Matrix(rows, cols, flat)
+    return (
+        (result.rows, result.cols) == (rows, cols)
+        and result.entries() == tuple(flat)
+        and [result.row(i) for i in range(rows)] == [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+        and result == fresh
+        and hash(result) == hash(fresh)
+        and _stores_nonzeros_only(result)
+    )
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+def test_nonzero_storage_matches_a_dense_reference(rational):
+    rng = random.Random(1501 + rational)
+    for trial in range(60):
+        n, k, m = (rng.randint(1, 4) for _ in range(3))
+        ae = _random_flat(rng, n * k, rational)
+        ce = _random_flat(rng, k * m, rational)
+        if k >= 2 and trial % 3 == 0:
+            # column 1 of a repeats column 0 and row 1 of c negates row 0,
+            # so the t = 0 and t = 1 terms of every product entry cancel
+            for i in range(n):
+                ae[i * k + 1] = ae[i * k]
+            ce[m:2 * m] = [-x for x in ce[:m]]
+        be = rng.choice([_random_flat(rng, n * k, rational), [-x for x in ae], list(ae)])
+        de = _random_flat(rng, m * n, rational)
+        c0 = rng.choice([Fraction(0), Fraction(rng.randint(-3, 3), rng.randint(1, 4))])
+        a = Matrix(n, k, ae)
+        b = Matrix.from_rows([be[i * k:(i + 1) * k] for i in range(n)])
+        c, d = Matrix(k, m, ce), Matrix(m, n, de)
+        assert _agrees_with(a, n, k, ae) and _agrees_with(b, n, k, be)
+        cases = [
+            (a + b, n, k, [x + y for x, y in zip(ae, be)]),
+            (a - b, n, k, [x - y for x, y in zip(ae, be)]),
+            (-a, n, k, [-x for x in ae]),
+            (a.scale(c0), n, k, [c0 * x for x in ae]),
+            (a.scale(0), n, k, [Fraction(0)] * (n * k)),
+            (a * c, n, m, _dense_product(ae, ce, n, k, m)),
+            (a * c * d, n, n, _dense_product(_dense_product(ae, ce, n, k, m), de, n, m, n)),
+            (kron(a, d), n * m, k * n, _dense_kron(ae, de, n, k, m, n)),
+        ]
+        for result, rows, cols, flat in cases:
+            assert _agrees_with(result, rows, cols, flat)
+        product = a * c * d
+        assert product.trace() == sum(product.entries()[i * n + i] for i in range(n))
+        assert a - a == Matrix.zeros(n, k) and hash(a - a) == hash(Matrix.zeros(n, k))
+        assert (a - a)._e == {} and (a + (-a))._e == {}
+        values = _random_flat(rng, n, rational)
+        diag = [values[i] if i == j else Fraction(0) for i in range(n) for j in range(n)]
+        assert _agrees_with(Matrix.diagonal(values), n, n, diag)
+        i, j = rng.randrange(n), rng.randrange(n)
+        unit = [Fraction(int(s == i * n + j)) for s in range(n * n)]
+        assert _agrees_with(Matrix.unit(n, i, j), n, n, unit)
+
+
+def test_public_construction_drops_zeros_and_checks_entries():
+    m = Matrix(2, 2, {0: 3, 1: Fraction(0), 3: "1/2"})
+    assert m._e == {0: Fraction(3), 3: Fraction(1, 2)} and _stores_nonzeros_only(m)
+    assert m == Matrix(2, 2, [3, 0, 0, Fraction(1, 2)]) == Matrix.from_rows([[3, "0"], [0, "1/2"]])
+    assert Matrix(2, 2, ["0", 0, Fraction(0), 0])._e == {}
+    assert Matrix.diagonal([0, 2])._e == {3: Fraction(2)}
+    for bad in ([1.0, 0, 0, 0], {0: 0.5}, {1: True}):
+        with pytest.raises(TypeError):
+            Matrix(2, 2, bad)
+    for bad in ({4: 1}, {-1: 1}, [1, 2, 3]):
+        with pytest.raises(ValueError):
+            Matrix(2, 2, bad)
+    with pytest.raises(IndexError):
+        Matrix.unit(2, 0, 2)
+    view = m.nonzeros()
+    with pytest.raises(TypeError):
+        view[1] = Fraction(1)
+    assert dict(view) == {0: 3, 3: Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["integer", "rational"])
+def test_vector_span_add_takes_dense_or_nonzeros_alike(rational):
+    rng = random.Random(1601 + rational)
+    for _ in range(30):
+        length = rng.randint(1, 9)
+        dense, sparse, padded = VectorSpan(length), VectorSpan(length), VectorSpan(length)
+        seen = []
+        for _ in range(rng.randint(1, 12)):
+            if seen and rng.random() < 0.4:
+                # an exact combination of earlier vectors, which reduces to zero
+                x, y = rng.choice(seen), rng.choice(seen)
+                s, t = Fraction(rng.randint(-3, 3), rng.randint(1, 3)), Fraction(rng.randint(-3, 3))
+                v = [s * xi + t * yi for xi, yi in zip(x, y)]
+            else:
+                v = _random_flat(rng, length, rational)
+            seen.append(v)
+            assert padded.contains(dict(enumerate(v))) == dense.contains(v)
+            row = dense.add(v)
+            assert sparse.add(Matrix(1, length, v).nonzeros()) == row
+            # a mapping that spells out its zeros is the same vector
+            assert padded.add(dict(enumerate(v))) == row
+            assert row is None or (_all_fractions(row.values()) and all(row.values()))
+            assert dense.basis_rows() == sparse.basis_rows() == padded.basis_rows()
+    ints = VectorSpan(4)
+    assert ints.add({3: -1, 0: 2}) == {0: 1, 3: Fraction(-1, 2)}
+    assert ints.basis_rows() == span_of_vectors([[2, 0, 0, -1]], 4).basis_rows()
+
+
 # -- echelon forms and nullspaces -----------------------------------------
 
 
@@ -272,19 +409,23 @@ def test_vector_span_is_order_independent():
 def test_int_rows_give_exact_fraction_outputs():
     span = VectorSpan(2)
     row = span.add([2, 1])
-    assert row == [1, Fraction(1, 2)] and _all_fractions(row)
+    assert row == {0: 1, 1: Fraction(1, 2)} and _all_fractions(row.values())
     reduced = span.reduce([3, 5])
     assert reduced == [0, Fraction(7, 2)] and _all_fractions(reduced)
     assert span.add([4, 2]) is None and span.contains([4, 2])
-    assert _all_fractions(span.add([0, 3])) and span.basis_rows() == [(1, 0), (0, 1)]
+    assert span.add({0: 4, 1: 2}) is None and span.contains({0: 4, 1: 2})
+    assert _all_fractions(span.add({1: 3}).values()) and span.basis_rows() == [(1, 0), (0, 1)]
     assert all(_all_fractions(r) for r in span.basis_rows())
     echelon, pivots = rref([[2, 1], [4, 3]])
     assert echelon == [[1, 0], [0, 1]] and pivots == [0, 1]
     assert all(_all_fractions(r) for r in echelon)
     echelon, _ = rref([[3, 6, 0], [1, 2, 0]])
     assert echelon == [[1, 2, 0]] and _all_fractions(echelon[0])
-    for bad in ([1.0, 2], [True, 0], ["1/2", 0]):
+    for bad in ([1.0, 2], [True, 0], ["1/2", 0], {0: 1.0}, {1: Fraction(1), 0: 0.5}, {0: True}):
         with pytest.raises(TypeError):
+            VectorSpan(2).add(bad)
+    for bad in ({2: Fraction(1)}, {-1: Fraction(1)}):
+        with pytest.raises(ValueError):
             VectorSpan(2).add(bad)
 
 
@@ -349,6 +490,10 @@ def _all_fractions(vec):
     return all(type(x) is Fraction for x in vec)
 
 
+def _dense(nonzeros, length):
+    return [nonzeros.get(k, Fraction(0)) for k in range(length)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(vector_streams())
 def test_sparse_vector_span_matches_the_dense_reference(stream):
@@ -358,10 +503,12 @@ def test_sparse_vector_span_matches_the_dense_reference(stream):
         for probe in vectors:
             reduced = span.reduce(probe)
             assert reduced == ref.reduce(probe) and _all_fractions(reduced)
+            assert span.reduce(dict(enumerate(probe))) == reduced
             assert span.contains(probe) == all(x == 0 for x in ref.reduce(probe))
         row = span.add(v)
-        assert row == ref.add(v)
-        assert row is None or (_all_fractions(row) and len(row) == length)
+        want = ref.add(v)
+        assert row is None or _all_fractions(row.values()) and all(row.values())
+        assert (None if row is None else _dense(row, length)) == want
         rows = span.basis_rows()
         assert rows == ref.basis_rows() and all(_all_fractions(r) for r in rows)
         assert span.pivots() == sorted(ref._rows) and span.dim == len(rows)
