@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
+from operator import itemgetter
+from typing import Sequence
 
 from .diagrams import PartialPermutation, rook_elements
 from .linalg import det
@@ -340,56 +342,101 @@ def bratteli(r: int) -> BratteliDiagram:
 # -- semisimplicity -----------------------------------------------------------------
 
 
-def regular_trace_gram(r: int, z) -> Matrix:
-    """Gram matrix G_ij = Tr(L_{a_i a_j}) of the regular trace form on the
-    diagram basis a_0..a_{m-1} = rook_elements(r) at parameter z.
+def rook_product_table(elements: Sequence[PartialPermutation]) -> list[list[tuple[int, int]]]:
+    """Multiplication table of a list of diagrams on r strands that is closed
+    under composition, such as rook_elements(r): entry [i][j] is (k, N) with
+    a_i a_j = z^N a_k in the algebra, N = r - |im a_i u dom a_j| as in
+    PartialPermutation.compose.
 
-    L_x is left multiplication by x on the algebra. A basis product is
-    a_i a_j = z^N_ij a_{ij}, so G_ij = z^N_ij t_{ij}, where
-    t_k = Tr(L_{a_k}) = sum of z^N_kj over the j with a_k a_j = a_j. One
-    multiplication table of the m^2 products (index of the product, N)
-    gives every t_k and every G_ij; no other composition is made.
-    """
-    z = scalar(z)
-    basis = rook_elements(r)
-    index = {d: i for i, d in enumerate(basis)}
-    powers = [z**k for k in range(r + 1)]  # N <= r for one product
+    Each diagram is held as the int tuple (0, d(1), ..., d(r)), with 0
+    where d is undefined, so the product a then b is b's tuple read at a's
+    entries; dom and im are bitmasks, so N is one popcount. No
+    PartialPermutation is built."""
+    r = elements[0].r
+    if r == 0:  # itemgetter of one index returns the entry, not a 1-tuple
+        return [[(0, 0)]]
+    maps, doms, ims = [], [], []
+    for d in elements:
+        m = [0] * (r + 1)
+        for x, y in d.pairs:
+            m[x] = y
+        maps.append(tuple(m))
+        doms.append(sum(1 << x for x, _ in d.pairs))
+        ims.append(sum(1 << y for _, y in d.pairs))
+    index = {m: i for i, m in enumerate(maps)}
     table = []
-    for a in basis:
-        row = []
-        for b in basis:
-            prod, dropped = a.compose(b)
-            row.append((index[prod], dropped))
-        table.append(row)
-    trace = [
-        sum((powers[n] for j, (k, n) in enumerate(row) if k == j), Fraction(0))
-        for row in table
-    ]
-    return Matrix.from_rows([[powers[n] * trace[k] for k, n in row] for row in table])
+    for a, im_a in zip(maps, ims):
+        then = itemgetter(*a)
+        table.append(
+            [(index[then(b)], r - (im_a | dom_b).bit_count()) for b, dom_b in zip(maps, doms)]
+        )
+    return table
+
+
+def regular_trace_gram(r: int) -> Matrix:
+    """The integer Gram matrix G(1)_ij = Tr(L_{a_i a_j}) of the regular trace
+    form at z = 1, on the basis a_0..a_{m-1} = rook_elements(r).
+
+    L_x is left multiplication by x on the algebra. At z = 1 every product
+    of basis diagrams is a basis diagram, a_i a_j = a_k, so
+    G(1)_ij = t_k with t_k = Tr(L_{a_k}) = #{j : a_k a_j = a_j}, all read off
+    one rook_product_table.
+
+    The N of the table does not enter G(1). The rescaling to z that
+    semisimplicity_certificate makes rests on the identity
+    N = r + rank(a_i a_j) - rank a_i - rank a_j, so every entry is checked
+    against it here, and a failure raises ArithmeticError.
+    """
+    basis = rook_elements(r)
+    ranks = [d.rank for d in basis]
+    table = rook_product_table(basis)
+    for i, row in enumerate(table):
+        lost = r - ranks[i]
+        for j, (k, n) in enumerate(row):
+            if n != lost + ranks[k] - ranks[j]:
+                raise ArithmeticError(
+                    f"N = {n} breaks N = r + rank(ab) - rank a - rank b at "
+                    f"a = {basis[i]!r}, b = {basis[j]!r}"
+                )
+    trace = [Fraction(sum(k == j for j, (k, _) in enumerate(row))) for row in table]
+    return Matrix.from_rows([[trace[k] for k, _ in row] for row in table])
 
 
 def semisimplicity_certificate(r: int, z) -> dict:
     """Certify that the algebra at parameter z is semisimple by a nonzero
-    Gram determinant of its regular trace form (regular_trace_gram).
+    Gram determinant det G(z), G(z)_ij = Tr(L_{a_i a_j}), of its regular
+    trace form.
 
-    Why det G != 0 suffices: over Q, an element x of the Jacobson radical J
-    makes every x y lie in J, so L_{xy} is nilpotent and Tr(L_{xy}) = 0;
-    hence J lies in the radical of the trace form. A nondegenerate form
-    forces J = 0, and a finite-dimensional algebra with J = 0 is semisimple.
-    In characteristic 0 the converse holds too (the regular trace form of a
-    semisimple algebra is nondegenerate), so det G = 0 proves that the
-    algebra is not semisimple.
+    Why det G(z) != 0 suffices: over Q, an element x of the Jacobson
+    radical J makes every x y lie in J, so L_{xy} is nilpotent and
+    Tr(L_{xy}) = 0; hence J lies in the radical of the trace form. A
+    nondegenerate form forces J = 0, and a finite-dimensional algebra with
+    J = 0 is semisimple. In characteristic 0 the converse holds too (the
+    regular trace form of a semisimple algebra is nondegenerate), so
+    det G(z) = 0 proves that the algebra is not semisimple.
 
-    Negative control, z = 0: if x a_j = a_j, then x fixes dom(a_j)
-    pointwise, so im(x) contains dom(a_j) and the product drops r - rank x
-    components. Hence Tr(L_x) = z^(r - rank x) #{j : x a_j = a_j}, which is
-    0 at z = 0 when rank x < r. A product with a diagram of rank < r has
-    rank < r, so at z = 0 the row of G at every such diagram (p_j, the empty
-    diagram) is zero, and det G = 0 for every r >= 1.
+    Why det G(z) = z^(2 e_r) det G(1), with e_r = sum over the basis of
+    r - rank a (e_3 = 39, e_4 = 292): a basis product is
+    a_i a_j = z^N_ij a_k, so G(z)_ij = z^N_ij t_k(z), where
+    t_k(z) = Tr(L_{a_k}) = sum of z^N_kj over the j with a_k a_j = a_j.
+    For such j the identity N = r + rank(ab) - rank a - rank b, which
+    regular_trace_gram checks on every table entry, gives
+    N_kj = r - rank a_k, so t_k(z) = z^(r - rank a_k) t_k(1). The same
+    identity turns z^N_ij z^(r - rank a_k) into z^(r - rank a_i) z^(r - rank a_j),
+    so G(z) = D G(1) D with D = diag(z^(r - rank a)), and det D = z^(e_r).
+    G(1) is the integer matrix of regular_trace_gram; neither a z-power nor
+    a composite diagram enters its determinant.
+
+    Negative control, z = 0: D is zero at every diagram of rank < r (p_j,
+    the empty diagram), so the rows of G(0) = D G(1) D there are zero, and
+    det G(0) = 0^(2 e_r) det G(1) = 0 for every r >= 1. At r = 0, e_0 = 0
+    and the determinant is 1.
     """
     z = scalar(z)
-    gram = regular_trace_gram(r, z)
-    gram_det = det(gram)
+    gram = regular_trace_gram(r)
+    # C(r, k)^2 k! basis diagrams have rank k
+    e_r = sum((r - k) * comb(r, k) ** 2 * factorial(k) for k in range(r + 1))
+    gram_det = z ** (2 * e_r) * det(gram)
     nondegenerate = gram_det != 0
     return {
         "r": r,

@@ -312,21 +312,33 @@ def rescale_iso_check(r: int, z) -> dict:
     """Verify that rescaling a rank-k basis diagram by z^(r-k) intertwines
     the products at parameter z with the products at parameter 1; checked as
     the structure-constant identity N = r + k - k1 - k2 on all basis pairs,
-    together with the literal scalar match z^(2r-k1-k2) = z^(N+r-k)."""
+    together with the literal scalar match z^(2r-k1-k2) = z^(N+r-k).
+
+    The same pass checks every entry of cellular.rook_product_table, which
+    the Gram certificate rests on, against the reference compose: the
+    product's basis index and N must both agree."""
+    from .cellular import rook_product_table  # cellular imports this module
+
     z = scalar(z)
     if z == 0:
         raise ValueError("rescaling needs z != 0")
     elements = rook_elements(r)
+    index = {d: i for i, d in enumerate(elements)}
+    table = rook_product_table(elements)
     pairs_checked = 0
     failures = []
-    for a in elements:
-        for b in elements:
+    for a, row in zip(elements, table):
+        for b, entry in zip(elements, row):
             prod, dropped = a.compose(b)
             expect = r + prod.rank - a.rank - b.rank
-            ok = dropped == expect and z ** (2 * r - a.rank - b.rank) == z ** (dropped + r - prod.rank)
+            ok = (
+                entry == (index[prod], dropped)
+                and dropped == expect
+                and z ** (2 * r - a.rank - b.rank) == z ** (dropped + r - prod.rank)
+            )
             pairs_checked += 1
             if not ok:
-                failures.append((repr(a), repr(b), dropped, expect))
+                failures.append((repr(a), repr(b), dropped, expect, entry))
     return {
         "r": r,
         "z": str(z),

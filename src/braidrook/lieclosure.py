@@ -174,7 +174,7 @@ def bracket_closure(gens: Sequence[Matrix]) -> BracketSpace:
                 queue.append(Matrix(m, m, row))
                 if span.dim == ceiling:
                     break
-    basis = tuple(Matrix(m, m, list(row)) for row in span.basis_rows())
+    basis = tuple(Matrix(m, m, row) for row in span.basis_nonzeros())
     return BracketSpace(span.dim, basis)
 
 

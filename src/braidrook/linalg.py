@@ -124,7 +124,7 @@ def det(m: Matrix) -> Fraction:
         row = m.row(i)
         denom = lcm(*(x.denominator for x in row)) if n > 1 else row[0].denominator
         scale *= denom
-        work.append([int(x * denom) for x in row])
+        work.append([x.numerator * (denom // x.denominator) for x in row])
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -180,9 +180,9 @@ class VectorSpan:
     as a mapping {column: entry} such as `Matrix.nonzeros()`; missing
     columns are zero, and both forms give the same results. `add` returns
     the new basis row in the sparse form, which `Matrix(rows, cols, row)`
-    takes as is; `reduce` and `basis_rows` return dense vectors. Entries
-    enter as Fraction or int, and int entries become Fractions there, so
-    every entry that comes out is a Fraction."""
+    takes as is, and so does `basis_nonzeros`; `reduce` and `basis_rows`
+    return dense vectors. Entries enter as Fraction or int, and int entries
+    become Fractions there, so every entry that comes out is a Fraction."""
 
     def __init__(self, length: int):
         self.length = length
@@ -250,6 +250,11 @@ class VectorSpan:
         """Canonical basis, ordered by pivot position."""
         return [tuple(self._dense(self._rows[p])) for p in self.pivots()]
 
+    def basis_nonzeros(self) -> list[dict[int, Fraction]]:
+        """basis_rows by their nonzeros, as fresh {column: entry} dicts;
+        `Matrix(rows, cols, row)` takes each as is."""
+        return [dict(self._rows[p]) for p in self.pivots()]
+
 
 def span_of_vectors(vectors: Iterable[Vector], length: int) -> VectorSpan:
     span = VectorSpan(length)
@@ -311,7 +316,7 @@ def span_closure(
             row = span.add((w * g).nonzeros())
             if row is not None:
                 queue.append(Matrix(n, n, row))
-    basis = [Matrix(n, n, list(row)) for row in span.basis_rows()]
+    basis = [Matrix(n, n, row) for row in span.basis_nonzeros()]
     return span.dim, basis
 
 

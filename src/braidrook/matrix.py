@@ -84,11 +84,6 @@ class Matrix:
         return Matrix(len(rows), width, flat)
 
     @staticmethod
-    def from_flat(rows: int, cols: int, entries: Sequence) -> "Matrix":
-        """Rebuild a matrix from its row-major vectorization (see entries())."""
-        return Matrix(rows, cols, list(entries))
-
-    @staticmethod
     def unit(n: int, i: int, j: int) -> "Matrix":
         """Matrix unit e_{ij} (0-indexed) of size n x n."""
         if not (0 <= i < n and 0 <= j < n):

@@ -133,7 +133,7 @@ def rook_image(
     _check_budget(n, r, budget)
     ops = [diagram_op(d, p, r) for d in rook_elements(r)]
     span = matrix_span(ops)
-    basis = [Matrix.from_flat(n**r, n**r, row) for row in span.basis_rows()]
+    basis = [Matrix(n**r, n**r, row) for row in span.basis_nonzeros()]
     return span.dim, basis
 
 

@@ -7,6 +7,7 @@ from math import comb, factorial
 
 import pytest
 
+from braidrook import cellular
 from braidrook.cellular import (
     CellLabel,
     CellTriple,
@@ -25,6 +26,7 @@ from braidrook.cellular import (
     psi,
     regular_trace_gram,
     rook_dimension,
+    rook_product_table,
     semisimplicity_certificate,
     standard_tableaux_count,
     star,
@@ -363,14 +365,17 @@ def test_semisimplicity_r3_z1():
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_semisimplicity_negative_control_at_z0(r):
-    # at z = 0 every row of G at a diagram of rank < r is zero
+    # at z = 0 every row of G(0) = D G(1) D at a diagram of rank < r is zero
     report = semisimplicity_certificate(r, 0)
     assert report["gram_det"] == "0"
     assert not report["gram_nondegenerate"] and not report["semisimple"]
-    gram = regular_trace_gram(r, 0)
-    for i, d in enumerate(rook_elements(r)):
-        if d.rank < r:
-            assert all(x == 0 for x in gram.row(i))
+    gram = regular_trace_gram(r)
+    basis = rook_elements(r)
+    for i, a in enumerate(basis):
+        if a.rank < r:
+            assert all(
+                _gram_at(gram, basis, i, j, Fraction(0)) == 0 for j in range(len(basis))
+            )
 
 
 def test_semisimplicity_r0_is_the_ground_field():
@@ -396,30 +401,48 @@ def _gram_entry_by_pair(a, b, basis, z):
     return regular_trace(prod, dropped)
 
 
+def _gram_at(gram, basis, i, j, z):
+    """Entry (i, j) of G(z) = D G(1) D, D = diag(z^(r - rank a))."""
+    r = basis[i].r
+    return z ** (2 * r - basis[i].rank - basis[j].rank) * gram[i, j]
+
+
 @pytest.mark.parametrize(
     "z", [Fraction(0), Fraction(1), Fraction(7), Fraction(-1, 3), Fraction(7, 3)], ids=str
 )
 def test_regular_trace_gram_matches_the_per_pair_formula(z):
     for r in range(4):
         basis = rook_elements(r)
-        gram = regular_trace_gram(r, z)
+        gram = regular_trace_gram(r)
         assert (gram.rows, gram.cols) == (len(basis), len(basis))
         for i, a in enumerate(basis):
             for j, b in enumerate(basis):
-                assert gram[i, j] == _gram_entry_by_pair(a, b, basis, z)
+                assert _gram_at(gram, basis, i, j, z) == _gram_entry_by_pair(a, b, basis, z)
 
 
 def test_regular_trace_gram_matches_the_per_pair_formula_sampled_r4():
     z = Fraction(7, 3)
     basis = rook_elements(4)
-    gram = regular_trace_gram(4, z)
+    gram = regular_trace_gram(4)
     rng = random.Random(8)
     for _ in range(300):
         i, j = rng.randrange(len(basis)), rng.randrange(len(basis))
-        assert gram[i, j] == _gram_entry_by_pair(basis[i], basis[j], basis, z)
+        assert _gram_at(gram, basis, i, j, z) == _gram_entry_by_pair(basis[i], basis[j], basis, z)
 
 
-def test_gram_certificate_composes_each_pair_once(monkeypatch):
+@pytest.mark.parametrize("r", range(5))
+def test_product_table_matches_compose_on_every_pair(r):
+    basis = rook_elements(r)
+    index = {d: i for i, d in enumerate(basis)}
+    table = rook_product_table(basis)
+    assert [len(row) for row in table] == [len(basis)] * len(basis)
+    for a, row in zip(basis, table):
+        for b, entry in zip(basis, row):
+            prod, dropped = a.compose(b)
+            assert entry == (index[prod], dropped)
+
+
+def test_gram_certificate_makes_no_compose_call(monkeypatch):
     calls = 0
     compose = PartialPermutation.compose
 
@@ -430,7 +453,61 @@ def test_gram_certificate_composes_each_pair_once(monkeypatch):
 
     monkeypatch.setattr(PartialPermutation, "compose", counted)
     report = semisimplicity_certificate(3, Fraction(7))
-    assert report["gram_size"] == 34 and calls == 34**2
+    assert report["gram_size"] == 34 and calls == 0
+
+
+# det G_3(7), as the per-pair formula gave it before the table
+GRAM_DET_R3_Z7 = (
+    "77155772309645030268428083665023828198527526127085335500975857247642904353947998467653632"
+)
+
+
+def _patched_table(monkeypatch, mutate):
+    """Run the certificate on rook_product_table with one entry changed by
+    mutate(table, basis)."""
+    real = cellular.rook_product_table
+
+    def table(elements):
+        out = real(elements)
+        mutate(out, elements)
+        return out
+
+    monkeypatch.setattr(cellular, "rook_product_table", table)
+
+
+def test_gram_certificate_pinned_r3_z7():
+    assert semisimplicity_certificate(3, 7)["gram_det"] == GRAM_DET_R3_Z7
+
+
+def test_gram_certificate_raises_on_a_wrong_table_n(monkeypatch):
+    """Negative control: one N off by one breaks the identity the rescaling
+    to z = 1 rests on, and the certificate must raise, not pass."""
+
+    def bump(table, basis):
+        k, n = table[5][7]
+        table[5][7] = (k, n + 1)
+
+    _patched_table(monkeypatch, bump)
+    with pytest.raises(ArithmeticError):
+        semisimplicity_certificate(3, 7)
+
+
+def test_gram_certificate_moves_with_one_trace(monkeypatch):
+    """Negative control: a product that wrongly fixes one more basis
+    diagram raises one t_k by one and keeps the N identity; the determinant
+    must leave the pinned value."""
+
+    def fix_one_more(table, basis):
+        ranks = [d.rank for d in basis]
+        for row in table:
+            for j, (k, n) in enumerate(row):
+                if k != j and ranks[k] == ranks[j]:
+                    row[j] = (j, n)
+                    return
+
+    _patched_table(monkeypatch, fix_one_more)
+    report = semisimplicity_certificate(3, 7)
+    assert report["gram_det"] != GRAM_DET_R3_Z7
 
 
 def test_semisimplicity_r4_z7_pinned():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from braidrook import cellular
 from braidrook.cli import _blocks
 from braidrook.diagrams import (
     PartialPermutation,
@@ -381,6 +382,22 @@ def test_rescale_iso(r, z):
 def test_rescale_rejects_zero():
     with pytest.raises(ValueError):
         rescale_iso_check(2, 0)
+
+
+def test_rescale_iso_checks_the_product_table(monkeypatch):
+    """Negative control: one product-table entry off from compose, in its
+    N or in its product index, fails exactly that pair."""
+    real = cellular.rook_product_table
+    for mutate in (lambda k, n: (k, n + 1), lambda k, n: (k + 1, n)):
+
+        def table(elements, mutate=mutate):
+            out = real(elements)
+            out[3][4] = mutate(*out[3][4])
+            return out
+
+        monkeypatch.setattr(cellular, "rook_product_table", table)
+        report = rescale_iso_check(3, 7)
+        assert not report["all_pass"] and len(report["failures"]) == 1
 
 
 # -- generator validation --------------------------------------------------------------
