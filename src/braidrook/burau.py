@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .matrix import Matrix
-from .scalars import quantum_int, scalar
+from .scalars import IdentityError, quantum_int, scalar
 
 
 @dataclass(frozen=True)
@@ -190,6 +190,6 @@ def full_twist_scalar(p: BurauParams) -> Fraction:
     twist = prod**p.n
     c = twist.scalar_of_identity()
     if c is None:
-        raise ArithmeticError("full twist did not act as a scalar on F")
+        raise IdentityError("full twist did not act as a scalar on F")
     return c
 

@@ -21,7 +21,7 @@ from typing import Sequence
 from .diagrams import PartialPermutation, rook_elements
 from .linalg import det
 from .matrix import Matrix
-from .scalars import scalar
+from .scalars import IdentityError, scalar
 
 # -- partitions ----------------------------------------------------------------
 
@@ -385,7 +385,7 @@ def regular_trace_gram(r: int) -> Matrix:
     The N of the table does not enter G(1). The rescaling to z that
     semisimplicity_certificate makes rests on the identity
     N = r + rank(a_i a_j) - rank a_i - rank a_j, so every entry is checked
-    against it here, and a failure raises ArithmeticError.
+    against it here, and a failure raises IdentityError.
     """
     basis = rook_elements(r)
     ranks = [d.rank for d in basis]
@@ -394,7 +394,7 @@ def regular_trace_gram(r: int) -> Matrix:
         lost = r - ranks[i]
         for j, (k, n) in enumerate(row):
             if n != lost + ranks[k] - ranks[j]:
-                raise ArithmeticError(
+                raise IdentityError(
                     f"N = {n} breaks N = r + rank(ab) - rank a - rank b at "
                     f"a = {basis[i]!r}, b = {basis[j]!r}"
                 )

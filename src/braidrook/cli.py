@@ -26,7 +26,7 @@ from .diagrams import (
 )
 from .lieclosure import lie_report
 from .matrix import Matrix
-from .scalars import format_scalar, parse_scalar
+from .scalars import IdentityError, format_scalar, parse_scalar
 from .tensor import MATRIX_SIZE_BUDGET, duality_report
 
 
@@ -328,7 +328,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ArithmeticError, ZeroDivisionError) as exc:
+    except IdentityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

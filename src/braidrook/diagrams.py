@@ -35,14 +35,6 @@ def compose_perms(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(b[a[i] - 1] for i in range(len(a)))
 
 
-def perm_from_cycles(r: int, cycles: Iterable[Sequence[int]]) -> tuple[int, ...]:
-    out = list(range(1, r + 1))
-    for cyc in cycles:
-        for a, b in zip(cyc, list(cyc[1:]) + [cyc[0]]):
-            out[a - 1] = b
-    return tuple(out)
-
-
 class PartialPermutation:
     """A bijection between subsets of {1..r}: pairs (x, y) with distinct
     tops and bottoms, stored sorted by top."""
@@ -64,10 +56,6 @@ class PartialPermutation:
     def identity(r: int) -> "PartialPermutation":
         return PartialPermutation(r, [(j, j) for j in range(1, r + 1)])
 
-    @classmethod
-    def from_permutation(cls, w: Sequence[int]) -> "PartialPermutation":
-        return cls(len(w), [(i + 1, v) for i, v in enumerate(w)])
-
     @property
     def rank(self) -> int:
         return len(self.pairs)
@@ -82,15 +70,6 @@ class PartialPermutation:
 
     def mapping(self) -> dict[int, int]:
         return dict(self.pairs)
-
-    def apply(self, x: int) -> int | None:
-        return self.mapping().get(x)
-
-    def to_permutation(self) -> tuple[int, ...]:
-        if self.rank != self.r:
-            raise ValueError("not a full permutation")
-        m = self.mapping()
-        return tuple(m[i] for i in range(1, self.r + 1))
 
     def compose(self, other: "PartialPermutation") -> tuple["PartialPermutation", int]:
         """(self then other, N); N = r - |im(self) u dom(other)| middle
@@ -193,23 +172,6 @@ def format_cycle_link(factors: Sequence[tuple[str, tuple[int, ...]]]) -> str:
         inner = ",".join(str(x) for x in nodes)
         parts.append(f"[{inner}]" if kind == "link" else f"({inner})")
     return "".join(parts)
-
-
-def canonical_extension(d: PartialPermutation) -> tuple[int, ...]:
-    """Close every link into a cycle; the resulting permutation w(d)
-    restricts to d on dom(d)."""
-    cycles = [nodes for _, nodes in cycle_link_decompose(d)]
-    return perm_from_cycles(d.r, cycles)
-
-
-def projection_factorization(
-    d: PartialPermutation,
-) -> tuple[frozenset[int], tuple[int, ...], frozenset[int]]:
-    """(X', w(d), Y') with d = (prod_{j in X'} p_j) w(d) = w(d) (prod_{j in Y'} p_j),
-    where X', Y' are the complements of dom(d), im(d)."""
-    x_rest = frozenset(range(1, d.r + 1)) - d.dom
-    y_rest = frozenset(range(1, d.r + 1)) - d.im
-    return x_rest, canonical_extension(d), y_rest
 
 
 # -- presentation and rescaling reports -----------------------------------------

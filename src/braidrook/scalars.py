@@ -13,6 +13,12 @@ from fractions import Fraction
 Scalar = Fraction
 
 
+class IdentityError(ArithmeticError):
+    """An identity that a certificate rests on failed on exact values. The
+    command line exits 1 on it, where any other ArithmeticError (a division
+    by zero, say) is a parameter error and exits 2."""
+
+
 def scalar(value) -> Fraction:
     """Coerce an int, string "p/q", or Fraction to a Scalar."""
     if isinstance(value, Fraction):

@@ -12,19 +12,13 @@ product of two diagram images picks up the same z^N factor as the diagrams.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import product
 
-from .burau import BurauParams, projection_p, unreduced_generator, inverse_generator
+from .burau import BurauParams, unreduced_generator, inverse_generator
 from .cellular import cell_dim, cell_labels, gl_weyl_dim, rook_dimension
-from .diagrams import (
-    PartialPermutation,
-    projection_factorization,
-    rook_elements,
-    transposition,
-)
+from .diagrams import PartialPermutation, projection, rook_elements, transposition
 from .linalg import commutant, commutant_rows, matrix_span, span_closure
-from .matrix import Matrix, kron, kron_power
+from .matrix import Matrix, kron_power
 
 MATRIX_SIZE_BUDGET = 256  # largest n^r the exact commutant solvers accept
 
@@ -36,17 +30,6 @@ def _check_budget(n: int, r: int, budget: int | None = None) -> int:
     if size > budget:
         raise ValueError(f"matrix size n^r = {size} exceeds budget {budget}")
     return size
-
-
-def _flat(j_tuple: tuple[int, ...], n: int) -> int:
-    index = 0
-    for j in j_tuple:
-        index = index * n + (j - 1)
-    return index
-
-
-def _tuples(n: int, r: int):
-    return product(range(1, n + 1), repeat=r)
 
 
 # -- the two families of generators ---------------------------------------------
@@ -61,48 +44,45 @@ def braid_tensor_gen_inverse(i: int, p: BurauParams, r: int) -> Matrix:
     return kron_power(inverse_generator(i, p), r)
 
 
-def place_permutation_op(w: tuple[int, ...], n: int) -> Matrix:
-    """Op(w) e_J = e_{J o w} with (J o w)_s = J_{(s)w}."""
-    r = len(w)
-    size = n**r
-    ones = {}
-    for j_tuple in _tuples(n, r):
-        moved = tuple(j_tuple[w[s] - 1] for s in range(r))
-        ones[_flat(moved, n) * size + _flat(j_tuple, n)] = Fraction(1)
-    return Matrix(size, size, ones)
-
-
-def projection_op(j: int, p: BurauParams, r: int) -> Matrix:
-    """P acting in slot j: e_J picks up q^(J_j - 1) and slot j is summed
-    over the full basis of E."""
-    n = p.n
-    mats = [projection_p(p) if s == j else Matrix.identity(n) for s in range(1, r + 1)]
-    return reduce(kron, mats)
-
-
 def rook_tensor_gen(kind: str, index: int, p: BurauParams, r: int) -> Matrix:
     if kind == "s":
         if not 1 <= index <= r - 1:
             raise ValueError(f"s index {index} outside 1..{r - 1}")
-        w = transposition(index, index + 1, r).to_permutation()
-        return place_permutation_op(w, p.n)
+        return diagram_op(transposition(index, index + 1, r), p, r)
     if kind == "p":
-        if not 1 <= index <= r:
-            raise ValueError(f"p index {index} outside 1..{r}")
-        return projection_op(index, p, r)
+        return diagram_op(projection(index, r), p, r)
     raise ValueError(f"unknown tensor generator kind {kind!r}")
 
 
 def diagram_op(d: PartialPermutation, p: BurauParams, r: int) -> Matrix:
-    """Operator of a basis diagram, realized through its factorization
-    d = (prod of p_j over j outside dom(d)) followed by any extension w(d)."""
+    """Operator of a basis diagram, in closed form: e_J goes to the product
+    of q^(J_t - 1) over the slots t outside im(d), times the sum of the e_K
+    with K_s = J_(d(s)) for s in dom(d) and every other slot free.
+
+    On a permutation w this is the place permutation e_J -> e_(J o w),
+    (J o w)_s = J_(w(s)); on p_j it is the rank-one projection P of
+    burau.projection_p in slot j (Halverson-Ram, "Partition algebras", 2005,
+    for the diagram action)."""
     if d.r != r:
         raise ValueError("size mismatch")
-    x_rest, w, _ = projection_factorization(d)
-    op = Matrix.identity(p.n**r)
-    for j in sorted(x_rest):
-        op = op * projection_op(j, p, r)
-    return op * place_permutation_op(w, p.n)
+    n = p.n
+    size = n**r
+    weight = [n ** (r - s) for s in range(1, r + 1)]  # of slot s in the flat index
+    q_power = [p.q**k for k in range(n)]
+    # slot s of K copies slot d(s) of J; digits are J_t - 1, slots 0-based
+    copied = [(weight[s - 1], t - 1) for s, t in d.pairs]
+    weighted = [t - 1 for t in range(1, r + 1) if t not in d.im]
+    free = [weight[s - 1] for s in range(1, r + 1) if s not in d.dom]
+    fills = [sum(k * w for k, w in zip(ks, free)) for ks in product(range(n), repeat=len(free))]
+    entries = {}
+    for col, digits in enumerate(product(range(n), repeat=r)):
+        coeff = Fraction(1)
+        for t in weighted:
+            coeff *= q_power[digits[t]]
+        row = sum(w * digits[t] for w, t in copied)
+        for fill in fills:
+            entries[(row + fill) * size + col] = coeff
+    return Matrix(size, size, entries)
 
 
 # -- centralizers and enveloping algebras -----------------------------------------
@@ -241,7 +221,11 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     dimension. The exact check that every braid generator commutes with
     every s_i and p_j operator gives both containments:
     - image <= C(braid gens): every diagram operator is a product of s_i
-      and p_j operators (projections, then a place permutation);
+      and p_j operators. The closed form of diagram_op gives
+      op(d) = (prod of op(p_j) over j outside dom(d)) op(w) for any
+      permutation w that extends d, and op(w) is the product of the
+      op(s_i) along a word for w; the tests check both identities on
+      every basis diagram up to r = 4;
     - envelope <= C(rook gens): the inverse of a matrix commuting with g
       commutes with g too, and C(rook gens) = C(image), since those
       operators generate the image algebra.

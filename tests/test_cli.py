@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import braidrook.cellular as cellular_module
 import braidrook.cli as cli_module
 import braidrook.tensor as tensor_module
 from braidrook.burau import BurauParams, generator_power
@@ -201,6 +202,20 @@ def test_duality_out_of_memory_exit(capsys, monkeypatch):
     assert code == 2 and "out of memory" in err
 
 
+def test_duality_division_by_zero_is_not_an_identity_failure(capsys, monkeypatch):
+    def divides_by_zero(*args, **kwargs):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli_module, "duality_report", divides_by_zero)
+    code, _, err = run(capsys, "duality", "--n", "2", "--r", "2", "--q1", "1", "--q2", "-2")
+    assert code == 2 and "division by zero" in err
+
+
+def test_malformed_scalar_exit(capsys):
+    code, _, err = run(capsys, "duality", "--n", "2", "--r", "2", "--q1", "1.5", "--q2", "-2")
+    assert code == 2 and "not an exact rational" in err
+
+
 def test_duality_budget_exit(capsys):
     code, _, err = run(capsys, "duality", "--n", "9", "--r", "9", "--q1", "1", "--q2", "-2")
     assert code == 2 and "budget" in err
@@ -268,6 +283,22 @@ def test_verify_all_json_schema_and_round_trip(capsys):
     assert set(check) == {"name", "paper_ref", "status", "detail", "elapsed_seconds"}
     assert check["status"] == "pass" and check["elapsed_seconds"] >= 0
     assert json.dumps(data, indent=2) == out.strip()
+
+
+def test_verify_all_broken_identity_exits_1(capsys, monkeypatch):
+    # one product-table N off by one breaks the identity the Gram
+    # certificate rests on: an identity failure, not a usage error
+    real = cellular_module.rook_product_table
+
+    def bumped(elements):
+        table = real(elements)
+        k, n = table[1][1]
+        table[1][1] = (k, n + 1)
+        return table
+
+    monkeypatch.setattr(cellular_module, "rook_product_table", bumped)
+    code, _, err = run(capsys, "verify-all", "--only", "cellular-structure")
+    assert code == 1 and "breaks N = r + rank(ab)" in err
 
 
 def test_verify_all_unknown_name(capsys):

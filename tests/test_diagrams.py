@@ -13,17 +13,20 @@ from braidrook.diagrams import (
     PartialPermutation,
     _monomial,
     _product,
-    canonical_extension,
     compose_perms,
     cycle_link_decompose,
     format_cycle_link,
-    perm_from_cycles,
     projection,
-    projection_factorization,
     rescale_iso_check,
     rook_elements,
     transposition,
     verify_presentation,
+)
+from rook_factorization import (
+    canonical_extension,
+    perm_from_cycles,
+    permutation_diagram,
+    projection_factorization,
 )
 
 ROOK_SIZES = [1, 2, 7, 34, 209, 1546, 13327]
@@ -193,7 +196,7 @@ def test_compose_props_formulas():
                 inv_a = {y: x for x, y in a.pairs}
                 assert prod.rank == len(through)
                 assert prod.dom == frozenset(inv_a[y] for y in through)
-                assert prod.im == frozenset(b.apply(y) for y in through)
+                assert prod.im == frozenset(b.mapping()[y] for y in through)
                 assert dropped == r - len(a.im | b.dom)
 
 
@@ -285,7 +288,7 @@ def test_projection_factorization_identity():
     for _ in range(40):
         d = rng.choice(elems)
         x_rest, w, y_rest = projection_factorization(d)
-        w_diag = PartialPermutation.from_permutation(w)
+        w_diag = permutation_diagram(w)
         p_left = [projection(j, r) for j in sorted(x_rest)]
         p_right = [projection(j, r) for j in sorted(y_rest)]
         assert _product(z, ident, *p_left, w_diag) == (d, 1)

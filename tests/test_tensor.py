@@ -2,13 +2,15 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from functools import reduce
+from itertools import permutations, product
 
 import pytest
+from rook_factorization import projection_factorization
 
 from braidrook import _modlinalg, tensor
-from braidrook.burau import BurauParams, unreduced_generator
-from braidrook.diagrams import rook_elements
+from braidrook.burau import BurauParams, projection_p, unreduced_generator
+from braidrook.diagrams import PartialPermutation, rook_elements, transposition
 from braidrook.linalg import commutant, matrix_span, span_closure, spans_equal
 from braidrook.matrix import Matrix, kron
 from braidrook.tensor import (
@@ -145,18 +147,97 @@ def diagram_op_direct(d, p, r):
     return Matrix(size, size, entries)
 
 
+def place_permutation_matrix(w, n):
+    """e_J goes to e_(J o w), (J o w)_s = J_(w(s)), for a permutation w of
+    the r slots given as the tuple of images."""
+    r = len(w)
+    size = n**r
+    tuples = list(product(range(1, n + 1), repeat=r))
+    flat = {j_tuple: i for i, j_tuple in enumerate(tuples)}
+    ones = {}
+    for col, j_tuple in enumerate(tuples):
+        moved = tuple(j_tuple[w[s] - 1] for s in range(r))
+        ones[flat[moved] * size + col] = 1
+    return Matrix(size, size, ones)
+
+
+def slot_projection(j, p, r):
+    """The paper's P (burau.projection_p) in slot j, the identity elsewhere."""
+    mats = [projection_p(p) if s == j else Matrix.identity(p.n) for s in range(1, r + 1)]
+    return reduce(kron, mats)
+
+
+def factorized_op(d, p, r, w):
+    """(prod of p_j over j outside dom(d)) followed by the place permutation
+    of w; equals the operator of d when the permutation w extends d."""
+    op = Matrix.identity(p.n**r)
+    for j in sorted(set(range(1, r + 1)) - d.dom):
+        op = op * slot_projection(j, p, r)
+    return op * place_permutation_matrix(w, p.n)
+
+
+def swap_word(w):
+    """Indices i_1, ..., i_k with s_(i_1) ... s_(i_k) = w, by bubble sort:
+    w = s_i w' where w' is w with the images at i and i + 1 exchanged."""
+    images, word = list(w), []
+    while images != sorted(images):
+        i = next(i for i in range(1, len(images)) if images[i - 1] > images[i])
+        images[i - 1], images[i] = images[i], images[i - 1]
+        word.append(i)
+    return word
+
+
+FACTORIZED_CASES = [
+    (BurauParams.preset(n, q), r)
+    for n, r in [(3, 2), (2, 3), (4, 2), (3, 3), (2, 4)]
+    for q in (Fraction(2), Fraction(-1, 2))
+] + [(BurauParams.degenerate(3, 1, -1), 2)]
+
+
 def test_factorized_matches_direct_action():
-    rng = random.Random(37)
-    for p, r in [(P22, 3), (P32, 2)]:
-        elems = rook_elements(r)
-        for _ in range(30):
-            d = rng.choice(elems)
-            assert diagram_op(d, p, r) == diagram_op_direct(d, p, r)
+    # on every basis diagram the closed form equals the basis-vector rule
+    # and the factorized product through each permutation w that extends
+    # d; the canonical w(d) of projection_factorization is one of them
+    for p, r in FACTORIZED_CASES:
+        perms = list(permutations(range(1, r + 1)))
+        for d in rook_elements(r):
+            op = diagram_op(d, p, r)
+            assert op == diagram_op_direct(d, p, r), (p, r, d)
+            _, canonical, _ = projection_factorization(d)
+            extensions = [w for w in perms if all(w[x - 1] == y for x, y in d.pairs)]
+            assert canonical in extensions
+            for w in extensions:
+                assert op == factorized_op(d, p, r, w), (p, r, d, w)
+
+
+def test_permutation_operator_is_a_product_of_swaps():
+    for p, r in FACTORIZED_CASES:
+        swaps = [None] + [rook_tensor_gen("s", i, p, r) for i in range(1, r)]
+        for d in rook_elements(r):
+            if d.rank < r:
+                continue
+            composite, op = PartialPermutation.identity(r), Matrix.identity(p.n**r)
+            for i in swap_word([y for _, y in d.pairs]):
+                composite, _ = composite.compose(transposition(i, i + 1, r))
+                op = op * swaps[i]
+            assert composite == d
+            assert diagram_op(d, p, r) == op, (p, r, d)
+
+
+@pytest.mark.parametrize(
+    "params,r", [(P22, 3), (P32, 2), (BurauParams.preset(4, Fraction(-1, 2)), 2)]
+)
+def test_rook_tensor_gen_matches_the_paper_generators(params, r):
+    # s_i is the place permutation of the transposition (i, i+1), and p_j
+    # is the paper's P in slot j
+    for i in range(1, r):
+        w = tuple(i + 1 if s == i else i if s == i + 1 else s for s in range(1, r + 1))
+        assert rook_tensor_gen("s", i, params, r) == place_permutation_matrix(w, params.n)
+    for j in range(1, r + 1):
+        assert rook_tensor_gen("p", j, params, r) == slot_projection(j, params, r)
 
 
 def test_identity_diagram_acts_as_identity():
-    from braidrook.diagrams import PartialPermutation
-
     assert diagram_op(PartialPermutation.identity(2), P32, 2) == Matrix.identity(9)
 
 
@@ -344,23 +425,51 @@ def test_sandwich_dimensions_match_exact(n, r, q):
     assert "nullity_p" in details["enveloping_equals_centralizer_of_rook_image"]
 
 
-def test_wrong_q_projection_fails_commute_and_both_equalities(monkeypatch):
-    # P built at q = 3 against braid generators at q = 2
-    real = tensor.projection_op
+COMMUTE_AND_BOTH_EQUALITIES = {
+    "actions_commute",
+    "enveloping_equals_centralizer_of_rook_image",
+    "rook_image_equals_centralizer_of_braid",
+}
 
-    def wrong_q(j, p, r):
-        return real(j, BurauParams.preset(p.n, Fraction(3)), r)
 
-    monkeypatch.setattr(tensor, "projection_op", wrong_q)
-    report = duality_report(3, 2, P32)
-    failing = {c["name"] for c in report["checks"] if c["status"] == "fail"}
-    assert failing == {
-        "actions_commute",
-        "enveloping_equals_centralizer_of_rook_image",
-        "rook_image_equals_centralizer_of_braid",
-    }
+def _failing_on_the_exact_path(report):
     assert report["certificate"]["path"] == "exact"
     assert report["certificate"]["fallback_reason"] == "actions do not commute"
+    return {c["name"] for c in report["checks"] if c["status"] == "fail"}
+
+
+def test_wrong_q_projection_fails_commute_and_both_equalities(monkeypatch):
+    # every diagram operator built at q = 3 against braid generators at q = 2
+    real = tensor.diagram_op
+
+    def wrong_q(d, p, r):
+        return real(d, BurauParams.preset(p.n, Fraction(3)), r)
+
+    monkeypatch.setattr(tensor, "diagram_op", wrong_q)
+    report = duality_report(3, 2, P32)
+    assert _failing_on_the_exact_path(report) == COMMUTE_AND_BOTH_EQUALITIES
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_dropped_q_weight_fails_commute_and_both_equalities(monkeypatch, r):
+    # the factor q^(J_t - 1) of the first summed slot t left out
+    real = tensor.diagram_op
+
+    def unweighted(d, p, r):
+        op = real(d, p, r)
+        cut = sorted(set(range(1, r + 1)) - d.im)
+        if not cut:
+            return op
+        place = p.n ** (r - cut[0])
+        entries = {}
+        for index, x in op.nonzeros().items():
+            digit = index % op.cols // place % p.n  # J_t - 1
+            entries[index] = x / p.q**digit
+        return Matrix(op.rows, op.cols, entries)
+
+    monkeypatch.setattr(tensor, "diagram_op", unweighted)
+    report = duality_report(3, r, P32)
+    assert _failing_on_the_exact_path(report) == COMMUTE_AND_BOTH_EQUALITIES
 
 
 def _verdicts(report):
