@@ -9,10 +9,10 @@ nullity bounds the rational nullity from above, and the candidates are
 independent by construction, so matching counts certify completeness.
 Any failure returns None and the caller falls back to pure elimination.
 
-The same residue arithmetic also gives one-sided dimension bounds for the
-duality report's dimension sandwich (see tensor.duality_report): ranks,
-nullities and algebra closures over F_p, each an inequality that holds over
-Q for a prime dividing no denominator.
+The same residue arithmetic also gives the one lower bound of the duality
+report's character certificate (see tensor.duality_report): the dimension
+over F_p of the algebra that the braid generators generate, which is at
+most the dimension over Q for a prime dividing no denominator.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def _verify(rows, candidates):
     return candidates
 
 
-# -- one-sided bounds for the dimension sandwich ---------------------------------
+# -- the mod-p envelope closure of the duality certificate -----------------------
 
 # Primes just below 2^26, so (p - 1)^2 < 2^52 and an int64 dot product of up
 # to 2^11 residue products cannot overflow; longer ones are split.
@@ -207,13 +207,6 @@ def residues(m, p: int):
     for k, x in m.nonzeros().items():
         flat[k] = x.numerator * pow(x.denominator, -1, p) % p
     return flat.reshape(m.rows, m.cols)
-
-
-def rank_mod(rows, ncols: int, p: int) -> int:
-    """Rank over F_p of a sparse rational system, rows scaled to integers
-    first. Never above the rank over Q: a minor that is nonzero mod p is a
-    nonzero integer."""
-    return len(_rref_mod(_integer_rows(rows), ncols, p)[0])
 
 
 class _EchelonMod:

@@ -153,7 +153,7 @@ def check_duality_grid() -> tuple[bool, str]:
             if rep["faithful"] != (n > r):
                 return _fail(f"(n,r,q)=({n},{r},{q}): faithfulness verdict wrong")
             count += 1
-    return True, f"five identities + faithfulness verdict on {count} parameter sets"
+    return True, f"six identities + faithfulness verdict on {count} parameter sets"
 
 
 def check_classical_parameter() -> tuple[bool, str]:

@@ -185,8 +185,8 @@ def cmd_duality(args) -> int:
         for check in report["checks"]:
             print(f"{check['status'].upper():4} {check['name']}: {check['detail']}")
         cert = report["certificate"]
-        if cert["path"] == "sandwich":
-            print(f"certificate: dimension sandwich mod {cert['prime']}")
+        if cert["path"] == "character":
+            print(f"certificate: rook character, envelope closure mod {cert['prime']}")
         else:
             print(f"certificate: exact dimensions ({cert['fallback_reason']})")
         verdict = "hold" if report["all_pass"] else "FAIL"

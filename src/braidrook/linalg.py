@@ -180,8 +180,8 @@ class VectorSpan:
     as a mapping {column: entry} such as `Matrix.nonzeros()`; missing
     columns are zero, and both forms give the same results. `add` returns
     the new basis row in the sparse form, which `Matrix(rows, cols, row)`
-    takes as is, and so does `basis_nonzeros`; `reduce` and `basis_rows`
-    return dense vectors. Entries enter as Fraction or int, and int entries
+    takes as is, and so does `basis_nonzeros`; `basis_rows` returns dense
+    vectors. Entries enter as Fraction or int, and int entries
     become Fractions there, so every entry that comes out is a Fraction."""
 
     def __init__(self, length: int):
@@ -216,10 +216,6 @@ class VectorSpan:
         for k, x in r.items():
             v[k] = x
         return v
-
-    def reduce(self, vec: Vector) -> list[Fraction]:
-        """Residual of vec after elimination against the current basis."""
-        return self._dense(self._residual(vec))
 
     def contains(self, vec: Vector) -> bool:
         return not self._residual(vec)

@@ -13,11 +13,25 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .burau import BurauParams, unreduced_generator, inverse_generator
-from .cellular import cell_dim, cell_labels, gl_weyl_dim, rook_dimension
-from .diagrams import PartialPermutation, projection, rook_elements, transposition
-from .linalg import commutant, commutant_rows, matrix_span, span_closure
+from .cellular import (
+    cell_dim,
+    cell_labels,
+    gl_weyl_dim,
+    regular_trace_gram,
+    rook_dimension,
+    rook_product_table,
+)
+from .diagrams import (
+    PartialPermutation,
+    cycle_link_decompose,
+    projection,
+    rook_elements,
+    transposition,
+)
+from .linalg import commutant, matrix_span, rref, span_closure
 from .matrix import Matrix, kron_power
 
 MATRIX_SIZE_BUDGET = 256  # largest n^r the exact commutant solvers accept
@@ -92,10 +106,15 @@ def braid_generators(p: BurauParams, r: int) -> list[Matrix]:
     return [braid_tensor_gen(i, p, r) for i in range(1, p.n)]
 
 
+def _generator_diagrams(r: int) -> list[PartialPermutation]:
+    """s_1..s_(r-1), then p_1..p_r."""
+    return [transposition(i, i + 1, r) for i in range(1, r)] + [
+        projection(j, r) for j in range(1, r + 1)
+    ]
+
+
 def rook_generators(p: BurauParams, r: int) -> list[Matrix]:
-    gens = [rook_tensor_gen("s", i, p, r) for i in range(1, r)]
-    gens += [rook_tensor_gen("p", j, p, r) for j in range(1, r + 1)]
-    return gens
+    return [diagram_op(d, p, r) for d in _generator_diagrams(r)]
 
 
 def centralizer_of_braid(
@@ -156,47 +175,106 @@ def bimodule_dimension_sum(n: int, r: int) -> int:
 # -- the duality report --------------------------------------------------------------
 
 
-def _dimension_sandwich(p: BurauParams, r: int, braid_gens, rook_gens) -> dict:
-    """The certificate of duality_report: the four one-sided dimension
-    bounds at the first listed prime that divides no denominator of the
-    matrices involved, and whether their ends meet."""
+def _int_product(
+    a: dict[int, int], b_rows: dict[int, list[tuple[int, int]]], size: int
+) -> dict[int, int]:
+    """a b for size x size integer matrices: a by its nonzeros
+    {row-major index: entry}, b by its rows {row: [(column, entry), ...]}.
+    The zeros of the product are left out."""
+    out: dict[int, int] = {}
+    for idx, av in a.items():
+        i, t = divmod(idx, size)
+        base = i * size
+        for j, bv in b_rows.get(t, ()):
+            out[base + j] = out.get(base + j, 0) + av * bv
+    return {k: v for k, v in out.items() if v}
+
+
+def _homomorphism_failure(basis, ops, table, z: Fraction, r: int) -> str | None:
+    """None when op(1) = 1 and op(g) op(d) = z^N op(gd) for every s_i and
+    p_j generator g and every basis diagram d, with gd = z^N a_k read off
+    the rook_product_table of the basis; otherwise the first failure.
+
+    The check runs on integers: every operator entry is a power of q, so
+    one common denominator D makes every M = D op(a) an integer matrix, and
+    the identity reads den(z)^N M(g) M(d) = D num(z)^N M(gd)."""
+    size = ops[0].rows
+    index = {d: i for i, d in enumerate(basis)}
+    if ops[index[PartialPermutation.identity(r)]] != Matrix.identity(size):
+        return "op(identity) is not the identity matrix"
+    den = lcm(*(x.denominator for m in ops for x in m.nonzeros().values()))
+    scaled = [
+        {k: x.numerator * (den // x.denominator) for k, x in m.nonzeros().items()} for m in ops
+    ]
+    by_rows = []
+    for m in scaled:
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for idx, v in m.items():
+            rows.setdefault(idx // size, []).append((idx % size, v))
+        by_rows.append(rows)
+    for g in _generator_diagrams(r):
+        gi = index[g]
+        for d, (k, dropped), rows in zip(basis, table[gi], by_rows):
+            lhs, rhs = z.denominator**dropped, den * z.numerator**dropped
+            prod = _int_product(scaled[gi], rows, size)
+            if {i: v * lhs for i, v in prod.items()} != {i: v * rhs for i, v in scaled[k].items()}:
+                return f"op(g) op(d) != z^{dropped} op(gd) at g = {g!r}, d = {d!r}"
+    return None
+
+
+def _character_certificate(p: BurauParams, r: int, braid_gens) -> dict:
+    """The certificate of duality_report: the homomorphism and character
+    checks on the diagram operators, the two q-free dimensions
+    chi^T G(1)^-1 chi and rank H, and the mod-p closure of the braid
+    generators at the listed primes that divide no denominator of them or
+    of their inverses, the largest lower bound kept."""
     from . import _modlinalg
 
-    ops = [diagram_op(d, p, r) for d in rook_elements(r)]
+    z = p.quantum(p.n)
+    if z == 0:
+        return _certificate("exact", "z = [n]_q = 0 has no rescaled basis")
+    basis = rook_elements(r)
+    ops = [diagram_op(d, p, r) for d in basis]
+    table = rook_product_table(basis)
+    failure = _homomorphism_failure(basis, ops, table, z, r)
+    if failure:
+        return _certificate("exact", failure)
+    # the trace of the rescaled operator z^-(r - rank a) op(a)
+    chi = [op.trace() / z ** (r - d.rank) for d, op in zip(basis, ops)]
+    for d, x in zip(basis, chi):
+        cycles = sum(kind == "cycle" for kind, _ in cycle_link_decompose(d))
+        if x != p.n**cycles:
+            return _certificate("exact", f"character {x} != n^cyc = {p.n ** cycles} at {d!r}")
+    m = len(basis)
+    echelon, pivots = rref([[*row, x] for row, x in zip(regular_trace_gram(r).to_lists(), chi)])
+    if pivots != list(range(m)):
+        return _certificate("exact", "G(1) is singular")
+    # sum m_lam^2, an integer; compared exactly below
+    rook_cent = sum(x * row[m] for x, row in zip(chi, echelon))
+    bounds = {
+        "envelope_lower": None,
+        "rook_centralizer": int(rook_cent),
+        "rook_image": len(rref([[chi[k] for k, _ in row] for row in table])[1]),
+    }
     braid_invs = [braid_tensor_gen_inverse(i, p, r) for i in range(1, p.n)]
-    size = braid_gens[0].rows
-    unknowns = size * size
-    skipped = []
+    skipped, tried, best = [], [], None
     for prime in _modlinalg.SANDWICH_PRIMES:
-        if not _modlinalg.is_p_integral([*braid_gens, *braid_invs, *rook_gens, *ops], prime):
+        if not _modlinalg.is_p_integral([*braid_gens, *braid_invs], prime):
             skipped.append(prime)
             continue
         braid_res = [_modlinalg.residues(g, prime) for g in braid_gens]
         inv_res = [_modlinalg.residues(g, prime) for g in braid_invs]
-        op_rows = [sorted(m.nonzeros().items()) for m in ops]
-        bounds = {
-            "image_lower": _modlinalg.rank_mod(op_rows, unknowns, prime),
-            "braid_centralizer_upper": unknowns
-            - _modlinalg.rank_mod(commutant_rows(braid_gens), unknowns, prime),
-            "envelope_lower": _modlinalg.closure_dim_mod(braid_res + inv_res, braid_res, prime),
-            # the s_i and p_1 alone: their commutant contains C(rook gens),
-            # so its nullity is still an upper bound, and it is equal since
-            # every p_j is conjugate to p_1 by place permutations
-            "rook_centralizer_upper": unknowns
-            - _modlinalg.rank_mod(commutant_rows(rook_gens[:r]), unknowns, prime),
-        }
-        met = (bounds["image_lower"], bounds["envelope_lower"]) == (
-            bounds["braid_centralizer_upper"],
-            bounds["rook_centralizer_upper"],
-        )
-        return _certificate(
-            "sandwich" if met else "exact",
-            None if met else f"bounds do not meet mod {prime}",
-            prime,
-            skipped,
-            bounds,
-        )
-    return _certificate("exact", "every listed prime divides a denominator", None, skipped)
+        closure = _modlinalg.closure_dim_mod(braid_res + inv_res, braid_res, prime)
+        tried.append(prime)
+        if best is None or closure > bounds["envelope_lower"]:
+            best, bounds["envelope_lower"] = prime, closure
+        if closure == rook_cent:
+            return _certificate("character", None, prime, skipped, bounds)
+    if not tried:
+        reason = "every listed prime divides a denominator"
+        return _certificate("exact", reason, None, skipped, bounds)
+    reason = f"bounds do not meet mod {' or '.join(map(str, tried))}"
+    return _certificate("exact", reason, best, skipped, bounds)
 
 
 def _certificate(path, reason, prime=None, skipped=(), bounds=None) -> dict:
@@ -214,7 +292,7 @@ def _report_check(name: str, ok: bool, detail: str) -> dict:
 
 
 def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) -> dict:
-    """Five exact identities tying the two actions together, plus the
+    """Six exact identities tying the two actions together, plus the
     faithfulness verdict (faithful exactly when n > r).
 
     The two double-centralizer identities rest on containment plus
@@ -232,22 +310,51 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     A subspace of the same dimension is the whole space, so each identity
     is "commute and dim == dim".
 
-    The dimensions come from a sandwich over one prime p that divides no
-    denominator of the matrices involved:
-        rank_p(diagram ops) <= dim image <= dim C(braid gens)
-            <= nullity_p(braid commutant system),
-        dim_p(mod-p closure) <= dim envelope <= dim C(rook gens)
-            <= nullity_p(commutant system of the s_i and p_1).
-    The outer bounds hold because rank_p <= rank_Q for a p-integral
-    matrix, because C(rook gens) lies inside the commutant of the subset
-    {s_i, p_1}, and because the mod-p closure of the reduced braid generators
-    and inverses is spanned by the reduction of the Z_(p)-lattice of their
-    products, a lattice of rank dim envelope. When both pairs of ends meet,
-    every dimension in the chains is certified exactly ("sandwich" path).
-    Otherwise (an unlucky prime, no usable prime, or non-commuting actions)
-    the exact centralizer, image, envelope and commutant dimensions are
-    computed instead ("exact" path). report["certificate"] records the
-    path, the prime, the skipped primes and the four bounds.
+    The dimensions come from the rook character ("character" path). For
+    z = [n]_q != 0 the rescaled diagrams z^-(r - rank a) a multiply as the
+    rook monoid R_r, so P'_r(z) is the monoid algebra A = Q[R_r], with the
+    integer Gram matrix G(1) of its regular trace form on the basis
+    (cellular.regular_trace_gram). Four steps, all exact:
+    - Homomorphism. op(1) = 1 and op(g) op(d) = z^N op(gd) for every s_i
+      and p_j generator g and every basis diagram d, N from
+      cellular.rook_product_table. Every diagram is a word in the
+      generators, and the z-powers of the monoid product are associative,
+      so by induction on the word op is an algebra map from A, and V is
+      an A-module through the rescaled operators.
+    - Character. chi(a) = tr op(a) / z^(r - rank a) must equal n^cyc(a),
+      cyc(a) the number of cycles of a: the character of V is q-free.
+    - dim C(rook gens) = chi^T G(1)^-1 chi. det G(1) != 0 makes A
+      semisimple (semisimplicity_certificate). Write the A-module V as
+      the sum of m_lam copies of the simple module of each label lam; then
+      C(image) = End_A(V) has dimension sum m_lam^2. The Casimir identity
+      sum_i chi(a_i) chi(a^i) = sum m_lam^2, with a^i the dual basis
+      of the trace form, holds whatever the basis, and the dual basis is
+      read off G(1)^-1. A singular G(1) sends the report to the exact path.
+    - dim image = rank H, H_ab = chi(ab). The image is a quotient of the
+      semisimple A, so it is semisimple: the sum of the matrix blocks of
+      A on which V is nonzero. H is the Gram matrix of the trace form
+      tr_V(xy) on A. That form is m_lam times the nondegenerate trace
+      form on each block that V meets, and zero on the others, so its
+      rank is the dimension of the image.
+    The braid side enters by one lower bound: the dimension of the closure
+    of the braid generators and inverses mod a prime p that divides none
+    of their denominators. The Z_(p)-span of their products is a lattice
+    of rank dim envelope, and its reduction spans the mod-p closure, so
+        closure_p <= dim envelope <= dim C(image) = chi^T G(1)^-1 chi.
+    When the ends meet, the envelope is C(image). The image is
+    semisimple, so the double centralizer theorem gives
+    C(braid gens) = C(envelope) = C(C(image)) = image, and
+    dim C(braid gens) = rank H with no further computation.
+
+    A miss at one prime moves on to the next listed prime, keeping the
+    largest lower bound. The exact centralizer, image, envelope and
+    commutant dimensions are computed instead ("exact" path) when the
+    actions do not commute, when z = 0, when the homomorphism, character
+    or G(1) step fails, when the bounds miss at every listed prime, and
+    when every listed prime divides a denominator. report["certificate"]
+    records the path, the prime, the skipped primes, the bounds
+    (envelope_lower, rook_centralizer = chi^T G(1)^-1 chi,
+    rook_image = rank H) and the reason for the exact path.
     """
     _check_budget(n, r, budget)
     if p.n != n:
@@ -259,17 +366,20 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     commute = all(b * g == g * b for b in braid_gens for g in rook_gens)
 
     if commute:
-        certificate = _dimension_sandwich(p, r, braid_gens, rook_gens)
+        certificate = _character_certificate(p, r, braid_gens)
     else:
         certificate = _certificate("exact", "actions do not commute")
 
-    if certificate["path"] == "sandwich":
+    if certificate["path"] == "character":
         bounds = certificate["bounds"]
-        img_dim = cent_dim = bounds["image_lower"]
-        env_dim = cent_of_img_dim = bounds["envelope_lower"]
-        mod = f"sandwich mod {certificate['prime']}"
-        img_how = f"{mod}: rank_p {img_dim} <= image <= C(braid) <= nullity_p {cent_dim}"
-        env_how = f"{mod}: closure_p {env_dim} <= envelope <= C(rook) <= nullity_p {cent_of_img_dim}"
+        img_dim = cent_dim = bounds["rook_image"]
+        env_dim = cent_of_img_dim = bounds["rook_centralizer"]
+        mod = f"character, closure mod {certificate['prime']}"
+        img_how = f"{mod}: image = rank chi(ab) = {img_dim}, C(braid) = C(C(image)) = image"
+        env_how = (
+            f"{mod}: closure_p {env_dim} <= envelope <= C(rook) = chi^T G(1)^-1 chi "
+            f"{cent_of_img_dim}"
+        )
     else:
         cent_dim, _ = centralizer_of_braid(n, r, p, budget)
         img_dim, _ = rook_image(n, r, p, budget)
@@ -279,6 +389,7 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     env_eq = commute and env_dim == cent_of_img_dim
     img_eq = commute and img_dim == cent_dim
     dim_sum = expected_centralizer_dim(n, r)
+    env_sum = expected_enveloping_dim(n, r)
     bim_sum = bimodule_dimension_sum(n, r)
 
     checks = [
@@ -296,6 +407,11 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
             "centralizer_dimension_sum",
             cent_dim == dim_sum,
             f"centralizer dim {cent_dim}, sum of squared cell dims {dim_sum}",
+        ),
+        _report_check(
+            "enveloping_dimension_sum",
+            env_dim == env_sum,
+            f"enveloping dim {env_dim}, sum of squared GL_(n-1) Weyl dims {env_sum}",
         ),
         _report_check(
             "actions_commute",

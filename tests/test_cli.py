@@ -171,7 +171,7 @@ def test_duality_text_passes(capsys):
     code, out, _ = run(capsys, "duality", "--n", "2", "--r", "2", "--q1", "1", "--q2", "-2")
     assert code == 0
     assert "identities hold" in out and "faithful=False" in out
-    assert "certificate: dimension sandwich mod " in out
+    assert "certificate: rook character, envelope closure mod " in out
 
 
 def test_duality_json_round_trip(capsys):
@@ -183,13 +183,8 @@ def test_duality_json_round_trip(capsys):
     assert data["all_pass"] is True and data["faithful"] is True and data["z"] == "7"
     cert = data["certificate"]
     assert set(cert) == {"path", "prime", "primes_skipped", "bounds", "fallback_reason"}
-    assert cert["path"] == "sandwich" and cert["fallback_reason"] is None
-    assert cert["bounds"] == {
-        "image_lower": 7,
-        "braid_centralizer_upper": 7,
-        "envelope_lower": 15,
-        "rook_centralizer_upper": 15,
-    }
+    assert cert["path"] == "character" and cert["fallback_reason"] is None
+    assert cert["bounds"] == {"envelope_lower": 15, "rook_centralizer": 15, "rook_image": 7}
     assert json.dumps(data, indent=2) == out.strip()
 
 

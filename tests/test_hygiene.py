@@ -79,8 +79,6 @@ TEST_ONLY_ALLOWED = {
     "first_row_chain",
     "star",
     "leaf_counts",
-    "expected_enveloping_dim",
-    "reduce",  # VectorSpan.reduce
 }
 
 

@@ -359,6 +359,10 @@ def test_duality_n3_r2():
     _assert_all_pass(report)
     assert report["faithful"]
     assert report["z"] == "7"
+    details = {c["name"]: c["detail"] for c in report["checks"]}
+    assert details["enveloping_dimension_sum"] == (
+        "enveloping dim 15, sum of squared GL_(n-1) Weyl dims 15"
+    )
     assert bimodule_dimension_sum(3, 2) == 9
 
 
@@ -399,30 +403,51 @@ def test_duality_report_budget_argument():
     assert duality_report(2, 2, P22, budget=4)["all_pass"]
 
 
-# -- the dimension sandwich and its exact fallback ---------------------------------
+# -- the character certificate and its exact fallback ------------------------------
 
 
 def _exact_dims(n, r, params):
     return {
-        "image_lower": rook_image(n, r, params)[0],
-        "braid_centralizer_upper": centralizer_of_braid(n, r, params)[0],
-        "envelope_lower": enveloping_braid(n, r, params)[0],
-        "rook_centralizer_upper": commutant(rook_generators(params, r), size=n**r)[0],
+        "image": rook_image(n, r, params)[0],
+        "braid_centralizer": centralizer_of_braid(n, r, params)[0],
+        "envelope": enveloping_braid(n, r, params)[0],
+        "rook_centralizer": commutant(rook_generators(params, r), size=n**r)[0],
     }
 
 
 @pytest.mark.parametrize("q", [Fraction(2), Fraction(1, 2), Fraction(-2)], ids=str)
 @pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (2, 3)])
 def test_sandwich_dimensions_match_exact(n, r, q):
+    # closure_p <= envelope <= C(rook) = chi^T G(1)^-1 chi, and rank chi(ab)
+    # is the image: each number equals the exact dimension it stands for
     params = BurauParams.preset(n, q)
     report = duality_report(n, r, params)
     cert = report["certificate"]
-    assert cert["path"] == "sandwich" and cert["fallback_reason"] is None
+    assert cert["path"] == "character" and cert["fallback_reason"] is None
     assert cert["prime"] == _modlinalg.SANDWICH_PRIMES[0] and cert["primes_skipped"] == []
-    assert cert["bounds"] == _exact_dims(n, r, params)
+    exact = _exact_dims(n, r, params)
+    assert exact["envelope"] == exact["rook_centralizer"]
+    assert exact["image"] == exact["braid_centralizer"]
+    assert cert["bounds"] == {
+        "envelope_lower": exact["envelope"],
+        "rook_centralizer": exact["rook_centralizer"],
+        "rook_image": exact["image"],
+    }
     details = {c["name"]: c["detail"] for c in report["checks"]}
-    assert f"sandwich mod {cert['prime']}" in details["rook_image_equals_centralizer_of_braid"]
-    assert "nullity_p" in details["enveloping_equals_centralizer_of_rook_image"]
+    assert f"closure mod {cert['prime']}" in details["rook_image_equals_centralizer_of_braid"]
+    assert "chi^T G(1)^-1 chi" in details["enveloping_equals_centralizer_of_rook_image"]
+
+
+def test_duality_n4_r3_on_the_character_path():
+    # n^r = 64, where the two commutant systems this certificate replaced
+    # took over a minute
+    report = duality_report(4, 3, BurauParams.preset(4))
+    _assert_all_pass(report)
+    assert report["faithful"]
+    assert report["certificate"]["path"] == "character"
+    details = {c["name"]: c["detail"] for c in report["checks"]}
+    assert details["centralizer_dimension_sum"].startswith("centralizer dim 34,")
+    assert details["enveloping_dimension_sum"].startswith("enveloping dim 220,")
 
 
 COMMUTE_AND_BOTH_EQUALITIES = {
@@ -476,6 +501,49 @@ def _verdicts(report):
     return [(c["name"], c["status"]) for c in report["checks"]], report["faithful"]
 
 
+def _passing_on_the_exact_path(report):
+    cert = report["certificate"]
+    assert cert["path"] == "exact"
+    assert report["all_pass"] and _verdicts(report) == _verdicts(duality_report(3, 2, P32))
+    return cert["fallback_reason"]
+
+
+def test_wrong_z_power_fails_the_homomorphism_check(monkeypatch):
+    # every operator at the z = 1 scale, z^-(r - rank d) op(d): the operators
+    # still commute with the braid group and span the image, but
+    # op(p_1) op(p_1) is z^-1 op(p_1) where z^1 op(p_1 p_1) is op(p_1)
+    real = tensor.diagram_op
+
+    def rescaled(d, p, r):
+        return real(d, p, r).scale(p.quantum(p.n) ** (d.rank - r))
+
+    monkeypatch.setattr(tensor, "diagram_op", rescaled)
+    reason = _passing_on_the_exact_path(duality_report(3, 2, P32))
+    assert reason.startswith("op(g) op(d) != z^")
+
+
+def test_miscounted_cycle_fails_the_character_check(monkeypatch):
+    # one cycle of the identity diagram dropped: n^cyc is 3, its trace is 9
+    real = tensor.cycle_link_decompose
+
+    def miscounted(d):
+        factors = real(d)
+        return factors[1:] if d == PartialPermutation.identity(d.r) else factors
+
+    monkeypatch.setattr(tensor, "cycle_link_decompose", miscounted)
+    reason = _passing_on_the_exact_path(duality_report(3, 2, P32))
+    assert reason == f"character 9 != n^cyc = 3 at {PartialPermutation.identity(2)!r}"
+
+
+def test_zero_z_takes_the_exact_path():
+    # q = -1 gives z = [2]_q = 0, where the diagrams have no rescaled basis
+    report = duality_report(2, 2, BurauParams.degenerate(2, 1, 1))
+    assert report["z"] == "0"
+    cert = report["certificate"]
+    assert cert["path"] == "exact" and cert["bounds"] is None
+    assert cert["fallback_reason"] == "z = [n]_q = 0 has no rescaled basis"
+
+
 @pytest.mark.parametrize(
     "primes,reason",
     [
@@ -484,41 +552,69 @@ def _verdicts(report):
     ],
 )
 def test_forced_sandwich_miss_takes_exact_path(monkeypatch, primes, reason):
-    sandwich = duality_report(3, 2, P32)
+    character = duality_report(3, 2, P32)
     monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", primes)
     exact = duality_report(3, 2, P32)
     cert = exact["certificate"]
     assert cert["path"] == "exact" and cert["fallback_reason"] == reason
     assert cert["primes_skipped"] == [2]
     assert exact["all_pass"]
-    assert _verdicts(exact) == _verdicts(sandwich)
+    assert _verdicts(exact) == _verdicts(character)
     details = {c["name"]: c["detail"] for c in exact["checks"]}
     assert reason in details["rook_image_equals_centralizer_of_braid"]
 
 
+def test_miss_at_one_prime_moves_on_to_the_next(monkeypatch):
+    monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", [3, 5])
+    cert = duality_report(3, 2, P32)["certificate"]
+    assert cert["path"] == "character" and cert["prime"] == 5
+    assert cert["bounds"]["envelope_lower"] == 15
+
+
+@pytest.mark.parametrize("primes", [[3, 5], [5, 3]])
+def test_largest_lower_bound_is_kept(monkeypatch, primes):
+    # the closure cut down to 14 mod 3 and to 12 mod 5: both miss
+    real = _modlinalg.closure_dim_mod
+    cut = {3: 14, 5: 12}
+
+    def short(seed, multipliers, p):
+        return min(real(seed, multipliers, p), cut[p])
+
+    monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", primes)
+    monkeypatch.setattr(_modlinalg, "closure_dim_mod", short)
+    cert = duality_report(3, 2, P32)["certificate"]
+    assert cert["path"] == "exact" and cert["prime"] == 3
+    assert cert["bounds"]["envelope_lower"] == 14
+    assert cert["fallback_reason"] == f"bounds do not meet mod {primes[0]} or {primes[1]}"
+
+
 def test_q1_control_is_a_real_failure_on_the_exact_path():
     # at q = 1 the braid action factors through S_3, so its centralizer
-    # outgrows the rook image: the bounds cannot meet and the exact
-    # dimensions fail both identities although the actions commute
+    # outgrows the rook image: the closure (6) never meets the character
+    # dimension (15), and the exact dimensions fail both identities
+    # although the actions commute
     report = duality_report(3, 2, BurauParams.degenerate(3, 1, -1))
     cert = report["certificate"]
-    assert cert["path"] == "exact"
-    assert cert["fallback_reason"] == f"bounds do not meet mod {cert['prime']}"
+    primes = _modlinalg.SANDWICH_PRIMES
+    assert cert["path"] == "exact" and cert["prime"] == primes[0]
+    assert cert["bounds"] == {"envelope_lower": 6, "rook_centralizer": 15, "rook_image": 7}
+    assert cert["fallback_reason"] == "bounds do not meet mod " + " or ".join(map(str, primes))
     status = {c["name"]: c["status"] for c in report["checks"]}
     assert status["actions_commute"] == "pass"
     assert status["rook_image_equals_centralizer_of_braid"] == "fail"
     assert status["enveloping_equals_centralizer_of_rook_image"] == "fail"
+    assert status["enveloping_dimension_sum"] == "fail"  # 6 against 15
 
 
 def test_bounds_bracket_exact_dims_at_unlucky_prime(monkeypatch):
+    # mod 3 the closure falls short of the envelope; the two character
+    # dimensions do not depend on the prime
     monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", [3])
     bounds = duality_report(3, 2, P32)["certificate"]["bounds"]
     exact = _exact_dims(3, 2, P32)
-    assert bounds != exact
-    assert bounds["image_lower"] <= exact["image_lower"]
-    assert exact["braid_centralizer_upper"] <= bounds["braid_centralizer_upper"]
-    assert bounds["envelope_lower"] <= exact["envelope_lower"]
-    assert exact["rook_centralizer_upper"] <= bounds["rook_centralizer_upper"]
+    assert bounds["envelope_lower"] == 14 < exact["envelope"] == 15
+    assert bounds["rook_centralizer"] == exact["rook_centralizer"]
+    assert bounds["rook_image"] == exact["image"]
 
 
 # -- Schur algebra ----------------------------------------------------------------------
