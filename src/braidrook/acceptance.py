@@ -42,6 +42,8 @@ from .diagrams import (
 )
 from .lieclosure import (
     bracket_closure,
+    first_row_chain,
+    one_param_membership,
     tridiagonal_det,
     tridiagonal_det_closed,
     tridiagonal_det_recursive,
@@ -283,6 +285,31 @@ def check_tangent_closures() -> tuple[bool, str]:
             dv = bracket_closure(v_generators(n, q)).dim
             if du != (n - 1) ** 2 or dv != (n - 1) ** 2 - 1:
                 return _fail(f"n={n}, q={q}: closure dims ({du}, {dv})")
+    # generic, d = 1 (q2 = q1^(2-n)) and d = 2 (q2 = -q1^(2-n)), so that
+    # power_in_k runs too
+    seen = set()
+    grid = (
+        BurauParams(4, 2, 3),
+        BurauParams(3, 2, Fraction(1, 2)),
+        BurauParams(4, 3, Fraction(-1, 9)),
+    )
+    for p in grid:
+        for i in (1, p.n - 1):
+            for k in range(4):
+                rep = one_param_membership(i, k, p)
+                if not rep["ok"]:
+                    where = f"n={p.n}, q1={p.q1}, q2={p.q2}"
+                    return _fail(f"power {k} of generator {i} off its one-parameter group, {where}")
+                seen |= {name for name, ok in rep["checks"].items() if ok}
+    if len(seen) != 4:
+        return _fail(f"only {sorted(seen)} of the one-parameter checks ran")
+    for n in (4, 5, 6):
+        for q in (Fraction(2), Fraction(-2), Fraction(1, 2)):
+            a, b = q / (1 + q), 1 / (1 + q)
+            for k, elem in enumerate(first_row_chain(n, q), start=2):
+                window = {k - 2: b, k - 1: Fraction(1), k: a}
+                if elem.nonzeros() != {j: x for j, x in window.items() if j < n - 1}:
+                    return _fail(f"first-row chain element A_{k} wrong at n={n}, q={q}")
     for n in range(3, 11):
         for q in (Fraction(2), Fraction(1, 2), Fraction(-3)):
             direct = tridiagonal_det(n, q)
@@ -302,7 +329,9 @@ def check_tangent_closures() -> tuple[bool, str]:
             if full_twist_scalar(p) != want:
                 return _fail(f"full twist scalar wrong at n={n}")
     return True, (
-        "closures (n-1)^2 and (n-1)^2 - 1; D_n three ways for n <= 10; powers k <= 8; "
+        "closures (n-1)^2 and (n-1)^2 - 1; powers k <= 3 on H_i and K_i; first-row "
+        "windows b e_1,k-1 + e_1,k + a e_1,k+1 for n <= 6; D_n three ways for n <= 10; "
+        "powers k <= 8; "
         "full twist scalar (-q1^(n-2) q2)^n for n <= 5 (the (-1)^n factor is "
         "essential at odd n)"
     )
@@ -402,8 +431,10 @@ CRITERIA: list[Criterion] = [
     Criterion(
         "tangent-closures",
         "bracket closures of the one-parameter tangents reach gl_(n-1) (u) "
-        "and sl_(n-1) (v); D_n = [n]_q/(1+q)^(n-1); generator powers and "
-        "the full-twist scalar match their closed forms",
+        "and sl_(n-1) (v); generator powers lie on the one-parameter groups "
+        "H_i and K_i; the first-row bracket chain shifts its three-entry "
+        "window; D_n = [n]_q/(1+q)^(n-1); generator powers and the "
+        "full-twist scalar match their closed forms",
         1.0,  # the 1 s floor; it takes 0.04 s on a 2-vCPU Xeon VM whose speed drifts up to 1.8x
         check_tangent_closures,
     ),

@@ -202,6 +202,12 @@ def cmd_lie(args) -> int:
     if args.json:
         _emit_json(report)
     else:
+        cert = report["certificate"]
+        if cert["path"] == "modular":
+            ceiling = cert["bounds"]["ceiling"]
+            print(f"certificate: closure mod {cert['prime']} fills the ceiling {ceiling}")
+        else:
+            print(f"certificate: exact closure ({cert['fallback_reason']})")
         print(
             f"n={report['n']} q={report['q']} family={report['generators']}: "
             f"closure dimension {report['closure_dim']} "

@@ -17,17 +17,19 @@ unscaled powers rho(sigma_i^{kd}) sweep out
 
 at w = q1^{kd}.  Differentiating at the identity gives tangent vectors
 whose iterated commutators span all of gl_{n-1} (H side) and all of
-sl_{n-1} (K side); `bracket_closure` computes those spans exactly.
+sl_{n-1} (K side). `bracket_closure` certifies each of those spans by a
+closure mod p that fills its gl/sl ceiling, which is sound over Q, and
+computes any span that misses it exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 from .burau import BurauParams, generator_power, reduced_generator
-from .linalg import VectorSpan, det
+from .linalg import VectorSpan, certificate_record, det
 from .matrix import Matrix
 from .scalars import format_scalar, quantum_int, scalar
 
@@ -118,23 +120,29 @@ def commutator(x: Matrix, y: Matrix) -> Matrix:
 @dataclass(frozen=True)
 class BracketSpace:
     """A subspace of m x m matrices closed under the commutator, as an
-    echelonized basis."""
+    echelonized basis, with the certificate record of how it was reached
+    (see bracket_closure); equality and hashing look at the space only."""
 
     dim: int
     basis: tuple[Matrix, ...]
+    certificate: dict = field(compare=False)
 
 
 def bracket_closure(gens: Sequence[Matrix]) -> BracketSpace:
-    """Smallest subspace containing gens and closed under [x, y] = xy - yx.
+    """Smallest subspace L containing gens and closed under [x, y] = xy - yx.
 
-    Worklist closure over an exact echelon basis. Each new independent
-    element w is bracketed with the generators only, as [g, w] for g in
-    gens: at most len(gens) * dim commutators, not one per pair of basis
-    elements. The processed elements span the current span, so when the
-    worklist empties the span L is the smallest subspace that contains
-    the generator set S and is mapped into itself by every ad_s, s in S.
-    Such an L is already closed under the bracket. Let
-    N = {x in L : [x, L] is in L}.
+    The ceiling. L lies in gl_m (dimension m^2), and in sl_m (dimension
+    m^2 - 1) when every generator is exactly traceless, since a commutator
+    is always traceless and so is any sum of traceless matrices. A subspace
+    of the ceiling space with its full dimension is the whole of it.
+
+    The worklist. Each new independent element w is bracketed with the
+    generators only, as [g, w] for g in gens: at most len(gens) * dim
+    commutators, not one per pair of basis elements. The processed
+    elements span the current span, so when the worklist empties the span
+    L is the smallest subspace that contains the generator set S and is
+    mapped into itself by every ad_s, s in S. Such an L is already closed
+    under the bracket. Let N = {x in L : [x, L] is in L}.
 
     * N contains S, since ad_s maps L into L.
     * N is closed under the bracket: by Jacobi,
@@ -146,20 +154,71 @@ def bracket_closure(gens: Sequence[Matrix]) -> BracketSpace:
     So L = N is a Lie algebra, and as every Lie algebra containing S is
     closed under each ad_s, it is the one S generates.
 
-    The worklist stops early once the span fills a ceiling space known to
-    contain the closure: gl_m (dimension m^2) in general, and sl_m
-    (dimension m^2 - 1) when every generator is traceless, since a
-    commutator is always traceless and so is any sum of traceless
-    matrices. A subspace of the ceiling space with its full dimension is
-    the whole of it, so nothing more can join, and the basis returned
-    (the unique reduced echelon basis of the span) is the one the full
-    worklist would reach."""
+    The certificate (path "modular"). Take the first prime p of
+    _modlinalg.SANDWICH_PRIMES that divides no denominator of the
+    generators, and run the same worklist on their residues mod p
+    (_modlinalg.bracket_closure_dim_mod). Brackets and Z_(p)-combinations
+    of p-integral elements of L are p-integral elements of L, so every
+    residue found is the reduction of an element of the lattice
+    L cap Z_(p)^(m^2). Residue vectors independent over F_p lift to vectors
+    independent over Q (a minor nonzero mod p is nonzero), so
+
+        dim_Fp (closure mod p) <= dim_Q L <= ceiling.
+
+    When the closure mod p reaches the ceiling, L is all of gl_m or sl_m,
+    and the basis is that space's unique reduced echelon basis in
+    row-major order, written down in closed form: every e_ij for gl_m;
+    e_ij for i != j and e_ii - e_mm for i < m, in pivot order, for sl_m.
+    That is the basis the exact worklist reaches.
+
+    The exact path. A closure mod p below the ceiling, or no listed prime
+    that divides no denominator, runs the worklist over an exact echelon
+    basis. It stops early once the span fills the ceiling, and the basis
+    returned (the unique reduced echelon basis of the span) is the one the
+    full worklist would reach.
+
+    The certificate record (linalg.certificate_record) has the path, the
+    prime, the primes skipped, bounds {"lower": dimension mod p,
+    "ceiling": ...} and the reason the exact path ran."""
+    from . import _modlinalg
+
     if not gens:
         raise ValueError("bracket_closure needs a nonempty generator list")
     m = gens[0].rows
     if any(not g.is_square() or g.rows != m for g in gens):
         raise ValueError("generators must be square and of equal size")
     ceiling = m * m - 1 if all(g.trace() == 0 for g in gens) else m * m
+    skipped, lower = [], None
+    for prime in _modlinalg.SANDWICH_PRIMES:
+        if _modlinalg.is_p_integral(gens, prime):
+            lower = _modlinalg.bracket_closure_dim_mod(gens, prime, ceiling)
+            break
+        skipped.append(prime)
+    else:
+        prime = None
+    bounds = {"lower": lower, "ceiling": ceiling}
+    if lower == ceiling:
+        one, last = Fraction(1), m * m - 1
+        if ceiling == m * m:
+            rows = [{k: one} for k in range(m * m)]
+        else:
+            # the index m^2 - 1 of e_mm is the one free column; each e_ii,
+            # at index k = i(m + 1), becomes e_ii - e_mm
+            rows = [{k: one, last: -one} if k % (m + 1) == 0 else {k: one} for k in range(last)]
+        basis = tuple(Matrix(m, m, row) for row in rows)
+        certificate = certificate_record("modular", None, prime, skipped, bounds)
+        return BracketSpace(ceiling, basis, certificate)
+    if prime is None:
+        reason = "every listed prime divides a denominator"
+    else:
+        reason = f"bounds do not meet mod {prime}"
+    certificate = certificate_record("exact", reason, prime, skipped, bounds)
+    return _exact_closure(gens, ceiling, certificate)
+
+
+def _exact_closure(gens: Sequence[Matrix], ceiling: int, certificate: dict) -> BracketSpace:
+    """The worklist of bracket_closure over an exact echelon basis."""
+    m = gens[0].rows
     span = VectorSpan(m * m)
     queue: list[Matrix] = []
     for g in gens:
@@ -175,7 +234,7 @@ def bracket_closure(gens: Sequence[Matrix]) -> BracketSpace:
                 if span.dim == ceiling:
                     break
     basis = tuple(Matrix(m, m, row) for row in span.basis_nonzeros())
-    return BracketSpace(span.dim, basis)
+    return BracketSpace(span.dim, basis, certificate)
 
 
 # -- one-parameter subgroup patterns ------------------------------------
@@ -390,4 +449,5 @@ def lie_report(n: int, q, generators: str = "u") -> dict:
         "basis_size": len(space.basis),
         "traceless": all(m.trace() == 0 for m in space.basis),
         "ok": space.dim == expected,
+        "certificate": space.certificate,
     }

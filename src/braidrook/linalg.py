@@ -252,6 +252,20 @@ class VectorSpan:
         return [dict(self._rows[p]) for p in self.pivots()]
 
 
+def certificate_record(path, reason, prime=None, skipped=(), bounds=None) -> dict:
+    """How a report's dimensions were reached: the path (a certificate's
+    name, or "exact"), the prime a modular bound was taken at, the listed
+    primes skipped because they divide a denominator, the bounds compared,
+    and, on the exact path, why the certificate did not hold."""
+    return {
+        "path": path,
+        "prime": prime,
+        "primes_skipped": list(skipped),
+        "bounds": bounds,
+        "fallback_reason": reason,
+    }
+
+
 def span_of_vectors(vectors: Iterable[Vector], length: int) -> VectorSpan:
     span = VectorSpan(length)
     for v in vectors:

@@ -31,7 +31,7 @@ from .diagrams import (
     rook_elements,
     transposition,
 )
-from .linalg import commutant, matrix_span, rref, span_closure
+from .linalg import certificate_record, commutant, matrix_span, rref, span_closure
 from .matrix import Matrix, kron_power
 
 MATRIX_SIZE_BUDGET = 256  # largest n^r the exact commutant solvers accept
@@ -232,23 +232,24 @@ def _character_certificate(p: BurauParams, r: int, braid_gens) -> dict:
 
     z = p.quantum(p.n)
     if z == 0:
-        return _certificate("exact", "z = [n]_q = 0 has no rescaled basis")
+        return certificate_record("exact", "z = [n]_q = 0 has no rescaled basis")
     basis = rook_elements(r)
     ops = [diagram_op(d, p, r) for d in basis]
     table = rook_product_table(basis)
     failure = _homomorphism_failure(basis, ops, table, z, r)
     if failure:
-        return _certificate("exact", failure)
+        return certificate_record("exact", failure)
     # the trace of the rescaled operator z^-(r - rank a) op(a)
     chi = [op.trace() / z ** (r - d.rank) for d, op in zip(basis, ops)]
     for d, x in zip(basis, chi):
         cycles = sum(kind == "cycle" for kind, _ in cycle_link_decompose(d))
         if x != p.n**cycles:
-            return _certificate("exact", f"character {x} != n^cyc = {p.n ** cycles} at {d!r}")
+            reason = f"character {x} != n^cyc = {p.n ** cycles} at {d!r}"
+            return certificate_record("exact", reason)
     m = len(basis)
     echelon, pivots = rref([[*row, x] for row, x in zip(regular_trace_gram(r).to_lists(), chi)])
     if pivots != list(range(m)):
-        return _certificate("exact", "G(1) is singular")
+        return certificate_record("exact", "G(1) is singular")
     # sum m_lam^2, an integer; compared exactly below
     rook_cent = sum(x * row[m] for x, row in zip(chi, echelon))
     bounds = {
@@ -269,22 +270,12 @@ def _character_certificate(p: BurauParams, r: int, braid_gens) -> dict:
         if best is None or closure > bounds["envelope_lower"]:
             best, bounds["envelope_lower"] = prime, closure
         if closure == rook_cent:
-            return _certificate("character", None, prime, skipped, bounds)
+            return certificate_record("character", None, prime, skipped, bounds)
     if not tried:
         reason = "every listed prime divides a denominator"
-        return _certificate("exact", reason, None, skipped, bounds)
+        return certificate_record("exact", reason, None, skipped, bounds)
     reason = f"bounds do not meet mod {' or '.join(map(str, tried))}"
-    return _certificate("exact", reason, best, skipped, bounds)
-
-
-def _certificate(path, reason, prime=None, skipped=(), bounds=None) -> dict:
-    return {
-        "path": path,
-        "prime": prime,
-        "primes_skipped": list(skipped),
-        "bounds": bounds,
-        "fallback_reason": reason,
-    }
+    return certificate_record("exact", reason, best, skipped, bounds)
 
 
 def _report_check(name: str, ok: bool, detail: str) -> dict:
@@ -368,7 +359,7 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     if commute:
         certificate = _character_certificate(p, r, braid_gens)
     else:
-        certificate = _certificate("exact", "actions do not commute")
+        certificate = certificate_record("exact", "actions do not commute")
 
     if certificate["path"] == "character":
         bounds = certificate["bounds"]

@@ -6,7 +6,9 @@ import time
 
 import pytest
 
-from braidrook.acceptance import CRITERIA
+from braidrook import acceptance, lieclosure
+from braidrook.acceptance import CRITERIA, check_tangent_closures
+from braidrook.matrix import Matrix
 
 
 def test_registry_shape():
@@ -26,3 +28,27 @@ def test_criterion(criterion):
     assert elapsed <= criterion.budget_seconds, (
         f"{criterion.name} took {elapsed:.1f}s; budget {criterion.budget_seconds}s"
     )
+
+
+def test_tangent_closures_fails_on_a_chain_without_its_last_entry(monkeypatch):
+    # A_k = b e_1,k-1 + e_1,k with the a e_1,k+1 term dropped
+    def truncated(n, q):
+        return [
+            elem - Matrix.unit(n - 1, 0, k).scale(lieclosure.LieConstants(n, q).a)
+            for k, elem in enumerate(lieclosure.first_row_chain(n, q), start=2)
+            if k < n - 1
+        ]
+
+    monkeypatch.setattr(acceptance, "first_row_chain", truncated)
+    ok, detail = check_tangent_closures()
+    assert not ok and detail.startswith("first-row chain element A_2 wrong")
+
+
+def test_tangent_closures_fails_when_the_k_branch_never_runs(monkeypatch):
+    def without_k(i, k, p):
+        rep = lieclosure.one_param_membership(i, k, p)
+        return {**rep, "checks": {**rep["checks"], "power_in_k": None}}
+
+    monkeypatch.setattr(acceptance, "one_param_membership", without_k)
+    ok, detail = check_tangent_closures()
+    assert not ok and "of the one-parameter checks ran" in detail

@@ -238,12 +238,15 @@ def test_lie_text(capsys):
     code, out, _ = run(capsys, "lie", "--n", "4", "--q", "1/2", "--generators", "v")
     assert code == 0
     assert "closure dimension 8 (expected 8)" in out
+    assert "certificate: closure mod 67108859 fills the ceiling 8" in out
 
 
 def test_lie_json(capsys):
     code, out, _ = run(capsys, "lie", "--n", "3", "--q", "2", "--json")
     data = json.loads(out)
     assert code == 0 and data["closure_dim"] == 4 and data["ok"] is True
+    assert data["certificate"]["path"] == "modular"
+    assert data["certificate"]["bounds"] == {"lower": 4, "ceiling": 4}
 
 
 def test_lie_gate(capsys):

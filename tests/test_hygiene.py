@@ -75,8 +75,6 @@ TEST_ONLY_ALLOWED = {
     "form_value",
     "reflection",
     "change_of_basis",
-    "one_param_membership",
-    "first_row_chain",
     "star",
     "leaf_counts",
 }

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidrook import lieclosure
+from braidrook import _modlinalg, lieclosure
 from braidrook.burau import BurauParams, reduced_generator
 from braidrook.lieclosure import (
     BracketSpace,
@@ -37,6 +37,7 @@ from braidrook.linalg import VectorSpan, matrix_span
 from braidrook.matrix import Matrix
 
 CLOSURE_QS = [Fraction(2), Fraction(1, 2), Fraction(-2), Fraction(3)]
+P0 = _modlinalg.SANDWICH_PRIMES[0]
 
 
 def _contains(space, m):
@@ -180,7 +181,24 @@ def test_saturation_stop_returns_the_full_worklist_basis(n):
     for q in (Fraction(2), Fraction(-1, 3)):
         for maker in (u_generators, v_generators, tangent_generators):
             gens = maker(n, q)
-            assert bracket_closure(gens).basis == _full_worklist_closure(gens)
+            space = bracket_closure(gens)
+            # the closed-form gl/sl basis against the exact fixpoint
+            assert space.certificate["path"] == "modular"
+            assert space.basis == _full_worklist_closure(gens)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_every_tangent_closure_is_certified_at_the_first_prime(n):
+    m = n - 1
+    for q in (Fraction(2), Fraction(1, 2), Fraction(-2), Fraction(-1, 3)):
+        for maker, ceiling in ((u_generators, m * m), (v_generators, m * m - 1)):
+            assert bracket_closure(maker(n, q)).certificate == {
+                "path": "modular",
+                "prime": P0,
+                "primes_skipped": [],
+                "bounds": {"lower": ceiling, "ceiling": ceiling},
+                "fallback_reason": None,
+            }
 
 
 def _borel_generators(m):
@@ -196,6 +214,10 @@ def _borel_generators(m):
 def test_saturation_stop_leaves_proper_closures_whole(m):
     borel = bracket_closure(_borel_generators(m))
     assert borel.dim == m * (m + 1) // 2
+    # negative control: a proper closure misses the gl ceiling mod p too
+    assert borel.certificate["path"] == "exact"
+    assert borel.certificate["fallback_reason"] == f"bounds do not meet mod {P0}"
+    assert borel.certificate["bounds"] == {"lower": borel.dim, "ceiling": m * m}
     assert borel.basis == _full_worklist_closure(_borel_generators(m))
     assert all(b[i, j] == 0 for b in borel.basis for i in range(m) for j in range(i))
     e12 = bracket_closure([Matrix.unit(m, 0, 1)])
@@ -210,6 +232,9 @@ def test_one_generator_with_trace_lifts_the_ceiling_to_gl(n):
     gens = v_generators(n, 2) + [u_generators(n, 2)[0]]
     space = bracket_closure(gens)
     assert space.dim == m * m
+    assert space.certificate["path"] == "modular"
+    assert space.certificate["bounds"] == {"lower": m * m, "ceiling": m * m}
+    assert space.basis == tuple(Matrix.unit(m, i, j) for i in range(m) for j in range(m))
     assert space.basis == _full_worklist_closure(gens)
 
 
@@ -226,12 +251,77 @@ def commutator_calls(monkeypatch):
     return calls
 
 
-def test_saturation_stop_saves_brackets(commutator_calls):
+def test_saturation_stop_saves_brackets(commutator_calls, monkeypatch):
+    # no listed prime, so the exact worklist runs and stops at the ceiling
+    monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", [])
     gens = u_generators(6, 2)
     space = bracket_closure(gens)
     d = space.dim
-    assert d == 25
-    assert 0 < len(commutator_calls) <= len(gens) * d
+    assert d == 25 and space.certificate["path"] == "exact"
+    assert 0 < len(commutator_calls) < len(gens) * d
+
+
+def test_modular_path_makes_no_commutator_call(commutator_calls):
+    space = bracket_closure(u_generators(6, 2))
+    assert space.dim == 25 and space.certificate["path"] == "modular"
+    assert len(commutator_calls) == 0
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_closure_one_short_mod_p_takes_the_exact_path(monkeypatch, n):
+    gens = u_generators(n, 2)
+    modular = bracket_closure(gens)
+    real = _modlinalg.bracket_closure_dim_mod
+
+    def one_short(gens, p, ceiling):
+        return real(gens, p, ceiling) - 1
+
+    monkeypatch.setattr(_modlinalg, "bracket_closure_dim_mod", one_short)
+    exact = bracket_closure(gens)
+    ceiling = (n - 1) ** 2
+    assert exact.certificate == {
+        "path": "exact",
+        "prime": P0,
+        "primes_skipped": [],
+        "bounds": {"lower": ceiling - 1, "ceiling": ceiling},
+        "fallback_reason": f"bounds do not meet mod {P0}",
+    }
+    assert exact.dim == modular.dim == ceiling
+    assert exact.basis == modular.basis
+    assert exact == modular  # the same space; only the record differs
+
+
+def test_every_prime_dividing_a_denominator_takes_the_exact_path(monkeypatch):
+    # at q = 2, b = 1/3, and the scale adds a 5 to every denominator
+    gens = [u.scale(Fraction(1, 5)) for u in u_generators(4, 2)]
+    modular = bracket_closure(gens)
+    monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", [3, 5])
+    exact = bracket_closure(gens)
+    assert exact.certificate == {
+        "path": "exact",
+        "prime": None,
+        "primes_skipped": [3, 5],
+        "bounds": {"lower": None, "ceiling": 9},
+        "fallback_reason": "every listed prime divides a denominator",
+    }
+    assert exact.basis == modular.basis
+
+
+def test_first_prime_dividing_no_denominator_is_the_one_used(monkeypatch):
+    monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", [3, 7, 5])
+    cert = bracket_closure(u_generators(4, 2)).certificate
+    assert cert["path"] == "modular" and cert["prime"] == 7
+    assert cert["primes_skipped"] == [3]
+
+
+def test_unlucky_prime_falls_short_and_the_exact_path_is_right(monkeypatch):
+    # e_12 and 3 e_21 generate sl_2 over Q, but 3 e_21 vanishes mod 3
+    gens = [Matrix.unit(2, 0, 1), Matrix.unit(2, 1, 0).scale(3)]
+    monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", [3])
+    space = bracket_closure(gens)
+    assert space.certificate["bounds"] == {"lower": 1, "ceiling": 3}
+    assert space.certificate["path"] == "exact"
+    assert space.dim == 3 and space.basis == _full_worklist_closure(gens)
 
 
 def _superdiagonal_units(m):
@@ -247,6 +337,10 @@ def test_generator_worklist_reaches_deep_brackets(m, commutator_calls):
     gens = _superdiagonal_units(m)
     space = bracket_closure(gens)
     assert space.dim == m * (m - 1) // 2
+    # negative control: the mod-p closure misses the sl ceiling
+    assert space.certificate["path"] == "exact"
+    assert space.certificate["fallback_reason"] == f"bounds do not meet mod {P0}"
+    assert space.certificate["bounds"] == {"lower": space.dim, "ceiling": m * m - 1}
     assert len(commutator_calls) == len(gens) * space.dim
     assert space.basis == _full_worklist_closure(gens)
     assert all(b[i, j] == 0 for b in space.basis for i in range(m) for j in range(i + 1))
@@ -309,6 +403,13 @@ def test_lie_report():
     assert rep["closure_dim"] == rep["expected_dim"] == 16
     assert rep["generator_count"] == 4
     assert rep["ok"] and not rep["traceless"]
+    assert rep["certificate"] == {
+        "path": "modular",
+        "prime": P0,
+        "primes_skipped": [],
+        "bounds": {"lower": 16, "ceiling": 16},
+        "fallback_reason": None,
+    }
     rep = lie_report(3, 2, "v")
     assert rep["closure_dim"] == 3 and rep["ok"] and rep["traceless"]
     rep = lie_report(4, Fraction(1, 2), "h")
