@@ -9,13 +9,15 @@ nullity bounds the rational nullity from above, and the candidates are
 independent by construction, so matching counts certify completeness.
 Any failure returns None and the caller falls back to pure elimination.
 
-The same residue arithmetic gives two more lower bounds, each the dimension
+The same residue arithmetic gives two lower bounds. Each is the dimension
 over F_p of a space spanned by reductions of p-integral rational matrices,
-which is at most the dimension over Q for a prime dividing no denominator:
-the algebra that the braid generators generate, the one lower bound of the
-duality report's character certificate (see tensor.duality_report), and the
-Lie algebra that tangent generators generate, which lieclosure.bracket_closure
-compares with its gl/sl ceiling.
+which is at most the dimension over Q when p divides no denominator of the
+generators:
+- closure_dim_mod: the unital algebra of the braid generators alone, the
+  one lower bound of the duality report's character certificate (see
+  tensor.duality_report);
+- bracket_closure_dim_mod: the Lie algebra of the tangent generators, which
+  lieclosure.bracket_closure compares with its gl/sl ceiling.
 """
 
 from __future__ import annotations
@@ -242,23 +244,27 @@ class _EchelonMod:
         return True
 
 
-def closure_dim_mod(seed, multipliers, p: int) -> int:
-    """Dimension over F_p of the span of 1 and the seed residue matrices,
-    closed under right multiplication by the multipliers.
+def closure_dim_mod(gens, p: int) -> int:
+    """Dimension over F_p of the span of 1 closed under right multiplication
+    by the residue matrices gens: the unital algebra they generate.
 
-    Every element found is a product of the inputs, so when those are the
-    reductions of p-integral rational matrices, the result is at most the
-    dimension over Q of the algebra the rational matrices generate: the
+    Every element found is a product of the generators, so when those are
+    the reductions of p-integral rational matrices, the result is at most
+    the dimension over Q of the algebra the rational matrices generate: the
     Z_(p)-span of their products is a lattice of that rank, and its
-    reduction mod p spans everything found here.
+    reduction mod p spans everything found here. That needs nothing of the
+    generators but p-integrality; in particular a generator that is
+    singular mod p only makes the bound smaller.
     """
-    size = multipliers[0].shape[0]
+    size = gens[0].shape[0]
     basis = _EchelonMod(size * size, p)
-    queue = [m for m in [np.eye(size, dtype=np.int64), *seed] if basis.add(m.reshape(-1))]
+    one = np.eye(size, dtype=np.int64)
+    basis.add(one.reshape(-1))
+    queue = [one]
     while queue:
         batch = np.stack(queue)
         queue = []
-        for g in multipliers:
+        for g in gens:
             for prod in _dot_mod(batch, g, p):
                 if basis.add(prod.reshape(-1)):
                     queue.append(prod)

@@ -390,28 +390,28 @@ CRITERIA: list[Criterion] = [
         "degree-two-endomorphisms",
         "End over the braid group of E tensor E has dim 7 for n >= 3 and 6 "
         "for n = 2, where one dependence relation appears",
-        5.0,
+        1.0,  # the 1 s floor; it takes 0.02 s on a 2-vCPU Xeon VM whose speed drifts up to 1.8x
         check_degree_two_endomorphisms,
     ),
     Criterion(
         "duality-grid",
         "the two commuting actions on E^(tensor r) are mutual centralizers, "
         "with faithfulness exactly when n > r",
-        30.0,  # about 10x its 2.9 s on a 2-vCPU Xeon VM whose speed drifts up to 1.8x
+        6.0,  # about 10x its 0.62 s on a 2-vCPU Xeon VM whose speed drifts up to 1.8x
         check_duality_grid,
     ),
     Criterion(
         "classical-parameter",
         "a rational non-root-of-unity q with [n]_q = n exists for n = 3 "
         "(q = -2) and the duality holds there with z = n",
-        1.0,  # the 1 s floor; it takes 0.015 s on a 2-vCPU Xeon VM whose speed drifts up to 1.8x
+        1.0,  # the 1 s floor; it takes 0.006 s on a 2-vCPU Xeon VM whose speed drifts up to 1.8x
         check_classical_parameter,
     ),
     Criterion(
         "schur-dimensions",
         "dim S(2,2) = 10 and its p_1-commuting subalgebra S'_q(2,2) is the "
         "displayed three-parameter family",
-        5.0,
+        1.0,  # the 1 s floor; it takes 0.002 s on a 2-vCPU Xeon VM whose speed drifts up to 1.8x
         check_schur_dimensions,
     ),
     Criterion(
@@ -425,7 +425,7 @@ CRITERIA: list[Criterion] = [
         "cellular-structure",
         "inflation multiplication rule, subset-module maps phi/theta/psi, "
         "and nondegenerate Gram forms certify cellular semisimplicity",
-        8.0,  # about 10x its 0.87 s on a 2-vCPU Xeon VM whose speed drifts up to 1.8x
+        6.0,  # about 10x its 0.62 s on a 2-vCPU Xeon VM whose speed drifts up to 1.8x
         check_cellular_structure,
     ),
     Criterion(
@@ -435,14 +435,14 @@ CRITERIA: list[Criterion] = [
         "H_i and K_i; the first-row bracket chain shifts its three-entry "
         "window; D_n = [n]_q/(1+q)^(n-1); generator powers and the "
         "full-twist scalar match their closed forms",
-        1.0,  # the 1 s floor; it takes 0.04 s on a 2-vCPU Xeon VM whose speed drifts up to 1.8x
+        1.0,  # the 1 s floor; it takes 0.03 s on a 2-vCPU Xeon VM whose speed drifts up to 1.8x
         check_tangent_closures,
     ),
     Criterion(
         "property-suites",
         "braid and quadratic relations, bimodule commutation, double- "
         "centralizer closure, and the q = 1 control dimension 15",
-        3.0,  # about 10x its 0.26 s on a 2-vCPU Xeon VM whose speed drifts up to 1.8x
+        2.0,  # about 10x its 0.20 s on a 2-vCPU Xeon VM whose speed drifts up to 1.8x
         check_property_suites,
     ),
 ]

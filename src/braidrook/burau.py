@@ -123,14 +123,6 @@ def generator_power(i: int, k: int, p: BurauParams) -> Matrix:
     return Matrix.from_rows(m)
 
 
-def inverse_generator(i: int, p: BurauParams) -> Matrix:
-    """T_i^{-1} = ((q1 + q2) I - T_i)/(q1 q2), from the quadratic relation
-    T_i^2 = (q1 + q2) T_i - q1 q2."""
-    b = unreduced_generator(i, p)
-    shift = Matrix.diagonal([p.q1 + p.q2] * p.n)
-    return (shift - b).scale(1 / (p.q1 * p.q2))
-
-
 def form_matrix(p: BurauParams) -> Matrix:
     """Gram matrix J = diag(1, q, ..., q^(n-1)) of the bilinear form."""
     return Matrix.diagonal([p.q ** j for j in range(p.n)])

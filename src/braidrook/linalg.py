@@ -51,10 +51,6 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     return [list(row) for row in span.basis_rows()], span.pivots()
 
 
-def rank(m: Matrix) -> int:
-    return len(rref(m.to_lists())[1])
-
-
 def _nullspace_from_rref(echelon: list[list[Fraction]], pivots: list[int], ncols: int):
     """Canonical nullspace basis: one vector per free column f, with a 1 at f
     and support otherwise only on earlier pivot columns (trailing-echelon form)."""
@@ -287,42 +283,33 @@ def spans_equal(a: Sequence[Matrix], b: Sequence[Matrix]) -> bool:
     return sa.basis_rows() == sb.basis_rows()
 
 
-def span_closure(
-    seed: Sequence[Matrix],
-    multipliers: Sequence[Matrix] | None = None,
-) -> tuple[int, list[Matrix]]:
-    """Smallest unital subalgebra of N x N matrices containing seed.
+def span_closure(gens: Sequence[Matrix]) -> tuple[int, list[Matrix]]:
+    """Unital algebra generated by gens, N x N matrices.
 
-    Worklist closure: keep an echelon basis of the current span, multiply
-    each new basis element on the right by every multiplier, adjoin
-    independent products, repeat to fixpoint (dimension <= N^2 bounds it).
-    multipliers defaults to seed; passing a subset is sound whenever every
-    seed element lies in the unital algebra the subset generates (e.g.
-    inverses of multipliers, by Cayley-Hamilton).
+    Worklist closure: start from the span of 1, multiply each new basis
+    element on the right by every generator, adjoin independent products,
+    repeat to fixpoint (dimension <= N^2 bounds it). Right multiplication
+    alone suffices: the closure holds every word in the generators, and
+    the words span the algebra.
 
-    Right multiplication alone suffices. Let A be the unital algebra
-    generated by the multipliers M, which are part of the seed. The span
-    of 1 closed under right multiplication by M holds every word in M,
-    so it is A. Every seed element lies in A, so adjoining the seed and
-    closing again stays inside A. And A is the algebra the seed
-    generates: it contains the seed, and M is part of the seed.
-    `_modlinalg.closure_dim_mod` rests on the same argument.
+    When the generators are invertible this is also the algebra that the
+    generators and their inverses generate: by Cayley-Hamilton, g^-1 is a
+    polynomial in g, since the characteristic polynomial of g has the
+    nonzero constant term +-det g. `_modlinalg.closure_dim_mod` rests on
+    the same argument.
     """
-    if not seed:
-        raise ValueError("span_closure needs a nonempty seed")
-    n = seed[0].rows
-    if any(not m.is_square() or m.rows != n for m in seed):
-        raise ValueError("seed matrices must be square and same size")
-    mult = list(multipliers) if multipliers is not None else list(seed)
+    if not gens:
+        raise ValueError("span_closure needs a nonempty list of generators")
+    n = gens[0].rows
+    if any(not m.is_square() or m.rows != n for m in gens):
+        raise ValueError("generators must be square and same size")
     span = VectorSpan(n * n)
-    queue: list[Matrix] = []
-    for m in [Matrix.identity(n), *seed]:
-        row = span.add(m.nonzeros())
-        if row is not None:
-            queue.append(Matrix(n, n, row))
+    one = Matrix.identity(n)
+    span.add(one.nonzeros())
+    queue = [one]
     while queue:
         w = queue.pop()
-        for g in mult:
+        for g in gens:
             row = span.add((w * g).nonzeros())
             if row is not None:
                 queue.append(Matrix(n, n, row))

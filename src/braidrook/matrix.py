@@ -5,10 +5,10 @@ is the image of the j-th standard basis vector. Values are immutable by
 convention; every operation returns a fresh Matrix. Storage is one
 {row-major index: nonzero Fraction} dict; no zero is ever stored, so
 arithmetic, equality and hashing cost follows the nonzeros, and entries
-that cancel are dropped. `entries()`, `row()` and `to_lists()` give the
-dense view, `nonzeros()` the stored one. Public construction checks that
-every entry is an exact rational; the results of this module's own
-arithmetic, built from Fractions, skip that check.
+that cancel are dropped. `row()` and `to_lists()` give the dense view,
+`nonzeros()` the stored one. Public construction checks that every entry
+is an exact rational; the results of this module's own arithmetic, built
+from Fractions, skip that check.
 """
 
 from __future__ import annotations
@@ -111,14 +111,9 @@ class Matrix:
     def to_lists(self) -> list[list[Fraction]]:
         return [self.row(i) for i in range(self.rows)]
 
-    def entries(self) -> tuple[Fraction, ...]:
-        """Row-major flattening; the vectorization used for span arithmetic."""
-        e = self._e
-        return tuple([e.get(k, _ZERO) for k in range(self.rows * self.cols)])
-
     def nonzeros(self) -> Mapping[int, Fraction]:
         """Read-only view {row-major index: entry} of the nonzero entries,
-        the sparse form of entries() that VectorSpan.add also takes."""
+        the row-major vectorization that VectorSpan.add takes."""
         return MappingProxyType(self._e)
 
     # -- structure tests -----------------------------------------------
@@ -245,11 +240,6 @@ class Matrix:
         from .linalg import invert
 
         return invert(self)
-
-    def det(self) -> Fraction:
-        from .linalg import det
-
-        return det(self)
 
     def _check_same_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:

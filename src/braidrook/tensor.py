@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .burau import BurauParams, unreduced_generator, inverse_generator
+from .burau import BurauParams, unreduced_generator
 from .cellular import (
     cell_dim,
     cell_labels,
@@ -52,10 +52,6 @@ def _check_budget(n: int, r: int, budget: int | None = None) -> int:
 def braid_tensor_gen(i: int, p: BurauParams, r: int) -> Matrix:
     """Diagonal action of the i-th braid generator on E^(x r)."""
     return kron_power(unreduced_generator(i, p), r)
-
-
-def braid_tensor_gen_inverse(i: int, p: BurauParams, r: int) -> Matrix:
-    return kron_power(inverse_generator(i, p), r)
 
 
 def rook_tensor_gen(kind: str, index: int, p: BurauParams, r: int) -> Matrix:
@@ -139,13 +135,12 @@ def rook_image(
 def enveloping_braid(
     n: int, r: int, p: BurauParams, budget: int | None = None
 ) -> tuple[int, list[Matrix]]:
-    """Unital algebra generated by the braid generators and their inverses;
-    the inverses lie in the algebra of the forward generators (quadratic
-    relation), so closing under forward multipliers suffices."""
+    """The algebra spanned by the image of B_n on E^(x r): the unital
+    algebra of the generators T_i^(x r) alone. Each is invertible, as
+    q1 q2 != 0, so by Cayley-Hamilton its inverse is a polynomial in it
+    (linalg.span_closure)."""
     _check_budget(n, r, budget)
-    gens = braid_generators(p, r)
-    seed = gens + [braid_tensor_gen_inverse(i, p, r) for i in range(1, n)]
-    return span_closure(seed, multipliers=gens)
+    return span_closure(braid_generators(p, r))
 
 
 def expected_centralizer_dim(n: int, r: int) -> int:
@@ -222,19 +217,17 @@ def _homomorphism_failure(basis, ops, table, z: Fraction, r: int) -> str | None:
     return None
 
 
-def _character_certificate(p: BurauParams, r: int, braid_gens) -> dict:
-    """The certificate of duality_report: the homomorphism and character
-    checks on the diagram operators, the two q-free dimensions
-    chi^T G(1)^-1 chi and rank H, and the mod-p closure of the braid
-    generators at the listed primes that divide no denominator of them or
-    of their inverses, the largest lower bound kept."""
+def _character_certificate(p: BurauParams, r: int, basis, ops, braid_gens) -> dict:
+    """The certificate of duality_report, given the operators ops of the
+    basis diagrams: the homomorphism and character checks on them, the two
+    q-free dimensions chi^T G(1)^-1 chi and rank H, and the mod-p closure
+    of the braid generators alone at each listed prime that divides no
+    denominator of them, the largest lower bound kept."""
     from . import _modlinalg
 
     z = p.quantum(p.n)
     if z == 0:
         return certificate_record("exact", "z = [n]_q = 0 has no rescaled basis")
-    basis = rook_elements(r)
-    ops = [diagram_op(d, p, r) for d in basis]
     table = rook_product_table(basis)
     failure = _homomorphism_failure(basis, ops, table, z, r)
     if failure:
@@ -257,15 +250,13 @@ def _character_certificate(p: BurauParams, r: int, braid_gens) -> dict:
         "rook_centralizer": int(rook_cent),
         "rook_image": len(rref([[chi[k] for k, _ in row] for row in table])[1]),
     }
-    braid_invs = [braid_tensor_gen_inverse(i, p, r) for i in range(1, p.n)]
     skipped, tried, best = [], [], None
     for prime in _modlinalg.SANDWICH_PRIMES:
-        if not _modlinalg.is_p_integral([*braid_gens, *braid_invs], prime):
+        if not _modlinalg.is_p_integral(braid_gens, prime):
             skipped.append(prime)
             continue
-        braid_res = [_modlinalg.residues(g, prime) for g in braid_gens]
-        inv_res = [_modlinalg.residues(g, prime) for g in braid_invs]
-        closure = _modlinalg.closure_dim_mod(braid_res + inv_res, braid_res, prime)
+        residues = [_modlinalg.residues(g, prime) for g in braid_gens]
+        closure = _modlinalg.closure_dim_mod(residues, prime)
         tried.append(prime)
         if best is None or closure > bounds["envelope_lower"]:
             best, bounds["envelope_lower"] = prime, closure
@@ -295,8 +286,9 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
       permutation w that extends d, and op(w) is the product of the
       op(s_i) along a word for w; the tests check both identities on
       every basis diagram up to r = 4;
-    - envelope <= C(rook gens): the inverse of a matrix commuting with g
-      commutes with g too, and C(rook gens) = C(image), since those
+    - envelope <= C(rook gens): the envelope is the unital algebra of the
+      braid generators alone (enveloping_braid), so it commutes with
+      whatever they commute with, and C(rook gens) = C(image), since those
       operators generate the image algebra.
     A subspace of the same dimension is the whole space, so each identity
     is "commute and dim == dim".
@@ -327,10 +319,13 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
       tr_V(xy) on A. That form is m_lam times the nondegenerate trace
       form on each block that V meets, and zero on the others, so its
       rank is the dimension of the image.
-    The braid side enters by one lower bound: the dimension of the closure
-    of the braid generators and inverses mod a prime p that divides none
-    of their denominators. The Z_(p)-span of their products is a lattice
-    of rank dim envelope, and its reduction spans the mod-p closure, so
+    The braid side enters by one lower bound: the dimension of the unital
+    algebra of the braid generators reduced mod a prime p that divides
+    none of their denominators. Their inverses are not needed: each T_i^(x r)
+    is invertible, so by Cayley-Hamilton its inverse is a polynomial in it,
+    and the envelope is the unital algebra of the generators alone. The
+    Z_(p)-span of their products is a lattice of rank dim envelope, and its
+    reduction spans the mod-p closure, so
         closure_p <= dim envelope <= dim C(image) = chi^T G(1)^-1 chi.
     When the ends meet, the envelope is C(image). The image is
     semisimple, so the double centralizer theorem gives
@@ -352,12 +347,16 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
         raise ValueError("params built for a different n")
     z = p.quantum(n)
     braid_gens = braid_generators(p, r)
-    rook_gens = rook_generators(p, r)
+    # every diagram operator once; the s_i and p_j operators are among them
+    basis = rook_elements(r)
+    ops = [diagram_op(d, p, r) for d in basis]
+    index = {d: k for k, d in enumerate(basis)}
+    rook_gens = [ops[index[g]] for g in _generator_diagrams(r)]
 
     commute = all(b * g == g * b for b in braid_gens for g in rook_gens)
 
     if commute:
-        certificate = _character_certificate(p, r, braid_gens)
+        certificate = _character_certificate(p, r, basis, ops, braid_gens)
     else:
         certificate = certificate_record("exact", "actions do not commute")
 

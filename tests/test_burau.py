@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from dense import rank
 
 from braidrook.burau import (
     BurauParams,
@@ -12,13 +13,12 @@ from braidrook.burau import (
     full_twist_scalar,
     generator_power,
     hecke_phi,
-    inverse_generator,
     projection_p,
     reduced_generator,
     reflection,
     unreduced_generator,
 )
-from braidrook.linalg import det, invert, rank
+from braidrook.linalg import det, invert
 from braidrook.matrix import Matrix
 
 
@@ -111,13 +111,6 @@ def test_hecke_quadratic_relation():
             shift1 = Matrix.diagonal([p.q1] * n)
             shift2 = Matrix.diagonal([p.q2] * n)
             assert ((b - shift1) * (b - shift2)).is_zero()
-
-
-def test_inverse_formula():
-    rng = random.Random(4)
-    p = random_params(rng, 4)
-    for i in range(1, 4):
-        assert inverse_generator(i, p) == invert(unreduced_generator(i, p))
 
 
 def test_change_of_basis_blocks():

@@ -80,32 +80,67 @@ TEST_ONLY_ALLOWED = {
 }
 
 
-def referenced_names(tree: ast.AST) -> Counter:
-    """How often each name is loaded, bare or as an attribute."""
+def _imported_from(node: ast.ImportFrom) -> str | None:
+    """The package module an ImportFrom reads from: "linalg" for
+    `from .linalg import x` or `from braidrook.linalg import x`, "" for
+    `from . import linalg`, None outside the package."""
+    if node.level:
+        return node.module or ""
+    if node.module and node.module.split(".")[0] == "braidrook":
+        return node.module.partition(".")[2]
+    return None
+
+
+def references(module: str, tree: ast.AST) -> Counter:
+    """How often the code of module refers to each function: a function
+    f of module m as ("m", "f"), a method as (None, "name"). A bare name
+    is a function of module, or the function that `from .m import f`
+    binds to it; an attribute m.f where `from . import m` binds m is the
+    function f of m; any other attribute load is a method."""
+    bound, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (source := _imported_from(node)) is not None:
+            for alias in node.names:
+                name = alias.asname or alias.name
+                if source:
+                    bound[name] = (source, alias.name)
+                else:
+                    modules[name] = alias.name
     out = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            out[node.attr] += 1
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out[bound.get(node.id, (module, node.id))] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            value = node.value
+            if isinstance(value, ast.Name) and value.id in modules:
+                out[(modules[value.id], node.attr)] += 1
+            else:
+                out[(None, node.attr)] += 1
     return out
 
 
 def unreferenced_functions(trees: dict[str, ast.Module]) -> set[str]:
-    """Functions and methods (dunders aside) whose name no code outside
-    their own body refers to; matched by name only, so a name shared with
-    anything that is referenced counts as used."""
-    total = sum((referenced_names(tree) for tree in trees.values()), Counter())
+    """Functions and methods (dunders aside) that no code outside their
+    own body refers to, as "module.function" or "module.Class.method"."""
+    total = sum((references(module, tree) for module, tree in trees.items()), Counter())
     out = set()
     for module, tree in trees.items():
+        methods = {
+            id(item): node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+        }
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if total[name] == referenced_names(node)[name]:
-                out.add(f"{module}.{name}")
+            cls = methods.get(id(node))
+            key = (None, name) if cls else (module, name)
+            if total[key] == references(module, node)[key]:
+                out.add(f"{module}.{cls}.{name}" if cls else f"{module}.{name}")
     return out
 
 
@@ -114,7 +149,7 @@ def test_every_library_function_has_a_library_caller():
     flagged = {
         qualified
         for qualified in unreferenced_functions(trees)
-        if qualified.split(".")[1] not in TEST_ONLY_ALLOWED
+        if qualified.split(".")[-1] not in TEST_ONLY_ALLOWED
         # the console-script entry point and the subcommand handlers
         and qualified != "cli.main"
         and not qualified.startswith("cli.cmd_")
@@ -137,3 +172,33 @@ def test_detector_flags_a_test_only_function():
     other = "def caller(c):\n    return c.method()\n"
     trees = {"a": ast.parse(source), "b": ast.parse(other)}
     assert unreferenced_functions(trees) == {"a.recursive", "b.caller"}
+
+
+def test_detector_resolves_shadowed_names():
+    # every function below shares its name with something that is
+    # referenced; only the references that reach it count
+    source = (
+        "def rank(m):\n"  # only the method is loaded, as p.rank
+        "    return 0\n"
+        "def det(m):\n"  # reached through `det as determinant`
+        "    return 1\n"
+        "def trace(m):\n"  # reached as a.trace
+        "    return 2\n"
+        "class Part:\n"
+        "    def __init__(self, entries):\n"
+        "        self.e = entries\n"  # a parameter, not the method
+        "    def rank(self):\n"
+        "        return 1\n"
+        "    def det(self):\n"  # b's determinant is a.det
+        "        return 0\n"
+        "    def entries(self):\n"
+        "        return self.e\n"
+    )
+    other = (
+        "from . import a\n"
+        "from .a import det as determinant\n"
+        "def caller(p):\n"
+        "    return p.rank() + determinant(p) + a.trace(p)\n"
+    )
+    trees = {"a": ast.parse(source), "b": ast.parse(other)}
+    assert unreferenced_functions(trees) == {"a.rank", "a.Part.det", "a.Part.entries", "b.caller"}

@@ -9,6 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from dense import entries
 
 from braidrook import _modlinalg, lieclosure
 from braidrook.burau import BurauParams, reduced_generator
@@ -41,13 +42,13 @@ P0 = _modlinalg.SANDWICH_PRIMES[0]
 
 
 def _contains(space, m):
-    return matrix_span(list(space.basis)).contains(m.entries())
+    return matrix_span(list(space.basis)).contains(entries(m))
 
 
 def _closed_under_bracket(space):
     span = matrix_span(list(space.basis))
     return all(
-        span.contains(commutator(x, y).entries()) for x in space.basis for y in space.basis
+        span.contains(entries(commutator(x, y))) for x in space.basis for y in space.basis
     )
 
 
@@ -59,13 +60,13 @@ def _full_worklist_closure(gens):
     queue = []
     done = []
     for g in gens:
-        row = span.add(g.entries())
+        row = span.add(entries(g))
         if row is not None:
             queue.append(Matrix(m, m, row))
     while queue:
         w = queue.pop()
         for r in done:
-            row = span.add(commutator(w, r).entries())
+            row = span.add(entries(commutator(w, r)))
             if row is not None:
                 queue.append(Matrix(m, m, row))
         done.append(w)
@@ -78,7 +79,7 @@ def _one_round_closure(gens):
     m = gens[0].rows
     span = matrix_span(list(gens))
     for x, y in combinations(gens, 2):
-        span.add(commutator(x, y).entries())
+        span.add(entries(commutator(x, y)))
     return tuple(Matrix(m, m, list(row)) for row in span.basis_rows())
 
 
@@ -355,7 +356,7 @@ def test_one_round_of_brackets_falls_short(m):
     gens = _superdiagonal_units(m)
     shallow = _one_round_closure(gens)
     assert len(shallow) < bracket_closure(gens).dim
-    assert not matrix_span(list(shallow)).contains(Matrix.unit(m, 0, m - 1).entries())
+    assert not matrix_span(list(shallow)).contains(entries(Matrix.unit(m, 0, m - 1)))
 
 
 @pytest.mark.parametrize("m", [3, 4])

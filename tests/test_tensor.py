@@ -18,7 +18,6 @@ from braidrook.tensor import (
     bimodule_dimension_sum,
     braid_generators,
     braid_tensor_gen,
-    braid_tensor_gen_inverse,
     centralizer_of_braid,
     diagram_op,
     duality_report,
@@ -53,7 +52,6 @@ def test_braid_relations_at_tensor_level():
     b1 = braid_tensor_gen(1, P32, 2)
     b2 = braid_tensor_gen(2, P32, 2)
     assert b1 * b2 * b1 == b2 * b1 * b2
-    assert b1 * braid_tensor_gen_inverse(1, P32, 2) == Matrix.identity(9)
 
 
 def test_place_swap_squares_to_identity():
@@ -548,13 +546,15 @@ def test_zero_z_takes_the_exact_path():
     "primes,reason",
     [
         ([2], "every listed prime divides a denominator"),
-        ([2, 3], "bounds do not meet mod 3"),  # q = 2 is -1 mod 3
+        ([2, 3], "bounds do not meet mod 3"),  # q = 1/2 is -1 mod 3
     ],
 )
 def test_forced_sandwich_miss_takes_exact_path(monkeypatch, primes, reason):
-    character = duality_report(3, 2, P32)
+    # at q = 1/2 the generators have q2 = -1/2 among their entries
+    params = BurauParams.preset(3, Fraction(1, 2))
+    character = duality_report(3, 2, params)
     monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", primes)
-    exact = duality_report(3, 2, P32)
+    exact = duality_report(3, 2, params)
     cert = exact["certificate"]
     assert cert["path"] == "exact" and cert["fallback_reason"] == reason
     assert cert["primes_skipped"] == [2]
@@ -562,6 +562,24 @@ def test_forced_sandwich_miss_takes_exact_path(monkeypatch, primes, reason):
     assert _verdicts(exact) == _verdicts(character)
     details = {c["name"]: c["detail"] for c in exact["checks"]}
     assert reason in details["rook_image_equals_centralizer_of_braid"]
+
+
+def test_prime_where_the_generators_are_singular_is_tried(monkeypatch):
+    # at q = 2 the generators are integral, so 2 is tried, but
+    # det T_i = q1^2 q2 = -2 makes every T_i^(x 2) singular mod 2: the
+    # closure stops at 5, short of the envelope's 15
+    character = duality_report(3, 2, P32)
+    second = _modlinalg.SANDWICH_PRIMES[0]
+    monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", [2])
+    exact = duality_report(3, 2, P32)
+    cert = exact["certificate"]
+    assert cert["path"] == "exact" and cert["fallback_reason"] == "bounds do not meet mod 2"
+    assert cert["primes_skipped"] == [] and cert["bounds"]["envelope_lower"] == 5
+    assert exact["all_pass"] and _verdicts(exact) == _verdicts(character)
+    monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", [2, second])
+    cert = duality_report(3, 2, P32)["certificate"]
+    assert cert["path"] == "character" and cert["prime"] == second
+    assert cert["primes_skipped"] == [] and cert["bounds"]["envelope_lower"] == 15
 
 
 def test_miss_at_one_prime_moves_on_to_the_next(monkeypatch):
@@ -577,8 +595,8 @@ def test_largest_lower_bound_is_kept(monkeypatch, primes):
     real = _modlinalg.closure_dim_mod
     cut = {3: 14, 5: 12}
 
-    def short(seed, multipliers, p):
-        return min(real(seed, multipliers, p), cut[p])
+    def short(gens, p):
+        return min(real(gens, p), cut[p])
 
     monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", primes)
     monkeypatch.setattr(_modlinalg, "closure_dim_mod", short)
