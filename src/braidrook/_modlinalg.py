@@ -9,13 +9,13 @@ nullity bounds the rational nullity from above, and the candidates are
 independent by construction, so matching counts certify completeness.
 Any failure returns None and the caller falls back to pure elimination.
 
-The same residue arithmetic gives two lower bounds. Each is the dimension
-over F_p of a space spanned by reductions of p-integral rational matrices,
-which is at most the dimension over Q when p divides no denominator of the
-generators:
-- closure_dim_mod: the unital algebra of the braid generators alone, the
-  one lower bound of the duality report's character certificate (see
-  tensor.duality_report);
+Two lower bounds come from one sparse echelon over F_p in pure Python,
+on {row-major index: residue} dicts. Each is the dimension over F_p of a
+space spanned by reductions of p-integral rational matrices, which is at
+most the dimension over Q when p divides no denominator of the generators:
+- closure_dim_mod: the unital algebra of the braid generators on the
+  reduced blocks (burau.block_generators), the one lower bound of the
+  duality report's character certificate (see tensor.duality_report);
 - bracket_closure_dim_mod: the Lie algebra of the tangent generators, which
   lieclosure.bracket_closure compares with its gl/sl ceiling.
 """
@@ -179,25 +179,10 @@ def _verify(rows, candidates):
     return candidates
 
 
-# -- the mod-p envelope closure of the duality certificate -----------------------
+# -- the mod-p lower bounds: one sparse echelon for both closures ---------------
 
-# Primes just below 2^26, so (p - 1)^2 < 2^52 and an int64 dot product of up
-# to 2^11 residue products cannot overflow; longer ones are split.
+# Fixed primes just below 2^26; a closure that misses at one moves on to the next.
 SANDWICH_PRIMES = [67108859, 67108837, 67108819, 67108777]
-
-_INT64_LIMIT = 2**63
-
-
-def _dot_mod(a, b, p: int):
-    """a @ b mod p for int64 residue arrays. The inner dimension is cut into
-    pieces short enough that every partial sum stays below 2^63."""
-    step = (_INT64_LIMIT - 1) // (p - 1) ** 2
-    inner = b.shape[0]
-    assert step >= 1 and min(step, inner) * (p - 1) ** 2 < _INT64_LIMIT
-    out = a[..., :0] @ b[:0]
-    for k in range(0, inner, step):
-        out = (out + a[..., k : k + step] @ b[k : k + step]) % p
-    return out
 
 
 def is_p_integral(mats, p: int) -> bool:
@@ -206,72 +191,85 @@ def is_p_integral(mats, p: int) -> bool:
     return all(x.denominator % p for m in mats for x in m.nonzeros().values())
 
 
-def residues(m, p: int):
-    """A p-integral rational matrix reduced entrywise mod p, as int64."""
-    flat = np.zeros(m.rows * m.cols, dtype=np.int64)
-    for k, x in m.nonzeros().items():
-        flat[k] = x.numerator * pow(x.denominator, -1, p) % p
-    return flat.reshape(m.rows, m.cols)
+def residues(m, p: int) -> dict[int, int]:
+    """A p-integral rational matrix reduced entrywise mod p, by its nonzero
+    residues {row-major index: residue}."""
+    out = ((k, x.numerator * pow(x.denominator, -1, p) % p) for k, x in m.nonzeros().items())
+    return {k: r for k, r in out if r}
 
 
-class _EchelonMod:
-    """Incremental fully reduced row echelon basis over F_p."""
+def _echelon_add(basis: dict[int, dict[int, int]], v: dict[int, int], p: int):
+    """Adjoin the residue vector v, {index: nonzero residue}, to the fully
+    reduced echelon basis {pivot: row, 1 at the pivot} over F_p, in place;
+    v is used up. Returns a copy of the new basis row, or None when v
+    already lies in the span."""
+    # pivot columns are zero in every other basis row, so each coefficient
+    # can be read off v before any subtraction
+    for piv, c in [(k, c) for k, c in v.items() if k in basis]:
+        for k, y in basis[piv].items():
+            t = (v.get(k, 0) - c * y) % p
+            if t:
+                v[k] = t
+            else:
+                del v[k]
+    if not v:
+        return None
+    piv = min(v)
+    inv = pow(v[piv], -1, p)
+    v = {k: y * inv % p for k, y in v.items()}
+    for row in basis.values():
+        c = row.get(piv)
+        if c:
+            for k, y in v.items():
+                t = (row.get(k, 0) - c * y) % p
+                if t:
+                    row[k] = t
+                else:
+                    del row[k]
+    basis[piv] = v
+    return dict(v)
 
-    def __init__(self, length: int, p: int):
-        self.p = p
-        self.dim = 0
-        self.pivots: list[int] = []
-        self._rows = np.zeros((8, length), dtype=np.int64)
 
-    def add(self, v) -> bool:
-        """Adjoin the residue vector v; False if it already lies in the span."""
-        p, d = self.p, self.dim
-        rows = self._rows[:d]
-        if d:
-            v = (v - _dot_mod(v[self.pivots], rows, p)) % p
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
-            return False
-        c = int(nz[0])
-        v = v * pow(int(v[c]), -1, p) % p
-        if d:
-            rows[:] = (rows - np.outer(rows[:, c], v)) % p
-        if d == len(self._rows):
-            self._rows = np.concatenate([self._rows, np.zeros_like(self._rows)])
-        self._rows[d] = v
-        self.pivots.append(c)
-        self.dim += 1
-        return True
+def _split(g: dict[int, int], m: int):
+    """The nonzeros of an m x m residue matrix g by column and by row:
+    cols[i] = [(a, g[a, i])] and rows[j] = [(b, g[j, b])]."""
+    cols: dict[int, list] = {}
+    rows: dict[int, list] = {}
+    for k, x in g.items():
+        i, j = divmod(k, m)
+        cols.setdefault(j, []).append((i, x))
+        rows.setdefault(i, []).append((j, x))
+    return cols, rows
 
 
 def closure_dim_mod(gens, p: int) -> int:
     """Dimension over F_p of the span of 1 closed under right multiplication
-    by the residue matrices gens: the unital algebra they generate.
+    by the residues of the p-integral rational matrices gens: the unital
+    algebra they generate mod p.
 
-    Every element found is a product of the generators, so when those are
-    the reductions of p-integral rational matrices, the result is at most
-    the dimension over Q of the algebra the rational matrices generate: the
-    Z_(p)-span of their products is a lattice of that rank, and its
+    Every element found is a product of the generators, so the result is at
+    most the dimension over Q of the algebra the rational matrices generate:
+    the Z_(p)-span of their products is a lattice of that rank, and its
     reduction mod p spans everything found here. That needs nothing of the
     generators but p-integrality; in particular a generator that is
     singular mod p only makes the bound smaller.
     """
-    size = gens[0].shape[0]
-    basis = _EchelonMod(size * size, p)
-    one = np.eye(size, dtype=np.int64)
-    basis.add(one.reshape(-1))
-    queue = [one]
+    m = gens[0].rows
+    right = [_split(residues(g, p), m)[1] for g in gens]
+    basis: dict[int, dict[int, int]] = {}
+    queue = [_echelon_add(basis, {k * (m + 1): 1 for k in range(m)}, p)]
     while queue:
-        batch = np.stack(queue)
-        queue = []
-        for g in gens:
-            for prod in _dot_mod(batch, g, p):
-                if basis.add(prod.reshape(-1)):
-                    queue.append(prod)
-    return basis.dim
-
-
-# -- the mod-p Lie closure of bracket_closure -----------------------------------
+        w = queue.pop()
+        for rows in right:
+            out: dict[int, int] = {}
+            for k, x in w.items():
+                i, t = divmod(k, m)
+                for j, y in rows.get(t, ()):
+                    out[i * m + j] = out.get(i * m + j, 0) + x * y
+            prod = {k: r for k, x in out.items() if (r := x % p)}
+            if (new := _echelon_add(basis, prod, p)) is not None:
+                queue.append(new)
+    return len(basis)
 
 
 def bracket_closure_dim_mod(gens, p: int, ceiling: int) -> int:
@@ -287,60 +285,19 @@ def bracket_closure_dim_mod(gens, p: int, ceiling: int) -> int:
     independent over F_p lift to vectors independent over Q, the result is
     at most dim_Q L.
 
-    The vectors are sparse {row-major index: residue} dicts, kept in a fully
-    reduced echelon basis in pure Python. This is a second mod-p echelon
-    beside _EchelonMod because each wins where it is used (one run each, 2
-    vCPUs, Python 3.11.7, numpy 2.4). _EchelonMod pays numpy's per-call
-    overhead on every add, and these closures have at most m^2 = 81 columns
-    and thousands of adds: the u and v closures at n = 8, 9, 10 took 0.071 s
-    on it against 0.014 s here. The duality closure has n^(2r) columns and
-    denser products, and there the dense rows win: 0.009 s against 0.033 s
-    at (n, r) = (3, 3) and 0.36 s against 1.24 s at (3, 4).
+    Each bracket is taken with g - cI, c the most common diagonal residue
+    of g: ad(g - cI) = ad(g), and the shift leaves fewer nonzeros to
+    bracket with (each v generator of lieclosure carries an identity part).
     """
     m = gens[0].rows
-
-    def residue(x):
-        return x.numerator * pow(x.denominator, -1, p) % p
-
-    res = [{k: r for k, x in g.nonzeros().items() if (r := residue(x))} for g in gens]
-    # g[a, i] as cols[i] = [(a, g[a, i])] and g[j, b] as rows[j] = [(b, g[j, b])]
+    res = [residues(g, p) for g in gens]
     sides = []
     for g in res:
-        cols: dict[int, list] = {}
-        rows: dict[int, list] = {}
-        for k, x in g.items():
-            i, j = divmod(k, m)
-            cols.setdefault(j, []).append((i, x))
-            rows.setdefault(i, []).append((j, x))
-        sides.append((cols, rows))
-    basis: dict[int, dict[int, int]] = {}  # pivot -> row, 1 at the pivot
-
-    def add(v):
-        # pivot columns are zero in every other basis row, so each
-        # coefficient can be read off v before any subtraction
-        for piv, c in [(k, c) for k, c in v.items() if k in basis]:
-            for k, y in basis[piv].items():
-                t = (v.get(k, 0) - c * y) % p
-                if t:
-                    v[k] = t
-                else:
-                    del v[k]
-        if not v:
-            return None
-        piv = min(v)
-        inv = pow(v[piv], -1, p)
-        v = {k: y * inv % p for k, y in v.items()}
-        for row in basis.values():
-            c = row.get(piv)
-            if c:
-                for k, y in v.items():
-                    t = (row.get(k, 0) - c * y) % p
-                    if t:
-                        row[k] = t
-                    else:
-                        del row[k]
-        basis[piv] = v
-        return dict(v)
+        diagonal = [g.get(i * (m + 1), 0) for i in range(m)]
+        c = max(diagonal, key=diagonal.count)
+        shifted = {**g, **{i * (m + 1): (x - c) % p for i, x in enumerate(diagonal)}}
+        sides.append(_split({k: x for k, x in shifted.items() if x}, m))
+    basis: dict[int, dict[int, int]] = {}
 
     def bracket(side, w):
         cols, rows = side
@@ -355,12 +312,11 @@ def bracket_closure_dim_mod(gens, p: int, ceiling: int) -> int:
                 out[t] = out.get(t, 0) - x * y
         return {k: r for k, x in out.items() if (r := x % p)}
 
-    queue = [w for w in map(add, res) if w is not None]
+    queue = [w for g in res if (w := _echelon_add(basis, g, p)) is not None]
     while queue and len(basis) < ceiling:
         w = queue.pop()
         for side in sides:
-            new = add(bracket(side, w))
-            if new is not None:
+            if (new := _echelon_add(basis, bracket(side, w), p)) is not None:
                 queue.append(new)
                 if len(basis) == ceiling:
                     break

@@ -270,6 +270,19 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix._trusted(rows, cols, out)
 
 
+def direct_sum(blocks: Sequence[Matrix]) -> Matrix:
+    """Block-diagonal matrix with the blocks down its diagonal, in order."""
+    rows, cols = sum(b.rows for b in blocks), sum(b.cols for b in blocks)
+    out: dict[int, Fraction] = {}
+    top = left = 0
+    for b in blocks:
+        for idx, v in b._e.items():
+            i, j = divmod(idx, b.cols)
+            out[(top + i) * cols + left + j] = v
+        top, left = top + b.rows, left + b.cols
+    return Matrix._trusted(rows, cols, out)
+
+
 def kron_power(a: Matrix, r: int) -> Matrix:
     """r-fold Kronecker power of a; r = 0 gives the 1x1 identity."""
     if r < 0:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .burau import BurauParams, unreduced_generator
+from .burau import BurauParams, block_generators, unreduced_generator
 from .cellular import (
     cell_dim,
     cell_labels,
@@ -33,6 +33,7 @@ from .diagrams import (
 )
 from .linalg import certificate_record, commutant, matrix_span, rref, span_closure
 from .matrix import Matrix, kron_power
+from .scalars import IdentityError
 
 MATRIX_SIZE_BUDGET = 256  # largest n^r the exact commutant solvers accept
 
@@ -217,17 +218,21 @@ def _homomorphism_failure(basis, ops, table, z: Fraction, r: int) -> str | None:
     return None
 
 
-def _character_certificate(p: BurauParams, r: int, basis, ops, braid_gens) -> dict:
+def _character_certificate(p: BurauParams, r: int, basis, ops) -> dict:
     """The certificate of duality_report, given the operators ops of the
     basis diagrams: the homomorphism and character checks on them, the two
     q-free dimensions chi^T G(1)^-1 chi and rank H, and the mod-p closure
-    of the braid generators alone at each listed prime that divides no
+    of burau.block_generators at each listed prime that divides no
     denominator of them, the largest lower bound kept."""
     from . import _modlinalg
 
     z = p.quantum(p.n)
     if z == 0:
         return certificate_record("exact", "z = [n]_q = 0 has no rescaled basis")
+    try:
+        blocks = block_generators(p, r)
+    except IdentityError as e:
+        return certificate_record("exact", str(e))
     table = rook_product_table(basis)
     failure = _homomorphism_failure(basis, ops, table, z, r)
     if failure:
@@ -252,11 +257,10 @@ def _character_certificate(p: BurauParams, r: int, basis, ops, braid_gens) -> di
     }
     skipped, tried, best = [], [], None
     for prime in _modlinalg.SANDWICH_PRIMES:
-        if not _modlinalg.is_p_integral(braid_gens, prime):
+        if not _modlinalg.is_p_integral(blocks, prime):
             skipped.append(prime)
             continue
-        residues = [_modlinalg.residues(g, prime) for g in braid_gens]
-        closure = _modlinalg.closure_dim_mod(residues, prime)
+        closure = _modlinalg.closure_dim_mod(blocks, prime)
         tried.append(prime)
         if best is None or closure > bounds["envelope_lower"]:
             best, bounds["envelope_lower"] = prime, closure
@@ -319,13 +323,12 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
       tr_V(xy) on A. That form is m_lam times the nondegenerate trace
       form on each block that V meets, and zero on the others, so its
       rank is the dimension of the image.
-    The braid side enters by one lower bound: the dimension of the unital
-    algebra of the braid generators reduced mod a prime p that divides
-    none of their denominators. Their inverses are not needed: each T_i^(x r)
-    is invertible, so by Cayley-Hamilton its inverse is a polynomial in it,
-    and the envelope is the unital algebra of the generators alone. The
-    Z_(p)-span of their products is a lattice of rank dim envelope, and its
-    reduction spans the mod-p closure, so
+    The braid side enters by one lower bound. The envelope has the
+    dimension of the unital algebra of the B_i on the reduced blocks U
+    (burau.block_generators). Reduce the B_i mod a prime p that divides
+    none of their denominators: the Z_(p)-span of their products is a
+    lattice of rank dim envelope, and its reduction spans the mod-p
+    closure, so
         closure_p <= dim envelope <= dim C(image) = chi^T G(1)^-1 chi.
     When the ends meet, the envelope is C(image). The image is
     semisimple, so the double centralizer theorem gives
@@ -335,12 +338,13 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     A miss at one prime moves on to the next listed prime, keeping the
     largest lower bound. The exact centralizer, image, envelope and
     commutant dimensions are computed instead ("exact" path) when the
-    actions do not commute, when z = 0, when the homomorphism, character
-    or G(1) step fails, when the bounds miss at every listed prime, and
-    when every listed prime divides a denominator. report["certificate"]
-    records the path, the prime, the skipped primes, the bounds
-    (envelope_lower, rook_centralizer = chi^T G(1)^-1 chi,
-    rook_image = rank H) and the reason for the exact path.
+    actions do not commute, when z = 0, when the split check of the B_i,
+    the homomorphism, character or G(1) step fails, when the bounds miss
+    at every listed prime, and when every listed prime divides a
+    denominator. report["certificate"] records the path, the prime, the
+    skipped primes, the bounds (envelope_lower, rook_centralizer =
+    chi^T G(1)^-1 chi, rook_image = rank H) and the reason for the exact
+    path.
     """
     _check_budget(n, r, budget)
     if p.n != n:
@@ -356,7 +360,7 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     commute = all(b * g == g * b for b in braid_gens for g in rook_gens)
 
     if commute:
-        certificate = _character_certificate(p, r, basis, ops, braid_gens)
+        certificate = _character_certificate(p, r, basis, ops)
     else:
         certificate = certificate_record("exact", "actions do not commute")
 

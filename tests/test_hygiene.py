@@ -2,6 +2,8 @@
 it, and every library function has a caller in the library."""
 
 import ast
+import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -74,7 +76,6 @@ TEST_ONLY_ALLOWED = {
     "form_matrix",
     "form_value",
     "reflection",
-    "change_of_basis",
     "star",
     "leaf_counts",
 }
@@ -202,3 +203,20 @@ def test_detector_resolves_shadowed_names():
     )
     trees = {"a": ast.parse(source), "b": ast.parse(other)}
     assert unreferenced_functions(trees) == {"a.rank", "a.Part.det", "a.Part.entries", "b.caller"}
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def test_every_tracer_probe_resolves(monkeypatch):
+    # the benchmark's tracer records a probe whose function is gone as
+    # absent and drops its metrics; a rename in the library fails here
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    assert tracer.PROBES
+    missing = [
+        f"{p.module}.{p.attr}" for p in tracer.PROBES if tracer.Tracer._resolve(p)[2] is None
+    ]
+    assert not missing, f"tracer probes that resolve to nothing: {missing}"

@@ -727,20 +727,6 @@ def test_modular_nullspace_is_the_exact_canonical_basis():
 # -- mod-p arithmetic of the envelope closure ------------------------------------
 
 
-def test_dot_mod_splits_long_sums_exactly():
-    # at p just below 2^31 only two residue products fit in an int64 sum,
-    # so a length-9 dot product must be cut into pieces
-    import numpy as np
-
-    p = _modlinalg.PRIMES[0]
-    rng = random.Random(5)
-    a = [[rng.randrange(p) for _ in range(9)] for _ in range(3)]
-    b = [[rng.randrange(p) for _ in range(4)] for _ in range(9)]
-    got = _modlinalg._dot_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
-    want = [[sum(a[i][k] * b[k][j] for k in range(9)) % p for j in range(4)] for i in range(3)]
-    assert got.tolist() == want
-
-
 def test_closure_dim_mod_matches_span_closure():
     rng = random.Random(11)
     while True:
@@ -749,16 +735,47 @@ def test_closure_dim_mod_matches_span_closure():
             break
     h = rand_matrix(rng, 3, 3, den=1)
     p = _modlinalg.SANDWICH_PRIMES[0]
-    res = [_modlinalg.residues(m, p) for m in (g, h)]
-    assert _modlinalg.closure_dim_mod(res, p) == span_closure([g, h])[0]
-    assert _modlinalg.closure_dim_mod(res[:1], p) == span_closure([g])[0]
+    assert _modlinalg.closure_dim_mod([g, h], p) == span_closure([g, h])[0]
+    assert _modlinalg.closure_dim_mod([g], p) == span_closure([g])[0]
 
 
 def test_residues_and_p_integrality():
     m = Matrix.from_rows([[Fraction(1, 2), Fraction(-1)], [Fraction(3), Fraction(0)]])
     assert not _modlinalg.is_p_integral([m], 2)
     assert _modlinalg.is_p_integral([m], 5)
-    assert _modlinalg.residues(m, 5).tolist() == [[3, 4], [3, 0]]
+    assert _modlinalg.residues(m, 5) == {0: 3, 1: 4, 2: 3}
+
+
+def _echelon_of_rows(m, p):
+    """The echelon of m's rows mod p, and what each add returned."""
+    basis, added = {}, []
+    for i in range(m.rows):
+        row = _modlinalg.residues(Matrix(1, m.cols, m.row(i)), p)
+        added.append(_modlinalg._echelon_add(basis, row, p))
+    return basis, added
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_echelon_rank_mod_p_is_the_exact_rank(seed):
+    # integer matrices of every shape, some of them products through a
+    # thinner middle, so rank-deficient; each basis row has a 1 at its
+    # pivot and a 0 at every other pivot
+    rng = random.Random(seed)
+    rows, inner, cols = (rng.randint(1, 8) for _ in range(3))
+    m = rand_matrix(rng, rows, inner, den=1) * rand_matrix(rng, inner, cols, den=1)
+    p = _modlinalg.SANDWICH_PRIMES[0]
+    basis, added = _echelon_of_rows(m, p)
+    assert len(basis) == sum(v is not None for v in added) == rank(m)
+    for piv, row in basis.items():
+        assert row[piv] == 1 and all(k == piv or k not in basis for k in row)
+
+
+def test_echelon_ranks_mod_p_not_over_q():
+    # rank 2 over Q; mod 3 the second row is twice the first
+    m = Matrix.from_rows([[1, 2, 0], [2, 1, 0]])
+    assert rank(m) == 2
+    basis, added = _echelon_of_rows(m, 3)
+    assert basis == {0: {0: 1, 1: 2}} and added[1] is None
 
 
 def test_commutant_rows_nullity_is_commutant_dim():

@@ -8,8 +8,8 @@ from itertools import permutations, product
 import pytest
 from rook_factorization import projection_factorization
 
-from braidrook import _modlinalg, tensor
-from braidrook.burau import BurauParams, projection_p, unreduced_generator
+from braidrook import _modlinalg, burau, tensor
+from braidrook.burau import BurauParams, block_generators, projection_p, unreduced_generator
 from braidrook.diagrams import PartialPermutation, rook_elements, transposition
 from braidrook.linalg import commutant, matrix_span, span_closure, spans_equal
 from braidrook.matrix import Matrix, kron
@@ -448,6 +448,47 @@ def test_duality_n4_r3_on_the_character_path():
     assert details["enveloping_dimension_sum"].startswith("enveloping dim 220,")
 
 
+def test_duality_n5_r3_on_the_character_path():
+    # n^r = 125: the closure runs on U, of dimension 1 + 4 + 16 + 64 = 85,
+    # where on E^(x 3) it had 125^2 coordinates
+    report = duality_report(5, 3, BurauParams.preset(5))
+    _assert_all_pass(report)
+    assert report["certificate"]["path"] == "character"
+    assert report["certificate"]["bounds"]["envelope_lower"] == 969
+    assert report["certificate"]["bounds"]["rook_image"] == 34
+
+
+@pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (2, 3), (4, 2)])
+def test_block_generators_close_to_the_envelope_dimension(n, r):
+    params = BurauParams.preset(n)
+    blocks = block_generators(params, r)
+    assert blocks[0].rows == sum((n - 1) ** k for k in range(r + 1))
+    assert span_closure(blocks)[0] == span_closure(braid_generators(params, r))[0]
+
+
+def _bumped(c):
+    # one entry of C off by one
+    return c + Matrix.unit(c.rows, 1, 0)
+
+
+def _first_column_dropped(c):
+    # T_i C = C (q1 + R_i) still holds, but C is singular
+    return Matrix(c.rows, c.cols, {k: x for k, x in c.nonzeros().items() if k % c.cols})
+
+
+@pytest.mark.parametrize(
+    "broken,reason",
+    [
+        (_bumped, "T_i C != C (q1 + R_i) at i = 1"),
+        (_first_column_dropped, "C = change_of_basis is singular"),
+    ],
+)
+def test_broken_change_of_basis_fails_the_split_check(monkeypatch, broken, reason):
+    real = burau.change_of_basis
+    monkeypatch.setattr(burau, "change_of_basis", lambda p: broken(real(p)))
+    assert _passing_on_the_exact_path(duality_report(3, 2, P32)) == reason
+
+
 COMMUTE_AND_BOTH_EQUALITIES = {
     "actions_commute",
     "enveloping_equals_centralizer_of_rook_image",
@@ -566,8 +607,8 @@ def test_forced_sandwich_miss_takes_exact_path(monkeypatch, primes, reason):
 
 def test_prime_where_the_generators_are_singular_is_tried(monkeypatch):
     # at q = 2 the generators are integral, so 2 is tried, but
-    # det T_i = q1^2 q2 = -2 makes every T_i^(x 2) singular mod 2: the
-    # closure stops at 5, short of the envelope's 15
+    # det R_i = q1 q2 = -2 makes every block generator B_i singular mod 2:
+    # the closure stops at 5, short of the envelope's 15
     character = duality_report(3, 2, P32)
     second = _modlinalg.SANDWICH_PRIMES[0]
     monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", [2])
