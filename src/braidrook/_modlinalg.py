@@ -9,10 +9,12 @@ nullity bounds the rational nullity from above, and the candidates are
 independent by construction, so matching counts certify completeness.
 Any failure returns None and the caller falls back to pure elimination.
 
-Two lower bounds come from one sparse echelon over F_p in pure Python,
-on {row-major index: residue} dicts. Each is the dimension over F_p of a
-space spanned by reductions of p-integral rational matrices, which is at
-most the dimension over Q when p divides no denominator of the generators:
+Two lower bounds come from linalg.worklist_closure over one sparse echelon
+over F_p in pure Python, _echelon_add on {row-major index: residue} dicts,
+with products taken by matrix.sparse_product on integers and reduced mod p
+afterwards. Each is the dimension over F_p of a space spanned by
+reductions of p-integral rational matrices, which is at most the dimension
+over Q when p divides no denominator of the generators:
 - closure_dim_mod: the unital algebra of the braid generators on the
   reduced blocks (burau.block_generators), the one lower bound of the
   duality report's character certificate (see tensor.duality_report);
@@ -26,6 +28,9 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import numpy as np
+
+from .linalg import worklist_closure
+from .matrix import rows_of, sparse_product
 
 # Deterministic primes just below 2^31 so int64 products never overflow.
 PRIMES = [
@@ -230,22 +235,10 @@ def _echelon_add(basis: dict[int, dict[int, int]], v: dict[int, int], p: int):
     return dict(v)
 
 
-def _split(g: dict[int, int], m: int):
-    """The nonzeros of an m x m residue matrix g by column and by row:
-    cols[i] = [(a, g[a, i])] and rows[j] = [(b, g[j, b])]."""
-    cols: dict[int, list] = {}
-    rows: dict[int, list] = {}
-    for k, x in g.items():
-        i, j = divmod(k, m)
-        cols.setdefault(j, []).append((i, x))
-        rows.setdefault(i, []).append((j, x))
-    return cols, rows
-
-
 def closure_dim_mod(gens, p: int) -> int:
-    """Dimension over F_p of the span of 1 closed under right multiplication
-    by the residues of the p-integral rational matrices gens: the unital
-    algebra they generate mod p.
+    """Dimension over F_p of the unital algebra that the residues of the
+    p-integral rational matrices gens generate: linalg.worklist_closure of
+    the span of 1 under right multiplication by each residue matrix.
 
     Every element found is a product of the generators, so the result is at
     most the dimension over Q of the algebra the rational matrices generate:
@@ -255,27 +248,41 @@ def closure_dim_mod(gens, p: int) -> int:
     singular mod p only makes the bound smaller.
     """
     m = gens[0].rows
-    right = [_split(residues(g, p), m)[1] for g in gens]
     basis: dict[int, dict[int, int]] = {}
-    queue = [_echelon_add(basis, {k * (m + 1): 1 for k in range(m)}, p)]
-    while queue:
-        w = queue.pop()
-        for rows in right:
-            out: dict[int, int] = {}
-            for k, x in w.items():
-                i, t = divmod(k, m)
-                for j, y in rows.get(t, ()):
-                    out[i * m + j] = out.get(i * m + j, 0) + x * y
-            prod = {k: r for k, x in out.items() if (r := x % p)}
-            if (new := _echelon_add(basis, prod, p)) is not None:
-                queue.append(new)
-    return len(basis)
+
+    def right(g):
+        rows = rows_of(residues(g, p), m)
+        return lambda w: {k: r for k, x in sparse_product(w, rows, m, m).items() if (r := x % p)}
+
+    one = {k * (m + 1): 1 for k in range(m)}
+    return worklist_closure(lambda v: _echelon_add(basis, v, p), [one], [right(g) for g in gens])
+
+
+def _ad(g: dict[int, int], m: int, p: int):
+    """ad_g = [g, .] on m x m residue matrices, reduced mod p."""
+    rows = rows_of(g, m)
+    cols = rows_of({(k % m) * m + k // m: x for k, x in g.items()}, m)  # the rows of g^T
+
+    def bracket(w):
+        out: dict[int, int] = {}
+        for k, x in w.items():
+            i, j = divmod(k, m)
+            for a, y in cols.get(i, ()):
+                t = a * m + j
+                out[t] = out.get(t, 0) + y * x
+            for b, y in rows.get(j, ()):
+                t = i * m + b
+                out[t] = out.get(t, 0) - x * y
+        return {k: r for k, x in out.items() if (r := x % p)}
+
+    return bracket
 
 
 def bracket_closure_dim_mod(gens, p: int, ceiling: int) -> int:
     """Dimension over F_p of the span of the p-integral generators' residues,
-    closed under ad_g = [g, .] for each generator g, by the worklist of
-    lieclosure.bracket_closure; it stops once the dimension reaches ceiling.
+    closed under ad_g = [g, .] for each generator g by
+    linalg.worklist_closure, as in lieclosure.bracket_closure; it stops once
+    the dimension reaches ceiling.
 
     Every element found is the reduction of a p-integral element of the Lie
     algebra L that the rational generators generate: brackets and Z_(p)
@@ -291,33 +298,11 @@ def bracket_closure_dim_mod(gens, p: int, ceiling: int) -> int:
     """
     m = gens[0].rows
     res = [residues(g, p) for g in gens]
-    sides = []
+    ads = []
     for g in res:
         diagonal = [g.get(i * (m + 1), 0) for i in range(m)]
         c = max(diagonal, key=diagonal.count)
         shifted = {**g, **{i * (m + 1): (x - c) % p for i, x in enumerate(diagonal)}}
-        sides.append(_split({k: x for k, x in shifted.items() if x}, m))
+        ads.append(_ad({k: x for k, x in shifted.items() if x}, m, p))
     basis: dict[int, dict[int, int]] = {}
-
-    def bracket(side, w):
-        cols, rows = side
-        out: dict[int, int] = {}
-        for k, x in w.items():
-            i, j = divmod(k, m)
-            for a, y in cols.get(i, ()):
-                t = a * m + j
-                out[t] = out.get(t, 0) + y * x
-            for b, y in rows.get(j, ()):
-                t = i * m + b
-                out[t] = out.get(t, 0) - x * y
-        return {k: r for k, x in out.items() if (r := x % p)}
-
-    queue = [w for g in res if (w := _echelon_add(basis, g, p)) is not None]
-    while queue and len(basis) < ceiling:
-        w = queue.pop()
-        for side in sides:
-            if (new := _echelon_add(basis, bracket(side, w), p)) is not None:
-                queue.append(new)
-                if len(basis) == ceiling:
-                    break
-    return len(basis)
+    return worklist_closure(lambda v: _echelon_add(basis, v, p), res, ads, ceiling)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .burau import BurauParams, generator_power, reduced_generator
-from .linalg import VectorSpan, certificate_record, det
+from .linalg import VectorSpan, certificate_record, det, worklist_closure
 from .matrix import Matrix
 from .scalars import format_scalar, quantum_int, scalar
 
@@ -76,15 +76,17 @@ def off_identity(m: int, i: int) -> Matrix:
     return Matrix.identity(m) - _unit(m, i, i)
 
 
-def u_generators(n: int, q) -> list[Matrix]:
-    """The n-1 matrices u_i = b e_{i,i-1} + e_{ii} + a e_{i,i+1}, with
-    the sub/super terms dropped at i = 1 and i = n-1 respectively."""
-    c = LieConstants(n, q)
+def _u(i: int, c: LieConstants) -> Matrix:
+    """u_i = b e_{i,i-1} + e_{ii} + a e_{i,i+1}, with the sub/super terms
+    dropped at i = 1 and i = n-1 respectively."""
     m = c.size
-    return [
-        _unit(m, i, i - 1).scale(c.b) + _unit(m, i, i) + _unit(m, i, i + 1).scale(c.a)
-        for i in range(1, n)
-    ]
+    return _unit(m, i, i - 1).scale(c.b) + _unit(m, i, i) + _unit(m, i, i + 1).scale(c.a)
+
+
+def u_generators(n: int, q) -> list[Matrix]:
+    """The n-1 matrices u_1, ..., u_{n-1} (see _u)."""
+    c = LieConstants(n, q)
+    return [_u(i, c) for i in range(1, n)]
 
 
 def v_generators(n: int, q) -> list[Matrix]:
@@ -102,15 +104,18 @@ def v_generators(n: int, q) -> list[Matrix]:
     ]
 
 
+def tangent_generator(i: int, c: LieConstants) -> Matrix:
+    """Derivative h_i = dH_i/dz at z = 1: h_i = e_{ii} - b e_{i,i-1}
+    - a e_{i,i+1} = 2 e_{ii} - u_i."""
+    return _unit(c.size, i, i).scale(2) - _u(i, c)
+
+
 def tangent_generators(n: int, q) -> list[Matrix]:
-    """Derivatives h_i = dH_i/dz at z = 1: h_i = e_{ii} - b e_{i,i-1}
-    - a e_{i,i+1} = 2 e_{ii} - u_i.  Conjugating by the alternating sign
-    matrix D turns each h_i into u_i, so the two families generate
-    conjugate (hence equidimensional) Lie algebras."""
-    m = n - 1
-    return [
-        _unit(m, i, i).scale(2) - u for i, u in enumerate(u_generators(n, q), start=1)
-    ]
+    """The n-1 tangent vectors h_i (see tangent_generator).  Conjugating
+    by the alternating sign matrix D turns each h_i into u_i, so the two
+    families generate conjugate (hence equidimensional) Lie algebras."""
+    c = LieConstants(n, q)
+    return [tangent_generator(i, c) for i in range(1, n)]
 
 
 def commutator(x: Matrix, y: Matrix) -> Matrix:
@@ -136,13 +141,11 @@ def bracket_closure(gens: Sequence[Matrix]) -> BracketSpace:
     is always traceless and so is any sum of traceless matrices. A subspace
     of the ceiling space with its full dimension is the whole of it.
 
-    The worklist. Each new independent element w is bracketed with the
-    generators only, as [g, w] for g in gens: at most len(gens) * dim
-    commutators, not one per pair of basis elements. The processed
-    elements span the current span, so when the worklist empties the span
-    L is the smallest subspace that contains the generator set S and is
-    mapped into itself by every ad_s, s in S. Such an L is already closed
-    under the bracket. Let N = {x in L : [x, L] is in L}.
+    The worklist. linalg.worklist_closure of the generator set S under
+    ad_s = [s, .] for s in S only, at most len(gens) * dim commutators and
+    not one per pair of basis elements, gives the smallest subspace L that
+    contains S and is mapped into itself by every ad_s. Such an L is
+    already closed under the bracket. Let N = {x in L : [x, L] is in L}.
 
     * N contains S, since ad_s maps L into L.
     * N is closed under the bracket: by Jacobi,
@@ -220,19 +223,8 @@ def _exact_closure(gens: Sequence[Matrix], ceiling: int, certificate: dict) -> B
     """The worklist of bracket_closure over an exact echelon basis."""
     m = gens[0].rows
     span = VectorSpan(m * m)
-    queue: list[Matrix] = []
-    for g in gens:
-        row = span.add(g.nonzeros())
-        if row is not None:
-            queue.append(Matrix(m, m, row))
-    while queue and span.dim < ceiling:
-        w = queue.pop()
-        for g in gens:
-            row = span.add(commutator(g, w).nonzeros())
-            if row is not None:
-                queue.append(Matrix(m, m, row))
-                if span.dim == ceiling:
-                    break
+    ads = [lambda w, g=g: commutator(g, Matrix(m, m, w)).nonzeros() for g in gens]
+    worklist_closure(span.add, [g.nonzeros() for g in gens], ads, ceiling)
     basis = tuple(Matrix(m, m, row) for row in span.basis_nonzeros())
     return BracketSpace(span.dim, basis, certificate)
 
@@ -312,7 +304,7 @@ def one_param_membership(i: int, k: int, p: BurauParams) -> dict:
     closed_ok = True
     if k >= 1:
         closed_ok = power == generator_power(i, k, p).scale(p.q1 ** (-k))
-    h_i = tangent_generators(p.n, p.q)[i - 1]
+    h_i = tangent_generator(i, c)
     ident = Matrix.identity(c.size)
     tangent_ok = all(
         subgroup_h(i, t, c) - ident == h_i.scale(t - 1)

@@ -3,14 +3,17 @@ and multiplicative span closure.
 
 Everything is computed over the rationals with no rounding. One exact
 elimination engine, the incremental VectorSpan, does all Fraction echelon
-work; rref feeds it rows smallest first. VectorSpan keeps its basis rows
-sparse, so the cost of an elimination step follows the nonzeros, not the
-vector length. Bases are returned in a canonical echelon order, so outputs
-are deterministic and independent of the order rows are added in (that
-order is performance-only). Large nullspace systems are dispatched to a
-certified modular accelerator whose candidates are verified exactly before
-use; on any failure the pure rational path runs instead, so results never
-depend on the fast path.
+work: rref and nullspace_of_rows feed it rows smallest first. VectorSpan
+keeps its basis rows sparse, so the cost of an elimination step follows the
+nonzeros, not the vector length, and a nullspace is read straight off the
+sparse pivot rows. Bases are returned in a canonical echelon order, so
+outputs are deterministic and independent of the order rows are added in
+(that order is performance-only). One worklist, worklist_closure, closes a
+span under a list of linear maps for every closure in the package, over Q
+here and over F_p in _modlinalg. Large nullspace systems are dispatched to
+a certified modular accelerator whose candidates are verified exactly
+before use; on any failure the pure rational path runs instead, so results
+never depend on the fast path.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .matrix import Matrix
+from .matrix import Matrix, rows_of, sparse_product
 
 SparseRow = list[tuple[int, Fraction]]
 # a dense vector, or its nonzeros as {column: entry}
@@ -29,6 +32,9 @@ Vector = Sequence[Fraction] | Mapping[int, Fraction]
 # Work estimate above which nullspace extraction is attempted modularly
 # first. Purely a speed knob: both routes return identical bases.
 _MODULAR_THRESHOLD = 40_000_000
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _digit_size(x: Fraction) -> int:
@@ -51,30 +57,16 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     return [list(row) for row in span.basis_rows()], span.pivots()
 
 
-def _nullspace_from_rref(echelon: list[list[Fraction]], pivots: list[int], ncols: int):
-    """Canonical nullspace basis: one vector per free column f, with a 1 at f
-    and support otherwise only on earlier pivot columns (trailing-echelon form)."""
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            if p < f:
-                c = echelon[i][f]
-                if c:
-                    v[p] = -c
-        basis.append(tuple(v))
-    return basis
-
-
 def nullspace_of_rows(rows: list[SparseRow], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Nullspace of a sparsely given system; dispatches to the certified
-    modular engine for large systems, with exact fallback."""
-    if not rows:
-        return [tuple(Fraction(1) if j == f else Fraction(0) for j in range(ncols)) for f in range(ncols)]
+    """Canonical nullspace basis of a sparsely given system: one vector per
+    free column f, with a 1 at f and support otherwise only on the earlier
+    pivot columns (trailing-echelon form), in order of f. Dispatches to the
+    certified modular engine for large systems, with exact fallback.
+
+    The exact path adds the rows to a VectorSpan smallest first, as rref
+    does. Its basis is the reduced echelon form: the row of pivot p reads
+    x_p = -sum of c_f x_f over the free columns f it touches, so the
+    vector of f has -c_f at p, read straight off the sparse rows."""
     est = len(rows) * ncols * min(len(rows), ncols)
     if est >= _MODULAR_THRESHOLD:
         from . import _modlinalg
@@ -82,29 +74,18 @@ def nullspace_of_rows(rows: list[SparseRow], ncols: int) -> list[tuple[Fraction,
         result = _modlinalg.certified_nullspace(rows, ncols)
         if result is not None:
             return [tuple(v) for v in result]
-    dense = []
-    for entries in rows:
-        row = [Fraction(0)] * ncols
-        for j, v in entries:
-            row[j] = v
-        dense.append(row)
-    echelon, pivots = rref(dense)
-    return _nullspace_from_rref(echelon, pivots, ncols)
-
-
-def invert(m: Matrix) -> Matrix:
-    if not m.is_square():
-        raise ValueError("inverse of a non-square matrix")
-    n = m.rows
-    aug = []
-    for i in range(n):
-        row = m.row(i) + [Fraction(0)] * n
-        row[n + i] = Fraction(1)
-        aug.append(row)
-    echelon, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return Matrix.from_rows([echelon[i][n:] for i in range(n)])
+    by_size = sorted(rows, key=lambda row: sum(_digit_size(x) for _, x in row if x))
+    span = span_of_vectors((dict(row) for row in by_size), ncols)
+    pivots = span.pivots()
+    vectors = {f: [_ZERO] * ncols for f in sorted(set(range(ncols)) - set(pivots))}
+    for f, v in vectors.items():
+        v[f] = _ONE
+    for p, row in zip(pivots, span.basis_nonzeros()):
+        # every entry of a reduced row beside its pivot is at a free column
+        for f, x in row.items():
+            if f != p:
+                vectors[f][p] = -x
+    return [tuple(v) for v in vectors.values()]
 
 
 def det(m: Matrix) -> Fraction:
@@ -140,9 +121,6 @@ def det(m: Matrix) -> Fraction:
             rowi[k] = 0
         prev = pivot
     return Fraction(sign * work[n - 1][n - 1], 1) / scale
-
-
-_ZERO = Fraction(0)
 
 
 def _exact(x) -> Fraction:
@@ -283,14 +261,47 @@ def spans_equal(a: Sequence[Matrix], b: Sequence[Matrix]) -> bool:
     return sa.basis_rows() == sb.basis_rows()
 
 
+def worklist_closure(add, seeds: Iterable, maps: Sequence, ceiling: int | None = None) -> int:
+    """Dimension of the smallest span that holds the seeds and is mapped
+    into itself by every linear map in maps, built into an echelon basis
+    by add; after adjoining the seeds it stops early once the dimension
+    reaches ceiling.
+
+    add(v) adjoins the vector v and returns the new basis row, or None when
+    v already lies in the span: VectorSpan.add over Q, or
+    _modlinalg._echelon_add on a basis over F_p. Each map takes a basis row
+    and returns a vector that add accepts.
+
+    The worklist adjoins the seeds, then applies every map to each row add
+    returned, adjoining what is new, until no row is new. Each returned row
+    is its vector less a combination of the basis before it, so the
+    returned rows span the span; once the worklist is empty every map has
+    been applied to each of them, so every map sends the span into itself.
+    Every row found lies in any span that holds the seeds and is closed
+    under the maps, so the result is the smallest such span. Stopping at
+    ceiling, the dimension of a space known to hold that span, loses
+    nothing: a subspace of full dimension is the whole space.
+    """
+    queue = [row for v in seeds if (row := add(v)) is not None]
+    dim = len(queue)
+    while queue and (ceiling is None or dim < ceiling):
+        w = queue.pop()
+        for f in maps:
+            if (row := add(f(w))) is not None:
+                queue.append(row)
+                dim += 1
+                if dim == ceiling:
+                    break
+    return dim
+
+
 def span_closure(gens: Sequence[Matrix]) -> tuple[int, list[Matrix]]:
     """Unital algebra generated by gens, N x N matrices.
 
-    Worklist closure: start from the span of 1, multiply each new basis
-    element on the right by every generator, adjoin independent products,
-    repeat to fixpoint (dimension <= N^2 bounds it). Right multiplication
-    alone suffices: the closure holds every word in the generators, and
-    the words span the algebra.
+    The worklist closure of the span of 1 under right multiplication by
+    each generator. Right multiplication alone suffices: the closure holds
+    every word in the generators, and the words span the algebra, which is
+    closed under right multiplication by the generators.
 
     When the generators are invertible this is also the algebra that the
     generators and their inverses generate: by Cayley-Hamilton, g^-1 is a
@@ -304,15 +315,8 @@ def span_closure(gens: Sequence[Matrix]) -> tuple[int, list[Matrix]]:
     if any(not m.is_square() or m.rows != n for m in gens):
         raise ValueError("generators must be square and same size")
     span = VectorSpan(n * n)
-    one = Matrix.identity(n)
-    span.add(one.nonzeros())
-    queue = [one]
-    while queue:
-        w = queue.pop()
-        for g in gens:
-            row = span.add((w * g).nonzeros())
-            if row is not None:
-                queue.append(Matrix(n, n, row))
+    right = [lambda w, rows=rows_of(g.nonzeros(), n): sparse_product(w, rows, n, n) for g in gens]
+    worklist_closure(span.add, [Matrix.identity(n).nonzeros()], right)
     basis = [Matrix(n, n, row) for row in span.basis_nonzeros()]
     return span.dim, basis
 

@@ -9,6 +9,13 @@ that cancel are dropped. `row()` and `to_lists()` give the dense view,
 `nonzeros()` the stored one. Public construction checks that every entry
 is an exact rational; the results of this module's own arithmetic, built
 from Fractions, skip that check.
+
+One sparse product, `sparse_product` of a's nonzeros with b's nonzeros
+grouped by row (`rows_of`), serves the matrix products of the package:
+`Matrix` multiplication here, and the Fraction, integer and mod-p products
+on bare {index: entry} dicts in `linalg`, `tensor` and `_modlinalg`. Only
+the mod-p bracket gw - wg of `_modlinalg._ad` fuses its two products into
+one pass, since it runs once per element of every Lie closure.
 """
 
 from __future__ import annotations
@@ -193,34 +200,15 @@ class Matrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        k, m = self.cols, other.cols
-        # the nonzeros of other grouped by row, once per product
-        b_rows: dict[int, list[tuple[int, Fraction]]] = {}
-        for idx, bv in other._e.items():
-            t, j = divmod(idx, m)
-            bt = b_rows.get(t)
-            if bt is None:
-                b_rows[t] = [(j, bv)]
-            else:
-                bt.append((j, bv))
-        out: dict[int, Fraction] = {}
-        for idx, av in self._e.items():
-            i, t = divmod(idx, k)
-            bt = b_rows.get(t)
-            if bt is None:
-                continue
-            orow = i * m
-            for j, bv in bt:
-                key = orow + j
-                x = out.get(key)
-                out[key] = av * bv if x is None else x + av * bv
-        return Matrix._trusted(self.rows, m, {key: x for key, x in out.items() if x})
+        m = other.cols
+        e = sparse_product(self._e, rows_of(other._e, m), self.cols, m)
+        return Matrix._trusted(self.rows, m, e)
 
     def __pow__(self, k: int) -> "Matrix":
         if not self.is_square():
             raise ValueError("power of a non-square matrix")
         if k < 0:
-            return self.inverse() ** (-k)
+            raise ValueError("negative power")
         result = Matrix.identity(self.rows)
         base = self
         while k:
@@ -236,11 +224,6 @@ class Matrix:
         e, step = self._e, self.cols + 1
         return sum((e.get(i * step, _ZERO) for i in range(self.rows)), _ZERO)
 
-    def inverse(self) -> "Matrix":
-        from .linalg import invert
-
-        return invert(self)
-
     def _check_same_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
@@ -250,6 +233,41 @@ class Matrix:
             " ".join(str(x) for x in self.row(i)) for i in range(self.rows)
         )
         return f"Matrix({self.rows}x{self.cols}: {body})"
+
+
+def rows_of(e: Mapping[int, object], cols: int) -> dict[int, list]:
+    """The nonzeros {row-major index: entry} of a matrix with cols columns,
+    grouped by row: {row: [(column, entry), ...]}, rows without a nonzero
+    left out."""
+    out: dict[int, list] = {}
+    for idx, x in e.items():
+        i, j = divmod(idx, cols)
+        row = out.get(i)
+        if row is None:
+            out[i] = [(j, x)]
+        else:
+            row.append((j, x))
+    return out
+
+
+def sparse_product(a: Mapping[int, object], b_rows: Mapping[int, list], k: int, m: int) -> dict:
+    """The product a b, by its nonzeros {row-major index: entry}, of a with
+    k columns, given by its nonzeros, and b with m columns, given as
+    rows_of(b, m). Entries may come from any ring: int, Fraction, or
+    integers whose residues the caller reduces afterwards; sums that are
+    zero are left out."""
+    out: dict = {}
+    for idx, av in a.items():
+        i, t = divmod(idx, k)
+        bt = b_rows.get(t)
+        if bt is None:
+            continue
+        orow = i * m
+        for j, bv in bt:
+            key = orow + j
+            x = out.get(key)
+            out[key] = av * bv if x is None else x + av * bv
+    return {key: x for key, x in out.items() if x}
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from typing import Sequence
 
 from .burau import BurauParams, block_generators, unreduced_generator
 from .cellular import (
@@ -32,7 +33,7 @@ from .diagrams import (
     transposition,
 )
 from .linalg import certificate_record, commutant, matrix_span, rref, span_closure
-from .matrix import Matrix, kron_power
+from .matrix import Matrix, kron_power, rows_of, sparse_product
 from .scalars import IdentityError
 
 MATRIX_SIZE_BUDGET = 256  # largest n^r the exact commutant solvers accept
@@ -121,16 +122,13 @@ def centralizer_of_braid(
     return commutant(braid_generators(p, r), size=n**r)
 
 
-def rook_image(
-    n: int, r: int, p: BurauParams, budget: int | None = None
-) -> tuple[int, list[Matrix]]:
-    """Span of the operators of all diagram basis elements; this is the full
-    image algebra since the basis spans and the action is multiplicative."""
-    _check_budget(n, r, budget)
-    ops = [diagram_op(d, p, r) for d in rook_elements(r)]
+def rook_image(ops: Sequence[Matrix]) -> tuple[int, list[Matrix]]:
+    """Span of ops, the operators of all diagram basis elements; this is the
+    full image algebra since the basis spans and the action is
+    multiplicative."""
+    size = ops[0].rows
     span = matrix_span(ops)
-    basis = [Matrix(n**r, n**r, row) for row in span.basis_nonzeros()]
-    return span.dim, basis
+    return span.dim, [Matrix(size, size, row) for row in span.basis_nonzeros()]
 
 
 def enveloping_braid(
@@ -171,21 +169,6 @@ def bimodule_dimension_sum(n: int, r: int) -> int:
 # -- the duality report --------------------------------------------------------------
 
 
-def _int_product(
-    a: dict[int, int], b_rows: dict[int, list[tuple[int, int]]], size: int
-) -> dict[int, int]:
-    """a b for size x size integer matrices: a by its nonzeros
-    {row-major index: entry}, b by its rows {row: [(column, entry), ...]}.
-    The zeros of the product are left out."""
-    out: dict[int, int] = {}
-    for idx, av in a.items():
-        i, t = divmod(idx, size)
-        base = i * size
-        for j, bv in b_rows.get(t, ()):
-            out[base + j] = out.get(base + j, 0) + av * bv
-    return {k: v for k, v in out.items() if v}
-
-
 def _homomorphism_failure(basis, ops, table, z: Fraction, r: int) -> str | None:
     """None when op(1) = 1 and op(g) op(d) = z^N op(gd) for every s_i and
     p_j generator g and every basis diagram d, with gd = z^N a_k read off
@@ -202,17 +185,12 @@ def _homomorphism_failure(basis, ops, table, z: Fraction, r: int) -> str | None:
     scaled = [
         {k: x.numerator * (den // x.denominator) for k, x in m.nonzeros().items()} for m in ops
     ]
-    by_rows = []
-    for m in scaled:
-        rows: dict[int, list[tuple[int, int]]] = {}
-        for idx, v in m.items():
-            rows.setdefault(idx // size, []).append((idx % size, v))
-        by_rows.append(rows)
+    by_rows = [rows_of(m, size) for m in scaled]
     for g in _generator_diagrams(r):
         gi = index[g]
         for d, (k, dropped), rows in zip(basis, table[gi], by_rows):
             lhs, rhs = z.denominator**dropped, den * z.numerator**dropped
-            prod = _int_product(scaled[gi], rows, size)
+            prod = sparse_product(scaled[gi], rows, size, size)
             if {i: v * lhs for i, v in prod.items()} != {i: v * rhs for i, v in scaled[k].items()}:
                 return f"op(g) op(d) != z^{dropped} op(gd) at g = {g!r}, d = {d!r}"
     return None
@@ -376,7 +354,7 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
         )
     else:
         cent_dim, _ = centralizer_of_braid(n, r, p, budget)
-        img_dim, _ = rook_image(n, r, p, budget)
+        img_dim, _ = rook_image(ops)
         env_dim, _ = enveloping_braid(n, r, p, budget)
         cent_of_img_dim, _ = commutant(rook_gens, size=n**r)
         img_how = env_how = f"exact dimensions; {certificate['fallback_reason']}"

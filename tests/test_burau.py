@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from dense import rank
+from dense import invert, rank
 
 from braidrook.burau import (
     BurauParams,
@@ -18,7 +18,7 @@ from braidrook.burau import (
     reflection,
     unreduced_generator,
 )
-from braidrook.linalg import det, invert
+from braidrook.linalg import det
 from braidrook.matrix import Matrix
 
 

@@ -3,6 +3,7 @@ it, and every library function has a caller in the library."""
 
 import ast
 import importlib.util
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -206,17 +207,40 @@ def test_detector_resolves_shadowed_names():
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def _load_tracer(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    return tracer
 
 
 def test_every_tracer_probe_resolves(monkeypatch):
     # the benchmark's tracer records a probe whose function is gone as
     # absent and drops its metrics; a rename in the library fails here
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracer)
-    spec.loader.exec_module(tracer)
+    tracer = _load_tracer(monkeypatch)
     assert tracer.PROBES
     missing = [
         f"{p.module}.{p.attr}" for p in tracer.PROBES if tracer.Tracer._resolve(p)[2] is None
     ]
     assert not missing, f"tracer probes that resolve to nothing: {missing}"
+
+
+def test_a_traced_verdict_reports_every_benchmark_layer(monkeypatch):
+    # a benchmark run is refused when a per-layer metric it declares is
+    # missing from the traced records
+    tracer = _load_tracer(monkeypatch)
+    from braidrook import tensor
+    from braidrook.burau import BurauParams
+
+    params = BurauParams.preset(3)
+    with tracer.Tracer() as traced:
+        with traced.span(tracer.ROOT_SPAN):
+            assert tensor.duality_report(3, 2, params)["all_pass"]
+    assert traced.absent == []
+    declared = {layer["name"] for layer in json.loads(BENCHMARK.read_text())["per_layer"]}
+    missing = declared - set(traced.metrics())
+    assert not missing, f"benchmark layers missing from a traced verdict: {sorted(missing)}"

@@ -493,6 +493,16 @@ def test_membership_example_n3():
         one_param_membership(1, -1, BurauParams(3, 1, 2))
 
 
+def test_membership_builds_only_its_own_tangent_vector(monkeypatch):
+    def refused(n, q):
+        raise AssertionError("tangent_generators called")
+
+    monkeypatch.setattr(lieclosure, "tangent_generators", refused)
+    params = BurauParams(5, 1, -2)
+    for i in range(1, 5):
+        assert one_param_membership(i, 2, params)["checks"]["tangent_line"]
+
+
 def test_finite_order_exponent():
     assert finite_order_exponent(BurauParams(3, 2, Fraction(1, 2))) == 1
     assert finite_order_exponent(BurauParams(3, 2, Fraction(-1, 2))) == 2

@@ -4,26 +4,25 @@ from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from dense import entries, rank
+from dense import entries, invert, nullspace_from_rref, rank
 
 from braidrook import _modlinalg
 from braidrook.burau import BurauParams
 from braidrook.linalg import (
     VectorSpan,
     _MODULAR_THRESHOLD,
-    _nullspace_from_rref,
     commutant,
     commutant_rows,
     det,
-    invert,
     matrix_span,
     nullspace_of_rows,
     rref,
     span_closure,
     span_of_vectors,
     spans_equal,
+    worklist_closure,
 )
-from braidrook.matrix import Matrix, kron, kron_power
+from braidrook.matrix import Matrix, kron, kron_power, rows_of, sparse_product
 from braidrook.scalars import format_scalar, parse_scalar, quantum_int
 from braidrook.tensor import braid_generators
 
@@ -100,6 +99,8 @@ def test_matrix_basic_arithmetic():
     assert a.trace() == 5
     assert a ** 0 == Matrix.identity(2)
     assert a ** 2 == a * a
+    with pytest.raises(ValueError, match="negative power"):
+        a ** -1
 
 
 @settings(max_examples=25)
@@ -149,6 +150,13 @@ def test_matrix_kernels_match_the_dense_definition(data, n, k, m):
         fresh = Matrix(rows, cols, list(flat))
         assert result == fresh and hash(result) == hash(fresh)
     assert (a - a).is_zero() and a + (-a) == Matrix.zeros(n, k)
+    # the bare product on Fraction entries, and on the int entries 2a, 2c
+    product = {i: x for i, x in enumerate(want["*"][2]) if x}
+    assert sparse_product(a.nonzeros(), rows_of(c.nonzeros(), m), k, m) == product
+    a2, c2 = ({i: int(2 * x) for i, x in e.nonzeros().items()} for e in (a, c))
+    got_int = sparse_product(a2, rows_of(c2, m), k, m)
+    assert got_int == {i: 4 * x for i, x in product.items()}
+    assert all(type(x) is int for x in got_int.values())
 
 
 def test_kron_identity_and_scalar_cases():
@@ -389,6 +397,19 @@ def test_rank_nullity(rows, cols, seed):
     for v in vecs:
         image = [sum((m[i, j] * v[j] for j in range(cols)), Fraction(0)) for i in range(rows)]
         assert all(x == 0 for x in image)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 10 ** 6))
+def test_sparse_nullspace_matches_the_dense_oracle(rows, cols, seed):
+    # random systems with repeated and combined rows, so ranks below
+    # min(rows, cols) occur, against the dense rref round trip
+    rng = random.Random(seed)
+    m = rand_matrix(rng, rows, cols, den=3).to_lists()
+    m += [[a + b for a, b in zip(m[0], m[-1])], m[0], [Fraction(0)] * cols]
+    m = [[x if rng.random() < 0.6 else Fraction(0) for x in row] for row in m]
+    sparse = _sparse_rows_of(Matrix.from_rows(m))
+    assert nullspace_of_rows(sparse, cols) == nullspace_from_rref(*rref(m), cols)
 
 
 def test_vector_span_is_order_independent():
@@ -718,7 +739,7 @@ def test_modular_nullspace_is_the_exact_canonical_basis():
     for row, entries in zip(dense, rows):
         for j, v in entries:
             row[j] = v
-    exact = _nullspace_from_rref(*rref(dense), 256)
+    exact = nullspace_from_rref(*rref(dense), 256)
     fast = _modlinalg.certified_nullspace(rows, 256)
     assert [tuple(v) for v in fast] == exact
     assert nullspace_of_rows(rows, 256) == exact
@@ -737,6 +758,26 @@ def test_closure_dim_mod_matches_span_closure():
     p = _modlinalg.SANDWICH_PRIMES[0]
     assert _modlinalg.closure_dim_mod([g, h], p) == span_closure([g, h])[0]
     assert _modlinalg.closure_dim_mod([g], p) == span_closure([g])[0]
+    # the same worklist, seeds and maps over Q and mod p (the integer
+    # matrices are p-integral with full rank mod p), and over Q stopped at
+    # every ceiling from the seeds' dimension up to the full dimension
+    dims = []
+    for seeds, maps in [([g], [g, h]), ([g, h], [h]), ([Matrix.identity(3)], [g])]:
+        right = [lambda w, x=x: (Matrix(3, 3, w) * x).nonzeros() for x in maps]
+        span, basis = VectorSpan(9), {}
+        over_q = worklist_closure(span.add, [s.nonzeros() for s in seeds], right)
+        mod_p = worklist_closure(
+            lambda v: _modlinalg._echelon_add(basis, v, p),
+            [_modlinalg.residues(s, p) for s in seeds],
+            [lambda w, x=x: _modlinalg.residues(Matrix(3, 3, w) * x, p) for x in maps],
+        )
+        assert over_q == mod_p == span.dim == len(basis)
+        dims.append(over_q)
+        for ceiling in range(len(seeds), over_q + 1):
+            span = VectorSpan(9)
+            stopped = worklist_closure(span.add, [s.nonzeros() for s in seeds], right, ceiling)
+            assert stopped == span.dim == ceiling
+    assert dims == [9, 6, 3]
 
 
 def test_residues_and_p_integrality():

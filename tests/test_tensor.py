@@ -288,13 +288,17 @@ def test_q1_control_centralizer_is_partition_algebra_dim():
 # -- rook image and faithfulness ----------------------------------------------------
 
 
+def _basis_ops(params, r):
+    return [diagram_op(d, params, r) for d in rook_elements(r)]
+
+
 def test_rook_image_faithful_n3_r2():
-    dim, _ = rook_image(3, 2, P32)
+    dim, _ = rook_image(_basis_ops(P32, 2))
     assert dim == 7
 
 
 def test_rook_image_not_faithful_n2_r2():
-    dim, _ = rook_image(2, 2, P22)
+    dim, _ = rook_image(_basis_ops(P22, 2))
     assert dim == 6
 
 
@@ -406,7 +410,7 @@ def test_duality_report_budget_argument():
 
 def _exact_dims(n, r, params):
     return {
-        "image": rook_image(n, r, params)[0],
+        "image": rook_image(_basis_ops(params, r))[0],
         "braid_centralizer": centralizer_of_braid(n, r, params)[0],
         "envelope": enveloping_braid(n, r, params)[0],
         "rook_centralizer": commutant(rook_generators(params, r), size=n**r)[0],
@@ -503,15 +507,19 @@ def _failing_on_the_exact_path(report):
 
 
 def test_wrong_q_projection_fails_commute_and_both_equalities(monkeypatch):
-    # every diagram operator built at q = 3 against braid generators at q = 2
+    # every diagram operator built at q = 3 against braid generators at q = 2;
+    # the exact path reuses the 7 basis operators the report built
     real = tensor.diagram_op
+    built = []
 
     def wrong_q(d, p, r):
+        built.append(d)
         return real(d, BurauParams.preset(p.n, Fraction(3)), r)
 
     monkeypatch.setattr(tensor, "diagram_op", wrong_q)
     report = duality_report(3, 2, P32)
     assert _failing_on_the_exact_path(report) == COMMUTE_AND_BOTH_EQUALITIES
+    assert len(built) == 7
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -647,12 +655,21 @@ def test_largest_lower_bound_is_kept(monkeypatch, primes):
     assert cert["fallback_reason"] == f"bounds do not meet mod {primes[0]} or {primes[1]}"
 
 
-def test_q1_control_is_a_real_failure_on_the_exact_path():
+def test_q1_control_is_a_real_failure_on_the_exact_path(monkeypatch):
     # at q = 1 the braid action factors through S_3, so its centralizer
     # outgrows the rook image: the closure (6) never meets the character
     # dimension (15), and the exact dimensions fail both identities
-    # although the actions commute
+    # although the actions commute; each basis operator is built once
+    real = tensor.diagram_op
+    built = []
+
+    def counted(d, p, r):
+        built.append(d)
+        return real(d, p, r)
+
+    monkeypatch.setattr(tensor, "diagram_op", counted)
     report = duality_report(3, 2, BurauParams.degenerate(3, 1, -1))
+    assert len(built) == 7
     cert = report["certificate"]
     primes = _modlinalg.SANDWICH_PRIMES
     assert cert["path"] == "exact" and cert["prime"] == primes[0]
