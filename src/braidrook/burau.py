@@ -187,7 +187,7 @@ def block_generators(p: BurauParams, r: int) -> list[Matrix]:
     dimension. C is invertible exactly when z = [n]_q != 0: the functional
     x -> sum_j q^(j-1) x_j kills every f_i and takes z at f0."""
     c = change_of_basis(p)
-    if det(c) == 0:
+    if det(c.to_lists()) == 0:
         raise IdentityError("C = change_of_basis is singular")
     gens = []
     for i in range(1, p.n):

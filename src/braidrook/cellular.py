@@ -20,7 +20,6 @@ from typing import Sequence
 
 from .diagrams import PartialPermutation, rook_elements
 from .linalg import det
-from .matrix import Matrix
 from .scalars import IdentityError, scalar
 
 # -- partitions ----------------------------------------------------------------
@@ -373,9 +372,11 @@ def rook_product_table(elements: Sequence[PartialPermutation]) -> list[list[tupl
     return table
 
 
-def regular_trace_gram(r: int) -> Matrix:
+def regular_trace_gram(r: int) -> list[list[int]]:
     """The integer Gram matrix G(1)_ij = Tr(L_{a_i a_j}) of the regular trace
-    form at z = 1, on the basis a_0..a_{m-1} = rook_elements(r).
+    form at z = 1, on the basis a_0..a_{m-1} = rook_elements(r), as dense
+    rows of ints: no Fraction and no Matrix is built, and linalg.det and the
+    rref of the character certificate take the rows as they are.
 
     L_x is left multiplication by x on the algebra. At z = 1 every product
     of basis diagrams is a basis diagram, a_i a_j = a_k, so
@@ -398,8 +399,8 @@ def regular_trace_gram(r: int) -> Matrix:
                     f"N = {n} breaks N = r + rank(ab) - rank a - rank b at "
                     f"a = {basis[i]!r}, b = {basis[j]!r}"
                 )
-    trace = [Fraction(sum(k == j for j, (k, _) in enumerate(row))) for row in table]
-    return Matrix.from_rows([[trace[k] for k, _ in row] for row in table])
+    trace = [sum(k == j for j, (k, _) in enumerate(row)) for row in table]
+    return [[trace[k] for k, _ in row] for row in table]
 
 
 def semisimplicity_certificate(r: int, z) -> dict:
@@ -424,8 +425,9 @@ def semisimplicity_certificate(r: int, z) -> dict:
     N_kj = r - rank a_k, so t_k(z) = z^(r - rank a_k) t_k(1). The same
     identity turns z^N_ij z^(r - rank a_k) into z^(r - rank a_i) z^(r - rank a_j),
     so G(z) = D G(1) D with D = diag(z^(r - rank a)), and det D = z^(e_r).
-    G(1) is the integer matrix of regular_trace_gram; neither a z-power nor
-    a composite diagram enters its determinant.
+    G(1) comes as int rows from regular_trace_gram, and det runs its
+    fraction-free elimination on them as they are: no z-power, composite
+    diagram or Fraction enters the determinant of G(1).
 
     Negative control, z = 0: D is zero at every diagram of rank < r (p_j,
     the empty diagram), so the rows of G(0) = D G(1) D there are zero, and
@@ -441,7 +443,7 @@ def semisimplicity_certificate(r: int, z) -> dict:
     return {
         "r": r,
         "z": str(z),
-        "gram_size": gram.rows,
+        "gram_size": len(gram),
         "gram_det": str(gram_det),
         "gram_nondegenerate": nondegenerate,
         "semisimple": nondegenerate,

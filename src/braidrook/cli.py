@@ -111,6 +111,8 @@ def cmd_rook(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    if args.r < 0:
+        raise ValueError("r must be nonnegative")
     levels = []
     for t in range(args.r + 1):
         rows = dims_table(t)

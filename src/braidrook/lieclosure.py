@@ -364,7 +364,7 @@ def tridiagonal_matrix(n: int, q) -> Matrix:
 def tridiagonal_det(n: int, q) -> Fraction:
     """D_n: the determinant of tridiagonal_matrix(n, q), computed
     directly by exact elimination."""
-    return det(tridiagonal_matrix(n, q))
+    return det(tridiagonal_matrix(n, q).to_lists())
 
 
 def tridiagonal_det_recursive(n: int, q) -> Fraction:

@@ -1,19 +1,21 @@
 """Exact linear-algebra kernels: echelon forms, nullspaces, commutants,
-and multiplicative span closure.
+determinants and multiplicative span closure.
 
-Everything is computed over the rationals with no rounding. One exact
-elimination engine, the incremental VectorSpan, does all Fraction echelon
-work: rref and nullspace_of_rows feed it rows smallest first. VectorSpan
-keeps its basis rows sparse, so the cost of an elimination step follows the
-nonzeros, not the vector length, and a nullspace is read straight off the
-sparse pivot rows. Bases are returned in a canonical echelon order, so
-outputs are deterministic and independent of the order rows are added in
-(that order is performance-only). One worklist, worklist_closure, closes a
-span under a list of linear maps for every closure in the package, over Q
-here and over F_p in _modlinalg. Large nullspace systems are dispatched to
-a certified modular accelerator whose candidates are verified exactly
-before use; on any failure the pure rational path runs instead, so results
-never depend on the fast path.
+Everything is computed over the rationals with no rounding. The one
+determinant, det, takes dense rows of ints or Fractions and runs Bareiss's
+fraction-free elimination on integers. One exact elimination engine, the
+incremental VectorSpan, does all Fraction echelon work: rref and
+nullspace_of_rows feed it rows smallest first. VectorSpan keeps its basis
+rows sparse, so the cost of an elimination step follows the nonzeros, not
+the vector length, and a nullspace is read straight off the sparse pivot
+rows. Bases are returned in a canonical echelon order, so outputs are
+deterministic and independent of the order rows are added in (that order
+is performance-only). One worklist, worklist_closure, closes a span under
+a list of linear maps for every closure in the package, over Q here and
+over F_p in _modlinalg. Large nullspace systems are dispatched to a
+certified modular accelerator whose candidates are verified exactly before
+use; on any failure the pure rational path runs instead, so results never
+depend on the fast path.
 """
 
 from __future__ import annotations
@@ -88,18 +90,23 @@ def nullspace_of_rows(rows: list[SparseRow], ncols: int) -> list[tuple[Fraction,
     return [tuple(v) for v in vectors.values()]
 
 
-def det(m: Matrix) -> Fraction:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    if not m.is_square():
+def det(rows: Sequence[Sequence[int | Fraction]]) -> Fraction:
+    """Exact determinant of a square matrix given as dense rows of ints or
+    Fractions, such as Matrix.to_lists() or cellular.regular_trace_gram.
+
+    Each row is scaled by the lcm of its denominators to integers, and the
+    product of those scales divides out at the end; in between, Bareiss's
+    fraction-free elimination (Math. Comp. 22, 1968) keeps every entry an
+    integer: each division by the previous pivot is exact."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
     if n == 0:
         return Fraction(1)
-    scale = Fraction(1)
+    scale = 1
     work: list[list[int]] = []
-    for i in range(n):
-        row = m.row(i)
-        denom = lcm(*(x.denominator for x in row)) if n > 1 else row[0].denominator
+    for row in rows:
+        denom = lcm(*(x.denominator for x in row))
         scale *= denom
         work.append([x.numerator * (denom // x.denominator) for x in row])
     sign = 1
@@ -120,7 +127,7 @@ def det(m: Matrix) -> Fraction:
                 rowi[j] = (rowi[j] * pivot - wik * rowk[j]) // prev
             rowi[k] = 0
         prev = pivot
-    return Fraction(sign * work[n - 1][n - 1], 1) / scale
+    return Fraction(sign * work[n - 1][n - 1], scale)
 
 
 def _exact(x) -> Fraction:

@@ -16,12 +16,18 @@ grouped by row (`rows_of`), serves the matrix products of the package:
 on bare {index: entry} dicts in `linalg`, `tensor` and `_modlinalg`. Only
 the mod-p bracket gw - wg of `_modlinalg._ad` fuses its two products into
 one pass, since it runs once per element of every Lie closure.
+
+`integer_form` scales a list of matrices by one integer D, the lcm of all
+their denominators, into {index: int} dicts. A product of k of the D m is
+D^k times the product of the m, so `tensor` checks identities among
+products of its operators on ints, each side carrying its power of D.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
@@ -268,6 +274,15 @@ def sparse_product(a: Mapping[int, object], b_rows: Mapping[int, list], k: int, 
             x = out.get(key)
             out[key] = av * bv if x is None else x + av * bv
     return {key: x for key, x in out.items() if x}
+
+
+def integer_form(mats: Iterable[Matrix]) -> tuple[int, list[dict[int, int]]]:
+    """(D, [D m by its nonzeros {row-major index: int} for m in mats]), D the
+    lcm of every denominator in mats, so that every D m is an integer
+    matrix."""
+    mats = list(mats)
+    den = lcm(*(x.denominator for m in mats for x in m._e.values()))
+    return den, [{k: x.numerator * (den // x.denominator) for k, x in m._e.items()} for m in mats]
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

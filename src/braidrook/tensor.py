@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from typing import Sequence
 
 from .burau import BurauParams, block_generators, unreduced_generator
@@ -33,7 +32,7 @@ from .diagrams import (
     transposition,
 )
 from .linalg import certificate_record, commutant, matrix_span, rref, span_closure
-from .matrix import Matrix, kron_power, rows_of, sparse_product
+from .matrix import Matrix, integer_form, kron_power, rows_of, sparse_product
 from .scalars import IdentityError
 
 MATRIX_SIZE_BUDGET = 256  # largest n^r the exact commutant solvers accept
@@ -175,16 +174,13 @@ def _homomorphism_failure(basis, ops, table, z: Fraction, r: int) -> str | None:
     the rook_product_table of the basis; otherwise the first failure.
 
     The check runs on integers: every operator entry is a power of q, so
-    one common denominator D makes every M = D op(a) an integer matrix, and
-    the identity reads den(z)^N M(g) M(d) = D num(z)^N M(gd)."""
+    one common denominator D makes every M = D op(a) an integer matrix
+    (integer_form), and the identity reads den(z)^N M(g) M(d) = D num(z)^N M(gd)."""
     size = ops[0].rows
     index = {d: i for i, d in enumerate(basis)}
     if ops[index[PartialPermutation.identity(r)]] != Matrix.identity(size):
         return "op(identity) is not the identity matrix"
-    den = lcm(*(x.denominator for m in ops for x in m.nonzeros().values()))
-    scaled = [
-        {k: x.numerator * (den // x.denominator) for k, x in m.nonzeros().items()} for m in ops
-    ]
+    den, scaled = integer_form(ops)
     by_rows = [rows_of(m, size) for m in scaled]
     for g in _generator_diagrams(r):
         gi = index[g]
@@ -194,6 +190,19 @@ def _homomorphism_failure(basis, ops, table, z: Fraction, r: int) -> str | None:
             if {i: v * lhs for i, v in prod.items()} != {i: v * rhs for i, v in scaled[k].items()}:
                 return f"op(g) op(d) != z^{dropped} op(gd) at g = {g!r}, d = {d!r}"
     return None
+
+
+def _all_commute(left: Sequence[Matrix], right: Sequence[Matrix]) -> bool:
+    """Whether ab = ba for every a in left and b in right, n x n matrices,
+    checked on their integer_form (duality_report says why that is exact)."""
+    n, k = left[0].rows, len(left)
+    _, ints = integer_form([*left, *right])
+    with_rows = [(m, rows_of(m, n)) for m in ints]
+    return all(
+        sparse_product(a, b_rows, n, n) == sparse_product(b, a_rows, n, n)
+        for a, a_rows in with_rows[:k]
+        for b, b_rows in with_rows[k:]
+    )
 
 
 def _character_certificate(p: BurauParams, r: int, basis, ops) -> dict:
@@ -223,7 +232,7 @@ def _character_certificate(p: BurauParams, r: int, basis, ops) -> dict:
             reason = f"character {x} != n^cyc = {p.n ** cycles} at {d!r}"
             return certificate_record("exact", reason)
     m = len(basis)
-    echelon, pivots = rref([[*row, x] for row, x in zip(regular_trace_gram(r).to_lists(), chi)])
+    echelon, pivots = rref([[*row, x] for row, x in zip(regular_trace_gram(r), chi)])
     if pivots != list(range(m)):
         return certificate_record("exact", "G(1) is singular")
     # sum m_lam^2, an integer; compared exactly below
@@ -273,7 +282,10 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
       whatever they commute with, and C(rook gens) = C(image), since those
       operators generate the image algebra.
     A subspace of the same dimension is the whole space, so each identity
-    is "commute and dim == dim".
+    is "commute and dim == dim". The commute check runs on integers
+    (_all_commute): with D the lcm of every denominator of the generators,
+    (Da)(Db) = D^2 ab and D != 0, so Da and Db commute exactly when a and b
+    do, and no verdict depends on the scaling.
 
     The dimensions come from the rook character ("character" path). For
     z = [n]_q != 0 the rescaled diagrams z^-(r - rank a) a multiply as the
@@ -324,6 +336,8 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     chi^T G(1)^-1 chi, rook_image = rank H) and the reason for the exact
     path.
     """
+    if r < 0:
+        raise ValueError("r must be nonnegative")
     _check_budget(n, r, budget)
     if p.n != n:
         raise ValueError("params built for a different n")
@@ -335,7 +349,7 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     index = {d: k for k, d in enumerate(basis)}
     rook_gens = [ops[index[g]] for g in _generator_diagrams(r)]
 
-    commute = all(b * g == g * b for b in braid_gens for g in rook_gens)
+    commute = _all_commute(braid_gens, rook_gens)
 
     if commute:
         certificate = _character_certificate(p, r, basis, ops)

@@ -406,7 +406,7 @@ def _gram_entry_by_pair(a, b, basis, z):
 def _gram_at(gram, basis, i, j, z):
     """Entry (i, j) of G(z) = D G(1) D, D = diag(z^(r - rank a))."""
     r = basis[i].r
-    return z ** (2 * r - basis[i].rank - basis[j].rank) * gram[i, j]
+    return z ** (2 * r - basis[i].rank - basis[j].rank) * gram[i][j]
 
 
 @pytest.mark.parametrize(
@@ -416,10 +416,19 @@ def test_regular_trace_gram_matches_the_per_pair_formula(z):
     for r in range(4):
         basis = rook_elements(r)
         gram = regular_trace_gram(r)
-        assert (gram.rows, gram.cols) == (len(basis), len(basis))
+        assert [len(row) for row in gram] == [len(basis)] * len(basis)
         for i, a in enumerate(basis):
             for j, b in enumerate(basis):
                 assert _gram_at(gram, basis, i, j, z) == _gram_entry_by_pair(a, b, basis, z)
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_regular_trace_gram_is_dense_int_rows(r):
+    # the Gram determinant runs on ints from the table, with no Fraction
+    gram = regular_trace_gram(r)
+    m = rook_dimension(r)
+    assert len(gram) == m and all(len(row) == m for row in gram)
+    assert all(type(x) is int for row in gram for x in row)
 
 
 def test_regular_trace_gram_matches_the_per_pair_formula_sampled_r4():

@@ -164,6 +164,21 @@ def test_bratteli_text_and_json(capsys):
     assert data["rows"][2] == [[], [1], [2], [1, 1]]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "--r", "-1"],
+        ["bratteli", "--r", "-2"],
+        ["duality", "--n", "3", "--r", "-1", "--q1", "1", "--q2", "-2"],
+    ],
+    ids=["dims", "bratteli", "duality"],
+)
+def test_negative_r_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: r must be nonnegative\n"
+
+
 # -- duality ----------------------------------------------------------------
 
 

@@ -70,6 +70,39 @@ def test_detector_flags_an_unused_import():
     assert set(imported_names(tree)) - used_names(tree) == {"factorial", "os"}
 
 
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Top-level package of every absolute import in the code."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_only_modlinalg_imports_numpy():
+    # numpy serves the certified modular nullspace engine alone, so
+    # removing that engine is the one place it has to leave
+    importers = {
+        path.stem
+        for path in LIBRARY
+        if "numpy" in imported_modules(ast.parse(path.read_text(), filename=str(path)))
+    }
+    assert importers == {"_modlinalg"}
+
+
+def test_detector_finds_every_form_of_a_numpy_import():
+    for source in (
+        "import numpy\n",
+        "import numpy.linalg as la\n",
+        "from numpy import zeros\n",
+        "def f():\n    import os, numpy as np\n    return np, os\n",
+    ):
+        assert "numpy" in imported_modules(ast.parse(source)), source
+    assert "numpy" not in imported_modules(ast.parse("from . import numpy_free\nimport numpyish\n"))
+
+
 # Library functions whose only callers are tests, each waiting to join a
 # release criterion or to move into the tests. Do not add to this list:
 # move a test-only helper into the tests instead.

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import partial
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from braidrook.linalg import (
     spans_equal,
     worklist_closure,
 )
-from braidrook.matrix import Matrix, kron, kron_power, rows_of, sparse_product
+from braidrook.matrix import Matrix, integer_form, kron, kron_power, rows_of, sparse_product
 from braidrook.scalars import format_scalar, parse_scalar, quantum_int
 from braidrook.tensor import braid_generators
 
@@ -157,6 +158,18 @@ def test_matrix_kernels_match_the_dense_definition(data, n, k, m):
     got_int = sparse_product(a2, rows_of(c2, m), k, m)
     assert got_int == {i: 4 * x for i, x in product.items()}
     assert all(type(x) is int for x in got_int.values())
+
+
+def test_integer_form_scales_by_the_lcm_of_every_denominator():
+    rng = random.Random(5)
+    mats = [rand_matrix(rng, 3, 2), rand_matrix(rng, 2, 2, den=9), Matrix.zeros(2, 3)]
+    den, ints = integer_form(mats)
+    assert den == lcm(*(x.denominator for m in mats for x in entries(m)))
+    for m, e in zip(mats, ints):
+        assert Matrix(m.rows, m.cols, e) == m.scale(den)
+        assert all(type(x) is int for x in e.values())
+    assert integer_form([Matrix.identity(2)]) == (1, [{0: 1, 3: 1}])
+    assert integer_form([]) == (1, [])
 
 
 def test_kron_identity_and_scalar_cases():
@@ -578,14 +591,53 @@ def _det_cofactor(m):
 def test_det_matches_cofactor_oracle(n, seed):
     rng = random.Random(seed)
     m = rand_matrix(rng, n, n)
-    assert det(m) == _det_cofactor(m)
+    assert det(m.to_lists()) == _det_cofactor(m)
+    # int rows with zeros, rank-deficient on odd seeds: a row twice another
+    ints = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)]
+    singular = seed % 2 and n > 1
+    if singular:
+        ints[-1] = [2 * x for x in ints[0]]
+    want = _det_cofactor(Matrix.from_rows(ints))
+    assert det(ints) == det([[Fraction(x) for x in row] for row in ints]) == want
+    if singular:
+        assert want == 0
+
+
+DET_CASES = {
+    "0x0": [],
+    "1x1": [[5]],
+    "1x1 zero": [[0]],
+    "swap": [[0, 1], [1, 0]],
+    "swap 3x3": [[0, 2, 1], [3, 0, 1], [1, 1, 0]],
+    "swap at the last pivot": [[1, 2, 3], [2, 4, 7], [0, 1, 1]],
+    "singular": [[1, 2], [2, 4]],
+    "singular 3x3": [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+    "zero first column": [[0, 1, 2], [0, 3, 4], [0, 5, 7]],
+}
+
+
+@pytest.mark.parametrize("rows", DET_CASES.values(), ids=DET_CASES.keys())
+def test_det_on_int_rows_matches_fraction_rows_and_cofactors(rows):
+    before = [list(row) for row in rows]
+    as_fractions = [[Fraction(x) for x in row] for row in rows]
+    want = _det_cofactor(Matrix.from_rows(rows))
+    got = det(rows)
+    assert got == det(as_fractions) == want and type(got) is Fraction
+    assert rows == before  # the elimination works on a copy
+
+
+def test_det_refuses_a_non_square_matrix():
+    with pytest.raises(ValueError):
+        det([[1, 2]])
+    with pytest.raises(ValueError):
+        det([[1, 2], [3]])
 
 
 def test_det_multiplicative():
     rng = random.Random(11)
     a = rand_matrix(rng, 4, 4)
     b = rand_matrix(rng, 4, 4)
-    assert det(a * b) == det(a) * det(b)
+    assert det((a * b).to_lists()) == det(a.to_lists()) * det(b.to_lists())
 
 
 # -- commutant and span closure --------------------------------------------

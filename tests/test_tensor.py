@@ -544,6 +544,68 @@ def test_dropped_q_weight_fails_commute_and_both_equalities(monkeypatch, r):
     assert _failing_on_the_exact_path(report) == COMMUTE_AND_BOTH_EQUALITIES
 
 
+def test_bumped_braid_generator_fails_commute_and_both_equalities(monkeypatch):
+    # one entry of T_1^(x 2) raised by one, on the commute check and on
+    # every exact computation after it
+    real = tensor.braid_generators
+
+    def bumped(p, r):
+        gens = real(p, r)
+        e = dict(gens[0].nonzeros())
+        e[1] = e.get(1, 0) + 1
+        gens[0] = Matrix(gens[0].rows, gens[0].cols, e)
+        return gens
+
+    monkeypatch.setattr(tensor, "braid_generators", bumped)
+    report = duality_report(3, 2, P32)
+    assert _failing_on_the_exact_path(report) >= COMMUTE_AND_BOTH_EQUALITIES
+
+
+def _rational_matrix(rng, n, den):
+    flat = [Fraction(rng.choice([0, rng.randint(-5, 5)]), rng.randint(1, den)) for _ in range(n * n)]
+    return Matrix(n, n, flat)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_integer_commute_check_matches_the_fraction_products(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    a, b, c = (_rational_matrix(rng, n, den) for den in (3, 7, 10))
+    one = Matrix.identity(n)
+    # polynomials in a with different denominators commute with each other
+    f = a * a.scale(Fraction(2, 9)) - a.scale(Fraction(5, 4)) + one.scale(Fraction(1, 6))
+    g = a * a * a.scale(Fraction(-3, 11)) + one.scale(7)
+    left, right = [a, f, b], [g, c, one.scale(Fraction(1, 3))]
+    verdicts = []
+    for x in left:
+        for y in right:
+            want = x * y == y * x
+            assert tensor._all_commute([x], [y]) == want
+            verdicts.append(want)
+    assert tensor._all_commute(left, right) == all(verdicts)
+    assert tensor._all_commute([a, f], [g, one]) and tensor._all_commute([f], [a, g])
+    if n > 1:
+        assert not all(verdicts)
+
+
+def test_character_path_multiplies_only_in_the_split_check(monkeypatch):
+    # the commute and homomorphism checks run on integer_form; the only
+    # Matrix products left are T_i C and C (q1 + R_i) of block_generators
+    calls = 0
+    real = Matrix._matmul
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return real(self, other)
+
+    monkeypatch.setattr(Matrix, "_matmul", counted)
+    n = 4
+    report = duality_report(n, 2, BurauParams.preset(n))
+    assert report["certificate"]["path"] == "character" and report["all_pass"]
+    assert calls == 2 * (n - 1)
+
+
 def _verdicts(report):
     return [(c["name"], c["status"]) for c in report["checks"]], report["faithful"]
 
