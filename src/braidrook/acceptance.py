@@ -32,7 +32,6 @@ from .cellular import (
     rook_dimension,
     semisimplicity_certificate,
     theta,
-    uk_action,
 )
 from .diagrams import (
     compose_perms,
@@ -195,18 +194,18 @@ def check_presentation_and_rescaling() -> tuple[bool, str]:
     return True, f"presentation relations and rescaling identity on {runs} (r, z) pairs"
 
 
-def _inflation_instance(a, u, pi, v, z, r) -> bool:
+def _inflation_instance(a, u, pi, v, z) -> bool:
     """Multiply a against the basis diagram of the triple (u, pi, v) and
     compare with the inflation prediction: coefficient phi(a, u), top
     subset mapped through it, position map theta composed with pi."""
-    d = diagram_of(CellTriple(u, pi, v), r)
+    d = diagram_of(CellTriple(u, pi, v), a.r)
     prod, dropped = a.compose(d)
-    pred = phi(a, set(u), z, r)
+    pred = phi(a, set(u), z)
     if pred is None:
         return prod.rank < len(u)
     coeff, u_new = pred
     expected = diagram_of(
-        CellTriple(tuple(sorted(u_new)), compose_perms(theta(a, set(u)), pi), v), r
+        CellTriple(tuple(sorted(u_new)), compose_perms(theta(a, set(u)), pi), v), a.r
     )
     return prod == expected and z**dropped == coeff
 
@@ -223,7 +222,7 @@ def check_cellular_structure() -> tuple[bool, str]:
                 for _ in range(5):
                     pi = tuple(rng.sample(range(1, k + 1), k))
                     v = tuple(sorted(rng.sample(range(1, r + 1), k)))
-                    if not _inflation_instance(a, u, pi, v, z, r):
+                    if not _inflation_instance(a, u, pi, v, z):
                         return _fail(f"inflation rule fails at r=3, a={a!r}, u={u}")
                     checked += 1
     r4 = 4
@@ -234,7 +233,7 @@ def check_cellular_structure() -> tuple[bool, str]:
         u = tuple(sorted(rng.sample(range(1, r4 + 1), k)))
         pi = tuple(rng.sample(range(1, k + 1), k))
         v = tuple(sorted(rng.sample(range(1, r4 + 1), k)))
-        if not _inflation_instance(a, u, pi, v, Fraction(3), r4):
+        if not _inflation_instance(a, u, pi, v, Fraction(3)):
             return _fail(f"inflation rule fails at r=4, a={a!r}, u={u}")
         checked += 1
 
@@ -253,11 +252,11 @@ def check_cellular_structure() -> tuple[bool, str]:
                     # the subset maps pull back: acting by f.compose(g)
                     # agrees with acting by g first, then by f
                     prod, dropped = f.compose(g)
-                    combined = uk_action(prod, set(u), Fraction(7))
-                    step = uk_action(g, set(u), Fraction(7))
+                    combined = phi(prod, set(u), Fraction(7))
+                    step = phi(g, set(u), Fraction(7))
                     if step is not None:
                         c1, mid = step
-                        step2 = uk_action(f, mid, Fraction(7))
+                        step2 = phi(f, mid, Fraction(7))
                         step = None if step2 is None else (c1 * step2[0], step2[1])
                     lhs = (
                         None

@@ -95,16 +95,6 @@ def gl_weyl_dim(parts: tuple[int, ...], m: int) -> int:
     return d
 
 
-def partition_minus_boxes(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All partitions obtained by removing one box."""
-    out = []
-    for i, p in enumerate(parts):
-        if i == len(parts) - 1 or parts[i + 1] < p:
-            smaller = parts[:i] + ((p - 1,) if p > 1 else ()) + parts[i + 1 :]
-            out.append(smaller)
-    return out
-
-
 def partition_plus_boxes(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All partitions obtained by adding one box."""
     out = []
@@ -185,16 +175,18 @@ def k_subsets(r: int, k: int) -> list[tuple[int, ...]]:
 # -- inflation maps -------------------------------------------------------------
 
 
-def phi(a: PartialPermutation, u, z, r: int) -> tuple[Fraction, frozenset[int]] | None:
+def phi(a: PartialPermutation, u, z) -> tuple[Fraction, frozenset[int]] | None:
     """phi_k(a, u) = z^(r - rank a) * (preimage of u under a) when u is
-    contained in im(a); None (zero) otherwise."""
-    if a.r != r:
-        raise ValueError("size mismatch")
+    contained in im(a), r = a.r; None (zero) otherwise.
+
+    This is also the action of a on the k-subset module U(k): a full
+    permutation w sends u to its preimage (u)w^{-1}, and p_j multiplies by
+    z when j is outside u and kills u otherwise."""
     u = frozenset(u)
     if not u <= a.im:
         return None
     inv = {y: x for x, y in a.pairs}
-    return scalar(z) ** (r - a.rank), frozenset(inv[y] for y in u)
+    return scalar(z) ** (a.r - a.rank), frozenset(inv[y] for y in u)
 
 
 def theta(a: PartialPermutation, u) -> tuple[int, ...] | None:
@@ -217,31 +209,15 @@ def psi(y, u, z, r: int) -> Fraction:
     return scalar(z) ** (r - len(u)) if y == u else Fraction(0)
 
 
-def uk_action(g: PartialPermutation, u, z) -> tuple[Fraction, frozenset[int]] | None:
-    """Action of a basis diagram on the k-subset module U(k): a full
-    permutation w sends u to its preimage (u)w^{-1}, and p_j multiplies by z
-    when j is outside u and kills u otherwise; both are phi_k."""
-    return phi(g, u, z, g.r)
-
-
 # -- dimension combinatorics ------------------------------------------------------
 
 
 def dim_recursion(r: int) -> dict[CellLabel, int]:
     """c^r_lambda for lambda in the label set of r, by the branching rule
-    c^r_lambda = [|lambda| <= r-1] c^(r-1)_lambda + sum over removing a box."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    table: dict[tuple[int, ...], int] = {(): 1}
-    for t in range(1, r + 1):
-        prev, table = table, {}
-        for lam in (p for k in range(t + 1) for p in partitions_of(k)):
-            total = prev.get(lam, 0)
-            for mu in partition_minus_boxes(lam):
-                total += prev.get(mu, 0)
-            if total:
-                table[lam] = total
-    return {label: table[label.parts] for label in cell_labels(r)}
+    c^r_lambda = [|lambda| <= r-1] c^(r-1)_lambda + sum over removing a box:
+    the number of paths from () to lambda in bratteli(r)."""
+    leaves = bratteli(r).leaf_counts()
+    return {label: leaves[label.parts] for label in cell_labels(r)}
 
 
 def cell_dim(r: int, parts: tuple[int, ...]) -> int:
@@ -254,8 +230,8 @@ def cell_dim(r: int, parts: tuple[int, ...]) -> int:
 
 
 def dims_table(r: int) -> list[dict]:
-    """One row per label: the recursion value, the closed form, and the
-    square contribution to dim P'_r."""
+    """One row per label: the branching-path count, the closed form, and
+    the square contribution to dim P'_r."""
     rec = dim_recursion(r)
     rows = []
     for label, c in rec.items():
@@ -372,25 +348,27 @@ def rook_product_table(elements: Sequence[PartialPermutation]) -> list[list[tupl
     return table
 
 
-def regular_trace_gram(r: int) -> list[list[int]]:
+def regular_trace_gram(
+    basis: Sequence[PartialPermutation], table: list[list[tuple[int, int]]]
+) -> list[list[int]]:
     """The integer Gram matrix G(1)_ij = Tr(L_{a_i a_j}) of the regular trace
-    form at z = 1, on the basis a_0..a_{m-1} = rook_elements(r), as dense
+    form at z = 1, on the basis a_0..a_{m-1} = rook_elements(r), read off
+    table = rook_product_table(basis), which the caller has built, as dense
     rows of ints: no Fraction and no Matrix is built, and linalg.det and the
     rref of the character certificate take the rows as they are.
 
     L_x is left multiplication by x on the algebra. At z = 1 every product
     of basis diagrams is a basis diagram, a_i a_j = a_k, so
-    G(1)_ij = t_k with t_k = Tr(L_{a_k}) = #{j : a_k a_j = a_j}, all read off
-    one rook_product_table.
+    G(1)_ij = t_k with t_k = Tr(L_{a_k}) = #{j : a_k a_j = a_j}.
 
-    The N of the table does not enter G(1). The rescaling to z that
-    semisimplicity_certificate makes rests on the identity
-    N = r + rank(a_i a_j) - rank a_i - rank a_j, so every entry is checked
-    against it here, and a failure raises IdentityError.
+    The N of the table does not enter G(1). The rescalings that
+    semisimplicity_certificate and the character certificate of
+    tensor.duality_report make rest on the identity
+    N = r + rank(a_i a_j) - rank a_i - rank a_j, so every entry of the
+    table is checked against it here, and a failure raises IdentityError.
     """
-    basis = rook_elements(r)
+    r = basis[0].r
     ranks = [d.rank for d in basis]
-    table = rook_product_table(basis)
     for i, row in enumerate(table):
         lost = r - ranks[i]
         for j, (k, n) in enumerate(row):
@@ -425,7 +403,8 @@ def semisimplicity_certificate(r: int, z) -> dict:
     N_kj = r - rank a_k, so t_k(z) = z^(r - rank a_k) t_k(1). The same
     identity turns z^N_ij z^(r - rank a_k) into z^(r - rank a_i) z^(r - rank a_j),
     so G(z) = D G(1) D with D = diag(z^(r - rank a)), and det D = z^(e_r).
-    G(1) comes as int rows from regular_trace_gram, and det runs its
+    The basis and its rook_product_table are built once; G(1) comes off
+    that table as int rows from regular_trace_gram, and det runs its
     fraction-free elimination on them as they are: no z-power, composite
     diagram or Fraction enters the determinant of G(1).
 
@@ -435,9 +414,9 @@ def semisimplicity_certificate(r: int, z) -> dict:
     and the determinant is 1.
     """
     z = scalar(z)
-    gram = regular_trace_gram(r)
-    # C(r, k)^2 k! basis diagrams have rank k
-    e_r = sum((r - k) * comb(r, k) ** 2 * factorial(k) for k in range(r + 1))
+    basis = rook_elements(r)
+    gram = regular_trace_gram(basis, rook_product_table(basis))
+    e_r = sum(r - d.rank for d in basis)
     gram_det = z ** (2 * e_r) * det(gram)
     nondegenerate = gram_det != 0
     return {

@@ -220,7 +220,7 @@ def cmd_lie(args) -> int:
 
 def cmd_verify_all(args) -> int:
     wanted = None
-    if args.only:
+    if args.only is not None:
         wanted = {name.strip() for name in args.only.split(",")}
         unknown = wanted - {c.name for c in CRITERIA}
         if unknown:

@@ -96,12 +96,12 @@ class PartialPermutation:
         return f"PartialPermutation(r={self.r}: {body})"
 
 
-def rook_elements(r: int, bound: int = ENUMERATION_BOUND) -> list[PartialPermutation]:
+def rook_elements(r: int) -> list[PartialPermutation]:
     """All partial permutations on r points; sum over k of C(r,k)^2 k!."""
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if r > bound:
-        raise ValueError(f"r={r} above enumeration bound {bound}")
+    if r > ENUMERATION_BOUND:
+        raise ValueError(f"r={r} above enumeration bound {ENUMERATION_BOUND}")
     universe = range(1, r + 1)
     out = []
     for k in range(r + 1):

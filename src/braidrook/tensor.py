@@ -38,13 +38,12 @@ from .scalars import IdentityError
 MATRIX_SIZE_BUDGET = 256  # largest n^r the exact commutant solvers accept
 
 
-def _check_budget(n: int, r: int, budget: int | None = None) -> int:
+def _check_budget(n: int, r: int, budget: int | None = None) -> None:
     size = n**r
     if budget is None:
         budget = MATRIX_SIZE_BUDGET
     if size > budget:
         raise ValueError(f"matrix size n^r = {size} exceeds budget {budget}")
-    return size
 
 
 # -- the two families of generators ---------------------------------------------
@@ -114,30 +113,24 @@ def rook_generators(p: BurauParams, r: int) -> list[Matrix]:
     return [diagram_op(d, p, r) for d in _generator_diagrams(r)]
 
 
-def centralizer_of_braid(
-    n: int, r: int, p: BurauParams, budget: int | None = None
-) -> tuple[int, list[Matrix]]:
-    _check_budget(n, r, budget)
+def centralizer_of_braid(n: int, r: int, p: BurauParams) -> tuple[int, list[Matrix]]:
+    _check_budget(n, r)
     return commutant(braid_generators(p, r), size=n**r)
 
 
-def rook_image(ops: Sequence[Matrix]) -> tuple[int, list[Matrix]]:
-    """Span of ops, the operators of all diagram basis elements; this is the
-    full image algebra since the basis spans and the action is
-    multiplicative."""
-    size = ops[0].rows
-    span = matrix_span(ops)
-    return span.dim, [Matrix(size, size, row) for row in span.basis_nonzeros()]
+def rook_image(ops: Sequence[Matrix]) -> int:
+    """Dimension of the span of ops, the operators of all diagram basis
+    elements; this is the full image algebra since the basis spans and the
+    action is multiplicative."""
+    return matrix_span(ops).dim
 
 
-def enveloping_braid(
-    n: int, r: int, p: BurauParams, budget: int | None = None
-) -> tuple[int, list[Matrix]]:
+def enveloping_braid(n: int, r: int, p: BurauParams) -> tuple[int, list[Matrix]]:
     """The algebra spanned by the image of B_n on E^(x r): the unital
     algebra of the generators T_i^(x r) alone. Each is invertible, as
     q1 q2 != 0, so by Cayley-Hamilton its inverse is a polynomial in it
     (linalg.span_closure)."""
-    _check_budget(n, r, budget)
+    _check_budget(n, r)
     return span_closure(braid_generators(p, r))
 
 
@@ -232,7 +225,8 @@ def _character_certificate(p: BurauParams, r: int, basis, ops) -> dict:
             reason = f"character {x} != n^cyc = {p.n ** cycles} at {d!r}"
             return certificate_record("exact", reason)
     m = len(basis)
-    echelon, pivots = rref([[*row, x] for row, x in zip(regular_trace_gram(r), chi)])
+    gram = regular_trace_gram(basis, table)
+    echelon, pivots = rref([[*row, x] for row, x in zip(gram, chi)])
     if pivots != list(range(m)):
         return certificate_record("exact", "G(1) is singular")
     # sum m_lam^2, an integer; compared exactly below
@@ -278,7 +272,7 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
       op(s_i) along a word for w; the tests check both identities on
       every basis diagram up to r = 4;
     - envelope <= C(rook gens): the envelope is the unital algebra of the
-      braid generators alone (enveloping_braid), so it commutes with
+      braid generators alone (span_closure), so it commutes with
       whatever they commute with, and C(rook gens) = C(image), since those
       operators generate the image algebra.
     A subspace of the same dimension is the whole space, so each identity
@@ -291,7 +285,8 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     z = [n]_q != 0 the rescaled diagrams z^-(r - rank a) a multiply as the
     rook monoid R_r, so P'_r(z) is the monoid algebra A = Q[R_r], with the
     integer Gram matrix G(1) of its regular trace form on the basis
-    (cellular.regular_trace_gram). Four steps, all exact:
+    (cellular.regular_trace_gram, read off the same rook_product_table as
+    the homomorphism check). Four steps, all exact:
     - Homomorphism. op(1) = 1 and op(g) op(d) = z^N op(gd) for every s_i
       and p_j generator g and every basis diagram d, N from
       cellular.rook_product_table. Every diagram is a word in the
@@ -327,7 +322,8 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
 
     A miss at one prime moves on to the next listed prime, keeping the
     largest lower bound. The exact centralizer, image, envelope and
-    commutant dimensions are computed instead ("exact" path) when the
+    commutant dimensions are computed instead ("exact" path), on the
+    generators and basis operators already built, when the
     actions do not commute, when z = 0, when the split check of the B_i,
     the homomorphism, character or G(1) step fails, when the bounds miss
     at every listed prime, and when every listed prime divides a
@@ -367,9 +363,9 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
             f"{cent_of_img_dim}"
         )
     else:
-        cent_dim, _ = centralizer_of_braid(n, r, p, budget)
-        img_dim, _ = rook_image(ops)
-        env_dim, _ = enveloping_braid(n, r, p, budget)
+        cent_dim, _ = commutant(braid_gens, size=n**r)
+        img_dim = rook_image(ops)
+        env_dim, _ = span_closure(braid_gens)
         cent_of_img_dim, _ = commutant(rook_gens, size=n**r)
         img_how = env_how = f"exact dimensions; {certificate['fallback_reason']}"
     env_eq = commute and env_dim == cent_of_img_dim

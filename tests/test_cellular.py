@@ -19,7 +19,6 @@ from braidrook.cellular import (
     dims_table,
     hook_lengths,
     k_subsets,
-    partition_minus_boxes,
     partition_plus_boxes,
     partitions_of,
     phi,
@@ -32,7 +31,6 @@ from braidrook.cellular import (
     star,
     theta,
     triple_of,
-    uk_action,
 )
 from braidrook.diagrams import (
     PartialPermutation,
@@ -57,10 +55,8 @@ def test_partitions_descending_lex():
 
 
 def test_partition_box_moves():
-    assert partition_minus_boxes((2, 1)) == [(1, 1), (2,)]
     assert partition_plus_boxes((2, 1)) == [(3, 1), (2, 2), (2, 1, 1)]
     assert partition_plus_boxes(()) == [(1,)]
-    assert partition_minus_boxes((1,)) == [()]
 
 
 def test_hooks_and_tableaux_counts():
@@ -150,10 +146,10 @@ def test_star_diagram_antihomomorphism():
 def test_phi_examples():
     r, z = 2, Fraction(5)
     ident = PartialPermutation.identity(r)
-    assert phi(ident, {2}, z, r) == (Fraction(1), frozenset({2}))
+    assert phi(ident, {2}, z) == (Fraction(1), frozenset({2}))
     p1 = projection(1, r)
-    assert phi(p1, {2}, z, r) == (z, frozenset({2}))
-    assert phi(p1, {1}, z, r) is None
+    assert phi(p1, {2}, z) == (z, frozenset({2}))
+    assert phi(p1, {1}, z) is None
 
 
 def test_theta_examples():
@@ -178,11 +174,11 @@ def test_psi_rules():
 
 def test_uk_action_generator_rules():
     r, z = 2, Fraction(3)
-    assert uk_action(projection(1, r), {2}, z) == (z, frozenset({2}))
-    assert uk_action(projection(2, r), {2}, z) is None
+    assert phi(projection(1, r), {2}, z) == (z, frozenset({2}))
+    assert phi(projection(2, r), {2}, z) is None
     w = transposition(1, 2, r)
-    assert uk_action(w, {2}, z) == (Fraction(1), frozenset({1}))
-    assert uk_action(PartialPermutation.identity(r), {1}, z) == (
+    assert phi(w, {2}, z) == (Fraction(1), frozenset({1}))
+    assert phi(PartialPermutation.identity(r), {1}, z) == (
         Fraction(1),
         frozenset({1}),
     )
@@ -197,15 +193,15 @@ def test_uk_action_multiplicative():
     for _ in range(200):
         f, g = rng.choice(elems), rng.choice(elems)
         u = frozenset(rng.choice(subsets))
-        inner = uk_action(g, u, z)
+        inner = phi(g, u, z)
         if inner is None:
             stepwise = None
         else:
             c, u2 = inner
-            outer = uk_action(f, u2, z)
+            outer = phi(f, u2, z)
             stepwise = None if outer is None else (c * outer[0], outer[1])
         prod, dropped = f.compose(g)
-        combined = uk_action(prod, u, z)
+        combined = phi(prod, u, z)
         if combined is not None:
             combined = (combined[0] * z**dropped, combined[1])
         assert stepwise == combined
@@ -220,7 +216,7 @@ def test_inflation_multiplication_rule_exhaustive_top_cell():
     for a in rook_elements(r):
         for b in perms:
             lhs = _product(z, a, b)
-            pred = phi(a, u, z, r)
+            pred = phi(a, u, z)
             if pred is None:
                 assert lhs[0].rank < r
                 continue
@@ -249,7 +245,7 @@ def test_inflation_multiplication_rule_sampled_lower_cells():
         b = tuple(rng.sample(range(1, k + 1), k))
         d = diagram_of(CellTriple(u, b, v), r)
         prod, dropped = a.compose(d)
-        pred = phi(a, set(u), z, r)
+        pred = phi(a, set(u), z)
         if pred is None:
             assert prod.rank < k
             continue
@@ -371,8 +367,7 @@ def test_semisimplicity_negative_control_at_z0(r):
     report = semisimplicity_certificate(r, 0)
     assert report["gram_det"] == "0"
     assert not report["gram_nondegenerate"] and not report["semisimple"]
-    gram = regular_trace_gram(r)
-    basis = rook_elements(r)
+    basis, gram = _gram(r)
     for i, a in enumerate(basis):
         if a.rank < r:
             assert all(
@@ -385,6 +380,12 @@ def test_semisimplicity_r0_is_the_ground_field():
         report = semisimplicity_certificate(0, z)
         assert report["gram_size"] == 1 and report["gram_det"] == "1"
         assert report["semisimple"]
+
+
+def _gram(r):
+    """The basis rook_elements(r) and its G(1), read off one product table."""
+    basis = rook_elements(r)
+    return basis, regular_trace_gram(basis, rook_product_table(basis))
 
 
 def _gram_entry_by_pair(a, b, basis, z):
@@ -414,8 +415,7 @@ def _gram_at(gram, basis, i, j, z):
 )
 def test_regular_trace_gram_matches_the_per_pair_formula(z):
     for r in range(4):
-        basis = rook_elements(r)
-        gram = regular_trace_gram(r)
+        basis, gram = _gram(r)
         assert [len(row) for row in gram] == [len(basis)] * len(basis)
         for i, a in enumerate(basis):
             for j, b in enumerate(basis):
@@ -425,7 +425,7 @@ def test_regular_trace_gram_matches_the_per_pair_formula(z):
 @pytest.mark.parametrize("r", range(5))
 def test_regular_trace_gram_is_dense_int_rows(r):
     # the Gram determinant runs on ints from the table, with no Fraction
-    gram = regular_trace_gram(r)
+    _, gram = _gram(r)
     m = rook_dimension(r)
     assert len(gram) == m and all(len(row) == m for row in gram)
     assert all(type(x) is int for row in gram for x in row)
@@ -433,8 +433,7 @@ def test_regular_trace_gram_is_dense_int_rows(r):
 
 def test_regular_trace_gram_matches_the_per_pair_formula_sampled_r4():
     z = Fraction(7, 3)
-    basis = rook_elements(4)
-    gram = regular_trace_gram(4)
+    basis, gram = _gram(4)
     rng = random.Random(8)
     for _ in range(300):
         i, j = rng.randrange(len(basis)), rng.randrange(len(basis))

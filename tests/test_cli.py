@@ -319,6 +319,13 @@ def test_verify_all_unknown_name(capsys):
     assert code == 2 and "unknown check names" in err
 
 
+def test_verify_all_empty_only_is_a_usage_error(capsys):
+    # an empty --only names no known check; it must not run all of them
+    code, out, err = run(capsys, "verify-all", "--only", "")
+    assert code == 2 and "unknown check names: ['']" in err
+    assert "PASS" not in out
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["duality", "--n", "2"])

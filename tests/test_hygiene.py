@@ -111,7 +111,6 @@ TEST_ONLY_ALLOWED = {
     "form_value",
     "reflection",
     "star",
-    "leaf_counts",
 }
 
 

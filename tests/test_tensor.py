@@ -1,6 +1,7 @@
 """Commuting tensor actions, centralizers, enveloping algebras, duality."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import permutations, product
@@ -8,7 +9,7 @@ from itertools import permutations, product
 import pytest
 from rook_factorization import projection_factorization
 
-from braidrook import _modlinalg, burau, tensor
+from braidrook import _modlinalg, burau, cellular, tensor
 from braidrook.burau import BurauParams, block_generators, projection_p, unreduced_generator
 from braidrook.diagrams import PartialPermutation, rook_elements, transposition
 from braidrook.linalg import commutant, matrix_span, span_closure, spans_equal
@@ -293,13 +294,11 @@ def _basis_ops(params, r):
 
 
 def test_rook_image_faithful_n3_r2():
-    dim, _ = rook_image(_basis_ops(P32, 2))
-    assert dim == 7
+    assert rook_image(_basis_ops(P32, 2)) == 7
 
 
 def test_rook_image_not_faithful_n2_r2():
-    dim, _ = rook_image(_basis_ops(P22, 2))
-    assert dim == 6
+    assert rook_image(_basis_ops(P22, 2)) == 6
 
 
 def test_n2_dependence_relation():
@@ -410,7 +409,7 @@ def test_duality_report_budget_argument():
 
 def _exact_dims(n, r, params):
     return {
-        "image": rook_image(_basis_ops(params, r))[0],
+        "image": rook_image(_basis_ops(params, r)),
         "braid_centralizer": centralizer_of_braid(n, r, params)[0],
         "envelope": enveloping_braid(n, r, params)[0],
         "rook_centralizer": commutant(rook_generators(params, r), size=n**r)[0],
@@ -742,6 +741,41 @@ def test_q1_control_is_a_real_failure_on_the_exact_path(monkeypatch):
     assert status["rook_image_equals_centralizer_of_braid"] == "fail"
     assert status["enveloping_equals_centralizer_of_rook_image"] == "fail"
     assert status["enveloping_dimension_sum"] == "fail"  # 6 against 15
+
+
+def _count_calls(monkeypatch, modules, *names):
+    """Wrap each named function in every module that binds it; the returned
+    Counter counts the calls through all of those bindings by name."""
+    calls = Counter()
+    for module in modules:
+        for name in names:
+            real = getattr(module, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_duality_report_builds_the_basis_and_its_table_once(monkeypatch):
+    # the character certificate reads G(1) off the table of the homomorphism
+    # check, so neither the basis nor its table is built a second time
+    names = ("rook_elements", "rook_product_table")
+    calls = _count_calls(monkeypatch, (tensor, cellular), *names)
+    report = duality_report(3, 2, P32)
+    assert report["certificate"]["path"] == "character" and report["all_pass"]
+    assert calls == Counter(rook_elements=1, rook_product_table=1)
+
+
+def test_exact_path_reuses_the_braid_generators(monkeypatch):
+    # the q = 1 control ends on the exact path, whose commutant and closure
+    # run on the generators the commute check already built
+    calls = _count_calls(monkeypatch, (tensor,), "braid_generators")
+    report = duality_report(3, 2, BurauParams.degenerate(3, 1, -1))
+    assert report["certificate"]["path"] == "exact"
+    assert calls["braid_generators"] == 1
 
 
 def test_bounds_bracket_exact_dims_at_unlucky_prime(monkeypatch):
