@@ -16,10 +16,14 @@ from typing import Callable
 
 from .burau import (
     BurauParams,
+    decompose_e,
+    form_matrix,
+    form_value,
     full_twist_scalar,
     generator_power,
     projection_p,
     reduced_generator,
+    reflection,
     unreduced_generator,
 )
 from .cellular import (
@@ -351,6 +355,16 @@ def check_property_suites() -> tuple[bool, str]:
                 if g * g != shift * g - prodc:
                     return _fail("quadratic relation fails")
     p32 = BurauParams.preset(3)
+    j = form_matrix(p32)
+    f0, fs = decompose_e(p32)
+    f0_col = Matrix(p32.n, 1, list(f0))
+    for i in range(1, p32.n):
+        s = reflection(i, p32)
+        s_t = Matrix.from_rows(zip(*s.to_lists()))
+        if s * s != Matrix.identity(p32.n) or s_t * j * s != j or s * f0_col != f0_col:
+            return _fail(f"S_{i} is not a J-orthogonal involution fixing f0")
+    if form_value(p32, f0, f0) != p32.quantum(p32.n) or any(form_value(p32, f, f0) for f in fs):
+        return _fail("<f0, f0> != [n]_q or some <f_i, f0> != 0")
     braid = braid_generators(p32, 2)
     rook = rook_generators(p32, 2)
     if not all(x * y == y * x for x in braid for y in rook):
@@ -365,7 +379,8 @@ def check_property_suites() -> tuple[bool, str]:
     if dim != 15:
         return _fail(f"q=1 control centralizer dim {dim} != 15")
     return True, (
-        "braid/quadratic relations, commuting actions, double centralizer = "
+        "braid/quadratic relations, S_i^2 = 1, S_i^T J S_i = J, S_i f0 = f0, "
+        "<f0, f0> = [3]_q, <f_i, f0> = 0, commuting actions, double centralizer = "
         f"enveloping (dim {env_dim}) at (3,2), q=1 control dim 15"
     )
 
@@ -396,7 +411,7 @@ CRITERIA: list[Criterion] = [
         "duality-grid",
         "the two commuting actions on E^(tensor r) are mutual centralizers, "
         "with faithfulness exactly when n > r",
-        6.0,  # about 10x its 0.62 s on a 2-vCPU Xeon VM whose speed drifts up to 1.8x
+        2.0,  # about 10x its 0.19 s on a 2-vCPU Xeon VM whose speed drifts up to 1.8x
         check_duality_grid,
     ),
     Criterion(
@@ -424,7 +439,7 @@ CRITERIA: list[Criterion] = [
         "cellular-structure",
         "inflation multiplication rule, subset-module maps phi/theta/psi, "
         "and nondegenerate Gram forms certify cellular semisimplicity",
-        6.0,  # about 10x its 0.62 s on a 2-vCPU Xeon VM whose speed drifts up to 1.8x
+        3.0,  # about 10x its 0.32 s on a 2-vCPU Xeon VM whose speed drifts up to 1.8x
         check_cellular_structure,
     ),
     Criterion(
@@ -439,9 +454,11 @@ CRITERIA: list[Criterion] = [
     ),
     Criterion(
         "property-suites",
-        "braid and quadratic relations, bimodule commutation, double- "
-        "centralizer closure, and the q = 1 control dimension 15",
-        2.0,  # about 10x its 0.20 s on a 2-vCPU Xeon VM whose speed drifts up to 1.8x
+        "braid and quadratic relations, the reflections S_i are involutions "
+        "orthogonal for the form J that fix f0, with <f0, f0> = [n]_q and "
+        "f_i orthogonal to f0, bimodule commutation, double-centralizer "
+        "closure, and the q = 1 control dimension 15",
+        2.0,  # about 10x its 0.24 s on a 2-vCPU Xeon VM whose speed drifts up to 1.8x
         check_property_suites,
     ),
 ]

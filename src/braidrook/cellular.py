@@ -1,7 +1,9 @@
 """Cell structure of the partial-permutation algebra: triples (dom, pi, im),
 the inflation maps phi/theta/psi, the U(k) module of k-subsets, the cell
-dimension combinatorics c^r_lambda, the branching (Bratteli) diagram, and a
-semisimplicity certificate.
+dimension combinatorics c^r_lambda, the branching (Bratteli) diagram, and
+the q-free certificates on Steinberg's groupoid basis: the Gram determinant
+and the two duality dimensions (there phi is Steinberg's isomorphism and
+psi_k a character of S_k, not the inflation maps phi and psi).
 
 A rank-k basis diagram is equivalently a triple (u, b, v): a k-subset u (its
 domain), a permutation b of {1..k} (written in sorted coordinates), and a
@@ -13,13 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb, factorial
+from itertools import combinations, permutations
+from math import comb, factorial, prod
 from operator import itemgetter
 from typing import Sequence
 
-from .diagrams import PartialPermutation, rook_elements
-from .linalg import det
+from .diagrams import PartialPermutation, compose_perms, generator_diagrams, rook_elements
+from .linalg import rref
 from .scalars import IdentityError, scalar
 
 # -- partitions ----------------------------------------------------------------
@@ -326,7 +328,12 @@ def rook_product_table(elements: Sequence[PartialPermutation]) -> list[list[tupl
     Each diagram is held as the int tuple (0, d(1), ..., d(r)), with 0
     where d is undefined, so the product a then b is b's tuple read at a's
     entries; dom and im are bitmasks, so N is one popcount. No
-    PartialPermutation is built."""
+    PartialPermutation is built.
+
+    The rescaling a -> z^-(r - rank a) a of semisimplicity_certificate and
+    tensor.duality_report rests on N = r + rank(a_i a_j) - rank a_i - rank a_j,
+    so every table is checked against it when built (_check_dropped); a
+    failure raises IdentityError."""
     r = elements[0].r
     if r == 0:  # itemgetter of one index returns the entry, not a 1-tuple
         return [[(0, 0)]]
@@ -345,46 +352,120 @@ def rook_product_table(elements: Sequence[PartialPermutation]) -> list[list[tupl
         table.append(
             [(index[then(b)], r - (im_a | dom_b).bit_count()) for b, dom_b in zip(maps, doms)]
         )
+    _check_dropped(elements, table)
     return table
 
 
-def regular_trace_gram(
-    basis: Sequence[PartialPermutation], table: list[list[tuple[int, int]]]
-) -> list[list[int]]:
-    """The integer Gram matrix G(1)_ij = Tr(L_{a_i a_j}) of the regular trace
-    form at z = 1, on the basis a_0..a_{m-1} = rook_elements(r), read off
-    table = rook_product_table(basis), which the caller has built, as dense
-    rows of ints: no Fraction and no Matrix is built, and linalg.det and the
-    rref of the character certificate take the rows as they are.
-
-    L_x is left multiplication by x on the algebra. At z = 1 every product
-    of basis diagrams is a basis diagram, a_i a_j = a_k, so
-    G(1)_ij = t_k with t_k = Tr(L_{a_k}) = #{j : a_k a_j = a_j}.
-
-    The N of the table does not enter G(1). The rescalings that
-    semisimplicity_certificate and the character certificate of
-    tensor.duality_report make rest on the identity
-    N = r + rank(a_i a_j) - rank a_i - rank a_j, so every entry of the
-    table is checked against it here, and a failure raises IdentityError.
-    """
-    r = basis[0].r
-    ranks = [d.rank for d in basis]
-    for i, row in enumerate(table):
-        lost = r - ranks[i]
-        for j, (k, n) in enumerate(row):
-            if n != lost + ranks[k] - ranks[j]:
+def _check_dropped(elements: Sequence[PartialPermutation], table) -> None:
+    """Raise IdentityError unless every entry (k, N) of the product table
+    of elements has N = r + rank(a_i a_j) - rank a_i - rank a_j."""
+    r = elements[0].r
+    ranks = [d.rank for d in elements]
+    for a, rank_a, row in zip(elements, ranks, table):
+        lost = r - rank_a
+        for b, rank_b, (k, n) in zip(elements, ranks, row):
+            if n != lost + ranks[k] - rank_b:
                 raise IdentityError(
-                    f"N = {n} breaks N = r + rank(ab) - rank a - rank b at "
-                    f"a = {basis[i]!r}, b = {basis[j]!r}"
+                    f"N = {n} breaks N = r + rank(ab) - rank a - rank b at a = {a!r}, b = {b!r}"
                 )
-    trace = [sum(k == j for j, (k, _) in enumerate(row)) for row in table]
-    return [[trace[k] for k, _ in row] for row in table]
+
+
+def _arrows(d: PartialPermutation) -> list[tuple[tuple[int, ...], int, int]]:
+    """The 2^rank(d) arrows [d|T], T a subset of dom d, of phi(d), each as
+    (map, dom bitmask, im bitmask), the map (0, d(1), ..., d(r)) with 0 off T."""
+    out = []
+    for keep in range(1 << d.rank):
+        m = [0] * (d.r + 1)
+        dom = im = 0
+        for t, (x, y) in enumerate(d.pairs):
+            if keep >> t & 1:
+                m[x] = y
+                dom |= 1 << x
+                im |= 1 << y
+        out.append((tuple(m), dom, im))
+    return out
+
+
+def groupoid_failure(basis: Sequence[PartialPermutation], table) -> str | None:
+    """None when phi(g) phi(b) = phi(gb) for every generator g of
+    diagrams.generator_diagrams(r) and every b in basis = rook_elements(r),
+    gb read off table = rook_product_table(basis) at z = 1; otherwise the
+    first failure.
+
+    The groupoid G_r has the bijections between subsets of {1..r} as
+    arrows, [s][t] = [s then t] when im s = dom t and 0 otherwise, and
+    phi(x) = sum of [x|T] over T in dom x (B. Steinberg, JCTA 113, 2006;
+    L. Solomon, J. Algebra 256, 2002). The arrow [b|U] meets one arrow of
+    phi(g) at most, the one with image U: a check costs 2^rank(b) steps.
+
+    Passing makes phi an algebra isomorphism: for a word x = g x' in the
+    generators, phi(x b) = phi(g) phi(x' b) = phi(g) phi(x') phi(b) =
+    phi(x) phi(b) by induction, and phi is unitriangular in the restriction
+    order, so bijective. Q[G_r] is the sum of the M_C(r,k)(Q S_k), so
+    Q[R_r] is semisimple by Maschke's theorem."""
+    r = basis[0].r
+    index = {d: i for i, d in enumerate(basis)}
+    arrows = [_arrows(d) for d in basis]
+    images = [sorted(m for m, _, _ in a) for a in arrows]
+    for g in generator_diagrams(r):
+        gi = index[g]
+        # s then t reads t's map at s's entries
+        then = {im: itemgetter(*m) for m, _, im in arrows[gi]}
+        for b, b_arrows, (k, _) in zip(basis, arrows, table[gi]):
+            product = [then[dom](m) for m, dom, _ in b_arrows if dom in then]
+            if sorted(product) != images[k]:
+                return f"phi(g) phi(b) != phi(gb) at g = {g!r}, b = {b!r}"
+    return None
+
+
+def groupoid_block(value: dict, k: int) -> list[list]:
+    """The k! x k! matrix [psi_k(s t^-1)] over s, t in S_k, the identity
+    first and products read left to right, where
+    psi_k(s) = sum over T in {1..k} of (-1)^(k - |T|) value[s|T], and value
+    maps the pairs of each diagram of rook_elements(r) to a character value.
+
+    For the character chi of a Q[R_r]-module V, chi(x) = chi_G(phi(x)),
+    so Moebius inversion over the restriction order makes psi_k = chi_G
+    on S_k: the character of S_k on [id_K] V, K = {1..k}."""
+    perms = list(permutations(range(1, k + 1)))
+    psi = {
+        w: sum(
+            (-1) ** (k - keep.bit_count())
+            * value[tuple((x, w[x - 1]) for x in range(1, k + 1) if keep >> (x - 1) & 1)]
+            for keep in range(1 << k)
+        )
+        for w in perms
+    }
+    inverse = {w: tuple(sorted(range(1, k + 1), key=lambda x: w[x - 1])) for w in perms}
+    return [[psi[compose_perms(s, inverse[t])] for t in perms] for s in perms]
+
+
+def groupoid_dimensions(basis: Sequence[PartialPermutation], chi: Sequence) -> tuple[Fraction, int]:
+    """(dim End_A(V), dim of the image of A in End V) for a module V of
+    A = Q[R_r] whose character is chi[i] at basis[i] = rook_elements(r),
+    read off one groupoid_block per k; groupoid_failure must have passed.
+
+    Through phi, V is the sum over k of C(r,k) copies of the S_k-module
+    W_k = [id_K] V, of character psi_k. So End_A(V) is the sum of the
+    End(W_k), of dimension <psi_k, psi_k> = (1/k!) sum of psi_k(s)
+    psi_k(s^-1), and the image is the sum of the M_C(r,k)(image of Q S_k).
+    The trace form tr_W(xy) of that semisimple image is nondegenerate on it
+    and zero on the kernel: its dimension is rank [psi_k(s t^-1)]."""
+    r = basis[0].r
+    value = {d.pairs: x for d, x in zip(basis, chi)}
+    centralizer, image = Fraction(0), 0
+    for k in range(r + 1):
+        block = groupoid_block(value, k)
+        # column 0 holds psi_k(s), row 0 holds psi_k(s^-1)
+        centralizer += Fraction(sum(row[0] * x for row, x in zip(block, block[0])), factorial(k))
+        image += comb(r, k) ** 2 * len(rref(block)[1])
+    return centralizer, image
 
 
 def semisimplicity_certificate(r: int, z) -> dict:
     """Certify that the algebra at parameter z is semisimple by a nonzero
     Gram determinant det G(z), G(z)_ij = Tr(L_{a_i a_j}), of its regular
-    trace form.
+    trace form, L_x left multiplication by x.
 
     Why det G(z) != 0 suffices: over Q, an element x of the Jacobson
     radical J makes every x y lie in J, so L_{xy} is nilpotent and
@@ -396,17 +477,21 @@ def semisimplicity_certificate(r: int, z) -> dict:
 
     Why det G(z) = z^(2 e_r) det G(1), with e_r = sum over the basis of
     r - rank a (e_3 = 39, e_4 = 292): a basis product is
-    a_i a_j = z^N_ij a_k, so G(z)_ij = z^N_ij t_k(z), where
-    t_k(z) = Tr(L_{a_k}) = sum of z^N_kj over the j with a_k a_j = a_j.
-    For such j the identity N = r + rank(ab) - rank a - rank b, which
-    regular_trace_gram checks on every table entry, gives
-    N_kj = r - rank a_k, so t_k(z) = z^(r - rank a_k) t_k(1). The same
-    identity turns z^N_ij z^(r - rank a_k) into z^(r - rank a_i) z^(r - rank a_j),
-    so G(z) = D G(1) D with D = diag(z^(r - rank a)), and det D = z^(e_r).
-    The basis and its rook_product_table are built once; G(1) comes off
-    that table as int rows from regular_trace_gram, and det runs its
-    fraction-free elimination on them as they are: no z-power, composite
-    diagram or Fraction enters the determinant of G(1).
+    a_i a_j = z^N_ij a_k, and the identity N = r + rank(ab) - rank a - rank b,
+    which rook_product_table checks on every entry, makes the rescaled
+    z^-(r - rank a) a multiply as the rook monoid R_r. So G(z) = D G(1) D
+    with D = diag(z^(r - rank a)), and det D = z^(e_r).
+
+    Why det G(1) = (-1)^((m - I_r)/2) prod over k of
+    (C(r,k) k!)^(C(r,k)^2 k!), m = |R_r|, I_r = #{d : star(d) = d}:
+    groupoid_failure checks that phi is an algebra isomorphism onto
+    Q[G_r], which keeps every Tr(L_x), so G(1) = P^T H P with P the
+    unitriangular matrix of phi and H the Gram matrix on the arrows. L_[s]
+    fixes the arrow [t] only when s is the identity on dom t, so the
+    entry at ([s], [t]) is C(r,k) k!, the number of arrows with the domain
+    of s, when t = star(s), and 0 otherwise: a weighted permutation matrix
+    of the involution s -> star(s), with I_r fixed points. A failed check
+    raises IdentityError; no determinant is eliminated.
 
     Negative control, z = 0: D is zero at every diagram of rank < r (p_j,
     the empty diagram), so the rows of G(0) = D G(1) D there are zero, and
@@ -415,14 +500,21 @@ def semisimplicity_certificate(r: int, z) -> dict:
     """
     z = scalar(z)
     basis = rook_elements(r)
-    gram = regular_trace_gram(basis, rook_product_table(basis))
+    failure = groupoid_failure(basis, rook_product_table(basis))
+    if failure:
+        raise IdentityError(failure)
+    m = len(basis)
+    swapped = m - sum(star(d) == d for d in basis)
+    weights = prod(
+        (comb(r, k) * factorial(k)) ** (comb(r, k) ** 2 * factorial(k)) for k in range(r + 1)
+    )
     e_r = sum(r - d.rank for d in basis)
-    gram_det = z ** (2 * e_r) * det(gram)
+    gram_det = z ** (2 * e_r) * (-1) ** (swapped // 2) * weights
     nondegenerate = gram_det != 0
     return {
         "r": r,
         "z": str(z),
-        "gram_size": len(gram),
+        "gram_size": m,
         "gram_det": str(gram_det),
         "gram_nondegenerate": nondegenerate,
         "semisimple": nondegenerate,

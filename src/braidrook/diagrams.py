@@ -130,6 +130,14 @@ def projection(j: int, r: int) -> PartialPermutation:
     return PartialPermutation(r, [(x, x) for x in range(1, r + 1) if x != j])
 
 
+def generator_diagrams(r: int) -> list[PartialPermutation]:
+    """The paper's generators of R_r: s_1..s_(r-1), then p_1 (none at r = 0).
+    They generate R_r: the s_i give every permutation, p_j = (1 j) p_1 (1 j),
+    and every partial permutation is a product of p_j's and a permutation."""
+    swaps = [transposition(i, i + 1, r) for i in range(1, r)]
+    return swaps + [projection(1, r)] if r else []
+
+
 # -- cycle-link structure ------------------------------------------------------
 
 

@@ -20,18 +20,20 @@ from .cellular import (
     cell_dim,
     cell_labels,
     gl_weyl_dim,
-    regular_trace_gram,
+    groupoid_dimensions,
+    groupoid_failure,
     rook_dimension,
     rook_product_table,
 )
 from .diagrams import (
     PartialPermutation,
     cycle_link_decompose,
+    generator_diagrams,
     projection,
     rook_elements,
     transposition,
 )
-from .linalg import certificate_record, commutant, matrix_span, rref, span_closure
+from .linalg import certificate_record, commutant, matrix_span, span_closure
 from .matrix import Matrix, integer_form, kron_power, rows_of, sparse_product
 from .scalars import IdentityError
 
@@ -102,15 +104,9 @@ def braid_generators(p: BurauParams, r: int) -> list[Matrix]:
     return [braid_tensor_gen(i, p, r) for i in range(1, p.n)]
 
 
-def _generator_diagrams(r: int) -> list[PartialPermutation]:
-    """s_1..s_(r-1), then p_1..p_r."""
-    return [transposition(i, i + 1, r) for i in range(1, r)] + [
-        projection(j, r) for j in range(1, r + 1)
-    ]
-
-
 def rook_generators(p: BurauParams, r: int) -> list[Matrix]:
-    return [diagram_op(d, p, r) for d in _generator_diagrams(r)]
+    """The operators of the paper's generators s_1..s_(r-1), p_1."""
+    return [diagram_op(d, p, r) for d in generator_diagrams(r)]
 
 
 def centralizer_of_braid(n: int, r: int, p: BurauParams) -> tuple[int, list[Matrix]]:
@@ -162,9 +158,9 @@ def bimodule_dimension_sum(n: int, r: int) -> int:
 
 
 def _homomorphism_failure(basis, ops, table, z: Fraction, r: int) -> str | None:
-    """None when op(1) = 1 and op(g) op(d) = z^N op(gd) for every s_i and
-    p_j generator g and every basis diagram d, with gd = z^N a_k read off
-    the rook_product_table of the basis; otherwise the first failure.
+    """None when op(1) = 1 and op(g) op(d) = z^N op(gd) for every generator
+    g = s_1..s_(r-1), p_1 and every basis diagram d, with gd = z^N a_k read
+    off the rook_product_table of the basis; otherwise the first failure.
 
     The check runs on integers: every operator entry is a power of q, so
     one common denominator D makes every M = D op(a) an integer matrix
@@ -175,7 +171,7 @@ def _homomorphism_failure(basis, ops, table, z: Fraction, r: int) -> str | None:
         return "op(identity) is not the identity matrix"
     den, scaled = integer_form(ops)
     by_rows = [rows_of(m, size) for m in scaled]
-    for g in _generator_diagrams(r):
+    for g in generator_diagrams(r):
         gi = index[g]
         for d, (k, dropped), rows in zip(basis, table[gi], by_rows):
             lhs, rhs = z.denominator**dropped, den * z.numerator**dropped
@@ -200,9 +196,9 @@ def _all_commute(left: Sequence[Matrix], right: Sequence[Matrix]) -> bool:
 
 def _character_certificate(p: BurauParams, r: int, basis, ops) -> dict:
     """The certificate of duality_report, given the operators ops of the
-    basis diagrams: the homomorphism and character checks on them, the two
-    q-free dimensions chi^T G(1)^-1 chi and rank H, and the mod-p closure
-    of burau.block_generators at each listed prime that divides no
+    basis diagrams: the homomorphism, groupoid and character checks, the
+    two q-free dimensions of cellular.groupoid_dimensions, and the mod-p
+    closure of burau.block_generators at each listed prime that divides no
     denominator of them, the largest lower bound kept."""
     from . import _modlinalg
 
@@ -211,10 +207,10 @@ def _character_certificate(p: BurauParams, r: int, basis, ops) -> dict:
         return certificate_record("exact", "z = [n]_q = 0 has no rescaled basis")
     try:
         blocks = block_generators(p, r)
+        table = rook_product_table(basis)
     except IdentityError as e:
         return certificate_record("exact", str(e))
-    table = rook_product_table(basis)
-    failure = _homomorphism_failure(basis, ops, table, z, r)
+    failure = _homomorphism_failure(basis, ops, table, z, r) or groupoid_failure(basis, table)
     if failure:
         return certificate_record("exact", failure)
     # the trace of the rescaled operator z^-(r - rank a) op(a)
@@ -224,18 +220,9 @@ def _character_certificate(p: BurauParams, r: int, basis, ops) -> dict:
         if x != p.n**cycles:
             reason = f"character {x} != n^cyc = {p.n ** cycles} at {d!r}"
             return certificate_record("exact", reason)
-    m = len(basis)
-    gram = regular_trace_gram(basis, table)
-    echelon, pivots = rref([[*row, x] for row, x in zip(gram, chi)])
-    if pivots != list(range(m)):
-        return certificate_record("exact", "G(1) is singular")
     # sum m_lam^2, an integer; compared exactly below
-    rook_cent = sum(x * row[m] for x, row in zip(chi, echelon))
-    bounds = {
-        "envelope_lower": None,
-        "rook_centralizer": int(rook_cent),
-        "rook_image": len(rref([[chi[k] for k, _ in row] for row in table])[1]),
-    }
+    rook_cent, rook_img = groupoid_dimensions(basis, chi)
+    bounds = {"envelope_lower": None, "rook_centralizer": int(rook_cent), "rook_image": rook_img}
     skipped, tried, best = [], [], None
     for prime in _modlinalg.SANDWICH_PRIMES:
         if not _modlinalg.is_p_integral(blocks, prime):
@@ -264,13 +251,17 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
 
     The two double-centralizer identities rest on containment plus
     dimension. The exact check that every braid generator commutes with
-    every s_i and p_j operator gives both containments:
-    - image <= C(braid gens): every diagram operator is a product of s_i
-      and p_j operators. The closed form of diagram_op gives
+    the operators of the paper's generators s_1..s_(r-1), p_1 gives both
+    containments:
+    - image <= C(braid gens): every diagram operator is a product of those
+      operators. The closed form of diagram_op gives
       op(d) = (prod of op(p_j) over j outside dom(d)) op(w) for any
-      permutation w that extends d, and op(w) is the product of the
-      op(s_i) along a word for w; the tests check both identities on
-      every basis diagram up to r = 4;
+      permutation w that extends d, op(w) is the product of the op(s_i)
+      along a word for w, and op(p_j) = op((1 j)) op(p_1) op((1 j)); the
+      tests check these identities on every basis diagram and every j up
+      to r = 4 (test_factorized_matches_direct_action,
+      test_permutation_operator_is_a_product_of_swaps and
+      test_projection_operator_is_conjugate_to_p1 in tests/test_tensor.py);
     - envelope <= C(rook gens): the envelope is the unital algebra of the
       braid generators alone (span_closure), so it commutes with
       whatever they commute with, and C(rook gens) = C(image), since those
@@ -283,53 +274,50 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
 
     The dimensions come from the rook character ("character" path). For
     z = [n]_q != 0 the rescaled diagrams z^-(r - rank a) a multiply as the
-    rook monoid R_r, so P'_r(z) is the monoid algebra A = Q[R_r], with the
-    integer Gram matrix G(1) of its regular trace form on the basis
-    (cellular.regular_trace_gram, read off the same rook_product_table as
-    the homomorphism check). Four steps, all exact:
-    - Homomorphism. op(1) = 1 and op(g) op(d) = z^N op(gd) for every s_i
-      and p_j generator g and every basis diagram d, N from
-      cellular.rook_product_table. Every diagram is a word in the
-      generators, and the z-powers of the monoid product are associative,
-      so by induction on the word op is an algebra map from A, and V is
-      an A-module through the rescaled operators.
+    rook monoid R_r (rook_product_table checks the identity on N this
+    rests on), so P'_r(z) is the monoid algebra A = Q[R_r]. Four steps, all
+    exact, none on an m x m matrix, m = |R_r|:
+    - Homomorphism. op(1) = 1 and op(g) op(d) = z^N op(gd) for every
+      generator g and every basis diagram d, N from the table. The
+      generators generate R_r, and the z-powers of the monoid product are
+      associative, so by induction on a word op is an algebra map from A,
+      and V is an A-module through the rescaled operators.
+    - Groupoid. cellular.groupoid_failure checks on the same table that
+      Steinberg's phi is an algebra isomorphism from A onto the groupoid
+      algebra, the sum over k of M_C(r,k)(Q S_k). So A is semisimple.
     - Character. chi(a) = tr op(a) / z^(r - rank a) must equal n^cyc(a),
       cyc(a) the number of cycles of a: the character of V is q-free.
-    - dim C(rook gens) = chi^T G(1)^-1 chi. det G(1) != 0 makes A
-      semisimple (semisimplicity_certificate). Write the A-module V as
-      the sum of m_lam copies of the simple module of each label lam; then
-      C(image) = End_A(V) has dimension sum m_lam^2. The Casimir identity
-      sum_i chi(a_i) chi(a^i) = sum m_lam^2, with a^i the dual basis
-      of the trace form, holds whatever the basis, and the dual basis is
-      read off G(1)^-1. A singular G(1) sends the report to the exact path.
-    - dim image = rank H, H_ab = chi(ab). The image is a quotient of the
-      semisimple A, so it is semisimple: the sum of the matrix blocks of
-      A on which V is nonzero. H is the Gram matrix of the trace form
-      tr_V(xy) on A. That form is m_lam times the nondegenerate trace
-      form on each block that V meets, and zero on the others, so its
-      rank is the dimension of the image.
+    - Dimensions (cellular.groupoid_dimensions). Through phi, V is the
+      sum over k of C(r,k) copies of an S_k-module W_k whose character
+      psi_k(s) = sum over T in {1..k} of (-1)^(k - |T|) chi(s|T) is the
+      Moebius inversion of chi. So C(image) = End_A(V) has dimension
+      sum_k <psi_k, psi_k>, and the image, the sum of the images of the
+      blocks, has dimension sum_k C(r,k)^2 rank [psi_k(s t^-1)], a k! x k!
+      matrix: the trace form tr_W(xy) of the semisimple image of Q S_k is
+      nondegenerate on it and zero on the kernel.
     The braid side enters by one lower bound. The envelope has the
     dimension of the unital algebra of the B_i on the reduced blocks U
     (burau.block_generators). Reduce the B_i mod a prime p that divides
     none of their denominators: the Z_(p)-span of their products is a
     lattice of rank dim envelope, and its reduction spans the mod-p
     closure, so
-        closure_p <= dim envelope <= dim C(image) = chi^T G(1)^-1 chi.
+        closure_p <= dim envelope <= dim C(image) = sum_k <psi_k, psi_k>.
     When the ends meet, the envelope is C(image). The image is
     semisimple, so the double centralizer theorem gives
     C(braid gens) = C(envelope) = C(C(image)) = image, and
-    dim C(braid gens) = rank H with no further computation.
+    dim C(braid gens) = dim image with no further computation.
 
     A miss at one prime moves on to the next listed prime, keeping the
     largest lower bound. The exact centralizer, image, envelope and
     commutant dimensions are computed instead ("exact" path), on the
     generators and basis operators already built, when the
     actions do not commute, when z = 0, when the split check of the B_i,
-    the homomorphism, character or G(1) step fails, when the bounds miss
-    at every listed prime, and when every listed prime divides a
-    denominator. report["certificate"] records the path, the prime, the
-    skipped primes, the bounds (envelope_lower, rook_centralizer =
-    chi^T G(1)^-1 chi, rook_image = rank H) and the reason for the exact
+    the N identity of the table, or the homomorphism, groupoid or
+    character check fails, when the bounds miss at every listed prime,
+    and when every listed prime divides a denominator.
+    report["certificate"] records the path, the prime, the skipped primes,
+    the bounds (envelope_lower, rook_centralizer = sum_k <psi_k, psi_k>,
+    rook_image = sum_k C(r,k)^2 rank psi_k) and the reason for the exact
     path.
     """
     if r < 0:
@@ -339,11 +327,11 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
         raise ValueError("params built for a different n")
     z = p.quantum(n)
     braid_gens = braid_generators(p, r)
-    # every diagram operator once; the s_i and p_j operators are among them
+    # every diagram operator once; the generators' operators are among them
     basis = rook_elements(r)
     ops = [diagram_op(d, p, r) for d in basis]
     index = {d: k for k, d in enumerate(basis)}
-    rook_gens = [ops[index[g]] for g in _generator_diagrams(r)]
+    rook_gens = [ops[index[g]] for g in generator_diagrams(r)]
 
     commute = _all_commute(braid_gens, rook_gens)
 
@@ -357,9 +345,11 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
         img_dim = cent_dim = bounds["rook_image"]
         env_dim = cent_of_img_dim = bounds["rook_centralizer"]
         mod = f"character, closure mod {certificate['prime']}"
-        img_how = f"{mod}: image = rank chi(ab) = {img_dim}, C(braid) = C(C(image)) = image"
+        img_how = (
+            f"{mod}: image = sum C(r,k)^2 rank psi_k = {img_dim}, C(braid) = C(C(image)) = image"
+        )
         env_how = (
-            f"{mod}: closure_p {env_dim} <= envelope <= C(rook) = chi^T G(1)^-1 chi "
+            f"{mod}: closure_p {env_dim} <= envelope <= C(rook) = sum <psi_k, psi_k> "
             f"{cent_of_img_dim}"
         )
     else:

@@ -52,3 +52,11 @@ def test_tangent_closures_fails_when_the_k_branch_never_runs(monkeypatch):
     monkeypatch.setattr(acceptance, "one_param_membership", without_k)
     ok, detail = check_tangent_closures()
     assert not ok and "of the one-parameter checks ran" in detail
+
+
+def test_property_suites_fails_on_a_wrong_form(monkeypatch):
+    # J = 1 in place of diag(1, q, q^2): the reflections are not orthogonal
+    # for it at q = 2
+    monkeypatch.setattr(acceptance, "form_matrix", lambda p: Matrix.identity(p.n))
+    ok, detail = acceptance.check_property_suites()
+    assert not ok and detail == "S_1 is not a J-orthogonal involution fixing f0"

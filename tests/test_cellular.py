@@ -2,12 +2,13 @@
 semisimplicity certificates."""
 
 import random
+import re
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
-from braidrook import cellular
+from braidrook import cellular, linalg
 from braidrook.cellular import (
     CellLabel,
     CellTriple,
@@ -17,13 +18,14 @@ from braidrook.cellular import (
     diagram_of,
     dim_recursion,
     dims_table,
+    groupoid_dimensions,
+    groupoid_failure,
     hook_lengths,
     k_subsets,
     partition_plus_boxes,
     partitions_of,
     phi,
     psi,
-    regular_trace_gram,
     rook_dimension,
     rook_product_table,
     semisimplicity_certificate,
@@ -37,11 +39,14 @@ from braidrook.diagrams import (
     _monomial,
     _product,
     compose_perms,
+    generator_diagrams,
     projection,
     rook_elements,
     transposition,
 )
+from braidrook.linalg import det
 from braidrook.scalars import IdentityError
+from gram_oracle import eliminated_dimensions, regular_trace_gram, tensor_character
 from rook_factorization import permutation_diagram
 
 # -- partitions -----------------------------------------------------------------
@@ -385,7 +390,7 @@ def test_semisimplicity_r0_is_the_ground_field():
 def _gram(r):
     """The basis rook_elements(r) and its G(1), read off one product table."""
     basis = rook_elements(r)
-    return basis, regular_trace_gram(basis, rook_product_table(basis))
+    return basis, regular_trace_gram(rook_product_table(basis))
 
 
 def _gram_entry_by_pair(a, b, basis, z):
@@ -424,7 +429,7 @@ def test_regular_trace_gram_matches_the_per_pair_formula(z):
 
 @pytest.mark.parametrize("r", range(5))
 def test_regular_trace_gram_is_dense_int_rows(r):
-    # the Gram determinant runs on ints from the table, with no Fraction
+    # the Bareiss oracle for the Gram determinant runs on ints, no Fraction
     _, gram = _gram(r)
     m = rook_dimension(r)
     assert len(gram) == m and all(len(row) == m for row in gram)
@@ -490,34 +495,105 @@ def test_gram_certificate_pinned_r3_z7():
 
 
 def test_gram_certificate_raises_on_a_wrong_table_n(monkeypatch):
-    """Negative control: one N off by one breaks the identity the rescaling
-    to z = 1 rests on, and the certificate must raise, not pass."""
+    """Negative control: one N off by one between building the table and
+    checking it breaks the identity the rescaling to z = 1 rests on, and
+    the certificate must raise, not pass."""
+    real = cellular._check_dropped
 
-    def bump(table, basis):
+    def bumped(elements, table):
         k, n = table[5][7]
         table[5][7] = (k, n + 1)
+        real(elements, table)
 
-    _patched_table(monkeypatch, bump)
-    with pytest.raises(IdentityError):
+    monkeypatch.setattr(cellular, "_check_dropped", bumped)
+    with pytest.raises(IdentityError, match="breaks N = r"):
         semisimplicity_certificate(3, 7)
 
 
-def test_gram_certificate_moves_with_one_trace(monkeypatch):
-    """Negative control: a product that wrongly fixes one more basis
-    diagram raises one t_k by one and keeps the N identity; the determinant
-    must leave the pinned value."""
+def test_gram_certificate_raises_on_a_wrong_generator_product(monkeypatch):
+    """Negative control: a product of a generator that wrongly fixes one
+    more basis diagram keeps the N identity, and phi(g) phi(b) = phi(gb)
+    must fail on it."""
 
     def fix_one_more(table, basis):
         ranks = [d.rank for d in basis]
-        for row in table:
-            for j, (k, n) in enumerate(row):
-                if k != j and ranks[k] == ranks[j]:
-                    row[j] = (j, n)
-                    return
+        row = table[basis.index(transposition(1, 2, 3))]
+        j = next(j for j, (k, _) in enumerate(row) if k != j and ranks[k] == ranks[j])
+        row[j] = (j, row[j][1])
 
     _patched_table(monkeypatch, fix_one_more)
-    report = semisimplicity_certificate(3, 7)
-    assert report["gram_det"] != GRAM_DET_R3_Z7
+    with pytest.raises(IdentityError, match=r"phi\(g\) phi\(b\) != phi\(gb\) at g = "):
+        semisimplicity_certificate(3, 7)
+
+
+def test_groupoid_check_fails_with_one_restriction_dropped(monkeypatch):
+    # phi(1 -> 2) without its empty restriction: every product with it as b
+    # loses an arrow that phi(gb) keeps
+    real = cellular._arrows
+    target = PartialPermutation(3, [(1, 2)])
+
+    def dropped(d):
+        return real(d)[1:] if d == target else real(d)
+
+    monkeypatch.setattr(cellular, "_arrows", dropped)
+    with pytest.raises(IdentityError, match=re.escape(f"b = {target!r}")):
+        semisimplicity_certificate(3, 7)
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_groupoid_check_passes_on_the_true_table(r):
+    basis = rook_elements(r)
+    assert groupoid_failure(basis, rook_product_table(basis)) is None
+    assert len(generator_diagrams(r)) == r
+
+
+GRAM_ZS = [Fraction(7), Fraction(13, 4), Fraction(0), Fraction(-1, 3), Fraction(7, 4), Fraction(3)]
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_gram_det_matches_the_bareiss_oracle(r):
+    # det G(z) = z^(2 e_r) det G(1), with det G(1) eliminated from the
+    # m x m oracle rows, against the groupoid's closed form
+    basis, gram = _gram(r)
+    e_r = sum(r - d.rank for d in basis)
+    det_g1 = det(gram)
+    for z in GRAM_ZS:
+        assert semisimplicity_certificate(r, z)["gram_det"] == str(z ** (2 * e_r) * det_g1)
+
+
+def test_semisimplicity_certificate_makes_no_det_call(monkeypatch):
+    calls = 0
+    real = linalg.det
+
+    def counted(rows):
+        nonlocal calls
+        calls += 1
+        return real(rows)
+
+    for module in (linalg, cellular):
+        if getattr(module, "det", None) is real:
+            monkeypatch.setattr(module, "det", counted)
+    assert semisimplicity_certificate(3, 7)["gram_det"] == GRAM_DET_R3_Z7
+    assert calls == 0
+
+
+@pytest.mark.parametrize("n,r", [(3, 2), (2, 3), (4, 3), (2, 4), (3, 4)])
+def test_groupoid_dimensions_match_the_eliminations(n, r):
+    # sum <psi_k, psi_k> = chi^T G(1)^-1 chi and sum C(r,k)^2 rank psi_k =
+    # rank chi(ab), for chi = n^cyc, the character of the tensor space
+    basis = rook_elements(r)
+    chi = tensor_character(n, basis)
+    assert groupoid_dimensions(basis, chi) == eliminated_dimensions(rook_product_table(basis), chi)
+
+
+def test_groupoid_dimensions_move_with_a_miscounted_cycle():
+    # chi(1) = n^(r-1) where the identity diagram has r cycles
+    basis = rook_elements(3)
+    chi = tensor_character(3, basis)
+    true = groupoid_dimensions(basis, chi)
+    chi[basis.index(PartialPermutation.identity(3))] /= 3
+    assert true == (35, 33)
+    assert groupoid_dimensions(basis, chi) == (41, 34)
 
 
 def test_semisimplicity_r4_z7_pinned():

@@ -299,17 +299,17 @@ def test_verify_all_json_schema_and_round_trip(capsys):
 
 
 def test_verify_all_broken_identity_exits_1(capsys, monkeypatch):
-    # one product-table N off by one breaks the identity the Gram
-    # certificate rests on: an identity failure, not a usage error
-    real = cellular_module.rook_product_table
+    # one product-table N off by one, before rook_product_table checks it,
+    # breaks the identity the Gram certificate rests on: an identity
+    # failure, not a usage error
+    real = cellular_module._check_dropped
 
-    def bumped(elements):
-        table = real(elements)
+    def bumped(elements, table):
         k, n = table[1][1]
         table[1][1] = (k, n + 1)
-        return table
+        real(elements, table)
 
-    monkeypatch.setattr(cellular_module, "rook_product_table", bumped)
+    monkeypatch.setattr(cellular_module, "_check_dropped", bumped)
     code, _, err = run(capsys, "verify-all", "--only", "cellular-structure")
     assert code == 1 and "breaks N = r + rank(ab)" in err
 

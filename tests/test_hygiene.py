@@ -106,12 +106,7 @@ def test_detector_finds_every_form_of_a_numpy_import():
 # Library functions whose only callers are tests, each waiting to join a
 # release criterion or to move into the tests. Do not add to this list:
 # move a test-only helper into the tests instead.
-TEST_ONLY_ALLOWED = {
-    "form_matrix",
-    "form_value",
-    "reflection",
-    "star",
-}
+TEST_ONLY_ALLOWED: set[str] = set()
 
 
 def _imported_from(node: ast.ImportFrom) -> str | None:

@@ -7,11 +7,12 @@ from functools import reduce
 from itertools import permutations, product
 
 import pytest
+from gram_oracle import eliminated_dimensions, tensor_character
 from rook_factorization import projection_factorization
 
-from braidrook import _modlinalg, burau, cellular, tensor
+from braidrook import _modlinalg, acceptance, burau, cellular, linalg, tensor
 from braidrook.burau import BurauParams, block_generators, projection_p, unreduced_generator
-from braidrook.diagrams import PartialPermutation, rook_elements, transposition
+from braidrook.diagrams import PartialPermutation, projection, rook_elements, transposition
 from braidrook.linalg import commutant, matrix_span, span_closure, spans_equal
 from braidrook.matrix import Matrix, kron
 from braidrook.tensor import (
@@ -236,6 +237,17 @@ def test_rook_tensor_gen_matches_the_paper_generators(params, r):
         assert rook_tensor_gen("p", j, params, r) == slot_projection(j, params, r)
 
 
+def test_projection_operator_is_conjugate_to_p1():
+    # op(p_j) = op((1 j)) op(p_1) op((1 j)): with the s_i, the operator of
+    # p_1 alone generates every diagram operator, so the commute check of
+    # duality_report needs no other p_j
+    for p, r in FACTORIZED_CASES:
+        p1 = diagram_op(projection(1, r), p, r)
+        for j in range(2, r + 1):
+            swap = diagram_op(transposition(1, j, r), p, r)
+            assert diagram_op(projection(j, r), p, r) == swap * p1 * swap, (p, r, j)
+
+
 def test_identity_diagram_acts_as_identity():
     assert diagram_op(PartialPermutation.identity(2), P32, 2) == Matrix.identity(9)
 
@@ -364,6 +376,7 @@ def test_duality_n3_r2():
     assert details["enveloping_dimension_sum"] == (
         "enveloping dim 15, sum of squared GL_(n-1) Weyl dims 15"
     )
+    assert details["actions_commute"] == "2 braid generators against 2 rook generators"
     assert bimodule_dimension_sum(3, 2) == 9
 
 
@@ -419,8 +432,9 @@ def _exact_dims(n, r, params):
 @pytest.mark.parametrize("q", [Fraction(2), Fraction(1, 2), Fraction(-2)], ids=str)
 @pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (2, 3)])
 def test_sandwich_dimensions_match_exact(n, r, q):
-    # closure_p <= envelope <= C(rook) = chi^T G(1)^-1 chi, and rank chi(ab)
-    # is the image: each number equals the exact dimension it stands for
+    # closure_p <= envelope <= C(rook) = sum <psi_k, psi_k>, and
+    # sum C(r,k)^2 rank psi_k is the image: each number equals the exact
+    # dimension it stands for
     params = BurauParams.preset(n, q)
     report = duality_report(n, r, params)
     cert = report["certificate"]
@@ -436,7 +450,7 @@ def test_sandwich_dimensions_match_exact(n, r, q):
     }
     details = {c["name"]: c["detail"] for c in report["checks"]}
     assert f"closure mod {cert['prime']}" in details["rook_image_equals_centralizer_of_braid"]
-    assert "chi^T G(1)^-1 chi" in details["enveloping_equals_centralizer_of_rook_image"]
+    assert "sum <psi_k, psi_k>" in details["enveloping_equals_centralizer_of_rook_image"]
 
 
 def test_duality_n4_r3_on_the_character_path():
@@ -459,6 +473,93 @@ def test_duality_n5_r3_on_the_character_path():
     assert report["certificate"]["path"] == "character"
     assert report["certificate"]["bounds"]["envelope_lower"] == 969
     assert report["certificate"]["bounds"]["rook_image"] == 34
+
+
+def test_duality_n2_r4_on_the_character_path():
+    # m = |R_4| = 209: the two m x m eliminations the groupoid blocks
+    # replaced took 1.6 s here
+    report = duality_report(2, 4, P22)
+    _assert_all_pass(report)
+    cert = report["certificate"]
+    assert cert["path"] == "character" and cert["prime"] == _modlinalg.SANDWICH_PRIMES[0]
+    assert cert["bounds"] == {"envelope_lower": 5, "rook_centralizer": 5, "rook_image": 70}
+
+
+def test_duality_n2_r4_passes_no_rref_more_than_24_rows(monkeypatch):
+    # the largest groupoid block at r = 4 is 4! x 4!
+    rows = []
+    real = linalg.rref
+
+    def recorded(m):
+        rows.append(len(m))
+        return real(m)
+
+    for module in (linalg, cellular, tensor):
+        if getattr(module, "rref", None) is real:
+            monkeypatch.setattr(module, "rref", recorded)
+    assert duality_report(2, 4, P22)["certificate"]["path"] == "character"
+    assert rows and max(rows) <= 24
+
+
+def test_homomorphism_and_commute_checks_run_on_the_r_generators(monkeypatch):
+    # s_1, p_1 at r = 2: 2 braid x 2 rook generators, two products each,
+    # and 2 x 7 homomorphism products, where s_1, p_1, p_2 took 12 + 21
+    calls = _count_calls(monkeypatch, (tensor,), "sparse_product")
+    assert duality_report(3, 2, P32)["certificate"]["path"] == "character"
+    assert calls["sparse_product"] == 2 * 2 * 2 + 2 * 7
+
+
+@pytest.mark.parametrize("n,r", acceptance.DUALITY_GRID)
+def test_groupoid_dimensions_match_the_eliminations_on_the_grid(n, r):
+    # the report's two q-free numbers against chi^T G(1)^-1 chi and
+    # rank chi(ab), eliminated on the m x m oracle rows
+    basis = rook_elements(r)
+    table = cellular.rook_product_table(basis)
+    rook_centralizer, rook_image = eliminated_dimensions(table, tensor_character(n, basis))
+    for q in acceptance.DUALITY_QS:
+        bounds = duality_report(n, r, BurauParams.preset(n, q))["certificate"]["bounds"]
+        assert (bounds["rook_centralizer"], bounds["rook_image"]) == (rook_centralizer, rook_image)
+
+
+def test_dropped_restriction_takes_the_exact_path(monkeypatch):
+    # phi(p_1) without its empty arrow fails phi(g) phi(b) = phi(gb)
+    real = cellular._arrows
+    p1 = projection(1, 2)
+    monkeypatch.setattr(cellular, "_arrows", lambda d: real(d)[1:] if d == p1 else real(d))
+    reason = _passing_on_the_exact_path(duality_report(3, 2, P32))
+    assert reason.startswith("phi(g) phi(b) != phi(gb) at g = ")
+
+
+def test_wrong_generator_product_takes_the_exact_path(monkeypatch):
+    # s_1 s_1 read off the table as s_1 where it is the identity
+    real = cellular.rook_product_table
+
+    def table(basis):
+        out = real(basis)
+        s1 = basis.index(transposition(1, 2, 2))
+        out[s1][s1] = (s1, 0)
+        return out
+
+    monkeypatch.setattr(tensor, "rook_product_table", table)
+    reason = _passing_on_the_exact_path(duality_report(3, 2, P32))
+    assert reason.startswith("op(g) op(d) != z^0 op(gd) at g = ")
+
+
+def test_bumped_psi_block_takes_the_exact_path(monkeypatch):
+    # psi_2 one more at the identity, at r = 2, moves sum <psi_k, psi_k>
+    # from the envelope's 15 to 19
+    real = cellular.groupoid_block
+
+    def bumped(value, k):
+        block = real(value, k)
+        if k == 2:
+            block[0][0] += 1
+        return block
+
+    monkeypatch.setattr(cellular, "groupoid_block", bumped)
+    report = duality_report(3, 2, P32)
+    assert report["certificate"]["bounds"]["rook_centralizer"] == 19
+    assert _passing_on_the_exact_path(report).startswith("bounds do not meet mod ")
 
 
 @pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (2, 3), (4, 2)])
@@ -760,8 +861,8 @@ def _count_calls(monkeypatch, modules, *names):
 
 
 def test_duality_report_builds_the_basis_and_its_table_once(monkeypatch):
-    # the character certificate reads G(1) off the table of the homomorphism
-    # check, so neither the basis nor its table is built a second time
+    # the groupoid check reads the table of the homomorphism check, so
+    # neither the basis nor its table is built a second time
     names = ("rook_elements", "rook_product_table")
     calls = _count_calls(monkeypatch, (tensor, cellular), *names)
     report = duality_report(3, 2, P32)
