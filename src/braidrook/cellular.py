@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .diagrams import PartialPermutation, compose_perms, generator_diagrams, rook_elements
 from .linalg import rref
-from .scalars import IdentityError, scalar
+from .scalars import IdentityError, format_scalar, scalar
 
 # -- partitions ----------------------------------------------------------------
 
@@ -319,77 +319,61 @@ def bratteli(r: int) -> BratteliDiagram:
 # -- semisimplicity -----------------------------------------------------------------
 
 
-def rook_product_table(elements: Sequence[PartialPermutation]) -> list[list[tuple[int, int]]]:
-    """Multiplication table of a list of diagrams on r strands that is closed
-    under composition, such as rook_elements(r): entry [i][j] is (k, N) with
-    a_i a_j = z^N a_k in the algebra, N = r - |im a_i u dom a_j| as in
-    PartialPermutation.compose.
-
-    Each diagram is held as the int tuple (0, d(1), ..., d(r)), with 0
-    where d is undefined, so the product a then b is b's tuple read at a's
-    entries; dom and im are bitmasks, so N is one popcount. No
-    PartialPermutation is built.
-
-    The rescaling a -> z^-(r - rank a) a of semisimplicity_certificate and
-    tensor.duality_report rests on N = r + rank(a_i a_j) - rank a_i - rank a_j,
-    so every table is checked against it when built (_check_dropped); a
-    failure raises IdentityError."""
-    r = elements[0].r
-    if r == 0:  # itemgetter of one index returns the entry, not a 1-tuple
-        return [[(0, 0)]]
-    maps, doms, ims = [], [], []
-    for d in elements:
-        m = [0] * (r + 1)
-        for x, y in d.pairs:
-            m[x] = y
-        maps.append(tuple(m))
-        doms.append(sum(1 << x for x, _ in d.pairs))
-        ims.append(sum(1 << y for _, y in d.pairs))
-    index = {m: i for i, m in enumerate(maps)}
-    table = []
-    for a, im_a in zip(maps, ims):
-        then = itemgetter(*a)
-        table.append(
-            [(index[then(b)], r - (im_a | dom_b).bit_count()) for b, dom_b in zip(maps, doms)]
-        )
-    _check_dropped(elements, table)
-    return table
+def _code(r: int, pairs) -> tuple[tuple[int, ...], int, int]:
+    """The diagram with these pairs as the int tuple (0, d(1), ..., d(r)),
+    0 where d is undefined, and its dom and im bitmasks. The product d then e
+    is e's tuple read at d's entries, and N = r - |im d u dom e| is one
+    popcount."""
+    m = [0] * (r + 1)
+    dom = im = 0
+    for x, y in pairs:
+        m[x] = y
+        dom |= 1 << x
+        im |= 1 << y
+    return tuple(m), dom, im
 
 
-def _check_dropped(elements: Sequence[PartialPermutation], table) -> None:
-    """Raise IdentityError unless every entry (k, N) of the product table
-    of elements has N = r + rank(a_i a_j) - rank a_i - rank a_j."""
-    r = elements[0].r
-    ranks = [d.rank for d in elements]
-    for a, rank_a, row in zip(elements, ranks, table):
-        lost = r - rank_a
-        for b, rank_b, (k, n) in zip(elements, ranks, row):
-            if n != lost + ranks[k] - rank_b:
+def generator_rows(basis: Sequence[PartialPermutation]) -> list[tuple[int, list[tuple[int, int]]]]:
+    """For each generator g of diagrams.generator_diagrams(r), in order, g's
+    index in basis = rook_elements(r) and the row of (k, N) over the basis,
+    g b = z^N a_k in the algebra, N = r - |im g u dom b| as in
+    PartialPermutation.compose. No PartialPermutation is built.
+
+    Every entry is checked against N = r + rank(gb) - rank g - rank b, the
+    ranks read off the pairs, not the bitmasks; a failure raises
+    IdentityError."""
+    r = basis[0].r
+    codes = [_code(r, d.pairs) for d in basis]
+    index = {m: i for i, (m, _, _) in enumerate(codes)}
+    rows = []
+    for g in generator_diagrams(r):
+        m_g, _, im_g = _code(r, g.pairs)
+        then = itemgetter(*m_g)
+        row = []
+        for b, (m, dom_b, _) in zip(basis, codes):
+            k, n = index[then(m)], r - (im_g | dom_b).bit_count()
+            if n != r + basis[k].rank - g.rank - b.rank:
                 raise IdentityError(
-                    f"N = {n} breaks N = r + rank(ab) - rank a - rank b at a = {a!r}, b = {b!r}"
+                    f"N = {n} breaks N = r + rank(ab) - rank a - rank b at a = {g!r}, b = {b!r}"
                 )
+            row.append((k, n))
+        rows.append((index[m_g], row))
+    return rows
 
 
 def _arrows(d: PartialPermutation) -> list[tuple[tuple[int, ...], int, int]]:
     """The 2^rank(d) arrows [d|T], T a subset of dom d, of phi(d), each as
-    (map, dom bitmask, im bitmask), the map (0, d(1), ..., d(r)) with 0 off T."""
-    out = []
-    for keep in range(1 << d.rank):
-        m = [0] * (d.r + 1)
-        dom = im = 0
-        for t, (x, y) in enumerate(d.pairs):
-            if keep >> t & 1:
-                m[x] = y
-                dom |= 1 << x
-                im |= 1 << y
-        out.append((tuple(m), dom, im))
-    return out
+    its _code."""
+    return [
+        _code(d.r, [pair for t, pair in enumerate(d.pairs) if keep >> t & 1])
+        for keep in range(1 << d.rank)
+    ]
 
 
-def groupoid_failure(basis: Sequence[PartialPermutation], table) -> str | None:
+def groupoid_failure(basis: Sequence[PartialPermutation], rows) -> str | None:
     """None when phi(g) phi(b) = phi(gb) for every generator g of
     diagrams.generator_diagrams(r) and every b in basis = rook_elements(r),
-    gb read off table = rook_product_table(basis) at z = 1; otherwise the
+    g and gb read off rows = generator_rows(basis) at z = 1; otherwise the
     first failure.
 
     The groupoid G_r has the bijections between subsets of {1..r} as
@@ -400,21 +384,19 @@ def groupoid_failure(basis: Sequence[PartialPermutation], table) -> str | None:
 
     Passing makes phi an algebra isomorphism: for a word x = g x' in the
     generators, phi(x b) = phi(g) phi(x' b) = phi(g) phi(x') phi(b) =
-    phi(x) phi(b) by induction, and phi is unitriangular in the restriction
-    order, so bijective. Q[G_r] is the sum of the M_C(r,k)(Q S_k), so
-    Q[R_r] is semisimple by Maschke's theorem."""
-    r = basis[0].r
-    index = {d: i for i, d in enumerate(basis)}
+    phi(x) phi(b) by induction, so the r generator rows are all it reads,
+    and phi is unitriangular in the restriction order, so bijective.
+    Q[G_r] is the sum of the M_C(r,k)(Q S_k), so Q[R_r] is semisimple by
+    Maschke's theorem."""
     arrows = [_arrows(d) for d in basis]
     images = [sorted(m for m, _, _ in a) for a in arrows]
-    for g in generator_diagrams(r):
-        gi = index[g]
+    for gi, row in rows:
         # s then t reads t's map at s's entries
         then = {im: itemgetter(*m) for m, _, im in arrows[gi]}
-        for b, b_arrows, (k, _) in zip(basis, arrows, table[gi]):
+        for b, b_arrows, (k, _) in zip(basis, arrows, row):
             product = [then[dom](m) for m, dom, _ in b_arrows if dom in then]
             if sorted(product) != images[k]:
-                return f"phi(g) phi(b) != phi(gb) at g = {g!r}, b = {b!r}"
+                return f"phi(g) phi(b) != phi(gb) at g = {basis[gi]!r}, b = {b!r}"
     return None
 
 
@@ -476,11 +458,15 @@ def semisimplicity_certificate(r: int, z) -> dict:
     det G(z) = 0 proves that the algebra is not semisimple.
 
     Why det G(z) = z^(2 e_r) det G(1), with e_r = sum over the basis of
-    r - rank a (e_3 = 39, e_4 = 292): a basis product is
-    a_i a_j = z^N_ij a_k, and the identity N = r + rank(ab) - rank a - rank b,
-    which rook_product_table checks on every entry, makes the rescaled
-    z^-(r - rank a) a multiply as the rook monoid R_r. So G(z) = D G(1) D
-    with D = diag(z^(r - rank a)), and det D = z^(e_r).
+    r - rank a (e_3 = 39, e_4 = 292): a basis product is ab = z^N c with
+    N = r - |im a u dom b|. The strands of ab are the x in dom a with
+    a(x) in dom b, so rank(ab) = |im a n dom b|, and by inclusion-exclusion
+    |im a u dom b| = rank a + rank b - rank(ab). So on every pair
+    N = r + rank(ab) - rank a - rank b, and the rescaled z^-(r - rank a) a
+    multiply as the rook monoid R_r. So G(z) = D G(1) D with
+    D = diag(z^(r - rank a)), and det D = z^(e_r). generator_rows checks
+    the identity on the entries it returns, and diagrams.rescale_iso_check
+    against compose on every pair.
 
     Why det G(1) = (-1)^((m - I_r)/2) prod over k of
     (C(r,k) k!)^(C(r,k)^2 k!), m = |R_r|, I_r = #{d : star(d) = d}:
@@ -500,7 +486,7 @@ def semisimplicity_certificate(r: int, z) -> dict:
     """
     z = scalar(z)
     basis = rook_elements(r)
-    failure = groupoid_failure(basis, rook_product_table(basis))
+    failure = groupoid_failure(basis, generator_rows(basis))
     if failure:
         raise IdentityError(failure)
     m = len(basis)
@@ -515,7 +501,7 @@ def semisimplicity_certificate(r: int, z) -> dict:
         "r": r,
         "z": str(z),
         "gram_size": m,
-        "gram_det": str(gram_det),
+        "gram_det": format_scalar(gram_det),
         "gram_nondegenerate": nondegenerate,
         "semisimple": nondegenerate,
     }

@@ -284,23 +284,24 @@ def rescale_iso_check(r: int, z) -> dict:
     the structure-constant identity N = r + k - k1 - k2 on all basis pairs,
     together with the literal scalar match z^(2r-k1-k2) = z^(N+r-k).
 
-    The same pass checks every entry of cellular.rook_product_table, which
-    the Gram certificate rests on, against the reference compose: the
-    product's basis index and N must both agree."""
-    from .cellular import rook_product_table  # cellular imports this module
+    The same pass checks every entry of cellular.generator_rows, which both
+    q-free certificates read, against the reference compose: the product's
+    basis index and N must both agree."""
+    from .cellular import generator_rows  # cellular imports this module
 
     z = scalar(z)
     if z == 0:
         raise ValueError("rescaling needs z != 0")
     elements = rook_elements(r)
     index = {d: i for i, d in enumerate(elements)}
-    table = rook_product_table(elements)
+    rows = dict(generator_rows(elements))
     pairs_checked = 0
     failures = []
-    for a, row in zip(elements, table):
-        for b, entry in zip(elements, row):
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
             prod, dropped = a.compose(b)
             expect = r + prod.rank - a.rank - b.rank
+            entry = rows[i][j] if i in rows else (index[prod], dropped)
             ok = (
                 entry == (index[prod], dropped)
                 and dropped == expect

@@ -8,6 +8,7 @@ which is exactly ``str(Fraction)``.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 Scalar = Fraction
@@ -46,8 +47,12 @@ def parse_scalar(text: str) -> Fraction:
 
 
 def format_scalar(value: Fraction) -> str:
-    """Serialize a Scalar as "p/q", omitting "/q" when the denominator is 1."""
-    return str(Fraction(value))
+    """Serialize a Scalar as "p/q", omitting "/q" when the denominator is 1.
+    The digits come from Decimal, which is exact for an int and has no
+    limit on their number, where str(int) stops at 4300 by default."""
+    value = Fraction(value)
+    num = str(Decimal(value.numerator))
+    return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)}"
 
 
 def quantum_int(m: int, q: Fraction) -> Fraction:

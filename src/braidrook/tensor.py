@@ -19,11 +19,11 @@ from .burau import BurauParams, block_generators, unreduced_generator
 from .cellular import (
     cell_dim,
     cell_labels,
+    generator_rows,
     gl_weyl_dim,
     groupoid_dimensions,
     groupoid_failure,
     rook_dimension,
-    rook_product_table,
 )
 from .diagrams import (
     PartialPermutation,
@@ -157,27 +157,26 @@ def bimodule_dimension_sum(n: int, r: int) -> int:
 # -- the duality report --------------------------------------------------------------
 
 
-def _homomorphism_failure(basis, ops, table, z: Fraction, r: int) -> str | None:
+def _homomorphism_failure(basis, ops, rows, z: Fraction, r: int) -> str | None:
     """None when op(1) = 1 and op(g) op(d) = z^N op(gd) for every generator
-    g = s_1..s_(r-1), p_1 and every basis diagram d, with gd = z^N a_k read
-    off the rook_product_table of the basis; otherwise the first failure.
+    g = s_1..s_(r-1), p_1 and every basis diagram d, with g and
+    gd = z^N a_k read off rows = cellular.generator_rows(basis); otherwise
+    the first failure.
 
     The check runs on integers: every operator entry is a power of q, so
     one common denominator D makes every M = D op(a) an integer matrix
     (integer_form), and the identity reads den(z)^N M(g) M(d) = D num(z)^N M(gd)."""
     size = ops[0].rows
-    index = {d: i for i, d in enumerate(basis)}
-    if ops[index[PartialPermutation.identity(r)]] != Matrix.identity(size):
+    if ops[basis.index(PartialPermutation.identity(r))] != Matrix.identity(size):
         return "op(identity) is not the identity matrix"
     den, scaled = integer_form(ops)
     by_rows = [rows_of(m, size) for m in scaled]
-    for g in generator_diagrams(r):
-        gi = index[g]
-        for d, (k, dropped), rows in zip(basis, table[gi], by_rows):
+    for gi, row in rows:
+        for d, (k, dropped), d_rows in zip(basis, row, by_rows):
             lhs, rhs = z.denominator**dropped, den * z.numerator**dropped
-            prod = sparse_product(scaled[gi], rows, size, size)
+            prod = sparse_product(scaled[gi], d_rows, size, size)
             if {i: v * lhs for i, v in prod.items()} != {i: v * rhs for i, v in scaled[k].items()}:
-                return f"op(g) op(d) != z^{dropped} op(gd) at g = {g!r}, d = {d!r}"
+                return f"op(g) op(d) != z^{dropped} op(gd) at g = {basis[gi]!r}, d = {d!r}"
     return None
 
 
@@ -194,12 +193,13 @@ def _all_commute(left: Sequence[Matrix], right: Sequence[Matrix]) -> bool:
     )
 
 
-def _character_certificate(p: BurauParams, r: int, basis, ops) -> dict:
+def _character_certificate(p: BurauParams, r: int, basis, ops, rows) -> dict:
     """The certificate of duality_report, given the operators ops of the
-    basis diagrams: the homomorphism, groupoid and character checks, the
-    two q-free dimensions of cellular.groupoid_dimensions, and the mod-p
-    closure of burau.block_generators at each listed prime that divides no
-    denominator of them, the largest lower bound kept."""
+    basis diagrams and their generator_rows: the homomorphism, groupoid and
+    character checks, the two q-free dimensions of
+    cellular.groupoid_dimensions, and the mod-p closure of
+    burau.block_generators at each listed prime that divides no denominator
+    of them, the largest lower bound kept."""
     from . import _modlinalg
 
     z = p.quantum(p.n)
@@ -207,10 +207,9 @@ def _character_certificate(p: BurauParams, r: int, basis, ops) -> dict:
         return certificate_record("exact", "z = [n]_q = 0 has no rescaled basis")
     try:
         blocks = block_generators(p, r)
-        table = rook_product_table(basis)
     except IdentityError as e:
         return certificate_record("exact", str(e))
-    failure = _homomorphism_failure(basis, ops, table, z, r) or groupoid_failure(basis, table)
+    failure = _homomorphism_failure(basis, ops, rows, z, r) or groupoid_failure(basis, rows)
     if failure:
         return certificate_record("exact", failure)
     # the trace of the rescaled operator z^-(r - rank a) op(a)
@@ -272,17 +271,21 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     (Da)(Db) = D^2 ab and D != 0, so Da and Db commute exactly when a and b
     do, and no verdict depends on the scaling.
 
-    The dimensions come from the rook character ("character" path). For
-    z = [n]_q != 0 the rescaled diagrams z^-(r - rank a) a multiply as the
-    rook monoid R_r (rook_product_table checks the identity on N this
-    rests on), so P'_r(z) is the monoid algebra A = Q[R_r]. Four steps, all
-    exact, none on an m x m matrix, m = |R_r|:
+    The dimensions come from the rook character ("character" path), for
+    z = [n]_q != 0, through the rescaled operators
+    rho(a) = z^-(r - rank a) op(a) and the monoid algebra A = Q[R_r]. The
+    operators of the paper's generators and every gd = z^N a_k come from
+    cellular.generator_rows, which checks N = r + rank(gd) - rank g - rank d
+    on each entry. Four steps, all exact, none on an m x m matrix,
+    m = |R_r|:
     - Homomorphism. op(1) = 1 and op(g) op(d) = z^N op(gd) for every
-      generator g and every basis diagram d, N from the table. The
-      generators generate R_r, and the z-powers of the monoid product are
-      associative, so by induction on a word op is an algebra map from A,
-      and V is an A-module through the rescaled operators.
-    - Groupoid. cellular.groupoid_failure checks on the same table that
+      generator g and every basis diagram d. With the N identity of g's
+      row this is rho(g) rho(d) = rho(gd). For a word x = g x' in the
+      generators, rho(x d) = rho(g) rho(x' d) = rho(g) rho(x') rho(d) =
+      rho(x) rho(d) by induction, and the generators generate R_r. So rho
+      is a monoid map from R_r, op spans the same image as rho, and V is
+      an A-module through rho; only the r generator rows need the identity.
+    - Groupoid. cellular.groupoid_failure checks on the same rows that
       Steinberg's phi is an algebra isomorphism from A onto the groupoid
       algebra, the sum over k of M_C(r,k)(Q S_k). So A is semisimple.
     - Character. chi(a) = tr op(a) / z^(r - rank a) must equal n^cyc(a),
@@ -312,9 +315,11 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     commutant dimensions are computed instead ("exact" path), on the
     generators and basis operators already built, when the
     actions do not commute, when z = 0, when the split check of the B_i,
-    the N identity of the table, or the homomorphism, groupoid or
-    character check fails, when the bounds miss at every listed prime,
-    and when every listed prime divides a denominator.
+    or the homomorphism, groupoid or character check fails, when the
+    bounds miss at every listed prime, and when every listed prime divides
+    a denominator. The N identity is q-free, so its failure is a fault of
+    the diagram code: generator_rows raises IdentityError, as it does in
+    cellular.semisimplicity_certificate.
     report["certificate"] records the path, the prime, the skipped primes,
     the bounds (envelope_lower, rook_centralizer = sum_k <psi_k, psi_k>,
     rook_image = sum_k C(r,k)^2 rank psi_k) and the reason for the exact
@@ -330,13 +335,13 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     # every diagram operator once; the generators' operators are among them
     basis = rook_elements(r)
     ops = [diagram_op(d, p, r) for d in basis]
-    index = {d: k for k, d in enumerate(basis)}
-    rook_gens = [ops[index[g]] for g in generator_diagrams(r)]
+    rows = generator_rows(basis)
+    rook_gens = [ops[gi] for gi, _ in rows]
 
     commute = _all_commute(braid_gens, rook_gens)
 
     if commute:
-        certificate = _character_certificate(p, r, basis, ops)
+        certificate = _character_certificate(p, r, basis, ops, rows)
     else:
         certificate = certificate_record("exact", "actions do not commute")
 

@@ -1,7 +1,8 @@
 """The regular trace form of Q[R_r] on the rook basis, as dense m x m rows,
 m = |R_r|: the oracle that cellular's groupoid certificates replaced. Its
 determinant is the Bareiss det of G(1), and its two eliminations give the
-duality dimensions chi^T G(1)^-1 chi and rank [chi(a_i a_j)]."""
+duality dimensions chi^T G(1)^-1 chi and rank [chi(a_i a_j)]. Every product
+comes from PartialPermutation.compose, not from the library's own rows."""
 
 from fractions import Fraction
 
@@ -15,9 +16,16 @@ def tensor_character(n, basis):
     return [Fraction(n ** sum(kind == "cycle" for kind, _ in cycle_link_decompose(d))) for d in basis]
 
 
+def product_table(basis):
+    """Entry [i][j] is (k, N) with a_i a_j = z^N a_k, by compose on every
+    pair of basis = rook_elements(r)."""
+    index = {d: i for i, d in enumerate(basis)}
+    return [[(index[c], n) for c, n in (a.compose(b) for b in basis)] for a in basis]
+
+
 def regular_trace_gram(table):
     """G(1)_ij = Tr(L_{a_i a_j}) as int rows, read off
-    table = rook_product_table(rook_elements(r)). At z = 1 every product of
+    table = product_table(rook_elements(r)). At z = 1 every product of
     basis diagrams is a basis diagram, a_i a_j = a_k, so G(1)_ij = t_k with
     t_k = Tr(L_{a_k}) = #{j : a_k a_j = a_j}."""
     trace = [sum(k == j for j, (k, _) in enumerate(row)) for row in table]

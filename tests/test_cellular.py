@@ -3,6 +3,8 @@ semisimplicity certificates."""
 
 import random
 import re
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial
 
@@ -18,6 +20,7 @@ from braidrook.cellular import (
     diagram_of,
     dim_recursion,
     dims_table,
+    generator_rows,
     groupoid_dimensions,
     groupoid_failure,
     hook_lengths,
@@ -27,7 +30,6 @@ from braidrook.cellular import (
     phi,
     psi,
     rook_dimension,
-    rook_product_table,
     semisimplicity_certificate,
     standard_tableaux_count,
     star,
@@ -46,7 +48,7 @@ from braidrook.diagrams import (
 )
 from braidrook.linalg import det
 from braidrook.scalars import IdentityError
-from gram_oracle import eliminated_dimensions, regular_trace_gram, tensor_character
+from gram_oracle import eliminated_dimensions, product_table, regular_trace_gram, tensor_character
 from rook_factorization import permutation_diagram
 
 # -- partitions -----------------------------------------------------------------
@@ -388,9 +390,9 @@ def test_semisimplicity_r0_is_the_ground_field():
 
 
 def _gram(r):
-    """The basis rook_elements(r) and its G(1), read off one product table."""
+    """The basis rook_elements(r) and its G(1), read off the oracle's table."""
     basis = rook_elements(r)
-    return basis, regular_trace_gram(rook_product_table(basis))
+    return basis, regular_trace_gram(product_table(basis))
 
 
 def _gram_entry_by_pair(a, b, basis, z):
@@ -445,16 +447,24 @@ def test_regular_trace_gram_matches_the_per_pair_formula_sampled_r4():
         assert _gram_at(gram, basis, i, j, z) == _gram_entry_by_pair(basis[i], basis[j], basis, z)
 
 
-@pytest.mark.parametrize("r", range(5))
+@pytest.mark.parametrize("r", range(6))
 def test_product_table_matches_compose_on_every_pair(r):
+    # every generator x basis pair of the rows both certificates read
     basis = rook_elements(r)
     index = {d: i for i, d in enumerate(basis)}
-    table = rook_product_table(basis)
-    assert [len(row) for row in table] == [len(basis)] * len(basis)
-    for a, row in zip(basis, table):
+    rows = generator_rows(basis)
+    assert [basis[gi] for gi, _ in rows] == generator_diagrams(r)
+    for gi, row in rows:
+        assert len(row) == len(basis)
         for b, entry in zip(basis, row):
-            prod, dropped = a.compose(b)
+            prod, dropped = basis[gi].compose(b)
             assert entry == (index[prod], dropped)
+
+
+def test_generator_rows_at_r4_are_r_rows_of_m_entries():
+    # the r generator rows, not the m x m table
+    rows = generator_rows(rook_elements(4))
+    assert len(rows) == 4 and [len(row) for _, row in rows] == [209] * 4
 
 
 def test_gram_certificate_makes_no_compose_call(monkeypatch):
@@ -477,17 +487,30 @@ GRAM_DET_R3_Z7 = (
 )
 
 
-def _patched_table(monkeypatch, mutate):
-    """Run the certificate on rook_product_table with one entry changed by
-    mutate(table, basis)."""
-    real = cellular.rook_product_table
+def _patched_rows(monkeypatch, mutate):
+    """Run the certificate on generator_rows with one entry changed by
+    mutate(rows, basis)."""
+    real = cellular.generator_rows
 
-    def table(elements):
+    def rows(elements):
         out = real(elements)
         mutate(out, elements)
         return out
 
-    monkeypatch.setattr(cellular, "rook_product_table", table)
+    monkeypatch.setattr(cellular, "generator_rows", rows)
+
+
+def _bump_generator_row_n(monkeypatch, g):
+    """Give g's im bitmask the bit of the unused slot 0 before
+    generator_rows reads it: N = r - |im g u dom b| is then one low on every
+    entry of g's row, and no other row moves."""
+    real = cellular._code
+
+    def code(r, pairs):
+        m, dom, im = real(r, pairs)
+        return (m, dom, im | 1) if tuple(pairs) == g.pairs else (m, dom, im)
+
+    monkeypatch.setattr(cellular, "_code", code)
 
 
 def test_gram_certificate_pinned_r3_z7():
@@ -495,18 +518,13 @@ def test_gram_certificate_pinned_r3_z7():
 
 
 def test_gram_certificate_raises_on_a_wrong_table_n(monkeypatch):
-    """Negative control: one N off by one between building the table and
-    checking it breaks the identity the rescaling to z = 1 rests on, and
-    the certificate must raise, not pass."""
-    real = cellular._check_dropped
-
-    def bumped(elements, table):
-        k, n = table[5][7]
-        table[5][7] = (k, n + 1)
-        real(elements, table)
-
-    monkeypatch.setattr(cellular, "_check_dropped", bumped)
-    with pytest.raises(IdentityError, match="breaks N = r"):
+    """Negative control: N off by one on the generator row of p_1 breaks
+    the identity the rescaling to z = 1 rests on, and the certificate must
+    raise, not pass."""
+    p1 = projection(1, 3)
+    _bump_generator_row_n(monkeypatch, p1)
+    identity = f"breaks N = r + rank(ab) - rank a - rank b at a = {p1!r}"
+    with pytest.raises(IdentityError, match=re.escape(identity)):
         semisimplicity_certificate(3, 7)
 
 
@@ -515,13 +533,13 @@ def test_gram_certificate_raises_on_a_wrong_generator_product(monkeypatch):
     more basis diagram keeps the N identity, and phi(g) phi(b) = phi(gb)
     must fail on it."""
 
-    def fix_one_more(table, basis):
+    def fix_one_more(rows, basis):
         ranks = [d.rank for d in basis]
-        row = table[basis.index(transposition(1, 2, 3))]
+        (row,) = [row for gi, row in rows if basis[gi] == transposition(1, 2, 3)]
         j = next(j for j, (k, _) in enumerate(row) if k != j and ranks[k] == ranks[j])
         row[j] = (j, row[j][1])
 
-    _patched_table(monkeypatch, fix_one_more)
+    _patched_rows(monkeypatch, fix_one_more)
     with pytest.raises(IdentityError, match=r"phi\(g\) phi\(b\) != phi\(gb\) at g = "):
         semisimplicity_certificate(3, 7)
 
@@ -540,10 +558,10 @@ def test_groupoid_check_fails_with_one_restriction_dropped(monkeypatch):
         semisimplicity_certificate(3, 7)
 
 
-@pytest.mark.parametrize("r", range(5))
+@pytest.mark.parametrize("r", range(6))
 def test_groupoid_check_passes_on_the_true_table(r):
     basis = rook_elements(r)
-    assert groupoid_failure(basis, rook_product_table(basis)) is None
+    assert groupoid_failure(basis, generator_rows(basis)) is None
     assert len(generator_diagrams(r)) == r
 
 
@@ -583,7 +601,7 @@ def test_groupoid_dimensions_match_the_eliminations(n, r):
     # rank chi(ab), for chi = n^cyc, the character of the tensor space
     basis = rook_elements(r)
     chi = tensor_character(n, basis)
-    assert groupoid_dimensions(basis, chi) == eliminated_dimensions(rook_product_table(basis), chi)
+    assert groupoid_dimensions(basis, chi) == eliminated_dimensions(product_table(basis), chi)
 
 
 def test_groupoid_dimensions_move_with_a_miscounted_cycle():
@@ -601,3 +619,18 @@ def test_semisimplicity_r4_z7_pinned():
     report = semisimplicity_certificate(4, 7)
     assert report["gram_size"] == 209 and report["semisimple"]
     assert Fraction(report["gram_det"]) == -(2**536) * 3**192 * 7**584
+
+
+def test_semisimplicity_r5_z7_pinned():
+    # 7076 digits, over the 4300 that str(int) allows by default;
+    # e_5 = 2505 and I_5 = 142
+    limit = sys.get_int_max_str_digits()
+    report = semisimplicity_certificate(5, 7)
+    assert sys.get_int_max_str_digits() == limit
+    assert report["gram_size"] == 1546 and report["semisimple"]
+    expected = 2**3760 * 3**1320 * 5**1545 * 7**5010
+    assert report["gram_det"] == str(Decimal(expected))
+    assert len(report["gram_det"]) == 7076
+    basis = rook_elements(5)
+    assert sum(5 - d.rank for d in basis) == 2505
+    assert sum(star(d) == d for d in basis) == 142

@@ -299,17 +299,17 @@ def test_verify_all_json_schema_and_round_trip(capsys):
 
 
 def test_verify_all_broken_identity_exits_1(capsys, monkeypatch):
-    # one product-table N off by one, before rook_product_table checks it,
-    # breaks the identity the Gram certificate rests on: an identity
-    # failure, not a usage error
-    real = cellular_module._check_dropped
+    # N off by one on the generator row of s_1, before generator_rows
+    # checks it, breaks the identity the Gram certificate rests on: an
+    # identity failure, not a usage error
+    real = cellular_module._code
+    s1 = ((1, 2), (2, 1))
 
-    def bumped(elements, table):
-        k, n = table[1][1]
-        table[1][1] = (k, n + 1)
-        real(elements, table)
+    def bumped(r, pairs):
+        m, dom, im = real(r, pairs)
+        return (m, dom, im | 1) if r == 2 and tuple(pairs) == s1 else (m, dom, im)
 
-    monkeypatch.setattr(cellular_module, "_check_dropped", bumped)
+    monkeypatch.setattr(cellular_module, "_code", bumped)
     code, _, err = run(capsys, "verify-all", "--only", "cellular-structure")
     assert code == 1 and "breaks N = r + rank(ab)" in err
 

@@ -375,7 +375,7 @@ def test_presentation_fails_on_lost_strand(monkeypatch):
 # -- rescaling isomorphism -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("r,z", [(2, Fraction(3)), (3, Fraction(-7, 2))])
+@pytest.mark.parametrize("r,z", [(2, Fraction(3)), (3, Fraction(-7, 2)), (4, Fraction(7))])
 def test_rescale_iso(r, z):
     report = rescale_iso_check(r, z)
     assert report["all_pass"]
@@ -388,17 +388,18 @@ def test_rescale_rejects_zero():
 
 
 def test_rescale_iso_checks_the_product_table(monkeypatch):
-    """Negative control: one product-table entry off from compose, in its
+    """Negative control: one generator-row entry off from compose, in its
     N or in its product index, fails exactly that pair."""
-    real = cellular.rook_product_table
+    real = cellular.generator_rows
     for mutate in (lambda k, n: (k, n + 1), lambda k, n: (k + 1, n)):
 
-        def table(elements, mutate=mutate):
+        def rows(elements, mutate=mutate):
             out = real(elements)
-            out[3][4] = mutate(*out[3][4])
+            row = out[1][1]  # s_2
+            row[4] = mutate(*row[4])
             return out
 
-        monkeypatch.setattr(cellular, "rook_product_table", table)
+        monkeypatch.setattr(cellular, "generator_rows", rows)
         report = rescale_iso_check(3, 7)
         assert not report["all_pass"] and len(report["failures"]) == 1
 

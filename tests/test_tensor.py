@@ -7,7 +7,7 @@ from functools import reduce
 from itertools import permutations, product
 
 import pytest
-from gram_oracle import eliminated_dimensions, tensor_character
+from gram_oracle import eliminated_dimensions, product_table, tensor_character
 from rook_factorization import projection_factorization
 
 from braidrook import _modlinalg, acceptance, burau, cellular, linalg, tensor
@@ -485,6 +485,15 @@ def test_duality_n2_r4_on_the_character_path():
     assert cert["bounds"] == {"envelope_lower": 5, "rook_centralizer": 5, "rook_image": 70}
 
 
+def test_duality_n2_r5_on_the_character_path():
+    # m = 1546: the homomorphism and groupoid checks read 5 generator rows
+    report = duality_report(2, 5, P22)
+    _assert_all_pass(report)
+    cert = report["certificate"]
+    assert cert["path"] == "character"
+    assert cert["bounds"] == {"envelope_lower": 6, "rook_centralizer": 6, "rook_image": 252}
+
+
 def test_duality_n2_r4_passes_no_rref_more_than_24_rows(monkeypatch):
     # the largest groupoid block at r = 4 is 4! x 4!
     rows = []
@@ -514,7 +523,7 @@ def test_groupoid_dimensions_match_the_eliminations_on_the_grid(n, r):
     # the report's two q-free numbers against chi^T G(1)^-1 chi and
     # rank chi(ab), eliminated on the m x m oracle rows
     basis = rook_elements(r)
-    table = cellular.rook_product_table(basis)
+    table = product_table(basis)
     rook_centralizer, rook_image = eliminated_dimensions(table, tensor_character(n, basis))
     for q in acceptance.DUALITY_QS:
         bounds = duality_report(n, r, BurauParams.preset(n, q))["certificate"]["bounds"]
@@ -531,16 +540,17 @@ def test_dropped_restriction_takes_the_exact_path(monkeypatch):
 
 
 def test_wrong_generator_product_takes_the_exact_path(monkeypatch):
-    # s_1 s_1 read off the table as s_1 where it is the identity
-    real = cellular.rook_product_table
+    # s_1 s_1 read off the generator rows as s_1 where it is the identity
+    real = cellular.generator_rows
 
-    def table(basis):
+    def rows(basis):
         out = real(basis)
-        s1 = basis.index(transposition(1, 2, 2))
-        out[s1][s1] = (s1, 0)
+        s1, row = out[0]
+        assert basis[s1] == transposition(1, 2, 2)
+        row[s1] = (s1, 0)
         return out
 
-    monkeypatch.setattr(tensor, "rook_product_table", table)
+    monkeypatch.setattr(tensor, "generator_rows", rows)
     reason = _passing_on_the_exact_path(duality_report(3, 2, P32))
     assert reason.startswith("op(g) op(d) != z^0 op(gd) at g = ")
 
@@ -861,13 +871,13 @@ def _count_calls(monkeypatch, modules, *names):
 
 
 def test_duality_report_builds_the_basis_and_its_table_once(monkeypatch):
-    # the groupoid check reads the table of the homomorphism check, so
-    # neither the basis nor its table is built a second time
-    names = ("rook_elements", "rook_product_table")
+    # the commute, homomorphism and groupoid checks read one set of
+    # generator rows, so neither the basis nor its rows are built twice
+    names = ("rook_elements", "generator_rows")
     calls = _count_calls(monkeypatch, (tensor, cellular), *names)
     report = duality_report(3, 2, P32)
     assert report["certificate"]["path"] == "character" and report["all_pass"]
-    assert calls == Counter(rook_elements=1, rook_product_table=1)
+    assert calls == Counter(rook_elements=1, generator_rows=1)
 
 
 def test_exact_path_reuses_the_braid_generators(monkeypatch):
