@@ -14,7 +14,8 @@ over F_p in pure Python, _echelon_add on {row-major index: residue} dicts,
 with products taken by matrix.sparse_product on integers and reduced mod p
 afterwards. Each is the dimension over F_p of a space spanned by
 reductions of p-integral rational matrices, which is at most the dimension
-over Q when p divides no denominator of the generators:
+over Q when p divides no denominator of the generators. One search,
+lower_bound, picks p from SANDWICH_PRIMES for both:
 - closure_dim_mod: the unital algebra of the braid generators on the
   reduced blocks (burau.block_generators), the one lower bound of the
   duality report's character certificate (see tensor.duality_report);
@@ -194,6 +195,26 @@ def is_p_integral(mats, p: int) -> bool:
     """Whether p divides no denominator of any entry of the matrices."""
     # a zero entry has denominator 1, so the nonzeros decide it
     return all(x.denominator % p for m in mats for x in m.nonzeros().values())
+
+
+def lower_bound(gens, closure, target: int):
+    """The prime search of both mod-p certificates: try each listed prime
+    that divides no denominator of the matrices gens, in order, until the
+    lower bound closure(p) meets target. Returns (prime, bound, skipped,
+    reason), reason None on a meet; on a miss, the largest bound and its
+    prime (the first on a tie), or None, None when every prime is skipped."""
+    skipped, tried = [], {}
+    for p in SANDWICH_PRIMES:
+        if not is_p_integral(gens, p):
+            skipped.append(p)
+            continue
+        tried[p] = closure(p)
+        if tried[p] == target:
+            return p, tried[p], skipped, None
+    if not tried:
+        return None, None, skipped, "every listed prime divides a denominator"
+    best = max(tried, key=tried.get)
+    return best, tried[best], skipped, f"bounds do not meet mod {' or '.join(map(str, tried))}"
 
 
 def residues(m, p: int) -> dict[int, int]:

@@ -18,8 +18,9 @@ unscaled powers rho(sigma_i^{kd}) sweep out
 at w = q1^{kd}.  Differentiating at the identity gives tangent vectors
 whose iterated commutators span all of gl_{n-1} (H side) and all of
 sl_{n-1} (K side). `bracket_closure` certifies each of those spans by a
-closure mod p that fills its gl/sl ceiling, which is sound over Q, and
-computes any span that misses it exactly.
+closure mod p that fills its gl/sl ceiling, which is sound over Q, at a
+prime from the search the duality report also uses, and computes any span
+that misses it at every prime exactly.
 """
 
 from __future__ import annotations
@@ -157,9 +158,9 @@ def bracket_closure(gens: Sequence[Matrix]) -> BracketSpace:
     So L = N is a Lie algebra, and as every Lie algebra containing S is
     closed under each ad_s, it is the one S generates.
 
-    The certificate (path "modular"). Take the first prime p of
-    _modlinalg.SANDWICH_PRIMES that divides no denominator of the
-    generators, and run the same worklist on their residues mod p
+    The certificate (path "modular"). For each prime p that
+    _modlinalg.lower_bound tries, one that divides no denominator of the
+    generators, run the same worklist on their residues mod p
     (_modlinalg.bracket_closure_dim_mod). Brackets and Z_(p)-combinations
     of p-integral elements of L are p-integral elements of L, so every
     residue found is the reduction of an element of the lattice
@@ -168,17 +169,17 @@ def bracket_closure(gens: Sequence[Matrix]) -> BracketSpace:
 
         dim_Fp (closure mod p) <= dim_Q L <= ceiling.
 
-    When the closure mod p reaches the ceiling, L is all of gl_m or sl_m,
-    and the basis is that space's unique reduced echelon basis in
-    row-major order, written down in closed form: every e_ij for gl_m;
-    e_ij for i != j and e_ii - e_mm for i < m, in pivot order, for sl_m.
-    That is the basis the exact worklist reaches.
+    The search stops at the first prime whose closure reaches the ceiling.
+    Then L is all of gl_m or sl_m, and the basis is that space's unique
+    reduced echelon basis in row-major order, written down in closed form:
+    every e_ij for gl_m; e_ij for i != j and e_ii - e_mm for i < m, in
+    pivot order, for sl_m. That is the basis the exact worklist reaches.
 
-    The exact path. A closure mod p below the ceiling, or no listed prime
-    that divides no denominator, runs the worklist over an exact echelon
-    basis. It stops early once the span fills the ceiling, and the basis
-    returned (the unique reduced echelon basis of the span) is the one the
-    full worklist would reach.
+    The exact path. A closure below the ceiling at every prime tried, or
+    no listed prime that divides no denominator, runs the worklist over an
+    exact echelon basis. It stops early once the span fills the ceiling,
+    and the basis returned (the unique reduced echelon basis of the span)
+    is the one the full worklist would reach.
 
     The certificate record (linalg.certificate_record) has the path, the
     prime, the primes skipped, bounds {"lower": dimension mod p,
@@ -191,16 +192,11 @@ def bracket_closure(gens: Sequence[Matrix]) -> BracketSpace:
     if any(not g.is_square() or g.rows != m for g in gens):
         raise ValueError("generators must be square and of equal size")
     ceiling = m * m - 1 if all(g.trace() == 0 for g in gens) else m * m
-    skipped, lower = [], None
-    for prime in _modlinalg.SANDWICH_PRIMES:
-        if _modlinalg.is_p_integral(gens, prime):
-            lower = _modlinalg.bracket_closure_dim_mod(gens, prime, ceiling)
-            break
-        skipped.append(prime)
-    else:
-        prime = None
+    prime, lower, skipped, reason = _modlinalg.lower_bound(
+        gens, lambda prime: _modlinalg.bracket_closure_dim_mod(gens, prime, ceiling), ceiling
+    )
     bounds = {"lower": lower, "ceiling": ceiling}
-    if lower == ceiling:
+    if reason is None:
         one, last = Fraction(1), m * m - 1
         if ceiling == m * m:
             rows = [{k: one} for k in range(m * m)]
@@ -211,10 +207,6 @@ def bracket_closure(gens: Sequence[Matrix]) -> BracketSpace:
         basis = tuple(Matrix(m, m, row) for row in rows)
         certificate = certificate_record("modular", None, prime, skipped, bounds)
         return BracketSpace(ceiling, basis, certificate)
-    if prime is None:
-        reason = "every listed prime divides a denominator"
-    else:
-        reason = f"bounds do not meet mod {prime}"
     certificate = certificate_record("exact", reason, prime, skipped, bounds)
     return _exact_closure(gens, ceiling, certificate)
 
@@ -267,15 +259,12 @@ def subgroup_k(i: int, w, c: LieConstants) -> Matrix:
     )
 
 
-def finite_order_exponent(p: BurauParams, bound: int = 2) -> int | None:
-    """Smallest d <= bound with (q1^{n-2} q2)^d = 1, or None.  Over the
-    rationals only d = 1 (q2 = q1^{2-n}) and d = 2 (q2 = -q1^{2-n}) can
-    occur."""
+def finite_order_exponent(p: BurauParams) -> int | None:
+    """Smallest d >= 1 with (q1^{n-2} q2)^d = 1, or None.  A rational root
+    of unity is +1 or -1, so only d = 1 (q2 = q1^{2-n}) and d = 2
+    (q2 = -q1^{2-n}) can occur."""
     t = p.q1 ** (p.n - 2) * p.q2
-    for d in range(1, bound + 1):
-        if t**d == 1:
-            return d
-    return None
+    return 1 if t == 1 else 2 if t == -1 else None
 
 
 def one_param_membership(i: int, k: int, p: BurauParams) -> dict:

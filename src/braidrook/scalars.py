@@ -11,8 +11,6 @@ from __future__ import annotations
 from decimal import Decimal
 from fractions import Fraction
 
-Scalar = Fraction
-
 
 class IdentityError(ArithmeticError):
     """An identity that a certificate rests on failed on exact values. The
@@ -21,7 +19,7 @@ class IdentityError(ArithmeticError):
 
 
 def scalar(value) -> Fraction:
-    """Coerce an int, string "p/q", or Fraction to a Scalar."""
+    """Coerce an int, string "p/q", or Fraction to a Fraction."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -34,7 +32,7 @@ def scalar(value) -> Fraction:
 
 
 def parse_scalar(text: str) -> Fraction:
-    """Parse "p/q" (or "p") into a Scalar. Rejects floats and empty input."""
+    """Parse "p/q" (or "p") into a Fraction. Rejects floats and empty input."""
     text = text.strip()
     if not text:
         raise ValueError("empty scalar string")
@@ -47,7 +45,7 @@ def parse_scalar(text: str) -> Fraction:
 
 
 def format_scalar(value: Fraction) -> str:
-    """Serialize a Scalar as "p/q", omitting "/q" when the denominator is 1.
+    """Serialize a Fraction as "p/q", omitting "/q" when the denominator is 1.
     The digits come from Decimal, which is exact for an int and has no
     limit on their number, where str(int) stops at 4300 by default."""
     value = Fraction(value)

@@ -157,25 +157,25 @@ def bimodule_dimension_sum(n: int, r: int) -> int:
 # -- the duality report --------------------------------------------------------------
 
 
-def _homomorphism_failure(basis, ops, rows, z: Fraction, r: int) -> str | None:
+def _homomorphism_failure(basis, den, ints, rows, z: Fraction, r: int, size: int) -> str | None:
     """None when op(1) = 1 and op(g) op(d) = z^N op(gd) for every generator
     g = s_1..s_(r-1), p_1 and every basis diagram d, with g and
     gd = z^N a_k read off rows = cellular.generator_rows(basis); otherwise
     the first failure.
 
     The check runs on integers: every operator entry is a power of q, so
-    one common denominator D makes every M = D op(a) an integer matrix
-    (integer_form), and the identity reads den(z)^N M(g) M(d) = D num(z)^N M(gd)."""
-    size = ops[0].rows
-    if ops[basis.index(PartialPermutation.identity(r))] != Matrix.identity(size):
+    one common denominator D makes every M = D op(a) an integer matrix, and
+    (den, ints) = integer_form(ops) holds D and the M. So op(1) = 1 reads
+    M(1) = D 1, and the identity reads den(z)^N M(g) M(d) = D num(z)^N M(gd)."""
+    one = basis.index(PartialPermutation.identity(r))
+    if ints[one] != {k * (size + 1): den for k in range(size)}:
         return "op(identity) is not the identity matrix"
-    den, scaled = integer_form(ops)
-    by_rows = [rows_of(m, size) for m in scaled]
+    by_rows = [rows_of(m, size) for m in ints]
     for gi, row in rows:
         for d, (k, dropped), d_rows in zip(basis, row, by_rows):
             lhs, rhs = z.denominator**dropped, den * z.numerator**dropped
-            prod = sparse_product(scaled[gi], d_rows, size, size)
-            if {i: v * lhs for i, v in prod.items()} != {i: v * rhs for i, v in scaled[k].items()}:
+            prod = sparse_product(ints[gi], d_rows, size, size)
+            if {i: v * lhs for i, v in prod.items()} != {i: v * rhs for i, v in ints[k].items()}:
                 return f"op(g) op(d) != z^{dropped} op(gd) at g = {basis[gi]!r}, d = {d!r}"
     return None
 
@@ -198,8 +198,7 @@ def _character_certificate(p: BurauParams, r: int, basis, ops, rows) -> dict:
     basis diagrams and their generator_rows: the homomorphism, groupoid and
     character checks, the two q-free dimensions of
     cellular.groupoid_dimensions, and the mod-p closure of
-    burau.block_generators at each listed prime that divides no denominator
-    of them, the largest lower bound kept."""
+    burau.block_generators, with its prime from _modlinalg.lower_bound."""
     from . import _modlinalg
 
     z = p.quantum(p.n)
@@ -209,11 +208,15 @@ def _character_certificate(p: BurauParams, r: int, basis, ops, rows) -> dict:
         blocks = block_generators(p, r)
     except IdentityError as e:
         return certificate_record("exact", str(e))
-    failure = _homomorphism_failure(basis, ops, rows, z, r) or groupoid_failure(basis, rows)
+    size = ops[0].rows
+    den, ints = integer_form(ops)
+    failure = _homomorphism_failure(basis, den, ints, rows, z, r, size)
+    failure = failure or groupoid_failure(basis, rows)
     if failure:
         return certificate_record("exact", failure)
-    # the trace of the rescaled operator z^-(r - rank a) op(a)
-    chi = [op.trace() / z ** (r - d.rank) for d, op in zip(basis, ops)]
+    # the trace of the rescaled operator z^-(r - rank a) op(a), read off D op(a)
+    traces = [sum(m.get(k * (size + 1), 0) for k in range(size)) for m in ints]
+    chi = [Fraction(t, den) / z ** (r - d.rank) for d, t in zip(basis, traces)]
     for d, x in zip(basis, chi):
         cycles = sum(kind == "cycle" for kind, _ in cycle_link_decompose(d))
         if x != p.n**cycles:
@@ -222,22 +225,10 @@ def _character_certificate(p: BurauParams, r: int, basis, ops, rows) -> dict:
     # sum m_lam^2, an integer; compared exactly below
     rook_cent, rook_img = groupoid_dimensions(basis, chi)
     bounds = {"envelope_lower": None, "rook_centralizer": int(rook_cent), "rook_image": rook_img}
-    skipped, tried, best = [], [], None
-    for prime in _modlinalg.SANDWICH_PRIMES:
-        if not _modlinalg.is_p_integral(blocks, prime):
-            skipped.append(prime)
-            continue
-        closure = _modlinalg.closure_dim_mod(blocks, prime)
-        tried.append(prime)
-        if best is None or closure > bounds["envelope_lower"]:
-            best, bounds["envelope_lower"] = prime, closure
-        if closure == rook_cent:
-            return certificate_record("character", None, prime, skipped, bounds)
-    if not tried:
-        reason = "every listed prime divides a denominator"
-        return certificate_record("exact", reason, None, skipped, bounds)
-    reason = f"bounds do not meet mod {' or '.join(map(str, tried))}"
-    return certificate_record("exact", reason, best, skipped, bounds)
+    prime, bounds["envelope_lower"], skipped, reason = _modlinalg.lower_bound(
+        blocks, lambda prime: _modlinalg.closure_dim_mod(blocks, prime), rook_cent
+    )
+    return certificate_record("exact" if reason else "character", reason, prime, skipped, bounds)
 
 
 def _report_check(name: str, ok: bool, detail: str) -> dict:

@@ -92,6 +92,20 @@ def test_only_modlinalg_imports_numpy():
     assert importers == {"_modlinalg"}
 
 
+def test_only_modlinalg_names_the_listed_primes():
+    # both mod-p certificates take their prime from _modlinalg.lower_bound,
+    # the one loop over the listed primes
+    names = {"SANDWICH_PRIMES", "is_p_integral"}
+    readers = {
+        path.stem
+        for path in LIBRARY
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names)
+    }
+    assert readers == {"_modlinalg"}
+
+
 def test_detector_finds_every_form_of_a_numpy_import():
     for source in (
         "import numpy\n",

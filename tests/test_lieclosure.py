@@ -39,6 +39,8 @@ from braidrook.matrix import Matrix
 
 CLOSURE_QS = [Fraction(2), Fraction(1, 2), Fraction(-2), Fraction(3)]
 P0 = _modlinalg.SANDWICH_PRIMES[0]
+# the reason when every listed prime is tried and each misses the ceiling
+MISS_AT_EVERY_PRIME = "bounds do not meet mod " + " or ".join(map(str, _modlinalg.SANDWICH_PRIMES))
 
 
 def _contains(space, m):
@@ -215,10 +217,15 @@ def _borel_generators(m):
 def test_saturation_stop_leaves_proper_closures_whole(m):
     borel = bracket_closure(_borel_generators(m))
     assert borel.dim == m * (m + 1) // 2
-    # negative control: a proper closure misses the gl ceiling mod p too
-    assert borel.certificate["path"] == "exact"
-    assert borel.certificate["fallback_reason"] == f"bounds do not meet mod {P0}"
-    assert borel.certificate["bounds"] == {"lower": borel.dim, "ceiling": m * m}
+    # negative control: a proper closure misses the gl ceiling at every
+    # listed prime, and the first of the equal bounds is the one kept
+    assert borel.certificate == {
+        "path": "exact",
+        "prime": P0,
+        "primes_skipped": [],
+        "bounds": {"lower": borel.dim, "ceiling": m * m},
+        "fallback_reason": MISS_AT_EVERY_PRIME,
+    }
     assert borel.basis == _full_worklist_closure(_borel_generators(m))
     assert all(b[i, j] == 0 for b in borel.basis for i in range(m) for j in range(i))
     e12 = bracket_closure([Matrix.unit(m, 0, 1)])
@@ -285,7 +292,7 @@ def test_closure_one_short_mod_p_takes_the_exact_path(monkeypatch, n):
         "prime": P0,
         "primes_skipped": [],
         "bounds": {"lower": ceiling - 1, "ceiling": ceiling},
-        "fallback_reason": f"bounds do not meet mod {P0}",
+        "fallback_reason": MISS_AT_EVERY_PRIME,
     }
     assert exact.dim == modular.dim == ceiling
     assert exact.basis == modular.basis
@@ -315,6 +322,25 @@ def test_first_prime_dividing_no_denominator_is_the_one_used(monkeypatch):
     assert cert["primes_skipped"] == [3]
 
 
+@pytest.mark.parametrize("family", ["u", "v"])
+def test_miss_at_the_first_prime_is_certified_at_the_next(family):
+    # q = P0 is 0 mod P0, so a = q/(1+q) vanishes there and the closure
+    # stops short (6 of 9 for u, 5 of 8 for v); the next listed prime meets
+    gens = {"u": u_generators, "v": v_generators}[family](4, P0)
+    report = lie_report(4, P0, family)
+    ceiling = report["expected_dim"]
+    assert report["ok"] and report["closure_dim"] == ceiling
+    assert report["certificate"] == {
+        "path": "modular",
+        "prime": _modlinalg.SANDWICH_PRIMES[1],
+        "primes_skipped": [],
+        "bounds": {"lower": ceiling, "ceiling": ceiling},
+        "fallback_reason": None,
+    }
+    assert _modlinalg.bracket_closure_dim_mod(gens, P0, ceiling) < ceiling
+    assert bracket_closure(gens).basis == _full_worklist_closure(gens)
+
+
 def test_unlucky_prime_falls_short_and_the_exact_path_is_right(monkeypatch):
     # e_12 and 3 e_21 generate sl_2 over Q, but 3 e_21 vanishes mod 3
     gens = [Matrix.unit(2, 0, 1), Matrix.unit(2, 1, 0).scale(3)]
@@ -338,9 +364,10 @@ def test_generator_worklist_reaches_deep_brackets(m, commutator_calls):
     gens = _superdiagonal_units(m)
     space = bracket_closure(gens)
     assert space.dim == m * (m - 1) // 2
-    # negative control: the mod-p closure misses the sl ceiling
+    # negative control: the mod-p closure misses the sl ceiling at every
+    # listed prime
     assert space.certificate["path"] == "exact"
-    assert space.certificate["fallback_reason"] == f"bounds do not meet mod {P0}"
+    assert space.certificate["fallback_reason"] == MISS_AT_EVERY_PRIME
     assert space.certificate["bounds"] == {"lower": space.dim, "ceiling": m * m - 1}
     assert len(commutator_calls) == len(gens) * space.dim
     assert space.basis == _full_worklist_closure(gens)

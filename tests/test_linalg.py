@@ -839,6 +839,29 @@ def test_residues_and_p_integrality():
     assert _modlinalg.residues(m, 5) == {0: 3, 1: 4, 2: 3}
 
 
+@pytest.mark.parametrize(
+    "primes,bounds,want",
+    [
+        ([3, 5, 7], {5: 2, 7: 4}, (7, 4, [3], None)),  # 3 divides a denominator
+        ([5, 7, 11], {5: 3, 7: 2, 11: 3}, (5, 3, [], "bounds do not meet mod 5 or 7 or 11")),
+        ([3], {}, (None, None, [3], "every listed prime divides a denominator")),
+    ],
+)
+def test_lower_bound_stops_at_the_first_meet_and_keeps_the_largest(
+    monkeypatch, primes, bounds, want
+):
+    tried = []
+
+    def closure(p):
+        tried.append(p)
+        return bounds[p]
+
+    monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", primes)
+    gens = [Matrix.from_rows([[Fraction(1, 3)]])]
+    assert _modlinalg.lower_bound(gens, closure, 4) == want
+    assert tried == [p for p in primes if p != 3]
+
+
 def _echelon_of_rows(m, p):
     """The echelon of m's rows mod p, and what each add returned."""
     basis, added = {}, []

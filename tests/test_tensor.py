@@ -727,6 +727,23 @@ def _passing_on_the_exact_path(report):
     return cert["fallback_reason"]
 
 
+@pytest.mark.parametrize("q", [Fraction(2), Fraction(1, 2)], ids=str)
+def test_scaled_identity_operator_fails_the_homomorphism_check(monkeypatch, q):
+    # op(1) = 2 is read as D op(1) = 2D on the integer forms; at q = 1/2 the
+    # common denominator D is not 1
+    real = tensor.diagram_op
+
+    def doubled(d, p, r):
+        op = real(d, p, r)
+        return op.scale(2) if d == PartialPermutation.identity(r) else op
+
+    params = BurauParams.preset(3, q)
+    monkeypatch.setattr(tensor, "diagram_op", doubled)
+    cert = duality_report(3, 2, params)["certificate"]
+    assert cert["path"] == "exact"
+    assert cert["fallback_reason"] == "op(identity) is not the identity matrix"
+
+
 def test_wrong_z_power_fails_the_homomorphism_check(monkeypatch):
     # every operator at the z = 1 scale, z^-(r - rank d) op(d): the operators
     # still commute with the braid group and span the image, but
@@ -808,6 +825,22 @@ def test_miss_at_one_prime_moves_on_to_the_next(monkeypatch):
     cert = duality_report(3, 2, P32)["certificate"]
     assert cert["path"] == "character" and cert["prime"] == 5
     assert cert["bounds"]["envelope_lower"] == 15
+
+
+def test_miss_at_the_first_real_prime_moves_on_to_the_next():
+    # q = P0 makes q2 = -q vanish mod P0: no denominator is divisible by
+    # P0, but det R_i = q1 q2 makes every block generator singular there and
+    # the closure falls short; the next listed prime meets
+    primes = _modlinalg.SANDWICH_PRIMES
+    params = BurauParams.preset(3, primes[0])
+    report = duality_report(3, 2, params)
+    assert report["all_pass"]
+    cert = report["certificate"]
+    assert cert["path"] == "character" and cert["prime"] == primes[1]
+    assert cert["primes_skipped"] == [] and cert["fallback_reason"] is None
+    assert cert["bounds"] == {"envelope_lower": 15, "rook_centralizer": 15, "rook_image": 7}
+    blocks = block_generators(params, 2)
+    assert _modlinalg.closure_dim_mod(blocks, primes[0]) < 15
 
 
 @pytest.mark.parametrize("primes", [[3, 5], [5, 3]])
