@@ -1,20 +1,22 @@
 """Certified modular accelerator for large exact nullspaces.
 
 Strategy: clear denominators row by row (nullspace-preserving), reduce the
-integer system modulo a few 31-bit primes, eliminate with vectorized int64
-arithmetic, CRT-combine, and lift entries by rational reconstruction. Every
+integer system modulo a few 31-bit primes, eliminate each on _echelon_add,
+CRT-combine, and lift entries by rational reconstruction. Every
 candidate vector is then verified exactly over the rationals against the
 original system. Verified candidates are provably a full basis: the mod-p
 nullity bounds the rational nullity from above, and the candidates are
 independent by construction, so matching counts certify completeness.
 Any failure returns None and the caller falls back to pure elimination.
 
-Two lower bounds come from linalg.worklist_closure over one sparse echelon
-over F_p in pure Python, _echelon_add on {row-major index: residue} dicts,
-with products taken by matrix.sparse_product on integers and reduced mod p
-afterwards. Each is the dimension over F_p of a space spanned by
-reductions of p-integral rational matrices, which is at most the dimension
-over Q when p divides no denominator of the generators. One search,
+Every elimination here, the nullspace's and the closures', runs on one
+sparse, fully reduced echelon over F_p in pure Python: _echelon_add on
+{index: residue} dicts. Two lower bounds come from linalg.worklist_closure
+on it, a matrix entry indexed row-major, with products taken by
+matrix.sparse_product on integers and reduced mod p afterwards. Each is
+the dimension over F_p of a space spanned by reductions of p-integral
+rational matrices, which is at most the dimension over Q when p divides
+no denominator of the generators. One search,
 lower_bound, picks p from SANDWICH_PRIMES for both:
 - closure_dim_mod: the unital algebra of the braid generators on the
   reduced blocks (burau.block_generators), the one lower bound of the
@@ -28,12 +30,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-import numpy as np
-
 from .linalg import worklist_closure
 from .matrix import rows_of, sparse_product
 
-# Deterministic primes just below 2^31 so int64 products never overflow.
+# Deterministic primes just below 2^31, tried in order; each agreeing prime
+# adds about 31 bits to the CRT modulus that rational reconstruction reads.
 PRIMES = [
     2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
     2147483549, 2147483543, 2147483497, 2147483489, 2147483477,
@@ -55,37 +56,15 @@ def _integer_rows(rows):
     return out
 
 
-def _rref_mod(int_rows, ncols: int, p: int):
-    """RREF of the integer system mod p. Returns (pivot columns, pivot rows
-    as an int64 array, one row per pivot)."""
-    nrows = len(int_rows)
-    a = np.zeros((nrows, ncols), dtype=np.int64)
-    for i, entries in enumerate(int_rows):
-        for j, v in entries:
-            a[i, j] = v % p
-    r = 0
-    pivots = []
-    for col in range(ncols):
-        if r == nrows:
-            break
-        sub = a[r:, col]
-        nz = np.nonzero(sub)[0]
-        if nz.size == 0:
-            continue
-        k = r + int(nz[0])
-        if k != r:
-            a[[r, k]] = a[[k, r]]
-        # the pivot row is zero left of col, so only columns col.. change
-        inv = pow(int(a[r, col]), -1, p)
-        a[r, col:] = (a[r, col:] * inv) % p
-        colvals = a[:, col].copy()
-        colvals[r] = 0
-        hit = np.nonzero(colvals)[0]
-        if hit.size:
-            a[hit, col:] = (a[hit, col:] - np.outer(colvals[hit], a[r, col:])) % p
-        pivots.append(col)
-        r += 1
-    return pivots, a[:r]
+def _rref_mod(int_rows, p: int):
+    """RREF of the integer system mod p, by _echelon_add. Returns (pivot
+    columns in order, one pivot row per pivot as {column: residue}); the
+    RREF is unique, so the order rows are added in does not matter."""
+    basis: dict[int, dict[int, int]] = {}
+    for entries in int_rows:
+        _echelon_add(basis, {j: r for j, v in entries if (r := v % p)}, p)
+    pivots = sorted(basis)
+    return pivots, [basis[c] for c in pivots]
 
 
 def _rational_reconstruct(c: int, m: int) -> Fraction | None:
@@ -129,7 +108,7 @@ def certified_nullspace(rows, ncols: int):
     int_rows = _integer_rows(rows)
     structures: dict[tuple[int, ...], list] = {}
     for p in PRIMES[:_MAX_PRIMES]:
-        pivots, reduced = _rref_mod(int_rows, ncols, p)
+        pivots, reduced = _rref_mod(int_rows, p)
         structures.setdefault(tuple(pivots), []).append((p, pivots, reduced))
         best_rank = max(len(k) for k in structures)
         viable = [v for k, v in structures.items() if len(k) == best_rank and len(v) >= 2]
@@ -159,7 +138,7 @@ def _lift(agreeing, ncols):
                 break
             residue, modulus = 0, 1
             for prime, _, reduced in agreeing:
-                entry = int(reduced[i, f])
+                entry = reduced[i].get(f, 0)
                 residue, modulus = _crt_pair(residue, modulus, entry, prime) if modulus > 1 else (entry, prime)
             if residue == 0:
                 continue
@@ -256,10 +235,11 @@ def _echelon_add(basis: dict[int, dict[int, int]], v: dict[int, int], p: int):
     return dict(v)
 
 
-def closure_dim_mod(gens, p: int) -> int:
+def closure_dim_mod(gens, p: int, ceiling: int) -> int:
     """Dimension over F_p of the unital algebra that the residues of the
     p-integral rational matrices gens generate: linalg.worklist_closure of
-    the span of 1 under right multiplication by each residue matrix.
+    the span of 1 under right multiplication by each residue matrix; it
+    stops once the dimension reaches ceiling.
 
     Every element found is a product of the generators, so the result is at
     most the dimension over Q of the algebra the rational matrices generate:
@@ -267,6 +247,14 @@ def closure_dim_mod(gens, p: int) -> int:
     reduction mod p spans everything found here. That needs nothing of the
     generators but p-integrality; in particular a generator that is
     singular mod p only makes the bound smaller.
+
+    The caller must know the dimension over Q to be at most ceiling; then
+    stopping there loses nothing, as the bound can meet ceiling and go no
+    further. tensor._character_certificate passes rook_cent: before the
+    closure runs, the commute check of duality_report and the
+    homomorphism, groupoid and character checks have proved
+    dim envelope <= dim C(image) = rook_cent. On a miss the closure
+    saturates below ceiling, as with no ceiling at all.
     """
     m = gens[0].rows
     basis: dict[int, dict[int, int]] = {}
@@ -276,7 +264,7 @@ def closure_dim_mod(gens, p: int) -> int:
         return lambda w: {k: r for k, x in sparse_product(w, rows, m, m).items() if (r := x % p)}
 
     one = {k * (m + 1): 1 for k in range(m)}
-    return worklist_closure(lambda v: _echelon_add(basis, v, p), [one], [right(g) for g in gens])
+    return worklist_closure(lambda v: _echelon_add(basis, v, p), [one], [right(g) for g in gens], ceiling)
 
 
 def _ad(g: dict[int, int], m: int, p: int):

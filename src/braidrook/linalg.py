@@ -13,9 +13,10 @@ deterministic and independent of the order rows are added in (that order
 is performance-only). One worklist, worklist_closure, closes a span under
 a list of linear maps for every closure in the package, over Q here and
 over F_p in _modlinalg. Large nullspace systems are dispatched to a
-certified modular accelerator whose candidates are verified exactly before
-use; on any failure the pure rational path runs instead, so results never
-depend on the fast path.
+certified modular accelerator, which eliminates mod p on the sparse echelon
+of those closures and verifies its candidates exactly before use; on any
+failure the pure rational path runs instead, so results never depend on
+the fast path.
 """
 
 from __future__ import annotations

@@ -225,8 +225,10 @@ def _character_certificate(p: BurauParams, r: int, basis, ops, rows) -> dict:
     # sum m_lam^2, an integer; compared exactly below
     rook_cent, rook_img = groupoid_dimensions(basis, chi)
     bounds = {"envelope_lower": None, "rook_centralizer": int(rook_cent), "rook_image": rook_img}
+    # the commute check and the checks above proved
+    # dim envelope <= dim C(image) = rook_cent, so the closure stops there
     prime, bounds["envelope_lower"], skipped, reason = _modlinalg.lower_bound(
-        blocks, lambda prime: _modlinalg.closure_dim_mod(blocks, prime), rook_cent
+        blocks, lambda prime: _modlinalg.closure_dim_mod(blocks, prime, rook_cent), rook_cent
     )
     return certificate_record("exact" if reason else "character", reason, prime, skipped, bounds)
 
@@ -296,6 +298,7 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     lattice of rank dim envelope, and its reduction spans the mod-p
     closure, so
         closure_p <= dim envelope <= dim C(image) = sum_k <psi_k, psi_k>.
+    The closure stops once it reaches the right end, which loses nothing.
     When the ends meet, the envelope is C(image). The image is
     semisimple, so the double centralizer theorem gives
     C(braid gens) = C(envelope) = C(C(image)) = image, and

@@ -4,6 +4,8 @@ it, and every library function has a caller in the library."""
 import ast
 import importlib.util
 import json
+import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -81,15 +83,34 @@ def imported_modules(tree: ast.Module) -> set[str]:
     return out
 
 
-def test_only_modlinalg_imports_numpy():
-    # numpy serves the certified modular nullspace engine alone, so
-    # removing that engine is the one place it has to leave
-    importers = {
-        path.stem
-        for path in LIBRARY
-        if "numpy" in imported_modules(ast.parse(path.read_text(), filename=str(path)))
-    }
-    assert importers == {"_modlinalg"}
+def _declared_dependencies() -> set[str]:
+    """The distribution names in the [project] dependencies of
+    pyproject.toml, without their version specifiers."""
+    text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    listed = ast.literal_eval(re.search(r"^dependencies = (\[.*?\])", text, re.M | re.S).group(1))
+    return {re.split(r"[ <>=!~;\[]", dep, maxsplit=1)[0].lower() for dep in listed}
+
+
+def test_dependencies_are_exactly_the_non_stdlib_imports():
+    # no library module imports numpy, and pyproject.toml declares exactly
+    # the packages the library imports from outside the standard library:
+    # none, so the package runs on the standard library alone
+    imported = set().union(
+        *(imported_modules(ast.parse(path.read_text(), filename=str(path))) for path in LIBRARY)
+    )
+    assert "numpy" not in imported
+    outside = imported - set(sys.stdlib_module_names) - {"braidrook"}
+    assert outside == _declared_dependencies() == set()
+
+
+def test_importing_the_package_loads_no_numpy():
+    # in a fresh interpreter, from this checkout, with every module imported
+    src = str(Path(braidrook.__file__).parent.parent)
+    modules = ", ".join(f"braidrook.{path.stem}" for path in LIBRARY if path.stem != "__init__")
+    probe = f"import sys; sys.path.insert(0, {src!r}); import {modules}; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_only_modlinalg_names_the_listed_primes():

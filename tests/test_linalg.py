@@ -797,6 +797,53 @@ def test_modular_nullspace_is_the_exact_canonical_basis():
     assert nullspace_of_rows(rows, 256) == exact
 
 
+def _dense_rref_mod(int_rows, ncols, p):
+    """Textbook Gauss-Jordan elimination mod p on dense rows: the pivot
+    columns and the nonzero rows of the RREF."""
+    a = [[0] * ncols for _ in int_rows]
+    for row, entries in zip(a, int_rows):
+        for j, v in entries:
+            row[j] = v % p
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        k = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if k is None:
+            continue
+        a[r], a[k] = a[k], a[r]
+        inv = pow(a[r][col], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i, row in enumerate(a):
+            if i != r and row[col]:
+                c = row[col]
+                a[i] = [(x - c * y) % p for x, y in zip(row, a[r])]
+        pivots.append(col)
+    return pivots, a[: len(pivots)]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rref_mod_matches_dense_gauss_jordan(seed):
+    # seeded integer systems, each with a zero row, a repeated row and a
+    # first row whose leading entry is a nonzero multiple of p, alone in
+    # its column: over Q that column has a pivot, mod p it has none
+    rng = random.Random(seed)
+    p = (7, 101, _modlinalg.PRIMES[0])[seed % 3]
+    rows, cols = rng.randint(2, 8), rng.randint(2, 9)
+    dense = [[rng.choice((0, 0, rng.randint(-30, 30))) for _ in range(cols)] for _ in range(rows)]
+    for row in dense:
+        row[0] = 0
+    dense[0][0] = p * rng.randint(1, 4)
+    dense += [[0] * cols, list(dense[-1])]
+    rng.shuffle(dense)
+    int_rows = [[(j, v) for j, v in enumerate(row) if v] for row in dense]
+    pivots, reduced = _modlinalg._rref_mod(int_rows, p)
+    assert 0 not in pivots
+    assert (pivots, [[row.get(j, 0) for j in range(cols)] for row in reduced]) == _dense_rref_mod(
+        int_rows, cols, p
+    )
+    assert all(0 < x < p for row in reduced for x in row.values())
+
+
 # -- mod-p arithmetic of the envelope closure ------------------------------------
 
 
@@ -808,8 +855,9 @@ def test_closure_dim_mod_matches_span_closure():
             break
     h = rand_matrix(rng, 3, 3, den=1)
     p = _modlinalg.SANDWICH_PRIMES[0]
-    assert _modlinalg.closure_dim_mod([g, h], p) == span_closure([g, h])[0]
-    assert _modlinalg.closure_dim_mod([g], p) == span_closure([g])[0]
+    # a ceiling of 9, the dimension of all 3 x 3 matrices, stops nothing early
+    assert _modlinalg.closure_dim_mod([g, h], p, 9) == span_closure([g, h])[0]
+    assert _modlinalg.closure_dim_mod([g], p, 9) == span_closure([g])[0]
     # the same worklist, seeds and maps over Q and mod p (the integer
     # matrices are p-integral with full rank mod p), and over Q stopped at
     # every ceiling from the seeds' dimension up to the full dimension

@@ -840,7 +840,7 @@ def test_miss_at_the_first_real_prime_moves_on_to_the_next():
     assert cert["primes_skipped"] == [] and cert["fallback_reason"] is None
     assert cert["bounds"] == {"envelope_lower": 15, "rook_centralizer": 15, "rook_image": 7}
     blocks = block_generators(params, 2)
-    assert _modlinalg.closure_dim_mod(blocks, primes[0]) < 15
+    assert _modlinalg.closure_dim_mod(blocks, primes[0], 15) < 15
 
 
 @pytest.mark.parametrize("primes", [[3, 5], [5, 3]])
@@ -849,8 +849,8 @@ def test_largest_lower_bound_is_kept(monkeypatch, primes):
     real = _modlinalg.closure_dim_mod
     cut = {3: 14, 5: 12}
 
-    def short(gens, p):
-        return min(real(gens, p), cut[p])
+    def short(gens, p, ceiling):
+        return min(real(gens, p, ceiling), cut[p])
 
     monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", primes)
     monkeypatch.setattr(_modlinalg, "closure_dim_mod", short)
@@ -885,6 +885,30 @@ def test_q1_control_is_a_real_failure_on_the_exact_path(monkeypatch):
     assert status["rook_image_equals_centralizer_of_braid"] == "fail"
     assert status["enveloping_equals_centralizer_of_rook_image"] == "fail"
     assert status["enveloping_dimension_sum"] == "fail"  # 6 against 15
+
+
+def test_q1_control_closure_reads_6_at_every_listed_prime():
+    # the miss is the theory's, not a prime's: the ceiling of 15 is never reached
+    blocks = block_generators(BurauParams.degenerate(3, 1, -1), 2)
+    primes = _modlinalg.SANDWICH_PRIMES
+    assert [_modlinalg.closure_dim_mod(blocks, p, 15) for p in primes] == [6] * len(primes)
+
+
+def test_closure_stops_at_the_rook_centralizer_dimension(monkeypatch):
+    # at (4,2) the closure meets rook_cent = 55 after 151 adds; run on to
+    # saturation (dim U = 13, so a ceiling of 13^2 stops nothing) it makes
+    # 166 adds for the same bound
+    calls = _count_calls(monkeypatch, (_modlinalg,), "_echelon_add")
+    params = BurauParams.preset(4)
+    cert = duality_report(4, 2, params)["certificate"]
+    assert cert["path"] == "character"
+    assert cert["bounds"]["envelope_lower"] == cert["bounds"]["rook_centralizer"] == 55
+    assert calls["_echelon_add"] == 151
+    calls.clear()
+    blocks = block_generators(params, 2)
+    assert blocks[0].rows == 13
+    assert _modlinalg.closure_dim_mod(blocks, cert["prime"], 13**2) == 55
+    assert calls["_echelon_add"] == 166
 
 
 def _count_calls(monkeypatch, modules, *names):
