@@ -39,6 +39,7 @@ from .cellular import (
 )
 from .diagrams import (
     compose_perms,
+    projection,
     rescale_iso_check,
     rook_elements,
     verify_presentation,
@@ -58,11 +59,11 @@ from .matrix import Matrix
 from .tensor import (
     braid_generators,
     centralizer_of_braid,
+    diagram_op,
     duality_report,
     enveloping_braid,
     q1_special_solve,
     rook_generators,
-    rook_tensor_gen,
     schur_algebra,
     schur_algebra_intersection,
     schur_intersection_shape_basis,
@@ -123,9 +124,8 @@ def check_degree_two_endomorphisms() -> tuple[bool, str]:
         dim, _ = centralizer_of_braid(n, 2, p)
         if dim != want:
             return _fail(f"n={n}: endomorphism dim {dim} != {want}")
-        s = rook_tensor_gen("s", 1, p, 2)
-        p1 = rook_tensor_gen("p", 1, p, 2)
-        p2 = rook_tensor_gen("p", 2, p, 2)
+        s, p1 = rook_generators(p, 2)
+        p2 = diagram_op(projection(2, 2), p, 2)
         one = Matrix.identity(n**2)
         seven = [one, s, p1, p2, s * p1, p1 * s, p1 * p2]
         if matrix_span(seven).dim != want:
@@ -133,9 +133,8 @@ def check_degree_two_endomorphisms() -> tuple[bool, str]:
         got[n] = dim
     q = BurauParams.preset(2).q
     p = BurauParams.preset(2)
-    s = rook_tensor_gen("s", 1, p, 2)
-    p1 = rook_tensor_gen("p", 1, p, 2)
-    p2 = rook_tensor_gen("p", 2, p, 2)
+    s, p1 = rook_generators(p, 2)
+    p2 = diagram_op(projection(2, 2), p, 2)
     one = Matrix.identity(4)
     relation = p1 - s * p1 - p1 * s + p2 - (one - s).scale(1 + q)
     if not relation.is_zero():
@@ -246,9 +245,13 @@ def check_cellular_structure() -> tuple[bool, str]:
         elems = rook_elements(rr)
         for u in subsets:
             k = len(u)
-            scale = Fraction(7) ** (rr - k)
+            identity = tuple(range(1, k + 1))
+            id_u = diagram_of(CellTriple(u, identity, u), rr)
             for y in k_subsets(rr, k):
-                want = scale if tuple(y) == tuple(u) else Fraction(0)
+                # id_y id_u = z^N id_(y cap u), of rank k only when y = u; a
+                # lower rank lies in a lower cell, where psi reads 0
+                prod, dropped = diagram_of(CellTriple(y, identity, y), rr).compose(id_u)
+                want = Fraction(7) ** dropped if prod.rank == k else Fraction(0)
                 if psi(set(y), set(u), 7, rr) != want:
                     return _fail(f"psi({y},{u}) wrong at r={rr}")
             for f in elems:

@@ -81,19 +81,26 @@ def unreduced_generator(i: int, p: BurauParams) -> Matrix:
     return Matrix.from_rows(m)
 
 
+def row_window(m: int, i: int, left, mid, right, rest) -> Matrix:
+    """The m x m matrix rest*I with row i (1-based) holding left, mid and
+    right in columns i-1, i and i+1; an entry that falls outside the
+    matrix is dropped. R_i, its powers and the one-parameter families of
+    lieclosure are all of this shape."""
+    entries = {k * (m + 1): rest for k in range(m)}
+    d = (i - 1) * (m + 1)  # the row-major index of entry (i, i)
+    entries[d] = mid
+    if i > 1:
+        entries[d - 1] = left
+    if i < m:
+        entries[d + 1] = right
+    return Matrix(m, m, entries)
+
+
 def reduced_generator(i: int, p: BurauParams) -> Matrix:
     """(n-1) x (n-1) action on the f-basis: f_{i-1} picks up q1 f_i, f_i
     scales by q2, f_{i+1} picks up -q2 f_i, all other f_j scale by q1."""
     _check_index(i, p)
-    n = p.n
-    m = Matrix.diagonal([p.q1] * (n - 1)).to_lists()
-    a = i - 1
-    m[a][a] = p.q2
-    if a >= 1:
-        m[a][a - 1] = p.q1
-    if a + 1 <= n - 2:
-        m[a][a + 1] = -p.q2
-    return Matrix.from_rows(m)
+    return row_window(p.n - 1, i, p.q1, p.q2, -p.q2, p.q1)
 
 
 def hecke_phi(k: int, p: BurauParams) -> Fraction:
@@ -112,16 +119,8 @@ def generator_power(i: int, k: int, p: BurauParams) -> Matrix:
     _check_index(i, p)
     if k < 1:
         raise ValueError("exponent must be >= 1")
-    n = p.n
     phi = hecke_phi(k, p)
-    m = Matrix.diagonal([p.q1**k] * (n - 1)).to_lists()
-    a = i - 1
-    m[a][a] = p.q2**k
-    if a >= 1:
-        m[a][a - 1] = p.q1 * phi
-    if a + 1 <= n - 2:
-        m[a][a + 1] = -p.q2 * phi
-    return Matrix.from_rows(m)
+    return row_window(p.n - 1, i, p.q1 * phi, p.q2**k, -p.q2 * phi, p.q1**k)
 
 
 def form_matrix(p: BurauParams) -> Matrix:

@@ -257,6 +257,11 @@ def rook_dimension(r: int) -> int:
 # -- branching diagram --------------------------------------------------------------
 
 
+def partition_label(parts) -> str:
+    """A partition as its parts joined by commas, "()" when empty."""
+    return ",".join(str(p) for p in parts) if parts else "()"
+
+
 @dataclass
 class BratteliDiagram:
     """rows[t] lists the vertex labels at level t; edges[t] joins row t to
@@ -278,15 +283,12 @@ class BratteliDiagram:
         return dict(zip(self.rows[-1], self.path_counts()[-1]))
 
     def to_dot(self) -> str:
-        def fmt(parts: tuple[int, ...]) -> str:
-            return ",".join(str(p) for p in parts) if parts else "()"
-
         lines = ["digraph bratteli {", "  rankdir=TB;", "  node [shape=plaintext];"]
         for t, row in enumerate(self.rows):
             names = " ".join(f'"L{t}_{i}"' for i in range(len(row)))
             lines.append(f"  {{ rank=same; {names} }}")
             for i, parts in enumerate(row):
-                lines.append(f'  "L{t}_{i}" [label="{fmt(parts)}"];')
+                lines.append(f'  "L{t}_{i}" [label="{partition_label(parts)}"];')
         for t, edge_list in enumerate(self.edges):
             for i, j in edge_list:
                 lines.append(f'  "L{t}_{i}" -> "L{t+1}_{j}";')

@@ -15,7 +15,7 @@ import time
 
 from .acceptance import CRITERIA
 from .burau import BurauParams, reduced_generator, unreduced_generator
-from .cellular import bratteli, dims_table, rook_dimension
+from .cellular import bratteli, dims_table, partition_label, rook_dimension
 from .diagrams import (
     ENUMERATION_BOUND,
     cycle_link_decompose,
@@ -46,10 +46,6 @@ def _blocks(d) -> list[list[int]]:
     blocks += [[x] for x in range(1, r + 1) if x not in d.dom]
     blocks += [[r + y] for y in range(1, r + 1) if y not in d.im]
     return sorted(blocks)
-
-
-def _partition_label(parts) -> str:
-    return ",".join(str(p) for p in parts) if parts else "()"
 
 
 # -- subcommands ----------------------------------------------------------
@@ -126,9 +122,10 @@ def cmd_dims(args) -> int:
                 "sum_of_squares": sum(row["square"] for row in rows),
             }
         )
+    failed = any(level["sum_of_squares"] != rook_dimension(level["r"]) for level in levels)
     if args.format == "json":
         _emit_json({"max_r": args.r, "rows": levels})
-        return 0
+        return 1 if failed else 0
     table = [("r", "k", "partition", "dim", "square")]
     for level in levels:
         for cell in level["cells"]:
@@ -136,7 +133,7 @@ def cmd_dims(args) -> int:
                 (
                     str(level["r"]),
                     str(cell["k"]),
-                    _partition_label(cell["partition"]),
+                    partition_label(cell["partition"]),
                     str(cell["dim"]),
                     str(cell["dim"] ** 2),
                 )
@@ -147,9 +144,7 @@ def cmd_dims(args) -> int:
     for level in levels:
         total = level["sum_of_squares"]
         print(f"r = {level['r']}: sum of squares = {total} = dim of the algebra")
-        if total != rook_dimension(level["r"]):
-            return 1
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_bratteli(args) -> int:
@@ -169,10 +164,10 @@ def cmd_bratteli(args) -> int:
         return 0
     counts = diagram.path_counts()
     for t, row in enumerate(diagram.rows):
-        labels = "  ".join(_partition_label(parts) for parts in row)
+        labels = "  ".join(partition_label(parts) for parts in row)
         print(f"level {t}: {labels}")
     leaves = "  ".join(
-        f"{_partition_label(parts)}={c}" for parts, c in zip(diagram.rows[-1], counts[-1])
+        f"{partition_label(parts)}={c}" for parts, c in zip(diagram.rows[-1], counts[-1])
     )
     print(f"paths to level {args.r}: {leaves}")
     return 0

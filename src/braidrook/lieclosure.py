@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .burau import BurauParams, generator_power, reduced_generator
+from . import _modlinalg
+from .burau import BurauParams, generator_power, reduced_generator, row_window
 from .linalg import VectorSpan, certificate_record, det, worklist_closure
 from .matrix import Matrix
 from .scalars import format_scalar, quantum_int, scalar
@@ -65,29 +66,11 @@ class LieConstants:
         return self.n - 1
 
 
-def _unit(m: int, i: int, j: int) -> Matrix:
-    """e_{ij} in 1-based coordinates, zero if an index is out of range."""
-    if 1 <= i <= m and 1 <= j <= m:
-        return Matrix.unit(m, i - 1, j - 1)
-    return Matrix.zeros(m, m)
-
-
-def off_identity(m: int, i: int) -> Matrix:
-    """E(i) = I - e_{ii} (1-based), the identity with slot i blanked."""
-    return Matrix.identity(m) - _unit(m, i, i)
-
-
-def _u(i: int, c: LieConstants) -> Matrix:
-    """u_i = b e_{i,i-1} + e_{ii} + a e_{i,i+1}, with the sub/super terms
-    dropped at i = 1 and i = n-1 respectively."""
-    m = c.size
-    return _unit(m, i, i - 1).scale(c.b) + _unit(m, i, i) + _unit(m, i, i + 1).scale(c.a)
-
-
 def u_generators(n: int, q) -> list[Matrix]:
-    """The n-1 matrices u_1, ..., u_{n-1} (see _u)."""
+    """The n-1 matrices u_i = b e_{i,i-1} + e_{ii} + a e_{i,i+1}, with the
+    sub/super terms dropped at i = 1 and i = n-1 respectively."""
     c = LieConstants(n, q)
-    return [_u(i, c) for i in range(1, n)]
+    return [row_window(c.size, i, c.b, 1, c.a, 0) for i in range(1, n)]
 
 
 def v_generators(n: int, q) -> list[Matrix]:
@@ -95,20 +78,13 @@ def v_generators(n: int, q) -> list[Matrix]:
     + a(n-1) e_{i,i+1} + E(i), same edge truncation as u_i.  Each is
     traceless: (2-n) on the diagonal plus trace n-2 from E(i)."""
     c = LieConstants(n, q)
-    m = c.size
-    return [
-        _unit(m, i, i - 1).scale(c.b * (n - 1))
-        + _unit(m, i, i).scale(Fraction(2 - n))
-        + _unit(m, i, i + 1).scale(c.a * (n - 1))
-        + off_identity(m, i)
-        for i in range(1, n)
-    ]
+    return [row_window(c.size, i, c.b * (n - 1), 2 - n, c.a * (n - 1), 1) for i in range(1, n)]
 
 
 def tangent_generator(i: int, c: LieConstants) -> Matrix:
     """Derivative h_i = dH_i/dz at z = 1: h_i = e_{ii} - b e_{i,i-1}
     - a e_{i,i+1} = 2 e_{ii} - u_i."""
-    return _unit(c.size, i, i).scale(2) - _u(i, c)
+    return row_window(c.size, i, -c.b, 1, -c.a, 0)
 
 
 def tangent_generators(n: int, q) -> list[Matrix]:
@@ -231,13 +207,7 @@ def subgroup_h(i: int, z, c: LieConstants) -> Matrix:
     if not 1 <= i <= c.n - 1:
         raise ValueError(f"index {i} outside 1..{c.n - 1}")
     z = scalar(z)
-    m = c.size
-    return (
-        _unit(m, i, i - 1).scale(c.b * (1 - z))
-        + _unit(m, i, i).scale(z)
-        + _unit(m, i, i + 1).scale(c.a * (1 - z))
-        + off_identity(m, i)
-    )
+    return row_window(c.size, i, c.b * (1 - z), z, c.a * (1 - z), 1)
 
 
 def subgroup_k(i: int, w, c: LieConstants) -> Matrix:
@@ -249,14 +219,8 @@ def subgroup_k(i: int, w, c: LieConstants) -> Matrix:
     w = scalar(w)
     if w == 0:
         raise ValueError("w must be nonzero")
-    m = c.size
     wlow = w ** (2 - c.n)
-    return (
-        _unit(m, i, i - 1).scale(c.b * (w - wlow))
-        + _unit(m, i, i).scale(wlow)
-        + _unit(m, i, i + 1).scale(c.a * (w - wlow))
-        + off_identity(m, i).scale(w)
-    )
+    return row_window(c.size, i, c.b * (w - wlow), wlow, c.a * (w - wlow), w)
 
 
 def finite_order_exponent(p: BurauParams) -> int | None:

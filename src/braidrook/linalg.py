@@ -72,6 +72,7 @@ def nullspace_of_rows(rows: list[SparseRow], ncols: int) -> list[tuple[Fraction,
     vector of f has -c_f at p, read straight off the sparse rows."""
     est = len(rows) * ncols * min(len(rows), ncols)
     if est >= _MODULAR_THRESHOLD:
+        # imported here, not at module level: _modlinalg imports worklist_closure
         from . import _modlinalg
 
         result = _modlinalg.certified_nullspace(rows, ncols)

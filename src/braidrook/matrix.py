@@ -76,12 +76,6 @@ class Matrix:
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zeros(rows: int, cols: int | None = None) -> "Matrix":
-        if cols is None:
-            cols = rows
-        return Matrix(rows, cols, {})
-
-    @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix(n, n, {i * n + i: _ONE for i in range(n)})
 
@@ -95,13 +89,6 @@ class Matrix:
             raise ValueError("ragged rows")
         flat = [x for r in rows for x in r]
         return Matrix(len(rows), width, flat)
-
-    @staticmethod
-    def unit(n: int, i: int, j: int) -> "Matrix":
-        """Matrix unit e_{ij} (0-indexed) of size n x n."""
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"unit ({i},{j}) outside {n}x{n}")
-        return Matrix._trusted(n, n, {i * n + j: _ONE})
 
     @staticmethod
     def diagonal(values: Sequence) -> "Matrix":

@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
+from . import _modlinalg
 from .burau import BurauParams, block_generators, unreduced_generator
 from .cellular import (
     cell_dim,
@@ -29,9 +30,7 @@ from .diagrams import (
     PartialPermutation,
     cycle_link_decompose,
     generator_diagrams,
-    projection,
     rook_elements,
-    transposition,
 )
 from .linalg import certificate_record, commutant, matrix_span, span_closure
 from .matrix import Matrix, integer_form, kron_power, rows_of, sparse_product
@@ -49,21 +48,6 @@ def _check_budget(n: int, r: int, budget: int | None = None) -> None:
 
 
 # -- the two families of generators ---------------------------------------------
-
-
-def braid_tensor_gen(i: int, p: BurauParams, r: int) -> Matrix:
-    """Diagonal action of the i-th braid generator on E^(x r)."""
-    return kron_power(unreduced_generator(i, p), r)
-
-
-def rook_tensor_gen(kind: str, index: int, p: BurauParams, r: int) -> Matrix:
-    if kind == "s":
-        if not 1 <= index <= r - 1:
-            raise ValueError(f"s index {index} outside 1..{r - 1}")
-        return diagram_op(transposition(index, index + 1, r), p, r)
-    if kind == "p":
-        return diagram_op(projection(index, r), p, r)
-    raise ValueError(f"unknown tensor generator kind {kind!r}")
 
 
 def diagram_op(d: PartialPermutation, p: BurauParams, r: int) -> Matrix:
@@ -101,7 +85,8 @@ def diagram_op(d: PartialPermutation, p: BurauParams, r: int) -> Matrix:
 
 
 def braid_generators(p: BurauParams, r: int) -> list[Matrix]:
-    return [braid_tensor_gen(i, p, r) for i in range(1, p.n)]
+    """The diagonal action T_i^(x r) of each braid generator on E^(x r)."""
+    return [kron_power(unreduced_generator(i, p), r) for i in range(1, p.n)]
 
 
 def rook_generators(p: BurauParams, r: int) -> list[Matrix]:
@@ -199,8 +184,6 @@ def _character_certificate(p: BurauParams, r: int, basis, ops, rows) -> dict:
     character checks, the two q-free dimensions of
     cellular.groupoid_dimensions, and the mod-p closure of
     burau.block_generators, with its prime from _modlinalg.lower_bound."""
-    from . import _modlinalg
-
     z = p.quantum(p.n)
     if z == 0:
         return certificate_record("exact", "z = [n]_q = 0 has no rescaled basis")
@@ -424,17 +407,14 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
 def schur_algebra(n: int, r: int, p: BurauParams) -> tuple[int, list[Matrix]]:
     """S(n,r): the centralizer of the place-permutation action alone."""
     _check_budget(n, r)
-    swaps = [rook_tensor_gen("s", i, p, r) for i in range(1, r)]
-    return commutant(swaps, size=n**r)
+    return commutant(rook_generators(p, r)[:-1], size=n**r)
 
 
 def schur_algebra_intersection(n: int, r: int, p: BurauParams) -> tuple[int, list[Matrix]]:
     """S(n,r) cut down to the elements commuting with the slot-1 projection;
     the joint commutant of the place permutations and p_1."""
     _check_budget(n, r)
-    gens = [rook_tensor_gen("s", i, p, r) for i in range(1, r)]
-    gens.append(rook_tensor_gen("p", 1, p, r))
-    return commutant(gens, size=n**r)
+    return commutant(rook_generators(p, r), size=n**r)
 
 
 def schur_intersection_shape_basis(q) -> list[Matrix]:

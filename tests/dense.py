@@ -1,9 +1,20 @@
-"""Dense views and dense oracles of the exact kernels that only the tests use."""
+"""Dense views and dense oracles of the exact kernels, and the matrix
+constructors, that only the tests use."""
 
 from fractions import Fraction
 
 from braidrook.linalg import rref
 from braidrook.matrix import Matrix
+
+
+def zeros(rows, cols=None):
+    """The rows x cols zero matrix, square when cols is omitted."""
+    return Matrix(rows, rows if cols is None else cols, {})
+
+
+def unit(n, i, j):
+    """The matrix unit e_ij (0-indexed) of size n x n."""
+    return Matrix(n, n, {i * n + j: 1})
 
 
 def entries(m):

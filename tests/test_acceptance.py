@@ -5,8 +5,9 @@ budget. One PASS/FAIL line prints per criterion (visible with -s)."""
 import time
 
 import pytest
+from dense import unit
 
-from braidrook import acceptance, lieclosure
+from braidrook import acceptance, cellular, lieclosure
 from braidrook.acceptance import CRITERIA, check_tangent_closures
 from braidrook.matrix import Matrix
 
@@ -34,7 +35,7 @@ def test_tangent_closures_fails_on_a_chain_without_its_last_entry(monkeypatch):
     # A_k = b e_1,k-1 + e_1,k with the a e_1,k+1 term dropped
     def truncated(n, q):
         return [
-            elem - Matrix.unit(n - 1, 0, k).scale(lieclosure.LieConstants(n, q).a)
+            elem - unit(n - 1, 0, k).scale(lieclosure.LieConstants(n, q).a)
             for k, elem in enumerate(lieclosure.first_row_chain(n, q), start=2)
             if k < n - 1
         ]
@@ -52,6 +53,16 @@ def test_tangent_closures_fails_when_the_k_branch_never_runs(monkeypatch):
     monkeypatch.setattr(acceptance, "one_param_membership", without_k)
     ok, detail = check_tangent_closures()
     assert not ok and "of the one-parameter checks ran" in detail
+
+
+def test_cellular_structure_fails_on_a_psi_off_by_one_power(monkeypatch):
+    # z^(r-k+1) on the diagonal in place of z^(r-k)
+    def bumped(y, u, z, r):
+        return cellular.psi(y, u, z, r + 1)
+
+    monkeypatch.setattr(acceptance, "psi", bumped)
+    ok, detail = acceptance.check_cellular_structure()
+    assert not ok and detail == "psi((),()) wrong at r=2"
 
 
 def test_property_suites_fails_on_a_wrong_form(monkeypatch):

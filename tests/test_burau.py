@@ -146,6 +146,34 @@ def test_generator_power_closed_form():
         generator_power(1, 0, PRESET)
 
 
+def test_reduced_generator_windows_n5():
+    # q1 I with row i holding q1, q2, -q2 around the diagonal
+    p = BurauParams(5, 2, 3)
+    assert reduced_generator(1, p) == Matrix.from_rows(
+        [[3, -3, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
+    )
+    assert reduced_generator(2, p) == Matrix.from_rows(
+        [[2, 0, 0, 0], [2, 3, -3, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
+    )
+    assert reduced_generator(4, p) == Matrix.from_rows(
+        [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 2, 3]]
+    )
+
+
+def test_generator_power_windows_n5():
+    # k = 2: q1^2 I with row i holding q1 Phi_2, q2^2, -q2 Phi_2, Phi_2 = 5
+    p = BurauParams(5, 2, 3)
+    assert generator_power(1, 2, p) == Matrix.from_rows(
+        [[9, -15, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 0, 4]]
+    )
+    assert generator_power(2, 2, p) == Matrix.from_rows(
+        [[4, 0, 0, 0], [10, 9, -15, 0], [0, 0, 4, 0], [0, 0, 0, 4]]
+    )
+    assert generator_power(4, 2, p) == Matrix.from_rows(
+        [[4, 0, 0, 0], [0, 4, 0, 0], [0, 0, 4, 0], [0, 0, 10, 9]]
+    )
+
+
 def test_form_matrix():
     assert form_matrix(BurauParams(2, 1, -2)) == Matrix.diagonal([1, 2])
     assert form_matrix(PRESET).trace() == PRESET.quantum(3)

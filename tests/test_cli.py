@@ -144,6 +144,13 @@ def test_dims_json(capsys):
     assert {"k": 2, "partition": [1, 1], "dim": 6} in top
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_dims_exits_1_on_a_wrong_sum_of_squares(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(cli_module, "rook_dimension", lambda r: cellular_module.rook_dimension(r) + 1)
+    code, _, _ = run(capsys, "dims", "--r", "2", "--format", fmt)
+    assert code == 1
+
+
 # -- bratteli ---------------------------------------------------------------
 
 

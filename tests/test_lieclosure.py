@@ -9,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from dense import entries
+from dense import entries, unit, zeros
 
 from braidrook import _modlinalg, lieclosure
 from braidrook.burau import BurauParams, reduced_generator
@@ -22,7 +22,6 @@ from braidrook.lieclosure import (
     first_row_chain,
     first_row_seed,
     lie_report,
-    off_identity,
     one_param_membership,
     subgroup_h,
     subgroup_k,
@@ -98,9 +97,9 @@ def expected_chain_element(n, q, k):
     if not 2 <= k <= n - 1:
         raise ValueError(f"chain index {k} outside 2..{n - 1}")
     m = c.size
-    elem = Matrix.unit(m, 0, k - 2).scale(c.b) + Matrix.unit(m, 0, k - 1)
+    elem = unit(m, 0, k - 2).scale(c.b) + unit(m, 0, k - 1)
     if k < m:
-        elem = elem + Matrix.unit(m, 0, k).scale(c.a)
+        elem = elem + unit(m, 0, k).scale(c.a)
     return elem
 
 
@@ -133,6 +132,52 @@ def test_u_examples_n3_q2():
     u1, u2 = u_generators(3, 2)
     assert u1 == Matrix.from_rows([[1, Fraction(2, 3)], [0, 0]])
     assert u2 == Matrix.from_rows([[0, 0], [Fraction(1, 3), 1]])
+
+
+def test_family_windows_n5():
+    # n = 5, q = 2: a = 2/3, b = 1/3; each family at the edges i = 1, 4
+    # and at i = 2, where all four entries are present
+    c = LieConstants(5, 2)
+    us, vs, hs = u_generators(5, 2), v_generators(5, 2), tangent_generators(5, 2)
+    expected = {
+        "u": [
+            [[1, "2/3", 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+            [[0, 0, 0, 0], ["1/3", 1, "2/3", 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+            [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, "1/3", 1]],
+        ],
+        "v": [
+            [[-3, "8/3", 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            [[1, 0, 0, 0], ["4/3", -3, "8/3", 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, "4/3", -3]],
+        ],
+        "h": [
+            [[1, "-2/3", 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+            [[0, 0, 0, 0], ["-1/3", 1, "-2/3", 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+            [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, "-1/3", 1]],
+        ],
+        # H_i(3): b(1-z) = -2/3, z = 3, a(1-z) = -4/3, 1 elsewhere
+        "H": [
+            [[3, "-4/3", 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            [[1, 0, 0, 0], ["-2/3", 3, "-4/3", 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, "-2/3", 3]],
+        ],
+        # K_i(2): w^(2-n) = 1/8, b(w - 1/8) = 5/8, a(w - 1/8) = 5/4, 2 elsewhere
+        "K": [
+            [["1/8", "5/4", 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
+            [[2, 0, 0, 0], ["5/8", "1/8", "5/4", 0], [0, 0, 2, 0], [0, 0, 0, 2]],
+            [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, "5/8", "1/8"]],
+        ],
+    }
+    for slot, i in enumerate((1, 2, 4)):
+        built = {
+            "u": us[i - 1],
+            "v": vs[i - 1],
+            "h": hs[i - 1],
+            "H": subgroup_h(i, 3, c),
+            "K": subgroup_k(i, 2, c),
+        }
+        for family, rows in expected.items():
+            assert built[family] == Matrix.from_rows(rows[slot]), (family, i)
 
 
 def test_generator_traces():
@@ -207,10 +252,10 @@ def test_every_tangent_closure_is_certified_at_the_first_prime(n):
 def _borel_generators(m):
     """e_11, ..., e_mm and the upper shift: their bracket closure is the
     upper-triangular (Borel) algebra, dimension m(m+1)/2 < m^2."""
-    shift = Matrix.zeros(m, m)
+    shift = zeros(m, m)
     for i in range(m - 1):
-        shift = shift + Matrix.unit(m, i, i + 1)
-    return [Matrix.unit(m, i, i) for i in range(m)] + [shift]
+        shift = shift + unit(m, i, i + 1)
+    return [unit(m, i, i) for i in range(m)] + [shift]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -228,8 +273,8 @@ def test_saturation_stop_leaves_proper_closures_whole(m):
     }
     assert borel.basis == _full_worklist_closure(_borel_generators(m))
     assert all(b[i, j] == 0 for b in borel.basis for i in range(m) for j in range(i))
-    e12 = bracket_closure([Matrix.unit(m, 0, 1)])
-    assert e12.dim == 1 and e12.basis == (Matrix.unit(m, 0, 1),)
+    e12 = bracket_closure([unit(m, 0, 1)])
+    assert e12.dim == 1 and e12.basis == (unit(m, 0, 1),)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -242,7 +287,7 @@ def test_one_generator_with_trace_lifts_the_ceiling_to_gl(n):
     assert space.dim == m * m
     assert space.certificate["path"] == "modular"
     assert space.certificate["bounds"] == {"lower": m * m, "ceiling": m * m}
-    assert space.basis == tuple(Matrix.unit(m, i, j) for i in range(m) for j in range(m))
+    assert space.basis == tuple(unit(m, i, j) for i in range(m) for j in range(m))
     assert space.basis == _full_worklist_closure(gens)
 
 
@@ -343,7 +388,7 @@ def test_miss_at_the_first_prime_is_certified_at_the_next(family):
 
 def test_unlucky_prime_falls_short_and_the_exact_path_is_right(monkeypatch):
     # e_12 and 3 e_21 generate sl_2 over Q, but 3 e_21 vanishes mod 3
-    gens = [Matrix.unit(2, 0, 1), Matrix.unit(2, 1, 0).scale(3)]
+    gens = [unit(2, 0, 1), unit(2, 1, 0).scale(3)]
     monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", [3])
     space = bracket_closure(gens)
     assert space.certificate["bounds"] == {"lower": 1, "ceiling": 3}
@@ -352,7 +397,7 @@ def test_unlucky_prime_falls_short_and_the_exact_path_is_right(monkeypatch):
 
 
 def _superdiagonal_units(m):
-    return [Matrix.unit(m, i, i + 1) for i in range(m - 1)]
+    return [unit(m, i, i + 1) for i in range(m - 1)]
 
 
 @pytest.mark.parametrize("m", [3, 4, 5])
@@ -372,7 +417,7 @@ def test_generator_worklist_reaches_deep_brackets(m, commutator_calls):
     assert len(commutator_calls) == len(gens) * space.dim
     assert space.basis == _full_worklist_closure(gens)
     assert all(b[i, j] == 0 for b in space.basis for i in range(m) for j in range(i + 1))
-    assert _contains(space, Matrix.unit(m, 0, m - 1))
+    assert _contains(space, unit(m, 0, m - 1))
 
 
 @pytest.mark.parametrize("m", [4, 5])
@@ -383,7 +428,7 @@ def test_one_round_of_brackets_falls_short(m):
     gens = _superdiagonal_units(m)
     shallow = _one_round_closure(gens)
     assert len(shallow) < bracket_closure(gens).dim
-    assert not matrix_span(list(shallow)).contains(entries(Matrix.unit(m, 0, m - 1)))
+    assert not matrix_span(list(shallow)).contains(entries(unit(m, 0, m - 1)))
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -489,12 +534,6 @@ def test_index_bounds():
             subgroup_h(bad, 2, c)
         with pytest.raises(ValueError):
             subgroup_k(bad, 2, c)
-
-
-def test_off_identity():
-    e2 = off_identity(3, 2)
-    assert e2 == Matrix.diagonal([1, 0, 1])
-    assert e2.trace() == 2
 
 
 def test_scaled_powers_land_on_h():
@@ -614,9 +653,9 @@ def test_first_row_seed_value():
         c = LieConstants(n, q)
         seed, start = first_row_seed(n, q)
         m = n - 1
-        expected = Matrix.unit(m, 0, 1).scale(1 - c.a * c.b)
+        expected = unit(m, 0, 1).scale(1 - c.a * c.b)
         if n >= 4:
-            expected = expected + Matrix.unit(m, 0, 2).scale(c.a)
+            expected = expected + unit(m, 0, 2).scale(c.a)
         assert seed == expected
         assert start == u_generators(n, q)[0].scale(c.b) + seed
 

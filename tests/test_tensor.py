@@ -7,6 +7,7 @@ from functools import reduce
 from itertools import permutations, product
 
 import pytest
+from dense import unit
 from gram_oracle import eliminated_dimensions, product_table, tensor_character
 from rook_factorization import projection_factorization
 
@@ -19,7 +20,6 @@ from braidrook.tensor import (
     MATRIX_SIZE_BUDGET,
     bimodule_dimension_sum,
     braid_generators,
-    braid_tensor_gen,
     centralizer_of_braid,
     diagram_op,
     duality_report,
@@ -29,7 +29,6 @@ from braidrook.tensor import (
     q1_special_solve,
     rook_generators,
     rook_image,
-    rook_tensor_gen,
     schur_algebra,
     schur_algebra_intersection,
 )
@@ -38,26 +37,35 @@ P32 = BurauParams.preset(3)  # (q1, q2) = (1, -2), q = 2
 P22 = BurauParams.preset(2)
 
 
+def swap_op(i, p, r):
+    """The operator of the paper's s_i = (i, i+1) on E^(x r)."""
+    return diagram_op(transposition(i, i + 1, r), p, r)
+
+
+def projection_op(j, p, r):
+    """The operator of the paper's p_j on E^(x r)."""
+    return diagram_op(projection(j, r), p, r)
+
+
 # -- generator construction -------------------------------------------------------
 
 
 def test_braid_tensor_gen_r1_is_unreduced():
-    assert braid_tensor_gen(1, P32, 1) == unreduced_generator(1, P32)
+    assert braid_generators(P32, 1) == [unreduced_generator(i, P32) for i in (1, 2)]
 
 
 def test_braid_tensor_gen_is_kron_power():
     g = unreduced_generator(1, P22)
-    assert braid_tensor_gen(1, P22, 2) == kron(g, g)
+    assert braid_generators(P22, 2) == [kron(g, g)]
 
 
 def test_braid_relations_at_tensor_level():
-    b1 = braid_tensor_gen(1, P32, 2)
-    b2 = braid_tensor_gen(2, P32, 2)
+    b1, b2 = braid_generators(P32, 2)
     assert b1 * b2 * b1 == b2 * b1 * b2
 
 
 def test_place_swap_squares_to_identity():
-    s = rook_tensor_gen("s", 1, P32, 2)
+    s = swap_op(1, P32, 2)
     assert s * s == Matrix.identity(9)
 
 
@@ -65,30 +73,28 @@ def test_projection_op_idempotent_up_to_quantum_integer():
     for p, r in [(P32, 2), (P22, 3)]:
         z = p.quantum(p.n)
         for j in range(1, r + 1):
-            pj = rook_tensor_gen("p", j, p, r)
+            pj = projection_op(j, p, r)
             assert pj * pj == pj.scale(z)
 
 
 def test_projection_abstract_formula_n2():
     # q = 2: p_1 e_2 = q^(2-1) (e_1 + e_2)
-    p1 = rook_tensor_gen("p", 1, P22, 1)
+    p1 = projection_op(1, P22, 1)
     assert [p1[(i, 1)] for i in range(2)] == [Fraction(2), Fraction(2)]
     assert [p1[(i, 0)] for i in range(2)] == [Fraction(1), Fraction(1)]
 
 
 def test_rook_tensor_gen_bounds():
     with pytest.raises(ValueError):
-        rook_tensor_gen("s", 2, P32, 2)
+        swap_op(2, P32, 2)
     with pytest.raises(ValueError):
-        rook_tensor_gen("p", 3, P32, 2)
-    with pytest.raises(ValueError):
-        rook_tensor_gen("x", 1, P32, 2)
+        projection_op(3, P32, 2)
 
 
 def test_mixed_relation_conjugating_projection():
-    s = rook_tensor_gen("s", 1, P32, 2)
-    p1 = rook_tensor_gen("p", 1, P32, 2)
-    p2 = rook_tensor_gen("p", 2, P32, 2)
+    s = swap_op(1, P32, 2)
+    p1 = projection_op(1, P32, 2)
+    p2 = projection_op(2, P32, 2)
     assert s * p1 * s == p2
 
 
@@ -212,7 +218,7 @@ def test_factorized_matches_direct_action():
 
 def test_permutation_operator_is_a_product_of_swaps():
     for p, r in FACTORIZED_CASES:
-        swaps = [None] + [rook_tensor_gen("s", i, p, r) for i in range(1, r)]
+        swaps = [None] + [swap_op(i, p, r) for i in range(1, r)]
         for d in rook_elements(r):
             if d.rank < r:
                 continue
@@ -232,9 +238,9 @@ def test_rook_tensor_gen_matches_the_paper_generators(params, r):
     # is the paper's P in slot j
     for i in range(1, r):
         w = tuple(i + 1 if s == i else i if s == i + 1 else s for s in range(1, r + 1))
-        assert rook_tensor_gen("s", i, params, r) == place_permutation_matrix(w, params.n)
+        assert swap_op(i, params, r) == place_permutation_matrix(w, params.n)
     for j in range(1, r + 1):
-        assert rook_tensor_gen("p", j, params, r) == slot_projection(j, params, r)
+        assert projection_op(j, params, r) == slot_projection(j, params, r)
 
 
 def test_projection_operator_is_conjugate_to_p1():
@@ -317,9 +323,9 @@ def test_n2_dependence_relation():
     # p_1 - s p_1 - p_1 s + p_2 - (1+q)(1 - s) = 0 on E^(x 2) when n = 2
     p, r = P22, 2
     q = p.q
-    s = rook_tensor_gen("s", 1, p, r)
-    p1 = rook_tensor_gen("p", 1, p, r)
-    p2 = rook_tensor_gen("p", 2, p, r)
+    s = swap_op(1, p, r)
+    p1 = projection_op(1, p, r)
+    p2 = projection_op(2, p, r)
     one = Matrix.identity(4)
     lhs = p1 - s * p1 - p1 * s + p2 - (one - s).scale(1 + q)
     assert lhs.is_zero()
@@ -328,9 +334,9 @@ def test_n2_dependence_relation():
 @pytest.mark.parametrize("params,expected", [(P32, 7), (P22, 6)])
 def test_seven_element_operator_span(params, expected):
     r = 2
-    s = rook_tensor_gen("s", 1, params, r)
-    p1 = rook_tensor_gen("p", 1, params, r)
-    p2 = rook_tensor_gen("p", 2, params, r)
+    s = swap_op(1, params, r)
+    p1 = projection_op(1, params, r)
+    p2 = projection_op(2, params, r)
     one = Matrix.identity(params.n**r)
     seven = [one, s, p1, p2, s * p1, p1 * s, p1 * p2]
     assert matrix_span(seven).dim == expected
@@ -582,7 +588,7 @@ def test_block_generators_close_to_the_envelope_dimension(n, r):
 
 def _bumped(c):
     # one entry of C off by one
-    return c + Matrix.unit(c.rows, 1, 0)
+    return c + unit(c.rows, 1, 0)
 
 
 def _first_column_dropped(c):
@@ -1008,8 +1014,8 @@ def test_place_permutations_with_single_projection_generate():
     # closing {s_i, p_1} multiplicatively reaches the same algebra as
     # {s_i, p_1, ..., p_r}: the projections are conjugate under the swaps
     p, r = P22, 3
-    swaps = [rook_tensor_gen("s", i, p, r) for i in range(1, r)]
-    p_ops = [rook_tensor_gen("p", j, p, r) for j in range(1, r + 1)]
+    swaps = [swap_op(i, p, r) for i in range(1, r)]
+    p_ops = [projection_op(j, p, r) for j in range(1, r + 1)]
     dim_small, basis_small = span_closure(swaps + p_ops[:1])
     dim_full, basis_full = span_closure(swaps + p_ops)
     assert dim_small == dim_full
