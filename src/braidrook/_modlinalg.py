@@ -252,7 +252,7 @@ def closure_dim_mod(gens, p: int, ceiling: int) -> int:
     stopping there loses nothing, as the bound can meet ceiling and go no
     further. tensor._character_certificate passes rook_cent: before the
     closure runs, the commute check of duality_report and the
-    homomorphism, groupoid and character checks have proved
+    relations, groupoid and character checks have proved
     dim envelope <= dim C(image) = rook_cent. On a miss the closure
     saturates below ceiling, as with no ceiling at all.
     """

@@ -20,7 +20,7 @@ from math import comb, factorial, prod
 from operator import itemgetter
 from typing import Sequence
 
-from .diagrams import PartialPermutation, compose_perms, generator_diagrams, rook_elements
+from .diagrams import PartialPermutation, compose_perms, cycle_link_decompose, generator_diagrams, rook_elements
 from .linalg import rref
 from .scalars import IdentityError, format_scalar, scalar
 
@@ -402,32 +402,25 @@ def groupoid_failure(basis: Sequence[PartialPermutation], rows) -> str | None:
     return None
 
 
-def groupoid_block(value: dict, k: int) -> list[list]:
+def groupoid_block(n: int, k: int) -> list[list[int]]:
     """The k! x k! matrix [psi_k(s t^-1)] over s, t in S_k, the identity
-    first and products read left to right, where
-    psi_k(s) = sum over T in {1..k} of (-1)^(k - |T|) value[s|T], and value
-    maps the pairs of each diagram of rook_elements(r) to a character value.
-
-    For the character chi of a Q[R_r]-module V, chi(x) = chi_G(phi(x)),
-    so Moebius inversion over the restriction order makes psi_k = chi_G
-    on S_k: the character of S_k on [id_K] V, K = {1..k}."""
+    first and products read left to right, psi_k(s) = (n - 1)^cyc(s): the
+    character of S_k on [id_K] V, K = {1..k}, for a Q[R_r]-module V of
+    character chi = n^cyc. As chi(x) = chi_G(phi(x)), psi_k(s) is the
+    Moebius sum over T in {1..k} of (-1)^(k - |T|) n^cyc(s|T), s|T keeping
+    the cycles of s inside T, and each cycle gives n - 1: n when T holds
+    it, and -1 summed over the T that miss one of its points."""
     perms = list(permutations(range(1, k + 1)))
-    psi = {
-        w: sum(
-            (-1) ** (k - keep.bit_count())
-            * value[tuple((x, w[x - 1]) for x in range(1, k + 1) if keep >> (x - 1) & 1)]
-            for keep in range(1 << k)
-        )
-        for w in perms
-    }
+    # a permutation decomposes into cycles alone
+    psi = {w: (n - 1) ** len(cycle_link_decompose(PartialPermutation(k, enumerate(w, 1)))) for w in perms}
     inverse = {w: tuple(sorted(range(1, k + 1), key=lambda x: w[x - 1])) for w in perms}
     return [[psi[compose_perms(s, inverse[t])] for t in perms] for s in perms]
 
 
-def groupoid_dimensions(basis: Sequence[PartialPermutation], chi: Sequence) -> tuple[Fraction, int]:
+def groupoid_dimensions(n: int, r: int) -> tuple[Fraction, int]:
     """(dim End_A(V), dim of the image of A in End V) for a module V of
-    A = Q[R_r] whose character is chi[i] at basis[i] = rook_elements(r),
-    read off one groupoid_block per k; groupoid_failure must have passed.
+    A = Q[R_r] whose character is n^cyc, read off one groupoid_block per k;
+    groupoid_failure must have passed.
 
     Through phi, V is the sum over k of C(r,k) copies of the S_k-module
     W_k = [id_K] V, of character psi_k. So End_A(V) is the sum of the
@@ -435,13 +428,11 @@ def groupoid_dimensions(basis: Sequence[PartialPermutation], chi: Sequence) -> t
     psi_k(s^-1), and the image is the sum of the M_C(r,k)(image of Q S_k).
     The trace form tr_W(xy) of that semisimple image is nondegenerate on it
     and zero on the kernel: its dimension is rank [psi_k(s t^-1)]."""
-    r = basis[0].r
-    value = {d.pairs: x for d, x in zip(basis, chi)}
     centralizer, image = Fraction(0), 0
     for k in range(r + 1):
-        block = groupoid_block(value, k)
-        # column 0 holds psi_k(s), row 0 holds psi_k(s^-1)
-        centralizer += Fraction(sum(row[0] * x for row, x in zip(block, block[0])), factorial(k))
+        block = groupoid_block(n, k)
+        # row 0 holds psi_k(t^-1), over all of S_k
+        centralizer += Fraction(sum(x * x for x in block[0]), factorial(k))
         image += comb(r, k) ** 2 * len(rref(block)[1])
     return centralizer, image
 

@@ -122,10 +122,10 @@ def cmd_dims(args) -> int:
                 "sum_of_squares": sum(row["square"] for row in rows),
             }
         )
-    failed = any(level["sum_of_squares"] != rook_dimension(level["r"]) for level in levels)
+    bad = {level["r"] for level in levels if level["sum_of_squares"] != rook_dimension(level["r"])}
     if args.format == "json":
         _emit_json({"max_r": args.r, "rows": levels})
-        return 1 if failed else 0
+        return 1 if bad else 0
     table = [("r", "k", "partition", "dim", "square")]
     for level in levels:
         for cell in level["cells"]:
@@ -141,10 +141,10 @@ def cmd_dims(args) -> int:
     widths = [max(len(row[i]) for row in table) for i in range(5)]
     for row in table:
         print("  ".join(val.rjust(w) for val, w in zip(row, widths)))
-    for level in levels:
-        total = level["sum_of_squares"]
-        print(f"r = {level['r']}: sum of squares = {total} = dim of the algebra")
-    return 1 if failed else 0
+    for t, level in enumerate(levels):
+        equal = f"!= dim of the algebra {rook_dimension(t)}" if t in bad else "= dim of the algebra"
+        print(f"r = {t}: sum of squares = {level['sum_of_squares']} {equal}")
+    return 1 if bad else 0
 
 
 def cmd_bratteli(args) -> int:

@@ -185,20 +185,12 @@ def format_cycle_link(factors: Sequence[tuple[str, tuple[int, ...]]]) -> str:
 # -- presentation and rescaling reports -----------------------------------------
 
 
-def _relation(name: str, holds: bool) -> dict:
-    return {"name": name, "status": "pass" if holds else "fail"}
-
-
-def _monomial(
-    d: PartialPermutation, c: Fraction
-) -> tuple[PartialPermutation, Fraction] | None:
+def _monomial(d: PartialPermutation, c: Fraction) -> tuple[PartialPermutation, Fraction] | None:
     """The algebra element c d; None is the zero element."""
     return (d, c) if c else None
 
 
-def _product(
-    z: Fraction, *factors: PartialPermutation
-) -> tuple[PartialPermutation, Fraction] | None:
+def _product(z: Fraction, *factors: PartialPermutation) -> tuple[PartialPermutation, Fraction] | None:
     """factors[0] factors[1] ... in the algebra at z: the composite diagram
     times z^N, N the middle components dropped over all the compositions."""
     d, n = factors[0], 0
@@ -208,67 +200,65 @@ def _product(
     return _monomial(d, z**n)
 
 
-def verify_presentation(r: int, z) -> dict:
-    """Check the rook-monoid algebra relations on diagrams at parameter z:
-    (a) p_j^2 = z p_j and the p's commute; (b) the s_i satisfy the symmetric
-    group relations; (c) the mixed relations, plus the derived insertion
-    rule (i,j) p_i p_j = p_i p_j (i,j) = p_i p_j.
+def relations(r: int) -> list[tuple[str, list[tuple[PartialPermutation, ...]]]]:
+    """The rook-monoid relations as (name, chain) pairs, each chain a list of
+    equal words in s_i = (i, i+1), p_j and (i, j), the empty word being 1:
+    (a) p_j^2 = p_j and the p's commute; (b) the symmetric group relations
+    of the s_i; (c) the mixed relations, and the derived insertion rule
+    (i,j) p_i p_j = p_i p_j (i,j) = p_i p_j. In the algebra at z a word w is
+    z^e(w) times its monoid value, e(w) the sum of r - rank over its
+    letters: p_j^2 = z p_j. The list implies Popova's presentation of R_r
+    on s_1..s_(r-1), p_1 (tensor.duality_report says how)."""
+    s = [None] + [transposition(i, i + 1, r) for i in range(1, r)]
+    p = [None] + [projection(j, r) for j in range(1, r + 1)]
+    pairs = list(combinations(range(1, r + 1), 2))
+    out = []
+    for j in range(1, r + 1):
+        out.append((f"p_{j}^2 = z p_{j}", [(p[j], p[j]), (p[j],)]))
+    for i, j in pairs:
+        out.append((f"p_{i} p_{j} = p_{j} p_{i}", [(p[i], p[j]), (p[j], p[i])]))
+    for i in range(1, r):
+        out.append((f"s_{i}^2 = 1", [(s[i], s[i]), ()]))
+    for i in range(1, r - 1):
+        braid = [(s[i], s[i + 1], s[i]), (s[i + 1], s[i], s[i + 1])]
+        out.append((f"s_{i} s_{i+1} s_{i} = s_{i+1} s_{i} s_{i+1}", braid))
+    for i, j in pairs:
+        if 1 < j - i and j < r:
+            out.append((f"s_{i} s_{j} = s_{j} s_{i}", [(s[i], s[j]), (s[j], s[i])]))
+    for i in range(1, r):
+        pp = (p[i], p[i + 1])
+        out.append((f"s_{i} p_{i} p_{i+1} = p_{i} p_{i+1}", [(s[i], *pp), pp]))
+        out.append((f"p_{i} p_{i+1} s_{i} = p_{i} p_{i+1}", [(*pp, s[i]), pp]))
+        out.append((f"s_{i} p_{i} s_{i} = p_{i+1}", [(s[i], p[i], s[i]), (p[i + 1],)]))
+        for j in range(1, r + 1):
+            if j not in (i, i + 1):
+                out.append((f"s_{i} p_{j} = p_{j} s_{i}", [(s[i], p[j]), (p[j], s[i])]))
+    for i, j in pairs:
+        t, pp = transposition(i, j, r), (p[i], p[j])
+        out.append((f"({i},{j}) p_{i} p_{j} = p_{i} p_{j} = p_{i} p_{j} ({i},{j})", [(t, *pp), pp, (*pp, t)]))
+    return out
 
-    Both sides of every relation are monomials c d, so each is compared as
-    one pair (diagram, c); at z = 0 a side with a dropped component is the
-    zero element, and p_j^2 = z p_j holds with both sides zero."""
+
+def verify_presentation(r: int, z) -> dict:
+    """Check the relations of relations(r) on diagrams at parameter z: each
+    word w of a chain, times z^(e - e(w)) with e the largest e(w) of the
+    chain, gives one pair (diagram, c) by _product, and the pairs of a
+    chain must agree. At z = 0 a side with a dropped component is the zero
+    element, and p_j^2 = z p_j holds with both sides zero."""
     if r < 2:
         raise ValueError("presentation needs r >= 2")
     z = scalar(z)
-    s = [None] + [transposition(i, i + 1, r) for i in range(1, r)]
-    p = [None] + [projection(j, r) for j in range(1, r + 1)]
     one = PartialPermutation.identity(r)
-    checks: list[dict] = []
 
-    def holds(left: tuple, right: tuple) -> bool:
-        return _product(z, *left) == _product(z, *right)
+    def value(word: tuple[PartialPermutation, ...], e: int) -> tuple[PartialPermutation, Fraction] | None:
+        d, c = _product(z, *(word or (one,))) or (one, 0)
+        return _monomial(d, c * z ** (e - sum(r - f.rank for f in word)))
 
-    for j in range(1, r + 1):
-        squared = _product(z, p[j], p[j])
-        checks.append(_relation(f"p_{j}^2 = z p_{j}", squared == _monomial(p[j], z)))
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            checks.append(_relation(f"p_{i} p_{j} = p_{j} p_{i}", holds((p[i], p[j]), (p[j], p[i]))))
-
-    for i in range(1, r):
-        checks.append(_relation(f"s_{i}^2 = 1", holds((s[i], s[i]), (one,))))
-    for i in range(1, r - 1):
-        checks.append(
-            _relation(
-                f"s_{i} s_{i+1} s_{i} = s_{i+1} s_{i} s_{i+1}",
-                holds((s[i], s[i + 1], s[i]), (s[i + 1], s[i], s[i + 1])),
-            )
-        )
-    for i in range(1, r):
-        for j in range(i + 2, r):
-            checks.append(_relation(f"s_{i} s_{j} = s_{j} s_{i}", holds((s[i], s[j]), (s[j], s[i]))))
-
-    for i in range(1, r):
-        pp = (p[i], p[i + 1])
-        checks.append(_relation(f"s_{i} p_{i} p_{i+1} = p_{i} p_{i+1}", holds((s[i], *pp), pp)))
-        checks.append(_relation(f"p_{i} p_{i+1} s_{i} = p_{i} p_{i+1}", holds((*pp, s[i]), pp)))
-        checks.append(
-            _relation(f"s_{i} p_{i} s_{i} = p_{i+1}", holds((s[i], p[i], s[i]), (p[i + 1],)))
-        )
-        for j in range(1, r + 1):
-            if j in (i, i + 1):
-                continue
-            checks.append(
-                _relation(f"s_{i} p_{j} = p_{j} s_{i}", holds((s[i], p[j]), (p[j], s[i])))
-            )
-
-    for i in range(1, r + 1):
-        for j in range(i + 1, r + 1):
-            t = transposition(i, j, r)
-            pp = (p[i], p[j])
-            ok = holds((t, *pp), pp) and holds((*pp, t), pp)
-            checks.append(_relation(f"({i},{j}) p_{i} p_{j} = p_{i} p_{j} = p_{i} p_{j} ({i},{j})", ok))
-
+    checks = []
+    for name, chain in relations(r):
+        e = max(sum(r - f.rank for f in word) for word in chain)
+        first, *rest = (value(word, e) for word in chain)
+        checks.append({"name": name, "status": "pass" if all(v == first for v in rest) else "fail"})
     return {
         "r": r,
         "z": str(z),

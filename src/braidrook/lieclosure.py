@@ -160,8 +160,6 @@ def bracket_closure(gens: Sequence[Matrix]) -> BracketSpace:
     The certificate record (linalg.certificate_record) has the path, the
     prime, the primes skipped, bounds {"lower": dimension mod p,
     "ceiling": ...} and the reason the exact path ran."""
-    from . import _modlinalg
-
     if not gens:
         raise ValueError("bracket_closure needs a nonempty generator list")
     m = gens[0].rows

@@ -12,8 +12,9 @@ product of two diagram images picks up the same z^N factor as the diagrams.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from typing import Sequence
+from itertools import accumulate, pairwise, product
+from math import prod
+from typing import Iterable, Sequence
 
 from . import _modlinalg
 from .burau import BurauParams, block_generators, unreduced_generator
@@ -24,14 +25,11 @@ from .cellular import (
     gl_weyl_dim,
     groupoid_dimensions,
     groupoid_failure,
+    partition_label,
+    partitions_of,
     rook_dimension,
 )
-from .diagrams import (
-    PartialPermutation,
-    cycle_link_decompose,
-    generator_diagrams,
-    rook_elements,
-)
+from .diagrams import PartialPermutation, generator_diagrams, projection, relations, rook_elements
 from .linalg import certificate_record, commutant, matrix_span, span_closure
 from .matrix import Matrix, integer_form, kron_power, rows_of, sparse_product
 from .scalars import IdentityError
@@ -142,29 +140,6 @@ def bimodule_dimension_sum(n: int, r: int) -> int:
 # -- the duality report --------------------------------------------------------------
 
 
-def _homomorphism_failure(basis, den, ints, rows, z: Fraction, r: int, size: int) -> str | None:
-    """None when op(1) = 1 and op(g) op(d) = z^N op(gd) for every generator
-    g = s_1..s_(r-1), p_1 and every basis diagram d, with g and
-    gd = z^N a_k read off rows = cellular.generator_rows(basis); otherwise
-    the first failure.
-
-    The check runs on integers: every operator entry is a power of q, so
-    one common denominator D makes every M = D op(a) an integer matrix, and
-    (den, ints) = integer_form(ops) holds D and the M. So op(1) = 1 reads
-    M(1) = D 1, and the identity reads den(z)^N M(g) M(d) = D num(z)^N M(gd)."""
-    one = basis.index(PartialPermutation.identity(r))
-    if ints[one] != {k * (size + 1): den for k in range(size)}:
-        return "op(identity) is not the identity matrix"
-    by_rows = [rows_of(m, size) for m in ints]
-    for gi, row in rows:
-        for d, (k, dropped), d_rows in zip(basis, row, by_rows):
-            lhs, rhs = z.denominator**dropped, den * z.numerator**dropped
-            prod = sparse_product(ints[gi], d_rows, size, size)
-            if {i: v * lhs for i, v in prod.items()} != {i: v * rhs for i, v in ints[k].items()}:
-                return f"op(g) op(d) != z^{dropped} op(gd) at g = {basis[gi]!r}, d = {d!r}"
-    return None
-
-
 def _all_commute(left: Sequence[Matrix], right: Sequence[Matrix]) -> bool:
     """Whether ab = ba for every a in left and b in right, n x n matrices,
     checked on their integer_form (duality_report says why that is exact)."""
@@ -178,12 +153,61 @@ def _all_commute(left: Sequence[Matrix], right: Sequence[Matrix]) -> bool:
     )
 
 
-def _character_certificate(p: BurauParams, r: int, basis, ops, rows) -> dict:
-    """The certificate of duality_report, given the operators ops of the
-    basis diagrams and their generator_rows: the homomorphism, groupoid and
-    character checks, the two q-free dimensions of
-    cellular.groupoid_dimensions, and the mod-p closure of
-    burau.block_generators, with its prime from _modlinalg.lower_bound."""
+def _word_products(words: Iterable[tuple], letters: dict, size: int) -> dict:
+    """{w: M(w)} over the words w and their prefixes, M(w) = D^len(w) op(w)
+    by its nonzeros, given letters = {d: D op(d)} (integer_form); the empty
+    word is the identity, and each prefix is multiplied once."""
+    rows = {d: rows_of(m, size) for d, m in letters.items()}
+    out = {(): dict.fromkeys(range(0, size * size, size + 1), 1)}
+    for word in words:
+        for t in range(1, len(word) + 1):
+            if word[:t] not in out:
+                d = word[t - 1]
+                out[word[:t]] = sparse_product(out[word[: t - 1]], rows[d], size, size) if t > 1 else letters[d]
+    return out
+
+
+def _operator_failure(p: BurauParams, r: int, ops: dict) -> str | None:
+    """None when the rescaled operators rho(d) = z^-(r - rank d) op(d) of the
+    letters, ops = {d: op(d)}, satisfy every chain of diagrams.relations(r)
+    and tr rho(x) = n^l(mu) on the class word x of each (k, mu), mu a
+    partition of k <= r (the permutation of {1..k} with cycles mu, then
+    p_(k+1)..p_r); otherwise the first failure. Both read the integer
+    _word_products M(w): rho(w) = M(w) c(w), c(w) = prod of c[d] over w."""
+    z, size = p.quantum(p.n), p.n**r
+    swaps, ps = generator_diagrams(r)[:-1], [projection(j, r) for j in range(1, r + 1)]
+    rels, classes = relations(r), []
+    for k in range(r + 1):
+        for mu in partitions_of(k):
+            word = []
+            for a, b in pairwise((0, *accumulate(mu))):
+                word += swaps[a : b - 1]  # the cycle on {a+1..b} is s_(a+1) ... s_(b-1)
+            classes.append((k, mu, (*word, *ps[k:])))
+    den, ints = integer_form(ops.values())
+    words = [word for _, chain in rels for word in chain] + [word for *_, word in classes]
+    products = _word_products(words, dict(zip(ops, ints)), size)
+    c = {d: z ** (d.rank - r) / den for d in ops}  # rho(d) = c[d] M(d)
+    for name, (first, *rest) in rels:
+        a = products[first]
+        for word in rest:
+            # rho(first) = rho(word) iff x M(first) = M(word)
+            x, b = prod(map(c.get, first)) / prod(map(c.get, word)), products[word]
+            if a.keys() != b.keys() or any(a[i] * x.numerator != v * x.denominator for i, v in b.items()):
+                return f"{name} fails on the rescaled operators"
+    diagonal = range(0, size * size, size + 1)
+    for k, mu, word in classes:
+        chi = prod(map(c.get, word)) * sum(products[word].get(i, 0) for i in diagonal)
+        if chi != p.n ** len(mu):
+            where = f"the class word of k = {k}, mu = {partition_label(mu)}"
+            return f"character {chi} != n^cyc = {p.n ** len(mu)} at {where}"
+    return None
+
+
+def _character_certificate(p: BurauParams, r: int, basis, rows, ops: dict) -> dict:
+    """The certificate of duality_report from the letter operators ops and
+    the generator_rows of the basis: the relations, groupoid and character
+    checks, cellular.groupoid_dimensions, and the mod-p closure of
+    burau.block_generators at the prime of _modlinalg.lower_bound."""
     z = p.quantum(p.n)
     if z == 0:
         return certificate_record("exact", "z = [n]_q = 0 has no rescaled basis")
@@ -191,22 +215,11 @@ def _character_certificate(p: BurauParams, r: int, basis, ops, rows) -> dict:
         blocks = block_generators(p, r)
     except IdentityError as e:
         return certificate_record("exact", str(e))
-    size = ops[0].rows
-    den, ints = integer_form(ops)
-    failure = _homomorphism_failure(basis, den, ints, rows, z, r, size)
-    failure = failure or groupoid_failure(basis, rows)
+    failure = _operator_failure(p, r, ops) or groupoid_failure(basis, rows)
     if failure:
         return certificate_record("exact", failure)
-    # the trace of the rescaled operator z^-(r - rank a) op(a), read off D op(a)
-    traces = [sum(m.get(k * (size + 1), 0) for k in range(size)) for m in ints]
-    chi = [Fraction(t, den) / z ** (r - d.rank) for d, t in zip(basis, traces)]
-    for d, x in zip(basis, chi):
-        cycles = sum(kind == "cycle" for kind, _ in cycle_link_decompose(d))
-        if x != p.n**cycles:
-            reason = f"character {x} != n^cyc = {p.n ** cycles} at {d!r}"
-            return certificate_record("exact", reason)
     # sum m_lam^2, an integer; compared exactly below
-    rook_cent, rook_img = groupoid_dimensions(basis, chi)
+    rook_cent, rook_img = groupoid_dimensions(p.n, r)
     bounds = {"envelope_lower": None, "rook_centralizer": int(rook_cent), "rook_image": rook_img}
     # the commute check and the checks above proved
     # dim envelope <= dim C(image) = rook_cent, so the closure stops there
@@ -249,31 +262,38 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
 
     The dimensions come from the rook character ("character" path), for
     z = [n]_q != 0, through the rescaled operators
-    rho(a) = z^-(r - rank a) op(a) and the monoid algebra A = Q[R_r]. The
-    operators of the paper's generators and every gd = z^N a_k come from
-    cellular.generator_rows, which checks N = r + rank(gd) - rank g - rank d
-    on each entry. Four steps, all exact, none on an m x m matrix,
-    m = |R_r|:
-    - Homomorphism. op(1) = 1 and op(g) op(d) = z^N op(gd) for every
-      generator g and every basis diagram d. With the N identity of g's
-      row this is rho(g) rho(d) = rho(gd). For a word x = g x' in the
-      generators, rho(x d) = rho(g) rho(x' d) = rho(g) rho(x') rho(d) =
-      rho(x) rho(d) by induction, and the generators generate R_r. So rho
-      is a monoid map from R_r, op spans the same image as rho, and V is
-      an A-module through rho; only the r generator rows need the identity.
-    - Groupoid. cellular.groupoid_failure checks on the same rows that
+    rho(d) = z^-(r - rank d) op(d) and the monoid algebra A = Q[R_r]. Four
+    steps, all exact; only the letters of diagrams.relations(r) get an
+    operator, and no step works on an m x m matrix, m = |R_r|:
+    - Relations (_operator_failure). Every chain of diagrams.relations(r)
+      holds on the rho of its letters. Popova's relations present R_r on
+      s_1..s_(r-1), p_1 (L. M. Popova, Uchen. Zap. Leningrad. Gos. Ped.
+      Inst. 218, 1961; T. Halverson, J. Algebra 273, 2004): the Coxeter
+      relations, p_1^2 = p_1, p_1 s_j = s_j p_1 for j >= 2, and
+      p_1 s_1 p_1 s_1 = s_1 p_1 s_1 p_1 = p_1 s_1 p_1. The list implies
+      them: with p_(i+1) = s_i p_i s_i both four-letter words are p_1 p_2,
+      as the p's commute, and p_1 s_1 p_1 = p_1 p_2 s_1 = p_1 p_2. So rho
+      extends to a monoid map R_r -> End V that agrees with rho on every
+      p_j, and V is an A-module whose image is the rook image.
+    - Groupoid. cellular.groupoid_failure checks on the generator rows that
       Steinberg's phi is an algebra isomorphism from A onto the groupoid
       algebra, the sum over k of M_C(r,k)(Q S_k). So A is semisimple.
-    - Character. chi(a) = tr op(a) / z^(r - rank a) must equal n^cyc(a),
-      cyc(a) the number of cycles of a: the character of V is q-free.
-    - Dimensions (cellular.groupoid_dimensions). Through phi, V is the
-      sum over k of C(r,k) copies of an S_k-module W_k whose character
-      psi_k(s) = sum over T in {1..k} of (-1)^(k - |T|) chi(s|T) is the
-      Moebius inversion of chi. So C(image) = End_A(V) has dimension
-      sum_k <psi_k, psi_k>, and the image, the sum of the images of the
-      blocks, has dimension sum_k C(r,k)^2 rank [psi_k(s t^-1)], a k! x k!
-      matrix: the trace form tr_W(xy) of the semisimple image of Q S_k is
-      nondegenerate on it and zero on the kernel.
+    - Character. tr rho(x) = n^l(mu) on the class word x of each (k, mu),
+      mu a partition of k <= r, so chi = tr rho is n^cyc on all of R_r by
+      Munn's argument (W. D. Munn, Proc. Cambridge Philos. Soc. 53, 1957):
+      e = x^(r!), the partial identity on the cycles of x, commutes with x;
+      rho(x) is nilpotent on (1 - rho(e))V and acts as rho(xe) on rho(e)V,
+      so tr rho(x) = tr rho(xe); and xe, a permutation of its k points with
+      the cycles of x, is conjugate by a unit u, rho(u) invertible, to the
+      class word of its (k, mu).
+    - Dimensions (cellular.groupoid_dimensions). Through phi, V is the sum
+      over k of C(r,k) copies of an S_k-module W_k whose character psi_k is
+      the Moebius inversion of chi; each cycle contributes n - 1, so
+      psi_k(s) = (n - 1)^cyc(s). So C(image) = End_A(V) has dimension
+      sum_k <psi_k, psi_k>, and the image has dimension
+      sum_k C(r,k)^2 rank [psi_k(s t^-1)], a k! x k! matrix: the trace form
+      tr_W(xy) of the semisimple image of Q S_k is nondegenerate on it and
+      zero on the kernel.
     The braid side enters by one lower bound. The envelope has the
     dimension of the unital algebra of the B_i on the reduced blocks U
     (burau.block_generators). Reduce the B_i mod a prime p that divides
@@ -290,9 +310,9 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     A miss at one prime moves on to the next listed prime, keeping the
     largest lower bound. The exact centralizer, image, envelope and
     commutant dimensions are computed instead ("exact" path), on the
-    generators and basis operators already built, when the
-    actions do not commute, when z = 0, when the split check of the B_i,
-    or the homomorphism, groupoid or character check fails, when the
+    generators already built and the operators of every basis diagram, when
+    the actions do not commute, when z = 0, when the split check of the B_i,
+    or the relations, groupoid or character check fails, when the
     bounds miss at every listed prime, and when every listed prime divides
     a denominator. The N identity is q-free, so its failure is a fault of
     the diagram code: generator_rows raises IdentityError, as it does in
@@ -309,16 +329,17 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
         raise ValueError("params built for a different n")
     z = p.quantum(n)
     braid_gens = braid_generators(p, r)
-    # every diagram operator once; the generators' operators are among them
     basis = rook_elements(r)
-    ops = [diagram_op(d, p, r) for d in basis]
     rows = generator_rows(basis)
-    rook_gens = [ops[gi] for gi, _ in rows]
+    # the letters of the relations, the paper's generators among them
+    letters = dict.fromkeys(d for _, chain in relations(r) for word in chain for d in word)
+    ops = {d: diagram_op(d, p, r) for d in letters}
+    rook_gens = [ops[g] for g in generator_diagrams(r)]
 
     commute = _all_commute(braid_gens, rook_gens)
 
     if commute:
-        certificate = _character_certificate(p, r, basis, ops, rows)
+        certificate = _character_certificate(p, r, basis, rows, ops)
     else:
         certificate = certificate_record("exact", "actions do not commute")
 
@@ -336,7 +357,7 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
         )
     else:
         cent_dim, _ = commutant(braid_gens, size=n**r)
-        img_dim = rook_image(ops)
+        img_dim = rook_image([ops[d] if d in ops else diagram_op(d, p, r) for d in basis])
         env_dim, _ = span_closure(braid_gens)
         cent_of_img_dim, _ = commutant(rook_gens, size=n**r)
         img_how = env_how = f"exact dimensions; {certificate['fallback_reason']}"

@@ -1,0 +1,76 @@
+"""The all-basis duality checks that the relation and class-word checks of
+tensor.duality_report replaced, on the operators of all m = |R_r| basis
+diagrams: the homomorphism op(g) op(d) = z^N op(gd) for every generator g
+and basis diagram d, the rescaled character chi(d) = tr op(d) / z^(r - rank d)
+at every d, and the two q-free dimensions of cellular.groupoid_dimensions
+by Moebius inversion of chi. Every product comes from
+PartialPermutation.compose, not from the library's generator rows."""
+
+from fractions import Fraction
+from itertools import permutations
+from math import comb, factorial
+
+from braidrook.diagrams import PartialPermutation, compose_perms, generator_diagrams, rook_elements
+from braidrook.linalg import rref
+from braidrook.matrix import integer_form, rows_of, sparse_product
+from braidrook.tensor import diagram_op
+
+
+def all_basis_check(p, r):
+    """(failure, chi): failure is None when op(1) = 1 and
+    op(g) op(d) = z^N op(gd), gd = z^N a by compose, for every generator g
+    and every basis diagram d, and the first failure otherwise;
+    chi(d) = tr op(d) / z^(r - rank d) at every d of rook_elements(r).
+
+    The products run on the integer forms M = D op(a), D the common
+    denominator: op(1) = 1 reads M(1) = D 1, and the identity reads
+    den(z)^N M(g) M(d) = D num(z)^N M(gd)."""
+    z, size = p.quantum(p.n), p.n**r
+    basis = rook_elements(r)
+    index = {d: i for i, d in enumerate(basis)}
+    den, ints = integer_form(diagram_op(d, p, r) for d in basis)
+    traces = [sum(m.get(k * (size + 1), 0) for k in range(size)) for m in ints]
+    chi = [Fraction(t, den) / z ** (r - d.rank) for d, t in zip(basis, traces)]
+    if ints[index[PartialPermutation.identity(r)]] != {k * (size + 1): den for k in range(size)}:
+        return "op(identity) is not the identity matrix", chi
+    by_rows = [rows_of(m, size) for m in ints]
+    for g in generator_diagrams(r):
+        for d, d_rows in zip(basis, by_rows):
+            gd, dropped = g.compose(d)
+            lhs, rhs = z.denominator**dropped, den * z.numerator**dropped
+            prod = sparse_product(ints[index[g]], d_rows, size, size)
+            if {i: v * lhs for i, v in prod.items()} != {i: v * rhs for i, v in ints[index[gd]].items()}:
+                return f"op(g) op(d) != z^{dropped} op(gd) at g = {g!r}, d = {d!r}", chi
+    return None, chi
+
+
+def moebius_block(value, k):
+    """The k! x k! matrix [psi_k(s t^-1)] over s, t in S_k, the identity
+    first and products read left to right, where
+    psi_k(s) = sum over T in {1..k} of (-1)^(k - |T|) value[s|T], and value
+    maps the pairs of each diagram of rook_elements(r) to a character value."""
+    perms = list(permutations(range(1, k + 1)))
+    psi = {
+        w: sum(
+            (-1) ** (k - keep.bit_count())
+            * value[tuple((x, w[x - 1]) for x in range(1, k + 1) if keep >> (x - 1) & 1)]
+            for keep in range(1 << k)
+        )
+        for w in perms
+    }
+    inverse = {w: tuple(sorted(range(1, k + 1), key=lambda x: w[x - 1])) for w in perms}
+    return [[psi[compose_perms(s, inverse[t])] for t in perms] for s in perms]
+
+
+def moebius_dimensions(basis, chi):
+    """(sum_k <psi_k, psi_k>, sum_k C(r,k)^2 rank [psi_k(s t^-1)]) for the
+    character chi[i] at basis[i] = rook_elements(r), one moebius_block per k."""
+    r = basis[0].r
+    value = {d.pairs: x for d, x in zip(basis, chi)}
+    centralizer, image = Fraction(0), 0
+    for k in range(r + 1):
+        block = moebius_block(value, k)
+        # column 0 holds psi_k(s), row 0 holds psi_k(s^-1)
+        centralizer += Fraction(sum(row[0] * x for row, x in zip(block, block[0])), factorial(k))
+        image += comb(r, k) ** 2 * len(rref(block)[1])
+    return centralizer, image

@@ -21,6 +21,7 @@ from braidrook.cellular import (
     dim_recursion,
     dims_table,
     generator_rows,
+    groupoid_block,
     groupoid_dimensions,
     groupoid_failure,
     hook_lengths,
@@ -48,6 +49,7 @@ from braidrook.diagrams import (
 )
 from braidrook.linalg import det
 from braidrook.scalars import IdentityError
+from character_oracle import moebius_block, moebius_dimensions
 from gram_oracle import eliminated_dimensions, product_table, regular_trace_gram, tensor_character
 from rook_factorization import permutation_diagram
 
@@ -601,17 +603,35 @@ def test_groupoid_dimensions_match_the_eliminations(n, r):
     # rank chi(ab), for chi = n^cyc, the character of the tensor space
     basis = rook_elements(r)
     chi = tensor_character(n, basis)
-    assert groupoid_dimensions(basis, chi) == eliminated_dimensions(product_table(basis), chi)
+    assert groupoid_dimensions(n, r) == eliminated_dimensions(product_table(basis), chi)
 
 
-def test_groupoid_dimensions_move_with_a_miscounted_cycle():
-    # chi(1) = n^(r-1) where the identity diagram has r cycles
-    basis = rook_elements(3)
-    chi = tensor_character(3, basis)
-    true = groupoid_dimensions(basis, chi)
-    chi[basis.index(PartialPermutation.identity(3))] /= 3
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_groupoid_blocks_are_the_moebius_inversion_of_n_cyc(n):
+    # psi_k = (n - 1)^cyc against the 2^k-term Moebius sum of n^cyc over
+    # every block k <= 5, so groupoid_dimensions(n, r) reads the same blocks
+    # for r <= 5; the dimensions themselves agree for r <= 4
+    for k in range(6):
+        basis = rook_elements(k)
+        value = {d.pairs: x for d, x in zip(basis, tensor_character(n, basis))}
+        assert groupoid_block(n, k) == moebius_block(value, k)
+    for r in range(5):
+        basis = rook_elements(r)
+        assert groupoid_dimensions(n, r) == moebius_dimensions(basis, tensor_character(n, basis))
+
+
+def test_groupoid_dimensions_move_with_a_miscounted_cycle(monkeypatch):
+    # psi_3(1) = (n - 1)^2 where the identity of S_3 has 3 cycles
+    real = cellular.cycle_link_decompose
+
+    def miscounted(d):
+        factors = real(d)
+        return factors[1:] if d == PartialPermutation.identity(3) else factors
+
+    true = groupoid_dimensions(3, 3)
+    monkeypatch.setattr(cellular, "cycle_link_decompose", miscounted)
     assert true == (35, 33)
-    assert groupoid_dimensions(basis, chi) == (41, 34)
+    assert groupoid_dimensions(3, 3) == (27, 34)
 
 
 def test_semisimplicity_r4_z7_pinned():

@@ -146,9 +146,14 @@ def test_dims_json(capsys):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_dims_exits_1_on_a_wrong_sum_of_squares(capsys, monkeypatch, fmt):
-    monkeypatch.setattr(cli_module, "rook_dimension", lambda r: cellular_module.rook_dimension(r) + 1)
-    code, _, _ = run(capsys, "dims", "--r", "2", "--format", fmt)
+    # only level 2 is off: its line must deny the equality, the others keep it
+    real = cellular_module.rook_dimension
+    monkeypatch.setattr(cli_module, "rook_dimension", lambda r: real(r) + (r == 2))
+    code, out, _ = run(capsys, "dims", "--r", "2", "--format", fmt)
     assert code == 1
+    if fmt == "text":
+        assert "r = 2: sum of squares = 7 != dim of the algebra 8" in out
+        assert "r = 1: sum of squares = 2 = dim of the algebra" in out
 
 
 # -- bratteli ---------------------------------------------------------------

@@ -17,6 +17,7 @@ from braidrook.diagrams import (
     cycle_link_decompose,
     format_cycle_link,
     projection,
+    relations,
     rescale_iso_check,
     rook_elements,
     transposition,
@@ -330,6 +331,30 @@ def test_presentation_degenerate_flag():
 def test_presentation_rejects_small_r():
     with pytest.raises(ValueError):
         verify_presentation(1, 2)
+
+
+def test_relations_at_r_0_and_1():
+    # R_0 is trivial, and R_1 = {1, p_1} is presented by p_1^2 = p_1
+    p1 = projection(1, 1)
+    assert relations(0) == []
+    assert relations(1) == [("p_1^2 = z p_1", [(p1, p1), (p1,)])]
+
+
+@pytest.mark.parametrize("r", range(7))
+def test_every_relation_chain_holds_under_compose(r):
+    # the words of a chain, each folded by compose from the identity, give
+    # one diagram d, with N - e(w) = rank d - r for e(w) the sum of r - rank
+    # over the letters: the rescaled letters z^-(r - rank) multiply as R_r
+    for name, chain in relations(r):
+        products = set()
+        for word in chain:
+            d, dropped = PartialPermutation.identity(r), 0
+            for letter in word:
+                d, n = d.compose(letter)
+                dropped += n
+            assert dropped - sum(r - letter.rank for letter in word) == d.rank - r, name
+            products.add(d)
+        assert len(products) == 1, name
 
 
 def _mutated_compose(monkeypatch, mutate):

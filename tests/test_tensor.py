@@ -1,6 +1,7 @@
 """Commuting tensor actions, centralizers, enveloping algebras, duality."""
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -8,12 +9,13 @@ from itertools import permutations, product
 
 import pytest
 from dense import unit
+import character_oracle
 from gram_oracle import eliminated_dimensions, product_table, tensor_character
 from rook_factorization import projection_factorization
 
 from braidrook import _modlinalg, acceptance, burau, cellular, linalg, tensor
 from braidrook.burau import BurauParams, block_generators, projection_p, unreduced_generator
-from braidrook.diagrams import PartialPermutation, projection, rook_elements, transposition
+from braidrook.diagrams import PartialPermutation, projection, relations, rook_elements, transposition
 from braidrook.linalg import commutant, matrix_span, span_closure, spans_equal
 from braidrook.matrix import Matrix, kron
 from braidrook.tensor import (
@@ -500,6 +502,87 @@ def test_duality_n2_r5_on_the_character_path():
     assert cert["bounds"] == {"envelope_lower": 6, "rook_centralizer": 6, "rook_image": 252}
 
 
+def test_duality_n3_r5_on_the_character_path():
+    # n^r = 243, over MATRIX_SIZE_BUDGET: the checks on all 1546 basis
+    # operators took 15 s and 739 MiB here; the relations and class words
+    # read the operators of their 15 letters
+    start = time.perf_counter()
+    report = duality_report(3, 5, P32, budget=3**5)
+    elapsed = time.perf_counter() - start
+    _assert_all_pass(report)
+    cert = report["certificate"]
+    assert cert["path"] == "character" and cert["prime"] == _modlinalg.SANDWICH_PRIMES[0]
+    assert cert["bounds"] == {"envelope_lower": 126, "rook_centralizer": 126, "rook_image": 1118}
+    assert elapsed < 4
+
+
+@pytest.mark.parametrize("n,r,bound", [(2, 0, 1), (3, 0, 1), (2, 1, 2), (3, 1, 5)])
+def test_duality_r0_and_r1_on_the_character_path(n, r, bound):
+    # relations(0) is empty and relations(1) is p_1^2 = z p_1 alone
+    report = duality_report(n, r, BurauParams.preset(n))
+    _assert_all_pass(report)
+    assert report["faithful"]
+    cert = report["certificate"]
+    assert cert["path"] == "character"
+    assert cert["bounds"] == {"envelope_lower": bound, "rook_centralizer": bound, "rook_image": r + 1}
+
+
+ORACLE_CASES = [(n, r, q) for n, r in acceptance.DUALITY_GRID for q in acceptance.DUALITY_QS]
+ORACLE_CASES += [(n, r, Fraction(2)) for n, r in [(4, 3), (2, 4), (3, 4), (2, 5)]]
+
+
+def _letter_ops(params, r):
+    letters = dict.fromkeys(d for _, chain in relations(r) for word in chain for d in word)
+    return {d: tensor.diagram_op(d, params, r) for d in letters}
+
+
+@pytest.mark.parametrize("n,r,q", ORACLE_CASES, ids=str)
+def test_relation_and_class_checks_agree_with_the_all_basis_oracle(n, r, q):
+    # op(g) op(d) = z^N op(gd) on every basis diagram, and the Moebius
+    # inversion of the traces of all m basis operators, against the
+    # relations, the class words and psi_k = (n - 1)^cyc
+    params = BurauParams.preset(n, q)
+    assert tensor._operator_failure(params, r, _letter_ops(params, r)) is None
+    failure, chi = character_oracle.all_basis_check(params, r)
+    basis = rook_elements(r)
+    assert failure is None and chi == tensor_character(n, basis)
+    assert character_oracle.moebius_dimensions(basis, chi) == cellular.groupoid_dimensions(n, r)
+
+
+def _at_the_z1_scale(d, p, r):
+    return diagram_op(d, p, r).scale(p.quantum(p.n) ** (d.rank - r))
+
+
+def _with_s1_doubled(d, p, r):
+    return diagram_op(d, p, r).scale(2 if d == transposition(1, 2, r) else 1)
+
+
+@pytest.mark.parametrize("fault", [_at_the_z1_scale, _with_s1_doubled], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("n,r", [(3, 2), (2, 3)])
+def test_relations_fail_where_the_all_basis_oracle_fails(monkeypatch, fault, n, r):
+    params = BurauParams.preset(n)
+    assert tensor._operator_failure(params, r, _letter_ops(params, r)) is None
+    monkeypatch.setattr(tensor, "diagram_op", fault)
+    monkeypatch.setattr(character_oracle, "diagram_op", fault)
+    assert tensor._operator_failure(params, r, _letter_ops(params, r)) is not None
+    assert character_oracle.all_basis_check(params, r)[0] is not None
+
+
+@pytest.mark.parametrize("n,r", [(3, 3), (2, 4)])
+def test_character_path_builds_only_the_letters_of_the_relations(monkeypatch, n, r):
+    real = tensor.diagram_op
+    built = []
+
+    def recorded(d, p, r):
+        built.append(d)
+        return real(d, p, r)
+
+    monkeypatch.setattr(tensor, "diagram_op", recorded)
+    assert duality_report(n, r, BurauParams.preset(n))["certificate"]["path"] == "character"
+    letters = {d for _, chain in relations(r) for word in chain for d in word}
+    assert set(built) == letters and len(built) == len(letters)
+
+
 def test_duality_n2_r4_passes_no_rref_more_than_24_rows(monkeypatch):
     # the largest groupoid block at r = 4 is 4! x 4!
     rows = []
@@ -518,10 +601,13 @@ def test_duality_n2_r4_passes_no_rref_more_than_24_rows(monkeypatch):
 
 def test_homomorphism_and_commute_checks_run_on_the_r_generators(monkeypatch):
     # s_1, p_1 at r = 2: 2 braid x 2 rook generators, two products each,
-    # and 2 x 7 homomorphism products, where s_1, p_1, p_2 took 12 + 21
+    # and one product per word prefix of length 2 or 3 in the relations:
+    # p_1 p_1, p_2 p_2, p_1 p_2, p_2 p_1, s_1 s_1, s_1 p_1, s_1 p_1 p_2,
+    # p_1 p_2 s_1 and s_1 p_1 s_1; the class words p_1 p_2, p_2, s_1 and 1
+    # add none. The all-basis check took 2 x 7
     calls = _count_calls(monkeypatch, (tensor,), "sparse_product")
     assert duality_report(3, 2, P32)["certificate"]["path"] == "character"
-    assert calls["sparse_product"] == 2 * 2 * 2 + 2 * 7
+    assert calls["sparse_product"] == 2 * 2 * 2 + 9
 
 
 @pytest.mark.parametrize("n,r", acceptance.DUALITY_GRID)
@@ -546,7 +632,8 @@ def test_dropped_restriction_takes_the_exact_path(monkeypatch):
 
 
 def test_wrong_generator_product_takes_the_exact_path(monkeypatch):
-    # s_1 s_1 read off the generator rows as s_1 where it is the identity
+    # s_1 s_1 read off the generator rows as s_1 where it is the identity;
+    # only the groupoid check reads the rows
     real = cellular.generator_rows
 
     def rows(basis):
@@ -558,7 +645,8 @@ def test_wrong_generator_product_takes_the_exact_path(monkeypatch):
 
     monkeypatch.setattr(tensor, "generator_rows", rows)
     reason = _passing_on_the_exact_path(duality_report(3, 2, P32))
-    assert reason.startswith("op(g) op(d) != z^0 op(gd) at g = ")
+    s1 = transposition(1, 2, 2)
+    assert reason == f"phi(g) phi(b) != phi(gb) at g = {s1!r}, b = {s1!r}"
 
 
 def test_bumped_psi_block_takes_the_exact_path(monkeypatch):
@@ -566,8 +654,8 @@ def test_bumped_psi_block_takes_the_exact_path(monkeypatch):
     # from the envelope's 15 to 19
     real = cellular.groupoid_block
 
-    def bumped(value, k):
-        block = real(value, k)
+    def bumped(n, k):
+        block = real(n, k)
         if k == 2:
             block[0][0] += 1
         return block
@@ -624,7 +712,8 @@ def _failing_on_the_exact_path(report):
 
 def test_wrong_q_projection_fails_commute_and_both_equalities(monkeypatch):
     # every diagram operator built at q = 3 against braid generators at q = 2;
-    # the exact path reuses the 7 basis operators the report built
+    # the exact path reuses the 3 letter operators s_1, p_1, p_2 and builds
+    # the other 4 basis operators
     real = tensor.diagram_op
     built = []
 
@@ -734,26 +823,28 @@ def _passing_on_the_exact_path(report):
 
 
 @pytest.mark.parametrize("q", [Fraction(2), Fraction(1, 2)], ids=str)
-def test_scaled_identity_operator_fails_the_homomorphism_check(monkeypatch, q):
-    # op(1) = 2 is read as D op(1) = 2D on the integer forms; at q = 1/2 the
-    # common denominator D is not 1
+def test_scaled_swap_operator_fails_s1_squared(monkeypatch, q):
+    # op(s_1) = 2 (1 2) still commutes with the braid group, but
+    # op(s_1)^2 = 4 is read as D^2 op(s_1)^2 = 4 D^2 on the integer forms
+    # against the identity of the empty word; at q = 1/2 the common
+    # denominator D is not 1
     real = tensor.diagram_op
 
     def doubled(d, p, r):
         op = real(d, p, r)
-        return op.scale(2) if d == PartialPermutation.identity(r) else op
+        return op.scale(2) if d == transposition(1, 2, r) else op
 
     params = BurauParams.preset(3, q)
     monkeypatch.setattr(tensor, "diagram_op", doubled)
     cert = duality_report(3, 2, params)["certificate"]
     assert cert["path"] == "exact"
-    assert cert["fallback_reason"] == "op(identity) is not the identity matrix"
+    assert cert["fallback_reason"] == "s_1^2 = 1 fails on the rescaled operators"
 
 
 def test_wrong_z_power_fails_the_homomorphism_check(monkeypatch):
     # every operator at the z = 1 scale, z^-(r - rank d) op(d): the operators
     # still commute with the braid group and span the image, but
-    # op(p_1) op(p_1) is z^-1 op(p_1) where z^1 op(p_1 p_1) is op(p_1)
+    # op(p_1) op(p_1) is z^-1 op(p_1), not z op(p_1)
     real = tensor.diagram_op
 
     def rescaled(d, p, r):
@@ -761,20 +852,51 @@ def test_wrong_z_power_fails_the_homomorphism_check(monkeypatch):
 
     monkeypatch.setattr(tensor, "diagram_op", rescaled)
     reason = _passing_on_the_exact_path(duality_report(3, 2, P32))
-    assert reason.startswith("op(g) op(d) != z^")
+    assert reason == "p_1^2 = z p_1 fails on the rescaled operators"
+
+
+def test_bumped_swap_operator_breaks_a_relation(monkeypatch):
+    # one entry of D op(s_1) raised by one where the relations read it; the
+    # commute check runs on the true operators
+    real = tensor._word_products
+    s1 = transposition(1, 2, 2)
+
+    def bumped(words, letters, size):
+        m = letters[s1]
+        return real(words, {**letters, s1: {**m, 1: m.get(1, 0) + 1}}, size)
+
+    monkeypatch.setattr(tensor, "_word_products", bumped)
+    reason = _passing_on_the_exact_path(duality_report(3, 2, P32))
+    assert reason == "s_1^2 = 1 fails on the rescaled operators"
+
+
+def test_class_word_trace_off_by_one_breaks_the_character_check(monkeypatch):
+    # the first diagonal entry of the product of the class word s_1 raised
+    # by one; no relation reads that word alone
+    real = tensor._word_products
+    s1 = (transposition(1, 2, 2),)
+
+    def bumped(words, letters, size):
+        out = real(words, letters, size)
+        out[s1] = {**out[s1], 0: out[s1].get(0, 0) + 1}
+        return out
+
+    monkeypatch.setattr(tensor, "_word_products", bumped)
+    reason = _passing_on_the_exact_path(duality_report(3, 2, P32))
+    assert reason == "character 4 != n^cyc = 3 at the class word of k = 2, mu = 2"
 
 
 def test_miscounted_cycle_fails_the_character_check(monkeypatch):
-    # one cycle of the identity diagram dropped: n^cyc is 3, its trace is 9
-    real = tensor.cycle_link_decompose
+    # the class of the identity at r = 2 read with one cycle, mu = (1,):
+    # its class word is still the empty word, so n^cyc is 3 and its trace 9
+    real = tensor.partitions_of
 
-    def miscounted(d):
-        factors = real(d)
-        return factors[1:] if d == PartialPermutation.identity(d.r) else factors
+    def miscounted(k):
+        return [mu[1:] if mu == (1, 1) else mu for mu in real(k)]
 
-    monkeypatch.setattr(tensor, "cycle_link_decompose", miscounted)
+    monkeypatch.setattr(tensor, "partitions_of", miscounted)
     reason = _passing_on_the_exact_path(duality_report(3, 2, P32))
-    assert reason == f"character 9 != n^cyc = 3 at {PartialPermutation.identity(2)!r}"
+    assert reason == "character 9 != n^cyc = 3 at the class word of k = 2, mu = 1"
 
 
 def test_zero_z_takes_the_exact_path():
@@ -870,7 +992,8 @@ def test_q1_control_is_a_real_failure_on_the_exact_path(monkeypatch):
     # at q = 1 the braid action factors through S_3, so its centralizer
     # outgrows the rook image: the closure (6) never meets the character
     # dimension (15), and the exact dimensions fail both identities
-    # although the actions commute; each basis operator is built once
+    # although the actions commute; each basis operator is built once, the
+    # 3 letters of the relations first
     real = tensor.diagram_op
     built = []
 
