@@ -18,9 +18,12 @@ the dimension over F_p of a space spanned by reductions of p-integral
 rational matrices, which is at most the dimension over Q when p divides
 no denominator of the generators. One search,
 lower_bound, picks p from SANDWICH_PRIMES for both:
-- closure_dim_mod: the unital algebra of the braid generators on the
-  reduced blocks (burau.block_generators), the one lower bound of the
-  duality report's character certificate (see tensor.duality_report);
+- envelope_bound: the braid envelope shape by shape, the one lower bound
+  of the duality report's character certificate (see
+  tensor.duality_report). For each shape lambda it spans the image
+  W_lambda of a Young symmetrizer on F_p^(x k) (schur_block), restricts
+  the braid generators to it slot by slot (restrict), and closes them
+  there (closure_dim_mod, ceiling (dim W_lambda)^2);
 - bracket_closure_dim_mod: the Lie algebra of the tangent generators, which
   lieclosure.bracket_closure compares with its gl/sl ceiling.
 """
@@ -28,6 +31,7 @@ lower_bound, picks p from SANDWICH_PRIMES for both:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, permutations, product
 from math import gcd, isqrt, lcm
 
 from .linalg import worklist_closure
@@ -203,11 +207,10 @@ def residues(m, p: int) -> dict[int, int]:
     return {k: r for k, r in out if r}
 
 
-def _echelon_add(basis: dict[int, dict[int, int]], v: dict[int, int], p: int):
-    """Adjoin the residue vector v, {index: nonzero residue}, to the fully
-    reduced echelon basis {pivot: row, 1 at the pivot} over F_p, in place;
-    v is used up. Returns a copy of the new basis row, or None when v
-    already lies in the span."""
+def _reduce(basis: dict[int, dict[int, int]], v: dict[int, int], p: int) -> dict[int, int]:
+    """Reduce the residue vector v, {index: nonzero residue}, in place
+    against the fully reduced echelon basis {pivot: row, 1 at the pivot}
+    over F_p, and return it: empty exactly when v lies in the span."""
     # pivot columns are zero in every other basis row, so each coefficient
     # can be read off v before any subtraction
     for piv, c in [(k, c) for k, c in v.items() if k in basis]:
@@ -217,7 +220,14 @@ def _echelon_add(basis: dict[int, dict[int, int]], v: dict[int, int], p: int):
                 v[k] = t
             else:
                 del v[k]
-    if not v:
+    return v
+
+
+def _echelon_add(basis: dict[int, dict[int, int]], v: dict[int, int], p: int):
+    """Adjoin the residue vector v to the fully reduced echelon basis, in
+    place; v is used up. Returns a copy of the new basis row, or None when
+    v already lies in the span."""
+    if not _reduce(basis, v, p):
         return None
     piv = min(v)
     inv = pow(v[piv], -1, p)
@@ -235,36 +245,153 @@ def _echelon_add(basis: dict[int, dict[int, int]], v: dict[int, int], p: int):
     return dict(v)
 
 
-def closure_dim_mod(gens, p: int, ceiling: int) -> int:
-    """Dimension over F_p of the unital algebra that the residues of the
-    p-integral rational matrices gens generate: linalg.worklist_closure of
-    the span of 1 under right multiplication by each residue matrix; it
-    stops once the dimension reaches ceiling.
-
-    Every element found is a product of the generators, so the result is at
-    most the dimension over Q of the algebra the rational matrices generate:
-    the Z_(p)-span of their products is a lattice of that rank, and its
-    reduction mod p spans everything found here. That needs nothing of the
-    generators but p-integrality; in particular a generator that is
-    singular mod p only makes the bound smaller.
-
-    The caller must know the dimension over Q to be at most ceiling; then
-    stopping there loses nothing, as the bound can meet ceiling and go no
-    further. tensor._character_certificate passes rook_cent: before the
-    closure runs, the commute check of duality_report and the
-    relations, groupoid and character checks have proved
-    dim envelope <= dim C(image) = rook_cent. On a miss the closure
-    saturates below ceiling, as with no ceiling at all.
-    """
-    m = gens[0].rows
+def closure_dim_mod(gens, m: int, p: int, ceiling: int | None) -> int:
+    """Dimension over F_p of the unital algebra that the m x m residue
+    matrices gens, {row-major index: residue}, generate:
+    linalg.worklist_closure of the span of 1 under right multiplication by
+    each of them; it stops once the dimension reaches ceiling, which
+    loses nothing when ceiling bounds the algebra (m^2 always does).
+    envelope_bound runs it on each shape's block, with ceiling d^2, and on
+    pairs of blocks that no trace separates, with ceiling 2 d^2."""
     basis: dict[int, dict[int, int]] = {}
 
     def right(g):
-        rows = rows_of(residues(g, p), m)
+        rows = rows_of(g, m)
         return lambda w: {k: r for k, x in sparse_product(w, rows, m, m).items() if (r := x % p)}
 
     one = {k * (m + 1): 1 for k in range(m)}
     return worklist_closure(lambda v: _echelon_add(basis, v, p), [one], [right(g) for g in gens], ceiling)
+
+
+def schur_block(shape, m: int, p: int) -> dict[int, dict[int, int]]:
+    """W = c(F_p^(x k)), F_p = Z/p, k = |shape|, as its fully reduced
+    echelon basis {pivot: row} on the basis tensors e_J, J in {0..m-1}^k
+    flattened with the first slot most significant (as burau's Kronecker
+    powers): the span of c(e_J) over every J. c = b a is the Young
+    symmetrizer of the row-reading tableau of shape, acting by place
+    permutations, (s e_J)_t = e_(J_s(t)): a sums those that keep each row
+    of the tableau, b those that keep each column, with their signs."""
+    k, row_of, col_of = sum(shape), [], []
+    for i, length in enumerate(shape):
+        row_of += [i] * length
+        col_of += range(length)
+    rows, cols = [], []
+    for s in permutations(range(k)):
+        if list(map(row_of.__getitem__, s)) == row_of:
+            rows.append(s)
+        if list(map(col_of.__getitem__, s)) == col_of:
+            cols.append((s, (-1) ** sum(x > y for i, x in enumerate(s) for y in s[i + 1 :])))
+    # b a e_J = sum of sign(tau) e_(J sigma tau): digit t of each term is J_sigma(tau(t))
+    terms = [([sigma[t] for t in tau], sign) for sigma in rows for tau, sign in cols]
+    basis: dict[int, dict[int, int]] = {}
+    for j in product(range(m), repeat=k):
+        v: dict[int, int] = {}
+        for perm, sign in terms:
+            idx = 0
+            for t in perm:
+                idx = idx * m + j[t]
+            v[idx] = v.get(idx, 0) + sign
+        _echelon_add(basis, {i: r for i, x in v.items() if (r := x % p)}, p)
+    return basis
+
+
+def _slot_apply(v: dict[int, int], cols, w: int, m: int, p: int) -> dict[int, int]:
+    """(1 x ... x R x ... x 1) v mod p, R acting on the slot of weight w of
+    the flat index, given by its columns cols = {b: [(a, R_ab), ...]}."""
+    out: dict[int, int] = {}
+    for idx, x in v.items():
+        b = idx // w % m
+        for a, y in cols.get(b, ()):
+            t = idx + (a - b) * w
+            out[t] = out.get(t, 0) + x * y
+    return {t: r for t, x in out.items() if (r := x % p)}
+
+
+def restrict(basis, cols, scale: int, k: int, m: int, p: int) -> dict[int, int] | None:
+    """The d x d matrix, by its nonzero residues, of scale R^(x k) on the
+    span W of the echelon basis, R applied one slot at a time from its
+    columns cols and never formed: column t holds the image of the t-th
+    basis row (pivot order), read off at the pivots. None when an image
+    leaves a nonzero residual, so that W is not invariant."""
+    pivots = sorted(basis)
+    d, at, out = len(pivots), dict(zip(pivots, range(len(pivots)))), {}
+    for t, piv in enumerate(pivots):
+        v = dict(basis[piv])
+        for s in range(k):
+            v = _slot_apply(v, cols, m**s, m, p)
+        for i, x in v.items():
+            if i in at and x * scale % p:
+                out[at[i] * d + t] = x * scale % p
+        if _reduce(basis, v, p):
+            return None
+    return out
+
+
+# the words whose traces separate two blocks of one dimension, in order
+TRACE_WORDS = (("tr B_1", (0,)), ("tr B_1 B_2", (0, 1)), ("tr B_1^2", (0, 0)))
+
+
+def envelope_bound(gens, r: int, shapes, p: int) -> tuple[int, dict]:
+    """The duality report's lower bound mod p on the braid envelope, shape
+    by shape: gens = [q1 as a 1 x 1 matrix, R_1, ..., R_(n-1)] are the
+    p-integral inputs of burau.split_generators, and shapes lists
+    (lambda, expected dimension) for each lambda of k <= r. For each, with
+    m = n - 1:
+    - W = schur_block(lambda, m, p), and a check that dim W is expected;
+    - B_i restricted to W: restrict of R_i with scale q1^(r-k); a nonzero
+      residual means W is not invariant;
+    - the closure of the restricted B_i, with ceiling d^2, d = dim W; the
+      block is full when it reaches d^2.
+    Two full blocks of one dimension are separated when the trace of a
+    word of TRACE_WORDS differs on them, or else when the closure of the
+    pair reaches 2 d^2. The bound is the sum of d^2 over the full blocks
+    separated from every other full block; tensor.duality_report says why
+    it is at most the dimension of the envelope over Q. Returns (bound,
+    record): the record has each shape's label, dim and closure (None when
+    a check failed before it), the word that separated each pair of
+    equal-dimension full blocks (None when none did), and each failed
+    check."""
+    q1, m, cols = residues(gens[0], p).get(0, 0), gens[1].rows, []
+    for g in gens[1:]:
+        cols.append({})
+        for i, x in residues(g, p).items():
+            cols[-1].setdefault(i % m, []).append((i // m, x))
+    words = [(name, w) for name, w in TRACE_WORDS if max(w) < len(cols)]
+    blocks, full, failures = [], [], []
+    for shape, want in shapes:
+        label, k = f"({','.join(map(str, shape))})", sum(shape)
+        basis = schur_block(shape, m, p)
+        d, closure = len(basis), None
+        if d != want:
+            failures.append(f"dim W_{label} = {d}, not {want}")
+        elif None in (block := [restrict(basis, c, pow(q1, r - k, p), k, m, p) for c in cols]):
+            failures.append(f"W_{label} is not invariant")
+        elif (closure := closure_dim_mod(block, d, p, d * d)) == d * d:
+            traces = []
+            for _, word in words:
+                x = block[word[0]]
+                for i in word[1:]:
+                    x = sparse_product(x, rows_of(block[i], d), d, d)
+                traces.append(sum(x.get(t * (d + 1), 0) for t in range(d)) % p)
+            full.append((label, d, block, traces))
+        blocks.append({"shape": label, "dim": d, "closure": closure})
+    separated, tied = [], set()
+    for (i, (a, d, ga, ta)), (j, (b, e, gb, tb)) in combinations(enumerate(full), 2):
+        if d != e:
+            continue
+        by = next((name for (name, _), x, y in zip(words, ta, tb) if x != y), None)
+        if by is None:
+            # each generator of the pair as the block-diagonal (g_a, g_b)
+            pair = [{(t // d + s) * 2 * d + t % d + s: x for s, g in ((0, g1), (d, g2)) for t, x in g.items()}
+                    for g1, g2 in zip(ga, gb)]
+            if closure_dim_mod(pair, 2 * d, p, 2 * d * d) == 2 * d * d:
+                by = "pair closure"
+            else:
+                tied |= {i, j}
+                failures.append(f"W_{a} and W_{b} are not separated")
+        separated.append({"pair": [a, b], "by": by})
+    bound = sum(d * d for i, (_, d, *_) in enumerate(full) if i not in tied)
+    return bound, {"blocks": blocks, "separated": separated, "failures": failures}
 
 
 def _ad(g: dict[int, int], m: int, p: int):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import det
-from .matrix import Matrix, direct_sum, kron_power
+from .matrix import Matrix, direct_sum
 from .scalars import IdentityError, quantum_int, scalar
 
 
@@ -173,28 +173,26 @@ def change_of_basis(p: BurauParams) -> Matrix:
     return Matrix.from_rows([[cols[j][i] for j in range(p.n)] for i in range(p.n)])
 
 
-def block_generators(p: BurauParams, r: int) -> list[Matrix]:
-    """The braid generators on U = sum_{k=0..r} F^(x k): for i = 1..n-1,
-    B_i = sum_k q1^(r-k) R_i^(x k), with R_i = reduced_generator(i), after
+def split_generators(p: BurauParams) -> list[Matrix]:
+    """The reduced generators R_i = reduced_generator(i), i = 1..n-1, after
     an exact check that C = change_of_basis(p) is invertible and that
     T_i C = C (q1 + R_i) for every i. A failed check raises IdentityError.
 
     C^(x r) then carries T_i^(x r) to the sum over S in {1..r} of
     q1^(r-|S|) R_i^(x |S|). Summands with equal |S| carry equal matrices,
     so a linear relation among words in the T_i^(x r) holds on E^(x r)
-    exactly when it holds on U, and the two unital algebras have the same
-    dimension. C is invertible exactly when z = [n]_q != 0: the functional
-    x -> sum_j q^(j-1) x_j kills every f_i and takes z at f0."""
+    exactly when it holds on U = sum_(k=0..r) F^(x k), where T_i acts as
+    B_i = sum_k q1^(r-k) R_i^(x k), and the two unital algebras have the
+    same dimension. C is invertible exactly when z = [n]_q != 0: the
+    functional x -> sum_j q^(j-1) x_j kills every f_i and takes z at f0."""
     c = change_of_basis(p)
     if det(c.to_lists()) == 0:
         raise IdentityError("C = change_of_basis is singular")
-    gens = []
-    for i in range(1, p.n):
-        red = reduced_generator(i, p)
+    reds = [reduced_generator(i, p) for i in range(1, p.n)]
+    for i, red in enumerate(reds, 1):
         if unreduced_generator(i, p) * c != c * direct_sum([Matrix.diagonal([p.q1]), red]):
             raise IdentityError(f"T_i C != C (q1 + R_i) at i = {i}")
-        gens.append(direct_sum([kron_power(red, k).scale(p.q1 ** (r - k)) for k in range(r + 1)]))
-    return gens
+    return reds
 
 
 def full_twist_scalar(p: BurauParams) -> Fraction:

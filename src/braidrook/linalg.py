@@ -95,7 +95,7 @@ def nullspace_of_rows(rows: list[SparseRow], ncols: int) -> list[tuple[Fraction,
 def det(rows: Sequence[Sequence[int | Fraction]]) -> Fraction:
     """Exact determinant of a square matrix given as dense rows of ints or
     Fractions, such as Matrix.to_lists(): the split check of
-    burau.block_generators and the tridiagonal D_n of lieclosure. The Gram
+    burau.split_generators and the tridiagonal D_n of lieclosure. The Gram
     determinant of cellular.semisimplicity_certificate needs none; it is
     read off the checked groupoid isomorphism.
 

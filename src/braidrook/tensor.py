@@ -17,7 +17,7 @@ from math import prod
 from typing import Iterable, Sequence
 
 from . import _modlinalg
-from .burau import BurauParams, block_generators, unreduced_generator
+from .burau import BurauParams, split_generators, unreduced_generator
 from .cellular import (
     cell_dim,
     cell_labels,
@@ -206,13 +206,13 @@ def _operator_failure(p: BurauParams, r: int, ops: dict) -> str | None:
 def _character_certificate(p: BurauParams, r: int, basis, rows, ops: dict) -> dict:
     """The certificate of duality_report from the letter operators ops and
     the generator_rows of the basis: the relations, groupoid and character
-    checks, cellular.groupoid_dimensions, and the mod-p closure of
-    burau.block_generators at the prime of _modlinalg.lower_bound."""
+    checks, cellular.groupoid_dimensions, and the shape-by-shape bound
+    _modlinalg.envelope_bound at the prime of _modlinalg.lower_bound."""
     z = p.quantum(p.n)
     if z == 0:
         return certificate_record("exact", "z = [n]_q = 0 has no rescaled basis")
     try:
-        blocks = block_generators(p, r)
+        gens = [Matrix.diagonal([p.q1]), *split_generators(p)]
     except IdentityError as e:
         return certificate_record("exact", str(e))
     failure = _operator_failure(p, r, ops) or groupoid_failure(basis, rows)
@@ -221,12 +221,17 @@ def _character_certificate(p: BurauParams, r: int, basis, rows, ops: dict) -> di
     # sum m_lam^2, an integer; compared exactly below
     rook_cent, rook_img = groupoid_dimensions(p.n, r)
     bounds = {"envelope_lower": None, "rook_centralizer": int(rook_cent), "rook_image": rook_img}
-    # the commute check and the checks above proved
-    # dim envelope <= dim C(image) = rook_cent, so the closure stops there
-    prime, bounds["envelope_lower"], skipped, reason = _modlinalg.lower_bound(
-        blocks, lambda prime: _modlinalg.closure_dim_mod(blocks, prime, rook_cent), rook_cent
-    )
-    return certificate_record("exact" if reason else "character", reason, prime, skipped, bounds)
+    shapes = [(c.parts, gl_weyl_dim(c.parts, p.n - 1)) for c in cell_labels(r) if c.fits_length(p.n)]
+    records = {}
+
+    def bound(prime):
+        records[prime] = _modlinalg.envelope_bound(gens, r, shapes, prime)
+        return records[prime][0]
+
+    prime, bounds["envelope_lower"], skipped, reason = _modlinalg.lower_bound(gens, bound, rook_cent)
+    certificate = certificate_record("exact" if reason else "character", reason, prime, skipped, bounds)
+    certificate["shapes"] = records[prime][1] if prime else None
+    return certificate
 
 
 def _report_check(name: str, ok: bool, detail: str) -> dict:
@@ -294,15 +299,37 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
       sum_k C(r,k)^2 rank [psi_k(s t^-1)], a k! x k! matrix: the trace form
       tr_W(xy) of the semisimple image of Q S_k is nondegenerate on it and
       zero on the kernel.
-    The braid side enters by one lower bound. The envelope has the
-    dimension of the unital algebra of the B_i on the reduced blocks U
-    (burau.block_generators). Reduce the B_i mod a prime p that divides
-    none of their denominators: the Z_(p)-span of their products is a
-    lattice of rank dim envelope, and its reduction spans the mod-p
-    closure, so
-        closure_p <= dim envelope <= dim C(image) = sum_k <psi_k, psi_k>.
-    The closure stops once it reaches the right end, which loses nothing.
-    When the ends meet, the envelope is C(image). The image is
+    The braid side enters by one lower bound, taken shape by shape over
+    F_p (_modlinalg.envelope_bound). By the split check of
+    burau.split_generators the envelope A has the dimension of the unital
+    algebra of B_i = sum_k q1^(r-k) R_i^(x k) on U = sum_k F^(x k). Take a
+    prime p that divides no denominator of q1 and the R_i, and let A_p be
+    the F_p-span of the reductions of the words in the B_i: the
+    Z_(p)-span of the words is a lattice of rank dim A, and A_p is spanned
+    by its reduction, so dim A_p <= dim A. A_p is an algebra acting on
+    U mod p, one summand F_p^(x k) at a time. For each partition lambda of
+    k <= r with at most n - 1 rows:
+    - W_lambda = c_lambda(F_p^(x k)), the image of a Young symmetrizer, is
+      checked to have dimension d = gl_weyl_dim(lambda, n - 1);
+    - each B_i is checked to keep W_lambda, so A_p does, and restriction
+      is an algebra map A_p -> End(W_lambda);
+    - the block is full when the closure of the restricted B_i, the image
+      of that map, reaches d^2. The map is then onto, and its kernel is a
+      maximal ideal, with quotient End(W_lambda), a simple algebra with one
+      simple module up to isomorphism.
+    Two full blocks are separated when a word's trace differs on them, or
+    when the closure of the pair reaches 2 d^2. Either way they are not
+    isomorphic A_p-modules, so their kernels differ. Distinct maximal
+    ideals are pairwise comaximal, so by the Chinese remainder theorem A_p
+    maps onto the product of the End(W_lambda) over the full blocks that
+    are separated from every other full block, and
+        sum of their d^2 <= dim A_p <= dim A <= dim C(image)
+                                                = sum_k <psi_k, psi_k>.
+    A block that fails a check drops out, which only lowers the bound.
+    Nothing here needs W_lambda over Q. Each closure stops at its own
+    ceiling, d^2 or 2 d^2, which loses nothing. When the ends meet, the
+    envelope is C(image) and A_p is the product of the End(W_lambda), the
+    paper's Schur-Weyl statement at p. The image is
     semisimple, so the double centralizer theorem gives
     C(braid gens) = C(envelope) = C(C(image)) = image, and
     dim C(braid gens) = dim image with no further computation.
@@ -311,16 +338,18 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     largest lower bound. The exact centralizer, image, envelope and
     commutant dimensions are computed instead ("exact" path), on the
     generators already built and the operators of every basis diagram, when
-    the actions do not commute, when z = 0, when the split check of the B_i,
-    or the relations, groupoid or character check fails, when the
+    the actions do not commute, when z = 0, when the split check, or the
+    relations, groupoid or character check fails, when the
     bounds miss at every listed prime, and when every listed prime divides
     a denominator. The N identity is q-free, so its failure is a fault of
     the diagram code: generator_rows raises IdentityError, as it does in
     cellular.semisimplicity_certificate.
     report["certificate"] records the path, the prime, the skipped primes,
     the bounds (envelope_lower, rook_centralizer = sum_k <psi_k, psi_k>,
-    rook_image = sum_k C(r,k)^2 rank psi_k) and the reason for the exact
-    path.
+    rook_image = sum_k C(r,k)^2 rank psi_k), the reason for the exact
+    path, and the shapes record of envelope_bound at the prime (each
+    shape's dimension and closure, the word that separated each pair of
+    equal dimension, each failed check), None when no bound was taken.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -342,6 +371,7 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
         certificate = _character_certificate(p, r, basis, rows, ops)
     else:
         certificate = certificate_record("exact", "actions do not commute")
+    certificate.setdefault("shapes", None)
 
     if certificate["path"] == "character":
         bounds = certificate["bounds"]

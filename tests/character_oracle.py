@@ -4,15 +4,18 @@ diagrams: the homomorphism op(g) op(d) = z^N op(gd) for every generator g
 and basis diagram d, the rescaled character chi(d) = tr op(d) / z^(r - rank d)
 at every d, and the two q-free dimensions of cellular.groupoid_dimensions
 by Moebius inversion of chi. Every product comes from
-PartialPermutation.compose, not from the library's generator rows."""
+PartialPermutation.compose, not from the library's generator rows. Also
+the braid generators on U = sum_k F^(x k), whose closure the
+shape-by-shape envelope bound replaced."""
 
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
 
+from braidrook.burau import reduced_generator
 from braidrook.diagrams import PartialPermutation, compose_perms, generator_diagrams, rook_elements
 from braidrook.linalg import rref
-from braidrook.matrix import integer_form, rows_of, sparse_product
+from braidrook.matrix import direct_sum, integer_form, kron_power, rows_of, sparse_product
 from braidrook.tensor import diagram_op
 
 
@@ -74,3 +77,15 @@ def moebius_dimensions(basis, chi):
         centralizer += Fraction(sum(row[0] * x for row, x in zip(block, block[0])), factorial(k))
         image += comb(r, k) ** 2 * len(rref(block)[1])
     return centralizer, image
+
+
+def block_generators(p, r):
+    """The braid generators on U = sum_(k=0..r) F^(x k): for i = 1..n-1,
+    B_i = sum_k q1^(r-k) R_i^(x k), R_i = reduced_generator(i), as one
+    block-diagonal matrix of dimension sum_k (n-1)^k. burau.split_generators
+    says why their unital algebra has the dimension of the envelope on
+    E^(x r)."""
+    return [
+        direct_sum([kron_power(reduced_generator(i, p), k).scale(p.q1 ** (r - k)) for k in range(r + 1)])
+        for i in range(1, p.n)
+    ]

@@ -209,7 +209,7 @@ def test_duality_json_round_trip(capsys):
     data = json.loads(out)
     assert data["all_pass"] is True and data["faithful"] is True and data["z"] == "7"
     cert = data["certificate"]
-    assert set(cert) == {"path", "prime", "primes_skipped", "bounds", "fallback_reason"}
+    assert set(cert) == {"path", "prime", "primes_skipped", "bounds", "fallback_reason", "shapes"}
     assert cert["path"] == "character" and cert["fallback_reason"] is None
     assert cert["bounds"] == {"envelope_lower": 15, "rook_centralizer": 15, "rook_image": 7}
     assert json.dumps(data, indent=2) == out.strip()

@@ -854,8 +854,10 @@ def test_closure_dim_mod_matches_span_closure():
     h = rand_matrix(rng, 3, 3, den=1)
     p = _modlinalg.SANDWICH_PRIMES[0]
     # a ceiling of 9, the dimension of all 3 x 3 matrices, stops nothing early
-    assert _modlinalg.closure_dim_mod([g, h], p, 9) == span_closure([g, h])[0]
-    assert _modlinalg.closure_dim_mod([g], p, 9) == span_closure([g])[0]
+    res_g, res_h = _modlinalg.residues(g, p), _modlinalg.residues(h, p)
+    assert _modlinalg.closure_dim_mod([res_g, res_h], 3, p, 9) == span_closure([g, h])[0]
+    assert _modlinalg.closure_dim_mod([res_g], 3, p, 9) == span_closure([g])[0]
+    assert _modlinalg.closure_dim_mod([res_g], 3, p, None) == span_closure([g])[0]
     # the same worklist, seeds and maps over Q and mod p (the integer
     # matrices are p-integral with full rank mod p), and over Q stopped at
     # every ceiling from the seeds' dimension up to the full dimension

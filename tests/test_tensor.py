@@ -14,7 +14,7 @@ from gram_oracle import eliminated_dimensions, product_table, tensor_character
 from rook_factorization import projection_factorization
 
 from braidrook import _modlinalg, acceptance, burau, cellular, linalg, tensor
-from braidrook.burau import BurauParams, block_generators, projection_p, unreduced_generator
+from braidrook.burau import BurauParams, projection_p, split_generators, unreduced_generator
 from braidrook.diagrams import PartialPermutation, projection, relations, rook_elements, transposition
 from braidrook.linalg import commutant, matrix_span, span_closure, spans_equal
 from braidrook.matrix import Matrix, kron
@@ -428,6 +428,17 @@ def test_duality_report_budget_argument():
 # -- the character certificate and its exact fallback ------------------------------
 
 
+def _shape_bound(params, r, prime):
+    """_modlinalg.envelope_bound on the inputs the duality report gives it."""
+    gens = [Matrix.diagonal([params.q1]), *split_generators(params)]
+    shapes = [
+        (c.parts, cellular.gl_weyl_dim(c.parts, params.n - 1))
+        for c in cellular.cell_labels(r)
+        if c.fits_length(params.n)
+    ]
+    return _modlinalg.envelope_bound(gens, r, shapes, prime)
+
+
 def _exact_dims(n, r, params):
     return {
         "image": rook_image(_basis_ops(params, r)),
@@ -474,8 +485,8 @@ def test_duality_n4_r3_on_the_character_path():
 
 
 def test_duality_n5_r3_on_the_character_path():
-    # n^r = 125: the closure runs on U, of dimension 1 + 4 + 16 + 64 = 85,
-    # where on E^(x 3) it had 125^2 coordinates
+    # n^r = 125: the closure runs on one block per shape, the largest of
+    # dimension 20, where on U = 1 + 4 + 16 + 64 it had 85^2 coordinates
     report = duality_report(5, 3, BurauParams.preset(5))
     _assert_all_pass(report)
     assert report["certificate"]["path"] == "character"
@@ -513,6 +524,19 @@ def test_duality_n3_r5_on_the_character_path():
     cert = report["certificate"]
     assert cert["path"] == "character" and cert["prime"] == _modlinalg.SANDWICH_PRIMES[0]
     assert cert["bounds"] == {"envelope_lower": 126, "rook_centralizer": 126, "rook_image": 1118}
+    assert elapsed < 4
+
+
+def test_duality_n4_r4_on_the_character_path():
+    # n^r = 256: the closure on U, of dimension 121, took 23.4 of 33.0 s
+    # under cProfile here; the largest shape block has dimension 15
+    start = time.perf_counter()
+    report = duality_report(4, 4, BurauParams.preset(4))
+    elapsed = time.perf_counter() - start
+    _assert_all_pass(report)
+    cert = report["certificate"]
+    assert cert["path"] == "character" and cert["prime"] == _modlinalg.SANDWICH_PRIMES[0]
+    assert cert["bounds"] == {"envelope_lower": 715, "rook_centralizer": 715, "rook_image": 208}
     assert elapsed < 4
 
 
@@ -668,10 +692,103 @@ def test_bumped_psi_block_takes_the_exact_path(monkeypatch):
 
 @pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (2, 3), (4, 2)])
 def test_block_generators_close_to_the_envelope_dimension(n, r):
+    # the direct sum on U, closed exactly, against the envelope on E^(x r)
     params = BurauParams.preset(n)
-    blocks = block_generators(params, r)
+    blocks = character_oracle.block_generators(params, r)
     assert blocks[0].rows == sum((n - 1) ** k for k in range(r + 1))
     assert span_closure(blocks)[0] == span_closure(braid_generators(params, r))[0]
+
+
+SHAPE_ORACLE_CASES = [(n, r, q) for n, r in acceptance.DUALITY_GRID for q in acceptance.DUALITY_QS]
+SHAPE_ORACLE_CASES += [(n, r, Fraction(2)) for n, r in [(4, 3), (2, 4), (3, 4), (5, 3)]]
+
+
+@pytest.mark.parametrize("n,r,q", SHAPE_ORACLE_CASES, ids=str)
+def test_shape_blocks_sum_to_the_closure_on_u(n, r, q):
+    # sum d_lambda^2 over the full, separated blocks, the closure of the
+    # direct sum on U mod the same prime, run to saturation, and the
+    # Schur-Weyl sum of squared GL_(n-1) Weyl dimensions are one number
+    params = BurauParams.preset(n, q)
+    cert = duality_report(n, r, params)["certificate"]
+    assert cert["path"] == "character"
+    blocks = cert["shapes"]["blocks"]
+    assert all(b["closure"] == b["dim"] ** 2 for b in blocks) and cert["shapes"]["failures"] == []
+    prime, u = cert["prime"], character_oracle.block_generators(params, r)
+    on_u = _modlinalg.closure_dim_mod([_modlinalg.residues(b, prime) for b in u], u[0].rows, prime, None)
+    shape_sum = sum(b["dim"] ** 2 for b in blocks)
+    assert shape_sum == on_u == expected_enveloping_dim(n, r) == cert["bounds"]["envelope_lower"]
+
+
+def test_shape_record_names_the_word_that_separates_each_pair():
+    # at (5,3), (3) and (2,1) both have dimension 20 and the same tr B_1;
+    # tr B_1 B_2 tells them apart
+    cert = duality_report(5, 3, BurauParams.preset(5))["certificate"]
+    assert cert["shapes"] == {
+        "blocks": [
+            {"shape": "()", "dim": 1, "closure": 1},
+            {"shape": "(1)", "dim": 4, "closure": 16},
+            {"shape": "(2)", "dim": 10, "closure": 100},
+            {"shape": "(1,1)", "dim": 6, "closure": 36},
+            {"shape": "(3)", "dim": 20, "closure": 400},
+            {"shape": "(2,1)", "dim": 20, "closure": 400},
+            {"shape": "(1,1,1)", "dim": 4, "closure": 16},
+        ],
+        "separated": [
+            {"pair": ["(1)", "(1,1,1)"], "by": "tr B_1"},
+            {"pair": ["(3)", "(2,1)"], "by": "tr B_1 B_2"},
+        ],
+        "failures": [],
+    }
+
+
+def _bump_the_last_slot(monkeypatch):
+    # R_i with entry (1, 1) one larger in the last slot alone: no longer a
+    # tensor power, so it need not keep W_lambda for k >= 2
+    real = _modlinalg._slot_apply
+
+    def bumped(v, cols, w, m, p):
+        if w == 1:
+            column = dict(cols.get(0, ()))
+            column[0] = column.get(0, 0) + 1
+            cols = {**cols, 0: list(column.items())}
+        return real(v, cols, w, m, p)
+
+    monkeypatch.setattr(_modlinalg, "_slot_apply", bumped)
+
+
+def _list_a_shape_twice(monkeypatch):
+    # (2), of dimension 3, twice: the pair closure reaches 9, not 18
+    real = _modlinalg.envelope_bound
+    monkeypatch.setattr(_modlinalg, "envelope_bound", lambda g, r, shapes, p: real(g, r, [*shapes, shapes[2]], p))
+
+
+def _symmetrize_the_wrong_shape(monkeypatch):
+    # W_(2) built from the symmetrizer of (1,1): dimension 1, not 3
+    real = _modlinalg.schur_block
+    monkeypatch.setattr(_modlinalg, "schur_block", lambda shape, m, p: real((1, 1) if shape == (2,) else shape, m, p))
+
+
+@pytest.mark.parametrize(
+    "control,bound,failures",
+    [
+        (_bump_the_last_slot, 5, ["W_(2) is not invariant", "W_(1,1) is not invariant"]),
+        (_list_a_shape_twice, 6, ["W_(2) and W_(2) are not separated"]),
+        (_symmetrize_the_wrong_shape, 6, ["dim W_(2) = 1, not 3"]),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_shape_controls_miss_at_every_listed_prime(monkeypatch, control, bound, failures):
+    # each broken block drops out of the bound, which then misses at every
+    # listed prime; the exact path gives the character path's verdicts
+    character = duality_report(3, 2, P32)
+    control(monkeypatch)
+    report = duality_report(3, 2, P32)
+    cert = report["certificate"]
+    primes = _modlinalg.SANDWICH_PRIMES
+    assert cert["path"] == "exact" and cert["prime"] == primes[0]
+    assert cert["fallback_reason"] == "bounds do not meet mod " + " or ".join(map(str, primes))
+    assert cert["bounds"]["envelope_lower"] == bound and cert["shapes"]["failures"] == failures
+    assert report["all_pass"] and _verdicts(report) == _verdicts(character)
 
 
 def _bumped(c):
@@ -795,7 +912,7 @@ def test_integer_commute_check_matches_the_fraction_products(seed):
 
 def test_character_path_multiplies_only_in_the_split_check(monkeypatch):
     # the commute and homomorphism checks run on integer_form; the only
-    # Matrix products left are T_i C and C (q1 + R_i) of block_generators
+    # Matrix products left are T_i C and C (q1 + R_i) of split_generators
     calls = 0
     real = Matrix._matmul
 
@@ -931,16 +1048,18 @@ def test_forced_sandwich_miss_takes_exact_path(monkeypatch, primes, reason):
 
 
 def test_prime_where_the_generators_are_singular_is_tried(monkeypatch):
-    # at q = 2 the generators are integral, so 2 is tried, but
-    # det R_i = q1 q2 = -2 makes every block generator B_i singular mod 2:
-    # the closure stops at 5, short of the envelope's 15
+    # at q = 2 the generators are integral, so 2 is tried, but mod 2 the
+    # symmetrizer of (2) spans 1 dimension, not 3, and det R_i = q1 q2 = -2
+    # leaves W_(1) at 3 of 4: the blocks () and (1,1) alone count, 2 of the
+    # envelope's 15
     character = duality_report(3, 2, P32)
     second = _modlinalg.SANDWICH_PRIMES[0]
     monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", [2])
     exact = duality_report(3, 2, P32)
     cert = exact["certificate"]
     assert cert["path"] == "exact" and cert["fallback_reason"] == "bounds do not meet mod 2"
-    assert cert["primes_skipped"] == [] and cert["bounds"]["envelope_lower"] == 5
+    assert cert["primes_skipped"] == [] and cert["bounds"]["envelope_lower"] == 2
+    assert cert["shapes"]["failures"] == ["dim W_(2) = 1, not 3"]
     assert exact["all_pass"] and _verdicts(exact) == _verdicts(character)
     monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", [2, second])
     cert = duality_report(3, 2, P32)["certificate"]
@@ -957,8 +1076,8 @@ def test_miss_at_one_prime_moves_on_to_the_next(monkeypatch):
 
 def test_miss_at_the_first_real_prime_moves_on_to_the_next():
     # q = P0 makes q2 = -q vanish mod P0: no denominator is divisible by
-    # P0, but det R_i = q1 q2 makes every block generator singular there and
-    # the closure falls short; the next listed prime meets
+    # P0, but det R_i = q1 q2 makes every R_i singular there and the shape
+    # bound falls short; the next listed prime meets
     primes = _modlinalg.SANDWICH_PRIMES
     params = BurauParams.preset(3, primes[0])
     report = duality_report(3, 2, params)
@@ -967,24 +1086,25 @@ def test_miss_at_the_first_real_prime_moves_on_to_the_next():
     assert cert["path"] == "character" and cert["prime"] == primes[1]
     assert cert["primes_skipped"] == [] and cert["fallback_reason"] is None
     assert cert["bounds"] == {"envelope_lower": 15, "rook_centralizer": 15, "rook_image": 7}
-    blocks = block_generators(params, 2)
-    assert _modlinalg.closure_dim_mod(blocks, primes[0], 15) < 15
+    assert _shape_bound(params, 2, primes[0])[0] == 2
 
 
 @pytest.mark.parametrize("primes", [[3, 5], [5, 3]])
 def test_largest_lower_bound_is_kept(monkeypatch, primes):
-    # the closure cut down to 14 mod 3 and to 12 mod 5: both miss
-    real = _modlinalg.closure_dim_mod
+    # the shape bound cut down to 14 mod 3, where it is 13 already, and to
+    # 12 mod 5, where it is 15: both miss
+    real = _modlinalg.envelope_bound
     cut = {3: 14, 5: 12}
 
-    def short(gens, p, ceiling):
-        return min(real(gens, p, ceiling), cut[p])
+    def short(gens, r, shapes, p):
+        bound, record = real(gens, r, shapes, p)
+        return min(bound, cut[p]), record
 
     monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", primes)
-    monkeypatch.setattr(_modlinalg, "closure_dim_mod", short)
+    monkeypatch.setattr(_modlinalg, "envelope_bound", short)
     cert = duality_report(3, 2, P32)["certificate"]
     assert cert["path"] == "exact" and cert["prime"] == 3
-    assert cert["bounds"]["envelope_lower"] == 14
+    assert cert["bounds"]["envelope_lower"] == 13
     assert cert["fallback_reason"] == f"bounds do not meet mod {primes[0]} or {primes[1]}"
 
 
@@ -1017,27 +1137,41 @@ def test_q1_control_is_a_real_failure_on_the_exact_path(monkeypatch):
 
 
 def test_q1_control_closure_reads_6_at_every_listed_prime():
-    # the miss is the theory's, not a prime's: the ceiling of 15 is never reached
-    blocks = block_generators(BurauParams.degenerate(3, 1, -1), 2)
-    primes = _modlinalg.SANDWICH_PRIMES
-    assert [_modlinalg.closure_dim_mod(blocks, p, 15) for p in primes] == [6] * len(primes)
+    # the miss is the theory's, not a prime's: at q = 1 the braid action
+    # factors through S_3, W_(2) = Sym^2 F closes to 5 of 9, and the bound
+    # is the three full blocks, 1 + 4 + 1, at every listed prime
+    params = BurauParams.degenerate(3, 1, -1)
+    for p in _modlinalg.SANDWICH_PRIMES:
+        bound, record = _shape_bound(params, 2, p)
+        assert bound == 6 and [b["closure"] for b in record["blocks"]] == [1, 4, 5, 1]
+        assert record["failures"] == []
 
 
 def test_closure_stops_at_the_rook_centralizer_dimension(monkeypatch):
-    # at (4,2) the closure meets rook_cent = 55 after 151 adds; run on to
-    # saturation (dim U = 13, so a ceiling of 13^2 stops nothing) it makes
-    # 166 adds for the same bound
+    # at (4,2) the certificate makes 167 adds: 22 to span the four W_lambda
+    # (1 + 3 + 9 + 9 symmetrized tensors) and 145 in the four block
+    # closures, each stopped at its ceiling d^2; run on to saturation
+    # (no ceiling) the closures make 169 adds for the
+    # same blocks, which sum to rook_cent = 55
     calls = _count_calls(monkeypatch, (_modlinalg,), "_echelon_add")
     params = BurauParams.preset(4)
     cert = duality_report(4, 2, params)["certificate"]
     assert cert["path"] == "character"
     assert cert["bounds"]["envelope_lower"] == cert["bounds"]["rook_centralizer"] == 55
-    assert calls["_echelon_add"] == 151
+    assert calls["_echelon_add"] == 167
+    prime, m = cert["prime"], 3
+    gens = [_modlinalg.residues(g, prime) for g in split_generators(params)]
+    cols = [{b: [(a, g[a * m + b]) for a in range(m) if a * m + b in g] for b in range(m)} for g in gens]
     calls.clear()
-    blocks = block_generators(params, 2)
-    assert blocks[0].rows == 13
-    assert _modlinalg.closure_dim_mod(blocks, cert["prime"], 13**2) == 55
-    assert calls["_echelon_add"] == 166
+    blocks = [_modlinalg.schur_block(shape, m, prime) for shape in [(), (1,), (2,), (1, 1)]]
+    assert calls["_echelon_add"] == 22
+    calls.clear()
+    dims = []
+    for shape, basis in zip([(), (1,), (2,), (1, 1)], blocks):
+        restricted = [_modlinalg.restrict(basis, c, 1, sum(shape), m, prime) for c in cols]
+        dims.append(_modlinalg.closure_dim_mod(restricted, len(basis), prime, None))
+    assert dims == [1, 9, 36, 9]
+    assert calls["_echelon_add"] == 169
 
 
 def _count_calls(monkeypatch, modules, *names):
@@ -1076,12 +1210,13 @@ def test_exact_path_reuses_the_braid_generators(monkeypatch):
 
 
 def test_bounds_bracket_exact_dims_at_unlucky_prime(monkeypatch):
-    # mod 3 the closure falls short of the envelope; the two character
-    # dimensions do not depend on the prime
+    # mod 3, where q = 2 = -1, the blocks () and (1,1) tie (B_i acts on both
+    # as 1) and the bound of 13 falls short of the envelope; the two
+    # character dimensions do not depend on the prime
     monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", [3])
     bounds = duality_report(3, 2, P32)["certificate"]["bounds"]
     exact = _exact_dims(3, 2, P32)
-    assert bounds["envelope_lower"] == 14 < exact["envelope"] == 15
+    assert bounds["envelope_lower"] == 13 < exact["envelope"] == 15
     assert bounds["rook_centralizer"] == exact["rook_centralizer"]
     assert bounds["rook_image"] == exact["image"]
 
