@@ -12,8 +12,10 @@ Any failure returns None and the caller falls back to pure elimination.
 Every elimination here, the nullspace's and the closures', runs on one
 sparse, fully reduced echelon over F_p in pure Python: _echelon_add on
 {index: residue} dicts. Two lower bounds come from linalg.worklist_closure
-on it, a matrix entry indexed row-major, with products taken by
-matrix.sparse_product on integers and reduced mod p afterwards. Each is
+on it, a matrix entry indexed row-major, with the images of each basis
+row taken by one kernel, _images: one pass over the row's nonzeros builds
+every generator's product with it, in integers reduced mod p afterwards,
+and never visits a generator whose product must be zero. Each is
 the dimension over F_p of a space spanned by reductions of p-integral
 rational matrices, which is at most the dimension over Q when p divides
 no denominator of the generators. One search,
@@ -245,22 +247,67 @@ def _echelon_add(basis: dict[int, dict[int, int]], v: dict[int, int], p: int):
     return dict(v)
 
 
+def _images(gens, m: int, p: int, bracket: bool):
+    """images(w) for linalg.worklist_closure over F_p: for each m x m
+    residue matrix g of gens, {row-major index: residue}, in order, the
+    image of the residue matrix w under w -> w(g - cI), or under
+    w -> [g, w] = gw - wg when bracket is set, reduced mod p; c is the most
+    common diagonal residue of g, the first on the diagonal on a tie.
+
+    Each shifted generator is indexed by its nonzero rows, and by its
+    nonzero columns when bracket is set, so one pass over the nonzeros of w
+    builds every image at once, and a generator that shares no row or
+    column with w is never visited. The shift leaves fewer nonzeros to
+    visit (each v generator of lieclosure carries an identity part), and
+    changes no closure:
+    - ad(g - cI) = ad(g);
+    - a span holds wg exactly when it holds w(g - cI) = wg - cw, since it
+      holds cw, so a span is closed under w -> wg exactly when it is
+      closed under w -> w(g - cI);
+    - an image that is zero mod p is left out, as zero lies in every span.
+    """
+    by_row: dict[int, list] = {}
+    by_col: dict[int, list] = {}
+    for t, g in enumerate(gens):
+        diagonal = [g.get(i * (m + 1), 0) for i in range(m)]
+        c = max(diagonal, key=diagonal.count)
+        for k, y in {**g, **{i * (m + 1): (x - c) % p for i, x in enumerate(diagonal)}}.items():
+            if y:
+                a, b = divmod(k, m)
+                by_row.setdefault(a, []).append((t, b, -y if bracket else y))
+                if bracket:
+                    by_col.setdefault(b, []).append((t, a, y))
+
+    def images(w):
+        outs = [{} for _ in gens]
+        for k, x in w.items():
+            i, j = divmod(k, m)
+            # w g puts w_ij g_jb at (i, b); g w puts g_ai w_ij at (a, j)
+            for t, b, y in by_row.get(j, ()):
+                out, s = outs[t], i * m + b
+                out[s] = out.get(s, 0) + x * y
+            for t, a, y in by_col.get(i, ()):
+                out, s = outs[t], a * m + j
+                out[s] = out.get(s, 0) + y * x
+        for out in outs:
+            if v := {s: r for s, x in out.items() if (r := x % p)}:
+                yield v
+
+    return images
+
+
 def closure_dim_mod(gens, m: int, p: int, ceiling: int | None) -> int:
     """Dimension over F_p of the unital algebra that the m x m residue
     matrices gens, {row-major index: residue}, generate:
     linalg.worklist_closure of the span of 1 under right multiplication by
-    each of them; it stops once the dimension reaches ceiling, which
-    loses nothing when ceiling bounds the algebra (m^2 always does).
-    envelope_bound runs it on each shape's block, with ceiling d^2, and on
-    pairs of blocks that no trace separates, with ceiling 2 d^2."""
+    each of them, on the images of _images; it stops once the dimension
+    reaches ceiling, which loses nothing when ceiling bounds the algebra
+    (m^2 always does). envelope_bound runs it on each shape's block, with
+    ceiling d^2, and on pairs of blocks that no trace separates, with
+    ceiling 2 d^2."""
     basis: dict[int, dict[int, int]] = {}
-
-    def right(g):
-        rows = rows_of(g, m)
-        return lambda w: {k: r for k, x in sparse_product(w, rows, m, m).items() if (r := x % p)}
-
     one = {k * (m + 1): 1 for k in range(m)}
-    return worklist_closure(lambda v: _echelon_add(basis, v, p), [one], [right(g) for g in gens], ceiling)
+    return worklist_closure(lambda v: _echelon_add(basis, v, p), [one], _images(gens, m, p, False), ceiling)
 
 
 def schur_block(shape, m: int, p: int) -> dict[int, dict[int, int]]:
@@ -394,31 +441,12 @@ def envelope_bound(gens, r: int, shapes, p: int) -> tuple[int, dict]:
     return bound, {"blocks": blocks, "separated": separated, "failures": failures}
 
 
-def _ad(g: dict[int, int], m: int, p: int):
-    """ad_g = [g, .] on m x m residue matrices, reduced mod p."""
-    rows = rows_of(g, m)
-    cols = rows_of({(k % m) * m + k // m: x for k, x in g.items()}, m)  # the rows of g^T
-
-    def bracket(w):
-        out: dict[int, int] = {}
-        for k, x in w.items():
-            i, j = divmod(k, m)
-            for a, y in cols.get(i, ()):
-                t = a * m + j
-                out[t] = out.get(t, 0) + y * x
-            for b, y in rows.get(j, ()):
-                t = i * m + b
-                out[t] = out.get(t, 0) - x * y
-        return {k: r for k, x in out.items() if (r := x % p)}
-
-    return bracket
-
-
 def bracket_closure_dim_mod(gens, p: int, ceiling: int) -> int:
     """Dimension over F_p of the span of the p-integral generators' residues,
     closed under ad_g = [g, .] for each generator g by
-    linalg.worklist_closure, as in lieclosure.bracket_closure; it stops once
-    the dimension reaches ceiling.
+    linalg.worklist_closure on the images of _images, as in
+    lieclosure.bracket_closure; it stops once the dimension reaches
+    ceiling. The seeds are the residues themselves, not their shifts.
 
     Every element found is the reduction of a p-integral element of the Lie
     algebra L that the rational generators generate: brackets and Z_(p)
@@ -427,18 +455,9 @@ def bracket_closure_dim_mod(gens, p: int, ceiling: int) -> int:
     reduction of the lattice L cap Z_(p)^(m^2), and as residue vectors
     independent over F_p lift to vectors independent over Q, the result is
     at most dim_Q L.
-
-    Each bracket is taken with g - cI, c the most common diagonal residue
-    of g: ad(g - cI) = ad(g), and the shift leaves fewer nonzeros to
-    bracket with (each v generator of lieclosure carries an identity part).
     """
-    m = gens[0].rows
     res = [residues(g, p) for g in gens]
-    ads = []
-    for g in res:
-        diagonal = [g.get(i * (m + 1), 0) for i in range(m)]
-        c = max(diagonal, key=diagonal.count)
-        shifted = {**g, **{i * (m + 1): (x - c) % p for i, x in enumerate(diagonal)}}
-        ads.append(_ad({k: x for k, x in shifted.items() if x}, m, p))
+    # index the generators before _echelon_add uses up the seeds
+    images = _images(res, gens[0].rows, p, True)
     basis: dict[int, dict[int, int]] = {}
-    return worklist_closure(lambda v: _echelon_add(basis, v, p), res, ads, ceiling)
+    return worklist_closure(lambda v: _echelon_add(basis, v, p), res, images, ceiling)

@@ -137,7 +137,10 @@ def bracket_closure(gens: Sequence[Matrix]) -> BracketSpace:
     The certificate (path "modular"). For each prime p that
     _modlinalg.lower_bound tries, one that divides no denominator of the
     generators, run the same worklist on their residues mod p
-    (_modlinalg.bracket_closure_dim_mod). Brackets and Z_(p)-combinations
+    (_modlinalg.bracket_closure_dim_mod). Its brackets come from one pass
+    of _modlinalg._images over each basis row: [g - cI, w] = [g, w] for a
+    scalar c, and a bracket that must be zero, of a generator sharing no
+    row or column with w, is never formed. Brackets and Z_(p)-combinations
     of p-integral elements of L are p-integral elements of L, so every
     residue found is the reduction of an element of the lattice
     L cap Z_(p)^(m^2). Residue vectors independent over F_p lift to vectors
@@ -189,8 +192,12 @@ def _exact_closure(gens: Sequence[Matrix], ceiling: int, certificate: dict) -> B
     """The worklist of bracket_closure over an exact echelon basis."""
     m = gens[0].rows
     span = VectorSpan(m * m)
-    ads = [lambda w, g=g: commutator(g, Matrix(m, m, w)).nonzeros() for g in gens]
-    worklist_closure(span.add, [g.nonzeros() for g in gens], ads, ceiling)
+    worklist_closure(
+        span.add,
+        [g.nonzeros() for g in gens],
+        lambda w: (commutator(g, Matrix(m, m, w)).nonzeros() for g in gens),
+        ceiling,
+    )
     basis = tuple(Matrix(m, m, row) for row in span.basis_nonzeros())
     return BracketSpace(span.dim, basis, certificate)
 

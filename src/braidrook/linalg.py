@@ -11,7 +11,7 @@ the vector length, and a nullspace is read straight off the sparse pivot
 rows. Bases are returned in a canonical echelon order, so outputs are
 deterministic and independent of the order rows are added in (that order
 is performance-only). One worklist, worklist_closure, closes a span under
-a list of linear maps for every closure in the package, over Q here and
+a set of linear maps for every closure in the package, over Q here and
 over F_p in _modlinalg. Large nullspace systems are dispatched to a
 certified modular accelerator, which eliminates mod p on the sparse echelon
 of those closures and verifies its candidates exactly before use; on any
@@ -273,33 +273,37 @@ def spans_equal(a: Sequence[Matrix], b: Sequence[Matrix]) -> bool:
     return sa.basis_rows() == sb.basis_rows()
 
 
-def worklist_closure(add, seeds: Iterable, maps: Sequence, ceiling: int | None = None) -> int:
+def worklist_closure(add, seeds: Iterable, images, ceiling: int | None = None) -> int:
     """Dimension of the smallest span that holds the seeds and is mapped
-    into itself by every linear map in maps, built into an echelon basis
-    by add; after adjoining the seeds it stops early once the dimension
+    into itself by a set of linear maps, built into an echelon basis by
+    add; after adjoining the seeds it stops early once the dimension
     reaches ceiling.
 
     add(v) adjoins the vector v and returns the new basis row, or None when
     v already lies in the span: VectorSpan.add over Q, or
-    _modlinalg._echelon_add on a basis over F_p. Each map takes a basis row
-    and returns a vector that add accepts.
+    _modlinalg._echelon_add on a basis over F_p. images(w) takes a basis
+    row and yields its images under the maps as vectors that add accepts;
+    it may leave out an image that is zero, since zero lies in every span.
+    The exact closures yield one product per generator, the ones mod p
+    take the one pass of _modlinalg._images over the nonzeros of w.
 
-    The worklist adjoins the seeds, then applies every map to each row add
+    The worklist adjoins the seeds, then adjoins the images of each row add
     returned, adjoining what is new, until no row is new. Each returned row
     is its vector less a combination of the basis before it, so the
     returned rows span the span; once the worklist is empty every map has
     been applied to each of them, so every map sends the span into itself.
     Every row found lies in any span that holds the seeds and is closed
-    under the maps, so the result is the smallest such span. Stopping at
-    ceiling, the dimension of a space known to hold that span, loses
-    nothing: a subspace of full dimension is the whole space.
+    under the maps, so the result is the smallest such span, whatever the
+    order of the images. Stopping at ceiling, the dimension of a space
+    known to hold that span, loses nothing: a subspace of full dimension
+    is the whole space, so the result is min(closure dim, ceiling).
     """
     queue = [row for v in seeds if (row := add(v)) is not None]
     dim = len(queue)
     while queue and (ceiling is None or dim < ceiling):
         w = queue.pop()
-        for f in maps:
-            if (row := add(f(w))) is not None:
+        for v in images(w):
+            if (row := add(v)) is not None:
                 queue.append(row)
                 dim += 1
                 if dim == ceiling:
@@ -327,8 +331,10 @@ def span_closure(gens: Sequence[Matrix]) -> tuple[int, list[Matrix]]:
     if any(not m.is_square() or m.rows != n for m in gens):
         raise ValueError("generators must be square and same size")
     span = VectorSpan(n * n)
-    right = [lambda w, rows=rows_of(g.nonzeros(), n): sparse_product(w, rows, n, n) for g in gens]
-    worklist_closure(span.add, [Matrix.identity(n).nonzeros()], right)
+    rows = [rows_of(g.nonzeros(), n) for g in gens]
+    worklist_closure(
+        span.add, [Matrix.identity(n).nonzeros()], lambda w: (sparse_product(w, r, n, n) for r in rows)
+    )
     basis = [Matrix(n, n, row) for row in span.basis_nonzeros()]
     return span.dim, basis
 

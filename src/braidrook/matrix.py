@@ -14,8 +14,9 @@ One sparse product, `sparse_product` of a's nonzeros with b's nonzeros
 grouped by row (`rows_of`), serves the matrix products of the package:
 `Matrix` multiplication here, and the Fraction, integer and mod-p products
 on bare {index: entry} dicts in `linalg`, `tensor` and `_modlinalg`. Only
-the mod-p bracket gw - wg of `_modlinalg._ad` fuses its two products into
-one pass, since it runs once per element of every Lie closure.
+the closures mod p take their products elsewhere: `_modlinalg._images`
+builds every generator's product with a basis row, w g or gw - wg, in one
+pass, since it runs once per element of every closure.
 
 `integer_form` scales a list of matrices by one integer D, the lcm of all
 their denominators, into {index: int} dicts. A product of k of the D m is

@@ -382,8 +382,8 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
             f"{mod}: image = sum C(r,k)^2 rank psi_k = {img_dim}, C(braid) = C(C(image)) = image"
         )
         env_how = (
-            f"{mod}: closure_p {env_dim} <= envelope <= C(rook) = sum <psi_k, psi_k> "
-            f"{cent_of_img_dim}"
+            f"{mod}: sum d_lambda^2 over the full, separated shape blocks {env_dim} <= envelope "
+            f"<= C(rook) = sum <psi_k, psi_k> {cent_of_img_dim}"
         )
     else:
         cent_dim, _ = commutant(braid_gens, size=n**r)

@@ -320,6 +320,25 @@ def test_modular_path_makes_no_commutator_call(commutator_calls):
     assert len(commutator_calls) == 0
 
 
+def test_modular_closures_add_no_image_that_must_be_zero(monkeypatch):
+    # the six closures of the lie-bracket benchmark at q = 2: 1217 of the
+    # 2488 brackets that a per-generator ad_g formed were zero, with g
+    # sharing no row or column with the popped row; the pass of _images
+    # never forms them, which leaves 1271 adds
+    calls = []
+    real = _modlinalg._echelon_add
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(_modlinalg, "_echelon_add", counted)
+    for n in (8, 9, 10):
+        for family in (u_generators, v_generators):
+            assert bracket_closure(family(n, 2)).certificate["path"] == "modular"
+    assert len(calls) == 1271
+
+
 @pytest.mark.parametrize("n", [4, 6])
 def test_closure_one_short_mod_p_takes_the_exact_path(monkeypatch, n):
     gens = u_generators(n, 2)

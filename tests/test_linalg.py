@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from math import lcm
@@ -9,6 +10,7 @@ from dense import entries, invert, nullspace_from_rref, rank, unit, zeros
 
 from braidrook import _modlinalg
 from braidrook.burau import BurauParams
+from braidrook.lieclosure import v_generators
 from braidrook.linalg import (
     VectorSpan,
     _MODULAR_THRESHOLD,
@@ -863,13 +865,15 @@ def test_closure_dim_mod_matches_span_closure():
     # every ceiling from the seeds' dimension up to the full dimension
     dims = []
     for seeds, maps in [([g], [g, h]), ([g, h], [h]), ([Matrix.identity(3)], [g])]:
-        right = [lambda w, x=x: (Matrix(3, 3, w) * x).nonzeros() for x in maps]
+        def right(w, maps=maps):
+            return ((Matrix(3, 3, w) * x).nonzeros() for x in maps)
+
         span, basis = VectorSpan(9), {}
         over_q = worklist_closure(span.add, [s.nonzeros() for s in seeds], right)
         mod_p = worklist_closure(
             lambda v: _modlinalg._echelon_add(basis, v, p),
             [_modlinalg.residues(s, p) for s in seeds],
-            [lambda w, x=x: _modlinalg.residues(Matrix(3, 3, w) * x, p) for x in maps],
+            lambda w, maps=maps: (_modlinalg.residues(Matrix(3, 3, w) * x, p) for x in maps),
         )
         assert over_q == mod_p == span.dim == len(basis)
         dims.append(over_q)
@@ -878,6 +882,94 @@ def test_closure_dim_mod_matches_span_closure():
             stopped = worklist_closure(span.add, [s.nonzeros() for s in seeds], right, ceiling)
             assert stopped == span.dim == ceiling
     assert dims == [9, 6, 3]
+
+
+def _shifted(g, m, p):
+    """g - cI mod p, c the most common diagonal residue of g, the first on
+    the diagonal on a tie."""
+    diagonal = [g.get(i * (m + 1), 0) for i in range(m)]
+    c = Counter(diagonal).most_common(1)[0][0]
+    return Matrix(m, m, g) - Matrix.identity(m).scale(c)
+
+
+def test_images_are_the_nonzero_products_in_generator_order():
+    rng, m, p = random.Random(5), 4, 7
+
+    def residue_matrix(density):
+        return {k: rng.randrange(1, p) for k in range(m * m) if rng.random() < density}
+
+    gens = [
+        residue_matrix(0.4),
+        # row 0 and column 2 all zero
+        {k: x for k, x in residue_matrix(0.7).items() if k // m != 0 and k % m != 2},
+        # diagonal residues 3, 5, 3, 5 tie: c is the first, 3
+        {**residue_matrix(0.3), 0: 3, 5: 5, 10: 3, 15: 5},
+        # 2I shifts to zero, so its images are all zero
+        {i * (m + 1): 2 for i in range(m)},
+        {1: 4, 6: 1},
+    ]
+    ws = [residue_matrix(0.5) for _ in range(20)] + [{k: 1} for k in range(m * m)]
+    skipped = kept = 0
+    for bracket in (False, True):
+        images = _modlinalg._images(gens, m, p, bracket)
+        for w in ws:
+            want = []
+            for g in gens:
+                x = Matrix(m, m, g)
+                if bracket:
+                    want.append(_modlinalg.residues(x * Matrix(m, m, w) - Matrix(m, m, w) * x, p))
+                else:
+                    want.append(_modlinalg.residues(Matrix(m, m, w) * _shifted(g, m, p), p))
+            # every nonzero image, in generator order; exactly the zero ones left out
+            assert list(images(w)) == [v for v in want if v]
+            skipped += sum(not v for v in want)
+            kept += sum(bool(v) for v in want)
+    assert skipped and kept
+
+
+def test_closure_dim_mod_is_blind_to_a_scalar_shift():
+    # block upper triangular 4 x 4 integer matrices: a proper subalgebra,
+    # so the closure stops short of 16
+    rng, p, m = random.Random(3), _modlinalg.SANDWICH_PRIMES[0], 4
+    gens = []
+    for _ in range(2):
+        g = rand_matrix(rng, m, m, den=1).to_lists()
+        for i in (2, 3):
+            g[i][0] = g[i][1] = Fraction(0)
+        gens.append(Matrix.from_rows(g))
+    for c in (0, 1, 5, -3):
+        shifted = [g + Matrix.identity(m).scale(c) for g in gens]
+        dim = _modlinalg.closure_dim_mod([_modlinalg.residues(g, p) for g in shifted], m, p, None)
+        assert dim == span_closure(shifted)[0] == span_closure(gens)[0] == 12
+
+
+def test_shift_holds_for_any_seed_and_belongs_to_the_maps_not_the_seeds():
+    m, p = 4, _modlinalg.SANDWICH_PRIMES[0]
+
+    def closure(seeds, gens, bracket):
+        basis = {}
+        images = _modlinalg._images(gens, m, p, bracket)
+        return worklist_closure(lambda v: _modlinalg._echelon_add(basis, v, p), seeds, images)
+
+    # a span closed under w -> wg is closed under w -> w(g - cI), so the
+    # shift is sound for any seed, not only for 1: right multiplication by
+    # g and by g - cI close one seed, here e_00 + e_01, to the same span
+    g = {k: 1 for k in range(m * m) if k % m >= k // m}  # upper triangular ones, c = 1
+    basis = {}
+    right = worklist_closure(
+        lambda v: _modlinalg._echelon_add(basis, v, p),
+        [{0: 1, 1: 1}],
+        lambda w: [_modlinalg.residues(Matrix(m, m, w) * Matrix(m, m, g), p)],
+    )
+    assert closure([{0: 1, 1: 1}], [g], False) == right == 4
+    # negative control: the v generators carry the identity part c = 1,
+    # and the shift is sound in ad_g only; seeded with the shifted
+    # generators, which are not traceless, the closure leaves sl_4
+    v = [_modlinalg.residues(x, p) for x in v_generators(m + 1, Fraction(2))]
+    # copies, as _echelon_add uses up its seeds
+    assert closure([dict(x) for x in v], v, True) == m * m - 1
+    seeds = [_modlinalg.residues(_shifted(x, m, p), p) for x in v]
+    assert closure(seeds, v, True) == m * m
 
 
 def test_residues_and_p_integrality():

@@ -451,7 +451,8 @@ def _exact_dims(n, r, params):
 @pytest.mark.parametrize("q", [Fraction(2), Fraction(1, 2), Fraction(-2)], ids=str)
 @pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (2, 3)])
 def test_sandwich_dimensions_match_exact(n, r, q):
-    # closure_p <= envelope <= C(rook) = sum <psi_k, psi_k>, and
+    # sum d_lambda^2 over the full, separated shape blocks <= envelope
+    # <= C(rook) = sum <psi_k, psi_k>, and
     # sum C(r,k)^2 rank psi_k is the image: each number equals the exact
     # dimension it stands for
     params = BurauParams.preset(n, q)
@@ -470,6 +471,9 @@ def test_sandwich_dimensions_match_exact(n, r, q):
     details = {c["name"]: c["detail"] for c in report["checks"]}
     assert f"closure mod {cert['prime']}" in details["rook_image_equals_centralizer_of_braid"]
     assert "sum <psi_k, psi_k>" in details["enveloping_equals_centralizer_of_rook_image"]
+    assert "sum d_lambda^2 over the full, separated shape blocks" in details[
+        "enveloping_equals_centralizer_of_rook_image"
+    ]
 
 
 def test_duality_n4_r3_on_the_character_path():
@@ -1148,17 +1152,18 @@ def test_q1_control_closure_reads_6_at_every_listed_prime():
 
 
 def test_closure_stops_at_the_rook_centralizer_dimension(monkeypatch):
-    # at (4,2) the certificate makes 167 adds: 22 to span the four W_lambda
-    # (1 + 3 + 9 + 9 symmetrized tensors) and 145 in the four block
+    # at (4,2) the certificate makes 134 adds: 22 to span the four W_lambda
+    # (1 + 3 + 9 + 9 symmetrized tensors) and 112 in the four block
     # closures, each stopped at its ceiling d^2; run on to saturation
-    # (no ceiling) the closures make 169 adds for the
-    # same blocks, which sum to rook_cent = 55
+    # (no ceiling) the closures make 124 adds for the
+    # same blocks, which sum to rook_cent = 55. Images that are zero mod p
+    # are never added, so these are the adds of nonzero images only
     calls = _count_calls(monkeypatch, (_modlinalg,), "_echelon_add")
     params = BurauParams.preset(4)
     cert = duality_report(4, 2, params)["certificate"]
     assert cert["path"] == "character"
     assert cert["bounds"]["envelope_lower"] == cert["bounds"]["rook_centralizer"] == 55
-    assert calls["_echelon_add"] == 167
+    assert calls["_echelon_add"] == 134
     prime, m = cert["prime"], 3
     gens = [_modlinalg.residues(g, prime) for g in split_generators(params)]
     cols = [{b: [(a, g[a * m + b]) for a in range(m) if a * m + b in g] for b in range(m)} for g in gens]
@@ -1171,7 +1176,7 @@ def test_closure_stops_at_the_rook_centralizer_dimension(monkeypatch):
         restricted = [_modlinalg.restrict(basis, c, 1, sum(shape), m, prime) for c in cols]
         dims.append(_modlinalg.closure_dim_mod(restricted, len(basis), prime, None))
     assert dims == [1, 9, 36, 9]
-    assert calls["_echelon_add"] == 169
+    assert calls["_echelon_add"] == 124
 
 
 def _count_calls(monkeypatch, modules, *names):
