@@ -321,10 +321,10 @@ def test_modular_path_makes_no_commutator_call(commutator_calls):
 
 
 def test_modular_closures_add_no_image_that_must_be_zero(monkeypatch):
-    # the six closures of the lie-bracket benchmark at q = 2: 1217 of the
-    # 2488 brackets that a per-generator ad_g formed were zero, with g
-    # sharing no row or column with the popped row; the pass of _images
-    # never forms them, which leaves 1271 adds
+    # the six closures of the lie-bracket benchmark at q = 2 take 2488
+    # brackets [g, w], one per generator and popped row; 1217 are zero, g
+    # sharing no row or column with w, and _images never forms them, so
+    # 1271 reach _echelon_add. A lost skip fails here, with no timing
     calls = []
     real = _modlinalg._echelon_add
 
