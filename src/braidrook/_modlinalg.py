@@ -1,4 +1,5 @@
-"""Certified modular accelerator for large exact nullspaces.
+"""A certified modular engine for large exact nullspaces, now slower than
+the sparse exact path of linalg at every size measured (ROADMAP.md item 7).
 
 Strategy: clear denominators row by row (nullspace-preserving), reduce the
 integer system modulo a few 31-bit primes, eliminate each on _echelon_add,

@@ -231,6 +231,13 @@ def cell_dim(r: int, parts: tuple[int, ...]) -> int:
     return comb(r, k) * standard_tableaux_count(parts)
 
 
+def shape_dimensions(n: int, r: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """The Schur-Weyl shapes of E^(x r), E = Q^n: (lambda, gl_weyl_dim(lambda,
+    n - 1), cell_dim(r, lambda)) for each partition lambda of k <= r with at
+    most n - 1 rows, in cell_labels order."""
+    return [(c.parts, gl_weyl_dim(c.parts, n - 1), cell_dim(r, c.parts)) for c in cell_labels(r) if c.fits_length(n)]
+
+
 def dims_table(r: int) -> list[dict]:
     """One row per label: the branching-path count, the closed form, and
     the square contribution to dim P'_r."""

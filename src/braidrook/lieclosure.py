@@ -149,7 +149,8 @@ def bracket_closure(gens: Sequence[Matrix]) -> BracketSpace:
         dim_Fp (closure mod p) <= dim_Q L <= ceiling.
 
     The search stops at the first prime whose closure reaches the ceiling.
-    Then L is all of gl_m or sl_m, and the basis is that space's unique
+    When the bound it returns is the ceiling (its reason only explains a
+    miss), L is all of gl_m or sl_m, and the basis is that space's unique
     reduced echelon basis in row-major order, written down in closed form:
     every e_ij for gl_m; e_ij for i != j and e_ii - e_mm for i < m, in
     pivot order, for sl_m. That is the basis the exact worklist reaches.
@@ -173,7 +174,7 @@ def bracket_closure(gens: Sequence[Matrix]) -> BracketSpace:
         gens, lambda prime: _modlinalg.bracket_closure_dim_mod(gens, prime, ceiling), ceiling
     )
     bounds = {"lower": lower, "ceiling": ceiling}
-    if reason is None:
+    if lower == ceiling:
         one, last = Fraction(1), m * m - 1
         if ceiling == m * m:
             rows = [{k: one} for k in range(m * m)]
@@ -184,7 +185,7 @@ def bracket_closure(gens: Sequence[Matrix]) -> BracketSpace:
         basis = tuple(Matrix(m, m, row) for row in rows)
         certificate = certificate_record("modular", None, prime, skipped, bounds)
         return BracketSpace(ceiling, basis, certificate)
-    certificate = certificate_record("exact", reason, prime, skipped, bounds)
+    certificate = certificate_record("exact", reason or f"lower {lower} != ceiling {ceiling}", prime, skipped, bounds)
     return _exact_closure(gens, ceiling, certificate)
 
 

@@ -13,10 +13,10 @@ deterministic and independent of the order rows are added in (that order
 is performance-only). One worklist, worklist_closure, closes a span under
 a set of linear maps for every closure in the package, over Q here and
 over F_p in _modlinalg. Large nullspace systems are dispatched to a
-certified modular accelerator, which eliminates mod p on the sparse echelon
-of those closures and verifies its candidates exactly before use; on any
+certified modular engine, which eliminates mod p on the sparse echelon of
+those closures and verifies its candidates exactly before use; on any
 failure the pure rational path runs instead, so results never depend on
-the fast path.
+it. That engine is now the slower route; ROADMAP.md item 7 removes it.
 """
 
 from __future__ import annotations
@@ -32,8 +32,10 @@ SparseRow = list[tuple[int, Fraction]]
 # a dense vector, or its nonzeros as {column: entry}
 Vector = Sequence[Fraction] | Mapping[int, Fraction]
 
-# Work estimate above which nullspace extraction is attempted modularly
-# first. Purely a speed knob: both routes return identical bases.
+# Work estimate above which nullspace extraction is attempted modularly first.
+# Both routes return identical bases; the modular one is slower: the (4,2)
+# braid commutant takes 0.039 s against 0.025 s exact, (3,3) 0.80 against
+# 0.65 s (best of 3, 2 vCPUs, Python 3.11.7). ROADMAP.md item 7 removes it.
 _MODULAR_THRESHOLD = 40_000_000
 
 _ZERO = Fraction(0)

@@ -19,15 +19,13 @@ from typing import Iterable, Sequence
 from . import _modlinalg
 from .burau import BurauParams, split_generators, unreduced_generator
 from .cellular import (
-    cell_dim,
-    cell_labels,
     generator_rows,
-    gl_weyl_dim,
     groupoid_dimensions,
     groupoid_failure,
     partition_label,
     partitions_of,
     rook_dimension,
+    shape_dimensions,
 )
 from .diagrams import PartialPermutation, generator_diagrams, projection, relations, rook_elements
 from .linalg import certificate_record, commutant, matrix_span, span_closure
@@ -113,30 +111,6 @@ def enveloping_braid(n: int, r: int, p: BurauParams) -> tuple[int, list[Matrix]]
     return span_closure(braid_generators(p, r))
 
 
-def expected_centralizer_dim(n: int, r: int) -> int:
-    return sum(
-        cell_dim(r, label.parts) ** 2
-        for label in cell_labels(r)
-        if label.fits_length(n)
-    )
-
-
-def expected_enveloping_dim(n: int, r: int) -> int:
-    return sum(
-        gl_weyl_dim(label.parts, n - 1) ** 2
-        for label in cell_labels(r)
-        if label.fits_length(n)
-    )
-
-
-def bimodule_dimension_sum(n: int, r: int) -> int:
-    return sum(
-        gl_weyl_dim(label.parts, n - 1) * cell_dim(r, label.parts)
-        for label in cell_labels(r)
-        if label.fits_length(n)
-    )
-
-
 # -- the duality report --------------------------------------------------------------
 
 
@@ -203,11 +177,13 @@ def _operator_failure(p: BurauParams, r: int, ops: dict) -> str | None:
     return None
 
 
-def _character_certificate(p: BurauParams, r: int, basis, rows, ops: dict) -> dict:
+def _character_certificate(p: BurauParams, r: int, basis, rows, ops: dict, shapes) -> dict:
     """The certificate of duality_report from the letter operators ops and
     the generator_rows of the basis: the relations, groupoid and character
     checks, cellular.groupoid_dimensions, and the shape-by-shape bound
-    _modlinalg.envelope_bound at the prime of _modlinalg.lower_bound."""
+    _modlinalg.envelope_bound on shapes = [(lambda, d_lambda)] at the prime
+    of _modlinalg.lower_bound. The path is "character" only when that bound
+    equals sum <psi_k, psi_k>, an integer."""
     z = p.quantum(p.n)
     if z == 0:
         return certificate_record("exact", "z = [n]_q = 0 has no rescaled basis")
@@ -218,18 +194,20 @@ def _character_certificate(p: BurauParams, r: int, basis, rows, ops: dict) -> di
     failure = _operator_failure(p, r, ops) or groupoid_failure(basis, rows)
     if failure:
         return certificate_record("exact", failure)
-    # sum m_lam^2, an integer; compared exactly below
     rook_cent, rook_img = groupoid_dimensions(p.n, r)
-    bounds = {"envelope_lower": None, "rook_centralizer": int(rook_cent), "rook_image": rook_img}
-    shapes = [(c.parts, gl_weyl_dim(c.parts, p.n - 1)) for c in cell_labels(r) if c.fits_length(p.n)]
+    if rook_cent.denominator != 1:
+        return certificate_record("exact", f"sum <psi_k, psi_k> = {rook_cent} is not an integer")
     records = {}
 
     def bound(prime):
         records[prime] = _modlinalg.envelope_bound(gens, r, shapes, prime)
         return records[prime][0]
 
-    prime, bounds["envelope_lower"], skipped, reason = _modlinalg.lower_bound(gens, bound, rook_cent)
-    certificate = certificate_record("exact" if reason else "character", reason, prime, skipped, bounds)
+    prime, lower, skipped, reason = _modlinalg.lower_bound(gens, bound, rook_cent)
+    bounds = {"envelope_lower": lower, "rook_centralizer": int(rook_cent), "rook_image": rook_img}
+    met = lower == rook_cent  # the numbers decide; the search's reason only explains a miss
+    reason = None if met else reason or f"envelope_lower {lower} != rook_centralizer {rook_cent}"
+    certificate = certificate_record("character" if met else "exact", reason, prime, skipped, bounds)
     certificate["shapes"] = records[prime][1] if prime else None
     return certificate
 
@@ -339,11 +317,11 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     commutant dimensions are computed instead ("exact" path), on the
     generators already built and the operators of every basis diagram, when
     the actions do not commute, when z = 0, when the split check, or the
-    relations, groupoid or character check fails, when the
-    bounds miss at every listed prime, and when every listed prime divides
-    a denominator. The N identity is q-free, so its failure is a fault of
-    the diagram code: generator_rows raises IdentityError, as it does in
-    cellular.semisimplicity_certificate.
+    relations, groupoid or character check fails, when sum_k <psi_k, psi_k>
+    is not an integer, when the returned bound is not that sum (a miss at
+    every listed prime), and when every listed prime divides a denominator.
+    The N identity is q-free, so its failure is a fault of the diagram code:
+    generator_rows raises IdentityError, as in cellular.semisimplicity_certificate.
     report["certificate"] records the path, the prime, the skipped primes,
     the bounds (envelope_lower, rook_centralizer = sum_k <psi_k, psi_k>,
     rook_image = sum_k C(r,k)^2 rank psi_k), the reason for the exact
@@ -360,6 +338,7 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     braid_gens = braid_generators(p, r)
     basis = rook_elements(r)
     rows = generator_rows(basis)
+    shapes = shape_dimensions(n, r)
     # the letters of the relations, the paper's generators among them
     letters = dict.fromkeys(d for _, chain in relations(r) for word in chain for d in word)
     ops = {d: diagram_op(d, p, r) for d in letters}
@@ -368,7 +347,7 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     commute = _all_commute(braid_gens, rook_gens)
 
     if commute:
-        certificate = _character_certificate(p, r, basis, rows, ops)
+        certificate = _character_certificate(p, r, basis, rows, ops, [(lam, d) for lam, d, _ in shapes])
     else:
         certificate = certificate_record("exact", "actions do not commute")
     certificate.setdefault("shapes", None)
@@ -376,7 +355,7 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     if certificate["path"] == "character":
         bounds = certificate["bounds"]
         img_dim = cent_dim = bounds["rook_image"]
-        env_dim = cent_of_img_dim = bounds["rook_centralizer"]
+        env_dim, cent_of_img_dim = bounds["envelope_lower"], bounds["rook_centralizer"]
         mod = f"character, closure mod {certificate['prime']}"
         img_how = (
             f"{mod}: image = sum C(r,k)^2 rank psi_k = {img_dim}, C(braid) = C(C(image)) = image"
@@ -393,9 +372,9 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
         img_how = env_how = f"exact dimensions; {certificate['fallback_reason']}"
     env_eq = commute and env_dim == cent_of_img_dim
     img_eq = commute and img_dim == cent_dim
-    dim_sum = expected_centralizer_dim(n, r)
-    env_sum = expected_enveloping_dim(n, r)
-    bim_sum = bimodule_dimension_sum(n, r)
+    dim_sum = sum(c * c for *_, c in shapes)
+    env_sum = sum(d * d for _, d, _ in shapes)
+    bim_sum = sum(d * c for _, d, c in shapes)
 
     checks = [
         _report_check(

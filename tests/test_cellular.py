@@ -32,6 +32,7 @@ from braidrook.cellular import (
     psi,
     rook_dimension,
     semisimplicity_certificate,
+    shape_dimensions,
     standard_tableaux_count,
     star,
     theta,
@@ -284,6 +285,24 @@ def test_cell_dim_closed_form():
     assert cell_dim(4, (2, 2)) == 2
     with pytest.raises(ValueError):
         cell_dim(2, (2, 1))
+
+
+def test_shape_dimensions_at_r2():
+    # the shapes of E^(x 2): every lambda of k <= 2 with at most n - 1 rows
+    assert shape_dimensions(3, 2) == [((), 1, 1), ((1,), 2, 2), ((2,), 3, 1), ((1, 1), 1, 1)]
+    assert shape_dimensions(2, 2) == [((), 1, 1), ((1,), 1, 2), ((2,), 1, 1)]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("r", range(6))
+def test_shape_dimensions_count_the_tensor_space_and_the_algebra(n, r):
+    # E^(x r) is the sum of W_lambda (x) C_lambda: sum d c = n^r; when
+    # n > r no shape of k <= r is cut off, and sum c^2 = |R_r|
+    table = shape_dimensions(n, r)
+    assert [lam for lam, *_ in table] == [c.parts for c in cell_labels(r) if len(c.parts) < n]
+    assert sum(d * c for _, d, c in table) == n**r
+    if n > r:
+        assert sum(c * c for *_, c in table) == rook_dimension(r)
 
 
 def test_three_way_dimension_agreement():

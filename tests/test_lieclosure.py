@@ -419,6 +419,24 @@ def _superdiagonal_units(m):
     return [unit(m, i, i + 1) for i in range(m - 1)]
 
 
+def test_a_search_that_calls_a_miss_a_meet_takes_the_exact_path(monkeypatch):
+    # the prime search returns its closure less one, 8 of gl_3's 9, as a
+    # meet: the certificate compares the numbers it records, and the exact
+    # closure decides the verdict
+    real = _modlinalg.lower_bound
+
+    def lying(gens, closure, target):
+        prime, bound, skipped, _ = real(gens, closure, target)
+        return prime, bound - 1, skipped, None
+
+    monkeypatch.setattr(_modlinalg, "lower_bound", lying)
+    report = lie_report(4, 2, "u")
+    assert report["ok"] and report["closure_dim"] == 9
+    cert = report["certificate"]
+    assert cert["path"] == "exact" and cert["fallback_reason"] == "lower 8 != ceiling 9"
+    assert cert["bounds"] == {"lower": 8, "ceiling": 9}
+
+
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_generator_worklist_reaches_deep_brackets(m, commutator_calls):
     """e_{i,i+1} generate the strictly upper-triangular algebra, whose top

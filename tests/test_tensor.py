@@ -20,14 +20,11 @@ from braidrook.linalg import commutant, matrix_span, span_closure, spans_equal
 from braidrook.matrix import Matrix, kron
 from braidrook.tensor import (
     MATRIX_SIZE_BUDGET,
-    bimodule_dimension_sum,
     braid_generators,
     centralizer_of_braid,
     diagram_op,
     duality_report,
     enveloping_braid,
-    expected_centralizer_dim,
-    expected_enveloping_dim,
     q1_special_solve,
     rook_generators,
     rook_image,
@@ -37,6 +34,13 @@ from braidrook.tensor import (
 
 P32 = BurauParams.preset(3)  # (q1, q2) = (1, -2), q = 2
 P22 = BurauParams.preset(2)
+
+
+def _shape_sums(n, r):
+    """(sum c^2, sum d^2, sum d c) over cellular.shape_dimensions(n, r): the
+    cell, GL_(n-1) and bimodule sums of the duality report."""
+    table = cellular.shape_dimensions(n, r)
+    return sum(c * c for *_, c in table), sum(d * d for _, d, _ in table), sum(d * c for _, d, c in table)
 
 
 def swap_op(i, p, r):
@@ -284,12 +288,12 @@ def test_centralizer_n3_r1():
 
 def test_centralizer_n3_r2():
     dim, _ = centralizer_of_braid(3, 2, P32)
-    assert dim == 7 == expected_centralizer_dim(3, 2)
+    assert dim == 7 == _shape_sums(3, 2)[0]
 
 
 def test_centralizer_n2_r2():
     dim, _ = centralizer_of_braid(2, 2, P22)
-    assert dim == 6 == expected_centralizer_dim(2, 2)
+    assert dim == 6 == _shape_sums(2, 2)[0]
 
 
 def test_centralizer_budget():
@@ -354,17 +358,17 @@ def test_enveloping_n2_r1():
 
 def test_enveloping_n2_r2():
     dim, _ = enveloping_braid(2, 2, P22)
-    assert dim == 3 == expected_enveloping_dim(2, 2)
+    assert dim == 3 == _shape_sums(2, 2)[1]
 
 
 def test_enveloping_n3_r2():
     dim, _ = enveloping_braid(3, 2, P32)
-    assert dim == 15 == expected_enveloping_dim(3, 2)
+    assert dim == 15 == _shape_sums(3, 2)[1]
 
 
 def test_enveloping_n4_r2():
     dim, _ = enveloping_braid(4, 2, BurauParams.preset(4))
-    assert dim == 55 == expected_enveloping_dim(4, 2)
+    assert dim == 55 == _shape_sums(4, 2)[1]
 
 
 # -- duality reports -------------------------------------------------------------------
@@ -385,7 +389,7 @@ def test_duality_n3_r2():
         "enveloping dim 15, sum of squared GL_(n-1) Weyl dims 15"
     )
     assert details["actions_commute"] == "2 braid generators against 2 rook generators"
-    assert bimodule_dimension_sum(3, 2) == 9
+    assert _shape_sums(3, 2)[2] == 9
 
 
 def test_duality_n2_r2_not_faithful():
@@ -397,16 +401,14 @@ def test_duality_n2_r2_not_faithful():
 def test_duality_n2_r3():
     report = duality_report(2, 3, P22)
     _assert_all_pass(report)
-    assert expected_centralizer_dim(2, 3) == 20
-    assert bimodule_dimension_sum(2, 3) == 8
+    assert _shape_sums(2, 3)[0::2] == (20, 8)
 
 
 def test_duality_n3_r3():
     report = duality_report(3, 3, P32)
     _assert_all_pass(report)
     assert not report["faithful"]
-    assert expected_centralizer_dim(3, 3) == 33
-    assert expected_enveloping_dim(3, 3) == 35
+    assert _shape_sums(3, 3)[:2] == (33, 35)
 
 
 def test_duality_special_q_matching_classical_dimension():
@@ -431,11 +433,7 @@ def test_duality_report_budget_argument():
 def _shape_bound(params, r, prime):
     """_modlinalg.envelope_bound on the inputs the duality report gives it."""
     gens = [Matrix.diagonal([params.q1]), *split_generators(params)]
-    shapes = [
-        (c.parts, cellular.gl_weyl_dim(c.parts, params.n - 1))
-        for c in cellular.cell_labels(r)
-        if c.fits_length(params.n)
-    ]
+    shapes = [(lam, d) for lam, d, _ in cellular.shape_dimensions(params.n, r)]
     return _modlinalg.envelope_bound(gens, r, shapes, prime)
 
 
@@ -677,21 +675,56 @@ def test_wrong_generator_product_takes_the_exact_path(monkeypatch):
     assert reason == f"phi(g) phi(b) != phi(gb) at g = {s1!r}, b = {s1!r}"
 
 
-def test_bumped_psi_block_takes_the_exact_path(monkeypatch):
-    # psi_2 one more at the identity, at r = 2, moves sum <psi_k, psi_k>
-    # from the envelope's 15 to 19
+def _bump_psi_2(monkeypatch, column, by):
+    # psi_2 raised by `by` in one column of row 0 of its block, at r = 2
     real = cellular.groupoid_block
 
     def bumped(n, k):
         block = real(n, k)
         if k == 2:
-            block[0][0] += 1
+            block[0][column] += by
         return block
 
     monkeypatch.setattr(cellular, "groupoid_block", bumped)
+
+
+def test_bumped_psi_block_takes_the_exact_path(monkeypatch):
+    # psi_2 two more at the identity moves sum <psi_k, psi_k> from the
+    # envelope's 15 to 1 + 4 + (6^2 + 2^2)/2 = 25, an integer the bound
+    # misses at every listed prime
+    _bump_psi_2(monkeypatch, 0, 2)
     report = duality_report(3, 2, P32)
-    assert report["certificate"]["bounds"]["rook_centralizer"] == 19
+    assert report["certificate"]["bounds"]["rook_centralizer"] == 25
     assert _passing_on_the_exact_path(report).startswith("bounds do not meet mod ")
+
+
+def test_non_integral_psi_inner_product_is_named(monkeypatch):
+    # psi_2 one more at s_1 gives 1 + 4 + (4^2 + 3^2)/2 = 35/2, which no
+    # dimension equals; the reason names it, and no bound is taken
+    _bump_psi_2(monkeypatch, 1, 1)
+    assert cellular.groupoid_dimensions(3, 2)[0] == Fraction(35, 2)
+    report = duality_report(3, 2, P32)
+    assert _passing_on_the_exact_path(report) == "sum <psi_k, psi_k> = 35/2 is not an integer"
+    assert report["certificate"]["bounds"] is None and report["certificate"]["shapes"] is None
+
+
+def test_a_search_that_calls_a_miss_a_meet_takes_the_exact_path(monkeypatch):
+    # the prime search returns its bound less one, 14 of 15, as a meet:
+    # the certificate compares the numbers it records, and the exact
+    # dimensions decide the verdicts
+    real = _modlinalg.lower_bound
+
+    def lying(gens, closure, target):
+        prime, bound, skipped, _ = real(gens, closure, target)
+        return prime, bound - 1, skipped, None
+
+    monkeypatch.setattr(_modlinalg, "lower_bound", lying)
+    report = duality_report(3, 2, P32)
+    assert _passing_on_the_exact_path(report) == "envelope_lower 14 != rook_centralizer 15"
+    assert report["certificate"]["bounds"] == {"envelope_lower": 14, "rook_centralizer": 15, "rook_image": 7}
+    details = {c["name"]: c["detail"] for c in report["checks"]}
+    assert details["enveloping_dimension_sum"].startswith("enveloping dim 15,")
+    assert "exact dimensions" in details["enveloping_equals_centralizer_of_rook_image"]
 
 
 @pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (2, 3), (4, 2)])
@@ -720,7 +753,7 @@ def test_shape_blocks_sum_to_the_closure_on_u(n, r, q):
     prime, u = cert["prime"], character_oracle.block_generators(params, r)
     on_u = _modlinalg.closure_dim_mod([_modlinalg.residues(b, prime) for b in u], u[0].rows, prime, None)
     shape_sum = sum(b["dim"] ** 2 for b in blocks)
-    assert shape_sum == on_u == expected_enveloping_dim(n, r) == cert["bounds"]["envelope_lower"]
+    assert shape_sum == on_u == _shape_sums(n, r)[1] == cert["bounds"]["envelope_lower"]
 
 
 def test_shape_record_names_the_word_that_separates_each_pair():
