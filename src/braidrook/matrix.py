@@ -12,11 +12,16 @@ from Fractions, skip that check.
 
 One sparse product, `sparse_product` of a's nonzeros with b's nonzeros
 grouped by row (`rows_of`), serves the matrix products of the package:
-`Matrix` multiplication here, and the Fraction, integer and mod-p products
-on bare {index: entry} dicts in `linalg`, `tensor` and `_modlinalg`. Only
-the closures mod p take their products elsewhere: `_modlinalg._images`
-builds every generator's product with a basis row, w g or gw - wg, in one
-pass, since it runs once per element of every closure.
+`Matrix` multiplication here, and the Fraction and mod-p products on bare
+{index: entry} dicts in `linalg` and `_modlinalg`. Two kinds of product
+are taken elsewhere. The closures mod p take theirs from
+`_modlinalg._images`, which builds every generator's product with a basis
+row, w g or gw - wg, in one pass, since it runs once per element of every
+closure. The integer identity checks of the duality report
+(`tensor._all_commute` and `tensor._operator_failure`) multiply packed
+rows: row i of an integer matrix is the one int sum_j a_ij 2^(W j), and a
+letter times a packed matrix costs one big-int multiply-add per nonzero
+of the letter (`tensor._packed_product`).
 
 `integer_form` scales a list of matrices by one integer D, the lcm of all
 their denominators, into {index: int} dicts. A product of k of the D m is
@@ -286,8 +291,9 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     for idx, av in a._e.items():
         i, j = divmod(idx, a.cols)
         base = i * b.rows * cols + j * b.cols
+        one = av == 1  # block (i,j) is then b itself, sharing b's Fractions
         for off, bv in b_off:
-            out[base + off] = av * bv
+            out[base + off] = bv if one else av * bv
     return Matrix._trusted(rows, cols, out)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, pairwise, product
 from math import prod
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 from . import _modlinalg
 from .burau import BurauParams, split_generators, unreduced_generator
@@ -29,7 +29,7 @@ from .cellular import (
 )
 from .diagrams import PartialPermutation, generator_diagrams, projection, relations, rook_elements
 from .linalg import certificate_record, commutant, matrix_span, span_closure
-from .matrix import Matrix, integer_form, kron_power, rows_of, sparse_product
+from .matrix import Matrix, integer_form, kron_power
 from .scalars import IdentityError
 
 MATRIX_SIZE_BUDGET = 256  # largest n^r the exact commutant solvers accept
@@ -60,17 +60,15 @@ def diagram_op(d: PartialPermutation, p: BurauParams, r: int) -> Matrix:
     n = p.n
     size = n**r
     weight = [n ** (r - s) for s in range(1, r + 1)]  # of slot s in the flat index
-    q_power = [p.q**k for k in range(n)]
     # slot s of K copies slot d(s) of J; digits are J_t - 1, slots 0-based
     copied = [(weight[s - 1], t - 1) for s, t in d.pairs]
     weighted = [t - 1 for t in range(1, r + 1) if t not in d.im]
+    q_power = [p.q**k for k in range((n - 1) * len(weighted) + 1)]
     free = [weight[s - 1] for s in range(1, r + 1) if s not in d.dom]
     fills = [sum(k * w for k, w in zip(ks, free)) for ks in product(range(n), repeat=len(free))]
     entries = {}
     for col, digits in enumerate(product(range(n), repeat=r)):
-        coeff = Fraction(1)
-        for t in weighted:
-            coeff *= q_power[digits[t]]
+        coeff = q_power[sum(digits[t] for t in weighted)]
         row = sum(w * digits[t] for w, t in copied)
         for fill in fills:
             entries[(row + fill) * size + col] = coeff
@@ -114,43 +112,84 @@ def enveloping_braid(n: int, r: int, p: BurauParams) -> tuple[int, list[Matrix]]
 # -- the duality report --------------------------------------------------------------
 
 
-def _all_commute(left: Sequence[Matrix], right: Sequence[Matrix]) -> bool:
-    """Whether ab = ba for every a in left and b in right, n x n matrices,
-    checked on their integer_form (duality_report says why that is exact)."""
-    n, k = left[0].rows, len(left)
-    _, ints = integer_form([*left, *right])
-    with_rows = [(m, rows_of(m, n)) for m in ints]
-    return all(
-        sparse_product(a, b_rows, n, n) == sparse_product(b, a_rows, n, n)
-        for a, a_rows in with_rows[:k]
-        for b, b_rows in with_rows[k:]
-    )
-
-
-def _word_products(words: Iterable[tuple], letters: dict, size: int) -> dict:
-    """{w: M(w)} over the words w and their prefixes, M(w) = D^len(w) op(w)
-    by its nonzeros, given letters = {d: D op(d)} (integer_form); the empty
-    word is the identity, and each prefix is multiplied once."""
-    rows = {d: rows_of(m, size) for d, m in letters.items()}
-    out = {(): dict.fromkeys(range(0, size * size, size + 1), 1)}
-    for word in words:
-        for t in range(1, len(word) + 1):
-            if word[:t] not in out:
-                d = word[t - 1]
-                out[word[:t]] = sparse_product(out[word[: t - 1]], rows[d], size, size) if t > 1 else letters[d]
+def _packed_product(a: Mapping[int, int], x: Sequence[int], size: int) -> list[int]:
+    """The product a x of size x size integer matrices, a by its nonzeros
+    {row-major index: int} and x by its packed rows: row t of x is the one
+    int sum_j x_tj 2^(W j) (Kronecker substitution), and row i of a x is
+    sum_t a_it x_t, one big-int multiply-add per nonzero of a. Packing is
+    linear, so the result is a x packed with the same W."""
+    out = [0] * size
+    for idx, v in a.items():
+        i, t = divmod(idx, size)
+        out[i] += v * x[t]
     return out
 
 
-def _operator_failure(p: BurauParams, r: int, ops: dict) -> str | None:
+def _packed_trace(x: Sequence[int], width: int) -> int:
+    """The trace of a matrix by its packed rows of width-bit slots, every
+    entry below 2^(width - 1) in absolute value: slot i of row i, read after
+    adding 2^(width - 1) to every slot, so that no borrow crosses a slot."""
+    half = 1 << width - 1
+    shift = half * sum(1 << width * j for j in range(len(x)))
+    return sum((((row + shift) >> width * i) & (2 * half - 1)) - half for i, row in enumerate(x))
+
+
+def _all_commute(left: Sequence[Matrix], right: Sequence[Matrix]) -> bool:
+    """Whether ab = ba for every a in left and b in right, n x n matrices,
+    checked on the packed rows of their integer_form (duality_report says
+    why that is exact)."""
+    n, k = left[0].rows, len(left)
+    _, ints = integer_form([*left, *right])
+    words = [w for i in range(k) for j in range(k, len(ints)) for w in ((i, j), (j, i))]
+    _, products = _word_products(words, dict(enumerate(ints)), n)
+    return all(products[(i, j)] == products[(j, i)] for i, j in words[::2])
+
+
+def _word_products(words: list[tuple], letters: dict, size: int, ratio: int = 1) -> tuple[int, dict]:
+    """(W, {w: M(w)}) over the words w and their suffixes, given
+    letters = {d: D op(d) by its nonzeros} (integer_form): M(w) = D^len(w) op(w)
+    by its packed rows of W-bit slots (_packed_product), the empty word the
+    identity, each suffix multiplied once, by its first letter.
+    W = bit_length(2 ratio N^L) + 1, N >= 1 the largest row sum of |entries|
+    of a letter and L the longest word (_operator_failure says why it
+    suffices)."""
+    norm = 1
+    for m in letters.values():
+        sums = [0] * size
+        for idx, v in m.items():
+            sums[idx // size] += abs(v)
+        norm = max(norm, *sums)
+    width = (2 * ratio * norm ** max(map(len, words), default=0)).bit_length() + 1
+    out = {(): [1 << width * i for i in range(size)]}
+    for word in words:
+        for t in reversed(range(len(word))):
+            if word[t:] not in out:
+                out[word[t:]] = _packed_product(letters[word[t]], out[word[t + 1 :]], size)
+    return width, out
+
+
+def _operator_failure(p: BurauParams, r: int, ops: dict, rels: list, swaps: list) -> str | None:
     """None when the rescaled operators rho(d) = z^-(r - rank d) op(d) of the
-    letters, ops = {d: op(d)}, satisfy every chain of diagrams.relations(r)
-    and tr rho(x) = n^l(mu) on the class word x of each (k, mu), mu a
-    partition of k <= r (the permutation of {1..k} with cycles mu, then
-    p_(k+1)..p_r); otherwise the first failure. Both read the integer
-    _word_products M(w): rho(w) = M(w) c(w), c(w) = prod of c[d] over w."""
+    letters, ops = {d: op(d)}, satisfy every chain of rels =
+    diagrams.relations(r) and tr rho(x) = n^l(mu) on the class word x of
+    each (k, mu), mu a partition of k <= r (the permutation of {1..k} with
+    cycles mu, built from swaps = s_1..s_(r-1), then p_(k+1)..p_r);
+    otherwise the first failure. Both read the integer _word_products
+    M(w): rho(w) = M(w) c(w), c(w) = prod of c[d] over w.
+
+    Each M(w) is one int per row, row i packed as sum_j M_ij 2^(W j).
+    Packing is linear, and packs no nonzero vector whose entries are below
+    2^(W - 1) in absolute value to 0. Let N >= 1 be the largest row sum of
+    |entries| of a letter, L the longest word (relation and class words
+    alike) and S the largest |numerator| or denominator of a relation's
+    ratio x = c(first)/c(word). Every entry of an M(w) is then at most N^L
+    (an entry of AB is at most N times the largest entry of B, for A a
+    letter), and every entry of x.numerator M(first) - x.denominator M(word)
+    at most 2 S N^L; W = bit_length(2 S N^L) + 1 puts both below 2^(W - 1). So
+    rho(first) = rho(word) exactly when the packed rows agree after
+    scaling, and _packed_trace reads tr M(x) exactly."""
     z, size = p.quantum(p.n), p.n**r
-    swaps, ps = generator_diagrams(r)[:-1], [projection(j, r) for j in range(1, r + 1)]
-    rels, classes = relations(r), []
+    ps, classes = [projection(j, r) for j in range(1, r + 1)], []
     for k in range(r + 1):
         for mu in partitions_of(k):
             word = []
@@ -158,28 +197,29 @@ def _operator_failure(p: BurauParams, r: int, ops: dict) -> str | None:
                 word += swaps[a : b - 1]  # the cycle on {a+1..b} is s_(a+1) ... s_(b-1)
             classes.append((k, mu, (*word, *ps[k:])))
     den, ints = integer_form(ops.values())
-    words = [word for _, chain in rels for word in chain] + [word for *_, word in classes]
-    products = _word_products(words, dict(zip(ops, ints)), size)
     c = {d: z ** (d.rank - r) / den for d in ops}  # rho(d) = c[d] M(d)
+    # rho(first) = rho(word) iff x M(first) = M(word), x = c(first) / c(word)
+    x = {(first, w): prod(map(c.get, first)) / prod(map(c.get, w)) for _, (first, *rest) in rels for w in rest}
+    words = [word for _, chain in rels for word in chain] + [word for *_, word in classes]
+    ratio = max((max(abs(v.numerator), v.denominator) for v in x.values()), default=1)
+    width, products = _word_products(words, dict(zip(ops, ints)), size, ratio)
     for name, (first, *rest) in rels:
-        a = products[first]
         for word in rest:
-            # rho(first) = rho(word) iff x M(first) = M(word)
-            x, b = prod(map(c.get, first)) / prod(map(c.get, word)), products[word]
-            if a.keys() != b.keys() or any(a[i] * x.numerator != v * x.denominator for i, v in b.items()):
+            u, v = x[first, word].as_integer_ratio()
+            if [u * row for row in products[first]] != [v * row for row in products[word]]:
                 return f"{name} fails on the rescaled operators"
-    diagonal = range(0, size * size, size + 1)
     for k, mu, word in classes:
-        chi = prod(map(c.get, word)) * sum(products[word].get(i, 0) for i in diagonal)
+        chi = prod(map(c.get, word)) * _packed_trace(products[word], width)
         if chi != p.n ** len(mu):
             where = f"the class word of k = {k}, mu = {partition_label(mu)}"
             return f"character {chi} != n^cyc = {p.n ** len(mu)} at {where}"
     return None
 
 
-def _character_certificate(p: BurauParams, r: int, basis, rows, ops: dict, shapes) -> dict:
-    """The certificate of duality_report from the letter operators ops and
-    the generator_rows of the basis: the relations, groupoid and character
+def _character_certificate(p: BurauParams, r: int, basis, rows, ops: dict, rels, swaps, shapes) -> dict:
+    """The certificate of duality_report from the letter operators ops of
+    rels = diagrams.relations(r), swaps = s_1..s_(r-1) and the
+    generator_rows of the basis: the relations, groupoid and character
     checks, cellular.groupoid_dimensions, and the shape-by-shape bound
     _modlinalg.envelope_bound on shapes = [(lambda, d_lambda)] at the prime
     of _modlinalg.lower_bound. The path is "character" only when that bound
@@ -191,7 +231,7 @@ def _character_certificate(p: BurauParams, r: int, basis, rows, ops: dict, shape
         gens = [Matrix.diagonal([p.q1]), *split_generators(p)]
     except IdentityError as e:
         return certificate_record("exact", str(e))
-    failure = _operator_failure(p, r, ops) or groupoid_failure(basis, rows)
+    failure = _operator_failure(p, r, ops, rels, swaps) or groupoid_failure(basis, rows)
     if failure:
         return certificate_record("exact", failure)
     rook_cent, rook_img = groupoid_dimensions(p.n, r)
@@ -241,7 +281,12 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     is "commute and dim == dim". The commute check runs on integers
     (_all_commute): with D the lcm of every denominator of the generators,
     (Da)(Db) = D^2 ab and D != 0, so Da and Db commute exactly when a and b
-    do, and no verdict depends on the scaling.
+    do, and no verdict depends on the scaling. It compares (Da)(Db) with
+    (Db)(Da) row by row on packed rows, row i one int sum_j x_ij 2^(W j)
+    (the _operator_failure argument with L = 2 and S = 1): with N >= 1 the
+    largest row sum of |entries| of a Da, every entry of the difference is
+    at most 2 N^2 < 2^(W - 1) for W = bit_length(2 N^2) + 1, which packs to
+    0 only when it is 0, so equal rows mean equal products.
 
     The dimensions come from the rook character ("character" path), for
     z = [n]_q != 0, through the rescaled operators
@@ -340,14 +385,16 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     rows = generator_rows(basis)
     shapes = shape_dimensions(n, r)
     # the letters of the relations, the paper's generators among them
-    letters = dict.fromkeys(d for _, chain in relations(r) for word in chain for d in word)
+    rels, gens = relations(r), generator_diagrams(r)
+    letters = dict.fromkeys(d for _, chain in rels for word in chain for d in word)
     ops = {d: diagram_op(d, p, r) for d in letters}
-    rook_gens = [ops[g] for g in generator_diagrams(r)]
+    rook_gens = [ops[g] for g in gens]
 
     commute = _all_commute(braid_gens, rook_gens)
 
     if commute:
-        certificate = _character_certificate(p, r, basis, rows, ops, [(lam, d) for lam, d, _ in shapes])
+        shape_dims = [(lam, d) for lam, d, _ in shapes]
+        certificate = _character_certificate(p, r, basis, rows, ops, rels, gens[:-1], shape_dims)
     else:
         certificate = certificate_record("exact", "actions do not commute")
     certificate.setdefault("shapes", None)

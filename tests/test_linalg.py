@@ -27,7 +27,7 @@ from braidrook.linalg import (
 )
 from braidrook.matrix import Matrix, integer_form, kron, kron_power, rows_of, sparse_product
 from braidrook.scalars import format_scalar, parse_scalar, quantum_int
-from braidrook.tensor import braid_generators
+from braidrook.tensor import _packed_product, _packed_trace, braid_generators
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -172,6 +172,92 @@ def test_integer_form_scales_by_the_lcm_of_every_denominator():
         assert all(type(x) is int for x in e.values())
     assert integer_form([Matrix.identity(2)]) == (1, [{0: 1, 3: 1}])
     assert integer_form([]) == (1, [])
+
+
+def _packed(e, size, width):
+    """The packed rows of a size x size integer matrix {index: int}: the
+    matrix times the packed identity."""
+    return _packed_product(e, [1 << width * i for i in range(size)], size)
+
+
+def _unpacked(rows, width):
+    """Every slot of the packed rows, read with the offset of packed_trace."""
+    half, size = 1 << width - 1, len(rows)
+    shift = half * sum(1 << width * j for j in range(size))
+    return [[(((x + shift) >> width * j) & (2 * half - 1)) - half for j in range(size)] for x in rows]
+
+
+def _square(e, size):
+    """The rows of a size x size matrix given by its nonzeros."""
+    return [[e.get(i * size + j, 0) for j in range(size)] for i in range(size)]
+
+
+def _times(x, y):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+
+
+def _signed_matrix(rng, size, bound):
+    """A random size x size integer matrix {index: int} with entries in
+    [-bound, bound]: column 0 is negative wherever it is nonzero, so that
+    borrows cross slots, and the last entry is bound itself."""
+    e = {i: rng.randint(-bound, bound) for i in range(size * size) if rng.random() < 0.5}
+    e.update({i: -abs(x) for i, x in e.items() if i % size == 0})
+    e[size * size - 1] = bound
+    return {i: x for i, x in e.items() if x}
+
+
+def _letter_norm(*mats):
+    """N: the largest row sum of |entries|."""
+    return max(sum(map(abs, row)) for m in mats for row in m)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 6, 9, 12, 16, 20, 24, 27])
+def test_packed_products_comparisons_and_traces_match_the_dense_oracle(size):
+    rng = random.Random(size)
+    a, b = (_signed_matrix(rng, size, rng.choice([1, 5, 2**20])) for _ in range(2))
+    da, db = _square(a, size), _square(b, size)
+    c = {i * size + j: x for i, row in enumerate(_times(da, da)) for j, x in enumerate(row) if x}  # commutes with a
+    dc = _square(c, size)
+    u, v = rng.randint(2, 9), rng.randint(1, 9)
+    # the width of tensor._word_products for words of length 2 and ratio max(u, v)
+    width = (2 * max(u, v) * _letter_norm(da, db, dc) ** 2).bit_length() + 1
+    mats = {"a": (a, da), "b": (b, db), "c": (c, dc)}
+    packed = {k: _packed(m, size, width) for k, (m, _) in mats.items()}
+    assert all(_unpacked(packed[k], width) == dm for k, (_, dm) in mats.items())
+    for (x, dx), (y, dy), px, py in ((mats[k], mats[j], packed[k], packed[j]) for k, j in ("ab", "ac", "bb")):
+        xy, yx = _packed_product(x, py, size), _packed_product(y, px, size)
+        want = _times(dx, dy)
+        sparse = sparse_product(x, rows_of(y, size), size, size)
+        assert sparse == {i * size + j: e for i, row in enumerate(want) for j, e in enumerate(row) if e}
+        assert xy == _packed(sparse, size, width) and _unpacked(xy, width) == want
+        assert _packed_trace(xy, width) == sum(want[i][i] for i in range(size))
+        # row by row, as the relation check compares u M(first) with v M(word)
+        for s, t in ((1, 1), (u, v)):
+            same = [[s * e for e in row] for row in want] == [[t * e for e in row] for row in _times(dy, dx)]
+            assert ([s * row for row in xy] == [t * row for row in yx]) == same
+    assert _packed_trace(packed["a"], width) == sum(da[i][i] for i in range(size))
+
+
+@pytest.mark.parametrize("size", [2, 5, 16, 27])
+def test_one_bit_below_the_width_two_matrices_pack_alike(size):
+    # the width W = bit_length(2 N^2) + 1 of a commute check; B = 2 N^2 bounds
+    # every difference it compares, and 2^(W - 2) <= B < 2^(W - 1)
+    rng = random.Random(size)
+    a = _signed_matrix(rng, size, rng.choice([1, 5, 2**20]))
+    bound = 2 * _letter_norm(_square(a, size)) ** 2
+    width = bound.bit_length() + 1
+    top = 1 << width - 2
+    assert top <= bound
+    x, y = {0: top}, {0: -top, 1: 1}  # different, every entry at most the bound
+    assert _packed(x, size, width) != _packed(y, size, width)
+    assert _packed(x, size, width - 1) == _packed(y, size, width - 1)
+    # the diagonal read: exact at W, wrong at W - 1
+    assert _packed_trace(_packed(x, size, width), width) == top
+    assert _packed_trace(_packed(x, size, width - 1), width - 1) != top
+    # every entry at the edge of the box |entries| < 2^(W - 1) reads back at W
+    edge = {i: rng.choice([-1, 1]) * (2 * top - 1) for i in range(size * size)}
+    assert _unpacked(_packed(edge, size, width), width) == _square(edge, size)
+    assert _packed_trace(_packed(edge, size, width), width) == sum(edge[i * (size + 1)] for i in range(size))
 
 
 def test_kron_identity_and_scalar_cases():

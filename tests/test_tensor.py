@@ -1,6 +1,7 @@
 """Commuting tensor actions, centralizers, enveloping algebras, duality."""
 
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -13,9 +14,16 @@ import character_oracle
 from gram_oracle import eliminated_dimensions, product_table, tensor_character
 from rook_factorization import projection_factorization
 
-from braidrook import _modlinalg, acceptance, burau, cellular, linalg, tensor
+from braidrook import _modlinalg, acceptance, burau, cellular, linalg, matrix, tensor
 from braidrook.burau import BurauParams, projection_p, split_generators, unreduced_generator
-from braidrook.diagrams import PartialPermutation, projection, relations, rook_elements, transposition
+from braidrook.diagrams import (
+    PartialPermutation,
+    generator_diagrams,
+    projection,
+    relations,
+    rook_elements,
+    transposition,
+)
 from braidrook.linalg import commutant, matrix_span, span_closure, spans_equal
 from braidrook.matrix import Matrix, kron
 from braidrook.tensor import (
@@ -557,9 +565,13 @@ ORACLE_CASES = [(n, r, q) for n, r in acceptance.DUALITY_GRID for q in acceptanc
 ORACLE_CASES += [(n, r, Fraction(2)) for n, r in [(4, 3), (2, 4), (3, 4), (2, 5)]]
 
 
-def _letter_ops(params, r):
-    letters = dict.fromkeys(d for _, chain in relations(r) for word in chain for d in word)
-    return {d: tensor.diagram_op(d, params, r) for d in letters}
+def _operator_failure(params, r):
+    """tensor._operator_failure on the letters of relations(r), as
+    duality_report calls it."""
+    rels = relations(r)
+    letters = dict.fromkeys(d for _, chain in rels for word in chain for d in word)
+    ops = {d: tensor.diagram_op(d, params, r) for d in letters}
+    return tensor._operator_failure(params, r, ops, rels, generator_diagrams(r)[:-1])
 
 
 @pytest.mark.parametrize("n,r,q", ORACLE_CASES, ids=str)
@@ -568,7 +580,7 @@ def test_relation_and_class_checks_agree_with_the_all_basis_oracle(n, r, q):
     # inversion of the traces of all m basis operators, against the
     # relations, the class words and psi_k = (n - 1)^cyc
     params = BurauParams.preset(n, q)
-    assert tensor._operator_failure(params, r, _letter_ops(params, r)) is None
+    assert _operator_failure(params, r) is None
     failure, chi = character_oracle.all_basis_check(params, r)
     basis = rook_elements(r)
     assert failure is None and chi == tensor_character(n, basis)
@@ -587,10 +599,10 @@ def _with_s1_doubled(d, p, r):
 @pytest.mark.parametrize("n,r", [(3, 2), (2, 3)])
 def test_relations_fail_where_the_all_basis_oracle_fails(monkeypatch, fault, n, r):
     params = BurauParams.preset(n)
-    assert tensor._operator_failure(params, r, _letter_ops(params, r)) is None
+    assert _operator_failure(params, r) is None
     monkeypatch.setattr(tensor, "diagram_op", fault)
     monkeypatch.setattr(character_oracle, "diagram_op", fault)
-    assert tensor._operator_failure(params, r, _letter_ops(params, r)) is not None
+    assert _operator_failure(params, r) is not None
     assert character_oracle.all_basis_check(params, r)[0] is not None
 
 
@@ -626,14 +638,29 @@ def test_duality_n2_r4_passes_no_rref_more_than_24_rows(monkeypatch):
 
 
 def test_homomorphism_and_commute_checks_run_on_the_r_generators(monkeypatch):
-    # s_1, p_1 at r = 2: 2 braid x 2 rook generators, two products each,
-    # and one product per word prefix of length 2 or 3 in the relations:
-    # p_1 p_1, p_2 p_2, p_1 p_2, p_2 p_1, s_1 s_1, s_1 p_1, s_1 p_1 p_2,
-    # p_1 p_2 s_1 and s_1 p_1 s_1; the class words p_1 p_2, p_2, s_1 and 1
-    # add none. The all-basis check took 2 x 7
-    calls = _count_calls(monkeypatch, (tensor,), "sparse_product")
+    # s_1, p_1 at r = 2, one packed product per word suffix: the commute
+    # check packs the 2 braid and 2 rook generators and takes ab and ba for
+    # each of the 2 x 2 pairs; the relations take p_1, p_2, s_1, p_1 p_1,
+    # p_2 p_2, p_1 p_2, p_2 p_1, s_1 s_1, p_2 s_1, p_1 s_1, s_1 p_1 p_2,
+    # p_1 p_2 s_1 and s_1 p_1 s_1, and the class words p_1 p_2, p_2, s_1
+    # and 1 add none
+    calls = _count_calls(monkeypatch, (tensor,), "_packed_product")
+    callers = Counter()
+    for module in (matrix, linalg, _modlinalg):
+        real = module.sparse_product
+
+        def recorded(*args, real=real):
+            callers[sys._getframe(1).f_globals["__name__"]] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, "sparse_product", recorded)
     assert duality_report(3, 2, P32)["certificate"]["path"] == "character"
-    assert calls["sparse_product"] == 2 * 2 * 2 + 9
+    assert calls["_packed_product"] == 4 + 2 * 2 * 2 + 13
+    # no dict product is taken for tensor: it binds no sparse_product, and
+    # the sparse products left are the Matrix products of the split check
+    # and the trace words of envelope_bound
+    assert not hasattr(tensor, "sparse_product") and "braidrook.tensor" not in callers
+    assert set(callers) == {"braidrook.matrix", "braidrook._modlinalg"}
 
 
 @pytest.mark.parametrize("n,r", acceptance.DUALITY_GRID)
@@ -1010,14 +1037,17 @@ def test_wrong_z_power_fails_the_homomorphism_check(monkeypatch):
 
 
 def test_bumped_swap_operator_breaks_a_relation(monkeypatch):
-    # one entry of D op(s_1) raised by one where the relations read it; the
-    # commute check runs on the true operators
+    # one entry of D op(s_1), row 0 and column 1, raised by one where the
+    # relations read it, before it is packed; the commute check runs on the
+    # true operators
     real = tensor._word_products
     s1 = transposition(1, 2, 2)
 
-    def bumped(words, letters, size):
-        m = letters[s1]
-        return real(words, {**letters, s1: {**m, 1: m.get(1, 0) + 1}}, size)
+    def bumped(words, letters, size, ratio=1):
+        if s1 in letters:
+            m = letters[s1]
+            letters = {**letters, s1: {**m, 1: m.get(1, 0) + 1}}
+        return real(words, letters, size, ratio)
 
     monkeypatch.setattr(tensor, "_word_products", bumped)
     reason = _passing_on_the_exact_path(duality_report(3, 2, P32))
@@ -1026,14 +1056,15 @@ def test_bumped_swap_operator_breaks_a_relation(monkeypatch):
 
 def test_class_word_trace_off_by_one_breaks_the_character_check(monkeypatch):
     # the first diagonal entry of the product of the class word s_1 raised
-    # by one; no relation reads that word alone
+    # by one, slot 0 of its packed row 0; no relation reads that word alone
     real = tensor._word_products
     s1 = (transposition(1, 2, 2),)
 
-    def bumped(words, letters, size):
-        out = real(words, letters, size)
-        out[s1] = {**out[s1], 0: out[s1].get(0, 0) + 1}
-        return out
+    def bumped(words, letters, size, ratio=1):
+        width, out = real(words, letters, size, ratio)
+        if s1 in out:
+            out[s1] = [out[s1][0] + 1, *out[s1][1:]]
+        return width, out
 
     monkeypatch.setattr(tensor, "_word_products", bumped)
     reason = _passing_on_the_exact_path(duality_report(3, 2, P32))
@@ -1236,6 +1267,15 @@ def test_duality_report_builds_the_basis_and_its_table_once(monkeypatch):
     report = duality_report(3, 2, P32)
     assert report["certificate"]["path"] == "character" and report["all_pass"]
     assert calls == Counter(rook_elements=1, generator_rows=1)
+
+
+def test_duality_report_builds_the_relation_list_once(monkeypatch):
+    # the letters, the commute check and the relation and class checks read
+    # one relations(r) and one generator_diagrams(r)
+    calls = _count_calls(monkeypatch, (tensor,), "relations", "generator_diagrams")
+    report = duality_report(3, 3, P32)
+    assert report["certificate"]["path"] == "character" and report["all_pass"]
+    assert calls == Counter(relations=1, generator_diagrams=1)
 
 
 def test_exact_path_reuses_the_braid_generators(monkeypatch):
