@@ -15,12 +15,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
 from math import comb, factorial, prod
 from operator import itemgetter
 from typing import Sequence
 
-from .diagrams import PartialPermutation, compose_perms, cycle_link_decompose, generator_diagrams, rook_elements
+from .diagrams import (
+    PartialPermutation,
+    check_enumeration_bound,
+    compose_perms,
+    cycle_link_decompose,
+    generator_diagrams,
+    relations,
+)
 from .linalg import rref
 from .scalars import IdentityError, format_scalar, scalar
 
@@ -162,11 +170,6 @@ def triple_of(d: PartialPermutation) -> CellTriple:
 
 def diagram_of(t: CellTriple, r: int) -> PartialPermutation:
     return PartialPermutation(r, [(x, t.im[t.pi[i] - 1]) for i, x in enumerate(t.dom)])
-
-
-def star(d: PartialPermutation) -> PartialPermutation:
-    """The anti-involution: flip the diagram top to bottom."""
-    return PartialPermutation(d.r, [(y, x) for x, y in d.pairs])
 
 
 def k_subsets(r: int, k: int) -> list[tuple[int, ...]]:
@@ -370,42 +373,65 @@ def generator_rows(basis: Sequence[PartialPermutation]) -> list[tuple[int, list[
     return rows
 
 
-def _arrows(d: PartialPermutation) -> list[tuple[tuple[int, ...], int, int]]:
-    """The 2^rank(d) arrows [d|T], T a subset of dom d, of phi(d), each as
-    its _code."""
-    return [
-        _code(d.r, [pair for t, pair in enumerate(d.pairs) if keep >> t & 1])
-        for keep in range(1 << d.rank)
-    ]
+def _steinberg(d: PartialPermutation) -> dict[int, tuple[tuple[int, ...], int]]:
+    """phi(d), the sum of the 2^rank(d) arrows [d|T] over T in dom d, as
+    {dom T: (map, im T)} with map and the masks as in _code: phi(d) has
+    exactly one arrow per domain."""
+    arrows = {}
+    for keep in range(1 << d.rank):
+        m, dom, im = _code(d.r, [pair for t, pair in enumerate(d.pairs) if keep >> t & 1])
+        arrows[dom] = (m, im)
+    return arrows
 
 
-def groupoid_failure(basis: Sequence[PartialPermutation], rows) -> str | None:
-    """None when phi(g) phi(b) = phi(gb) for every generator g of
-    diagrams.generator_diagrams(r) and every b in basis = rook_elements(r),
-    g and gb read off rows = generator_rows(basis) at z = 1; otherwise the
-    first failure.
+def _arrow_product(x: dict, y: dict) -> dict:
+    """x y in Q[G_r] for sums x, y of arrows with distinct domains, as
+    _steinberg writes them. [s][t] = [s then t] when im s = dom t and 0
+    otherwise, so the arrow s of x meets one arrow of y at most, the one
+    with domain im s: one lookup per arrow of x, and x y again has one
+    arrow per domain."""
+    out = {}
+    for dom, (m, im) in x.items():
+        if im in y:
+            m_t, im_t = y[im]
+            out[dom] = (tuple(map(m_t.__getitem__, m)), im_t)  # s then t reads t's map at s's entries
+    return out
+
+
+def steinberg_failure(r: int, rels) -> str | None:
+    """None when every chain of rels = diagrams.relations(r) holds on
+    Steinberg's phi of its letters, in the groupoid algebra Q[G_r] at
+    z = 1; otherwise the first relation that fails.
 
     The groupoid G_r has the bijections between subsets of {1..r} as
     arrows, [s][t] = [s then t] when im s = dom t and 0 otherwise, and
     phi(x) = sum of [x|T] over T in dom x (B. Steinberg, JCTA 113, 2006;
-    L. Solomon, J. Algebra 256, 2002). The arrow [b|U] meets one arrow of
-    phi(g) at most, the one with image U: a check costs 2^rank(b) steps.
-
-    Passing makes phi an algebra isomorphism: for a word x = g x' in the
-    generators, phi(x b) = phi(g) phi(x' b) = phi(g) phi(x') phi(b) =
-    phi(x) phi(b) by induction, so the r generator rows are all it reads,
-    and phi is unitriangular in the restriction order, so bijective.
+    L. Solomon, J. Algebra 256, 2002). Each word is a product of its
+    letters' phi, the empty word the identity phi(1) = sum of the [id_T].
+    Passing makes phi an algebra isomorphism Phi: Q[R_r] -> Q[G_r]:
+    - it is an algebra map. Popova's presentation of R_r on s_1..s_(r-1),
+      p_1 follows from the list (tensor.duality_report says how), so the
+      checked letters extend to a monoid map into the multiplication of
+      Q[G_r], and linearly to Q[R_r]. The product of phi(a) and phi(b)
+      keeps [a|S][b|a(S)] for each S in dom(ab), which is [ab|S], and no
+      other arrow, so Phi(d) = phi(d) along any word for d;
+    - it is onto. The product of the phi(p_j) over j outside K is
+      E_K = sum of [id_T] over T in K, so Moebius inversion puts every
+      [id_K] in the image. For a permutation w the product of the phi(s_i)
+      along a word for w is the sum of the [w|T], and [id_K] times it is
+      [w|K]. Every arrow is some [w|K];
+    - it is bijective. R_r and the arrows of G_r are the same set, the
+      bijections between subsets of {1..r}, so both algebras have
+      dimension sum_k C(r,k)^2 k!.
     Q[G_r] is the sum of the M_C(r,k)(Q S_k), so Q[R_r] is semisimple by
     Maschke's theorem."""
-    arrows = [_arrows(d) for d in basis]
-    images = [sorted(m for m, _, _ in a) for a in arrows]
-    for gi, row in rows:
-        # s then t reads t's map at s's entries
-        then = {im: itemgetter(*m) for m, _, im in arrows[gi]}
-        for b, b_arrows, (k, _) in zip(basis, arrows, row):
-            product = [then[dom](m) for m, dom, _ in b_arrows if dom in then]
-            if sorted(product) != images[k]:
-                return f"phi(g) phi(b) != phi(gb) at g = {basis[gi]!r}, b = {b!r}"
+    letters = dict.fromkeys(d for _, chain in rels for word in chain for d in word)
+    phis = {d: _steinberg(d) for d in letters}
+    one = _steinberg(PartialPermutation.identity(r))
+    for name, chain in rels:
+        first, *rest = (reduce(_arrow_product, map(phis.get, word)) if word else one for word in chain)
+        if any(value != first for value in rest):
+            return f"{name} fails on phi of its letters in the groupoid algebra"
     return None
 
 
@@ -427,7 +453,7 @@ def groupoid_block(n: int, k: int) -> list[list[int]]:
 def groupoid_dimensions(n: int, r: int) -> tuple[Fraction, int]:
     """(dim End_A(V), dim of the image of A in End V) for a module V of
     A = Q[R_r] whose character is n^cyc, read off one groupoid_block per k;
-    groupoid_failure must have passed.
+    steinberg_failure must have passed.
 
     Through phi, V is the sum over k of C(r,k) copies of the S_k-module
     W_k = [id_K] V, of character psi_k. So End_A(V) is the sum of the
@@ -444,10 +470,25 @@ def groupoid_dimensions(n: int, r: int) -> tuple[Fraction, int]:
     return centralizer, image
 
 
+def _gram_counts(r: int) -> tuple[int, int, int]:
+    """(m, e_r, I_r) in closed form: m = |R_r| = sum_k C(r,k)^2 k!, the sum
+    e_r of r - rank over R_r, sum_k C(r,k)^2 k! (r - k), and the number I_r
+    of partial involutions, sum_k C(r,k) t_k, t_k the number of involutions
+    of S_k (t_k = t_(k-1) + (k - 1) t_(k-2)): a partial involution is an
+    involution of its domain K."""
+    t = [1, 1]
+    for k in range(2, r + 1):
+        t.append(t[-1] + (k - 1) * t[-2])
+    e_r = sum(comb(r, k) ** 2 * factorial(k) * (r - k) for k in range(r + 1))
+    return rook_dimension(r), e_r, sum(comb(r, k) * t[k] for k in range(r + 1))
+
+
 def semisimplicity_certificate(r: int, z) -> dict:
     """Certify that the algebra at parameter z is semisimple by a nonzero
     Gram determinant det G(z), G(z)_ij = Tr(L_{a_i a_j}), of its regular
-    trace form, L_x left multiplication by x.
+    trace form, L_x left multiplication by x. No rook diagram is
+    enumerated; r stays within diagrams.ENUMERATION_BOUND, as det G(z)
+    has over 10^4 digits at r = 6.
 
     Why det G(z) != 0 suffices: over Q, an element x of the Jacobson
     radical J makes every x y lie in J, so L_{xy} is nilpotent and
@@ -464,20 +505,28 @@ def semisimplicity_certificate(r: int, z) -> dict:
     |im a u dom b| = rank a + rank b - rank(ab). So on every pair
     N = r + rank(ab) - rank a - rank b, and the rescaled z^-(r - rank a) a
     multiply as the rook monoid R_r. So G(z) = D G(1) D with
-    D = diag(z^(r - rank a)), and det D = z^(e_r). generator_rows checks
-    the identity on the entries it returns, and diagrams.rescale_iso_check
-    against compose on every pair.
+    D = diag(z^(r - rank a)), and det D = z^(e_r).
+    diagrams.rescale_iso_check checks the identity against compose on
+    every pair.
 
     Why det G(1) = (-1)^((m - I_r)/2) prod over k of
-    (C(r,k) k!)^(C(r,k)^2 k!), m = |R_r|, I_r = #{d : star(d) = d}:
-    groupoid_failure checks that phi is an algebra isomorphism onto
-    Q[G_r], which keeps every Tr(L_x), so G(1) = P^T H P with P the
-    unitriangular matrix of phi and H the Gram matrix on the arrows. L_[s]
-    fixes the arrow [t] only when s is the identity on dom t, so the
-    entry at ([s], [t]) is C(r,k) k!, the number of arrows with the domain
-    of s, when t = star(s), and 0 otherwise: a weighted permutation matrix
-    of the involution s -> star(s), with I_r fixed points. A failed check
-    raises IdentityError; no determinant is eliminated.
+    (C(r,k) k!)^(C(r,k)^2 k!), m = |R_r|, I_r the number of partial
+    involutions: steinberg_failure checks Steinberg's phi on the letters
+    of diagrams.relations(r), in Q[G_r] at z = 1, and its docstring
+    writes out why that makes phi an algebra isomorphism onto Q[G_r]:
+    Popova's presentation extends phi to an algebra map, Moebius
+    inversion of E_K = sum of [id_T] over T in K makes it onto, and |R_r|
+    is the number of arrows of G_r, so it is bijective. An isomorphism
+    keeps every Tr(L_x), so G(1) = P^T H P, with P the matrix of
+    phi(d) = sum of [d|T] over T in dom d, unitriangular in the
+    restriction order, and H the Gram matrix on the arrows. L_[s] fixes
+    the arrow [t] only when s is the identity on dom t, so the entry at
+    ([s], [t]) is C(r,k) k!, the number of arrows with the domain of s,
+    when t = star(s), the flip of s top to bottom, and 0 otherwise: a
+    weighted permutation matrix of the involution s -> star(s). Its fixed
+    points are the d with star(d) = d, exactly the partial involutions,
+    I_r of them. m, e_r and I_r are read in closed form (_gram_counts). A
+    failed relation raises IdentityError; no determinant is eliminated.
 
     Negative control, z = 0: D is zero at every diagram of rank < r (p_j,
     the empty diagram), so the rows of G(0) = D G(1) D there are zero, and
@@ -485,17 +534,15 @@ def semisimplicity_certificate(r: int, z) -> dict:
     and the determinant is 1.
     """
     z = scalar(z)
-    basis = rook_elements(r)
-    failure = groupoid_failure(basis, generator_rows(basis))
+    check_enumeration_bound(r)
+    failure = steinberg_failure(r, relations(r))
     if failure:
         raise IdentityError(failure)
-    m = len(basis)
-    swapped = m - sum(star(d) == d for d in basis)
+    m, e_r, involutions = _gram_counts(r)
     weights = prod(
         (comb(r, k) * factorial(k)) ** (comb(r, k) ** 2 * factorial(k)) for k in range(r + 1)
     )
-    e_r = sum(r - d.rank for d in basis)
-    gram_det = z ** (2 * e_r) * (-1) ** (swapped // 2) * weights
+    gram_det = z ** (2 * e_r) * (-1) ** ((m - involutions) // 2) * weights
     nondegenerate = gram_det != 0
     return {
         "r": r,

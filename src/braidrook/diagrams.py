@@ -25,6 +25,16 @@ from .scalars import scalar
 ENUMERATION_BOUND = 6  # |P'_6| = 13327; full-basis operations stay tractable
 
 
+def check_enumeration_bound(r: int) -> None:
+    """Refuse r < 0, and r above ENUMERATION_BOUND: the rank past which
+    rook_elements, the exact duality path and the Gram determinant (over
+    10^4 digits at r = 6) are refused."""
+    if r < 0:
+        raise ValueError("r must be nonnegative")
+    if r > ENUMERATION_BOUND:
+        raise ValueError(f"r={r} above enumeration bound {ENUMERATION_BOUND}")
+
+
 # -- permutations as tuples --------------------------------------------------
 # A permutation of {1..r} is a tuple w with w[i-1] = image of i; maps act on
 # the right, so composing a then b is t[i] = b[a[i]].
@@ -37,9 +47,10 @@ def compose_perms(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 class PartialPermutation:
     """A bijection between subsets of {1..r}: pairs (x, y) with distinct
-    tops and bottoms, stored sorted by top."""
+    tops and bottoms, stored sorted by top. The hash is taken once, here:
+    diagrams key the letter operators and the words of the relations."""
 
-    __slots__ = ("r", "pairs")
+    __slots__ = ("r", "pairs", "_hash")
 
     def __init__(self, r: int, pairs: Iterable[tuple[int, int]]):
         ps = tuple(sorted((int(x), int(y)) for x, y in pairs))
@@ -51,6 +62,7 @@ class PartialPermutation:
             raise ValueError("indices outside 1..r")
         self.r = r
         self.pairs = ps
+        self._hash = hash((r, ps))
 
     @staticmethod
     def identity(r: int) -> "PartialPermutation":
@@ -89,7 +101,7 @@ class PartialPermutation:
         )
 
     def __hash__(self):
-        return hash((self.r, self.pairs))
+        return self._hash
 
     def __repr__(self):
         body = ", ".join(f"{x}->{y}" for x, y in self.pairs)
@@ -98,10 +110,7 @@ class PartialPermutation:
 
 def rook_elements(r: int) -> list[PartialPermutation]:
     """All partial permutations on r points; sum over k of C(r,k)^2 k!."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    if r > ENUMERATION_BOUND:
-        raise ValueError(f"r={r} above enumeration bound {ENUMERATION_BOUND}")
+    check_enumeration_bound(r)
     universe = range(1, r + 1)
     out = []
     for k in range(r + 1):
@@ -276,9 +285,10 @@ def rescale_iso_check(r: int, z) -> dict:
     N = r + k - k1 - k2: the rescaling identity is that N identity, which
     is what is checked, on all basis pairs.
 
-    The same pass checks every entry of cellular.generator_rows, which both
-    q-free certificates read, against the reference compose: the product's
-    basis index and N must both agree."""
+    The same pass checks every entry of cellular.generator_rows against
+    the reference compose: the product's basis index and N must both
+    agree, and generator_rows raises IdentityError on an N that breaks the
+    identity."""
     from .cellular import generator_rows  # cellular imports this module
 
     z = scalar(z)

@@ -274,8 +274,17 @@ def integer_form(mats: Iterable[Matrix]) -> tuple[int, list[dict[int, int]]]:
     lcm of every denominator in mats, so that every D m is an integer
     matrix."""
     mats = list(mats)
-    den = lcm(*(x.denominator for m in mats for x in m._e.values()))
-    return den, [{k: x.numerator * (den // x.denominator) for k, x in m._e.items()} for m in mats]
+    # one as_integer_ratio per entry; only its ints are kept, as a list of
+    # the ratio tuples would hold one gc-tracked object per entry
+    nums, dens = [], []
+    for m in mats:
+        for x in m._e.values():
+            u, d = x.as_integer_ratio()
+            nums.append(u)
+            dens.append(d)
+    den = lcm(*dens)
+    scaled = iter([u * (den // d) for u, d in zip(nums, dens)])
+    return den, [dict(zip(m._e, scaled)) for m in mats]
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -19,15 +19,21 @@ from typing import Mapping, Sequence
 from . import _modlinalg
 from .burau import BurauParams, split_generators, unreduced_generator
 from .cellular import (
-    generator_rows,
     groupoid_dimensions,
-    groupoid_failure,
     partition_label,
     partitions_of,
     rook_dimension,
     shape_dimensions,
+    steinberg_failure,
 )
-from .diagrams import PartialPermutation, generator_diagrams, projection, relations, rook_elements
+from .diagrams import (
+    PartialPermutation,
+    check_enumeration_bound,
+    generator_diagrams,
+    projection,
+    relations,
+    rook_elements,
+)
 from .linalg import certificate_record, commutant, matrix_span, span_closure
 from .matrix import Matrix, integer_form, kron_power
 from .scalars import IdentityError
@@ -216,14 +222,14 @@ def _operator_failure(p: BurauParams, r: int, ops: dict, rels: list, swaps: list
     return None
 
 
-def _character_certificate(p: BurauParams, r: int, basis, rows, ops: dict, rels, swaps, shapes) -> dict:
+def _character_certificate(p: BurauParams, r: int, ops: dict, rels, swaps, shapes) -> dict:
     """The certificate of duality_report from the letter operators ops of
-    rels = diagrams.relations(r), swaps = s_1..s_(r-1) and the
-    generator_rows of the basis: the relations, groupoid and character
-    checks, cellular.groupoid_dimensions, and the shape-by-shape bound
-    _modlinalg.envelope_bound on shapes = [(lambda, d_lambda)] at the prime
-    of _modlinalg.lower_bound. The path is "character" only when that bound
-    equals sum <psi_k, psi_k>, an integer."""
+    rels = diagrams.relations(r) and swaps = s_1..s_(r-1): the relations,
+    groupoid and character checks, cellular.groupoid_dimensions, and the
+    shape-by-shape bound _modlinalg.envelope_bound on
+    shapes = [(lambda, d_lambda)] at the prime of _modlinalg.lower_bound.
+    The path is "character" only when that bound equals
+    sum <psi_k, psi_k>, an integer."""
     z = p.quantum(p.n)
     if z == 0:
         return certificate_record("exact", "z = [n]_q = 0 has no rescaled basis")
@@ -231,7 +237,7 @@ def _character_certificate(p: BurauParams, r: int, basis, rows, ops: dict, rels,
         gens = [Matrix.diagonal([p.q1]), *split_generators(p)]
     except IdentityError as e:
         return certificate_record("exact", str(e))
-    failure = _operator_failure(p, r, ops, rels, swaps) or groupoid_failure(basis, rows)
+    failure = _operator_failure(p, r, ops, rels, swaps) or steinberg_failure(r, rels)
     if failure:
         return certificate_record("exact", failure)
     rook_cent, rook_img = groupoid_dimensions(p.n, r)
@@ -303,9 +309,14 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
       as the p's commute, and p_1 s_1 p_1 = p_1 p_2 s_1 = p_1 p_2. So rho
       extends to a monoid map R_r -> End V that agrees with rho on every
       p_j, and V is an A-module whose image is the rook image.
-    - Groupoid. cellular.groupoid_failure checks on the generator rows that
-      Steinberg's phi is an algebra isomorphism from A onto the groupoid
-      algebra, the sum over k of M_C(r,k)(Q S_k). So A is semisimple.
+    - Groupoid. cellular.steinberg_failure checks every chain of
+      diagrams.relations(r) on Steinberg's phi of its letters, in the
+      groupoid algebra at z = 1, and its docstring writes out why that
+      makes phi an algebra isomorphism from A onto the groupoid algebra,
+      the sum over k of M_C(r,k)(Q S_k): Popova's presentation extends phi
+      to an algebra map, Moebius inversion makes it onto, and |R_r| is the
+      number of arrows, so it is bijective. So A is semisimple. No rook
+      diagram is enumerated.
     - Character. tr rho(x) = n^l(mu) on the class word x of each (k, mu),
       mu a partition of k <= r, so chi = tr rho is n^cyc on all of R_r by
       Munn's argument (W. D. Munn, Proc. Cambridge Philos. Soc. 53, 1957):
@@ -365,8 +376,10 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     relations, groupoid or character check fails, when sum_k <psi_k, psi_k>
     is not an integer, when the returned bound is not that sum (a miss at
     every listed prime), and when every listed prime divides a denominator.
-    The N identity is q-free, so its failure is a fault of the diagram code:
-    generator_rows raises IdentityError, as in cellular.semisimplicity_certificate.
+    The groupoid check is q-free, so its failure is a fault of the diagram
+    code; the exact path then names the relation that failed. r is refused
+    above diagrams.ENUMERATION_BOUND before any work, as the exact path
+    enumerates the basis.
     report["certificate"] records the path, the prime, the skipped primes,
     the bounds (envelope_lower, rook_centralizer = sum_k <psi_k, psi_k>,
     rook_image = sum_k C(r,k)^2 rank psi_k), the reason for the exact
@@ -379,10 +392,9 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     _check_budget(n, r, budget)
     if p.n != n:
         raise ValueError("params built for a different n")
+    check_enumeration_bound(r)
     z = p.quantum(n)
     braid_gens = braid_generators(p, r)
-    basis = rook_elements(r)
-    rows = generator_rows(basis)
     shapes = shape_dimensions(n, r)
     # the letters of the relations, the paper's generators among them
     rels, gens = relations(r), generator_diagrams(r)
@@ -394,7 +406,7 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
 
     if commute:
         shape_dims = [(lam, d) for lam, d, _ in shapes]
-        certificate = _character_certificate(p, r, basis, rows, ops, rels, gens[:-1], shape_dims)
+        certificate = _character_certificate(p, r, ops, rels, gens[:-1], shape_dims)
     else:
         certificate = certificate_record("exact", "actions do not commute")
     certificate.setdefault("shapes", None)
@@ -413,7 +425,7 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
         )
     else:
         cent_dim, _ = commutant(braid_gens, size=n**r)
-        img_dim = rook_image([ops[d] if d in ops else diagram_op(d, p, r) for d in basis])
+        img_dim = rook_image([ops[d] if d in ops else diagram_op(d, p, r) for d in rook_elements(r)])
         env_dim, _ = span_closure(braid_gens)
         cent_of_img_dim, _ = commutant(rook_gens, size=n**r)
         img_how = env_how = f"exact dimensions; {certificate['fallback_reason']}"

@@ -2,7 +2,6 @@
 semisimplicity certificates."""
 
 import random
-import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -10,10 +9,12 @@ from math import comb, factorial
 
 import pytest
 
-from braidrook import cellular, linalg
+import groupoid_oracle
+from braidrook import cellular, diagrams, linalg
 from braidrook.cellular import (
     CellLabel,
     CellTriple,
+    _gram_counts,
     bratteli,
     cell_dim,
     cell_labels,
@@ -23,7 +24,6 @@ from braidrook.cellular import (
     generator_rows,
     groupoid_block,
     groupoid_dimensions,
-    groupoid_failure,
     hook_lengths,
     k_subsets,
     partition_plus_boxes,
@@ -34,7 +34,7 @@ from braidrook.cellular import (
     semisimplicity_certificate,
     shape_dimensions,
     standard_tableaux_count,
-    star,
+    steinberg_failure,
     theta,
     triple_of,
 )
@@ -45,6 +45,7 @@ from braidrook.diagrams import (
     compose_perms,
     generator_diagrams,
     projection,
+    relations,
     rook_elements,
     transposition,
 )
@@ -52,6 +53,7 @@ from braidrook.linalg import det
 from braidrook.scalars import IdentityError
 from character_oracle import moebius_block, moebius_dimensions
 from gram_oracle import eliminated_dimensions, product_table, regular_trace_gram, tensor_character
+from groupoid_oracle import bump_arrow, drop_empty_arrow, groupoid_failure, star
 from rook_factorization import permutation_diagram
 
 # -- partitions -----------------------------------------------------------------
@@ -508,82 +510,92 @@ GRAM_DET_R3_Z7 = (
 )
 
 
-def _patched_rows(monkeypatch, mutate):
-    """Run the certificate on generator_rows with one entry changed by
-    mutate(rows, basis)."""
-    real = cellular.generator_rows
-
-    def rows(elements):
-        out = real(elements)
-        mutate(out, elements)
-        return out
-
-    monkeypatch.setattr(cellular, "generator_rows", rows)
-
-
-def _bump_generator_row_n(monkeypatch, g):
-    """Give g's im bitmask the bit of the unused slot 0 before
-    generator_rows reads it: N = r - |im g u dom b| is then one low on every
-    entry of g's row, and no other row moves."""
-    real = cellular._code
-
-    def code(r, pairs):
-        m, dom, im = real(r, pairs)
-        return (m, dom, im | 1) if tuple(pairs) == g.pairs else (m, dom, im)
-
-    monkeypatch.setattr(cellular, "_code", code)
-
-
 def test_gram_certificate_pinned_r3_z7():
     assert semisimplicity_certificate(3, 7)["gram_det"] == GRAM_DET_R3_Z7
 
 
-def test_gram_certificate_raises_on_a_wrong_table_n(monkeypatch):
-    """Negative control: N off by one on the generator row of p_1 breaks
-    the identity the rescaling to z = 1 rests on, and the certificate must
-    raise, not pass."""
-    p1 = projection(1, 3)
-    _bump_generator_row_n(monkeypatch, p1)
-    identity = f"breaks N = r + rank(ab) - rank a - rank b at a = {p1!r}"
-    with pytest.raises(IdentityError, match=re.escape(identity)):
-        semisimplicity_certificate(3, 7)
+def test_gram_certificate_enumerates_no_diagram(monkeypatch):
+    # the relation check reads the letters of relations(r), and m, e_r and
+    # I_r are closed forms
+    calls = []
+    for name in ("rook_elements", "generator_rows"):
+        for module in (cellular, diagrams):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
+    assert semisimplicity_certificate(5, 7)["gram_size"] == 1546 and calls == []
+
+
+@pytest.mark.parametrize("r", [7, 8])
+def test_gram_certificate_keeps_the_enumeration_bound(r):
+    # det G(z) has over 10^4 digits at r = 6
+    with pytest.raises(ValueError, match=f"^r={r} above enumeration bound 6$"):
+        semisimplicity_certificate(r, 7)
+    with pytest.raises(ValueError, match="^r must be nonnegative$"):
+        semisimplicity_certificate(-1, 7)
 
 
 def test_gram_certificate_raises_on_a_wrong_generator_product(monkeypatch):
-    """Negative control: a product of a generator that wrongly fixes one
-    more basis diagram keeps the N identity, and phi(g) phi(b) = phi(gb)
-    must fail on it."""
+    """Negative control: phi(s_1) with its arrow [s_1|{1}] sent to 1 -> 3
+    makes phi(s_1)^2 send 1 to 3, where s_1^2 = 1 needs the identity."""
+    bump_arrow(monkeypatch, transposition(1, 2, 3))
+    with pytest.raises(IdentityError, match=r"^s_1\^2 = 1 fails on phi of its letters in the groupoid algebra$"):
+        semisimplicity_certificate(3, 7)
 
-    def fix_one_more(rows, basis):
-        ranks = [d.rank for d in basis]
-        (row,) = [row for gi, row in rows if basis[gi] == transposition(1, 2, 3)]
-        j = next(j for j, (k, _) in enumerate(row) if k != j and ranks[k] == ranks[j])
-        row[j] = (j, row[j][1])
 
-    _patched_rows(monkeypatch, fix_one_more)
-    with pytest.raises(IdentityError, match=r"phi\(g\) phi\(b\) != phi\(gb\) at g = "):
+def test_gram_certificate_raises_on_a_bumped_p1_arrow(monkeypatch):
+    """Negative control: phi(p_1) with its arrow [p_1|{2}] sent to 2 -> 3
+    still squares to itself, but phi(p_1) phi(p_2) keeps the arrow 2 -> 3
+    that phi(p_2) phi(p_1) drops."""
+    bump_arrow(monkeypatch, projection(1, 3))
+    with pytest.raises(IdentityError, match=r"^p_1 p_2 = p_2 p_1 fails on phi"):
         semisimplicity_certificate(3, 7)
 
 
 def test_groupoid_check_fails_with_one_restriction_dropped(monkeypatch):
-    # phi(1 -> 2) without its empty restriction: every product with it as b
-    # loses an arrow that phi(gb) keeps
-    real = cellular._arrows
-    target = PartialPermutation(3, [(1, 2)])
-
-    def dropped(d):
-        return real(d)[1:] if d == target else real(d)
-
-    monkeypatch.setattr(cellular, "_arrows", dropped)
-    with pytest.raises(IdentityError, match=re.escape(f"b = {target!r}")):
+    # phi(p_1) without its empty restriction: s_1 phi(p_1) s_1 has no empty
+    # arrow, and phi(p_2) has one
+    drop_empty_arrow(monkeypatch, projection(1, 3))
+    with pytest.raises(IdentityError, match=r"^s_1 p_1 s_1 = p_2 fails on phi"):
         semisimplicity_certificate(3, 7)
 
 
 @pytest.mark.parametrize("r", range(6))
 def test_groupoid_check_passes_on_the_true_table(r):
+    # the relation check on the letters and the all-basis oracle agree
     basis = rook_elements(r)
     assert groupoid_failure(basis, generator_rows(basis)) is None
+    assert steinberg_failure(r, relations(r)) is None
     assert len(generator_diagrams(r)) == r
+
+
+BUMPED_LETTERS = [transposition(1, 2, 4), transposition(2, 3, 4), projection(1, 4), projection(3, 4), transposition(1, 3, 4)]
+
+
+@pytest.mark.parametrize("letter", BUMPED_LETTERS, ids=repr)
+def test_relation_check_and_the_oracle_both_fail_on_a_bumped_arrow(monkeypatch, letter):
+    # the arrow that bump_arrow moves, moved in the oracle's phi too
+    x, y = letter.pairs[0]
+    moved = cellular._code(4, [(x, y % 4 + 1)])
+    real = groupoid_oracle.arrows
+
+    def arrows(d):
+        return [moved if a[1] == moved[1] else a for a in real(d)] if d == letter else real(d)
+
+    monkeypatch.setattr(groupoid_oracle, "arrows", arrows)
+    bump_arrow(monkeypatch, letter)
+    basis = rook_elements(4)
+    assert groupoid_failure(basis, generator_rows(basis)) is not None
+    assert steinberg_failure(4, relations(4)) is not None
+
+
+@pytest.mark.parametrize("r", range(7))
+def test_gram_counts_match_the_enumerated_basis(r):
+    # m, e_r and I_r in closed form against the count over R_r
+    basis = rook_elements(r)
+    m, e_r, involutions = _gram_counts(r)
+    assert m == len(basis) == rook_dimension(r)
+    assert e_r == sum(r - d.rank for d in basis)
+    assert involutions == sum(star(d) == d for d in basis)
 
 
 GRAM_ZS = [Fraction(7), Fraction(13, 4), Fraction(0), Fraction(-1, 3), Fraction(7, 4), Fraction(3)]

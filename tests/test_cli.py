@@ -12,7 +12,8 @@ import braidrook.cli as cli_module
 import braidrook.tensor as tensor_module
 from braidrook.burau import BurauParams, generator_power
 from braidrook.cli import main
-from braidrook.diagrams import PartialPermutation
+from braidrook.diagrams import PartialPermutation, projection, transposition
+from groupoid_oracle import bump_arrow
 
 
 def run(capsys, *argv):
@@ -312,8 +313,8 @@ def test_verify_all_json_schema_and_round_trip(capsys):
 
 def test_verify_all_broken_identity_exits_1(capsys, monkeypatch):
     # N off by one on the generator row of s_1, before generator_rows
-    # checks it, breaks the identity the Gram certificate rests on: an
-    # identity failure, not a usage error
+    # checks it, breaks the identity the rescaling to z = 1 rests on, which
+    # rescale_iso_check checks: an identity failure, not a usage error
     real = cellular_module._code
     s1 = ((1, 2), (2, 1))
 
@@ -322,8 +323,21 @@ def test_verify_all_broken_identity_exits_1(capsys, monkeypatch):
         return (m, dom, im | 1) if r == 2 and tuple(pairs) == s1 else (m, dom, im)
 
     monkeypatch.setattr(cellular_module, "_code", bumped)
-    code, _, err = run(capsys, "verify-all", "--only", "cellular-structure")
+    code, _, err = run(capsys, "verify-all", "--only", "presentation-and-rescaling")
     assert code == 1 and "breaks N = r + rank(ab)" in err
+
+
+@pytest.mark.parametrize(
+    "letter,relation",
+    [(transposition(1, 2, 2), "s_1^2 = 1"), (projection(1, 2), "p_1^2 = z p_1")],
+    ids=["s_1", "p_1"],
+)
+def test_verify_all_bumped_phi_arrow_exits_1(capsys, monkeypatch, letter, relation):
+    # a bumped arrow of phi(s_1) or phi(p_1) at r = 2 fails a named relation
+    # in the Gram certificate of cellular-structure
+    bump_arrow(monkeypatch, letter)
+    code, _, err = run(capsys, "verify-all", "--only", "cellular-structure")
+    assert code == 1 and f"{relation} fails on phi of its letters" in err
 
 
 def test_verify_all_unknown_name(capsys):

@@ -1,6 +1,7 @@
 """Diagram composition, the rook monoid, and the z^N algebra structure."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from braidrook.diagrams import (
     transposition,
     verify_presentation,
 )
+from braidrook.scalars import IdentityError
 from rook_factorization import (
     canonical_extension,
     perm_from_cycles,
@@ -144,6 +146,16 @@ def test_rook_sizes():
         assert len(set(elems)) == size
     with pytest.raises(ValueError):
         rook_elements(7)
+
+
+def test_hash_is_taken_once_and_keeps_equality():
+    # equal diagrams hash alike however their pairs were listed, to the
+    # value hash((r, pairs)) that a dict lookup has always seen
+    a = PartialPermutation(3, [(2, 1), (1, 2)])
+    b = PartialPermutation(3, iter([(1, 2), (2, 1)]))
+    assert a == b and hash(a) == hash(b) == hash((3, ((1, 2), (2, 1))))
+    assert a != PartialPermutation(4, a.pairs) and len({a, b, PartialPermutation(3, a.pairs)}) == 1
+    assert a._hash == hash(a)
 
 
 def test_rook_size_six():
@@ -427,6 +439,26 @@ def test_rescale_iso_checks_the_product_table(monkeypatch):
         monkeypatch.setattr(cellular, "generator_rows", rows)
         report = rescale_iso_check(3, 7)
         assert not report["all_pass"] and len(report["failures"]) == 1
+
+
+def test_rescale_iso_check_raises_on_a_wrong_table_n(monkeypatch):
+    """Negative control: N off by one on the generator row of p_1 breaks
+    the identity the rescaling to z = 1 rests on. generator_rows checks
+    every N it returns, so the check must raise, not report. The im
+    bitmask of p_1 gets the bit of the unused slot 0 before
+    generator_rows reads it: N = r - |im g u dom b| is then one low on
+    every entry of p_1's row."""
+    p1 = projection(1, 3)
+    real = cellular._code
+
+    def code(r, pairs):
+        m, dom, im = real(r, pairs)
+        return (m, dom, im | 1) if tuple(pairs) == p1.pairs else (m, dom, im)
+
+    monkeypatch.setattr(cellular, "_code", code)
+    identity = f"breaks N = r + rank(ab) - rank a - rank b at a = {p1!r}"
+    with pytest.raises(IdentityError, match=re.escape(identity)):
+        rescale_iso_check(3, 7)
 
 
 # -- generator validation --------------------------------------------------------------

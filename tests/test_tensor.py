@@ -12,9 +12,10 @@ import pytest
 from dense import unit
 import character_oracle
 from gram_oracle import eliminated_dimensions, product_table, tensor_character
+from groupoid_oracle import bump_arrow, drop_empty_arrow
 from rook_factorization import projection_factorization
 
-from braidrook import _modlinalg, acceptance, burau, cellular, linalg, matrix, tensor
+from braidrook import _modlinalg, acceptance, burau, cellular, diagrams, linalg, matrix, tensor
 from braidrook.burau import BurauParams, projection_p, split_generators, unreduced_generator
 from braidrook.diagrams import (
     PartialPermutation,
@@ -676,30 +677,27 @@ def test_groupoid_dimensions_match_the_eliminations_on_the_grid(n, r):
 
 
 def test_dropped_restriction_takes_the_exact_path(monkeypatch):
-    # phi(p_1) without its empty arrow fails phi(g) phi(b) = phi(gb)
-    real = cellular._arrows
-    p1 = projection(1, 2)
-    monkeypatch.setattr(cellular, "_arrows", lambda d: real(d)[1:] if d == p1 else real(d))
+    # phi(p_1) without its empty arrow: s_1 phi(p_1) s_1 has no empty
+    # arrow, and phi(p_2) has one
+    drop_empty_arrow(monkeypatch, projection(1, 2))
     reason = _passing_on_the_exact_path(duality_report(3, 2, P32))
-    assert reason.startswith("phi(g) phi(b) != phi(gb) at g = ")
+    assert reason == "s_1 p_1 s_1 = p_2 fails on phi of its letters in the groupoid algebra"
 
 
 def test_wrong_generator_product_takes_the_exact_path(monkeypatch):
-    # s_1 s_1 read off the generator rows as s_1 where it is the identity;
-    # only the groupoid check reads the rows
-    real = cellular.generator_rows
-
-    def rows(basis):
-        out = real(basis)
-        s1, row = out[0]
-        assert basis[s1] == transposition(1, 2, 2)
-        row[s1] = (s1, 0)
-        return out
-
-    monkeypatch.setattr(tensor, "generator_rows", rows)
+    # phi(s_1) with its arrow 1 -> 2 sent to 1 -> 1: phi(s_1)^2 sends 2 to
+    # 1, where s_1^2 = 1 needs the identity
+    bump_arrow(monkeypatch, transposition(1, 2, 2))
     reason = _passing_on_the_exact_path(duality_report(3, 2, P32))
-    s1 = transposition(1, 2, 2)
-    assert reason == f"phi(g) phi(b) != phi(gb) at g = {s1!r}, b = {s1!r}"
+    assert reason == "s_1^2 = 1 fails on phi of its letters in the groupoid algebra"
+
+
+def test_bumped_p1_arrow_takes_the_exact_path(monkeypatch):
+    # phi(p_1) with its arrow 2 -> 2 sent to 2 -> 1 squares to the empty
+    # arrow alone
+    bump_arrow(monkeypatch, projection(1, 2))
+    reason = _passing_on_the_exact_path(duality_report(3, 2, P32))
+    assert reason == "p_1^2 = z p_1 fails on phi of its letters in the groupoid algebra"
 
 
 def _bump_psi_2(monkeypatch, column, by):
@@ -1260,13 +1258,32 @@ def _count_calls(monkeypatch, modules, *names):
 
 
 def test_duality_report_builds_the_basis_and_its_table_once(monkeypatch):
-    # the commute, homomorphism and groupoid checks read one set of
-    # generator rows, so neither the basis nor its rows are built twice
-    names = ("rook_elements", "generator_rows")
-    calls = _count_calls(monkeypatch, (tensor, cellular), *names)
+    # the character path enumerates no rook diagram: the groupoid check
+    # reads the letters of the relations; the exact path builds the basis
+    # once, for the image, and no generator rows
+    basis = _count_calls(monkeypatch, (tensor, diagrams), "rook_elements")
+    rows = _count_calls(monkeypatch, (cellular,), "generator_rows")
     report = duality_report(3, 2, P32)
     assert report["certificate"]["path"] == "character" and report["all_pass"]
-    assert calls == Counter(rook_elements=1, generator_rows=1)
+    assert basis["rook_elements"] == rows["generator_rows"] == 0
+    report = duality_report(3, 2, BurauParams.degenerate(3, 1, -1))
+    assert report["certificate"]["path"] == "exact"
+    assert basis["rook_elements"] == 1 and rows["generator_rows"] == 0
+
+
+@pytest.mark.parametrize("n,r", [(2, 7), (2, 8), (3, 7)])
+def test_duality_report_refuses_r_above_the_enumeration_bound(monkeypatch, n, r):
+    # (2, 7) is within MATRIX_SIZE_BUDGET, so only the bound stops it, and
+    # before any work; (3, 7) is over the budget, which is checked first
+    def no_work(*args):
+        raise AssertionError("the report started work")
+
+    monkeypatch.setattr(tensor, "braid_generators", no_work)
+    message = f"r={r} above enumeration bound 6" if n**r <= tensor.MATRIX_SIZE_BUDGET else "exceeds budget"
+    with pytest.raises(ValueError, match=message):
+        duality_report(n, r, BurauParams.preset(n))
+    with pytest.raises(ValueError, match="^r must be nonnegative$"):
+        duality_report(n, -1, BurauParams.preset(n))
 
 
 def test_duality_report_builds_the_relation_list_once(monkeypatch):
