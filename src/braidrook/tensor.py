@@ -12,20 +12,12 @@ product of two diagram images picks up the same z^N factor as the diagrams.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, pairwise, product
-from math import prod
+from itertools import product
 from typing import Mapping, Sequence
 
 from . import _modlinalg
 from .burau import BurauParams, split_generators, unreduced_generator
-from .cellular import (
-    groupoid_dimensions,
-    partition_label,
-    partitions_of,
-    rook_dimension,
-    shape_dimensions,
-    steinberg_failure,
-)
+from .cellular import groupoid_dimensions, rook_dimension, shape_dimensions, steinberg_failure
 from .diagrams import (
     PartialPermutation,
     check_enumeration_bound,
@@ -131,28 +123,19 @@ def _packed_product(a: Mapping[int, int], x: Sequence[int], size: int) -> list[i
     return out
 
 
-def _packed_trace(x: Sequence[int], width: int) -> int:
-    """The trace of a matrix by its packed rows of width-bit slots, every
-    entry below 2^(width - 1) in absolute value: slot i of row i, read after
-    adding 2^(width - 1) to every slot, so that no borrow crosses a slot."""
-    half = 1 << width - 1
-    shift = half * sum(1 << width * j for j in range(len(x)))
-    return sum((((row + shift) >> width * i) & (2 * half - 1)) - half for i, row in enumerate(x))
-
-
 def _all_commute(left: Sequence[Matrix], right: Sequence[Matrix]) -> bool:
-    """Whether ab = ba for every a in left and b in right, n x n matrices,
-    checked on the packed rows of their integer_form (duality_report says
-    why that is exact)."""
+    """Whether ab = ba for every a in left and b in right, square matrices
+    of one size, checked on the packed rows of their integer_form
+    (duality_report says why that is exact)."""
     n, k = left[0].rows, len(left)
     _, ints = integer_form([*left, *right])
     words = [w for i in range(k) for j in range(k, len(ints)) for w in ((i, j), (j, i))]
-    _, products = _word_products(words, dict(enumerate(ints)), n)
+    products = _word_products(words, dict(enumerate(ints)), n)
     return all(products[(i, j)] == products[(j, i)] for i, j in words[::2])
 
 
-def _word_products(words: list[tuple], letters: dict, size: int, ratio: int = 1) -> tuple[int, dict]:
-    """(W, {w: M(w)}) over the words w and their suffixes, given
+def _word_products(words: list[tuple], letters: dict, size: int, ratio: int = 1) -> dict:
+    """{w: M(w)} over the words w and their suffixes, given
     letters = {d: D op(d) by its nonzeros} (integer_form): M(w) = D^len(w) op(w)
     by its packed rows of W-bit slots (_packed_product), the empty word the
     identity, each suffix multiplied once, by its first letter.
@@ -171,65 +154,75 @@ def _word_products(words: list[tuple], letters: dict, size: int, ratio: int = 1)
         for t in reversed(range(len(word))):
             if word[t:] not in out:
                 out[word[t:]] = _packed_product(letters[word[t]], out[word[t + 1 :]], size)
-    return width, out
+    return out
 
 
-def _operator_failure(p: BurauParams, r: int, ops: dict, rels: list, swaps: list) -> str | None:
-    """None when the rescaled operators rho(d) = z^-(r - rank d) op(d) of the
-    letters, ops = {d: op(d)}, satisfy every chain of rels =
-    diagrams.relations(r) and tr rho(x) = n^l(mu) on the class word x of
-    each (k, mu), mu a partition of k <= r (the permutation of {1..k} with
-    cycles mu, built from swaps = s_1..s_(r-1), then p_(k+1)..p_r);
-    otherwise the first failure. Both read the integer _word_products
-    M(w): rho(w) = M(w) c(w), c(w) = prod of c[d] over w.
+def _operator_failure(p: BurauParams, r: int, P: Matrix | None, rels: list) -> str | None:
+    """None when tr P = z for P = op(p_1) on one slot (r >= 1), and the
+    rescaled operators rho(d) = z^-(s - rank d) op(d) on s = min(r, 3)
+    slots of the letters of rels = diagrams.relations(s) satisfy every
+    chain of rels; otherwise the first failure. The relations read the
+    integer _word_products M(w) = D^len(w) op(w): rho(w) = M(w) c(w),
+    c(w) = z^-e(w) D^-len(w), e(w) the sum of s - rank over w. This gives
+    every chain of relations(r), and tr rho(x) = n^l(mu) on the class word
+    x of each (k, mu), on E^(x r):
+    - Locality. A letter acts on E^(x r) as its factor on the slots S it
+      moves or forgets, tensor the identity on the other slots, in slot
+      order (the closed form of diagram_op; the tests check it on every
+      letter through (3,4) and (2,5)), and r - rank is the same for both.
+      X -> X (x) 1 is an injective algebra map, so a chain whose letters
+      act within S holds on E^(x r) exactly when it holds on E^(x S). Each
+      chain of relations(r) either has its letters on disjoint slots
+      (p_i p_j, s_i s_j, s_i p_j), where both orders give one tensor
+      product, or acts within at most three slots and, relabelled in
+      order, is a chain of relations(s) of the same type.
+    - Characters. The class word x of (k, mu), the cycles of mu on blocks
+      of {1..k} by swaps, then p_(k+1)..p_r, acts as the place permutations
+      of its cycles tensor P on each slot past k. A trace is multiplicative
+      over (x), and an l-cycle of places fixes exactly the n constant
+      basis tensors of E^(x l), so tr rho(x) = n^l(mu) (tr P / z)^(r - k).
 
     Each M(w) is one int per row, row i packed as sum_j M_ij 2^(W j).
     Packing is linear, and packs no nonzero vector whose entries are below
     2^(W - 1) in absolute value to 0. Let N >= 1 be the largest row sum of
-    |entries| of a letter, L the longest word (relation and class words
-    alike) and S the largest |numerator| or denominator of a relation's
-    ratio x = c(first)/c(word). Every entry of an M(w) is then at most N^L
-    (an entry of AB is at most N times the largest entry of B, for A a
-    letter), and every entry of x.numerator M(first) - x.denominator M(word)
-    at most 2 S N^L; W = bit_length(2 S N^L) + 1 puts both below 2^(W - 1). So
+    |entries| of a letter, L the longest word and S the largest |numerator|
+    or denominator of a relation's ratio x = c(first)/c(word). Every entry
+    of an M(w) is then at most N^L (an entry of AB is at most N times the
+    largest entry of B, for A a letter), and every entry of
+    x.numerator M(first) - x.denominator M(word) at most 2 S N^L;
+    W = bit_length(2 S N^L) + 1 puts both below 2^(W - 1). So
     rho(first) = rho(word) exactly when the packed rows agree after
-    scaling, and _packed_trace reads tr M(x) exactly."""
-    z, size = p.quantum(p.n), p.n**r
-    ps, classes = [projection(j, r) for j in range(1, r + 1)], []
-    for k in range(r + 1):
-        for mu in partitions_of(k):
-            word = []
-            for a, b in pairwise((0, *accumulate(mu))):
-                word += swaps[a : b - 1]  # the cycle on {a+1..b} is s_(a+1) ... s_(b-1)
-            classes.append((k, mu, (*word, *ps[k:])))
+    scaling."""
+    z, s = p.quantum(p.n), min(r, 3)
+    ops = {d: diagram_op(d, p, s) for d in dict.fromkeys(d for _, chain in rels for w in chain for d in w)}
     den, ints = integer_form(ops.values())
-    c = {d: z ** (d.rank - r) / den for d in ops}  # rho(d) = c[d] M(d)
+    e, den = {d: s - d.rank for d in ops}, Fraction(den)
     # rho(first) = rho(word) iff x M(first) = M(word), x = c(first) / c(word)
-    x = {(first, w): prod(map(c.get, first)) / prod(map(c.get, w)) for _, (first, *rest) in rels for w in rest}
-    words = [word for _, chain in rels for word in chain] + [word for *_, word in classes]
+    x = {
+        (first, w): z ** (sum(map(e.get, w)) - sum(map(e.get, first))) * den ** (len(w) - len(first))
+        for _, (first, *rest) in rels for w in rest
+    }
     ratio = max((max(abs(v.numerator), v.denominator) for v in x.values()), default=1)
-    width, products = _word_products(words, dict(zip(ops, ints)), size, ratio)
+    words = [word for _, chain in rels for word in chain]
+    products = _word_products(words, dict(zip(ops, ints)), p.n**s, ratio)
     for name, (first, *rest) in rels:
         for word in rest:
             u, v = x[first, word].as_integer_ratio()
             if [u * row for row in products[first]] != [v * row for row in products[word]]:
                 return f"{name} fails on the rescaled operators"
-    for k, mu, word in classes:
-        chi = prod(map(c.get, word)) * _packed_trace(products[word], width)
-        if chi != p.n ** len(mu):
-            where = f"the class word of k = {k}, mu = {partition_label(mu)}"
-            return f"character {chi} != n^cyc = {p.n ** len(mu)} at {where}"
+    if r and P.trace() != z:
+        return f"character: tr P = {P.trace()} != z = {z}"
     return None
 
 
-def _character_certificate(p: BurauParams, r: int, ops: dict, rels, swaps, shapes) -> dict:
-    """The certificate of duality_report from the letter operators ops of
-    rels = diagrams.relations(r) and swaps = s_1..s_(r-1): the relations,
-    groupoid and character checks, cellular.groupoid_dimensions, and the
-    shape-by-shape bound _modlinalg.envelope_bound on
+def _character_certificate(p: BurauParams, r: int, P, local, rels, shapes) -> dict:
+    """The certificate of duality_report from P, local =
+    diagrams.relations(min(r, 3)) (_operator_failure) and rels =
+    diagrams.relations(r): the relations, groupoid and character checks, cellular.groupoid_dimensions,
+    and the shape-by-shape bound _modlinalg.envelope_bound on
     shapes = [(lambda, d_lambda)] at the prime of _modlinalg.lower_bound.
-    The path is "character" only when that bound equals
-    sum <psi_k, psi_k>, an integer."""
+    The path is "character" only when that bound equals sum <psi_k, psi_k>,
+    an integer."""
     z = p.quantum(p.n)
     if z == 0:
         return certificate_record("exact", "z = [n]_q = 0 has no rescaled basis")
@@ -237,7 +230,7 @@ def _character_certificate(p: BurauParams, r: int, ops: dict, rels, swaps, shape
         gens = [Matrix.diagonal([p.q1]), *split_generators(p)]
     except IdentityError as e:
         return certificate_record("exact", str(e))
-    failure = _operator_failure(p, r, ops, rels, swaps) or steinberg_failure(r, rels)
+    failure = _operator_failure(p, r, P, local) or steinberg_failure(r, rels)
     if failure:
         return certificate_record("exact", failure)
     rook_cent, rook_img = groupoid_dimensions(p.n, r)
@@ -284,25 +277,30 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
       whatever they commute with, and C(rook gens) = C(image), since those
       operators generate the image algebra.
     A subspace of the same dimension is the whole space, so each identity
-    is "commute and dim == dim". The commute check runs on integers
-    (_all_commute): with D the lcm of every denominator of the generators,
-    (Da)(Db) = D^2 ab and D != 0, so Da and Db commute exactly when a and b
-    do, and no verdict depends on the scaling. It compares (Da)(Db) with
-    (Db)(Da) row by row on packed rows, row i one int sum_j x_ij 2^(W j)
-    (the _operator_failure argument with L = 2 and S = 1): with N >= 1 the
-    largest row sum of |entries| of a Da, every entry of the difference is
-    at most 2 N^2 < 2^(W - 1) for W = bit_length(2 N^2) + 1, which packs to
-    0 only when it is 0, so equal rows mean equal products.
+    is "commute and dim == dim". On the character path the commute check
+    is T_i P = P T_i on n x n, P = op(p_1) on one slot: op(s_i) is the
+    place permutation of slots i and i+1, which commutes with T (x) T for
+    every T, and T^(x r) = T (x) B on slot 1 and the rest, B invertible, so
+    (T (x) B)(P (x) 1) = TP (x) B equals (P (x) 1)(T (x) B) = PT (x) B
+    exactly when TP = PT. The exact path checks the operators on E^(x r).
+    Either check runs on integers (_all_commute): with D the lcm of every
+    denominator, (Da)(Db) = D^2 ab and D != 0, so Da and Db commute exactly
+    when a and b do. It compares (Da)(Db) with (Db)(Da) on packed rows,
+    row i one int sum_j x_ij 2^(W j) (the _operator_failure argument with
+    L = 2 and S = 1): every entry of the difference is at most
+    2 N^2 < 2^(W - 1), which packs to 0 only when it is 0.
 
     The dimensions come from the rook character ("character" path), for
     z = [n]_q != 0, through the rescaled operators
     rho(d) = z^-(r - rank d) op(d) and the monoid algebra A = Q[R_r]. Four
-    steps, all exact; only the letters of diagrams.relations(r) get an
-    operator, and no step works on an m x m matrix, m = |R_r|:
+    steps, all exact; no operator on E^(x r) is built, only P and the
+    letters of diagrams.relations(min(r, 3)) on min(r, 3) slots, and no step
+    works on an m x m matrix, m = |R_r|:
     - Relations (_operator_failure). Every chain of diagrams.relations(r)
-      holds on the rho of its letters. Popova's relations present R_r on
-      s_1..s_(r-1), p_1 (L. M. Popova, Uchen. Zap. Leningrad. Gos. Ped.
-      Inst. 218, 1961; T. Halverson, J. Algebra 273, 2004): the Coxeter
+      holds on the rho of its letters, read off their factors on at most
+      three slots. Popova's relations present R_r on s_1..s_(r-1), p_1
+      (L. M. Popova, Uchen. Zap. Leningrad. Gos. Ped. Inst. 218, 1961;
+      T. Halverson, J. Algebra 273, 2004): the Coxeter
       relations, p_1^2 = p_1, p_1 s_j = s_j p_1 for j >= 2, and
       p_1 s_1 p_1 s_1 = s_1 p_1 s_1 p_1 = p_1 s_1 p_1. The list implies
       them: with p_(i+1) = s_i p_i s_i both four-letter words are p_1 p_2,
@@ -318,9 +316,10 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
       number of arrows, so it is bijective. So A is semisimple. No rook
       diagram is enumerated.
     - Character. tr rho(x) = n^l(mu) on the class word x of each (k, mu),
-      mu a partition of k <= r, so chi = tr rho is n^cyc on all of R_r by
-      Munn's argument (W. D. Munn, Proc. Cambridge Philos. Soc. 53, 1957):
-      e = x^(r!), the partial identity on the cycles of x, commutes with x;
+      mu a partition of k <= r, read off tr P = z (_operator_failure), so
+      chi = tr rho is n^cyc on all of R_r by Munn's argument (W. D. Munn,
+      Proc. Cambridge Philos. Soc. 53, 1957): e = x^(r!), the partial
+      identity on the cycles of x, commutes with x;
       rho(x) is nilpotent on (1 - rho(e))V and acts as rho(xe) on rho(e)V,
       so tr rho(x) = tr rho(xe); and xe, a permutation of its k points with
       the cycles of x, is conjugate by a unit u, rho(u) invertible, to the
@@ -371,7 +370,7 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     A miss at one prime moves on to the next listed prime, keeping the
     largest lower bound. The exact centralizer, image, envelope and
     commutant dimensions are computed instead ("exact" path), on the
-    generators already built and the operators of every basis diagram, when
+    T_i^(x r) and the operators of every basis diagram on E^(x r), when
     the actions do not commute, when z = 0, when the split check, or the
     relations, groupoid or character check fails, when sum_k <psi_k, psi_k>
     is not an integer, when the returned bound is not that sum (a miss at
@@ -394,19 +393,15 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
         raise ValueError("params built for a different n")
     check_enumeration_bound(r)
     z = p.quantum(n)
-    braid_gens = braid_generators(p, r)
     shapes = shape_dimensions(n, r)
-    # the letters of the relations, the paper's generators among them
     rels, gens = relations(r), generator_diagrams(r)
-    letters = dict.fromkeys(d for _, chain in rels for word in chain for d in word)
-    ops = {d: diagram_op(d, p, r) for d in letters}
-    rook_gens = [ops[g] for g in gens]
-
-    commute = _all_commute(braid_gens, rook_gens)
+    local = rels if r <= 3 else relations(3)
+    P = diagram_op(projection(1, 1), p, 1) if r else None
+    commute = not r or _all_commute([unreduced_generator(i, p) for i in range(1, n)], [P])
 
     if commute:
         shape_dims = [(lam, d) for lam, d, _ in shapes]
-        certificate = _character_certificate(p, r, ops, rels, gens[:-1], shape_dims)
+        certificate = _character_certificate(p, r, P, local, rels, shape_dims)
     else:
         certificate = certificate_record("exact", "actions do not commute")
     certificate.setdefault("shapes", None)
@@ -424,8 +419,12 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
             f"<= C(rook) = sum <psi_k, psi_k> {cent_of_img_dim}"
         )
     else:
+        braid_gens = braid_generators(p, r)
+        ops = {d: diagram_op(d, p, r) for d in rook_elements(r)}
+        rook_gens = [ops[g] for g in gens]
+        commute = _all_commute(braid_gens, rook_gens)
         cent_dim, _ = commutant(braid_gens, size=n**r)
-        img_dim = rook_image([ops[d] if d in ops else diagram_op(d, p, r) for d in rook_elements(r)])
+        img_dim = rook_image(list(ops.values()))
         env_dim, _ = span_closure(braid_gens)
         cent_of_img_dim, _ = commutant(rook_gens, size=n**r)
         img_how = env_how = f"exact dimensions; {certificate['fallback_reason']}"
@@ -459,7 +458,7 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
         _report_check(
             "actions_commute",
             commute,
-            f"{len(braid_gens)} braid generators against {len(rook_gens)} rook generators",
+            f"{n - 1} braid generators against {len(gens)} rook generators",
         ),
         _report_check(
             "weyl_times_cell_dimension_sum",

@@ -1,6 +1,8 @@
-"""The all-basis duality checks that the relation and class-word checks of
-tensor.duality_report replaced, on the operators of all m = |R_r| basis
-diagrams: the homomorphism op(g) op(d) = z^N op(gd) for every generator g
+"""The full-size checks that the slot-local checks of
+tensor.duality_report replaced: every chain of relations(r) and the trace
+of one class word per (k, mu), on the rescaled operators of E^(x r). Also
+the all-basis checks that those replaced, on the operators of all
+m = |R_r| basis diagrams: the homomorphism op(g) op(d) = z^N op(gd) for every generator g
 and basis diagram d, the rescaled character chi(d) = tr op(d) / z^(r - rank d)
 at every d, and the two q-free dimensions of cellular.groupoid_dimensions
 by Moebius inversion of chi. Every product comes from
@@ -9,14 +11,55 @@ the braid generators on U = sum_k F^(x k), whose closure the
 shape-by-shape envelope bound replaced."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, pairwise, permutations
 from math import comb, factorial
 
 from braidrook.burau import reduced_generator
-from braidrook.diagrams import PartialPermutation, compose_perms, generator_diagrams, rook_elements
+from braidrook.cellular import partition_label, partitions_of
+from braidrook.diagrams import (
+    PartialPermutation,
+    compose_perms,
+    generator_diagrams,
+    projection,
+    relations,
+    rook_elements,
+    transposition,
+)
 from braidrook.linalg import rref
-from braidrook.matrix import direct_sum, integer_form, kron_power, rows_of, sparse_product
+from braidrook.matrix import Matrix, direct_sum, integer_form, kron_power, rows_of, sparse_product
 from braidrook.tensor import diagram_op
+
+
+def full_size_failure(p, r):
+    """None when every chain of relations(r) holds on the rescaled operators
+    rho(d) = z^-(r - rank d) op(d) of its letters on E^(x r), and
+    tr rho(x) = n^l(mu) on the class word x of each (k, mu), mu a partition
+    of k <= r: the cycles of mu on the blocks of {1..k} by swaps, then
+    p_(k+1)..p_r. Otherwise the first failure. Fraction products of the
+    operators, each built by diagram_op at r."""
+    z, rho = p.quantum(p.n), {}
+
+    def value(word):
+        out = Matrix.identity(p.n**r)
+        for d in word:
+            if d not in rho:
+                rho[d] = diagram_op(d, p, r).scale(z ** (d.rank - r))
+            out = out * rho[d]
+        return out
+
+    for name, (first, *rest) in relations(r):
+        if any(value(word) != value(first) for word in rest):
+            return f"{name} fails on the rescaled operators"
+    swaps = [transposition(i, i + 1, r) for i in range(1, r)]
+    for k in range(r + 1):
+        for mu in partitions_of(k):
+            word = []
+            for a, b in pairwise((0, *accumulate(mu))):
+                word += swaps[a : b - 1]  # the cycle on {a+1..b} is s_(a+1) ... s_(b-1)
+            chi = value([*word, *(projection(j, r) for j in range(k + 1, r + 1))]).trace()
+            if chi != p.n ** len(mu):
+                return f"character {chi} != n^cyc = {p.n ** len(mu)} at k = {k}, mu = {partition_label(mu)}"
+    return None
 
 
 def all_basis_check(p, r):

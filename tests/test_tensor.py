@@ -19,7 +19,6 @@ from braidrook import _modlinalg, acceptance, burau, cellular, diagrams, linalg,
 from braidrook.burau import BurauParams, projection_p, split_generators, unreduced_generator
 from braidrook.diagrams import (
     PartialPermutation,
-    generator_diagrams,
     projection,
     relations,
     rook_elements,
@@ -563,29 +562,66 @@ def test_duality_r0_and_r1_on_the_character_path(n, r, bound):
 
 
 ORACLE_CASES = [(n, r, q) for n, r in acceptance.DUALITY_GRID for q in acceptance.DUALITY_QS]
-ORACLE_CASES += [(n, r, Fraction(2)) for n, r in [(4, 3), (2, 4), (3, 4), (2, 5)]]
+ORACLE_CASES += [(2, 5, Fraction(2))]
 
 
 def _operator_failure(params, r):
-    """tensor._operator_failure on the letters of relations(r), as
+    """tensor._operator_failure on P and relations(min(r, 3)), as
     duality_report calls it."""
-    rels = relations(r)
-    letters = dict.fromkeys(d for _, chain in rels for word in chain for d in word)
-    ops = {d: tensor.diagram_op(d, params, r) for d in letters}
-    return tensor._operator_failure(params, r, ops, rels, generator_diagrams(r)[:-1])
+    P = tensor.diagram_op(projection(1, 1), params, 1) if r else None
+    return tensor._operator_failure(params, r, P, relations(min(r, 3)))
 
 
 @pytest.mark.parametrize("n,r,q", ORACLE_CASES, ids=str)
 def test_relation_and_class_checks_agree_with_the_all_basis_oracle(n, r, q):
-    # op(g) op(d) = z^N op(gd) on every basis diagram, and the Moebius
-    # inversion of the traces of all m basis operators, against the
-    # relations, the class words and psi_k = (n - 1)^cyc
+    # the local relations and tr P = z, against every chain of relations(r)
+    # and the class-word traces on E^(x r), op(g) op(d) = z^N op(gd) on
+    # every basis diagram, and the Moebius inversion of the traces of all m
+    # basis operators
     params = BurauParams.preset(n, q)
     assert _operator_failure(params, r) is None
+    assert character_oracle.full_size_failure(params, r) is None
     failure, chi = character_oracle.all_basis_check(params, r)
     basis = rook_elements(r)
     assert failure is None and chi == tensor_character(n, basis)
     assert character_oracle.moebius_dimensions(basis, chi) == cellular.groupoid_dimensions(n, r)
+
+
+def _embedded(d, p, r):
+    """The operator of the letter d on E^(x r) from its factor on the slots
+    S it moves or forgets: diagram_op of d relabelled onto 1..|S| in order,
+    tensor the identity on the other slots, the factor's slots in order."""
+    n, slots = p.n, [x for x in range(1, r + 1) if (x, x) not in d.pairs]
+    place = {x: i for i, x in enumerate(slots, 1)}
+    relabelled = PartialPermutation(len(slots), [(place[x], place[y]) for x, y in d.pairs if x in place])
+    factor = diagram_op(relabelled, p, len(slots))
+    rest = [t for t in range(1, r + 1) if t not in place]
+
+    def flat(local, other):  # the index on E^(x r) of digits on S and on the rest
+        digits = dict(zip(slots, local)) | dict(zip(rest, other))
+        return sum(digits[t] * n ** (r - t) for t in range(1, r + 1))
+
+    local, entries = list(product(range(n), repeat=len(slots))), {}
+    for index, x in factor.nonzeros().items():
+        row, col = (local[i] for i in divmod(index, len(local)))
+        for other in product(range(n), repeat=len(rest)):
+            entries[flat(row, other) * n**r + flat(col, other)] = x
+    return Matrix(n**r, n**r, entries)
+
+
+LOCALITY_CASES = [(n, r) for n in (2, 3) for r in range(1, 5)] + [(4, 3), (2, 5)]
+
+
+@pytest.mark.parametrize("n,r", LOCALITY_CASES)
+def test_every_letter_is_its_local_factor_tensor_the_identity(n, r):
+    # the locality fact of tensor._operator_failure: each letter of
+    # relations(r) acts on E^(x r) as its factor on the slots it moves or
+    # forgets, tensor the identity on the others
+    letters = {d for _, chain in relations(r) for word in chain for d in word}
+    for q in acceptance.DUALITY_QS:
+        params = BurauParams.preset(n, q)
+        for d in letters:
+            assert diagram_op(d, params, r) == _embedded(d, params, r), d
 
 
 def _at_the_z1_scale(d, p, r):
@@ -593,22 +629,25 @@ def _at_the_z1_scale(d, p, r):
 
 
 def _with_s1_doubled(d, p, r):
-    return diagram_op(d, p, r).scale(2 if d == transposition(1, 2, r) else 1)
+    return diagram_op(d, p, r).scale(2 if r > 1 and d == transposition(1, 2, r) else 1)
 
 
 @pytest.mark.parametrize("fault", [_at_the_z1_scale, _with_s1_doubled], ids=lambda f: f.__name__)
-@pytest.mark.parametrize("n,r", [(3, 2), (2, 3)])
+@pytest.mark.parametrize("n,r", [(3, 2), (2, 3), (2, 4)])
 def test_relations_fail_where_the_all_basis_oracle_fails(monkeypatch, fault, n, r):
     params = BurauParams.preset(n)
     assert _operator_failure(params, r) is None
     monkeypatch.setattr(tensor, "diagram_op", fault)
     monkeypatch.setattr(character_oracle, "diagram_op", fault)
     assert _operator_failure(params, r) is not None
+    assert character_oracle.full_size_failure(params, r) is not None
     assert character_oracle.all_basis_check(params, r)[0] is not None
 
 
 @pytest.mark.parametrize("n,r", [(3, 3), (2, 4)])
 def test_character_path_builds_only_the_letters_of_the_relations(monkeypatch, n, r):
+    # P on one slot, then the letters of relations(min(r, 3)) on min(r, 3)
+    # slots, each once
     real = tensor.diagram_op
     built = []
 
@@ -618,8 +657,31 @@ def test_character_path_builds_only_the_letters_of_the_relations(monkeypatch, n,
 
     monkeypatch.setattr(tensor, "diagram_op", recorded)
     assert duality_report(n, r, BurauParams.preset(n))["certificate"]["path"] == "character"
-    letters = {d for _, chain in relations(r) for word in chain for d in word}
-    assert set(built) == letters and len(built) == len(letters)
+    letters = {d for _, chain in relations(min(r, 3)) for word in chain for d in word}
+    assert built[0] == projection(1, 1) and set(built[1:]) == letters and len(built) == 1 + len(letters)
+
+
+@pytest.mark.parametrize("n,r", [(3, 4), (2, 5)])
+def test_character_path_builds_no_operator_on_the_tensor_power(monkeypatch, n, r):
+    # every matrix that tensor builds or packs on the character path has
+    # size at most n^min(r, 3): the letters and the packed products; no
+    # Kronecker power T_i^(x r) is built
+    sizes = Counter()
+
+    def sized(name, real):
+        def wrapped(*args):
+            out = real(*args)
+            sizes[name, out.rows if name != "_word_products" else args[2]] += 1
+            return out
+
+        return wrapped
+
+    for name in ("diagram_op", "kron_power", "_word_products"):
+        monkeypatch.setattr(tensor, name, sized(name, getattr(tensor, name)))
+    report = duality_report(n, r, BurauParams.preset(n))
+    assert report["certificate"]["path"] == "character" and report["all_pass"]
+    assert {name for name, _ in sizes} == {"diagram_op", "_word_products"}
+    assert max(size for _, size in sizes) == n ** min(r, 3)
 
 
 def test_duality_n2_r4_passes_no_rref_more_than_24_rows(monkeypatch):
@@ -639,12 +701,11 @@ def test_duality_n2_r4_passes_no_rref_more_than_24_rows(monkeypatch):
 
 
 def test_homomorphism_and_commute_checks_run_on_the_r_generators(monkeypatch):
-    # s_1, p_1 at r = 2, one packed product per word suffix: the commute
-    # check packs the 2 braid and 2 rook generators and takes ab and ba for
-    # each of the 2 x 2 pairs; the relations take p_1, p_2, s_1, p_1 p_1,
-    # p_2 p_2, p_1 p_2, p_2 p_1, s_1 s_1, p_2 s_1, p_1 s_1, s_1 p_1 p_2,
-    # p_1 p_2 s_1 and s_1 p_1 s_1, and the class words p_1 p_2, p_2, s_1
-    # and 1 add none
+    # one packed product per word suffix: the commute check packs T_1, T_2
+    # and P on one slot and takes T_i P and P T_i for i = 1, 2 (3 letters,
+    # 4 words); the relations at r = 2 take p_1, p_2, s_1, p_1 p_1, p_2 p_2,
+    # p_1 p_2, p_2 p_1, s_1 s_1, p_2 s_1, p_1 s_1, s_1 p_1 p_2, p_1 p_2 s_1
+    # and s_1 p_1 s_1
     calls = _count_calls(monkeypatch, (tensor,), "_packed_product")
     callers = Counter()
     for module in (matrix, linalg, _modlinalg):
@@ -656,7 +717,7 @@ def test_homomorphism_and_commute_checks_run_on_the_r_generators(monkeypatch):
 
         monkeypatch.setattr(module, "sparse_product", recorded)
     assert duality_report(3, 2, P32)["certificate"]["path"] == "character"
-    assert calls["_packed_product"] == 4 + 2 * 2 * 2 + 13
+    assert calls["_packed_product"] == 3 + 4 + 13
     # no dict product is taken for tensor: it binds no sparse_product, and
     # the sparse products left are the Matrix products of the split check
     # and the trace words of envelope_bound
@@ -762,7 +823,7 @@ def test_block_generators_close_to_the_envelope_dimension(n, r):
 
 
 SHAPE_ORACLE_CASES = [(n, r, q) for n, r in acceptance.DUALITY_GRID for q in acceptance.DUALITY_QS]
-SHAPE_ORACLE_CASES += [(n, r, Fraction(2)) for n, r in [(4, 3), (2, 4), (3, 4), (5, 3)]]
+SHAPE_ORACLE_CASES += [(5, 3, Fraction(2))]
 
 
 @pytest.mark.parametrize("n,r,q", SHAPE_ORACLE_CASES, ids=str)
@@ -890,9 +951,9 @@ def _failing_on_the_exact_path(report):
 
 
 def test_wrong_q_projection_fails_commute_and_both_equalities(monkeypatch):
-    # every diagram operator built at q = 3 against braid generators at q = 2;
-    # the exact path reuses the 3 letter operators s_1, p_1, p_2 and builds
-    # the other 4 basis operators
+    # every diagram operator built at q = 3 against braid generators at q = 2:
+    # T_i P = P T_i fails on P on one slot, and the exact path builds all 7
+    # basis operators on E^(x 2)
     real = tensor.diagram_op
     built = []
 
@@ -903,12 +964,14 @@ def test_wrong_q_projection_fails_commute_and_both_equalities(monkeypatch):
     monkeypatch.setattr(tensor, "diagram_op", wrong_q)
     report = duality_report(3, 2, P32)
     assert _failing_on_the_exact_path(report) == COMMUTE_AND_BOTH_EQUALITIES
-    assert len(built) == 7
+    assert built[0] == projection(1, 1) and len(built) == 1 + 7
 
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_dropped_q_weight_fails_commute_and_both_equalities(monkeypatch, r):
-    # the factor q^(J_t - 1) of the first summed slot t left out
+    # the factor q^(J_t - 1) of the first summed slot t left out, at every
+    # size: P on one slot loses its weights, so T_i P = P T_i fails there,
+    # and the exact path's operators on E^(x r) fail too
     real = tensor.diagram_op
 
     def unweighted(d, p, r):
@@ -929,20 +992,30 @@ def test_dropped_q_weight_fails_commute_and_both_equalities(monkeypatch, r):
 
 
 def test_bumped_braid_generator_fails_commute_and_both_equalities(monkeypatch):
-    # one entry of T_1^(x 2) raised by one, on the commute check and on
-    # every exact computation after it
-    real = tensor.braid_generators
+    # entry (1, 2) of T_1 raised by one, on the n x n commute check and on
+    # every exact computation, through T_1^(x 2)
+    real = tensor.unreduced_generator
 
-    def bumped(p, r):
-        gens = real(p, r)
-        e = dict(gens[0].nonzeros())
-        e[1] = e.get(1, 0) + 1
-        gens[0] = Matrix(gens[0].rows, gens[0].cols, e)
-        return gens
+    def bumped(i, p):
+        t = real(i, p)
+        return t + Matrix(t.rows, t.cols, {1: 1}) if i == 1 else t
 
-    monkeypatch.setattr(tensor, "braid_generators", bumped)
+    monkeypatch.setattr(tensor, "unreduced_generator", bumped)
     report = duality_report(3, 2, P32)
     assert _failing_on_the_exact_path(report) >= COMMUTE_AND_BOTH_EQUALITIES
+
+
+def test_bumped_p_on_one_slot_fails_the_commute_check(monkeypatch):
+    # entry (1, 1) of P on one slot raised by one, so T_1 P != P T_1; the
+    # operators on E^(x 2) are untouched, and the exact path passes on them
+    real = tensor.diagram_op
+
+    def bumped(d, p, r):
+        op = real(d, p, r)
+        return op + Matrix.diagonal([1] + [0] * (p.n - 1)) if r == 1 else op
+
+    monkeypatch.setattr(tensor, "diagram_op", bumped)
+    assert _passing_on_the_exact_path(duality_report(3, 2, P32)) == "actions do not commute"
 
 
 def _rational_matrix(rng, n, den):
@@ -973,8 +1046,9 @@ def test_integer_commute_check_matches_the_fraction_products(seed):
 
 
 def test_character_path_multiplies_only_in_the_split_check(monkeypatch):
-    # the commute and homomorphism checks run on integer_form; the only
-    # Matrix products left are T_i C and C (q1 + R_i) of split_generators
+    # the commute and relation checks run on integer_form, and tr P is read
+    # off P; the only Matrix products left are T_i C and C (q1 + R_i) of
+    # split_generators
     calls = 0
     real = Matrix._matmul
 
@@ -997,7 +1071,7 @@ def _verdicts(report):
 def _passing_on_the_exact_path(report):
     cert = report["certificate"]
     assert cert["path"] == "exact"
-    assert report["all_pass"] and _verdicts(report) == _verdicts(duality_report(3, 2, P32))
+    assert report["all_pass"] and report["faithful"] == (report["n"] > report["r"])
     return cert["fallback_reason"]
 
 
@@ -1011,7 +1085,7 @@ def test_scaled_swap_operator_fails_s1_squared(monkeypatch, q):
 
     def doubled(d, p, r):
         op = real(d, p, r)
-        return op.scale(2) if d == transposition(1, 2, r) else op
+        return op.scale(2) if r > 1 and d == transposition(1, 2, r) else op
 
     params = BurauParams.preset(3, q)
     monkeypatch.setattr(tensor, "diagram_op", doubled)
@@ -1035,51 +1109,52 @@ def test_wrong_z_power_fails_the_homomorphism_check(monkeypatch):
 
 
 def test_bumped_swap_operator_breaks_a_relation(monkeypatch):
-    # one entry of D op(s_1), row 0 and column 1, raised by one where the
-    # relations read it, before it is packed; the commute check runs on the
-    # true operators
+    # one entry of D op(s_1) on min(r, 3) slots, row 0 and column 1, raised
+    # by one where the relations read it, before it is packed, at r = 2 and
+    # at r = 4, where the factor has three slots; the commute check reads P
+    # alone, and the exact path the true operators on E^(x r)
     real = tensor._word_products
-    s1 = transposition(1, 2, 2)
 
     def bumped(words, letters, size, ratio=1):
-        if s1 in letters:
-            m = letters[s1]
-            letters = {**letters, s1: {**m, 1: m.get(1, 0) + 1}}
+        for s1 in (transposition(1, 2, 2), transposition(1, 2, 3)):
+            if s1 in letters:
+                m = letters[s1]
+                letters = {**letters, s1: {**m, 1: m.get(1, 0) + 1}}
         return real(words, letters, size, ratio)
 
     monkeypatch.setattr(tensor, "_word_products", bumped)
-    reason = _passing_on_the_exact_path(duality_report(3, 2, P32))
-    assert reason == "s_1^2 = 1 fails on the rescaled operators"
+    for n, r in [(3, 2), (2, 4)]:
+        reason = _passing_on_the_exact_path(duality_report(n, r, BurauParams.preset(n)))
+        assert reason == "s_1^2 = 1 fails on the rescaled operators"
 
 
 def test_class_word_trace_off_by_one_breaks_the_character_check(monkeypatch):
-    # the first diagonal entry of the product of the class word s_1 raised
-    # by one, slot 0 of its packed row 0; no relation reads that word alone
-    real = tensor._word_products
-    s1 = (transposition(1, 2, 2),)
+    # P on one slot scaled by (z + 1)/z: it still commutes with every T_i,
+    # and the relations read the letters on two slots, but tr P = z + 1, so
+    # the class word p_1 p_2 of k = 0 would read (8/7)^2, not 1
+    real = tensor.diagram_op
 
-    def bumped(words, letters, size, ratio=1):
-        width, out = real(words, letters, size, ratio)
-        if s1 in out:
-            out[s1] = [out[s1][0] + 1, *out[s1][1:]]
-        return width, out
+    def scaled(d, p, r):
+        z = p.quantum(p.n)
+        return real(d, p, r).scale((z + 1) / z if r == 1 else 1)
 
-    monkeypatch.setattr(tensor, "_word_products", bumped)
+    monkeypatch.setattr(tensor, "diagram_op", scaled)
     reason = _passing_on_the_exact_path(duality_report(3, 2, P32))
-    assert reason == "character 4 != n^cyc = 3 at the class word of k = 2, mu = 2"
+    assert reason == "character: tr P = 8 != z = 7"
 
 
-def test_miscounted_cycle_fails_the_character_check(monkeypatch):
-    # the class of the identity at r = 2 read with one cycle, mu = (1,):
-    # its class word is still the empty word, so n^cyc is 3 and its trace 9
-    real = tensor.partitions_of
+def test_trace_of_p_off_by_one_names_the_character_check(monkeypatch):
+    # P + 1/n on one slot, which commutes with every T_i, at r = 4, where
+    # the relations read the letters on three slots: tr P = z + 1
+    real = tensor.diagram_op
 
-    def miscounted(k):
-        return [mu[1:] if mu == (1, 1) else mu for mu in real(k)]
+    def shifted(d, p, r):
+        op = real(d, p, r)
+        return op + Matrix.identity(p.n).scale(Fraction(1, p.n)) if r == 1 else op
 
-    monkeypatch.setattr(tensor, "partitions_of", miscounted)
-    reason = _passing_on_the_exact_path(duality_report(3, 2, P32))
-    assert reason == "character 9 != n^cyc = 3 at the class word of k = 2, mu = 1"
+    monkeypatch.setattr(tensor, "diagram_op", shifted)
+    reason = _passing_on_the_exact_path(duality_report(2, 4, P22))
+    assert reason == "character: tr P = 4 != z = 3"
 
 
 def test_zero_z_takes_the_exact_path():
@@ -1178,8 +1253,9 @@ def test_q1_control_is_a_real_failure_on_the_exact_path(monkeypatch):
     # at q = 1 the braid action factors through S_3, so its centralizer
     # outgrows the rook image: the closure (6) never meets the character
     # dimension (15), and the exact dimensions fail both identities
-    # although the actions commute; each basis operator is built once, the
-    # 3 letters of the relations first
+    # although the actions commute; the character path builds P on one
+    # slot and the 3 letters of the relations, the exact path all 7 basis
+    # operators on E^(x 2)
     real = tensor.diagram_op
     built = []
 
@@ -1189,7 +1265,7 @@ def test_q1_control_is_a_real_failure_on_the_exact_path(monkeypatch):
 
     monkeypatch.setattr(tensor, "diagram_op", counted)
     report = duality_report(3, 2, BurauParams.degenerate(3, 1, -1))
-    assert len(built) == 7
+    assert built[0] == projection(1, 1) and len(built) == 1 + 3 + 7
     cert = report["certificate"]
     primes = _modlinalg.SANDWICH_PRIMES
     assert cert["path"] == "exact" and cert["prime"] == primes[0]
@@ -1278,7 +1354,8 @@ def test_duality_report_refuses_r_above_the_enumeration_bound(monkeypatch, n, r)
     def no_work(*args):
         raise AssertionError("the report started work")
 
-    monkeypatch.setattr(tensor, "braid_generators", no_work)
+    for name in ("braid_generators", "unreduced_generator", "diagram_op"):
+        monkeypatch.setattr(tensor, name, no_work)
     message = f"r={r} above enumeration bound 6" if n**r <= tensor.MATRIX_SIZE_BUDGET else "exceeds budget"
     with pytest.raises(ValueError, match=message):
         duality_report(n, r, BurauParams.preset(n))
@@ -1296,8 +1373,8 @@ def test_duality_report_builds_the_relation_list_once(monkeypatch):
 
 
 def test_exact_path_reuses_the_braid_generators(monkeypatch):
-    # the q = 1 control ends on the exact path, whose commutant and closure
-    # run on the generators the commute check already built
+    # the q = 1 control ends on the exact path, whose commute check,
+    # commutant and closure run on one build of the T_i^(x r)
     calls = _count_calls(monkeypatch, (tensor,), "braid_generators")
     report = duality_report(3, 2, BurauParams.degenerate(3, 1, -1))
     assert report["certificate"]["path"] == "exact"
