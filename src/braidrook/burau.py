@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import det
-from .matrix import Matrix, direct_sum
+from .matrix import Matrix, direct_sum, integer_form, rows_of, sparse_product
 from .scalars import IdentityError, quantum_int, scalar
 
 
@@ -189,8 +189,14 @@ def split_generators(p: BurauParams) -> list[Matrix]:
     if det(c.to_lists()) == 0:
         raise IdentityError("C = change_of_basis is singular")
     reds = [reduced_generator(i, p) for i in range(1, p.n)]
-    for i, red in enumerate(reds, 1):
-        if unreduced_generator(i, p) * c != c * direct_sum([Matrix.diagonal([p.q1]), red]):
+    q1 = Matrix.diagonal([p.q1])
+    mats = [m for i, red in enumerate(reds, 1) for m in (unreduced_generator(i, p), direct_sum([q1, red]))]
+    # with D the lcm of every denominator, T_i C = C (q1 + R_i) exactly when
+    # (D T_i)(D C) = (D C)(D (q1 + R_i)), an identity of integer matrices
+    _, (dc, *ints) = integer_form([c, *mats])
+    n, dc_rows = p.n, rows_of(dc, p.n)
+    for i, (t, s) in enumerate(zip(ints[::2], ints[1::2]), 1):
+        if sparse_product(t, dc_rows, n, n) != sparse_product(dc, rows_of(s, n), n, n):
             raise IdentityError(f"T_i C != C (q1 + R_i) at i = {i}")
     return reds
 

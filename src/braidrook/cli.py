@@ -183,7 +183,7 @@ def cmd_duality(args) -> int:
             print(f"{check['status'].upper():4} {check['name']}: {check['detail']}")
         cert = report["certificate"]
         if cert["path"] == "character":
-            print(f"certificate: rook character, envelope closure mod {cert['prime']}")
+            print(f"certificate: rook character, envelope shape blocks mod {cert['prime']}")
         else:
             print(f"certificate: exact dimensions ({cert['fallback_reason']})")
         verdict = "hold" if report["all_pass"] else "FAIL"

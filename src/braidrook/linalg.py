@@ -286,8 +286,8 @@ def worklist_closure(add, seeds: Iterable, images, ceiling: int | None = None) -
     _modlinalg._echelon_add on a basis over F_p. images(w) takes a basis
     row and yields its images under the maps as vectors that add accepts;
     it may leave out an image that is zero, since zero lies in every span.
-    The exact closures yield one product per generator, the ones mod p
-    take the one pass of _modlinalg._images over the nonzeros of w.
+    The exact closures yield one product per generator, the Lie closure
+    mod p takes the one pass of _modlinalg._images over the nonzeros of w.
 
     The worklist adjoins the seeds, then adjoins the images of each row add
     returned, adjoining what is new, until no row is new. Each returned row
@@ -324,8 +324,9 @@ def span_closure(gens: Sequence[Matrix]) -> tuple[int, list[Matrix]]:
     When the generators are invertible this is also the algebra that the
     generators and their inverses generate: by Cayley-Hamilton, g^-1 is a
     polynomial in g, since the characteristic polynomial of g has the
-    nonzero constant term +-det g. `_modlinalg.closure_dim_mod` rests on
-    the same argument.
+    nonzero constant term +-det g. The shape blocks of
+    `_modlinalg.envelope_bound` rest on the same argument: they bound the
+    unital algebra of the braid generators alone.
     """
     if not gens:
         raise ValueError("span_closure needs a nonempty list of generators")

@@ -12,12 +12,13 @@ from Fractions, skip that check.
 
 One sparse product, `sparse_product` of a's nonzeros with b's nonzeros
 grouped by row (`rows_of`), serves the matrix products of the package:
-`Matrix` multiplication here, and the Fraction and mod-p products on bare
+`Matrix` multiplication here, the integer split check of
+`burau.split_generators`, and the Fraction and mod-p products on bare
 {index: entry} dicts in `linalg` and `_modlinalg`. Two kinds of product
-are taken elsewhere. The closures mod p take theirs from
-`_modlinalg._images`, which builds every generator's product with a basis
-row, w g or gw - wg, in one pass, since it runs once per element of every
-closure. The integer identity checks of the duality report
+are taken elsewhere. The Lie closure mod p takes its brackets from
+`_modlinalg._images`, which builds every generator's bracket gw - wg with
+a basis row in one pass, since it runs once per element of the closure.
+The integer identity checks of the duality report
 (`tensor._all_commute` and `tensor._operator_failure`) multiply packed
 rows: row i of an integer matrix is the one int sum_j a_ij 2^(W j), and a
 letter times a packed matrix costs one big-int multiply-add per nonzero

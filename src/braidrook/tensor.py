@@ -346,23 +346,51 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
       checked to have dimension d = gl_weyl_dim(lambda, n - 1);
     - each B_i is checked to keep W_lambda, so A_p does, and restriction
       is an algebra map A_p -> End(W_lambda);
-    - the block is full when the closure of the restricted B_i, the image
-      of that map, reaches d^2. The map is then onto, and its kernel is a
-      maximal ideal, with quotient End(W_lambda), a simple algebra with one
-      simple module up to isomorphism.
+    - the block is full when Norton's test passes on the restricted B_i
+      (R. A. Parker, "The computer calculation of modular characters (the
+      Meat-Axe)", 1984; D. F. Holt and S. Rees, J. Austral. Math. Soc. A
+      57, 1994; _modlinalg._norton): an x in the image of A_p and a lambda
+      in F_p with x - lambda of nullity 1, computed exactly, a kernel
+      vector v of x - lambda that spins to all of W_lambda under the
+      restricted B_i, and a kernel vector w of (x - lambda)^T that spins
+      to all of the dual under their transposes. Then W_lambda is
+      irreducible. A submodule S, 0 != S != W_lambda, either meets the
+      kernel of x - lambda, the line of v, and then holds the spin of v;
+      or x - lambda is injective on S, so bijective on it, and singular on
+      W_lambda / S, and then the annihilator of S, a proper nonzero
+      submodule of the dual, meets the kernel of (x - lambda)^T, the line
+      of w, and holds the spin of w. Each endomorphism f of the module
+      commutes with x, so keeps the line of v: f v = c v, c in F_p, and
+      f - c kills v. By Schur's lemma f - c is 0 or invertible, so f = c:
+      the endomorphism ring is F_p, W_lambda is absolutely irreducible,
+      and by Burnside's theorem the map A_p -> End(W_lambda) is onto. Its
+      kernel is a maximal ideal, with quotient End(W_lambda), a simple
+      algebra with one simple module up to isomorphism. The search tries
+      x = B_1 at its possible eigenvalues first, then seeded polynomials
+      in the B_i at the roots in F_p of their minimal polynomials on a
+      vector; it only finds the certificate, which the nullity and the
+      two spins prove, and a block it misses drops out.
     Two full blocks are separated when a word's trace differs on them, or
-    when the closure of the pair reaches 2 d^2. Either way they are not
-    isomorphic A_p-modules, so their kernels differ. Distinct maximal
-    ideals are pairwise comaximal, so by the Chinese remainder theorem A_p
-    maps onto the product of the End(W_lambda) over the full blocks that
-    are separated from every other full block, and
+    when the standard basis test (_modlinalg._isomorphic) finds them not
+    isomorphic. It evaluates the x of the first block's certificate on
+    the second; an isomorphism would carry the kernel line of x - lambda
+    on the first to that on the second, so the second kernel must be a
+    line, and a vector of it, spun along the words that spun v to a basis
+    of the first, must give each generator the same matrix as that basis
+    does. When it does, the map from one spun basis to the other is a
+    nonzero module map between irreducible modules, an isomorphism.
+    Separated blocks are not isomorphic A_p-modules, so their kernels
+    differ. Distinct maximal ideals are pairwise comaximal, so by the
+    Chinese remainder theorem A_p maps onto the product of the
+    End(W_lambda) over the full blocks that are separated from every other
+    full block, and
         sum of their d^2 <= dim A_p <= dim A <= dim C(image)
                                                 = sum_k <psi_k, psi_k>.
     A block that fails a check drops out, which only lowers the bound.
-    Nothing here needs W_lambda over Q. Each closure stops at its own
-    ceiling, d^2 or 2 d^2, which loses nothing. When the ends meet, the
-    envelope is C(image) and A_p is the product of the End(W_lambda), the
-    paper's Schur-Weyl statement at p. The image is
+    Nothing here needs W_lambda over Q, and no block's algebra is spanned:
+    each test spins d vectors of W_lambda or of its dual. When the ends
+    meet, the envelope is C(image) and A_p is the product of the
+    End(W_lambda), the paper's Schur-Weyl statement at p. The image is
     semisimple, so the double centralizer theorem gives
     C(braid gens) = C(envelope) = C(C(image)) = image, and
     dim C(braid gens) = dim image with no further computation.
@@ -383,8 +411,9 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     the bounds (envelope_lower, rook_centralizer = sum_k <psi_k, psi_k>,
     rook_image = sum_k C(r,k)^2 rank psi_k), the reason for the exact
     path, and the shapes record of envelope_bound at the prime (each
-    shape's dimension and closure, the word that separated each pair of
-    equal dimension, each failed check), None when no bound was taken.
+    shape's dimension and the x and lambda of its Norton certificate, the
+    check that separated each pair of equal dimension, each failed check),
+    None when no bound was taken.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -410,7 +439,7 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
         bounds = certificate["bounds"]
         img_dim = cent_dim = bounds["rook_image"]
         env_dim, cent_of_img_dim = bounds["envelope_lower"], bounds["rook_centralizer"]
-        mod = f"character, closure mod {certificate['prime']}"
+        mod = f"character, shape blocks mod {certificate['prime']}"
         img_how = (
             f"{mod}: image = sum C(r,k)^2 rank psi_k = {img_dim}, C(braid) = C(C(image)) = image"
         )

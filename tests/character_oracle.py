@@ -8,12 +8,14 @@ at every d, and the two q-free dimensions of cellular.groupoid_dimensions
 by Moebius inversion of chi. Every product comes from
 PartialPermutation.compose, not from the library's generator rows. Also
 the braid generators on U = sum_k F^(x k), whose closure the
-shape-by-shape envelope bound replaced."""
+shape-by-shape envelope bound replaced, and the closure mod p of each
+shape block, which Norton's test replaced in the bound."""
 
 from fractions import Fraction
 from itertools import accumulate, pairwise, permutations
 from math import comb, factorial
 
+from braidrook import _modlinalg
 from braidrook.burau import reduced_generator
 from braidrook.cellular import partition_label, partitions_of
 from braidrook.diagrams import (
@@ -25,7 +27,7 @@ from braidrook.diagrams import (
     rook_elements,
     transposition,
 )
-from braidrook.linalg import rref
+from braidrook.linalg import rref, worklist_closure
 from braidrook.matrix import Matrix, direct_sum, integer_form, kron_power, rows_of, sparse_product
 from braidrook.tensor import diagram_op
 
@@ -132,3 +134,20 @@ def block_generators(p, r):
         direct_sum([kron_power(reduced_generator(i, p), k).scale(p.q1 ** (r - k)) for k in range(r + 1)])
         for i in range(1, p.n)
     ]
+
+
+def closure_dim_mod(gens, m, p, ceiling=None):
+    """Dimension over F_p of the unital algebra that the m x m residue
+    matrices gens, {row-major index: residue}, generate: the worklist
+    closure of the span of 1 under right multiplication by each of them,
+    stopped once it reaches ceiling (linalg.span_closure says why right
+    multiplication suffices). A block of _modlinalg.envelope_bound is full
+    exactly when this reaches d^2."""
+    rows, basis = [rows_of(g, m) for g in gens], {}
+
+    def images(w):
+        for r in rows:
+            yield {k: x for k, y in sparse_product(w, r, m, m).items() if (x := y % p)}
+
+    one = {k * (m + 1): 1 for k in range(m)}
+    return worklist_closure(lambda v: _modlinalg._echelon_add(basis, v, p), [one], images, ceiling)

@@ -5,8 +5,9 @@ duality dimensions chi^T G(1)^-1 chi and rank [chi(a_i a_j)]. Every product
 comes from PartialPermutation.compose, not from the library's own rows."""
 
 from fractions import Fraction
+from functools import cache
 
-from braidrook.diagrams import cycle_link_decompose
+from braidrook.diagrams import cycle_link_decompose, rook_elements
 from braidrook.linalg import rref
 
 
@@ -42,3 +43,12 @@ def eliminated_dimensions(table, chi):
     assert pivots == list(range(m)), "G(1) is singular"
     centralizer = sum(x * row[m] for x, row in zip(chi, echelon))
     return centralizer, len(rref([[chi[k] for k, _ in row] for row in table])[1])
+
+
+@cache
+def tensor_dimensions(n, r):
+    """eliminated_dimensions on the table of rook_elements(r) with the
+    character of E^(x r), dim E = n; cached, as two tests compare it with
+    the library's numbers at the same (n, r)."""
+    basis = rook_elements(r)
+    return eliminated_dimensions(product_table(basis), tensor_character(n, basis))

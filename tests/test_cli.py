@@ -199,7 +199,7 @@ def test_duality_text_passes(capsys):
     code, out, _ = run(capsys, "duality", "--n", "2", "--r", "2", "--q1", "1", "--q2", "-2")
     assert code == 0
     assert "identities hold" in out and "faithful=False" in out
-    assert "certificate: rook character, envelope closure mod " in out
+    assert "certificate: rook character, envelope shape blocks mod " in out
 
 
 def test_duality_json_round_trip(capsys):

@@ -6,6 +6,7 @@ from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from character_oracle import closure_dim_mod
 from dense import entries, invert, nullspace_from_rref, rank, unit, zeros
 
 from braidrook import _modlinalg
@@ -941,9 +942,9 @@ def test_closure_dim_mod_matches_span_closure():
     p = _modlinalg.SANDWICH_PRIMES[0]
     # a ceiling of 9, the dimension of all 3 x 3 matrices, stops nothing early
     res_g, res_h = _modlinalg.residues(g, p), _modlinalg.residues(h, p)
-    assert _modlinalg.closure_dim_mod([res_g, res_h], 3, p, 9) == span_closure([g, h])[0]
-    assert _modlinalg.closure_dim_mod([res_g], 3, p, 9) == span_closure([g])[0]
-    assert _modlinalg.closure_dim_mod([res_g], 3, p, None) == span_closure([g])[0]
+    assert closure_dim_mod([res_g, res_h], 3, p, 9) == span_closure([g, h])[0]
+    assert closure_dim_mod([res_g], 3, p, 9) == span_closure([g])[0]
+    assert closure_dim_mod([res_g], 3, p, None) == span_closure([g])[0]
     # the same worklist, seeds and maps over Q and mod p (the integer
     # matrices are p-integral with full rank mod p), and over Q stopped at
     # every ceiling from the seeds' dimension up to the full dimension
@@ -994,20 +995,16 @@ def test_images_are_the_nonzero_products_in_generator_order():
     ]
     ws = [residue_matrix(0.5) for _ in range(20)] + [{k: 1} for k in range(m * m)]
     skipped = kept = 0
-    for bracket in (False, True):
-        images = _modlinalg._images(gens, m, p, bracket)
-        for w in ws:
-            want = []
-            for g in gens:
-                x = Matrix(m, m, g)
-                if bracket:
-                    want.append(_modlinalg.residues(x * Matrix(m, m, w) - Matrix(m, m, w) * x, p))
-                else:
-                    want.append(_modlinalg.residues(Matrix(m, m, w) * _shifted(g, m, p), p))
-            # every nonzero image, in generator order; exactly the zero ones left out
-            assert list(images(w)) == [v for v in want if v]
-            skipped += sum(not v for v in want)
-            kept += sum(bool(v) for v in want)
+    images = _modlinalg._images(gens, m, p)
+    for w in ws:
+        want = []
+        for g in gens:
+            x = Matrix(m, m, g)
+            want.append(_modlinalg.residues(x * Matrix(m, m, w) - Matrix(m, m, w) * x, p))
+        # every nonzero image, in generator order; exactly the zero ones left out
+        assert list(images(w)) == [v for v in want if v]
+        skipped += sum(not v for v in want)
+        kept += sum(bool(v) for v in want)
     assert skipped and kept
 
 
@@ -1023,37 +1020,35 @@ def test_closure_dim_mod_is_blind_to_a_scalar_shift():
         gens.append(Matrix.from_rows(g))
     for c in (0, 1, 5, -3):
         shifted = [g + Matrix.identity(m).scale(c) for g in gens]
-        dim = _modlinalg.closure_dim_mod([_modlinalg.residues(g, p) for g in shifted], m, p, None)
+        dim = closure_dim_mod([_modlinalg.residues(g, p) for g in shifted], m, p, None)
         assert dim == span_closure(shifted)[0] == span_closure(gens)[0] == 12
 
 
 def test_shift_holds_for_any_seed_and_belongs_to_the_maps_not_the_seeds():
     m, p = 4, _modlinalg.SANDWICH_PRIMES[0]
 
-    def closure(seeds, gens, bracket):
+    def closure(seeds, maps):
         basis = {}
-        images = _modlinalg._images(gens, m, p, bracket)
-        return worklist_closure(lambda v: _modlinalg._echelon_add(basis, v, p), seeds, images)
+        return worklist_closure(lambda v: _modlinalg._echelon_add(basis, v, p), seeds, maps)
 
-    # a span closed under w -> wg is closed under w -> w(g - cI), so the
-    # shift is sound for any seed, not only for 1: right multiplication by
-    # g and by g - cI close one seed, here e_00 + e_01, to the same span
-    g = {k: 1 for k in range(m * m) if k % m >= k // m}  # upper triangular ones, c = 1
-    basis = {}
-    right = worklist_closure(
-        lambda v: _modlinalg._echelon_add(basis, v, p),
-        [{0: 1, 1: 1}],
-        lambda w: [_modlinalg.residues(Matrix(m, m, w) * Matrix(m, m, g), p)],
-    )
-    assert closure([{0: 1, 1: 1}], [g], False) == right == 4
+    # a span closed under w -> wg is closed under w -> w(g - cI), so a
+    # shift of the maps is sound for any seed, not only for 1: right
+    # multiplication by g and by g - cI close one seed, here e_00 + e_01,
+    # to the same span
+    g = Matrix(m, m, {k: 1 for k in range(m * m) if k % m >= k // m})  # upper triangular ones, c = 1
+    spans = [
+        closure([{0: 1, 1: 1}], lambda w, h=h: [_modlinalg.residues(Matrix(m, m, w) * h, p)])
+        for h in (g, g - Matrix.identity(m))
+    ]
+    assert spans == [4, 4]
     # negative control: the v generators carry the identity part c = 1,
     # and the shift is sound in ad_g only; seeded with the shifted
     # generators, which are not traceless, the closure leaves sl_4
     v = [_modlinalg.residues(x, p) for x in v_generators(m + 1, Fraction(2))]
     # copies, as _echelon_add uses up its seeds
-    assert closure([dict(x) for x in v], v, True) == m * m - 1
+    assert closure([dict(x) for x in v], _modlinalg._images(v, m, p)) == m * m - 1
     seeds = [_modlinalg.residues(_shifted(x, m, p), p) for x in v]
-    assert closure(seeds, v, True) == m * m
+    assert closure(seeds, _modlinalg._images(v, m, p)) == m * m
 
 
 def test_residues_and_p_integrality():

@@ -9,9 +9,9 @@ from functools import reduce
 from itertools import permutations, product
 
 import pytest
-from dense import unit
+from dense import invert, unit
 import character_oracle
-from gram_oracle import eliminated_dimensions, product_table, tensor_character
+from gram_oracle import tensor_character, tensor_dimensions
 from groupoid_oracle import bump_arrow, drop_empty_arrow
 from rook_factorization import projection_factorization
 
@@ -25,7 +25,7 @@ from braidrook.diagrams import (
     transposition,
 )
 from braidrook.linalg import commutant, matrix_span, span_closure, spans_equal
-from braidrook.matrix import Matrix, kron
+from braidrook.matrix import Matrix, direct_sum, kron
 from braidrook.tensor import (
     MATRIX_SIZE_BUDGET,
     braid_generators,
@@ -445,6 +445,20 @@ def _shape_bound(params, r, prime):
     return _modlinalg.envelope_bound(gens, r, shapes, prime)
 
 
+def _restricted_blocks(params, r, prime):
+    """(shape, d, the B_i restricted to W_lambda) for each shape, built
+    as _modlinalg.envelope_bound builds them."""
+    m = params.n - 1
+    q1 = _modlinalg.residues(Matrix.diagonal([params.q1]), prime).get(0, 0)
+    cols = [_modlinalg._columns(_modlinalg.residues(g, prime), m) for g in split_generators(params)]
+    out = []
+    for shape, _, _ in cellular.shape_dimensions(params.n, r):
+        basis, k = _modlinalg.schur_block(shape, m, prime), sum(shape)
+        scale = pow(q1, r - k, prime)
+        out.append((shape, len(basis), [_modlinalg.restrict(basis, c, scale, k, m, prime) for c in cols]))
+    return out
+
+
 def _exact_dims(n, r, params):
     return {
         "image": rook_image(_basis_ops(params, r)),
@@ -475,7 +489,7 @@ def test_sandwich_dimensions_match_exact(n, r, q):
         "rook_image": exact["image"],
     }
     details = {c["name"]: c["detail"] for c in report["checks"]}
-    assert f"closure mod {cert['prime']}" in details["rook_image_equals_centralizer_of_braid"]
+    assert f"shape blocks mod {cert['prime']}" in details["rook_image_equals_centralizer_of_braid"]
     assert "sum <psi_k, psi_k>" in details["enveloping_equals_centralizer_of_rook_image"]
     assert "sum d_lambda^2 over the full, separated shape blocks" in details[
         "enveloping_equals_centralizer_of_rook_image"
@@ -708,7 +722,7 @@ def test_homomorphism_and_commute_checks_run_on_the_r_generators(monkeypatch):
     # and s_1 p_1 s_1
     calls = _count_calls(monkeypatch, (tensor,), "_packed_product")
     callers = Counter()
-    for module in (matrix, linalg, _modlinalg):
+    for module in (matrix, linalg, _modlinalg, burau):
         real = module.sparse_product
 
         def recorded(*args, real=real):
@@ -719,19 +733,18 @@ def test_homomorphism_and_commute_checks_run_on_the_r_generators(monkeypatch):
     assert duality_report(3, 2, P32)["certificate"]["path"] == "character"
     assert calls["_packed_product"] == 3 + 4 + 13
     # no dict product is taken for tensor: it binds no sparse_product, and
-    # the sparse products left are the Matrix products of the split check
-    # and the trace words of envelope_bound
+    # the sparse products left are the integer products of the split check;
+    # envelope_bound reads tr B_1 B_2 and tr B_1^2 as sums of entry
+    # products, without forming a product at (3,2)
     assert not hasattr(tensor, "sparse_product") and "braidrook.tensor" not in callers
-    assert set(callers) == {"braidrook.matrix", "braidrook._modlinalg"}
+    assert set(callers) == {"braidrook.burau"}
 
 
 @pytest.mark.parametrize("n,r", acceptance.DUALITY_GRID)
 def test_groupoid_dimensions_match_the_eliminations_on_the_grid(n, r):
     # the report's two q-free numbers against chi^T G(1)^-1 chi and
     # rank chi(ab), eliminated on the m x m oracle rows
-    basis = rook_elements(r)
-    table = product_table(basis)
-    rook_centralizer, rook_image = eliminated_dimensions(table, tensor_character(n, basis))
+    rook_centralizer, rook_image = tensor_dimensions(n, r)
     for q in acceptance.DUALITY_QS:
         bounds = duality_report(n, r, BurauParams.preset(n, q))["certificate"]["bounds"]
         assert (bounds["rook_centralizer"], bounds["rook_image"]) == (rook_centralizer, rook_image)
@@ -828,33 +841,49 @@ SHAPE_ORACLE_CASES += [(5, 3, Fraction(2))]
 
 @pytest.mark.parametrize("n,r,q", SHAPE_ORACLE_CASES, ids=str)
 def test_shape_blocks_sum_to_the_closure_on_u(n, r, q):
-    # sum d_lambda^2 over the full, separated blocks, the closure of the
-    # direct sum on U mod the same prime, run to saturation, and the
+    # sum d_lambda^2 over the certified, separated blocks, the closure of
+    # the direct sum on U mod the same prime, run to saturation, and the
     # Schur-Weyl sum of squared GL_(n-1) Weyl dimensions are one number
     params = BurauParams.preset(n, q)
     cert = duality_report(n, r, params)["certificate"]
     assert cert["path"] == "character"
     blocks = cert["shapes"]["blocks"]
-    assert all(b["closure"] == b["dim"] ** 2 for b in blocks) and cert["shapes"]["failures"] == []
+    assert all(b["x"] is not None for b in blocks) and cert["shapes"]["failures"] == []
     prime, u = cert["prime"], character_oracle.block_generators(params, r)
-    on_u = _modlinalg.closure_dim_mod([_modlinalg.residues(b, prime) for b in u], u[0].rows, prime, None)
+    on_u = character_oracle.closure_dim_mod([_modlinalg.residues(b, prime) for b in u], u[0].rows, prime)
     shape_sum = sum(b["dim"] ** 2 for b in blocks)
     assert shape_sum == on_u == _shape_sums(n, r)[1] == cert["bounds"]["envelope_lower"]
 
 
 def test_shape_record_names_the_word_that_separates_each_pair():
     # at (5,3), (3) and (2,1) both have dimension 20 and the same tr B_1;
-    # tr B_1 B_2 tells them apart
+    # tr B_1 B_2 tells them apart. Each block records the x and lambda of
+    # its Norton certificate mod p = 67108859: B_1 with an eigenvalue
+    # q1^(3-j) q2^j = (-2)^j where some eigenspace is a line, else a
+    # seeded x = B_i B_j + sum_t c_t B_t with a root of its minimal
+    # polynomial on a vector
     cert = duality_report(5, 3, BurauParams.preset(5))["certificate"]
+    p = cert["prime"]
+    assert p == 67108859
     assert cert["shapes"] == {
         "blocks": [
-            {"shape": "()", "dim": 1, "closure": 1},
-            {"shape": "(1)", "dim": 4, "closure": 16},
-            {"shape": "(2)", "dim": 10, "closure": 100},
-            {"shape": "(1,1)", "dim": 6, "closure": 36},
-            {"shape": "(3)", "dim": 20, "closure": 400},
-            {"shape": "(2,1)", "dim": 20, "closure": 400},
-            {"shape": "(1,1,1)", "dim": 4, "closure": 16},
+            {"shape": "()", "dim": 1, "x": "B_1", "lambda": 1},
+            {"shape": "(1)", "dim": 4, "x": "B_1", "lambda": p - 2},
+            {"shape": "(2)", "dim": 10, "x": "B_1", "lambda": 4},
+            {
+                "shape": "(1,1)",
+                "dim": 6,
+                "x": "B_3 B_3 + 51683210 B_1 + 1469000 B_2 + 18300459 B_3 + 32805583 B_4",
+                "lambda": 43089932,
+            },
+            {"shape": "(3)", "dim": 20, "x": "B_1", "lambda": p - 8},
+            {
+                "shape": "(2,1)",
+                "dim": 20,
+                "x": "B_2 B_3 + 45232032 B_1 + 42662841 B_2 + 56998252 B_3 + 60729878 B_4",
+                "lambda": 5943495,
+            },
+            {"shape": "(1,1,1)", "dim": 4, "x": "B_1", "lambda": 1},
         ],
         "separated": [
             {"pair": ["(1)", "(1,1,1)"], "by": "tr B_1"},
@@ -880,7 +909,8 @@ def _bump_the_last_slot(monkeypatch):
 
 
 def _list_a_shape_twice(monkeypatch):
-    # (2), of dimension 3, twice: the pair closure reaches 9, not 18
+    # (2), of dimension 3, twice: the standard basis test finds the copies
+    # isomorphic
     real = _modlinalg.envelope_bound
     monkeypatch.setattr(_modlinalg, "envelope_bound", lambda g, r, shapes, p: real(g, r, [*shapes, shapes[2]], p))
 
@@ -912,6 +942,137 @@ def test_shape_controls_miss_at_every_listed_prime(monkeypatch, control, bound, 
     assert cert["fallback_reason"] == "bounds do not meet mod " + " or ".join(map(str, primes))
     assert cert["bounds"]["envelope_lower"] == bound and cert["shapes"]["failures"] == failures
     assert report["all_pass"] and _verdicts(report) == _verdicts(character)
+
+
+NORTON_CASES = [(n, r, q) for n, r in acceptance.DUALITY_GRID for q in acceptance.DUALITY_QS]
+NORTON_CASES += [(5, 3, Fraction(2)), (4, 4, Fraction(2))]
+
+
+@pytest.mark.parametrize("n,r,q", NORTON_CASES, ids=str)
+def test_a_block_is_certified_exactly_when_its_closure_reaches_d_squared(n, r, q):
+    # Norton's test against the d^2 closure it replaced, on every block
+    params, prime = BurauParams.preset(n, q), _modlinalg.SANDWICH_PRIMES[0]
+    _, record = _shape_bound(params, r, prime)
+    for (shape, d, block), b in zip(_restricted_blocks(params, r, prime), record["blocks"], strict=True):
+        closure = character_oracle.closure_dim_mod(block, d, prime, d * d)
+        assert (b["x"] is not None) == (closure == d * d), shape
+
+
+@pytest.mark.parametrize(
+    "params,r,certified",
+    [
+        # the braid action factors through S_3 at q = 1
+        (BurauParams.degenerate(3, 1, -1), 2, [True, True, False, True]),
+        (BurauParams.degenerate(3, 1, -1), 3, [True, True, False, True, False, True]),
+        # q2 = 0 mod p: every R_i is singular there
+        (BurauParams.preset(3, _modlinalg.SANDWICH_PRIMES[0]), 2, [True, False, False, True]),
+    ],
+    ids=["q=1-(3,2)", "q=1-(3,3)", "q2=0-(3,2)"],
+)
+def test_norton_drops_exactly_the_blocks_whose_closure_falls_short(params, r, certified):
+    prime = _modlinalg.SANDWICH_PRIMES[0]
+    _, record = _shape_bound(params, r, prime)
+    assert [b["x"] is not None for b in record["blocks"]] == certified
+    for (shape, d, block), full in zip(_restricted_blocks(params, r, prime), certified, strict=True):
+        assert (character_oracle.closure_dim_mod(block, d, prime, d * d) == d * d) == full, shape
+
+
+def test_a_direct_sum_handed_in_as_one_block_is_not_certified():
+    # with R_i (+) R_i as the generators, W_(1) at r = 1 is the block
+    # W_(1) (+) W_(1) of n = 4: every x of its algebra acts twice, so no
+    # x - lambda has a 1-dimensional kernel, and it closes to 9 of 36
+    params, prime = BurauParams.preset(4), _modlinalg.SANDWICH_PRIMES[0]
+    doubled = [direct_sum([g, g]) for g in split_generators(params)]
+    bound, record = _modlinalg.envelope_bound([Matrix.diagonal([params.q1]), *doubled], 1, [((), 1), ((1,), 6)], prime)
+    assert bound == 1 and record["blocks"][1] == {"shape": "(1)", "dim": 6, "x": None, "lambda": None}
+    block = [_modlinalg.residues(g, prime) for g in doubled]
+    assert character_oracle.closure_dim_mod(block, 6, prime) == 9
+
+
+def test_standard_basis_separates_the_pairs_that_no_trace_does(monkeypatch):
+    # with no trace words, the standard basis test tells (1) from (1,1,1)
+    # and (3) from (2,1) at (5,3), and the certificate still meets
+    monkeypatch.setattr(_modlinalg, "TRACE_WORDS", ())
+    cert = duality_report(5, 3, BurauParams.preset(5))["certificate"]
+    assert cert["path"] == "character" and cert["shapes"]["failures"] == []
+    assert cert["shapes"]["separated"] == [
+        {"pair": ["(1)", "(1,1,1)"], "by": "standard basis"},
+        {"pair": ["(3)", "(2,1)"], "by": "standard basis"},
+    ]
+
+
+def test_standard_basis_ties_the_blocks_that_q1_makes_isomorphic():
+    # at q = 1 the braid action on W_(1) and on W_(2,1) at (3,3) is the
+    # 2-dimensional irreducible representation of S_3 both times: the
+    # traces agree, the standard basis test finds them isomorphic, and
+    # both drop out
+    bound, record = _shape_bound(BurauParams.degenerate(3, 1, -1), 3, _modlinalg.SANDWICH_PRIMES[0])
+    assert bound == 2 and record["failures"] == ["W_(1) and W_(2,1) are not separated"]
+    assert record["separated"] == [{"pair": ["()", "(1,1)"], "by": "tr B_1"}, {"pair": ["(1)", "(2,1)"], "by": None}]
+
+
+def test_standard_basis_finds_a_conjugate_block_isomorphic():
+    # W_(2,1) at (4,3), d = 8, against its conjugate by an invertible
+    # matrix, and against a copy with one entry of B_2 moved
+    rng, prime = random.Random(7), _modlinalg.SANDWICH_PRIMES[0]
+    params = BurauParams.preset(4)
+    shape, d, block = next(b for b in _restricted_blocks(params, 3, prime) if b[0] == (2, 1))
+    certificate = _modlinalg._norton(block, d, prime, [])
+    assert certificate is not None
+    # g unitriangular with integer entries, so g^-1 is an integer matrix
+    g = Matrix(d, d, {i * d + j: rng.randint(-3, 3) if j > i else 1 for i in range(d) for j in range(i, d)})
+    g, g_inv = _modlinalg.residues(g, prime), _modlinalg.residues(invert(g), prime)
+    conjugate = [_modlinalg._evaluate([(1, (0, 1, 2))], [g_inv, x, g], d, prime) for x in block]
+    assert _modlinalg._isomorphic(block, certificate, conjugate, d, prime)
+    moved = [dict(x) for x in block]
+    moved[1][0] = (moved[1].get(0, 0) + 1) % prime
+    assert not _modlinalg._isomorphic(block, certificate, moved, d, prime)
+
+
+def test_a_spin_one_vector_short_drops_its_block(monkeypatch):
+    # the spins of W_(2), d = 3, at (3,2) stop one vector short: the block
+    # drops out, and the bound misses its 9 at every listed prime
+    real = _modlinalg._spin
+
+    def short(cols, v, d, p):
+        vectors, words = real(cols, v, d, p)
+        return (vectors[:-1], words[:-1]) if d == 3 else (vectors, words)
+
+    monkeypatch.setattr(_modlinalg, "_spin", short)
+    bound, record = _shape_bound(P32, 2, _modlinalg.SANDWICH_PRIMES[0])
+    assert bound == 6 and [b["x"] is not None for b in record["blocks"]] == [True, True, False, True]
+    report = duality_report(3, 2, P32)
+    assert _passing_on_the_exact_path(report).startswith("bounds do not meet mod ")
+
+
+def _poly_product(*factors):
+    out = [1]
+    for f in factors:
+        out = [sum(out[i] * f[k - i] for i in range(len(out)) if 0 <= k - i < len(f)) for k in range(len(out) + len(f) - 1)]
+    return out
+
+
+def test_roots_are_the_distinct_roots_in_f_p():
+    # (X - 1)^2 (X - 5) (X + 7) (X^2 + 1) mod p = 3 mod 4, where X^2 + 1
+    # has no root
+    p = _modlinalg.SANDWICH_PRIMES[0]
+    assert p % 4 == 3
+    f = [x % p for x in _poly_product([-1, 1], [-1, 1], [-5, 1], [7, 1], [1, 0, 1])]
+    for seed in range(4):
+        assert sorted(_modlinalg._roots(f, p, random.Random(seed))) == [1, 5, p - 7]
+    assert _modlinalg._roots([1, 0, 1], p, random.Random(0)) == []
+
+
+def test_kernel_is_returned_only_when_it_is_a_line():
+    # x = [[2, 1, 0], [0, 2, 0], [0, 0, 3]]: x - 2 has the kernel e_0 and
+    # its transpose e_1; x - 3 has e_2 both ways; x - 5 is invertible
+    p, x = 7, {0: 2, 1: 1, 4: 2, 8: 3}
+    assert _modlinalg._kernel(x, 2, 3, p) == {0: 1}
+    assert _modlinalg._kernel(x, 2, 3, p, transpose=True) == {1: 1}
+    assert _modlinalg._kernel(x, 3, 3, p) == {2: 1}
+    assert _modlinalg._kernel(x, 5, 3, p) is None
+    # 2I + e_01 on 4 x 4 has a 3-dimensional kernel at 2
+    assert _modlinalg._kernel({0: 2, 1: 1, 5: 2, 10: 2, 15: 2}, 2, 4, p) is None
 
 
 def _bumped(c):
@@ -1045,10 +1206,10 @@ def test_integer_commute_check_matches_the_fraction_products(seed):
         assert not all(verdicts)
 
 
-def test_character_path_multiplies_only_in_the_split_check(monkeypatch):
-    # the commute and relation checks run on integer_form, and tr P is read
-    # off P; the only Matrix products left are T_i C and C (q1 + R_i) of
-    # split_generators
+def test_character_path_makes_no_matrix_product(monkeypatch):
+    # the commute and relation checks run on integer_form, tr P is read
+    # off P, and the split check compares (D T_i)(D C) with
+    # (D C)(D (q1 + R_i)) on integers
     calls = 0
     real = Matrix._matmul
 
@@ -1061,7 +1222,7 @@ def test_character_path_multiplies_only_in_the_split_check(monkeypatch):
     n = 4
     report = duality_report(n, 2, BurauParams.preset(n))
     assert report["certificate"]["path"] == "character" and report["all_pass"]
-    assert calls == 2 * (n - 1)
+    assert calls == 0
 
 
 def _verdicts(report):
@@ -1280,28 +1441,32 @@ def test_q1_control_is_a_real_failure_on_the_exact_path(monkeypatch):
 
 def test_q1_control_closure_reads_6_at_every_listed_prime():
     # the miss is the theory's, not a prime's: at q = 1 the braid action
-    # factors through S_3, W_(2) = Sym^2 F closes to 5 of 9, and the bound
-    # is the three full blocks, 1 + 4 + 1, at every listed prime
+    # factors through S_3, W_(2) = Sym^2 F closes to 5 of 9 and has no
+    # Norton certificate, and the bound is the three certified blocks,
+    # 1 + 4 + 1, at every listed prime
     params = BurauParams.degenerate(3, 1, -1)
     for p in _modlinalg.SANDWICH_PRIMES:
         bound, record = _shape_bound(params, 2, p)
-        assert bound == 6 and [b["closure"] for b in record["blocks"]] == [1, 4, 5, 1]
-        assert record["failures"] == []
+        assert bound == 6 and [b["x"] is not None for b in record["blocks"]] == [True, True, False, True]
+        closures = [character_oracle.closure_dim_mod(block, d, p) for _, d, block in _restricted_blocks(params, 2, p)]
+        assert closures == [1, 4, 5, 1] and record["failures"] == []
 
 
 def test_closure_stops_at_the_rook_centralizer_dimension(monkeypatch):
-    # at (4,2) the certificate makes 134 adds: 22 to span the four W_lambda
-    # (1 + 3 + 9 + 9 symmetrized tensors) and 112 in the four block
-    # closures, each stopped at its ceiling d^2; run on to saturation
-    # (no ceiling) the closures make 124 adds for the
-    # same blocks, which sum to rook_cent = 55. Images that are zero mod p
-    # are never added, so these are the adds of nonzero images only
+    # at (4,2) the certificate makes 107 adds: 22 to span the four W_lambda
+    # (1 + 3 + 9 + 9 symmetrized tensors) and 85 in Norton's test, the
+    # eliminations of B_1 - lambda and of its transpose and the two spins
+    # of each block; the closures of the same blocks, which the test
+    # replaced, make 169 adds run on to saturation (character_oracle, which
+    # multiplies by each generator unshifted) and sum to rook_cent = 55.
+    # Images that are zero mod p are never added, so these are the adds of
+    # nonzero images only
     calls = _count_calls(monkeypatch, (_modlinalg,), "_echelon_add")
     params = BurauParams.preset(4)
     cert = duality_report(4, 2, params)["certificate"]
     assert cert["path"] == "character"
     assert cert["bounds"]["envelope_lower"] == cert["bounds"]["rook_centralizer"] == 55
-    assert calls["_echelon_add"] == 134
+    assert calls["_echelon_add"] == 107
     prime, m = cert["prime"], 3
     gens = [_modlinalg.residues(g, prime) for g in split_generators(params)]
     cols = [{b: [(a, g[a * m + b]) for a in range(m) if a * m + b in g] for b in range(m)} for g in gens]
@@ -1312,9 +1477,9 @@ def test_closure_stops_at_the_rook_centralizer_dimension(monkeypatch):
     dims = []
     for shape, basis in zip([(), (1,), (2,), (1, 1)], blocks):
         restricted = [_modlinalg.restrict(basis, c, 1, sum(shape), m, prime) for c in cols]
-        dims.append(_modlinalg.closure_dim_mod(restricted, len(basis), prime, None))
+        dims.append(character_oracle.closure_dim_mod(restricted, len(basis), prime))
     assert dims == [1, 9, 36, 9]
-    assert calls["_echelon_add"] == 124
+    assert calls["_echelon_add"] == 169
 
 
 def _count_calls(monkeypatch, modules, *names):
