@@ -31,7 +31,10 @@ both:
   lieclosure.bracket_closure compares with its gl/sl ceiling: a
   linalg.worklist_closure, a matrix entry indexed row-major, with the
   brackets of each basis row taken by one kernel, _images, that builds
-  every generator's bracket with it in one pass over its nonzeros.
+  every generator's bracket with it in one pass over its nonzeros. It
+  takes no bracket once the span holds the Chevalley units e_(i,i+-1),
+  which generate sl_m, and reads the dimension off the traces
+  (lieclosure.bracket_closure has the argument).
 """
 
 from __future__ import annotations
@@ -694,17 +697,34 @@ def bracket_closure_dim_mod(gens, p: int, ceiling: int) -> int:
     linalg.worklist_closure on the images of _images, as in
     lieclosure.bracket_closure; it stops once the dimension reaches
     ceiling. The seeds are the residues themselves, not their shifts.
+    Everything found reduces from the lattice L cap Z_(p)^(m^2) of the
+    rational closure L, so the result is at most dim_Q L.
 
-    Every element found is the reduction of a p-integral element of the Lie
-    algebra L that the rational generators generate: brackets and Z_(p)
-    combinations of p-integral elements of L stay in L and stay p-integral,
-    and dividing by a unit keeps them so. So everything found lies in the
-    reduction of the lattice L cap Z_(p)^(m^2), and as residue vectors
-    independent over F_p lift to vectors independent over Q, the result is
-    at most dim_Q L.
+    It also stops taking images once the span holds the 2(m - 1) Chevalley
+    units e_(i,i+1) and e_(i+1,i), and returns min(m^2 - 1 + t, ceiling),
+    t = 1 when some residue has a nonzero trace mod p, else 0. That is the
+    value of the unstopped worklist: the units generate sl_m over F_p, and
+    every bracket is traceless (lieclosure.bracket_closure gives the
+    argument). Over the fully reduced echelon, e_k lies in the span exactly
+    when its row at pivot k is {k: 1}, and a unit row is never changed
+    again, so only the units still missing are looked at after each add.
     """
+    m = gens[0].rows
     res = [residues(g, p) for g in gens]
-    # index the generators before _echelon_add uses up the seeds
-    images = _images(res, gens[0].rows, p)
+    # read the traces and index the generators before _echelon_add uses up
+    # the seeds
+    t = any(sum(r.get(i * (m + 1), 0) for i in range(m)) % p for r in res)
+    images = _images(res, m, p)
     basis: dict[int, dict[int, int]] = {}
-    return worklist_closure(lambda v: _echelon_add(basis, v, p), res, images, ceiling)
+    missing = [k for i in range(m - 1) for k in (i * (m + 1) + 1, (i + 1) * (m + 1) - 1)]
+
+    def add(v):
+        row = _echelon_add(basis, v, p)
+        # a row holds 1 at its pivot, so a row of one entry is a unit row,
+        # which no later add changes: wait on one missing unit at a time
+        while row is not None and missing and len(basis.get(missing[-1], ())) == 1:
+            missing.pop()
+        return row
+
+    dim = worklist_closure(add, res, lambda w: images(w) if missing else (), ceiling)
+    return dim if missing else min(m * m - 1 + t, ceiling)

@@ -148,6 +148,30 @@ def bracket_closure(gens: Sequence[Matrix]) -> BracketSpace:
 
         dim_Fp (closure mod p) <= dim_Q L <= ceiling.
 
+    The unit stop. The mod-p worklist stops taking brackets once its span
+    holds the 2(m - 1) Chevalley units e_(i,i+1) and e_(i+1,i), and returns
+    min(m^2 - 1 + t, ceiling), t = 1 when some generator's residue has a
+    nonzero trace mod p and t = 0 otherwise. That is the number the
+    unstopped worklist returns, for every input and every prime:
+
+    * By the argument above, run over F_p, the unstopped worklist closes
+      the residues to the Lie algebra C over F_p that they generate. C
+      lies in the reduction of the lattice L cap Z_(p)^(m^2), itself a Lie
+      algebra over F_p of dimension dim_Q L.
+    * Over any field the units e_(i,i+-1) generate sl_m:
+      [e_ij, e_jk] = e_ik for i != k gives every e_ij with i != j, and
+      [e_ij, e_ji] = e_ii - e_jj the traceless diagonal. So sl_m(F_p) lies
+      in C. This is standard; see J. E. Humphreys, Introduction to Lie
+      Algebras and Representation Theory.
+    * Every bracket is traceless, so C lies in sl_m + span(residues),
+      which is sl_m (t = 0) or all of gl_m (t = 1), as sl_m(F_p) is the
+      kernel of the trace, also when p divides m.
+
+    So C = sl_m + span(residues), of dimension m^2 - 1 + t, and the
+    worklist stopped at the ceiling returns the smaller of the two. For
+    m = 1 there is no unit, sl_1 = 0 and the value is t, the rank of the
+    residues.
+
     The search stops at the first prime whose closure reaches the ceiling.
     When the bound it returns is the ceiling (its reason only explains a
     miss), L is all of gl_m or sl_m, and the basis is that space's unique
@@ -182,7 +206,8 @@ def bracket_closure(gens: Sequence[Matrix]) -> BracketSpace:
             # the index m^2 - 1 of e_mm is the one free column; each e_ii,
             # at index k = i(m + 1), becomes e_ii - e_mm
             rows = [{k: one, last: -one} if k % (m + 1) == 0 else {k: one} for k in range(last)]
-        basis = tuple(Matrix(m, m, row) for row in rows)
+        # fresh dicts of nonzero Fractions: no entry needs checking
+        basis = tuple(Matrix._trusted(m, m, row) for row in rows)
         certificate = certificate_record("modular", None, prime, skipped, bounds)
         return BracketSpace(ceiling, basis, certificate)
     certificate = certificate_record("exact", reason or f"lower {lower} != ceiling {ceiling}", prime, skipped, bounds)

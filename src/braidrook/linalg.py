@@ -287,7 +287,9 @@ def worklist_closure(add, seeds: Iterable, images, ceiling: int | None = None) -
     row and yields its images under the maps as vectors that add accepts;
     it may leave out an image that is zero, since zero lies in every span.
     The exact closures yield one product per generator, the Lie closure
-    mod p takes the one pass of _modlinalg._images over the nonzeros of w.
+    mod p takes the one pass of _modlinalg._images over the nonzeros of w;
+    once its span holds the Chevalley units it yields nothing, and its
+    caller reads the dimension off the traces, not off the return value.
 
     The worklist adjoins the seeds, then adjoins the images of each row add
     returned, adjoining what is new, until no row is new. Each returned row

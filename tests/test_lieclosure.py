@@ -33,7 +33,7 @@ from braidrook.lieclosure import (
     u_generators,
     v_generators,
 )
-from braidrook.linalg import VectorSpan, matrix_span
+from braidrook.linalg import VectorSpan, matrix_span, worklist_closure
 from braidrook.matrix import Matrix
 
 CLOSURE_QS = [Fraction(2), Fraction(1, 2), Fraction(-2), Fraction(3)]
@@ -321,10 +321,11 @@ def test_modular_path_makes_no_commutator_call(commutator_calls):
 
 
 def test_modular_closures_add_no_image_that_must_be_zero(monkeypatch):
-    # the six closures of the lie-bracket benchmark at q = 2 take 2488
-    # brackets [g, w], one per generator and popped row; 1217 are zero, g
-    # sharing no row or column with w, and _images never forms them, so
-    # 1271 reach _echelon_add. A lost skip fails here, with no timing
+    # the six closures of the lie-bracket benchmark at q = 2 take the
+    # images of 169 popped rows before their spans hold the Chevalley
+    # units, 1378 brackets [g, w], one per generator and row; only the 690
+    # nonzero mod p reach _echelon_add, after the 48 seeds, so 738 adds.
+    # A lost skip of a zero image fails here, with no timing
     calls = []
     real = _modlinalg._echelon_add
 
@@ -336,7 +337,82 @@ def test_modular_closures_add_no_image_that_must_be_zero(monkeypatch):
     for n in (8, 9, 10):
         for family in (u_generators, v_generators):
             assert bracket_closure(family(n, 2)).certificate["path"] == "modular"
-    assert len(calls) == 1271
+    assert len(calls) == 738
+
+
+# -- the unit stop of the mod-p closure ------------------------------------
+
+# the listed primes, and small ones at which a, b, (n - 1) or a trace can
+# vanish
+ORACLE_PRIMES = _modlinalg.SANDWICH_PRIMES + [2, 3, 5, 7]
+
+
+def _unstopped_dim_mod(gens, p, ceiling):
+    """The mod-p worklist of bracket_closure_dim_mod with no unit stop: it
+    runs until its span is closed under every ad_g or reaches ceiling."""
+    res = [_modlinalg.residues(g, p) for g in gens]
+    images = _modlinalg._images(res, gens[0].rows, p)
+    basis = {}
+    return worklist_closure(lambda v: _modlinalg._echelon_add(basis, v, p), res, images, ceiling)
+
+
+def _assert_unit_stop_matches(gens):
+    """At each p-integral prime of ORACLE_PRIMES, the stopped closure equals
+    the unstopped one at the ceiling bracket_closure uses and at the gl
+    ceiling m^2, which lets a traceless family show sl_m against gl_m."""
+    m = gens[0].rows
+    exact = m * m - 1 if all(g.trace() == 0 for g in gens) else m * m
+    for p in ORACLE_PRIMES:
+        if _modlinalg.is_p_integral(gens, p):
+            for ceiling in {exact, m * m}:
+                want = _unstopped_dim_mod(gens, p, ceiling)
+                assert _modlinalg.bracket_closure_dim_mod(gens, p, ceiling) == want, (p, ceiling)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_unit_stop_matches_the_unstopped_worklist_on_the_tangent_families(n):
+    # q = P0 makes a vanish mod P0; b vanishes mod 3 at q = -1/3, and the
+    # off-diagonal entries of v mod every p dividing n - 1
+    for q in (Fraction(2), Fraction(1, 2), Fraction(-2), Fraction(-1, 3), Fraction(P0)):
+        for maker in (u_generators, v_generators, tangent_generators):
+            _assert_unit_stop_matches(maker(n, q))
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_unit_stop_reads_a_trace_that_vanishes_mod_p(n):
+    # v and diag(1, p - 1, 0, ...) have trace p over Q, so their ceiling is
+    # gl_m, but are traceless mod p; where p does not divide n - 1, and so
+    # the off-diagonal entries of v, they close to sl_m there (p = 2 is left
+    # out: it divides the entries 2(n - 1) of v at q = -2)
+    m = n - 1
+    for p in (3, 5, 7, P0):
+        gens = v_generators(n, -2) + [Matrix.diagonal([1, p - 1] + [0] * (m - 2))]
+        if m % p:
+            assert _unstopped_dim_mod(gens, p, m * m) == m * m - 1
+        _assert_unit_stop_matches(gens)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_unit_stop_matches_the_unstopped_worklist_on_random_families(m):
+    rng = random.Random(3900 + m)
+    for _ in range(25):
+        gens = [
+            Matrix.from_rows([[rng.choice([0, 0, 0, 1, -1, 2, 3, 5, 7]) for _ in range(m)] for _ in range(m)])
+            for _ in range(rng.randint(1, 3))
+        ]
+        if rng.random() < 0.5:
+            # make the family traceless over Q, so its ceiling is sl_m
+            gens = [g - Matrix(m, m, {0: g.trace()}) for g in gens]
+        _assert_unit_stop_matches(gens)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_unit_stop_leaves_proper_closures_whole(m):
+    # both closures hold every e_(i,i+1) and no e_(i+1,i), so a stop keyed
+    # on the superdiagonal units alone would call them all of gl_m or sl_m
+    for gens, dim in ((_borel_generators(m), m * (m + 1) // 2), (_superdiagonal_units(m), m * (m - 1) // 2)):
+        assert _modlinalg.bracket_closure_dim_mod(gens, P0, m * m) == dim
+        _assert_unit_stop_matches(gens)
 
 
 @pytest.mark.parametrize("n", [4, 6])
