@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 from .linalg import det
 from .matrix import Matrix, direct_sum, integer_form, rows_of, sparse_product
@@ -32,6 +33,8 @@ class BurauParams:
     q1: Fraction
     q2: Fraction
     gate: bool = field(default=True, repr=False, compare=False)
+    # q, divided out once; derived from (q1, q2), so left out of equality
+    _q: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "q1", scalar(self.q1))
@@ -40,6 +43,7 @@ class BurauParams:
             raise ValueError("need at least 2 strands")
         if self.q1 == 0 or self.q2 == 0:
             raise ValueError("q1 and q2 must be nonzero")
+        object.__setattr__(self, "_q", -self.q2 / self.q1)
         if self.gate and self.q in (1, -1):
             raise ValueError(
                 f"q = -q2/q1 = {self.q} is a root of unity; pick q outside {{0, 1, -1}}"
@@ -51,7 +55,7 @@ class BurauParams:
 
     @property
     def q(self) -> Fraction:
-        return -self.q2 / self.q1
+        return self._q
 
     def quantum(self, m: int) -> Fraction:
         """[m]_q = 1 + q + ... + q^(m-1)."""
@@ -72,13 +76,16 @@ def unreduced_generator(i: int, p: BurauParams) -> Matrix:
     """n x n matrix of T_i: q1 on the diagonal away from strands i, i+1,
     and the 2x2 block [[q1+q2, -q2], [q1, 0]] in rows/columns i, i+1."""
     _check_index(i, p)
-    m = Matrix.diagonal([p.q1] * p.n).to_lists()
-    a = i - 1
-    m[a][a] = p.q1 + p.q2
-    m[a][a + 1] = -p.q2
-    m[a + 1][a] = p.q1
-    m[a + 1][a + 1] = Fraction(0)
-    return Matrix.from_rows(m)
+    n, q1, q2 = p.n, p.q1, p.q2
+    d = (i - 1) * (n + 1)  # the row-major index of entry (i, i)
+    # nonzero Fractions in row-major order; q1 + q2 is 0 when q = 1
+    entries = {k * (n + 1): q1 for k in range(i - 1)}
+    if trace_block := q1 + q2:
+        entries[d] = trace_block
+    entries[d + 1] = -q2
+    entries[d + n] = q1
+    entries.update((k * (n + 1), q1) for k in range(i + 1, n))
+    return Matrix._trusted(n, n, entries)
 
 
 def row_window(m: int, i: int, left, mid, right, rest) -> Matrix:
@@ -166,17 +173,26 @@ def decompose_e(p: BurauParams) -> tuple[tuple[Fraction, ...], list[tuple[Fracti
 
 
 def change_of_basis(p: BurauParams) -> Matrix:
-    """Columns f0, f_1, ..., f_{n-1}; conjugating any unreduced generator
-    by this matrix gives q1 (+) reduced_generator."""
-    f0, fs = decompose_e(p)
-    cols = [f0, *fs]
-    return Matrix.from_rows([[cols[j][i] for j in range(p.n)] for i in range(p.n)])
+    """Columns f0, f_1, ..., f_{n-1} of decompose_e; conjugating any
+    unreduced generator by this matrix gives q1 (+) reduced_generator."""
+    n, one = p.n, Fraction(1)
+    # row i holds 1 (f0), q1 (f_i, i >= 1) and q2 (f_(i+1), i < n - 1),
+    # nonzero Fractions in row-major order
+    entries = {}
+    for i in range(n):
+        entries[i * n] = one
+        if i:
+            entries[i * n + i] = p.q1
+        if i < n - 1:
+            entries[i * n + i + 1] = p.q2
+    return Matrix._trusted(n, n, entries)
 
 
-def split_generators(p: BurauParams) -> list[Matrix]:
+def split_generators(p: BurauParams, ts: Sequence[Matrix]) -> list[Matrix]:
     """The reduced generators R_i = reduced_generator(i), i = 1..n-1, after
     an exact check that C = change_of_basis(p) is invertible and that
-    T_i C = C (q1 + R_i) for every i. A failed check raises IdentityError.
+    T_i C = C (q1 + R_i) for every i, ts = [T_1, ..., T_(n-1)] the
+    unreduced_generator list of p. A failed check raises IdentityError.
 
     C^(x r) then carries T_i^(x r) to the sum over S in {1..r} of
     q1^(r-|S|) R_i^(x |S|). Summands with equal |S| carry equal matrices,
@@ -190,7 +206,7 @@ def split_generators(p: BurauParams) -> list[Matrix]:
         raise IdentityError("C = change_of_basis is singular")
     reds = [reduced_generator(i, p) for i in range(1, p.n)]
     q1 = Matrix.diagonal([p.q1])
-    mats = [m for i, red in enumerate(reds, 1) for m in (unreduced_generator(i, p), direct_sum([q1, red]))]
+    mats = [m for t, red in zip(ts, reds) for m in (t, direct_sum([q1, red]))]
     # with D the lcm of every denominator, T_i C = C (q1 + R_i) exactly when
     # (D T_i)(D C) = (D C)(D (q1 + R_i)), an identity of integer matrices
     _, (dc, *ints) = integer_form([c, *mats])

@@ -193,6 +193,8 @@ def bracket_closure(gens: Sequence[Matrix]) -> BracketSpace:
     m = gens[0].rows
     if any(not g.is_square() or g.rows != m for g in gens):
         raise ValueError("generators must be square and of equal size")
+    if m == 0:
+        raise ValueError("generators must be at least 1 x 1")
     ceiling = m * m - 1 if all(g.trace() == 0 for g in gens) else m * m
     prime, lower, skipped, reason = _modlinalg.lower_bound(
         gens, lambda prime: _modlinalg.bracket_closure_dim_mod(gens, prime, ceiling), ceiling

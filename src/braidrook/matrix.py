@@ -8,8 +8,10 @@ arithmetic, equality and hashing cost follows the nonzeros, and entries
 that cancel are dropped. `row()` and `to_lists()` give the dense view,
 `nonzeros()` the stored one. Public construction checks that every entry
 is an exact rational; the results of this module's own arithmetic, built
-from Fractions, skip that check, and so does the closed-form gl/sl basis
-of `lieclosure.bracket_closure`.
+from Fractions, skip that check (`Matrix._trusted`), and so do four
+closed forms whose entries are nonzero Fractions by construction: the
+gl/sl basis of `lieclosure.bracket_closure`, `burau.unreduced_generator`,
+`burau.change_of_basis` and `tensor.diagram_op`.
 
 One sparse product, `sparse_product` of a's nonzeros with b's nonzeros
 grouped by row (`rows_of`), serves the matrix products of the package:
@@ -75,7 +77,9 @@ class Matrix:
     def _trusted(cls, rows: int, cols: int, e: dict[int, Fraction]) -> "Matrix":
         """Wrap a fresh {index: nonzero Fraction} dict without checking it;
         only for the results of this module's own arithmetic and for the
-        closed-form basis of lieclosure.bracket_closure."""
+        closed forms of lieclosure.bracket_closure (its gl/sl basis),
+        burau.unreduced_generator, burau.change_of_basis and
+        tensor.diagram_op."""
         m = cls.__new__(cls)
         m.rows = rows
         m.cols = cols

@@ -12,7 +12,7 @@ product of two diagram images picks up the same z^N factor as the diagrams.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from math import gcd
 from typing import Mapping, Sequence
 
 from . import _modlinalg
@@ -30,6 +30,7 @@ from .linalg import certificate_record, commutant, matrix_span, span_closure
 from .matrix import Matrix, integer_form, kron_power
 from .scalars import IdentityError
 
+_ONE = Fraction(1)
 MATRIX_SIZE_BUDGET = 256  # largest n^r the exact commutant solvers accept
 
 
@@ -55,22 +56,29 @@ def diagram_op(d: PartialPermutation, p: BurauParams, r: int) -> Matrix:
     for the diagram action)."""
     if d.r != r:
         raise ValueError("size mismatch")
-    n = p.n
+    n, q = p.n, p.q
     size = n**r
     weight = [n ** (r - s) for s in range(1, r + 1)]  # of slot s in the flat index
-    # slot s of K copies slot d(s) of J; digits are J_t - 1, slots 0-based
-    copied = [(weight[s - 1], t - 1) for s, t in d.pairs]
-    weighted = [t - 1 for t in range(1, r + 1) if t not in d.im]
-    q_power = [p.q**k for k in range((n - 1) * len(weighted) + 1)]
-    free = [weight[s - 1] for s in range(1, r + 1) if s not in d.dom]
-    fills = [sum(k * w for k, w in zip(ks, free)) for ks in product(range(n), repeat=len(free))]
-    entries = {}
-    for col, digits in enumerate(product(range(n), repeat=r)):
-        coeff = q_power[sum(digits[t] for t in weighted)]
-        row = sum(w * digits[t] for w, t in copied)
-        for fill in fills:
-            entries[(row + fill) * size + col] = coeff
-    return Matrix(size, size, entries)
+    source = {t: s for s, t in d.pairs}  # slot s of K copies slot t of J
+    # the flat index (row * size + col) of an entry and its power of q are
+    # sums of one term per slot t of J, digit k = J_t - 1, and one per slot
+    # of K outside dom(d); expanding the slots in order lists the columns
+    # in order, each with its rows in order
+    slots = [
+        [(k * (weight[t - 1] + size * weight[source[t] - 1]), 0) for k in range(n)]
+        if t in source
+        else [(k * weight[t - 1], k) for k in range(n)]
+        for t in range(1, r + 1)
+    ]
+    slots += [[(k * size * weight[s - 1], 0) for k in range(n)] for s in range(1, r + 1) if s not in d.dom]
+    terms = [(0, 0)]
+    for slot in slots:
+        terms = [(a + b, e + f) for a, e in terms for b, f in slot]
+    q_power = [_ONE]
+    for _ in range((n - 1) * (r - len(source))):
+        q_power.append(q_power[-1] * q)
+    # every entry is a power of q != 0, every index below size^2
+    return Matrix._trusted(size, size, {a: q_power[e] for a, e in terms})
 
 
 # -- centralizers and enveloping algebras -----------------------------------------
@@ -157,6 +165,20 @@ def _word_products(words: list[tuple], letters: dict, size: int, ratio: int = 1)
     return out
 
 
+def _ratio(z: Fraction, a: int, den: int, b: int) -> tuple[int, int]:
+    """z^a den^b as its reduced (u, v), v > 0, for z != 0 and den >= 1:
+    the integer powers of z's numerator and denominator are coprime, so
+    one gcd with den^b reduces the ratio."""
+    u, v = z.as_integer_ratio()
+    u, v = (u**a, v**a) if a >= 0 else (v**-a, u**-a)
+    if b >= 0:
+        u *= den**b
+    else:
+        v *= den**-b
+    g = gcd(u, v) if v > 0 else -gcd(u, v)
+    return u // g, v // g
+
+
 def _operator_failure(p: BurauParams, r: int, P: Matrix | None, rels: list) -> str | None:
     """None when tr P = z for P = op(p_1) on one slot (r >= 1), and the
     rescaled operators rho(d) = z^-(s - rank d) op(d) on s = min(r, 3)
@@ -196,18 +218,19 @@ def _operator_failure(p: BurauParams, r: int, P: Matrix | None, rels: list) -> s
     z, s = p.quantum(p.n), min(r, 3)
     ops = {d: diagram_op(d, p, s) for d in dict.fromkeys(d for _, chain in rels for w in chain for d in w)}
     den, ints = integer_form(ops.values())
-    e, den = {d: s - d.rank for d in ops}, Fraction(den)
+    e = {d: s - d.rank for d in ops}
     # rho(first) = rho(word) iff x M(first) = M(word), x = c(first) / c(word)
+    # = z^a D^b, kept as the reduced u/v of _ratio
     x = {
-        (first, w): z ** (sum(map(e.get, w)) - sum(map(e.get, first))) * den ** (len(w) - len(first))
+        (first, w): _ratio(z, sum(map(e.get, w)) - sum(map(e.get, first)), den, len(w) - len(first))
         for _, (first, *rest) in rels for w in rest
     }
-    ratio = max((max(abs(v.numerator), v.denominator) for v in x.values()), default=1)
+    ratio = max((max(abs(u), v) for u, v in x.values()), default=1)
     words = [word for _, chain in rels for word in chain]
     products = _word_products(words, dict(zip(ops, ints)), p.n**s, ratio)
     for name, (first, *rest) in rels:
         for word in rest:
-            u, v = x[first, word].as_integer_ratio()
+            u, v = x[first, word]
             if [u * row for row in products[first]] != [v * row for row in products[word]]:
                 return f"{name} fails on the rescaled operators"
     if r and P.trace() != z:
@@ -215,8 +238,9 @@ def _operator_failure(p: BurauParams, r: int, P: Matrix | None, rels: list) -> s
     return None
 
 
-def _character_certificate(p: BurauParams, r: int, P, local, rels, shapes) -> dict:
-    """The certificate of duality_report from P, local =
+def _character_certificate(p: BurauParams, r: int, ts, P, local, rels, shapes) -> dict:
+    """The certificate of duality_report from the report's T_1..T_(n-1)
+    ts (burau.split_generators), P, local =
     diagrams.relations(min(r, 3)) (_operator_failure) and rels =
     diagrams.relations(r): the relations, groupoid and character checks, cellular.groupoid_dimensions,
     and the shape-by-shape bound _modlinalg.envelope_bound on
@@ -227,7 +251,7 @@ def _character_certificate(p: BurauParams, r: int, P, local, rels, shapes) -> di
     if z == 0:
         return certificate_record("exact", "z = [n]_q = 0 has no rescaled basis")
     try:
-        gens = [Matrix.diagonal([p.q1]), *split_generators(p)]
+        gens = [Matrix.diagonal([p.q1]), *split_generators(p, ts)]
     except IdentityError as e:
         return certificate_record("exact", str(e))
     failure = _operator_failure(p, r, P, local) or steinberg_failure(r, rels)
@@ -426,11 +450,12 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     rels, gens = relations(r), generator_diagrams(r)
     local = rels if r <= 3 else relations(3)
     P = diagram_op(projection(1, 1), p, 1) if r else None
-    commute = not r or _all_commute([unreduced_generator(i, p) for i in range(1, n)], [P])
+    ts = [unreduced_generator(i, p) for i in range(1, n)]
+    commute = not r or _all_commute(ts, [P])
 
     if commute:
         shape_dims = [(lam, d) for lam, d, _ in shapes]
-        certificate = _character_certificate(p, r, P, local, rels, shape_dims)
+        certificate = _character_certificate(p, r, ts, P, local, rels, shape_dims)
     else:
         certificate = certificate_record("exact", "actions do not commute")
     certificate.setdefault("shapes", None)

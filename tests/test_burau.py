@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -49,6 +50,45 @@ def test_params_gate():
     assert BurauParams.degenerate(2, 1, -1).q == 1
     assert PRESET.q == 2
     assert PRESET.quantum(3) == 7
+
+
+def test_stored_q_is_left_out_of_init_equality_hash_and_repr():
+    # q is divided out once, in __post_init__; a copy whose stored q is
+    # changed still equals, hashes and prints as its (n, q1, q2)
+    assert BurauParams(3, 2, 3).q == Fraction(-3, 2)
+    assert BurauParams.degenerate(3, 1, -1).q == 1
+    bumped = copy.copy(PRESET)
+    object.__setattr__(bumped, "_q", 2 * PRESET.q)
+    assert bumped.q == 4 and PRESET.q == 2
+    assert bumped == PRESET and hash(bumped) == hash(PRESET)
+    assert repr(bumped) == repr(PRESET) == "BurauParams(n=3, q1=Fraction(1, 1), q2=Fraction(-2, 1))"
+    with pytest.raises(TypeError):
+        BurauParams(3, 1, -2, True, Fraction(5))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [PRESET, BurauParams(4, Fraction(2, 3), Fraction(-5, 7)), BurauParams(5, -3, Fraction(1, 2)),
+     BurauParams.degenerate(2, 1, -1), BurauParams.degenerate(3, 1, -1), BurauParams.degenerate(4, 2, 2)],
+    ids=repr,
+)
+def test_closed_form_builders_match_the_dense_construction(p):
+    # the same nonzero Fractions, in row-major order, as from the dense
+    # lists; q1 + q2 = 0 at q = 1 is left out, not stored
+    n, q1, q2 = p.n, p.q1, p.q2
+    built = []
+    for i in range(1, n):
+        m = [[q1 if a == b else Fraction(0) for b in range(n)] for a in range(n)]
+        m[i - 1][i - 1 : i + 1] = [q1 + q2, -q2]
+        m[i][i - 1 : i + 1] = [q1, Fraction(0)]
+        built.append((unreduced_generator(i, p), Matrix.from_rows(m)))
+    f0, fs = decompose_e(p)
+    cols = [f0, *fs]
+    built.append((change_of_basis(p), Matrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])))
+    for fast, dense in built:
+        entries = fast.nonzeros()
+        assert fast == dense and list(entries) == sorted(entries) == list(dense.nonzeros())
+        assert all(type(x) is Fraction and x != 0 for x in entries.values())
 
 
 def test_unreduced_two_strands():

@@ -568,6 +568,17 @@ def test_bracket_closure_empty():
         bracket_closure([])
 
 
+@pytest.mark.parametrize("gens", [[Matrix(0, 0, {})], [Matrix(0, 0, {}), Matrix(0, 0, {})]])
+def test_bracket_closure_refuses_0_by_0_generators(monkeypatch, gens):
+    # refused by name before any work; m^2 - 1 would be a ceiling of -1
+    def no_work(*args):
+        raise AssertionError("bracket_closure started work")
+
+    monkeypatch.setattr(_modlinalg, "lower_bound", no_work)
+    with pytest.raises(ValueError, match=r"^generators must be at least 1 x 1$"):
+        bracket_closure(gens)
+
+
 def test_bracket_scale_identity():
     """[h_i, h_j] = [v_i, v_j]/(n-1)^2 for every pair, and the u-side
     version picks up the alternating conjugation."""

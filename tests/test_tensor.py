@@ -1,5 +1,6 @@
 """Commuting tensor actions, centralizers, enveloping algebras, duality."""
 
+import copy
 import random
 import sys
 import time
@@ -230,6 +231,46 @@ def test_factorized_matches_direct_action():
                 assert op == factorized_op(d, p, r, w), (p, r, d, w)
 
 
+def diagram_op_checked(d, p, r):
+    """diagram_op as it stood before it read q once and wrapped its entries
+    unchecked: each power of q taken alone, every entry passed through the
+    public Matrix constructor."""
+    if d.r != r:
+        raise ValueError("size mismatch")
+    n = p.n
+    size = n**r
+    weight = [n ** (r - s) for s in range(1, r + 1)]  # of slot s in the flat index
+    # slot s of K copies slot d(s) of J; digits are J_t - 1, slots 0-based
+    copied = [(weight[s - 1], t - 1) for s, t in d.pairs]
+    weighted = [t - 1 for t in range(1, r + 1) if t not in d.im]
+    q_power = [p.q**k for k in range((n - 1) * len(weighted) + 1)]
+    free = [weight[s - 1] for s in range(1, r + 1) if s not in d.dom]
+    fills = [sum(k * w for k, w in zip(ks, free)) for ks in product(range(n), repeat=len(free))]
+    entries = {}
+    for col, digits in enumerate(product(range(n), repeat=r)):
+        coeff = q_power[sum(digits[t] for t in weighted)]
+        row = sum(w * digits[t] for w, t in copied)
+        for fill in fills:
+            entries[(row + fill) * size + col] = coeff
+    return Matrix(size, size, entries)
+
+
+ORACLE_PARAMS = [BurauParams.preset(n, q) for n in (2, 3, 4) for q in (Fraction(2), Fraction(1, 2), Fraction(-2))]
+ORACLE_PARAMS += [BurauParams.degenerate(n, 1, -1) for n in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("p", ORACLE_PARAMS, ids=repr)
+def test_diagram_op_matches_its_checked_build(p):
+    # every rook element at (2,3), (3,2) and (4,2), q in {2, 1/2, -2} and
+    # the degenerate q = 1: the same nonzero Fraction entries
+    r = {2: 3, 3: 2, 4: 2}[p.n]
+    for d in rook_elements(r):
+        op = diagram_op(d, p, r)
+        checked = diagram_op_checked(d, p, r)
+        assert op == checked and list(op.nonzeros()) == list(checked.nonzeros()), (p, d)
+        assert all(type(x) is Fraction and x != 0 for x in op.nonzeros().values())
+
+
 def test_permutation_operator_is_a_product_of_swaps():
     for p, r in FACTORIZED_CASES:
         swaps = [None] + [swap_op(i, p, r) for i in range(1, r)]
@@ -438,9 +479,15 @@ def test_duality_report_budget_argument():
 # -- the character certificate and its exact fallback ------------------------------
 
 
+def _split(params):
+    """burau.split_generators on the T_i of params, as the duality report
+    hands them in."""
+    return split_generators(params, [unreduced_generator(i, params) for i in range(1, params.n)])
+
+
 def _shape_bound(params, r, prime):
     """_modlinalg.envelope_bound on the inputs the duality report gives it."""
-    gens = [Matrix.diagonal([params.q1]), *split_generators(params)]
+    gens = [Matrix.diagonal([params.q1]), *_split(params)]
     shapes = [(lam, d) for lam, d, _ in cellular.shape_dimensions(params.n, r)]
     return _modlinalg.envelope_bound(gens, r, shapes, prime)
 
@@ -450,7 +497,7 @@ def _restricted_blocks(params, r, prime):
     as _modlinalg.envelope_bound builds them."""
     m = params.n - 1
     q1 = _modlinalg.residues(Matrix.diagonal([params.q1]), prime).get(0, 0)
-    cols = [_modlinalg._columns(_modlinalg.residues(g, prime), m) for g in split_generators(params)]
+    cols = [_modlinalg._columns(_modlinalg.residues(g, prime), m) for g in _split(params)]
     out = []
     for shape, _, _ in cellular.shape_dimensions(params.n, r):
         basis, k = _modlinalg.schur_block(shape, m, prime), sum(shape)
@@ -982,7 +1029,7 @@ def test_a_direct_sum_handed_in_as_one_block_is_not_certified():
     # W_(1) (+) W_(1) of n = 4: every x of its algebra acts twice, so no
     # x - lambda has a 1-dimensional kernel, and it closes to 9 of 36
     params, prime = BurauParams.preset(4), _modlinalg.SANDWICH_PRIMES[0]
-    doubled = [direct_sum([g, g]) for g in split_generators(params)]
+    doubled = [direct_sum([g, g]) for g in _split(params)]
     bound, record = _modlinalg.envelope_bound([Matrix.diagonal([params.q1]), *doubled], 1, [((), 1), ((1,), 6)], prime)
     assert bound == 1 and record["blocks"][1] == {"shape": "(1)", "dim": 6, "x": None, "lambda": None}
     block = [_modlinalg.residues(g, prime) for g in doubled]
@@ -1177,6 +1224,21 @@ def test_bumped_p_on_one_slot_fails_the_commute_check(monkeypatch):
 
     monkeypatch.setattr(tensor, "diagram_op", bumped)
     assert _passing_on_the_exact_path(duality_report(3, 2, P32)) == "actions do not commute"
+
+
+@pytest.mark.parametrize("n,r", [(3, 2), (4, 2), (3, 3)])
+def test_doubled_stored_q_fails_commute_and_both_equalities(n, r):
+    # a copy of the params whose stored q is 2q: diagram_op and z read it,
+    # the T_i are built from q1 and q2. The rook side stays a representation
+    # at z = [n]_(2q), so the relations and tr P = z hold on it; T_i P = P T_i
+    # fails, and the exact path's operators on E^(x r) fail too
+    params = BurauParams.preset(n)
+    bumped = copy.copy(params)
+    object.__setattr__(bumped, "_q", 2 * params.q)
+    P = diagram_op(projection(1, 1), bumped, 1)
+    assert tensor._operator_failure(bumped, r, P, relations(min(r, 3))) is None
+    assert _failing_on_the_exact_path(duality_report(n, r, bumped)) == COMMUTE_AND_BOTH_EQUALITIES
+    assert duality_report(n, r, params)["all_pass"]
 
 
 def _rational_matrix(rng, n, den):
@@ -1468,7 +1530,7 @@ def test_closure_stops_at_the_rook_centralizer_dimension(monkeypatch):
     assert cert["bounds"]["envelope_lower"] == cert["bounds"]["rook_centralizer"] == 55
     assert calls["_echelon_add"] == 107
     prime, m = cert["prime"], 3
-    gens = [_modlinalg.residues(g, prime) for g in split_generators(params)]
+    gens = [_modlinalg.residues(g, prime) for g in _split(params)]
     cols = [{b: [(a, g[a * m + b]) for a in range(m) if a * m + b in g] for b in range(m)} for g in gens]
     calls.clear()
     blocks = [_modlinalg.schur_block(shape, m, prime) for shape in [(), (1,), (2,), (1, 1)]]
@@ -1535,6 +1597,16 @@ def test_duality_report_builds_the_relation_list_once(monkeypatch):
     report = duality_report(3, 3, P32)
     assert report["certificate"]["path"] == "character" and report["all_pass"]
     assert calls == Counter(relations=1, generator_diagrams=1)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_duality_report_builds_each_braid_generator_once(monkeypatch, n):
+    # the commute check and the split check of burau.split_generators read
+    # one list of T_1..T_(n-1)
+    calls = _count_calls(monkeypatch, (tensor, burau), "unreduced_generator")
+    report = duality_report(n, 2, BurauParams.preset(n))
+    assert report["certificate"]["path"] == "character" and report["all_pass"]
+    assert calls == Counter(unreduced_generator=n - 1)
 
 
 def test_exact_path_reuses_the_braid_generators(monkeypatch):
