@@ -183,7 +183,8 @@ def cmd_duality(args) -> int:
             print(f"{check['status'].upper():4} {check['name']}: {check['detail']}")
         cert = report["certificate"]
         if cert["path"] == "character":
-            print(f"certificate: rook character, envelope shape blocks mod {cert['prime']}")
+            braid = f"Lie closure mod {cert['prime']}" if cert["prime"] else "distinct powers of -q"
+            print(f"certificate: rook character, envelope by {braid}")
         else:
             print(f"certificate: exact dimensions ({cert['fallback_reason']})")
         verdict = "hold" if report["all_pass"] else "FAIL"

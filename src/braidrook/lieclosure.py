@@ -44,6 +44,9 @@ class LieConstants:
 
     n: int
     q: Fraction
+    # derived from q, divided out once; left out of equality
+    a: Fraction = field(init=False, repr=False, compare=False)
+    b: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "q", scalar(self.q))
@@ -51,14 +54,9 @@ class LieConstants:
             raise ValueError("need n >= 3")
         if self.q in (0, 1, -1):
             raise ValueError("q must avoid {0, 1, -1}")
-
-    @property
-    def a(self) -> Fraction:
-        return self.q / (1 + self.q)
-
-    @property
-    def b(self) -> Fraction:
-        return 1 / (1 + self.q)
+        b = 1 / (1 + self.q)
+        object.__setattr__(self, "a", self.q * b)
+        object.__setattr__(self, "b", b)
 
     @property
     def size(self) -> int:
@@ -233,14 +231,20 @@ def _exact_closure(gens: Sequence[Matrix], ceiling: int, certificate: dict) -> B
 # -- one-parameter subgroup patterns ------------------------------------
 
 
+def h_window(z: Fraction, c: LieConstants) -> tuple[Fraction, Fraction, Fraction]:
+    """Row i of H_i(z) in columns i-1, i and i+1, the same for every i:
+    (b(1-z), z, a(1-z)). Every other row of H_i(z) is the identity's, and
+    an entry outside the matrix is dropped (row_window)."""
+    return c.b * (1 - z), z, c.a * (1 - z)
+
+
 def subgroup_h(i: int, z, c: LieConstants) -> Matrix:
     """H_i(z) = b(1-z) e_{i,i-1} + z e_{ii} + a(1-z) e_{i,i+1} + E(i).
     H_i(1) = I and H_i(z)H_i(z') = H_i(zz'), so each H_i is a
     one-parameter group through the identity."""
     if not 1 <= i <= c.n - 1:
         raise ValueError(f"index {i} outside 1..{c.n - 1}")
-    z = scalar(z)
-    return row_window(c.size, i, c.b * (1 - z), z, c.a * (1 - z), 1)
+    return row_window(c.size, i, *h_window(scalar(z), c), 1)
 
 
 def subgroup_k(i: int, w, c: LieConstants) -> Matrix:

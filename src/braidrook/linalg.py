@@ -326,9 +326,9 @@ def span_closure(gens: Sequence[Matrix]) -> tuple[int, list[Matrix]]:
     When the generators are invertible this is also the algebra that the
     generators and their inverses generate: by Cayley-Hamilton, g^-1 is a
     polynomial in g, since the characteristic polynomial of g has the
-    nonzero constant term +-det g. The shape blocks of
-    `_modlinalg.envelope_bound` rest on the same argument: they bound the
-    unital algebra of the braid generators alone.
+    nonzero constant term +-det g. The duality report's envelope argument
+    rests on the same fact: the unital algebra of the braid generators
+    alone is the span of the group they generate (tensor.duality_report).
     """
     if not gens:
         raise ValueError("span_closure needs a nonempty list of generators")

@@ -16,7 +16,7 @@ from math import gcd
 from typing import Mapping, Sequence
 
 from . import _modlinalg
-from .burau import BurauParams, split_generators, unreduced_generator
+from .burau import BurauParams, row_window, split_generators, unreduced_generator
 from .cellular import groupoid_dimensions, rook_dimension, shape_dimensions, steinberg_failure
 from .diagrams import (
     PartialPermutation,
@@ -26,6 +26,7 @@ from .diagrams import (
     relations,
     rook_elements,
 )
+from .lieclosure import LieConstants, h_window, tangent_generators
 from .linalg import certificate_record, commutant, matrix_span, span_closure
 from .matrix import Matrix, integer_form, kron_power
 from .scalars import IdentityError
@@ -179,8 +180,8 @@ def _ratio(z: Fraction, a: int, den: int, b: int) -> tuple[int, int]:
     return u // g, v // g
 
 
-def _operator_failure(p: BurauParams, r: int, P: Matrix | None, rels: list) -> str | None:
-    """None when tr P = z for P = op(p_1) on one slot (r >= 1), and the
+def _operator_failure(p: BurauParams, r: int, z: Fraction, P: Matrix | None, rels: list) -> str | None:
+    """None when tr P = z = [n]_q for P = op(p_1) on one slot (r >= 1), and the
     rescaled operators rho(d) = z^-(s - rank d) op(d) on s = min(r, 3)
     slots of the letters of rels = diagrams.relations(s) satisfy every
     chain of rels; otherwise the first failure. The relations read the
@@ -215,7 +216,7 @@ def _operator_failure(p: BurauParams, r: int, P: Matrix | None, rels: list) -> s
     W = bit_length(2 S N^L) + 1 puts both below 2^(W - 1). So
     rho(first) = rho(word) exactly when the packed rows agree after
     scaling."""
-    z, s = p.quantum(p.n), min(r, 3)
+    s = min(r, 3)
     ops = {d: diagram_op(d, p, s) for d in dict.fromkeys(d for _, chain in rels for w in chain for d in w)}
     den, ints = integer_form(ops.values())
     e = {d: s - d.rank for d in ops}
@@ -238,40 +239,102 @@ def _operator_failure(p: BurauParams, r: int, P: Matrix | None, rels: list) -> s
     return None
 
 
-def _character_certificate(p: BurauParams, r: int, ts, P, local, rels, shapes) -> dict:
-    """The certificate of duality_report from the report's T_1..T_(n-1)
-    ts (burau.split_generators), P, local =
-    diagrams.relations(min(r, 3)) (_operator_failure) and rels =
-    diagrams.relations(r): the relations, groupoid and character checks, cellular.groupoid_dimensions,
-    and the shape-by-shape bound _modlinalg.envelope_bound on
-    shapes = [(lambda, d_lambda)] at the prime of _modlinalg.lower_bound.
-    The path is "character" only when that bound equals sum <psi_k, psi_k>,
-    an integer."""
-    z = p.quantum(p.n)
+# the points z and w of the homomorphism check H_i(z) H_i(w) = H_i(zw)
+_POINTS = (Fraction(2), Fraction(3))
+
+
+def _braid_side(p: BurauParams, r: int, reds: list[Matrix]) -> tuple[dict, int | None, list, str | None]:
+    """The braid side of the character certificate, on the reduced
+    generators reds = [R_1, ..., R_(n-1)] of burau.split_generators:
+    (lie record, prime, skipped primes, reason), reason None when the
+    envelope has dimension sum d_lambda^2 over the shape table
+    (duality_report gives the argument). With m = n - 1, for n >= 3 the
+    checks run in order, and the first that fails is the reason: -q is not
+    1 or -1; R_i = q1 H_i(-q) on every entry; the windows of H_i at z, w
+    in _POINTS multiply to the window of H_i(zw); then the closure mod p
+    of tangent_generators(n, q), through _modlinalg.lower_bound, reaches
+    m^2. For n = 2 the one check is that the g^k, k = 0..r, are distinct
+    for the number g = q1^-1 R_1. The record holds the prime and the
+    closure dimension (None when no closure ran), the ceiling m^2, and the
+    checks, each as a report check."""
+    m, q, q1 = p.n - 1, p.q, p.q1
+    checks = []
+    record = {"prime": None, "closure_dim": None, "ceiling": m * m, "checks": checks}
+
+    def check(name: str, ok: bool, detail: str) -> str | None:
+        checks.append(_report_check(name, ok, detail))
+        return None if ok else detail
+
+    if m == 1:
+        g = reds[0][0, 0] / q1
+        powers = [g**k for k in range(r + 1)]
+        equal = next(((j, k) for k in range(r + 1) for j in range(k) if powers[j] == powers[k]), None)
+        detail = f"g^{equal[0]} = g^{equal[1]}" if equal else f"g^k distinct for k = 0..{r}"
+        return record, None, [], check("powers_distinct", not equal, f"{detail}, g = q1^-1 R_1 = {g}")
+    finite = q in (1, -1)
+    if reason := check("infinite_order", not finite, f"-q = {-q} has {'finite' if finite else 'infinite'} order"):
+        return record, None, [], reason
+    c = LieConstants(p.n, q)
+    window = [q1 * x for x in h_window(-q, c)]
+    bad = next((i for i, red in enumerate(reds, 1) if red != row_window(m, i, *window, q1)), None)
+    detail = f"R_{bad} != q1 H_{bad}(-q)" if bad else f"R_i = q1 H_i(-q) for i = 1..{m}"
+    if reason := check("h_at_minus_q", not bad, detail):
+        return record, None, [], reason
+    windows = {x: h_window(x, c) for x in {z * w for z in _POINTS for w in (1, *_POINTS)}}
+
+    def product(z, w):
+        # rows i-1 and i+1 of H_i(w) are the identity's, so row i of
+        # H_i(z) H_i(w) is (l_z + m_z l_w, m_z m_w, r_z + m_z r_w) on the
+        # windows (l, m, r)
+        (lz, mz, rz), (lw, mw, rw) = windows[z], windows[w]
+        return lz + mz * lw, mz * mw, rz + mz * rw
+
+    bad = next(((z, w) for z in _POINTS for w in _POINTS if product(z, w) != windows[z * w]), None)
+    if bad:
+        detail = f"H_i({bad[0]}) H_i({bad[1]}) != H_i({bad[0] * bad[1]})"
+    else:
+        detail = f"H_i(z) H_i(w) = H_i(zw) at z, w in {{{', '.join(map(str, _POINTS))}}}"
+    if reason := check("homomorphism", not bad, detail):
+        return record, None, [], reason
+    tangents = tangent_generators(p.n, q)
+    prime, lower, skipped, reason = _modlinalg.lower_bound(
+        tangents, lambda prime: _modlinalg.bracket_closure_dim_mod(tangents, prime, m * m), m * m
+    )
+    record.update(prime=prime, closure_dim=lower)
+    # the numbers decide; the search's reason only explains a miss
+    reason = None if lower == m * m else reason or f"closure {lower} != m^2 = {m * m}"
+    return record, prime, skipped, reason
+
+
+def _character_certificate(p: BurauParams, r: int, z: Fraction, ts, P, local, rels, env_sum: int) -> dict:
+    """The certificate of duality_report from z = [n]_q, the report's
+    T_1..T_(n-1) ts (burau.split_generators), P, local =
+    diagrams.relations(min(r, 3)) (_operator_failure), rels =
+    diagrams.relations(r) and env_sum = sum d_lambda^2 over the shape
+    table: the relations, groupoid and character checks,
+    cellular.groupoid_dimensions, and the braid side of _braid_side, which
+    makes env_sum the envelope's dimension or names why not. The path is
+    "character" only when env_sum is proved and equals
+    sum <psi_k, psi_k>, an integer."""
     if z == 0:
         return certificate_record("exact", "z = [n]_q = 0 has no rescaled basis")
     try:
-        gens = [Matrix.diagonal([p.q1]), *split_generators(p, ts)]
+        reds = split_generators(p, ts)
     except IdentityError as e:
         return certificate_record("exact", str(e))
-    failure = _operator_failure(p, r, P, local) or steinberg_failure(r, rels)
+    failure = _operator_failure(p, r, z, P, local) or steinberg_failure(r, rels)
     if failure:
         return certificate_record("exact", failure)
     rook_cent, rook_img = groupoid_dimensions(p.n, r)
     if rook_cent.denominator != 1:
         return certificate_record("exact", f"sum <psi_k, psi_k> = {rook_cent} is not an integer")
-    records = {}
-
-    def bound(prime):
-        records[prime] = _modlinalg.envelope_bound(gens, r, shapes, prime)
-        return records[prime][0]
-
-    prime, lower, skipped, reason = _modlinalg.lower_bound(gens, bound, rook_cent)
+    lie, prime, skipped, reason = _braid_side(p, r, reds)
+    lower = None if reason else env_sum
     bounds = {"envelope_lower": lower, "rook_centralizer": int(rook_cent), "rook_image": rook_img}
-    met = lower == rook_cent  # the numbers decide; the search's reason only explains a miss
+    met = lower == rook_cent
     reason = None if met else reason or f"envelope_lower {lower} != rook_centralizer {rook_cent}"
     certificate = certificate_record("character" if met else "exact", reason, prime, skipped, bounds)
-    certificate["shapes"] = records[prime][1] if prime else None
+    certificate["lie"] = lie
     return certificate
 
 
@@ -319,7 +382,7 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     rho(d) = z^-(r - rank d) op(d) and the monoid algebra A = Q[R_r]. Four
     steps, all exact; no operator on E^(x r) is built, only P and the
     letters of diagrams.relations(min(r, 3)) on min(r, 3) slots, and no step
-    works on an m x m matrix, m = |R_r|:
+    works on an |R_r| x |R_r| matrix:
     - Relations (_operator_failure). Every chain of diagrams.relations(r)
       holds on the rho of its letters, read off their factors on at most
       three slots. Popova's relations present R_r on s_1..s_(r-1), p_1
@@ -356,88 +419,81 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
       sum_k C(r,k)^2 rank [psi_k(s t^-1)], a k! x k! matrix: the trace form
       tr_W(xy) of the semisimple image of Q S_k is nondegenerate on it and
       zero on the kernel.
-    The braid side enters by one lower bound, taken shape by shape over
-    F_p (_modlinalg.envelope_bound). By the split check of
-    burau.split_generators the envelope A has the dimension of the unital
-    algebra of B_i = sum_k q1^(r-k) R_i^(x k) on U = sum_k F^(x k). Take a
-    prime p that divides no denominator of q1 and the R_i, and let A_p be
-    the F_p-span of the reductions of the words in the B_i: the
-    Z_(p)-span of the words is a lattice of rank dim A, and A_p is spanned
-    by its reduction, so dim A_p <= dim A. A_p is an algebra acting on
-    U mod p, one summand F_p^(x k) at a time. For each partition lambda of
-    k <= r with at most n - 1 rows:
-    - W_lambda = c_lambda(F_p^(x k)), the image of a Young symmetrizer, is
-      checked to have dimension d = gl_weyl_dim(lambda, n - 1);
-    - each B_i is checked to keep W_lambda, so A_p does, and restriction
-      is an algebra map A_p -> End(W_lambda);
-    - the block is full when Norton's test passes on the restricted B_i
-      (R. A. Parker, "The computer calculation of modular characters (the
-      Meat-Axe)", 1984; D. F. Holt and S. Rees, J. Austral. Math. Soc. A
-      57, 1994; _modlinalg._norton): an x in the image of A_p and a lambda
-      in F_p with x - lambda of nullity 1, computed exactly, a kernel
-      vector v of x - lambda that spins to all of W_lambda under the
-      restricted B_i, and a kernel vector w of (x - lambda)^T that spins
-      to all of the dual under their transposes. Then W_lambda is
-      irreducible. A submodule S, 0 != S != W_lambda, either meets the
-      kernel of x - lambda, the line of v, and then holds the spin of v;
-      or x - lambda is injective on S, so bijective on it, and singular on
-      W_lambda / S, and then the annihilator of S, a proper nonzero
-      submodule of the dual, meets the kernel of (x - lambda)^T, the line
-      of w, and holds the spin of w. Each endomorphism f of the module
-      commutes with x, so keeps the line of v: f v = c v, c in F_p, and
-      f - c kills v. By Schur's lemma f - c is 0 or invertible, so f = c:
-      the endomorphism ring is F_p, W_lambda is absolutely irreducible,
-      and by Burnside's theorem the map A_p -> End(W_lambda) is onto. Its
-      kernel is a maximal ideal, with quotient End(W_lambda), a simple
-      algebra with one simple module up to isomorphism. The search tries
-      x = B_1 at its possible eigenvalues first, then seeded polynomials
-      in the B_i at the roots in F_p of their minimal polynomials on a
-      vector; it only finds the certificate, which the nullity and the
-      two spins prove, and a block it misses drops out.
-    Two full blocks are separated when a word's trace differs on them, or
-    when the standard basis test (_modlinalg._isomorphic) finds them not
-    isomorphic. It evaluates the x of the first block's certificate on
-    the second; an isomorphism would carry the kernel line of x - lambda
-    on the first to that on the second, so the second kernel must be a
-    line, and a vector of it, spun along the words that spun v to a basis
-    of the first, must give each generator the same matrix as that basis
-    does. When it does, the map from one spun basis to the other is a
-    nonzero module map between irreducible modules, an isomorphism.
-    Separated blocks are not isomorphic A_p-modules, so their kernels
-    differ. Distinct maximal ideals are pairwise comaximal, so by the
-    Chinese remainder theorem A_p maps onto the product of the
-    End(W_lambda) over the full blocks that are separated from every other
-    full block, and
-        sum of their d^2 <= dim A_p <= dim A <= dim C(image)
-                                                = sum_k <psi_k, psi_k>.
-    A block that fails a check drops out, which only lowers the bound.
-    Nothing here needs W_lambda over Q, and no block's algebra is spanned:
-    each test spins d vectors of W_lambda or of its dual. When the ends
-    meet, the envelope is C(image) and A_p is the product of the
-    End(W_lambda), the paper's Schur-Weyl statement at p. The image is
+    The braid side enters by the paper's own route, the Zariski closure of
+    the braid image (J. E. Humphreys, Linear Algebraic Groups, GTM 21,
+    1975; J. A. Green, Polynomial Representations of GL_n, LNM 830, 1980).
+    By the split check of burau.split_generators the envelope has the
+    dimension of the unital algebra A_U of B_i = sum_k q1^(r-k) R_i^(x k) on
+    U = sum_k F^(x k). Let m = n - 1 and g_i = q1^-1 R_i, so that
+    B_i = q1^r sum_k g_i^(x k). Scaling a generator by a nonzero number
+    does not change the unital algebra it generates, and each g_i is
+    invertible (det R_i = q1^(m-1) q2 != 0), so by Cayley-Hamilton (linalg.span_closure) A_U is the span
+    of the sum of the g^(x k) over the group Gamma that the g_i generate.
+    _braid_side checks, in order:
+    - -q is not 1 or -1, so it has infinite order in Q^x. Otherwise the
+      report names it ("-q has finite order") and takes the exact path;
+    - R_i = q1 H_i(-q) on every entry, H_i the one-parameter subgroup of
+      lieclosure.subgroup_h: g_i = H_i(-q);
+    - H_i(z) H_i(w) = H_i(zw). H_i(z) is the identity but for row i, which
+      holds the window (b(1-z), z, a(1-z)) in columns i-1, i, i+1, the
+      same for every i (lieclosure.h_window, cut at the edges). Rows i-1
+      and i+1 of H_i(w) are the identity's, so row i of the product is
+      (l_z + z l_w, z w, r_z + z r_w) on the windows, of degree at most 1
+      in z and in w, like the window of H_i(zw). The two agree at z, w in
+      {2, 3}, and a polynomial of degree at most 1 in each of two
+      variables that vanishes on a 2 x 2 grid is 0. So H_i is a
+      homomorphism from C^x, injective as z sits at (i, i), and Gamma
+      holds H_i((-q)^k) for every integer k: infinitely many points.
+    A closed subgroup of the one-dimensional torus H_i(C^x) with infinitely
+    many points is the whole torus. So the Zariski closure G of Gamma holds
+    every H_i(z), and Lie(G) holds the tangent h_i = dH_i/dz at z = 1, in
+    closed form lieclosure.tangent_generator (H_i(z) - I = (z - 1) h_i,
+    which lieclosure.one_param_membership and the tests check). Lie(G) is
+    closed under brackets, so it holds the bracket closure of the h_i. Its
+    dimension is at least that of the closure mod p of
+    _modlinalg.bracket_closure_dim_mod at a prime of _modlinalg.lower_bound
+    that divides no denominator of the h_i (lieclosure.bracket_closure
+    says why that bound is sound over Q). When that reaches m^2,
+    dim G >= m^2, and G, inside GL_m, is GL_m. A linear relation that holds
+    on the image of Gamma is a polynomial identity on Gamma, so it holds on
+    G, and a span of rational matrices has the same dimension over Q as
+    over C. So A_U is the span of the sum of the g^(x k) over GL_m. A scalar
+    s I acts by s^k on summand k, so r + 1 distinct values of s split that
+    span by k (Vandermonde), and the span of the g^(x k) over GL_m is the
+    Schur algebra S(m, k), of dimension sum d_lambda^2 over the lambda of
+    k with at most m rows, d_lambda = gl_weyl_dim(lambda, m). So
+        dim A_U = sum d_lambda^2 over the shape table,
+    and no block is built. For n = 2, m = 1 and g = q1^-1 R_1 is a number:
+    A_U is spanned by the powers of the diagonal matrix (g^k)_(k = 0..r), of
+    dimension r + 1 = sum d_lambda^2 exactly when the g^k are distinct
+    (Vandermonde), and that is checked instead. With
+    envelope <= C(rook gens) = C(image), of dimension
+    sum_k <psi_k, psi_k>, the envelope is C(image) when the two numbers
+    meet; that is the paper's Schur-Weyl statement. The image is
     semisimple, so the double centralizer theorem gives
     C(braid gens) = C(envelope) = C(C(image)) = image, and
     dim C(braid gens) = dim image with no further computation.
 
-    A miss at one prime moves on to the next listed prime, keeping the
-    largest lower bound. The exact centralizer, image, envelope and
-    commutant dimensions are computed instead ("exact" path), on the
+    A closure that misses m^2 at one prime moves on to the next listed
+    prime, keeping the largest. The exact centralizer, image, envelope
+    and commutant dimensions are computed instead ("exact" path), on the
     T_i^(x r) and the operators of every basis diagram on E^(x r), when
     the actions do not commute, when z = 0, when the split check, or the
-    relations, groupoid or character check fails, when sum_k <psi_k, psi_k>
-    is not an integer, when the returned bound is not that sum (a miss at
-    every listed prime), and when every listed prime divides a denominator.
-    The groupoid check is q-free, so its failure is a fault of the diagram
-    code; the exact path then names the relation that failed. r is refused
-    above diagrams.ENUMERATION_BOUND before any work, as the exact path
-    enumerates the basis.
-    report["certificate"] records the path, the prime, the skipped primes,
-    the bounds (envelope_lower, rook_centralizer = sum_k <psi_k, psi_k>,
-    rook_image = sum_k C(r,k)^2 rank psi_k), the reason for the exact
-    path, and the shapes record of envelope_bound at the prime (each
-    shape's dimension and the x and lambda of its Norton certificate, the
-    check that separated each pair of equal dimension, each failed check),
-    None when no bound was taken.
+    relations, groupoid or character check fails, when
+    sum_k <psi_k, psi_k> is not an integer, when a check of the braid side
+    fails or its closure misses m^2 at every listed prime (or every listed
+    prime divides a denominator), and when sum d_lambda^2 is not
+    sum_k <psi_k, psi_k>. The groupoid check is q-free, so its failure is
+    a fault of the diagram code; the exact path then names the relation
+    that failed. r is refused above diagrams.ENUMERATION_BOUND before any
+    work, as the exact path enumerates the basis.
+    report["certificate"] records the path, the prime and the skipped
+    primes of the closure, the bounds (envelope_lower = sum d_lambda^2
+    once the braid side holds and None otherwise, rook_centralizer =
+    sum_k <psi_k, psi_k>, rook_image = sum_k C(r,k)^2 rank psi_k), the
+    reason for the exact path, and the lie record of _braid_side (the
+    prime, the closure dimension, its ceiling m^2 and each check), None
+    when the report did not reach the braid side.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
@@ -447,6 +503,9 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     check_enumeration_bound(r)
     z = p.quantum(n)
     shapes = shape_dimensions(n, r)
+    dim_sum = sum(c * c for *_, c in shapes)
+    env_sum = sum(d * d for _, d, _ in shapes)
+    bim_sum = sum(d * c for _, d, c in shapes)
     rels, gens = relations(r), generator_diagrams(r)
     local = rels if r <= 3 else relations(3)
     P = diagram_op(projection(1, 1), p, 1) if r else None
@@ -454,22 +513,22 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     commute = not r or _all_commute(ts, [P])
 
     if commute:
-        shape_dims = [(lam, d) for lam, d, _ in shapes]
-        certificate = _character_certificate(p, r, ts, P, local, rels, shape_dims)
+        certificate = _character_certificate(p, r, z, ts, P, local, rels, env_sum)
     else:
         certificate = certificate_record("exact", "actions do not commute")
-    certificate.setdefault("shapes", None)
+    certificate.setdefault("lie", None)
 
     if certificate["path"] == "character":
         bounds = certificate["bounds"]
         img_dim = cent_dim = bounds["rook_image"]
         env_dim, cent_of_img_dim = bounds["envelope_lower"], bounds["rook_centralizer"]
-        mod = f"character, shape blocks mod {certificate['prime']}"
+        prime = certificate["prime"]
+        how = f"character, Lie closure mod {prime}" if prime else "character, distinct powers of -q"
         img_how = (
-            f"{mod}: image = sum C(r,k)^2 rank psi_k = {img_dim}, C(braid) = C(C(image)) = image"
+            f"{how}: image = sum C(r,k)^2 rank psi_k = {img_dim}, C(braid) = C(C(image)) = image"
         )
         env_how = (
-            f"{mod}: sum d_lambda^2 over the full, separated shape blocks {env_dim} <= envelope "
+            f"{how}: envelope = sum d_lambda^2 = {env_dim} "
             f"<= C(rook) = sum <psi_k, psi_k> {cent_of_img_dim}"
         )
     else:
@@ -484,9 +543,6 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
         img_how = env_how = f"exact dimensions; {certificate['fallback_reason']}"
     env_eq = commute and env_dim == cent_of_img_dim
     img_eq = commute and img_dim == cent_dim
-    dim_sum = sum(c * c for *_, c in shapes)
-    env_sum = sum(d * d for _, d, _ in shapes)
-    bim_sum = sum(d * c for _, d, c in shapes)
 
     checks = [
         _report_check(

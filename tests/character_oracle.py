@@ -7,17 +7,18 @@ and basis diagram d, the rescaled character chi(d) = tr op(d) / z^(r - rank d)
 at every d, and the two q-free dimensions of cellular.groupoid_dimensions
 by Moebius inversion of chi. Every product comes from
 PartialPermutation.compose, not from the library's generator rows. Also
-the braid generators on U = sum_k F^(x k), whose closure the
-shape-by-shape envelope bound replaced, and the closure mod p of each
-shape block, which Norton's test replaced in the bound."""
+the braid generators on U = sum_k F^(x k) and the shape blocks W_lambda
+mod p with the closure of the braid generators on each: the closure on U
+and the d^2 of the blocks both give the sum d_lambda^2 that
+tensor._braid_side reads off the shape table."""
 
 from fractions import Fraction
-from itertools import accumulate, pairwise, permutations
+from itertools import accumulate, pairwise, permutations, product
 from math import comb, factorial
 
 from braidrook import _modlinalg
 from braidrook.burau import reduced_generator
-from braidrook.cellular import partition_label, partitions_of
+from braidrook.cellular import partition_label, partitions_of, shape_dimensions
 from braidrook.diagrams import (
     PartialPermutation,
     compose_perms,
@@ -141,8 +142,8 @@ def closure_dim_mod(gens, m, p, ceiling=None):
     matrices gens, {row-major index: residue}, generate: the worklist
     closure of the span of 1 under right multiplication by each of them,
     stopped once it reaches ceiling (linalg.span_closure says why right
-    multiplication suffices). A block of _modlinalg.envelope_bound is full
-    exactly when this reaches d^2."""
+    multiplication suffices). A shape block is full exactly when this
+    reaches d^2."""
     rows, basis = [rows_of(g, m) for g in gens], {}
 
     def images(w):
@@ -151,3 +152,84 @@ def closure_dim_mod(gens, m, p, ceiling=None):
 
     one = {k * (m + 1): 1 for k in range(m)}
     return worklist_closure(lambda v: _modlinalg._echelon_add(basis, v, p), [one], images, ceiling)
+
+
+def schur_block(shape, m: int, p: int) -> dict[int, dict[int, int]]:
+    """W = c(F_p^(x k)), F_p = Z/p, k = |shape|, as its fully reduced
+    echelon basis {pivot: row} on the basis tensors e_J, J in {0..m-1}^k
+    flattened with the first slot most significant (as burau's Kronecker
+    powers): the span of c(e_J) over every J. c = b a is the Young
+    symmetrizer of the row-reading tableau of shape, acting by place
+    permutations, (s e_J)_t = e_(J_s(t)): a sums those that keep each row
+    of the tableau, b those that keep each column, with their signs."""
+    k, row_of, col_of = sum(shape), [], []
+    for i, length in enumerate(shape):
+        row_of += [i] * length
+        col_of += range(length)
+    rows, cols = [], []
+    for s in permutations(range(k)):
+        if list(map(row_of.__getitem__, s)) == row_of:
+            rows.append(s)
+        if list(map(col_of.__getitem__, s)) == col_of:
+            cols.append((s, (-1) ** sum(x > y for i, x in enumerate(s) for y in s[i + 1 :])))
+    # b a e_J = sum of sign(tau) e_(J sigma tau): digit t of each term is J_sigma(tau(t))
+    terms = [([sigma[t] for t in tau], sign) for sigma in rows for tau, sign in cols]
+    basis: dict[int, dict[int, int]] = {}
+    for j in product(range(m), repeat=k):
+        v: dict[int, int] = {}
+        for perm, sign in terms:
+            idx = 0
+            for t in perm:
+                idx = idx * m + j[t]
+            v[idx] = v.get(idx, 0) + sign
+        _modlinalg._echelon_add(basis, {i: r for i, x in v.items() if (r := x % p)}, p)
+    return basis
+
+
+def _slot_apply(v: dict[int, int], cols, w: int, m: int, p: int) -> dict[int, int]:
+    """(1 x ... x R x ... x 1) v mod p, R acting on the slot of weight w of
+    the flat index, given by its columns cols = {b: [(a, R_ab), ...]}."""
+    out: dict[int, int] = {}
+    for idx, x in v.items():
+        b = idx // w % m
+        for a, y in cols.get(b, ()):
+            t = idx + (a - b) * w
+            out[t] = out.get(t, 0) + x * y
+    return {t: r for t, x in out.items() if (r := x % p)}
+
+
+def restrict(basis, cols, scale: int, k: int, m: int, p: int) -> dict[int, int] | None:
+    """The d x d matrix, by its nonzero residues, of scale R^(x k) on the
+    span W of the echelon basis, R applied one slot at a time from its
+    columns cols and never formed: column t holds the image of the t-th
+    basis row (pivot order), read off at the pivots. None when an image
+    leaves a nonzero residual, so that W is not invariant."""
+    pivots = sorted(basis)
+    d, at, out = len(pivots), dict(zip(pivots, range(len(pivots)))), {}
+    for t, piv in enumerate(pivots):
+        v = dict(basis[piv])
+        for s in range(k):
+            v = _slot_apply(v, cols, m**s, m, p)
+        for i, x in v.items():
+            if i in at and x * scale % p:
+                out[at[i] * d + t] = x * scale % p
+        if _modlinalg._reduce(basis, v, p):
+            return None
+    return out
+
+
+def shape_blocks(p, r, prime):
+    """(lambda, d, [B_1, ..., B_(n-1)] restricted to W_lambda) for each shape
+    of cellular.shape_dimensions(n, r), mod prime: W_lambda = schur_block,
+    of dimension d, and B_i = q1^(r-k) R_i^(x k) on it by restrict, None
+    where W_lambda is not invariant; R_i = reduced_generator(i)."""
+    m = p.n - 1
+    q1 = p.q1.numerator * pow(p.q1.denominator, -1, prime) % prime
+    gens = [_modlinalg.residues(reduced_generator(i, p), prime) for i in range(1, p.n)]
+    cols = [{b: [(a, g[a * m + b]) for a in range(m) if a * m + b in g] for b in range(m)} for g in gens]
+    out = []
+    for shape, _, _ in shape_dimensions(p.n, r):
+        basis, k = schur_block(shape, m, prime), sum(shape)
+        scale = pow(q1, r - k, prime)
+        out.append((shape, len(basis), [restrict(basis, c, scale, k, m, prime) for c in cols]))
+    return out

@@ -199,7 +199,7 @@ def test_duality_text_passes(capsys):
     code, out, _ = run(capsys, "duality", "--n", "2", "--r", "2", "--q1", "1", "--q2", "-2")
     assert code == 0
     assert "identities hold" in out and "faithful=False" in out
-    assert "certificate: rook character, envelope shape blocks mod " in out
+    assert "certificate: rook character, envelope by distinct powers of -q" in out
 
 
 def test_duality_json_round_trip(capsys):
@@ -210,7 +210,7 @@ def test_duality_json_round_trip(capsys):
     data = json.loads(out)
     assert data["all_pass"] is True and data["faithful"] is True and data["z"] == "7"
     cert = data["certificate"]
-    assert set(cert) == {"path", "prime", "primes_skipped", "bounds", "fallback_reason", "shapes"}
+    assert set(cert) == {"path", "prime", "primes_skipped", "bounds", "fallback_reason", "lie"}
     assert cert["path"] == "character" and cert["fallback_reason"] is None
     assert cert["bounds"] == {"envelope_lower": 15, "rook_centralizer": 15, "rook_image": 7}
     assert json.dumps(data, indent=2) == out.strip()

@@ -10,14 +10,14 @@ from functools import reduce
 from itertools import permutations, product
 
 import pytest
-from dense import invert, unit
+from dense import unit
 import character_oracle
 from gram_oracle import tensor_character, tensor_dimensions
 from groupoid_oracle import bump_arrow, drop_empty_arrow
 from rook_factorization import projection_factorization
 
-from braidrook import _modlinalg, acceptance, burau, cellular, diagrams, linalg, matrix, tensor
-from braidrook.burau import BurauParams, projection_p, split_generators, unreduced_generator
+from braidrook import _modlinalg, acceptance, burau, cellular, diagrams, lieclosure, linalg, matrix, tensor
+from braidrook.burau import BurauParams, projection_p, unreduced_generator
 from braidrook.diagrams import (
     PartialPermutation,
     projection,
@@ -26,7 +26,7 @@ from braidrook.diagrams import (
     transposition,
 )
 from braidrook.linalg import commutant, matrix_span, span_closure, spans_equal
-from braidrook.matrix import Matrix, direct_sum, kron
+from braidrook.matrix import Matrix, kron
 from braidrook.tensor import (
     MATRIX_SIZE_BUDGET,
     braid_generators,
@@ -479,33 +479,6 @@ def test_duality_report_budget_argument():
 # -- the character certificate and its exact fallback ------------------------------
 
 
-def _split(params):
-    """burau.split_generators on the T_i of params, as the duality report
-    hands them in."""
-    return split_generators(params, [unreduced_generator(i, params) for i in range(1, params.n)])
-
-
-def _shape_bound(params, r, prime):
-    """_modlinalg.envelope_bound on the inputs the duality report gives it."""
-    gens = [Matrix.diagonal([params.q1]), *_split(params)]
-    shapes = [(lam, d) for lam, d, _ in cellular.shape_dimensions(params.n, r)]
-    return _modlinalg.envelope_bound(gens, r, shapes, prime)
-
-
-def _restricted_blocks(params, r, prime):
-    """(shape, d, the B_i restricted to W_lambda) for each shape, built
-    as _modlinalg.envelope_bound builds them."""
-    m = params.n - 1
-    q1 = _modlinalg.residues(Matrix.diagonal([params.q1]), prime).get(0, 0)
-    cols = [_modlinalg._columns(_modlinalg.residues(g, prime), m) for g in _split(params)]
-    out = []
-    for shape, _, _ in cellular.shape_dimensions(params.n, r):
-        basis, k = _modlinalg.schur_block(shape, m, prime), sum(shape)
-        scale = pow(q1, r - k, prime)
-        out.append((shape, len(basis), [_modlinalg.restrict(basis, c, scale, k, m, prime) for c in cols]))
-    return out
-
-
 def _exact_dims(n, r, params):
     return {
         "image": rook_image(_basis_ops(params, r)),
@@ -518,15 +491,15 @@ def _exact_dims(n, r, params):
 @pytest.mark.parametrize("q", [Fraction(2), Fraction(1, 2), Fraction(-2)], ids=str)
 @pytest.mark.parametrize("n,r", [(2, 2), (3, 2), (2, 3)])
 def test_sandwich_dimensions_match_exact(n, r, q):
-    # sum d_lambda^2 over the full, separated shape blocks <= envelope
-    # <= C(rook) = sum <psi_k, psi_k>, and
+    # envelope = sum d_lambda^2 <= C(rook) = sum <psi_k, psi_k>, and
     # sum C(r,k)^2 rank psi_k is the image: each number equals the exact
     # dimension it stands for
     params = BurauParams.preset(n, q)
     report = duality_report(n, r, params)
     cert = report["certificate"]
     assert cert["path"] == "character" and cert["fallback_reason"] is None
-    assert cert["prime"] == _modlinalg.SANDWICH_PRIMES[0] and cert["primes_skipped"] == []
+    # n = 2 takes the Vandermonde argument, with no prime
+    assert cert["prime"] == (_modlinalg.SANDWICH_PRIMES[0] if n > 2 else None) and cert["primes_skipped"] == []
     exact = _exact_dims(n, r, params)
     assert exact["envelope"] == exact["rook_centralizer"]
     assert exact["image"] == exact["braid_centralizer"]
@@ -536,11 +509,10 @@ def test_sandwich_dimensions_match_exact(n, r, q):
         "rook_image": exact["image"],
     }
     details = {c["name"]: c["detail"] for c in report["checks"]}
-    assert f"shape blocks mod {cert['prime']}" in details["rook_image_equals_centralizer_of_braid"]
+    how = f"Lie closure mod {cert['prime']}" if n > 2 else "distinct powers of -q"
+    assert how in details["rook_image_equals_centralizer_of_braid"]
     assert "sum <psi_k, psi_k>" in details["enveloping_equals_centralizer_of_rook_image"]
-    assert "sum d_lambda^2 over the full, separated shape blocks" in details[
-        "enveloping_equals_centralizer_of_rook_image"
-    ]
+    assert f"envelope = sum d_lambda^2 = {exact['envelope']}" in details["enveloping_equals_centralizer_of_rook_image"]
 
 
 def test_duality_n4_r3_on_the_character_path():
@@ -571,7 +543,7 @@ def test_duality_n2_r4_on_the_character_path():
     report = duality_report(2, 4, P22)
     _assert_all_pass(report)
     cert = report["certificate"]
-    assert cert["path"] == "character" and cert["prime"] == _modlinalg.SANDWICH_PRIMES[0]
+    assert cert["path"] == "character" and cert["prime"] is None
     assert cert["bounds"] == {"envelope_lower": 5, "rook_centralizer": 5, "rook_image": 70}
 
 
@@ -630,7 +602,7 @@ def _operator_failure(params, r):
     """tensor._operator_failure on P and relations(min(r, 3)), as
     duality_report calls it."""
     P = tensor.diagram_op(projection(1, 1), params, 1) if r else None
-    return tensor._operator_failure(params, r, P, relations(min(r, 3)))
+    return tensor._operator_failure(params, r, params.quantum(params.n), P, relations(min(r, 3)))
 
 
 @pytest.mark.parametrize("n,r,q", ORACLE_CASES, ids=str)
@@ -769,7 +741,7 @@ def test_homomorphism_and_commute_checks_run_on_the_r_generators(monkeypatch):
     # and s_1 p_1 s_1
     calls = _count_calls(monkeypatch, (tensor,), "_packed_product")
     callers = Counter()
-    for module in (matrix, linalg, _modlinalg, burau):
+    for module in (matrix, linalg, burau):
         real = module.sparse_product
 
         def recorded(*args, real=real):
@@ -781,8 +753,8 @@ def test_homomorphism_and_commute_checks_run_on_the_r_generators(monkeypatch):
     assert calls["_packed_product"] == 3 + 4 + 13
     # no dict product is taken for tensor: it binds no sparse_product, and
     # the sparse products left are the integer products of the split check;
-    # envelope_bound reads tr B_1 B_2 and tr B_1^2 as sums of entry
-    # products, without forming a product at (3,2)
+    # the braid side multiplies row windows, and its closure mod p takes
+    # its brackets from _modlinalg._images
     assert not hasattr(tensor, "sparse_product") and "braidrook.tensor" not in callers
     assert set(callers) == {"braidrook.burau"}
 
@@ -836,12 +808,12 @@ def _bump_psi_2(monkeypatch, column, by):
 
 def test_bumped_psi_block_takes_the_exact_path(monkeypatch):
     # psi_2 two more at the identity moves sum <psi_k, psi_k> from the
-    # envelope's 15 to 1 + 4 + (6^2 + 2^2)/2 = 25, an integer the bound
-    # misses at every listed prime
+    # envelope's 15 to 1 + 4 + (6^2 + 2^2)/2 = 25, an integer that
+    # sum d_lambda^2 does not meet
     _bump_psi_2(monkeypatch, 0, 2)
     report = duality_report(3, 2, P32)
     assert report["certificate"]["bounds"]["rook_centralizer"] == 25
-    assert _passing_on_the_exact_path(report).startswith("bounds do not meet mod ")
+    assert _passing_on_the_exact_path(report) == "envelope_lower 15 != rook_centralizer 25"
 
 
 def test_non_integral_psi_inner_product_is_named(monkeypatch):
@@ -851,13 +823,13 @@ def test_non_integral_psi_inner_product_is_named(monkeypatch):
     assert cellular.groupoid_dimensions(3, 2)[0] == Fraction(35, 2)
     report = duality_report(3, 2, P32)
     assert _passing_on_the_exact_path(report) == "sum <psi_k, psi_k> = 35/2 is not an integer"
-    assert report["certificate"]["bounds"] is None and report["certificate"]["shapes"] is None
+    assert report["certificate"]["bounds"] is None and report["certificate"]["lie"] is None
 
 
 def test_a_search_that_calls_a_miss_a_meet_takes_the_exact_path(monkeypatch):
-    # the prime search returns its bound less one, 14 of 15, as a meet:
-    # the certificate compares the numbers it records, and the exact
-    # dimensions decide the verdicts
+    # the prime search returns the closure less one, 3 of m^2 = 4, as a
+    # meet: the certificate compares the numbers it records, claims no
+    # envelope bound, and the exact dimensions decide the verdicts
     real = _modlinalg.lower_bound
 
     def lying(gens, closure, target):
@@ -866,8 +838,9 @@ def test_a_search_that_calls_a_miss_a_meet_takes_the_exact_path(monkeypatch):
 
     monkeypatch.setattr(_modlinalg, "lower_bound", lying)
     report = duality_report(3, 2, P32)
-    assert _passing_on_the_exact_path(report) == "envelope_lower 14 != rook_centralizer 15"
-    assert report["certificate"]["bounds"] == {"envelope_lower": 14, "rook_centralizer": 15, "rook_image": 7}
+    assert _passing_on_the_exact_path(report) == "closure 3 != m^2 = 4"
+    assert report["certificate"]["bounds"] == {"envelope_lower": None, "rook_centralizer": 15, "rook_image": 7}
+    assert report["certificate"]["lie"]["closure_dim"] == 3
     details = {c["name"]: c["detail"] for c in report["checks"]}
     assert details["enveloping_dimension_sum"].startswith("enveloping dim 15,")
     assert "exact dimensions" in details["enveloping_equals_centralizer_of_rook_image"]
@@ -887,239 +860,128 @@ SHAPE_ORACLE_CASES += [(5, 3, Fraction(2))]
 
 
 @pytest.mark.parametrize("n,r,q", SHAPE_ORACLE_CASES, ids=str)
-def test_shape_blocks_sum_to_the_closure_on_u(n, r, q):
-    # sum d_lambda^2 over the certified, separated blocks, the closure of
-    # the direct sum on U mod the same prime, run to saturation, and the
-    # Schur-Weyl sum of squared GL_(n-1) Weyl dimensions are one number
-    params = BurauParams.preset(n, q)
+def test_envelope_bound_is_the_closure_on_u(n, r, q):
+    # sum d_lambda^2, which the braid side proves to be the envelope's
+    # dimension, the closure of the direct sum on U mod the first listed
+    # prime, run to saturation, and the report's envelope_lower are one
+    # number
+    params, prime = BurauParams.preset(n, q), _modlinalg.SANDWICH_PRIMES[0]
     cert = duality_report(n, r, params)["certificate"]
     assert cert["path"] == "character"
-    blocks = cert["shapes"]["blocks"]
-    assert all(b["x"] is not None for b in blocks) and cert["shapes"]["failures"] == []
-    prime, u = cert["prime"], character_oracle.block_generators(params, r)
+    u = character_oracle.block_generators(params, r)
     on_u = character_oracle.closure_dim_mod([_modlinalg.residues(b, prime) for b in u], u[0].rows, prime)
-    shape_sum = sum(b["dim"] ** 2 for b in blocks)
-    assert shape_sum == on_u == _shape_sums(n, r)[1] == cert["bounds"]["envelope_lower"]
+    assert on_u == _shape_sums(n, r)[1] == cert["bounds"]["envelope_lower"]
 
 
-def test_shape_record_names_the_word_that_separates_each_pair():
-    # at (5,3), (3) and (2,1) both have dimension 20 and the same tr B_1;
-    # tr B_1 B_2 tells them apart. Each block records the x and lambda of
-    # its Norton certificate mod p = 67108859: B_1 with an eigenvalue
-    # q1^(3-j) q2^j = (-2)^j where some eigenspace is a line, else a
-    # seeded x = B_i B_j + sum_t c_t B_t with a root of its minimal
-    # polynomial on a vector
-    cert = duality_report(5, 3, BurauParams.preset(5))["certificate"]
-    p = cert["prime"]
-    assert p == 67108859
-    assert cert["shapes"] == {
-        "blocks": [
-            {"shape": "()", "dim": 1, "x": "B_1", "lambda": 1},
-            {"shape": "(1)", "dim": 4, "x": "B_1", "lambda": p - 2},
-            {"shape": "(2)", "dim": 10, "x": "B_1", "lambda": 4},
-            {
-                "shape": "(1,1)",
-                "dim": 6,
-                "x": "B_3 B_3 + 51683210 B_1 + 1469000 B_2 + 18300459 B_3 + 32805583 B_4",
-                "lambda": 43089932,
-            },
-            {"shape": "(3)", "dim": 20, "x": "B_1", "lambda": p - 8},
-            {
-                "shape": "(2,1)",
-                "dim": 20,
-                "x": "B_2 B_3 + 45232032 B_1 + 42662841 B_2 + 56998252 B_3 + 60729878 B_4",
-                "lambda": 5943495,
-            },
-            {"shape": "(1,1,1)", "dim": 4, "x": "B_1", "lambda": 1},
-        ],
-        "separated": [
-            {"pair": ["(1)", "(1,1,1)"], "by": "tr B_1"},
-            {"pair": ["(3)", "(2,1)"], "by": "tr B_1 B_2"},
-        ],
-        "failures": [],
+@pytest.mark.parametrize("n,r,q", [*SHAPE_ORACLE_CASES, (4, 4, Fraction(2))], ids=str)
+def test_every_shape_block_closes_to_d_squared(n, r, q):
+    # the shape by shape oracle: each W_lambda mod p has dimension
+    # d_lambda = gl_weyl_dim(lambda, n - 1) and is kept by every B_i, the
+    # B_i restricted to it close to all d^2 of End(W_lambda), and the d^2
+    # sum to the report's envelope_lower
+    params, prime = BurauParams.preset(n, q), _modlinalg.SANDWICH_PRIMES[0]
+    blocks = character_oracle.shape_blocks(params, r, prime)
+    assert [d for _, d, _ in blocks] == [d for _, d, _ in cellular.shape_dimensions(n, r)]
+    assert all(None not in block for *_, block in blocks)
+    closures = [character_oracle.closure_dim_mod(block, d, prime, d * d) for _, d, block in blocks]
+    assert closures == [d * d for _, d, _ in blocks]
+    assert sum(closures) == duality_report(n, r, params)["certificate"]["bounds"]["envelope_lower"]
+
+
+def test_bumped_tangent_misses_m_squared_at_every_listed_prime(monkeypatch):
+    # h_2 = -b e_21 + e_22 at n = 3 with its entry (2, 1) raised by b: both
+    # tangents are upper triangular, so they close to 3 of m^2 = 4 mod every
+    # prime; no envelope bound is claimed, and the exact path passes
+    character = duality_report(3, 2, P32)
+    real = tensor.tangent_generators
+
+    def bumped(n, q):
+        h_1, h_2 = real(n, q)
+        return [h_1, h_2 + Matrix(2, 2, {2: 1 / (1 + q)})]
+
+    monkeypatch.setattr(tensor, "tangent_generators", bumped)
+    report = duality_report(3, 2, P32)
+    primes = _modlinalg.SANDWICH_PRIMES
+    assert _passing_on_the_exact_path(report) == "bounds do not meet mod " + " or ".join(map(str, primes))
+    cert = report["certificate"]
+    assert cert["bounds"]["envelope_lower"] is None
+    assert cert["lie"]["prime"] == primes[0] and (cert["lie"]["closure_dim"], cert["lie"]["ceiling"]) == (3, 4)
+    assert _verdicts(report) == _verdicts(character)
+
+
+def test_bumped_reduced_generator_fails_the_h_check(monkeypatch):
+    # R_2 handed on by the split check with entry (2, 2) raised by one:
+    # R_2 = q1 H_2(-q) fails, and no closure runs; the T_i on E^(x r) are
+    # untouched, so the exact path passes
+    real = tensor.split_generators
+
+    def bumped(p, ts):
+        r_1, r_2 = real(p, ts)
+        return [r_1, r_2 + unit(2, 1, 1)]
+
+    monkeypatch.setattr(tensor, "split_generators", bumped)
+    report = duality_report(3, 2, P32)
+    assert _passing_on_the_exact_path(report) == "R_2 != q1 H_2(-q)"
+    lie = report["certificate"]["lie"]
+    assert [(c["name"], c["status"]) for c in lie["checks"]] == [("infinite_order", "pass"), ("h_at_minus_q", "fail")]
+    assert lie["prime"] is None and lie["closure_dim"] is None
+
+
+def test_bumped_h_window_fails_the_homomorphism_check(monkeypatch):
+    # the left entry of every window raised by z + q, which is 0 at z = -q:
+    # R_i = q1 H_i(-q) still holds, but row i of H_i(2) H_i(2) has the
+    # left entry 3 (2 + q - b) against 4 + q - 3b in H_i(4)
+    real = tensor.h_window
+
+    def bumped(z, c):
+        left, mid, right = real(z, c)
+        return left + z + c.q, mid, right
+
+    monkeypatch.setattr(tensor, "h_window", bumped)
+    report = duality_report(4, 2, BurauParams.preset(4))
+    assert _passing_on_the_exact_path(report) == "H_i(2) H_i(2) != H_i(4)"
+    lie = report["certificate"]["lie"]
+    assert [c["status"] for c in lie["checks"]] == ["pass", "pass", "fail"] and lie["closure_dim"] is None
+
+
+@pytest.mark.parametrize("q1,q2", [(1, -1), (1, 1)], ids=["q=1", "q=-1"])
+def test_finite_order_minus_q_is_refused_by_name(q1, q2):
+    # -q = +-1 gives finitely many H_i((-q)^k), so the Zariski argument
+    # does not apply: no closure runs, and the exact dimensions fail the
+    # same four identities as before the refusal
+    params = BurauParams.degenerate(3, q1, q2)
+    report = duality_report(3, 2, params)
+    cert = report["certificate"]
+    assert cert["path"] == "exact" and cert["fallback_reason"] == f"-q = {-params.q} has finite order"
+    assert cert["prime"] is None and cert["bounds"]["envelope_lower"] is None
+    assert [c["status"] for c in cert["lie"]["checks"]] == ["fail"]
+    assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == {
+        "enveloping_equals_centralizer_of_rook_image",
+        "rook_image_equals_centralizer_of_braid",
+        "centralizer_dimension_sum",
+        "enveloping_dimension_sum",
     }
 
 
-def _bump_the_last_slot(monkeypatch):
-    # R_i with entry (1, 1) one larger in the last slot alone: no longer a
-    # tensor power, so it need not keep W_lambda for k >= 2
-    real = _modlinalg._slot_apply
-
-    def bumped(v, cols, w, m, p):
-        if w == 1:
-            column = dict(cols.get(0, ()))
-            column[0] = column.get(0, 0) + 1
-            cols = {**cols, 0: list(column.items())}
-        return real(v, cols, w, m, p)
-
-    monkeypatch.setattr(_modlinalg, "_slot_apply", bumped)
-
-
-def _list_a_shape_twice(monkeypatch):
-    # (2), of dimension 3, twice: the standard basis test finds the copies
-    # isomorphic
-    real = _modlinalg.envelope_bound
-    monkeypatch.setattr(_modlinalg, "envelope_bound", lambda g, r, shapes, p: real(g, r, [*shapes, shapes[2]], p))
-
-
-def _symmetrize_the_wrong_shape(monkeypatch):
-    # W_(2) built from the symmetrizer of (1,1): dimension 1, not 3
-    real = _modlinalg.schur_block
-    monkeypatch.setattr(_modlinalg, "schur_block", lambda shape, m, p: real((1, 1) if shape == (2,) else shape, m, p))
-
-
-@pytest.mark.parametrize(
-    "control,bound,failures",
-    [
-        (_bump_the_last_slot, 5, ["W_(2) is not invariant", "W_(1,1) is not invariant"]),
-        (_list_a_shape_twice, 6, ["W_(2) and W_(2) are not separated"]),
-        (_symmetrize_the_wrong_shape, 6, ["dim W_(2) = 1, not 3"]),
-    ],
-    ids=lambda x: getattr(x, "__name__", None),
-)
-def test_shape_controls_miss_at_every_listed_prime(monkeypatch, control, bound, failures):
-    # each broken block drops out of the bound, which then misses at every
-    # listed prime; the exact path gives the character path's verdicts
-    character = duality_report(3, 2, P32)
-    control(monkeypatch)
-    report = duality_report(3, 2, P32)
+def test_n2_powers_that_coincide_take_the_exact_path():
+    # at n = 2 and q = 1, g = q1^-1 R_1 = -1: g^0 and g^1 are distinct, so
+    # r = 1 stays on the character path, but g^0 = g^2 at r = 2, where the
+    # envelope on U has dimension 2 of sum d_lambda^2 = 3
+    params = BurauParams.degenerate(2, 1, -1)
+    cert = duality_report(2, 1, params)["certificate"]
+    assert cert["path"] == "character" and cert["lie"]["checks"][0]["status"] == "pass"
+    report = duality_report(2, 2, params)
     cert = report["certificate"]
-    primes = _modlinalg.SANDWICH_PRIMES
-    assert cert["path"] == "exact" and cert["prime"] == primes[0]
-    assert cert["fallback_reason"] == "bounds do not meet mod " + " or ".join(map(str, primes))
-    assert cert["bounds"]["envelope_lower"] == bound and cert["shapes"]["failures"] == failures
-    assert report["all_pass"] and _verdicts(report) == _verdicts(character)
-
-
-NORTON_CASES = [(n, r, q) for n, r in acceptance.DUALITY_GRID for q in acceptance.DUALITY_QS]
-NORTON_CASES += [(5, 3, Fraction(2)), (4, 4, Fraction(2))]
-
-
-@pytest.mark.parametrize("n,r,q", NORTON_CASES, ids=str)
-def test_a_block_is_certified_exactly_when_its_closure_reaches_d_squared(n, r, q):
-    # Norton's test against the d^2 closure it replaced, on every block
-    params, prime = BurauParams.preset(n, q), _modlinalg.SANDWICH_PRIMES[0]
-    _, record = _shape_bound(params, r, prime)
-    for (shape, d, block), b in zip(_restricted_blocks(params, r, prime), record["blocks"], strict=True):
-        closure = character_oracle.closure_dim_mod(block, d, prime, d * d)
-        assert (b["x"] is not None) == (closure == d * d), shape
-
-
-@pytest.mark.parametrize(
-    "params,r,certified",
-    [
-        # the braid action factors through S_3 at q = 1
-        (BurauParams.degenerate(3, 1, -1), 2, [True, True, False, True]),
-        (BurauParams.degenerate(3, 1, -1), 3, [True, True, False, True, False, True]),
-        # q2 = 0 mod p: every R_i is singular there
-        (BurauParams.preset(3, _modlinalg.SANDWICH_PRIMES[0]), 2, [True, False, False, True]),
-    ],
-    ids=["q=1-(3,2)", "q=1-(3,3)", "q2=0-(3,2)"],
-)
-def test_norton_drops_exactly_the_blocks_whose_closure_falls_short(params, r, certified):
-    prime = _modlinalg.SANDWICH_PRIMES[0]
-    _, record = _shape_bound(params, r, prime)
-    assert [b["x"] is not None for b in record["blocks"]] == certified
-    for (shape, d, block), full in zip(_restricted_blocks(params, r, prime), certified, strict=True):
-        assert (character_oracle.closure_dim_mod(block, d, prime, d * d) == d * d) == full, shape
-
-
-def test_a_direct_sum_handed_in_as_one_block_is_not_certified():
-    # with R_i (+) R_i as the generators, W_(1) at r = 1 is the block
-    # W_(1) (+) W_(1) of n = 4: every x of its algebra acts twice, so no
-    # x - lambda has a 1-dimensional kernel, and it closes to 9 of 36
-    params, prime = BurauParams.preset(4), _modlinalg.SANDWICH_PRIMES[0]
-    doubled = [direct_sum([g, g]) for g in _split(params)]
-    bound, record = _modlinalg.envelope_bound([Matrix.diagonal([params.q1]), *doubled], 1, [((), 1), ((1,), 6)], prime)
-    assert bound == 1 and record["blocks"][1] == {"shape": "(1)", "dim": 6, "x": None, "lambda": None}
-    block = [_modlinalg.residues(g, prime) for g in doubled]
-    assert character_oracle.closure_dim_mod(block, 6, prime) == 9
-
-
-def test_standard_basis_separates_the_pairs_that_no_trace_does(monkeypatch):
-    # with no trace words, the standard basis test tells (1) from (1,1,1)
-    # and (3) from (2,1) at (5,3), and the certificate still meets
-    monkeypatch.setattr(_modlinalg, "TRACE_WORDS", ())
-    cert = duality_report(5, 3, BurauParams.preset(5))["certificate"]
-    assert cert["path"] == "character" and cert["shapes"]["failures"] == []
-    assert cert["shapes"]["separated"] == [
-        {"pair": ["(1)", "(1,1,1)"], "by": "standard basis"},
-        {"pair": ["(3)", "(2,1)"], "by": "standard basis"},
-    ]
-
-
-def test_standard_basis_ties_the_blocks_that_q1_makes_isomorphic():
-    # at q = 1 the braid action on W_(1) and on W_(2,1) at (3,3) is the
-    # 2-dimensional irreducible representation of S_3 both times: the
-    # traces agree, the standard basis test finds them isomorphic, and
-    # both drop out
-    bound, record = _shape_bound(BurauParams.degenerate(3, 1, -1), 3, _modlinalg.SANDWICH_PRIMES[0])
-    assert bound == 2 and record["failures"] == ["W_(1) and W_(2,1) are not separated"]
-    assert record["separated"] == [{"pair": ["()", "(1,1)"], "by": "tr B_1"}, {"pair": ["(1)", "(2,1)"], "by": None}]
-
-
-def test_standard_basis_finds_a_conjugate_block_isomorphic():
-    # W_(2,1) at (4,3), d = 8, against its conjugate by an invertible
-    # matrix, and against a copy with one entry of B_2 moved
-    rng, prime = random.Random(7), _modlinalg.SANDWICH_PRIMES[0]
-    params = BurauParams.preset(4)
-    shape, d, block = next(b for b in _restricted_blocks(params, 3, prime) if b[0] == (2, 1))
-    certificate = _modlinalg._norton(block, d, prime, [])
-    assert certificate is not None
-    # g unitriangular with integer entries, so g^-1 is an integer matrix
-    g = Matrix(d, d, {i * d + j: rng.randint(-3, 3) if j > i else 1 for i in range(d) for j in range(i, d)})
-    g, g_inv = _modlinalg.residues(g, prime), _modlinalg.residues(invert(g), prime)
-    conjugate = [_modlinalg._evaluate([(1, (0, 1, 2))], [g_inv, x, g], d, prime) for x in block]
-    assert _modlinalg._isomorphic(block, certificate, conjugate, d, prime)
-    moved = [dict(x) for x in block]
-    moved[1][0] = (moved[1].get(0, 0) + 1) % prime
-    assert not _modlinalg._isomorphic(block, certificate, moved, d, prime)
-
-
-def test_a_spin_one_vector_short_drops_its_block(monkeypatch):
-    # the spins of W_(2), d = 3, at (3,2) stop one vector short: the block
-    # drops out, and the bound misses its 9 at every listed prime
-    real = _modlinalg._spin
-
-    def short(cols, v, d, p):
-        vectors, words = real(cols, v, d, p)
-        return (vectors[:-1], words[:-1]) if d == 3 else (vectors, words)
-
-    monkeypatch.setattr(_modlinalg, "_spin", short)
-    bound, record = _shape_bound(P32, 2, _modlinalg.SANDWICH_PRIMES[0])
-    assert bound == 6 and [b["x"] is not None for b in record["blocks"]] == [True, True, False, True]
-    report = duality_report(3, 2, P32)
-    assert _passing_on_the_exact_path(report).startswith("bounds do not meet mod ")
-
-
-def _poly_product(*factors):
-    out = [1]
-    for f in factors:
-        out = [sum(out[i] * f[k - i] for i in range(len(out)) if 0 <= k - i < len(f)) for k in range(len(out) + len(f) - 1)]
-    return out
-
-
-def test_roots_are_the_distinct_roots_in_f_p():
-    # (X - 1)^2 (X - 5) (X + 7) (X^2 + 1) mod p = 3 mod 4, where X^2 + 1
-    # has no root
-    p = _modlinalg.SANDWICH_PRIMES[0]
-    assert p % 4 == 3
-    f = [x % p for x in _poly_product([-1, 1], [-1, 1], [-5, 1], [7, 1], [1, 0, 1])]
-    for seed in range(4):
-        assert sorted(_modlinalg._roots(f, p, random.Random(seed))) == [1, 5, p - 7]
-    assert _modlinalg._roots([1, 0, 1], p, random.Random(0)) == []
-
-
-def test_kernel_is_returned_only_when_it_is_a_line():
-    # x = [[2, 1, 0], [0, 2, 0], [0, 0, 3]]: x - 2 has the kernel e_0 and
-    # its transpose e_1; x - 3 has e_2 both ways; x - 5 is invertible
-    p, x = 7, {0: 2, 1: 1, 4: 2, 8: 3}
-    assert _modlinalg._kernel(x, 2, 3, p) == {0: 1}
-    assert _modlinalg._kernel(x, 2, 3, p, transpose=True) == {1: 1}
-    assert _modlinalg._kernel(x, 3, 3, p) == {2: 1}
-    assert _modlinalg._kernel(x, 5, 3, p) is None
-    # 2I + e_01 on 4 x 4 has a 3-dimensional kernel at 2
-    assert _modlinalg._kernel({0: 2, 1: 1, 5: 2, 10: 2, 15: 2}, 2, 4, p) is None
+    assert cert["path"] == "exact" and cert["fallback_reason"] == "g^0 = g^2, g = q1^-1 R_1 = -1"
+    assert cert["prime"] is None and cert["bounds"]["envelope_lower"] is None
+    assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == {
+        "enveloping_equals_centralizer_of_rook_image",
+        "rook_image_equals_centralizer_of_braid",
+        "centralizer_dimension_sum",
+        "enveloping_dimension_sum",
+    }
+    details = {c["name"]: c["detail"] for c in report["checks"]}
+    assert details["enveloping_dimension_sum"].startswith("enveloping dim 2,")
 
 
 def _bumped(c):
@@ -1236,7 +1098,7 @@ def test_doubled_stored_q_fails_commute_and_both_equalities(n, r):
     bumped = copy.copy(params)
     object.__setattr__(bumped, "_q", 2 * params.q)
     P = diagram_op(projection(1, 1), bumped, 1)
-    assert tensor._operator_failure(bumped, r, P, relations(min(r, 3))) is None
+    assert tensor._operator_failure(bumped, r, bumped.quantum(n), P, relations(min(r, 3))) is None
     assert _failing_on_the_exact_path(duality_report(n, r, bumped)) == COMMUTE_AND_BOTH_EQUALITIES
     assert duality_report(n, r, params)["all_pass"]
 
@@ -1392,38 +1254,43 @@ def test_zero_z_takes_the_exact_path():
 @pytest.mark.parametrize(
     "primes,reason",
     [
-        ([2], "every listed prime divides a denominator"),
-        ([2, 3], "bounds do not meet mod 3"),  # q = 1/2 is -1 mod 3
+        ([3], "every listed prime divides a denominator"),
+        ([3, 2], "bounds do not meet mod 2"),  # a = 1/3 is 1 and b = 2/3 is 0 mod 2
     ],
 )
 def test_forced_sandwich_miss_takes_exact_path(monkeypatch, primes, reason):
-    # at q = 1/2 the generators have q2 = -1/2 among their entries
+    # at q = 1/2 the tangents have a = 1/3 and b = 2/3 among their entries
     params = BurauParams.preset(3, Fraction(1, 2))
     character = duality_report(3, 2, params)
     monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", primes)
     exact = duality_report(3, 2, params)
     cert = exact["certificate"]
     assert cert["path"] == "exact" and cert["fallback_reason"] == reason
-    assert cert["primes_skipped"] == [2]
+    assert cert["primes_skipped"] == [3]
     assert exact["all_pass"]
     assert _verdicts(exact) == _verdicts(character)
     details = {c["name"]: c["detail"] for c in exact["checks"]}
     assert reason in details["rook_image_equals_centralizer_of_braid"]
 
 
-def test_prime_where_the_generators_are_singular_is_tried(monkeypatch):
-    # at q = 2 the generators are integral, so 2 is tried, but mod 2 the
-    # symmetrizer of (2) spans 1 dimension, not 3, and det R_i = q1 q2 = -2
-    # leaves W_(1) at 3 of 4: the blocks () and (1,1) alone count, 2 of the
-    # envelope's 15
+def test_prime_where_the_tangents_are_triangular_is_tried(monkeypatch):
+    # at q = 2 the tangents are 2-integral, so 2 is tried, but a = 2/3 is 0
+    # mod 2: h_1 = e_11 and h_2 = e_21 + e_22 are lower triangular and close
+    # to 3 of 4. No envelope bound is claimed, and the two character
+    # dimensions, which do not depend on the prime, are the exact ones
     character = duality_report(3, 2, P32)
     second = _modlinalg.SANDWICH_PRIMES[0]
     monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", [2])
     exact = duality_report(3, 2, P32)
     cert = exact["certificate"]
     assert cert["path"] == "exact" and cert["fallback_reason"] == "bounds do not meet mod 2"
-    assert cert["primes_skipped"] == [] and cert["bounds"]["envelope_lower"] == 2
-    assert cert["shapes"]["failures"] == ["dim W_(2) = 1, not 3"]
+    assert cert["primes_skipped"] == [] and cert["lie"]["closure_dim"] == 3
+    dims = _exact_dims(3, 2, P32)
+    assert cert["bounds"] == {
+        "envelope_lower": None,
+        "rook_centralizer": dims["rook_centralizer"],
+        "rook_image": dims["image"],
+    }
     assert exact["all_pass"] and _verdicts(exact) == _verdicts(character)
     monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", [2, second])
     cert = duality_report(3, 2, P32)["certificate"]
@@ -1432,16 +1299,18 @@ def test_prime_where_the_generators_are_singular_is_tried(monkeypatch):
 
 
 def test_miss_at_one_prime_moves_on_to_the_next(monkeypatch):
-    monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", [3, 5])
+    # 3 divides the denominator of a = 2/3 and is skipped; the closure
+    # misses mod 2 and meets mod 5
+    monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", [3, 2, 5])
     cert = duality_report(3, 2, P32)["certificate"]
-    assert cert["path"] == "character" and cert["prime"] == 5
+    assert cert["path"] == "character" and cert["prime"] == 5 and cert["primes_skipped"] == [3]
     assert cert["bounds"]["envelope_lower"] == 15
 
 
 def test_miss_at_the_first_real_prime_moves_on_to_the_next():
-    # q = P0 makes q2 = -q vanish mod P0: no denominator is divisible by
-    # P0, but det R_i = q1 q2 makes every R_i singular there and the shape
-    # bound falls short; the next listed prime meets
+    # q = P0 makes a = q/(1+q) vanish mod P0: no denominator is divisible
+    # by P0, but the tangents are lower triangular there and close to 3 of
+    # 4; the next listed prime meets
     primes = _modlinalg.SANDWICH_PRIMES
     params = BurauParams.preset(3, primes[0])
     report = duality_report(3, 2, params)
@@ -1450,32 +1319,32 @@ def test_miss_at_the_first_real_prime_moves_on_to_the_next():
     assert cert["path"] == "character" and cert["prime"] == primes[1]
     assert cert["primes_skipped"] == [] and cert["fallback_reason"] is None
     assert cert["bounds"] == {"envelope_lower": 15, "rook_centralizer": 15, "rook_image": 7}
-    assert _shape_bound(params, 2, primes[0])[0] == 2
+    assert cert["lie"]["closure_dim"] == 4
+    assert _modlinalg.bracket_closure_dim_mod(lieclosure.tangent_generators(3, params.q), primes[0], 4) == 3
 
 
-@pytest.mark.parametrize("primes", [[3, 5], [5, 3]])
+@pytest.mark.parametrize("primes", [[5, 7], [7, 5]])
 def test_largest_lower_bound_is_kept(monkeypatch, primes):
-    # the shape bound cut down to 14 mod 3, where it is 13 already, and to
-    # 12 mod 5, where it is 15: both miss
-    real = _modlinalg.envelope_bound
-    cut = {3: 14, 5: 12}
+    # the closure cut down to 3 mod 5 and to 2 mod 7: both miss m^2 = 4, and
+    # the record keeps 3, mod 5
+    real = _modlinalg.bracket_closure_dim_mod
+    cut = {5: 3, 7: 2}
 
-    def short(gens, r, shapes, p):
-        bound, record = real(gens, r, shapes, p)
-        return min(bound, cut[p]), record
+    def short(gens, p, ceiling):
+        return min(real(gens, p, ceiling), cut[p])
 
     monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", primes)
-    monkeypatch.setattr(_modlinalg, "envelope_bound", short)
+    monkeypatch.setattr(_modlinalg, "bracket_closure_dim_mod", short)
     cert = duality_report(3, 2, P32)["certificate"]
-    assert cert["path"] == "exact" and cert["prime"] == 3
-    assert cert["bounds"]["envelope_lower"] == 13
+    assert cert["path"] == "exact" and cert["prime"] == 5
+    assert cert["lie"]["closure_dim"] == 3 and cert["bounds"]["envelope_lower"] is None
     assert cert["fallback_reason"] == f"bounds do not meet mod {primes[0]} or {primes[1]}"
 
 
 def test_q1_control_is_a_real_failure_on_the_exact_path(monkeypatch):
     # at q = 1 the braid action factors through S_3, so its centralizer
-    # outgrows the rook image: the closure (6) never meets the character
-    # dimension (15), and the exact dimensions fail both identities
+    # outgrows the rook image: -q = -1 has finite order, which the braid
+    # side refuses by name, and the exact dimensions fail both identities
     # although the actions commute; the character path builds P on one
     # slot and the 3 letters of the relations, the exact path all 7 basis
     # operators on E^(x 2)
@@ -1490,10 +1359,9 @@ def test_q1_control_is_a_real_failure_on_the_exact_path(monkeypatch):
     report = duality_report(3, 2, BurauParams.degenerate(3, 1, -1))
     assert built[0] == projection(1, 1) and len(built) == 1 + 3 + 7
     cert = report["certificate"]
-    primes = _modlinalg.SANDWICH_PRIMES
-    assert cert["path"] == "exact" and cert["prime"] == primes[0]
-    assert cert["bounds"] == {"envelope_lower": 6, "rook_centralizer": 15, "rook_image": 7}
-    assert cert["fallback_reason"] == "bounds do not meet mod " + " or ".join(map(str, primes))
+    assert cert["path"] == "exact" and cert["prime"] is None
+    assert cert["bounds"] == {"envelope_lower": None, "rook_centralizer": 15, "rook_image": 7}
+    assert cert["fallback_reason"] == "-q = -1 has finite order"
     status = {c["name"]: c["status"] for c in report["checks"]}
     assert status["actions_commute"] == "pass"
     assert status["rook_image_equals_centralizer_of_braid"] == "fail"
@@ -1501,46 +1369,36 @@ def test_q1_control_is_a_real_failure_on_the_exact_path(monkeypatch):
     assert status["enveloping_dimension_sum"] == "fail"  # 6 against 15
 
 
-def test_q1_control_closure_reads_6_at_every_listed_prime():
-    # the miss is the theory's, not a prime's: at q = 1 the braid action
-    # factors through S_3, W_(2) = Sym^2 F closes to 5 of 9 and has no
-    # Norton certificate, and the bound is the three certified blocks,
-    # 1 + 4 + 1, at every listed prime
+def test_q1_control_block_closures_fall_short_at_every_listed_prime():
+    # the refusal is the theory's, not a prime's: at q = 1 the braid action
+    # factors through S_3, and W_(2) = Sym^2 F closes to 5 of its 9 at every
+    # listed prime
     params = BurauParams.degenerate(3, 1, -1)
     for p in _modlinalg.SANDWICH_PRIMES:
-        bound, record = _shape_bound(params, 2, p)
-        assert bound == 6 and [b["x"] is not None for b in record["blocks"]] == [True, True, False, True]
-        closures = [character_oracle.closure_dim_mod(block, d, p) for _, d, block in _restricted_blocks(params, 2, p)]
-        assert closures == [1, 4, 5, 1] and record["failures"] == []
+        blocks = character_oracle.shape_blocks(params, 2, p)
+        assert [character_oracle.closure_dim_mod(block, d, p) for _, d, block in blocks] == [1, 4, 5, 1]
 
 
-def test_closure_stops_at_the_rook_centralizer_dimension(monkeypatch):
-    # at (4,2) the certificate makes 107 adds: 22 to span the four W_lambda
-    # (1 + 3 + 9 + 9 symmetrized tensors) and 85 in Norton's test, the
-    # eliminations of B_1 - lambda and of its transpose and the two spins
-    # of each block; the closures of the same blocks, which the test
-    # replaced, make 169 adds run on to saturation (character_oracle, which
-    # multiplies by each generator unshifted) and sum to rook_cent = 55.
-    # Images that are zero mod p are never added, so these are the adds of
-    # nonzero images only
+def test_lie_closure_makes_fewer_adds_than_the_shape_blocks(monkeypatch):
+    # at (4,2) the certificate makes 13 adds, all in the closure of
+    # the three 3 x 3 tangents, which stops once it holds the four
+    # Chevalley units; spanning the four W_lambda of the shape by shape
+    # bound takes 22 adds (1 + 3 + 9 + 9 symmetrized tensors), and their
+    # closures, run on to saturation, 169 more, summing to 55. Images that
+    # are zero mod p are never added, so these are the adds of nonzero
+    # images only
     calls = _count_calls(monkeypatch, (_modlinalg,), "_echelon_add")
     params = BurauParams.preset(4)
     cert = duality_report(4, 2, params)["certificate"]
-    assert cert["path"] == "character"
+    assert cert["path"] == "character" and cert["lie"]["closure_dim"] == 9
     assert cert["bounds"]["envelope_lower"] == cert["bounds"]["rook_centralizer"] == 55
-    assert calls["_echelon_add"] == 107
-    prime, m = cert["prime"], 3
-    gens = [_modlinalg.residues(g, prime) for g in _split(params)]
-    cols = [{b: [(a, g[a * m + b]) for a in range(m) if a * m + b in g] for b in range(m)} for g in gens]
+    assert calls["_echelon_add"] == 13
     calls.clear()
-    blocks = [_modlinalg.schur_block(shape, m, prime) for shape in [(), (1,), (2,), (1, 1)]]
+    prime = cert["prime"]
+    blocks = character_oracle.shape_blocks(params, 2, prime)
     assert calls["_echelon_add"] == 22
     calls.clear()
-    dims = []
-    for shape, basis in zip([(), (1,), (2,), (1, 1)], blocks):
-        restricted = [_modlinalg.restrict(basis, c, 1, sum(shape), m, prime) for c in cols]
-        dims.append(character_oracle.closure_dim_mod(restricted, len(basis), prime))
-    assert dims == [1, 9, 36, 9]
+    assert [character_oracle.closure_dim_mod(block, d, prime) for _, d, block in blocks] == [1, 9, 36, 9]
     assert calls["_echelon_add"] == 169
 
 
@@ -1609,6 +1467,15 @@ def test_duality_report_builds_each_braid_generator_once(monkeypatch, n):
     assert calls == Counter(unreduced_generator=n - 1)
 
 
+@pytest.mark.parametrize("n,r", [(3, 2), (4, 3)])
+def test_duality_report_computes_z_once(monkeypatch, n, r):
+    # the certificate and the relation check read the report's z = [n]_q
+    calls = _count_calls(monkeypatch, (BurauParams,), "quantum")
+    report = duality_report(n, r, BurauParams.preset(n))
+    assert report["certificate"]["path"] == "character" and report["all_pass"]
+    assert calls == Counter(quantum=1)
+
+
 def test_exact_path_reuses_the_braid_generators(monkeypatch):
     # the q = 1 control ends on the exact path, whose commute check,
     # commutant and closure run on one build of the T_i^(x r)
@@ -1616,18 +1483,6 @@ def test_exact_path_reuses_the_braid_generators(monkeypatch):
     report = duality_report(3, 2, BurauParams.degenerate(3, 1, -1))
     assert report["certificate"]["path"] == "exact"
     assert calls["braid_generators"] == 1
-
-
-def test_bounds_bracket_exact_dims_at_unlucky_prime(monkeypatch):
-    # mod 3, where q = 2 = -1, the blocks () and (1,1) tie (B_i acts on both
-    # as 1) and the bound of 13 falls short of the envelope; the two
-    # character dimensions do not depend on the prime
-    monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", [3])
-    bounds = duality_report(3, 2, P32)["certificate"]["bounds"]
-    exact = _exact_dims(3, 2, P32)
-    assert bounds["envelope_lower"] == 13 < exact["envelope"] == 15
-    assert bounds["rook_centralizer"] == exact["rook_centralizer"]
-    assert bounds["rook_image"] == exact["image"]
 
 
 # -- Schur algebra ----------------------------------------------------------------------
