@@ -26,7 +26,7 @@ from braidrook.diagrams import (
     transposition,
 )
 from braidrook.linalg import commutant, matrix_span, span_closure, spans_equal
-from braidrook.matrix import Matrix, kron
+from braidrook.matrix import Matrix, direct_sum, kron
 from braidrook.tensor import (
     MATRIX_SIZE_BUDGET,
     braid_generators,
@@ -888,6 +888,86 @@ def test_every_shape_block_closes_to_d_squared(n, r, q):
     assert sum(closures) == duality_report(n, r, params)["certificate"]["bounds"]["envelope_lower"]
 
 
+# the two checks that read d_lambda off the shape table
+_WEYL_SUMS = ("enveloping_dimension_sum", "weyl_times_cell_dimension_sum")
+
+
+def _list_a_shape_twice(table):
+    # (2), of dimension 3, twice: sum d^2 = 15 + 9
+    return [*table, table[2]]
+
+
+def _drop_the_last_shape(table):
+    # (1,1), of dimension 1, left out: sum d^2 = 15 - 1
+    return table[:-1]
+
+
+def _give_w2_dimension_1(table):
+    # d_(2) read as 1, not 3: sum d^2 = 15 - 9 + 1
+    return [(shape, 1 if shape == (2,) else d, c) for shape, d, c in table]
+
+
+@pytest.mark.parametrize(
+    "control,bound,failures",
+    [
+        (_list_a_shape_twice, 24, {"centralizer_dimension_sum", *_WEYL_SUMS}),
+        (_drop_the_last_shape, 14, {"centralizer_dimension_sum", *_WEYL_SUMS}),
+        (_give_w2_dimension_1, 7, set(_WEYL_SUMS)),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_a_wrong_shape_table_misses_the_rook_centralizer(monkeypatch, control, bound, failures):
+    # the braid side proves that the envelope has dimension sum d^2 over
+    # the shape table, and holds here; a table that is wrong gives a sum
+    # that misses sum <psi_k, psi_k> = 15, so the report takes the exact
+    # path, where the exact envelope, 15, fails the same sum
+    real = tensor.shape_dimensions
+    monkeypatch.setattr(tensor, "shape_dimensions", lambda n, r: control(real(n, r)))
+    report = duality_report(3, 2, P32)
+    cert = report["certificate"]
+    assert cert["path"] == "exact" and cert["fallback_reason"] == f"envelope_lower {bound} != rook_centralizer 15"
+    assert cert["bounds"] == {"envelope_lower": bound, "rook_centralizer": 15, "rook_image": 7}
+    assert cert["prime"] == _modlinalg.SANDWICH_PRIMES[0] and cert["lie"]["closure_dim"] == 4
+    assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == failures
+    details = {c["name"]: c["detail"] for c in report["checks"]}
+    assert details["enveloping_dimension_sum"] == f"enveloping dim 15, sum of squared GL_(n-1) Weyl dims {bound}"
+
+
+def test_a_direct_sum_handed_in_as_one_block_is_not_certified():
+    # with R_i (+) R_i at n = 4, the block W_(1) (+) W_(1) of dimension 6:
+    # every element acts twice, so neither the tangents h_i (+) h_i under
+    # brackets nor the R_i (+) R_i under products get past the 9 of a
+    # single copy, against a ceiling of 36
+    params, prime = BurauParams.preset(4), _modlinalg.SANDWICH_PRIMES[0]
+    tangents = lieclosure.tangent_generators(4, params.q)
+    assert _modlinalg.bracket_closure_dim_mod(tangents, prime, 9) == 9
+    doubled = [direct_sum([h, h]) for h in tangents]
+    assert _modlinalg.bracket_closure_dim_mod(doubled, prime, 36) == 9
+    reds = burau.split_generators(params, [unreduced_generator(i, params) for i in range(1, 4)])
+    block = [_modlinalg.residues(direct_sum([g, g]), prime) for g in reds]
+    assert character_oracle.closure_dim_mod(block, 6, prime) == 9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_lie_record_holds_the_prime_the_closure_and_each_check(n):
+    # q = 2: for n = 2 the one check is on the powers of g = -q, and no
+    # closure runs; for n >= 3 the three exact checks pass and the closure
+    # meets m^2 at the first listed prime
+    m = n - 1
+    lie = duality_report(n, 2, BurauParams.preset(n))["certificate"]["lie"]
+    if n == 2:
+        checks = [("powers_distinct", "g^k distinct for k = 0..2, g = q1^-1 R_1 = -2")]
+        assert (lie["prime"], lie["closure_dim"], lie["ceiling"]) == (None, None, 1)
+    else:
+        checks = [
+            ("infinite_order", "-q = -2 has infinite order"),
+            ("h_at_minus_q", f"R_i = q1 H_i(-q) for i = 1..{m}"),
+            ("homomorphism", "H_i(z) H_i(w) = H_i(zw) at z, w in {2, 3}"),
+        ]
+        assert (lie["prime"], lie["closure_dim"], lie["ceiling"]) == (_modlinalg.SANDWICH_PRIMES[0], m * m, m * m)
+    assert lie["checks"] == [{"name": name, "status": "pass", "detail": detail} for name, detail in checks]
+
+
 def test_bumped_tangent_misses_m_squared_at_every_listed_prime(monkeypatch):
     # h_2 = -b e_21 + e_22 at n = 3 with its entry (2, 1) raised by b: both
     # tangents are upper triangular, so they close to 3 of m^2 = 4 mod every
@@ -1305,6 +1385,27 @@ def test_miss_at_one_prime_moves_on_to_the_next(monkeypatch):
     cert = duality_report(3, 2, P32)["certificate"]
     assert cert["path"] == "character" and cert["prime"] == 5 and cert["primes_skipped"] == [3]
     assert cert["bounds"]["envelope_lower"] == 15
+
+
+def test_bounds_bracket_exact_dims_at_unlucky_prime(monkeypatch):
+    # with 3 the only listed prime, which divides the denominator of
+    # a = 2/3, no closure runs and no envelope bound is claimed; the three
+    # exact checks still pass, and the two character dimensions, which do
+    # not depend on the prime, are the exact ones
+    character = duality_report(3, 2, P32)
+    monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", [3])
+    report = duality_report(3, 2, P32)
+    assert _passing_on_the_exact_path(report) == "every listed prime divides a denominator"
+    cert = report["certificate"]
+    assert cert["prime"] is None and cert["primes_skipped"] == [3]
+    assert cert["lie"]["closure_dim"] is None and [c["status"] for c in cert["lie"]["checks"]] == ["pass"] * 3
+    exact = _exact_dims(3, 2, P32)
+    assert cert["bounds"] == {
+        "envelope_lower": None,
+        "rook_centralizer": exact["rook_centralizer"],
+        "rook_image": exact["image"],
+    }
+    assert _verdicts(report) == _verdicts(character)
 
 
 def test_miss_at_the_first_real_prime_moves_on_to_the_next():
