@@ -177,19 +177,20 @@ def is_p_integral(mats, p: int) -> bool:
     return all(x.denominator % p for m in mats for x in m.nonzeros().values())
 
 
-def lower_bound(gens, closure, target: int):
+def lower_bound(gens, target: int):
     """The prime search of the mod-p Lie closure, for
     lieclosure.bracket_closure and the duality report: try each listed prime
     that divides no denominator of the matrices gens, in order, until the
-    lower bound closure(p) meets target. Returns (prime, bound, skipped,
-    reason), reason None on a meet; on a miss, the largest bound and its
-    prime (the first on a tie), or None, None when every prime is skipped."""
+    lower bound bracket_closure_dim_mod(gens, p, target) meets target.
+    Returns (prime, bound, skipped, reason), reason None on a meet; on a
+    miss, the largest bound and its prime (the first on a tie), or None,
+    None when every prime is skipped."""
     skipped, tried = [], {}
     for p in SANDWICH_PRIMES:
         if not is_p_integral(gens, p):
             skipped.append(p)
             continue
-        tried[p] = closure(p)
+        tried[p] = bracket_closure_dim_mod(gens, p, target)
         if tried[p] == target:
             return p, tried[p], skipped, None
     if not tried:

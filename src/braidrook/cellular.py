@@ -18,15 +18,12 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations
 from math import comb, factorial, prod
-from operator import itemgetter
-from typing import Sequence
 
 from .diagrams import (
     PartialPermutation,
     check_enumeration_bound,
     compose_perms,
     cycle_link_decompose,
-    generator_diagrams,
     relations,
 )
 from .linalg import rref
@@ -334,8 +331,7 @@ def bratteli(r: int) -> BratteliDiagram:
 def _code(r: int, pairs) -> tuple[tuple[int, ...], int, int]:
     """The diagram with these pairs as the int tuple (0, d(1), ..., d(r)),
     0 where d is undefined, and its dom and im bitmasks. The product d then e
-    is e's tuple read at d's entries, and N = r - |im d u dom e| is one
-    popcount."""
+    is e's tuple read at d's entries."""
     m = [0] * (r + 1)
     dom = im = 0
     for x, y in pairs:
@@ -343,34 +339,6 @@ def _code(r: int, pairs) -> tuple[tuple[int, ...], int, int]:
         dom |= 1 << x
         im |= 1 << y
     return tuple(m), dom, im
-
-
-def generator_rows(basis: Sequence[PartialPermutation]) -> list[tuple[int, list[tuple[int, int]]]]:
-    """For each generator g of diagrams.generator_diagrams(r), in order, g's
-    index in basis = rook_elements(r) and the row of (k, N) over the basis,
-    g b = z^N a_k in the algebra, N = r - |im g u dom b| as in
-    PartialPermutation.compose. No PartialPermutation is built.
-
-    Every entry is checked against N = r + rank(gb) - rank g - rank b, the
-    ranks read off the pairs, not the bitmasks; a failure raises
-    IdentityError."""
-    r = basis[0].r
-    codes = [_code(r, d.pairs) for d in basis]
-    index = {m: i for i, (m, _, _) in enumerate(codes)}
-    rows = []
-    for g in generator_diagrams(r):
-        m_g, _, im_g = _code(r, g.pairs)
-        then = itemgetter(*m_g)
-        row = []
-        for b, (m, dom_b, _) in zip(basis, codes):
-            k, n = index[then(m)], r - (im_g | dom_b).bit_count()
-            if n != r + basis[k].rank - g.rank - b.rank:
-                raise IdentityError(
-                    f"N = {n} breaks N = r + rank(ab) - rank a - rank b at a = {g!r}, b = {b!r}"
-                )
-            row.append((k, n))
-        rows.append((index[m_g], row))
-    return rows
 
 
 def _steinberg(d: PartialPermutation) -> dict[int, tuple[tuple[int, ...], int]]:

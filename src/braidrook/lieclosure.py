@@ -194,9 +194,7 @@ def bracket_closure(gens: Sequence[Matrix]) -> BracketSpace:
     if m == 0:
         raise ValueError("generators must be at least 1 x 1")
     ceiling = m * m - 1 if all(g.trace() == 0 for g in gens) else m * m
-    prime, lower, skipped, reason = _modlinalg.lower_bound(
-        gens, lambda prime: _modlinalg.bracket_closure_dim_mod(gens, prime, ceiling), ceiling
-    )
+    prime, lower, skipped, reason = _modlinalg.lower_bound(gens, ceiling)
     bounds = {"lower": lower, "ceiling": ceiling}
     if lower == ceiling:
         one, last = Fraction(1), m * m - 1

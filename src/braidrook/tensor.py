@@ -297,9 +297,7 @@ def _braid_side(p: BurauParams, r: int, reds: list[Matrix]) -> tuple[dict, int |
     if reason := check("homomorphism", not bad, detail):
         return record, None, [], reason
     tangents = tangent_generators(p.n, q)
-    prime, lower, skipped, reason = _modlinalg.lower_bound(
-        tangents, lambda prime: _modlinalg.bracket_closure_dim_mod(tangents, prime, m * m), m * m
-    )
+    prime, lower, skipped, reason = _modlinalg.lower_bound(tangents, m * m)
     record.update(prime=prime, closure_dim=lower)
     # the numbers decide; the search's reason only explains a miss
     reason = None if lower == m * m else reason or f"closure {lower} != m^2 = {m * m}"

@@ -1,6 +1,6 @@
 """The groupoid check that cellular.steinberg_failure replaced, on every
 diagram of the basis: phi(g) phi(b) = phi(gb) for each generator g and
-each basis diagram b, with g and gb read off cellular.generator_rows at
+each basis diagram b, with gb read off PartialPermutation.compose at
 z = 1. Also the flip star, whose fixed points the Gram certificate counts
 in closed form. And the two controls that break phi of one letter."""
 
@@ -8,7 +8,7 @@ from operator import itemgetter
 
 from braidrook import cellular
 from braidrook.cellular import _code
-from braidrook.diagrams import PartialPermutation
+from braidrook.diagrams import PartialPermutation, generator_diagrams
 
 
 def star(d):
@@ -25,21 +25,22 @@ def arrows(d):
     ]
 
 
-def groupoid_failure(basis, rows):
+def groupoid_failure(basis):
     """None when phi(g) phi(b) = phi(gb) for every generator g of
     diagrams.generator_diagrams(r) and every b in basis = rook_elements(r),
-    g and gb read off rows = generator_rows(basis) at z = 1; otherwise the
-    first failure. The arrow [b|U] meets one arrow of phi(g) at most, the
-    one with image U: a check costs 2^rank(b) steps."""
+    gb read off g.compose(b) at z = 1; otherwise the first failure. The
+    arrow [b|U] meets one arrow of phi(g) at most, the one with image U: a
+    check costs 2^rank(b) steps."""
+    index = {d: i for i, d in enumerate(basis)}
     phis = [arrows(d) for d in basis]
     images = [sorted(m for m, _, _ in a) for a in phis]
-    for gi, row in rows:
+    for g in generator_diagrams(basis[0].r):
         # s then t reads t's map at s's entries
-        then = {im: itemgetter(*m) for m, _, im in phis[gi]}
-        for b, b_arrows, (k, _) in zip(basis, phis, row):
+        then = {im: itemgetter(*m) for m, _, im in phis[index[g]]}
+        for b, b_arrows in zip(basis, phis):
             product = [then[dom](m) for m, dom, _ in b_arrows if dom in then]
-            if sorted(product) != images[k]:
-                return f"phi(g) phi(b) != phi(gb) at g = {basis[gi]!r}, b = {b!r}"
+            if sorted(product) != images[index[g.compose(b)[0]]]:
+                return f"phi(g) phi(b) != phi(gb) at g = {g!r}, b = {b!r}"
     return None
 
 

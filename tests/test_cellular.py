@@ -21,7 +21,6 @@ from braidrook.cellular import (
     diagram_of,
     dim_recursion,
     dims_table,
-    generator_rows,
     groupoid_block,
     groupoid_dimensions,
     hook_lengths,
@@ -470,26 +469,6 @@ def test_regular_trace_gram_matches_the_per_pair_formula_sampled_r4():
         assert _gram_at(gram, basis, i, j, z) == _gram_entry_by_pair(basis[i], basis[j], basis, z)
 
 
-@pytest.mark.parametrize("r", range(6))
-def test_product_table_matches_compose_on_every_pair(r):
-    # every generator x basis pair of the rows both certificates read
-    basis = rook_elements(r)
-    index = {d: i for i, d in enumerate(basis)}
-    rows = generator_rows(basis)
-    assert [basis[gi] for gi, _ in rows] == generator_diagrams(r)
-    for gi, row in rows:
-        assert len(row) == len(basis)
-        for b, entry in zip(basis, row):
-            prod, dropped = basis[gi].compose(b)
-            assert entry == (index[prod], dropped)
-
-
-def test_generator_rows_at_r4_are_r_rows_of_m_entries():
-    # the r generator rows, not the m x m table
-    rows = generator_rows(rook_elements(4))
-    assert len(rows) == 4 and [len(row) for _, row in rows] == [209] * 4
-
-
 def test_gram_certificate_makes_no_compose_call(monkeypatch):
     calls = 0
     compose = PartialPermutation.compose
@@ -518,10 +497,9 @@ def test_gram_certificate_enumerates_no_diagram(monkeypatch):
     # the relation check reads the letters of relations(r), and m, e_r and
     # I_r are closed forms
     calls = []
-    for name in ("rook_elements", "generator_rows"):
-        for module in (cellular, diagrams):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
+    for module in (cellular, diagrams):
+        if hasattr(module, "rook_elements"):
+            monkeypatch.setattr(module, "rook_elements", lambda *a: calls.append("rook_elements"))
     assert semisimplicity_certificate(5, 7)["gram_size"] == 1546 and calls == []
 
 
@@ -563,7 +541,7 @@ def test_groupoid_check_fails_with_one_restriction_dropped(monkeypatch):
 def test_groupoid_check_passes_on_the_true_table(r):
     # the relation check on the letters and the all-basis oracle agree
     basis = rook_elements(r)
-    assert groupoid_failure(basis, generator_rows(basis)) is None
+    assert groupoid_failure(basis) is None
     assert steinberg_failure(r, relations(r)) is None
     assert len(generator_diagrams(r)) == r
 
@@ -584,7 +562,7 @@ def test_relation_check_and_the_oracle_both_fail_on_a_bumped_arrow(monkeypatch, 
     monkeypatch.setattr(groupoid_oracle, "arrows", arrows)
     bump_arrow(monkeypatch, letter)
     basis = rook_elements(4)
-    assert groupoid_failure(basis, generator_rows(basis)) is not None
+    assert groupoid_failure(basis) is not None
     assert steinberg_failure(4, relations(4)) is not None
 
 

@@ -311,20 +311,37 @@ def test_verify_all_json_schema_and_round_trip(capsys):
     assert json.dumps(data, indent=2) == out.strip()
 
 
+def _bump_n_at_s1_squared(monkeypatch):
+    """compose one middle component high on s_1 s_1 at r = 2 only: a wrong
+    power of z, invisible at z = 1, that breaks the N identity the
+    rescaling to z = 1 rests on at that one pair."""
+    real = PartialPermutation.compose
+    s1 = transposition(1, 2, 2)
+
+    def compose(self, other):
+        prod, dropped = real(self, other)
+        return prod, dropped + 1 if self == other == s1 else dropped
+
+    monkeypatch.setattr(PartialPermutation, "compose", compose)
+    return s1
+
+
 def test_verify_all_broken_identity_exits_1(capsys, monkeypatch):
-    # N off by one on the generator row of s_1, before generator_rows
-    # checks it, breaks the identity the rescaling to z = 1 rests on, which
-    # rescale_iso_check checks: an identity failure, not a usage error
-    real = cellular_module._code
-    s1 = ((1, 2), (2, 1))
+    # the presentation passes at z = 1, and rescale_iso_check reports the
+    # pair: an identity failure, not a usage error
+    _bump_n_at_s1_squared(monkeypatch)
+    code, out, _ = run(capsys, "verify-all", "--only", "presentation-and-rescaling")
+    assert code == 1 and "rescaling identity fails at r=2, z=1" in out
+    assert "failed identity: the diagram algebra satisfies the rook-monoid presentation" in out
 
-    def bumped(r, pairs):
-        m, dom, im = real(r, pairs)
-        return (m, dom, im | 1) if r == 2 and tuple(pairs) == s1 else (m, dom, im)
 
-    monkeypatch.setattr(cellular_module, "_code", bumped)
-    code, _, err = run(capsys, "verify-all", "--only", "presentation-and-rescaling")
-    assert code == 1 and "breaks N = r + rank(ab)" in err
+def test_rook_present_broken_n_exits_1_with_the_failing_pair(capsys, monkeypatch):
+    s1 = _bump_n_at_s1_squared(monkeypatch)
+    code, out, _ = run(capsys, "rook", "--r", "2", "present", "--z", "1")
+    assert code == 1
+    data = json.loads(out)
+    assert data["all_pass"] is False and data["presentation"]["all_pass"] is True
+    assert data["rescaling"]["failures"] == [[repr(s1), repr(s1), 1, 0]]
 
 
 @pytest.mark.parametrize(

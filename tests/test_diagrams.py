@@ -1,14 +1,12 @@
 """Diagram composition, the rook monoid, and the z^N algebra structure."""
 
 import random
-import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidrook import cellular
 from braidrook.cli import _blocks
 from braidrook.diagrams import (
     PartialPermutation,
@@ -24,7 +22,6 @@ from braidrook.diagrams import (
     transposition,
     verify_presentation,
 )
-from braidrook.scalars import IdentityError
 from rook_factorization import (
     canonical_extension,
     perm_from_cycles,
@@ -369,11 +366,14 @@ def test_every_relation_chain_holds_under_compose(r):
         assert len(products) == 1, name
 
 
-def _mutated_compose(monkeypatch, mutate):
+def _mutated_compose(monkeypatch, mutate, at=lambda a, b: True):
+    """compose with mutate(product, N) in place of (product, N) on the
+    pairs a, b where at(a, b) holds."""
     real = PartialPermutation.compose
 
     def compose(self, other):
-        return mutate(*real(self, other))
+        out = real(self, other)
+        return mutate(*out) if at(self, other) else out
 
     monkeypatch.setattr(PartialPermutation, "compose", compose)
 
@@ -425,40 +425,30 @@ def test_rescale_rejects_zero():
 
 
 def test_rescale_iso_checks_the_product_table(monkeypatch):
-    """Negative control: one generator-row entry off from compose, in its
-    N or in its product index, fails exactly that pair."""
-    real = cellular.generator_rows
-    for mutate in (lambda k, n: (k, n + 1), lambda k, n: (k + 1, n)):
-
-        def rows(elements, mutate=mutate):
-            out = real(elements)
-            row = out[1][1]  # s_2
-            row[4] = mutate(*row[4])
-            return out
-
-        monkeypatch.setattr(cellular, "generator_rows", rows)
-        report = rescale_iso_check(3, 7)
-        assert not report["all_pass"] and len(report["failures"]) == 1
+    """Negative control: compose with N one off at the one pair s_2 p_1, in
+    either direction, or with a strand of that product lost, fails exactly
+    that pair: N is held to r + rank(ab) - rank a - rank b."""
+    s2, p1 = transposition(2, 3, 3), projection(1, 3)
+    prod, n = s2.compose(p1)
+    lost = PartialPermutation(3, prod.pairs[1:])
+    for wrong, expect in (((prod, n + 1), n), ((prod, n - 1), n), ((lost, n), n - 1)):
+        with monkeypatch.context() as m:
+            _mutated_compose(m, lambda d, dropped, wrong=wrong: wrong, lambda a, b: (a, b) == (s2, p1))
+            report = rescale_iso_check(3, 7)
+        assert not report["all_pass"]
+        assert report["failures"] == [(repr(s2), repr(p1), wrong[1], expect)]
 
 
-def test_rescale_iso_check_raises_on_a_wrong_table_n(monkeypatch):
-    """Negative control: N off by one on the generator row of p_1 breaks
-    the identity the rescaling to z = 1 rests on. generator_rows checks
-    every N it returns, so the check must raise, not report. The im
-    bitmask of p_1 gets the bit of the unused slot 0 before
-    generator_rows reads it: N = r - |im g u dom b| is then one low on
-    every entry of p_1's row."""
+def test_rescale_iso_check_reports_a_wrong_n_on_a_whole_row(monkeypatch):
+    """Negative control: N one low on every product p_1 b breaks the
+    identity the rescaling to z = 1 rests on at every b. The check reports
+    each pair, in basis order, and raises nothing."""
     p1 = projection(1, 3)
-    real = cellular._code
-
-    def code(r, pairs):
-        m, dom, im = real(r, pairs)
-        return (m, dom, im | 1) if tuple(pairs) == p1.pairs else (m, dom, im)
-
-    monkeypatch.setattr(cellular, "_code", code)
-    identity = f"breaks N = r + rank(ab) - rank a - rank b at a = {p1!r}"
-    with pytest.raises(IdentityError, match=re.escape(identity)):
-        rescale_iso_check(3, 7)
+    with monkeypatch.context() as m:
+        _mutated_compose(m, lambda d, dropped: (d, dropped - 1), lambda a, b: a == p1)
+        report = rescale_iso_check(3, 7)
+    want = [(repr(p1), repr(b), p1.compose(b)[1] - 1, p1.compose(b)[1]) for b in rook_elements(3)]
+    assert not report["all_pass"] and report["failures"] == want
 
 
 # -- generator validation --------------------------------------------------------------

@@ -268,6 +268,57 @@ def test_detector_resolves_shadowed_names():
     assert unreferenced_functions(trees) == {"a.rank", "a.Part.det", "a.Part.entries", "b.caller"}
 
 
+# Imports of a package module inside a library function body, as
+# (module, function, imported module). Such an import hides a cycle that a
+# module-level import would refuse. The one left goes with the certified
+# nullspace engine (ROADMAP.md item 7). Do not add to this list.
+LAZY_IMPORTS_ALLOWED = {("linalg", "nullspace_of_rows", "_modlinalg")}
+
+
+def lazy_package_imports(module: str, tree: ast.Module) -> set[tuple[str, str, str]]:
+    """(module, function, imported module) for each import of a package
+    module in the body of a function of module, nested functions included."""
+    out = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.ImportFrom) and (source := _imported_from(inner)) is not None:
+                out |= {(module, node.name, source or alias.name) for alias in inner.names}
+            elif isinstance(inner, ast.Import):
+                out |= {
+                    (module, node.name, alias.name.partition(".")[2])
+                    for alias in inner.names
+                    if alias.name.startswith("braidrook.")
+                }
+    return out
+
+
+def test_no_library_function_imports_a_package_module():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in LIBRARY}
+    found = set().union(*(lazy_package_imports(module, tree) for module, tree in trees.items()))
+    extra = sorted(found - LAZY_IMPORTS_ALLOWED)
+    assert not extra, f"package imports inside library functions: {extra}"
+
+
+def test_detector_flags_every_form_of_a_lazy_package_import():
+    source = (
+        "import json\n"
+        "from .linalg import rref\n"
+        "def f():\n"
+        "    import os\n"
+        "    from .cellular import g\n"
+        "    from . import _modlinalg\n"
+        "    import braidrook.tensor\n"
+        "    return json, rref, os, g, _modlinalg, braidrook\n"
+    )
+    assert lazy_package_imports("a", ast.parse(source)) == {
+        ("a", "f", "cellular"),
+        ("a", "f", "_modlinalg"),
+        ("a", "f", "tensor"),
+    }
+
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 

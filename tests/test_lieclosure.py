@@ -501,8 +501,8 @@ def test_a_search_that_calls_a_miss_a_meet_takes_the_exact_path(monkeypatch):
     # closure decides the verdict
     real = _modlinalg.lower_bound
 
-    def lying(gens, closure, target):
-        prime, bound, skipped, _ = real(gens, closure, target)
+    def lying(gens, target):
+        prime, bound, skipped, _ = real(gens, target)
         return prime, bound - 1, skipped, None
 
     monkeypatch.setattr(_modlinalg, "lower_bound", lying)

@@ -1070,14 +1070,16 @@ def test_lower_bound_stops_at_the_first_meet_and_keeps_the_largest(
     monkeypatch, primes, bounds, want
 ):
     tried = []
+    gens = [Matrix.from_rows([[Fraction(1, 3)]])]
 
-    def closure(p):
+    def closure(mats, p, ceiling):
+        assert mats is gens and ceiling == 4
         tried.append(p)
         return bounds[p]
 
     monkeypatch.setattr(_modlinalg, "SANDWICH_PRIMES", primes)
-    gens = [Matrix.from_rows([[Fraction(1, 3)]])]
-    assert _modlinalg.lower_bound(gens, closure, 4) == want
+    monkeypatch.setattr(_modlinalg, "bracket_closure_dim_mod", closure)
+    assert _modlinalg.lower_bound(gens, 4) == want
     assert tried == [p for p in primes if p != 3]
 
 
