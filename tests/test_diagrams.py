@@ -15,6 +15,7 @@ from braidrook.diagrams import (
     compose_perms,
     cycle_link_decompose,
     format_cycle_link,
+    generator_diagrams,
     projection,
     relations,
     rescale_iso_check,
@@ -192,6 +193,20 @@ def test_compose_matches_diagram_stacking_random_r5():
         a, b = rng.choice(elems), rng.choice(elems)
         direct, n_direct = a.compose(b)
         assert (list(direct.pairs), n_direct) == stack(5, a.pairs, b.pairs)
+
+
+@pytest.mark.parametrize("r", range(6))
+def test_compose_matches_diagram_stacking_on_every_generator_row(r):
+    # g b and b g for each of the r generators g and every basis diagram b:
+    # the products the groupoid and character oracles read off compose
+    elems = rook_elements(r)
+    gens = generator_diagrams(r)
+    assert len(gens) == r and all(g in elems for g in gens)
+    for g in gens:
+        for b in elems:
+            for a, c in ((g, b), (b, g)):
+                prod, dropped = a.compose(c)
+                assert (list(prod.pairs), dropped) == stack(r, a.pairs, c.pairs)
 
 
 def test_compose_props_formulas():
