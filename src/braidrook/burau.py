@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
-from .linalg import det
-from .matrix import Matrix, direct_sum, integer_form, rows_of, sparse_product
+from .matrix import Matrix
 from .scalars import IdentityError, quantum_int, scalar
 
 
@@ -186,35 +184,6 @@ def change_of_basis(p: BurauParams) -> Matrix:
         if i < n - 1:
             entries[i * n + i + 1] = p.q2
     return Matrix._trusted(n, n, entries)
-
-
-def split_generators(p: BurauParams, ts: Sequence[Matrix]) -> list[Matrix]:
-    """The reduced generators R_i = reduced_generator(i), i = 1..n-1, after
-    an exact check that C = change_of_basis(p) is invertible and that
-    T_i C = C (q1 + R_i) for every i, ts = [T_1, ..., T_(n-1)] the
-    unreduced_generator list of p. A failed check raises IdentityError.
-
-    C^(x r) then carries T_i^(x r) to the sum over S in {1..r} of
-    q1^(r-|S|) R_i^(x |S|). Summands with equal |S| carry equal matrices,
-    so a linear relation among words in the T_i^(x r) holds on E^(x r)
-    exactly when it holds on U = sum_(k=0..r) F^(x k), where T_i acts as
-    B_i = sum_k q1^(r-k) R_i^(x k), and the two unital algebras have the
-    same dimension. C is invertible exactly when z = [n]_q != 0: the
-    functional x -> sum_j q^(j-1) x_j kills every f_i and takes z at f0."""
-    c = change_of_basis(p)
-    if det(c.to_lists()) == 0:
-        raise IdentityError("C = change_of_basis is singular")
-    reds = [reduced_generator(i, p) for i in range(1, p.n)]
-    q1 = Matrix.diagonal([p.q1])
-    mats = [m for t, red in zip(ts, reds) for m in (t, direct_sum([q1, red]))]
-    # with D the lcm of every denominator, T_i C = C (q1 + R_i) exactly when
-    # (D T_i)(D C) = (D C)(D (q1 + R_i)), an identity of integer matrices
-    _, (dc, *ints) = integer_form([c, *mats])
-    n, dc_rows = p.n, rows_of(dc, p.n)
-    for i, (t, s) in enumerate(zip(ints[::2], ints[1::2]), 1):
-        if sparse_product(t, dc_rows, n, n) != sparse_product(dc, rows_of(s, n), n, n):
-            raise IdentityError(f"T_i C != C (q1 + R_i) at i = {i}")
-    return reds
 
 
 def full_twist_scalar(p: BurauParams) -> Fraction:

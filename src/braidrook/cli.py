@@ -183,8 +183,7 @@ def cmd_duality(args) -> int:
             print(f"{check['status'].upper():4} {check['name']}: {check['detail']}")
         cert = report["certificate"]
         if cert["path"] == "character":
-            braid = f"Lie closure mod {cert['prime']}" if cert["prime"] else "distinct powers of -q"
-            print(f"certificate: rook character, envelope by {braid}")
+            print(f"certificate: rook character, envelope by Lie closure mod {cert['prime']}")
         else:
             print(f"certificate: exact dimensions ({cert['fallback_reason']})")
         verdict = "hold" if report["all_pass"] else "FAIL"
@@ -303,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=MATRIX_SIZE_BUDGET,
-        help="largest n^r the exact solvers accept",
+        help="largest n^r the report accepts, on either path",
     )
     duality.set_defaults(func=cmd_duality)
 

@@ -253,9 +253,10 @@ def verify_presentation(r: int, z) -> dict:
     word w of a chain, times z^(e - e(w)) with e the largest e(w) of the
     chain, gives one pair (diagram, c) by _product, and the pairs of a
     chain must agree. At z = 0 a side with a dropped component is the zero
-    element, and p_j^2 = z p_j holds with both sides zero."""
-    if r < 2:
-        raise ValueError("presentation needs r >= 2")
+    element, and p_j^2 = z p_j holds with both sides zero. r = 0 is
+    refused: relations(0) is empty, so its check would hold vacuously."""
+    if r < 1:
+        raise ValueError("presentation needs r >= 1")
     z = scalar(z)
     one = PartialPermutation.identity(r)
 

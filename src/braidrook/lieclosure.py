@@ -38,7 +38,7 @@ from .scalars import format_scalar, quantum_int, scalar
 
 @dataclass(frozen=True)
 class LieConstants:
-    """Size n >= 3 and ratio q outside {0, 1, -1}, with the derived
+    """Size n >= 2 and ratio q outside {0, 1, -1}, with the derived
     pair a = q/(1+q), b = 1/(1+q) used throughout; a + b = 1 and
     ab = q/(1+q)^2."""
 
@@ -50,8 +50,8 @@ class LieConstants:
 
     def __post_init__(self):
         object.__setattr__(self, "q", scalar(self.q))
-        if self.n < 3:
-            raise ValueError("need n >= 3")
+        if self.n < 2:
+            raise ValueError("need n >= 2")
         if self.q in (0, 1, -1):
             raise ValueError("q must avoid {0, 1, -1}")
         b = 1 / (1 + self.q)
@@ -381,7 +381,10 @@ def first_row_seed(n: int, q) -> tuple[Matrix, Matrix]:
 
     A'_2 = ([u_1, [u_1, u_2]] + [u_1, u_2]) / (2a) works out to
     (1 - ab) e_12 + a e_13 (the e_13 term absent at n = 3), and
-    A_2 = b u_1 + A'_2 = b e_11 + e_12 + a e_13 starts the chain."""
+    A_2 = b u_1 + A'_2 = b e_11 + e_12 + a e_13 starts the chain; it needs
+    u_1 and u_2, so n >= 3."""
+    if n < 3:
+        raise ValueError(f"the first-row chain needs u_1 and u_2, so n >= 3, not {n}")
     c = LieConstants(n, q)
     us = u_generators(n, q)
     inner = commutator(us[0], us[1])

@@ -15,17 +15,17 @@ gl/sl basis of `lieclosure.bracket_closure`, `burau.unreduced_generator`,
 
 One sparse product, `sparse_product` of a's nonzeros with b's nonzeros
 grouped by row (`rows_of`), serves the matrix products of the package:
-`Matrix` multiplication here, the integer split check of
-`burau.split_generators`, and the Fraction and mod-p products on bare
+`Matrix` multiplication here, and the Fraction and mod-p products on bare
 {index: entry} dicts in `linalg` and `_modlinalg`. Two kinds of product
 are taken elsewhere. The Lie closure mod p takes its brackets from
 `_modlinalg._images`, which builds every generator's bracket gw - wg with
 a basis row in one pass, since it runs once per element of the closure.
-The integer identity checks of the duality report
-(`tensor._all_commute` and `tensor._operator_failure`) multiply packed
-rows: row i of an integer matrix is the one int sum_j a_ij 2^(W j), and a
-letter times a packed matrix costs one big-int multiply-add per nonzero
-of the letter (`tensor._packed_product`).
+Every integer identity check of the duality report (the commute check and
+T_i C = q1 C (1 + H_i(-q)) through `tensor._first_difference`, and the
+relations of `tensor._operator_failure`) multiplies packed rows: row i of
+an integer matrix is the one int sum_j a_ij 2^(W j), and a letter times a
+packed matrix costs one big-int multiply-add per nonzero of the letter
+(`tensor._packed_product`).
 
 `integer_form` scales a list of matrices by one integer D, the lcm of all
 their denominators, into {index: int} dicts. A product of k of the D m is

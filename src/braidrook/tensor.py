@@ -16,7 +16,7 @@ from math import gcd
 from typing import Mapping, Sequence
 
 from . import _modlinalg
-from .burau import BurauParams, row_window, split_generators, unreduced_generator
+from .burau import BurauParams, change_of_basis, unreduced_generator
 from .cellular import groupoid_dimensions, rook_dimension, shape_dimensions, steinberg_failure
 from .diagrams import (
     PartialPermutation,
@@ -26,13 +26,12 @@ from .diagrams import (
     relations,
     rook_elements,
 )
-from .lieclosure import LieConstants, h_window, tangent_generators
-from .linalg import certificate_record, commutant, matrix_span, span_closure
-from .matrix import Matrix, integer_form, kron_power
-from .scalars import IdentityError
+from .lieclosure import LieConstants, h_window, subgroup_h, tangent_generators
+from .linalg import certificate_record, commutant, det, matrix_span, span_closure
+from .matrix import Matrix, direct_sum, integer_form, kron_power
 
 _ONE = Fraction(1)
-MATRIX_SIZE_BUDGET = 256  # largest n^r the exact commutant solvers accept
+MATRIX_SIZE_BUDGET = 256  # largest n^r that duality_report (either path) and the commutants here accept
 
 
 def _check_budget(n: int, r: int, budget: int | None = None) -> None:
@@ -132,15 +131,23 @@ def _packed_product(a: Mapping[int, int], x: Sequence[int], size: int) -> list[i
     return out
 
 
+def _first_difference(pairs: list[tuple], mats: Sequence[Matrix]) -> tuple | None:
+    """The first of pairs (u, w) of words in the indices of mats, square
+    matrices of one size, whose products differ, or None. The two words of
+    a pair have one length k, so with D the lcm of every denominator they
+    agree exactly when their integer products, D^k times theirs, do; those
+    are compared on packed rows (_word_products; duality_report says why
+    that is exact)."""
+    _, ints = integer_form(mats)
+    products = _word_products([w for pair in pairs for w in pair], dict(enumerate(ints)), mats[0].rows)
+    return next(((u, w) for u, w in pairs if products[u] != products[w]), None)
+
+
 def _all_commute(left: Sequence[Matrix], right: Sequence[Matrix]) -> bool:
-    """Whether ab = ba for every a in left and b in right, square matrices
-    of one size, checked on the packed rows of their integer_form
-    (duality_report says why that is exact)."""
-    n, k = left[0].rows, len(left)
-    _, ints = integer_form([*left, *right])
-    words = [w for i in range(k) for j in range(k, len(ints)) for w in ((i, j), (j, i))]
-    products = _word_products(words, dict(enumerate(ints)), n)
-    return all(products[(i, j)] == products[(j, i)] for i, j in words[::2])
+    """Whether ab = ba for every a in left and b in right (_first_difference)."""
+    k = len(left)
+    pairs = [((i, j), (j, i)) for i in range(k) for j in range(k, k + len(right))]
+    return _first_difference(pairs, [*left, *right]) is None
 
 
 def _word_products(words: list[tuple], letters: dict, size: int, ratio: int = 1) -> dict:
@@ -243,21 +250,20 @@ def _operator_failure(p: BurauParams, r: int, z: Fraction, P: Matrix | None, rel
 _POINTS = (Fraction(2), Fraction(3))
 
 
-def _braid_side(p: BurauParams, r: int, reds: list[Matrix]) -> tuple[dict, int | None, list, str | None]:
-    """The braid side of the character certificate, on the reduced
-    generators reds = [R_1, ..., R_(n-1)] of burau.split_generators:
-    (lie record, prime, skipped primes, reason), reason None when the
-    envelope has dimension sum d_lambda^2 over the shape table
-    (duality_report gives the argument). With m = n - 1, for n >= 3 the
-    checks run in order, and the first that fails is the reason: -q is not
-    1 or -1; R_i = q1 H_i(-q) on every entry; the windows of H_i at z, w
-    in _POINTS multiply to the window of H_i(zw); then the closure mod p
-    of tangent_generators(n, q), through _modlinalg.lower_bound, reaches
-    m^2. For n = 2 the one check is that the g^k, k = 0..r, are distinct
-    for the number g = q1^-1 R_1. The record holds the prime and the
+def _braid_side(p: BurauParams, ts: list[Matrix]) -> tuple[dict, int | None, list, str | None]:
+    """The braid side of the character certificate, on the report's
+    T_1..T_(n-1) ts: (lie record, prime, skipped primes, reason), reason
+    None when the envelope has dimension sum d_lambda^2 over the shape
+    table (duality_report gives the argument). With m = n - 1, the checks
+    run in order, and the first that fails is the reason: -q is not 1 or
+    -1; C = burau.change_of_basis(p) is invertible and
+    T_i C = q1 C (1 + H_i(-q)) for every i, on integers (_first_difference);
+    the windows of H_i at z, w in _POINTS multiply to the window of
+    H_i(zw); then the closure mod p of tangent_generators(n, q), through
+    _modlinalg.lower_bound, reaches m^2. The record holds the prime and the
     closure dimension (None when no closure ran), the ceiling m^2, and the
     checks, each as a report check."""
-    m, q, q1 = p.n - 1, p.q, p.q1
+    m, q = p.n - 1, p.q
     checks = []
     record = {"prime": None, "closure_dim": None, "ceiling": m * m, "checks": checks}
 
@@ -265,20 +271,20 @@ def _braid_side(p: BurauParams, r: int, reds: list[Matrix]) -> tuple[dict, int |
         checks.append(_report_check(name, ok, detail))
         return None if ok else detail
 
-    if m == 1:
-        g = reds[0][0, 0] / q1
-        powers = [g**k for k in range(r + 1)]
-        equal = next(((j, k) for k in range(r + 1) for j in range(k) if powers[j] == powers[k]), None)
-        detail = f"g^{equal[0]} = g^{equal[1]}" if equal else f"g^k distinct for k = 0..{r}"
-        return record, None, [], check("powers_distinct", not equal, f"{detail}, g = q1^-1 R_1 = {g}")
     finite = q in (1, -1)
     if reason := check("infinite_order", not finite, f"-q = {-q} has {'finite' if finite else 'infinite'} order"):
         return record, None, [], reason
     c = LieConstants(p.n, q)
-    window = [q1 * x for x in h_window(-q, c)]
-    bad = next((i for i, red in enumerate(reds, 1) if red != row_window(m, i, *window, q1)), None)
-    detail = f"R_{bad} != q1 H_{bad}(-q)" if bad else f"R_i = q1 H_i(-q) for i = 1..{m}"
-    if reason := check("h_at_minus_q", not bad, detail):
+    basis, one = change_of_basis(p), Matrix.identity(1)
+    hs = [direct_sum([one, subgroup_h(i, -q, c)]).scale(p.q1) for i in range(1, p.n)]
+    # letter 0 is C, letter i is T_i and letter m + i is q1 (1 + H_i(-q))
+    if det(basis.to_lists()) == 0:
+        failure = "C = change_of_basis is singular"
+    elif bad := _first_difference([((i, 0), (0, m + i)) for i in range(1, p.n)], [basis, *ts, *hs]):
+        failure = f"T_{bad[0][0]} C != q1 C (1 + H_{bad[0][0]}(-q))"
+    else:
+        failure = None
+    if reason := check("h_at_minus_q", not failure, failure or f"T_i C = q1 C (1 + H_i(-q)) for i = 1..{m}"):
         return record, None, [], reason
     windows = {x: h_window(x, c) for x in {z * w for z in _POINTS for w in (1, *_POINTS)}}
 
@@ -306,7 +312,7 @@ def _braid_side(p: BurauParams, r: int, reds: list[Matrix]) -> tuple[dict, int |
 
 def _character_certificate(p: BurauParams, r: int, z: Fraction, ts, P, local, rels, env_sum: int) -> dict:
     """The certificate of duality_report from z = [n]_q, the report's
-    T_1..T_(n-1) ts (burau.split_generators), P, local =
+    T_1..T_(n-1) ts (_braid_side), P, local =
     diagrams.relations(min(r, 3)) (_operator_failure), rels =
     diagrams.relations(r) and env_sum = sum d_lambda^2 over the shape
     table: the relations, groupoid and character checks,
@@ -316,17 +322,13 @@ def _character_certificate(p: BurauParams, r: int, z: Fraction, ts, P, local, re
     sum <psi_k, psi_k>, an integer."""
     if z == 0:
         return certificate_record("exact", "z = [n]_q = 0 has no rescaled basis")
-    try:
-        reds = split_generators(p, ts)
-    except IdentityError as e:
-        return certificate_record("exact", str(e))
     failure = _operator_failure(p, r, z, P, local) or steinberg_failure(r, rels)
     if failure:
         return certificate_record("exact", failure)
     rook_cent, rook_img = groupoid_dimensions(p.n, r)
     if rook_cent.denominator != 1:
         return certificate_record("exact", f"sum <psi_k, psi_k> = {rook_cent} is not an integer")
-    lie, prime, skipped, reason = _braid_side(p, r, reds)
+    lie, prime, skipped, reason = _braid_side(p, ts)
     lower = None if reason else env_sum
     bounds = {"envelope_lower": lower, "rook_centralizer": int(rook_cent), "rook_image": rook_img}
     met = lower == rook_cent
@@ -420,18 +422,29 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     The braid side enters by the paper's own route, the Zariski closure of
     the braid image (J. E. Humphreys, Linear Algebraic Groups, GTM 21,
     1975; J. A. Green, Polynomial Representations of GL_n, LNM 830, 1980).
-    By the split check of burau.split_generators the envelope has the
-    dimension of the unital algebra A_U of B_i = sum_k q1^(r-k) R_i^(x k) on
-    U = sum_k F^(x k). Let m = n - 1 and g_i = q1^-1 R_i, so that
-    B_i = q1^r sum_k g_i^(x k). Scaling a generator by a nonzero number
-    does not change the unital algebra it generates, and each g_i is
-    invertible (det R_i = q1^(m-1) q2 != 0), so by Cayley-Hamilton (linalg.span_closure) A_U is the span
-    of the sum of the g^(x k) over the group Gamma that the g_i generate.
+    Let m = n - 1 and C = burau.change_of_basis(p), whose columns are
+    f0 = e_1 + ... + e_n and the f_i = q2 e_i + q1 e_(i+1) that span F.
     _braid_side checks, in order:
     - -q is not 1 or -1, so it has infinite order in Q^x. Otherwise the
       report names it ("-q has finite order") and takes the exact path;
-    - R_i = q1 H_i(-q) on every entry, H_i the one-parameter subgroup of
-      lieclosure.subgroup_h: g_i = H_i(-q);
+    - det C != 0, and T_i C = q1 C (1 + H_i(-q)) for every i, H_i the
+      one-parameter subgroup of lieclosure.subgroup_h, on integers like the
+      commute check (_first_difference). C is invertible exactly when
+      z = [n]_q != 0, as x -> sum_j q^(j-1) x_j kills every f_i and takes z
+      at f0, so a singular C here is a fault; it can still satisfy the
+      identity (with its f0 column dropped, say), so both are needed. Then
+      C^-1 T_i C = q1 (1 + g_i) with g_i = H_i(-q): T_i is q1 on the line
+      L of f0 and q1 g_i on F. C^(x r) carries T_i^(x r) to q1^r times the
+      sum over S in {1..r} of g_i^(x |S|) on the summands of
+      (L + F)^(x r). Summands with equal |S| carry equal matrices, so a
+      linear relation among words in the T_i^(x r) holds on E^(x r)
+      exactly when it holds on U = sum_(k=0..r) F^(x k), where T_i acts as
+      B_i = q1^r sum_k g_i^(x k), and the envelope has the dimension of the
+      unital algebra A_U of the B_i. Scaling a generator by a nonzero
+      number does not change the unital algebra it generates, and each g_i
+      is invertible (det H_i(z) = z), so by Cayley-Hamilton
+      (linalg.span_closure) A_U is the span of the sum of the g^(x k) over
+      the group Gamma that the g_i generate;
     - H_i(z) H_i(w) = H_i(zw). H_i(z) is the identity but for row i, which
       holds the window (b(1-z), z, a(1-z)) in columns i-1, i, i+1, the
       same for every i (lieclosure.h_window, cut at the edges). Rows i-1
@@ -461,10 +474,8 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     Schur algebra S(m, k), of dimension sum d_lambda^2 over the lambda of
     k with at most m rows, d_lambda = gl_weyl_dim(lambda, m). So
         dim A_U = sum d_lambda^2 over the shape table,
-    and no block is built. For n = 2, m = 1 and g = q1^-1 R_1 is a number:
-    A_U is spanned by the powers of the diagonal matrix (g^k)_(k = 0..r), of
-    dimension r + 1 = sum d_lambda^2 exactly when the g^k are distinct
-    (Vandermonde), and that is checked instead. With
+    and no block is built. Every n >= 2 takes this route: at n = 2,
+    H_1(z) = [z], h_1 = [1] and G = GL_1. With
     envelope <= C(rook gens) = C(image), of dimension
     sum_k <psi_k, psi_k>, the envelope is C(image) when the two numbers
     meet; that is the paper's Schur-Weyl statement. The image is
@@ -476,15 +487,16 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
     prime, keeping the largest. The exact centralizer, image, envelope
     and commutant dimensions are computed instead ("exact" path), on the
     T_i^(x r) and the operators of every basis diagram on E^(x r), when
-    the actions do not commute, when z = 0, when the split check, or the
-    relations, groupoid or character check fails, when
-    sum_k <psi_k, psi_k> is not an integer, when a check of the braid side
-    fails or its closure misses m^2 at every listed prime (or every listed
-    prime divides a denominator), and when sum d_lambda^2 is not
-    sum_k <psi_k, psi_k>. The groupoid check is q-free, so its failure is
-    a fault of the diagram code; the exact path then names the relation
-    that failed. r is refused above diagrams.ENUMERATION_BOUND before any
-    work, as the exact path enumerates the basis.
+    the actions do not commute, when z = 0, when the relations, groupoid
+    or character check fails, when sum_k <psi_k, psi_k> is not an integer,
+    when a check of the braid side fails (C singular or
+    T_i C != q1 C (1 + H_i(-q)) among them) or its closure misses m^2 at
+    every listed prime (or every listed prime divides a denominator), and
+    when sum d_lambda^2 is not sum_k <psi_k, psi_k>. The groupoid check is
+    q-free, so its failure is a fault of the diagram code; the exact path
+    then names the relation that failed. r is refused above
+    diagrams.ENUMERATION_BOUND before any work, as the exact path
+    enumerates the basis.
     report["certificate"] records the path, the prime and the skipped
     primes of the closure, the bounds (envelope_lower = sum d_lambda^2
     once the braid side holds and None otherwise, rook_centralizer =
@@ -520,8 +532,7 @@ def duality_report(n: int, r: int, p: BurauParams, budget: int | None = None) ->
         bounds = certificate["bounds"]
         img_dim = cent_dim = bounds["rook_image"]
         env_dim, cent_of_img_dim = bounds["envelope_lower"], bounds["rook_centralizer"]
-        prime = certificate["prime"]
-        how = f"character, Lie closure mod {prime}" if prime else "character, distinct powers of -q"
+        how = f"character, Lie closure mod {certificate['prime']}"
         img_how = (
             f"{how}: image = sum C(r,k)^2 rank psi_k = {img_dim}, C(braid) = C(C(image)) = image"
         )

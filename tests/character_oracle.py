@@ -128,7 +128,7 @@ def moebius_dimensions(basis, chi):
 def block_generators(p, r):
     """The braid generators on U = sum_(k=0..r) F^(x k): for i = 1..n-1,
     B_i = sum_k q1^(r-k) R_i^(x k), R_i = reduced_generator(i), as one
-    block-diagonal matrix of dimension sum_k (n-1)^k. burau.split_generators
+    block-diagonal matrix of dimension sum_k (n-1)^k. tensor.duality_report
     says why their unital algebra has the dimension of the envelope on
     E^(x r)."""
     return [

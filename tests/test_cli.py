@@ -118,6 +118,32 @@ def test_rook_present_fails_on_extra_dropped_component(capsys, monkeypatch):
     assert data["all_pass"] is False and data["presentation"]["all_pass"] is False
 
 
+def test_rook_present_r1(capsys):
+    # R_1 = {1, p_1} is presented by p_1^2 = z p_1 alone
+    code, out, _ = run(capsys, "rook", "--r", "1", "present", "--z", "3")
+    assert code == 0
+    assert json.loads(out) == {
+        "r": 1,
+        "z": "3",
+        "presentation": {
+            "r": 1,
+            "z": "3",
+            "degenerate_z": False,
+            "relations": [{"name": "p_1^2 = z p_1", "status": "pass"}],
+            "all_pass": True,
+        },
+        "rescaling": {"r": 1, "z": "3", "pairs_checked": 4, "failures": [], "all_pass": True},
+        "all_pass": True,
+    }
+
+
+def test_rook_present_r0_is_a_usage_error(capsys):
+    # relations(0) is empty, so a check at r = 0 would hold vacuously
+    code, out, err = run(capsys, "rook", "--r", "0", "present")
+    assert code == 2 and out == ""
+    assert err == "error: presentation needs r >= 1\n"
+
+
 def test_rook_present_degenerate_z(capsys):
     code, out, _ = run(capsys, "rook", "--r", "2", "present", "--z", "0")
     assert code == 0
@@ -199,7 +225,7 @@ def test_duality_text_passes(capsys):
     code, out, _ = run(capsys, "duality", "--n", "2", "--r", "2", "--q1", "1", "--q2", "-2")
     assert code == 0
     assert "identities hold" in out and "faithful=False" in out
-    assert "certificate: rook character, envelope by distinct powers of -q" in out
+    assert "certificate: rook character, envelope by Lie closure mod 67108859" in out
 
 
 def test_duality_json_round_trip(capsys):
@@ -275,6 +301,16 @@ def test_lie_json(capsys):
     assert code == 0 and data["closure_dim"] == 4 and data["ok"] is True
     assert data["certificate"]["path"] == "modular"
     assert data["certificate"]["bounds"] == {"lower": 4, "ceiling": 4}
+
+
+@pytest.mark.parametrize("family,dim", [("u", 1), ("h", 1), ("v", 0)])
+def test_lie_n2_closes_to_gl_1_and_sl_1(capsys, family, dim):
+    # m = 1: u_1 = h_1 = [1] span gl_1, and v_1 = [0] spans sl_1 = 0
+    code, out, _ = run(capsys, "lie", "--n", "2", "--q", "2", "--generators", family, "--json")
+    data = json.loads(out)
+    assert code == 0 and data["ok"] is True
+    assert (data["closure_dim"], data["expected_dim"], data["basis_size"]) == (dim, dim, dim)
+    assert data["certificate"]["bounds"] == {"lower": dim, "ceiling": dim}
 
 
 def test_lie_gate(capsys):

@@ -352,9 +352,10 @@ def test_presentation_degenerate_flag():
     assert report["all_pass"]
 
 
-def test_presentation_rejects_small_r():
-    with pytest.raises(ValueError):
-        verify_presentation(1, 2)
+def test_presentation_rejects_r_0():
+    # relations(0) is empty, so a check at r = 0 would hold vacuously
+    with pytest.raises(ValueError, match=r"^presentation needs r >= 1$"):
+        verify_presentation(0, 2)
 
 
 def test_relations_at_r_0_and_1():

@@ -3,10 +3,12 @@ it, and every library function has a caller in the library."""
 
 import ast
 import importlib.util
+import io
 import json
 import re
 import subprocess
 import sys
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -317,6 +319,65 @@ def test_detector_flags_every_form_of_a_lazy_package_import():
         ("a", "f", "_modlinalg"),
         ("a", "f", "tensor"),
     }
+
+
+PACKAGE = sorted(path.stem for path in LIBRARY if path.stem != "__init__")
+# module.name, or braidrook.module.name, with any further .attribute; a
+# word glued to the front or a path (src/braidrook/tensor.py) is not one
+DOTTED = re.compile(r"(?<![\w./])(?:braidrook\.)?(" + "|".join(PACKAGE) + r")((?:\.[A-Za-z_]\w*)+)")
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def prose(source: str) -> list[str]:
+    """The comments and the docstrings of a module's source. The code is
+    left out: a local name such as the parser `burau` of cli.build_parser
+    is no reference to the module."""
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    out = [tok.string for tok in tokens if tok.type == tokenize.COMMENT]
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append(ast.get_docstring(node, clean=False) or "")
+    return out
+
+
+def dangling_references(text: str) -> list[str]:
+    """Each module.name.more of text, module a package module, that does
+    not resolve attribute by attribute; the file name module.py is none."""
+    out = []
+    for match in DOTTED.finditer(text):
+        module, attrs = match.groups()
+        if attrs == ".py":
+            continue
+        obj = importlib.import_module(f"braidrook.{module}")
+        for attr in attrs[1:].split("."):
+            if not hasattr(obj, attr):
+                out.append(match.group(0))
+                break
+            obj = getattr(obj, attr)
+    return out
+
+
+@pytest.mark.parametrize("path", [*LIBRARY, README], ids=lambda p: p.name)
+def test_every_module_reference_in_the_prose_resolves(path):
+    # a docstring, comment or README line that names a deleted or renamed
+    # function fails here
+    source = path.read_text()
+    texts = [source] if path == README else prose(source)
+    dangling = [ref for text in texts for ref in dangling_references(text)]
+    assert not dangling, f"{path.name}: references to nothing: {dangling}"
+
+
+def test_detector_flags_a_dangling_reference():
+    source = (
+        "# burau.no_such_name, in a comment\n"
+        "def f(parser):\n"
+        '    """Calls braidrook.tensor.no_such_name and linalg.VectorSpan.add."""\n'
+        "    burau = parser.add_parser('burau')\n"
+        "    return burau.set_defaults, diagrams.no_such_name\n"
+    )
+    found = [ref for text in prose(source) for ref in dangling_references(text)]
+    assert sorted(found) == ["braidrook.tensor.no_such_name", "burau.no_such_name"]
+    assert dangling_references("see src/braidrook/tensor.py and tensor.py, then burau.row_window.") == []
 
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"

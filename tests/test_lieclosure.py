@@ -118,14 +118,29 @@ def test_constants_rejects_degenerate():
     for q in (0, 1, -1):
         with pytest.raises(ValueError):
             LieConstants(3, q)
-    with pytest.raises(ValueError):
-        LieConstants(2, 2)
+    with pytest.raises(ValueError, match=r"^need n >= 2$"):
+        LieConstants(1, 2)
+
+
+def test_constants_accept_n2():
+    # m = 1: H_1(z) = [z] and h_1 = [1]
+    c = LieConstants(2, 2)
+    assert c.size == 1 and (c.a, c.b) == (Fraction(2, 3), Fraction(1, 3))
+    assert subgroup_h(1, -2, c) == Matrix.from_rows([[-2]])
+    assert tangent_generators(2, 2) == [Matrix.from_rows([[1]])]
 
 
 def test_generator_preconditions():
     for maker in (u_generators, v_generators, tangent_generators):
         with pytest.raises(ValueError):
-            maker(2, 2)
+            maker(1, 2)
+
+
+@pytest.mark.parametrize("maker", [first_row_seed, first_row_chain])
+def test_first_row_chain_refuses_n2_by_name(maker):
+    # the seed brackets u_1 with u_2, and n = 2 has u_1 alone
+    with pytest.raises(ValueError, match=r"^the first-row chain needs u_1 and u_2, so n >= 3, not 2$"):
+        maker(2, 2)
 
 
 def test_u_examples_n3_q2():

@@ -16,7 +16,7 @@ from gram_oracle import tensor_character, tensor_dimensions
 from groupoid_oracle import bump_arrow, drop_empty_arrow
 from rook_factorization import projection_factorization
 
-from braidrook import _modlinalg, acceptance, burau, cellular, diagrams, lieclosure, linalg, matrix, tensor
+from braidrook import _modlinalg, acceptance, burau, cellular, diagrams, lieclosure, linalg, tensor
 from braidrook.burau import BurauParams, projection_p, unreduced_generator
 from braidrook.diagrams import (
     PartialPermutation,
@@ -498,8 +498,7 @@ def test_sandwich_dimensions_match_exact(n, r, q):
     report = duality_report(n, r, params)
     cert = report["certificate"]
     assert cert["path"] == "character" and cert["fallback_reason"] is None
-    # n = 2 takes the Vandermonde argument, with no prime
-    assert cert["prime"] == (_modlinalg.SANDWICH_PRIMES[0] if n > 2 else None) and cert["primes_skipped"] == []
+    assert cert["prime"] == _modlinalg.SANDWICH_PRIMES[0] and cert["primes_skipped"] == []
     exact = _exact_dims(n, r, params)
     assert exact["envelope"] == exact["rook_centralizer"]
     assert exact["image"] == exact["braid_centralizer"]
@@ -509,8 +508,7 @@ def test_sandwich_dimensions_match_exact(n, r, q):
         "rook_image": exact["image"],
     }
     details = {c["name"]: c["detail"] for c in report["checks"]}
-    how = f"Lie closure mod {cert['prime']}" if n > 2 else "distinct powers of -q"
-    assert how in details["rook_image_equals_centralizer_of_braid"]
+    assert f"Lie closure mod {cert['prime']}" in details["rook_image_equals_centralizer_of_braid"]
     assert "sum <psi_k, psi_k>" in details["enveloping_equals_centralizer_of_rook_image"]
     assert f"envelope = sum d_lambda^2 = {exact['envelope']}" in details["enveloping_equals_centralizer_of_rook_image"]
 
@@ -543,7 +541,9 @@ def test_duality_n2_r4_on_the_character_path():
     report = duality_report(2, 4, P22)
     _assert_all_pass(report)
     cert = report["certificate"]
-    assert cert["path"] == "character" and cert["prime"] is None
+    # m = 1: the tangent h_1 = [1] closes to gl_1 at the first listed prime
+    assert cert["path"] == "character" and cert["prime"] == _modlinalg.SANDWICH_PRIMES[0]
+    assert (cert["lie"]["closure_dim"], cert["lie"]["ceiling"]) == (1, 1)
     assert cert["bounds"] == {"envelope_lower": 5, "rook_centralizer": 5, "rook_image": 70}
 
 
@@ -738,25 +738,25 @@ def test_homomorphism_and_commute_checks_run_on_the_r_generators(monkeypatch):
     # and P on one slot and takes T_i P and P T_i for i = 1, 2 (3 letters,
     # 4 words); the relations at r = 2 take p_1, p_2, s_1, p_1 p_1, p_2 p_2,
     # p_1 p_2, p_2 p_1, s_1 s_1, p_2 s_1, p_1 s_1, s_1 p_1 p_2, p_1 p_2 s_1
-    # and s_1 p_1 s_1
+    # and s_1 p_1 s_1; T_i C = q1 C (1 + H_i(-q)) takes C, T_1 C, T_2 C,
+    # X_1, X_2, C X_1 and C X_2, X_i = q1 (1 + H_i(-q))
     calls = _count_calls(monkeypatch, (tensor,), "_packed_product")
     callers = Counter()
-    for module in (matrix, linalg, burau):
-        real = module.sparse_product
+    for name, module in list(sys.modules.items()):
+        if name.startswith("braidrook") and hasattr(module, "sparse_product"):
+            real = module.sparse_product
 
-        def recorded(*args, real=real):
-            callers[sys._getframe(1).f_globals["__name__"]] += 1
-            return real(*args)
+            def recorded(*args, real=real):
+                callers[sys._getframe(1).f_globals["__name__"]] += 1
+                return real(*args)
 
-        monkeypatch.setattr(module, "sparse_product", recorded)
+            monkeypatch.setattr(module, "sparse_product", recorded)
     assert duality_report(3, 2, P32)["certificate"]["path"] == "character"
-    assert calls["_packed_product"] == 3 + 4 + 13
-    # no dict product is taken for tensor: it binds no sparse_product, and
-    # the sparse products left are the integer products of the split check;
-    # the braid side multiplies row windows, and its closure mod p takes
-    # its brackets from _modlinalg._images
-    assert not hasattr(tensor, "sparse_product") and "braidrook.tensor" not in callers
-    assert set(callers) == {"braidrook.burau"}
+    assert calls["_packed_product"] == 3 + 4 + 13 + 7
+    # every integer identity runs on packed rows, the braid side multiplies
+    # row windows, and its closure mod p takes its brackets from
+    # _modlinalg._images: no module takes a dict product
+    assert not callers
 
 
 @pytest.mark.parametrize("n,r", acceptance.DUALITY_GRID)
@@ -943,28 +943,23 @@ def test_a_direct_sum_handed_in_as_one_block_is_not_certified():
     assert _modlinalg.bracket_closure_dim_mod(tangents, prime, 9) == 9
     doubled = [direct_sum([h, h]) for h in tangents]
     assert _modlinalg.bracket_closure_dim_mod(doubled, prime, 36) == 9
-    reds = burau.split_generators(params, [unreduced_generator(i, params) for i in range(1, 4)])
+    reds = [burau.reduced_generator(i, params) for i in range(1, 4)]
     block = [_modlinalg.residues(direct_sum([g, g]), prime) for g in reds]
     assert character_oracle.closure_dim_mod(block, 6, prime) == 9
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_lie_record_holds_the_prime_the_closure_and_each_check(n):
-    # q = 2: for n = 2 the one check is on the powers of g = -q, and no
-    # closure runs; for n >= 3 the three exact checks pass and the closure
-    # meets m^2 at the first listed prime
+    # q = 2: the three exact checks pass and the closure meets m^2 at the
+    # first listed prime, also for n = 2, where m^2 = 1
     m = n - 1
     lie = duality_report(n, 2, BurauParams.preset(n))["certificate"]["lie"]
-    if n == 2:
-        checks = [("powers_distinct", "g^k distinct for k = 0..2, g = q1^-1 R_1 = -2")]
-        assert (lie["prime"], lie["closure_dim"], lie["ceiling"]) == (None, None, 1)
-    else:
-        checks = [
-            ("infinite_order", "-q = -2 has infinite order"),
-            ("h_at_minus_q", f"R_i = q1 H_i(-q) for i = 1..{m}"),
-            ("homomorphism", "H_i(z) H_i(w) = H_i(zw) at z, w in {2, 3}"),
-        ]
-        assert (lie["prime"], lie["closure_dim"], lie["ceiling"]) == (_modlinalg.SANDWICH_PRIMES[0], m * m, m * m)
+    checks = [
+        ("infinite_order", "-q = -2 has infinite order"),
+        ("h_at_minus_q", f"T_i C = q1 C (1 + H_i(-q)) for i = 1..{m}"),
+        ("homomorphism", "H_i(z) H_i(w) = H_i(zw) at z, w in {2, 3}"),
+    ]
+    assert (lie["prime"], lie["closure_dim"], lie["ceiling"]) == (_modlinalg.SANDWICH_PRIMES[0], m * m, m * m)
     assert lie["checks"] == [{"name": name, "status": "pass", "detail": detail} for name, detail in checks]
 
 
@@ -990,18 +985,18 @@ def test_bumped_tangent_misses_m_squared_at_every_listed_prime(monkeypatch):
 
 
 def test_bumped_reduced_generator_fails_the_h_check(monkeypatch):
-    # R_2 handed on by the split check with entry (2, 2) raised by one:
-    # R_2 = q1 H_2(-q) fails, and no closure runs; the T_i on E^(x r) are
-    # untouched, so the exact path passes
-    real = tensor.split_generators
+    # H_2(-q) at n = 4 with entry (3, 2), outside its row 2, raised by one:
+    # T_2 C = q1 C (1 + H_2(-q)) fails, and no closure runs; the T_i on
+    # E^(x r) are untouched, so the exact path passes
+    real = tensor.subgroup_h
 
-    def bumped(p, ts):
-        r_1, r_2 = real(p, ts)
-        return [r_1, r_2 + unit(2, 1, 1)]
+    def bumped(i, z, c):
+        h = real(i, z, c)
+        return h + unit(3, 2, 1) if i == 2 else h
 
-    monkeypatch.setattr(tensor, "split_generators", bumped)
-    report = duality_report(3, 2, P32)
-    assert _passing_on_the_exact_path(report) == "R_2 != q1 H_2(-q)"
+    monkeypatch.setattr(tensor, "subgroup_h", bumped)
+    report = duality_report(4, 2, BurauParams.preset(4))
+    assert _passing_on_the_exact_path(report) == "T_2 C != q1 C (1 + H_2(-q))"
     lie = report["certificate"]["lie"]
     assert [(c["name"], c["status"]) for c in lie["checks"]] == [("infinite_order", "pass"), ("h_at_minus_q", "fail")]
     assert lie["prime"] is None and lie["closure_dim"] is None
@@ -1009,8 +1004,8 @@ def test_bumped_reduced_generator_fails_the_h_check(monkeypatch):
 
 def test_bumped_h_window_fails_the_homomorphism_check(monkeypatch):
     # the left entry of every window raised by z + q, which is 0 at z = -q:
-    # R_i = q1 H_i(-q) still holds, but row i of H_i(2) H_i(2) has the
-    # left entry 3 (2 + q - b) against 4 + q - 3b in H_i(4)
+    # T_i C = q1 C (1 + H_i(-q)) still holds, but row i of H_i(2) H_i(2)
+    # has the left entry 3 (2 + q - b) against 4 + q - 3b in H_i(4)
     real = tensor.h_window
 
     def bumped(z, c):
@@ -1043,17 +1038,20 @@ def test_finite_order_minus_q_is_refused_by_name(q1, q2):
     }
 
 
-def test_n2_powers_that_coincide_take_the_exact_path():
-    # at n = 2 and q = 1, g = q1^-1 R_1 = -1: g^0 and g^1 are distinct, so
-    # r = 1 stays on the character path, but g^0 = g^2 at r = 2, where the
-    # envelope on U has dimension 2 of sum d_lambda^2 = 3
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_n2_powers_that_coincide_take_the_exact_path(r):
+    # at n = 2 and q = 1 the powers of -q = -1 give two points of H_1, so
+    # every r is refused by name; the exact dimensions pass at r = 0 and 1,
+    # and at r = 2 the envelope has dimension 2 of sum d_lambda^2 = 3
     params = BurauParams.degenerate(2, 1, -1)
-    cert = duality_report(2, 1, params)["certificate"]
-    assert cert["path"] == "character" and cert["lie"]["checks"][0]["status"] == "pass"
-    report = duality_report(2, 2, params)
+    report = duality_report(2, r, params)
     cert = report["certificate"]
-    assert cert["path"] == "exact" and cert["fallback_reason"] == "g^0 = g^2, g = q1^-1 R_1 = -1"
+    assert cert["path"] == "exact" and cert["fallback_reason"] == "-q = -1 has finite order"
     assert cert["prime"] is None and cert["bounds"]["envelope_lower"] is None
+    assert [c["status"] for c in cert["lie"]["checks"]] == ["fail"]
+    if r < 2:
+        _passing_on_the_exact_path(report)
+        return
     assert {c["name"] for c in report["checks"] if c["status"] == "fail"} == {
         "enveloping_equals_centralizer_of_rook_image",
         "rook_image_equals_centralizer_of_braid",
@@ -1070,21 +1068,30 @@ def _bumped(c):
 
 
 def _first_column_dropped(c):
-    # T_i C = C (q1 + R_i) still holds, but C is singular
+    # T_i C = q1 C (1 + H_i(-q)) still holds, but C is singular
     return Matrix(c.rows, c.cols, {k: x for k, x in c.nonzeros().items() if k % c.cols})
 
 
 @pytest.mark.parametrize(
     "broken,reason",
     [
-        (_bumped, "T_i C != C (q1 + R_i) at i = 1"),
+        (_bumped, "T_1 C != q1 C (1 + H_1(-q))"),
         (_first_column_dropped, "C = change_of_basis is singular"),
     ],
 )
 def test_broken_change_of_basis_fails_the_split_check(monkeypatch, broken, reason):
-    real = burau.change_of_basis
-    monkeypatch.setattr(burau, "change_of_basis", lambda p: broken(real(p)))
-    assert _passing_on_the_exact_path(duality_report(3, 2, P32)) == reason
+    # the failure is named in the lie record, and bounds holds the rook
+    # numbers with no envelope bound
+    real = tensor.change_of_basis
+    monkeypatch.setattr(tensor, "change_of_basis", lambda p: broken(real(p)))
+    report = duality_report(3, 2, P32)
+    assert _passing_on_the_exact_path(report) == reason
+    cert = report["certificate"]
+    assert cert["lie"]["checks"] == [
+        {"name": "infinite_order", "status": "pass", "detail": "-q = -2 has infinite order"},
+        {"name": "h_at_minus_q", "status": "fail", "detail": reason},
+    ]
+    assert cert["bounds"] == {"envelope_lower": None, "rook_centralizer": 15, "rook_image": 7}
 
 
 COMMUTE_AND_BOTH_EQUALITIES = {
